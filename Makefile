@@ -8,9 +8,9 @@
 
 GO ?= go
 
-.PHONY: check fmt-check vet fragvet build test race fault crash serve ha eval bench benchcompile bench-mip bench-eval bench-paper
+.PHONY: check fmt-check vet fragvet build test race benchcompile bench-paper
 
-check: fmt-check vet fragvet build benchcompile fault crash serve ha eval race
+check: fmt-check vet fragvet build benchcompile race
 	@echo "make check: all stages passed"
 
 fmt-check:
@@ -50,87 +50,12 @@ race:
 	@t0=$$(date +%s); $(GO) test -race -timeout 1800s ./... || exit $$?; \
 	echo "race: $$(( $$(date +%s) - t0 ))s"
 
-# The deterministic fault-injection suite (DESIGN.md §3.7): simplex
-# recovery rungs, MIP cancellation, and the driver's greedy degradation,
-# under the race detector because the injector is shared across workers.
-fault:
-	@t0=$$(date +%s); $(GO) test -race -run 'Recovery|Cancel|Degraded|Retry|Fault|Seeded' \
-		./internal/simplex ./internal/mip ./internal/core ./internal/faultinject || exit $$?; \
-	echo "fault: $$(( $$(date +%s) - t0 ))s"
-
-# Crash-safety suite (DESIGN.md §3.9): checkpoint format round-trip and
-# corruption sweeps, kill-point crash/resume bit-identity (in-process panic
-# and subprocess os.Exit(137)), torn-write fallback, and the mid-MIP
-# checkpoint observation/warm-resume tests.
-crash:
-	@t0=$$(date +%s); $(GO) test -run 'Checkpoint|Crash|Resume|Torn|Truncation|BitFlip|Generations|Recorder|Digest' \
-		./internal/checkpoint ./internal/core ./internal/mip ./internal/model || exit $$?; \
-	echo "crash: $$(( $$(date +%s) - t0 ))s"
-
-# Service-layer robustness suite (DESIGN.md §3.11): allocd crash-restart
-# bit-identity (subprocess os.Exit(137) at every service-loop and
-# solve-journal kill point), graceful degradation under injected solver
-# faults, drift/diff goldens, and shutdown wiring — under the race detector
-# because the daemon's solve loop, HTTP handlers, and journal writer share
-# the incumbent.
-serve:
-	@t0=$$(date +%s); $(GO) test -race -timeout 900s -run 'Service|Allocd|Diff|Drift|Shutdown' \
-		./internal/service ./internal/shutdown || exit $$?; \
-	echo "serve: $$(( $$(date +%s) - t0 ))s"
-
-# High-availability suite (DESIGN.md §3.13): lease acquisition/fencing and
-# journal tailing at the checkpoint layer, then the service-level failover
-# acceptance tests — subprocess leaders and followers killed with exit 137
-# at every named HA kill point, standby takeover within 2× the lease TTL
-# with bit-identical convergence, the deposed-leader fencing proof, and
-# admission control under a 100-update burst — under the race detector
-# because election, renewal, tailing, and the solve loop share the service.
-ha:
-	@t0=$$(date +%s); $(GO) test -race -timeout 900s -run 'ServiceHA|Lease|Watcher|Admission|TokenBucket' \
-		./internal/checkpoint ./internal/service || exit $$?; \
-	echo "ha: $$(( $$(date +%s) - t0 ))s"
-
-# Scenario scale-out suite (DESIGN.md §3.12): k-medoids reduction
-# invariants, the reduced-vs-full solve cross-check, the streaming
-# evaluator's bit-identity across parallelism levels, the parametric
-# Newton search against the reference bisection and the routing LP — under
-# the race detector because the streaming driver shares an atomic work
-# counter across its pool.
-eval:
-	@t0=$$(date +%s); $(GO) test -race -timeout 900s -run 'Reduce|Stream|Evaluator|Newton|Nearest|Flow|WorstLoad|Weight' \
-		./internal/scenario ./internal/eval ./internal/maxflow ./internal/model || exit $$?; \
-	echo "eval: $$(( $$(date +%s) - t0 ))s"
-
 # Bench-rot guard: run every benchmark in the repo exactly once so a
 # benchmark that no longer compiles or crashes fails `make check`. -short
-# skips the dense-baseline kernel variants that take minutes by design.
+# trims the evaluator benchmark's scenario sweep.
 benchcompile:
 	@t0=$$(date +%s); $(GO) test -run NONE -bench . -benchtime 1x -short ./... || exit $$?; \
 	echo "benchcompile: $$(( $$(date +%s) - t0 ))s"
-
-# Simplex kernel benchmarks (lu vs the retired dense baseline), recorded as
-# BENCH_simplex.json with derived speedup/memory ratios (cmd/benchjson).
-# The dense variants at the largest sizes take a minute or two each.
-bench:
-	$(GO) test -run NONE -bench . -benchmem ./internal/simplex \
-		| tee /dev/stderr | $(GO) run ./cmd/benchjson -o BENCH_simplex.json
-
-# Branch-and-bound accelerator benchmarks (presolve/pseudocost/Devex,
-# feat=on vs the pre-feature feat=off baseline), recorded as BENCH_mip.json
-# with derived node/iteration reduction ratios (cmd/benchjson). The new
-# benchmark also runs — once, via -benchtime 1x -short — under the
-# `benchcompile` rot guard in `make check`.
-bench-mip:
-	$(GO) test -run NONE -bench BenchmarkMIPSearch -benchmem ./internal/core \
-		| tee /dev/stderr | $(GO) run ./cmd/benchjson -o BENCH_mip.json
-
-# Streaming-evaluator benchmarks (mode=naive rebuild-and-bisect baseline
-# vs mode=cached graph-reuse + parametric search vs mode=par worker pool),
-# recorded as BENCH_scenario.json with derived speedup_vs_naive ratios
-# (cmd/benchjson). Also exercised once by the `benchcompile` rot guard.
-bench-eval:
-	$(GO) test -run NONE -bench BenchmarkEvalStream -benchmem -timeout 1800s ./internal/eval \
-		| tee /dev/stderr | $(GO) run ./cmd/benchjson -o BENCH_scenario.json
 
 # Paper-scale table/figure benchmarks (the pre-existing root suite).
 bench-paper:

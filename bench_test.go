@@ -93,31 +93,3 @@ func benchAllocateK8(b *testing.B, parallelism int) {
 
 func BenchmarkAllocateK8Serial(b *testing.B)   { benchAllocateK8(b, 1) }
 func BenchmarkAllocateK8Parallel(b *testing.B) { benchAllocateK8(b, 0) }
-
-// Ablation benchmarks: quantify the contribution of each MIP-solve
-// refinement (DESIGN.md §3.2b) on the exact TPC-DS K=4 solve. Each
-// iteration reports the achieved replication factor as the "W/V" metric —
-// lower is better at equal budget.
-func benchAblation(b *testing.B, abl fragalloc.Ablation) {
-	w := fragalloc.TPCDSWorkload()
-	var repl float64
-	for i := 0; i < b.N; i++ {
-		res, err := fragalloc.Allocate(w, nil, 4, fragalloc.Options{
-			Ablation: abl,
-			MIP:      mip.Options{TimeLimit: 3 * time.Second, MaxStallNodes: 150},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		repl = res.ReplicationFactor
-	}
-	b.ReportMetric(repl, "W/V")
-}
-
-func BenchmarkAblationFull(b *testing.B)    { benchAblation(b, fragalloc.Ablation{}) }
-func BenchmarkAblationNoDive(b *testing.B)  { benchAblation(b, fragalloc.Ablation{NoDive: true}) }
-func BenchmarkAblationNoTrim(b *testing.B)  { benchAblation(b, fragalloc.Ablation{NoTrim: true}) }
-func BenchmarkAblationNoHints(b *testing.B) { benchAblation(b, fragalloc.Ablation{NoHints: true}) }
-func BenchmarkAblationNoSymmetry(b *testing.B) {
-	benchAblation(b, fragalloc.Ablation{NoSymmetryBreaking: true})
-}

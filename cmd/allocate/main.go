@@ -104,7 +104,7 @@ func main() {
 		defer timeoutCancel()
 	}
 
-	w, err := loadWorkload(*workload, *in)
+	w, err := fragalloc.NamedWorkload(*workload, *in)
 	if err != nil {
 		fail(err)
 	}
@@ -272,18 +272,6 @@ func openRecorder(dir string, resume bool, every time.Duration) (*checkpoint.Rec
 		}
 	}
 	return checkpoint.NewRecorder(st, prev, every), nil
-}
-
-func loadWorkload(name, path string) (*fragalloc.Workload, error) {
-	switch {
-	case path != "":
-		return fragalloc.LoadWorkload(path)
-	case name == "tpcds":
-		return fragalloc.TPCDSWorkload(), nil
-	case name == "accounting":
-		return fragalloc.AccountingWorkload(), nil
-	}
-	return nil, fmt.Errorf("specify -workload tpcds|accounting or -in file.json")
 }
 
 func fail(err error) {

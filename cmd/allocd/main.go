@@ -107,7 +107,6 @@ func main() {
 	role := flag.String("role", "single", "replica role: single (no HA), auto (elect through the shared-state lease), standby (follow, never lead)")
 	nodeID := flag.String("node-id", "", "replica name in the lease file (default hostname-pid)")
 	advertise := flag.String("advertise", "", "advertised base URL for write redirection (default http://<addr>)")
-	peers := flag.String("peers", "", "comma-separated base URLs of the other replicas (informational)")
 	leaseTTL := flag.Duration("lease-ttl", 2*time.Second, "leader lease TTL; failover completes within 2×TTL")
 	admitRate := flag.Float64("admit-rate", 0, "sustained updates/s admitted (0 = unlimited)")
 	admitBurst := flag.Int("admit-burst", 0, "update burst depth before -admit-rate applies (0 = derived)")
@@ -118,7 +117,7 @@ func main() {
 	ctx, cancel := shutdown.Graceful("allocd", exitInternal)
 	defer cancel()
 
-	w, err := loadWorkload(*workload, *in)
+	w, err := fragalloc.NamedWorkload(*workload, *in)
 	if err != nil {
 		fail(err)
 	}
@@ -165,7 +164,6 @@ func main() {
 			NodeID:    id,
 			Addr:      adv,
 			LeaseTTL:  *leaseTTL,
-			Peers:     splitPeers(*peers),
 			NoPromote: *role == "standby",
 		}
 	default:
@@ -259,28 +257,6 @@ func advertiseFromAddr(addr string) string {
 		return "http://127.0.0.1" + addr
 	}
 	return "http://" + addr
-}
-
-func splitPeers(s string) []string {
-	var peers []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			peers = append(peers, p)
-		}
-	}
-	return peers
-}
-
-func loadWorkload(name, path string) (*fragalloc.Workload, error) {
-	switch {
-	case path != "":
-		return fragalloc.LoadWorkload(path)
-	case name == "tpcds":
-		return fragalloc.TPCDSWorkload(), nil
-	case name == "accounting":
-		return fragalloc.AccountingWorkload(), nil
-	}
-	return nil, fmt.Errorf("specify -workload tpcds|accounting or -in file.json")
 }
 
 func fail(err error) {

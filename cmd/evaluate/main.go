@@ -33,7 +33,7 @@ func main() {
 	if *allocPath == "" {
 		fail(fmt.Errorf("-alloc is required"))
 	}
-	w, err := loadWorkload(*workload, *in)
+	w, err := fragalloc.NamedWorkload(*workload, *in)
 	if err != nil {
 		fail(err)
 	}
@@ -79,18 +79,6 @@ func main() {
 			fmt.Printf("scenario %3d: L~=%.6f throughput=%.4f\n", i+1, l, invK/l)
 		}
 	}
-}
-
-func loadWorkload(name, path string) (*fragalloc.Workload, error) {
-	switch {
-	case path != "":
-		return fragalloc.LoadWorkload(path)
-	case name == "tpcds":
-		return fragalloc.TPCDSWorkload(), nil
-	case name == "accounting":
-		return fragalloc.AccountingWorkload(), nil
-	}
-	return nil, fmt.Errorf("specify -workload tpcds|accounting or -in file.json")
 }
 
 func fail(err error) {

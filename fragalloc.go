@@ -42,6 +42,7 @@
 package fragalloc
 
 import (
+	"fmt"
 	"io"
 
 	"fragalloc/internal/accounting"
@@ -78,8 +79,6 @@ type (
 	Result = core.Result
 	// ChunkSpec describes the recursive decomposition ("4+4", "2+2+1", …).
 	ChunkSpec = core.ChunkSpec
-	// Ablation disables individual solver refinements for benchmarking.
-	Ablation = core.Ablation
 	// OutcomeCounts tallies per-subproblem solve outcomes (optimal /
 	// feasible / degraded) under the failure policy.
 	OutcomeCounts = core.OutcomeCounts
@@ -256,6 +255,20 @@ func TPCDSWorkload() *Workload { return tpcds.Workload() }
 // workload: N = 344 column fragments, Q = 4461 templates with skewed
 // frequencies and costs (Section 2.3.2 of the paper).
 func AccountingWorkload() *Workload { return accounting.Workload() }
+
+// NamedWorkload resolves the -workload/-in flag pair the commands share: the
+// JSON file at path when given, else the canonical workload called name.
+func NamedWorkload(name, path string) (*Workload, error) {
+	switch {
+	case path != "":
+		return LoadWorkload(path)
+	case name == "tpcds":
+		return TPCDSWorkload(), nil
+	case name == "accounting":
+		return AccountingWorkload(), nil
+	}
+	return nil, fmt.Errorf("specify -workload tpcds|accounting or -in file.json")
+}
 
 // InSampleScenarios builds the S-scenario optimization input of Section
 // 4.2: the deterministic baseline f=1 plus S−1 random diversifications with

@@ -49,7 +49,7 @@ func Analyzers() []*Analyzer {
 
 // A Pass hands one analyzer the parsed and type-checked view of one package,
 // plus the module-wide call graph and effect summaries (shared across all
-// analyzers of a Run, so ten analyzers pay for one interprocedural build).
+// analyzers of a Run, so nine analyzers pay for one interprocedural build).
 type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package

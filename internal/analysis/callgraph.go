@@ -20,7 +20,7 @@ import (
 //   - Static calls (package functions, concrete methods) resolve exactly.
 //   - Interface method calls resolve to every module type whose method set
 //     implements the interface — the conservative approximation that makes
-//     basisKernel-style seams (simplex's LU/dense kernels) visible.
+//     basisKernel-style seams (simplex's LU kernel behind its interface) visible.
 //   - A function or method *value* (passed as an argument, stored in a
 //     field) contributes a "may call" reference edge from the function that
 //     takes the value: whoever receives it may invoke it synchronously.

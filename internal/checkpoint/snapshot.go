@@ -9,7 +9,7 @@ package checkpoint
 // from the root — only the incumbent and its provenance are durable).
 type Snapshot struct {
 	// RunKey fingerprints the model-shaping inputs (workload, scenarios, K,
-	// chunk spec, clustering, ablation). A resume against a snapshot with a
+	// chunk spec, α, clustering). A resume against a snapshot with a
 	// different RunKey is refused: the journaled subproblems would describe a
 	// different model.
 	RunKey string `json:"run_key,omitempty"`

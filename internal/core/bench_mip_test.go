@@ -6,40 +6,30 @@ import (
 	"fragalloc/internal/mip"
 	"fragalloc/internal/model"
 	"fragalloc/internal/scenario"
-	"fragalloc/internal/simplex"
 )
 
-// BenchmarkMIPSearch measures the branch-and-bound accelerators (presolve,
-// pseudocost branching, Devex pricing) on rows of each paper workload:
-// feat=on is the default configuration, feat=off the pre-feature solver
-// (presolve off, pseudocost off, Dantzig pricing). Besides wall time it
-// reports the search effort — nodes/op and lpiters/op — which is what the
-// accelerators are meant to collapse. `make bench-mip` records the output
-// as BENCH_mip.json with derived off/on ratios (cmd/benchjson).
+// BenchmarkMIPSearch measures the branch-and-bound search on rows of each
+// paper workload. Besides wall time it reports the search effort — nodes/op
+// and lpiters/op — which is what presolve, pseudocost branching and Devex
+// pricing are meant to collapse.
 //
-// The plain rows run at the loose kernelGap certificate, where both
-// configurations terminate after a handful of nodes on incumbent slack and
-// the effort difference is mostly per-LP pricing. The -cluster rows are the
-// headline: partial clustering (FixedQueries) plus a tight 1e-6 gap makes
-// both searches prove the same optimum, so their node counts compare a full
-// bound-proving tree — the configuration where pseudocost branching
-// collapses the tree by an order of magnitude (see DESIGN.md §3.10). The
-// larger 24-query cluster rows take tens of seconds per all-off solve and
-// are skipped under -short so the `benchcompile` rot guard stays fast; the
-// 16-query cluster row keeps the clustered path covered there.
+// The plain rows run at the loose kernelGap certificate, where the search
+// terminates after a handful of nodes on incumbent slack. The -cluster rows
+// are the headline: partial clustering (FixedQueries) plus a tight 1e-6 gap
+// makes the search prove the optimum, so their node counts measure a full
+// bound-proving tree (see DESIGN.md §3.10).
 func BenchmarkMIPSearch(b *testing.B) {
 	cases := []struct {
 		name  string
 		w     *model.Workload
 		fixed int     // partial clustering: queries pinned to node 0
 		gap   float64 // per-subproblem certified RelGap
-		long  bool    // skipped under -short (benchcompile rot guard)
 	}{
 		{name: "accounting", w: accountingSubset(16), gap: kernelGap},
 		{name: "tpcds", w: tpcdsSubset(16), gap: kernelGap},
 		{name: "tpcds-cluster16", w: tpcdsSubset(16), fixed: 8, gap: 1e-6},
-		{name: "accounting-cluster24", w: accountingSubset(24), fixed: 12, gap: 1e-6, long: true},
-		{name: "tpcds-cluster24", w: tpcdsSubset(24), fixed: 12, gap: 1e-6, long: true},
+		{name: "accounting-cluster24", w: accountingSubset(24), fixed: 12, gap: 1e-6},
+		{name: "tpcds-cluster24", w: tpcdsSubset(24), fixed: 12, gap: 1e-6},
 	}
 	for _, c := range cases {
 		c := c
@@ -48,33 +38,20 @@ func BenchmarkMIPSearch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, feat := range []string{"on", "off"} {
-			feat := feat
-			b.Run("table="+c.name+"/feat="+feat, func(b *testing.B) {
-				if c.long && testing.Short() {
-					b.Skip("long row: skipped under -short")
+		b.Run("table="+c.name, func(b *testing.B) {
+			var nodes, iters int
+			for i := 0; i < b.N; i++ {
+				r, err := Allocate(c.w, seen, 4, Options{
+					Chunks: spec, Parallelism: 2, FixedQueries: c.fixed, MIP: mip.Options{RelGap: c.gap},
+				})
+				if err != nil {
+					b.Fatal(err)
 				}
-				mo := mip.Options{RelGap: c.gap}
-				if feat == "off" {
-					mo.DisablePresolve = true
-					mo.DisablePseudocost = true
-					mo.LP = simplex.Options{Pricing: simplex.PricingDantzig}
-				}
-				var nodes, iters int
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					r, err := Allocate(c.w, seen, 4, Options{
-						Chunks: spec, Parallelism: 2, FixedQueries: c.fixed, MIP: mo,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					nodes += r.BBNodes
-					iters += r.LPIters
-				}
-				b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
-				b.ReportMetric(float64(iters)/float64(b.N), "lpiters/op")
-			})
-		}
+				nodes += r.BBNodes
+				iters += r.LPIters
+			}
+			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+			b.ReportMetric(float64(iters)/float64(b.N), "lpiters/op")
+		})
 	}
 }

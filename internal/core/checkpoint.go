@@ -21,27 +21,16 @@ import (
 
 // runKey fingerprints the inputs that shape the optimization model: the
 // workload and scenario digests, K, the decomposition spec, and the solver
-// options that change the model itself (α, partial clustering, ablations).
+// options that change the model itself (α, partial clustering).
 // Budgets (TimeLimit, iteration limits) and Parallelism are deliberately
 // excluded: re-running with a larger budget or different core count must be
 // allowed to resume the same journal — the subproblems are the same, only
 // how long we work on them differs.
 func runKey(w *model.Workload, ss *model.ScenarioSet, k int, spec *ChunkSpec, opt Options) string {
-	var ab uint
-	if opt.Ablation.NoSymmetryBreaking {
-		ab |= 1
-	}
-	if opt.Ablation.NoDive {
-		ab |= 2
-	}
-	if opt.Ablation.NoTrim {
-		ab |= 4
-	}
-	if opt.Ablation.NoHints {
-		ab |= 8
-	}
-	return fmt.Sprintf("w%016x-s%016x-k%d-c%s-a%x-f%d-ab%d",
-		w.Digest(), ss.Digest(), k, spec, math.Float64bits(opt.Alpha), opt.FixedQueries, ab)
+	// The constant "-ab0" field keeps the key equal to the one earlier
+	// commits journaled, so their journals still bind.
+	return fmt.Sprintf("w%016x-s%016x-k%d-c%s-a%x-f%d-ab0",
+		w.Digest(), ss.Digest(), k, spec, math.Float64bits(opt.Alpha), opt.FixedQueries)
 }
 
 // subCheckpoint pairs the run's recorder with one subproblem's journal id.

@@ -176,6 +176,13 @@ func TestResumeReplaysWithoutSolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The run key e118db2 journaled for this instance, "-ab0" field included:
+	// journals written by earlier commits must keep binding (Recorder.Bind
+	// refuses any other key), so the key format is frozen.
+	const e118db2RunKey = "w923a9afd998a5ea5-s259cc21b636faee8-k4-c2+2-a408f400000000000-f0-ab0"
+	if prev.RunKey != e118db2RunKey {
+		t.Fatalf("run key %q, want %q: journals written before this commit would be refused", prev.RunKey, e118db2RunKey)
+	}
 	rec := checkpoint.NewRecorder(st, prev, 0)
 	res, err := Allocate(w, nil, 4, Options{
 		Chunks: spec, Parallelism: 1, Checkpoint: rec,

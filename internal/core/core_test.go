@@ -347,24 +347,6 @@ func randomWorkload(rng *rand.Rand, n, q int) *model.Workload {
 	return w
 }
 
-func TestAblationSwitches(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	w := randomWorkload(rng, 16, 12)
-	for _, abl := range []Ablation{
-		{NoSymmetryBreaking: true},
-		{NoDive: true},
-		{NoTrim: true},
-		{NoHints: true},
-		{NoSymmetryBreaking: true, NoDive: true, NoTrim: true, NoHints: true},
-	} {
-		res, err := Allocate(w, nil, 3, Options{MIP: budget, Ablation: abl})
-		if err != nil {
-			t.Fatalf("%+v: %v", abl, err)
-		}
-		checkResult(t, w, nil, res)
-	}
-}
-
 func TestExportLP(t *testing.T) {
 	w := starWorkload(3, 10, 5)
 	var buf bytes.Buffer

@@ -66,25 +66,8 @@ type Options struct {
 	// in-flight MIP incumbents seed the restarted search. Allocate fails if
 	// the journal was written for different inputs (see Recorder.Bind).
 	Checkpoint *checkpoint.Recorder
-	// Ablation switches off individual solver refinements; used by the
-	// ablation benchmarks to quantify each design choice. Leave zero for
-	// production use.
-	Ablation Ablation
 	// Logf, if non-nil, receives progress lines.
 	Logf func(format string, args ...any)
-}
-
-// Ablation disables individual refinements of the MIP solve (DESIGN.md
-// §3.2b) so their contribution can be measured in isolation.
-type Ablation struct {
-	// NoSymmetryBreaking omits the subnode-ordering rows.
-	NoSymmetryBreaking bool
-	// NoDive skips the LP-guided dive-and-fix primal heuristic.
-	NoDive bool
-	// NoTrim skips the routing-LP-certified trim local search.
-	NoTrim bool
-	// NoHints skips the hierarchical and greedy starting incumbents.
-	NoHints bool
 }
 
 // Result reports the allocation and solve statistics.
@@ -196,7 +179,7 @@ func Allocate(w *model.Workload, ss *model.ScenarioSet, k int, opt Options) (*Re
 	root := &subproblem{
 		w: w, ss: ss, costs: costs, k: k, vNorm: v, alpha: opt.Alpha,
 		activeFrag: activeFrag, flexQ: flex, fixedQ: fixed, shares: shares,
-		hasFixed: true, ablation: opt.Ablation,
+		hasFixed: true,
 	}
 
 	alloc := model.NewAllocation(k)
@@ -414,7 +397,7 @@ func (d *driver) solve(sp *subproblem, spec *ChunkSpec, leaf int, id string) err
 	// reads of sp, so they run concurrently with each other.
 	var hint, greedyHint map[int][]bool
 	var hintTasks []func() error
-	if len(spec.Children) == 0 && b >= 3 && !d.opt.Ablation.NoHints {
+	if len(spec.Children) == 0 && b >= 3 {
 		hintTasks = append(hintTasks, func() error {
 			if d.canceled() {
 				return nil // the main solve will degrade; skip the pre-solve
@@ -423,7 +406,7 @@ func (d *driver) solve(sp *subproblem, spec *ChunkSpec, leaf int, id string) err
 			return nil
 		})
 	}
-	if len(spec.Children) == 0 && leaf == 0 && spec.Leaves == d.alloc.K && !d.opt.Ablation.NoHints {
+	if len(spec.Children) == 0 && leaf == 0 && spec.Leaves == d.alloc.K {
 		hintTasks = append(hintTasks, func() error {
 			if d.canceled() {
 				return nil

@@ -61,7 +61,7 @@ func ExportLP(out io.Writer, w *model.Workload, ss *model.ScenarioSet, k int, op
 		w: w, ss: ss, costs: ss.TotalCosts(w), k: k,
 		vNorm: w.AccessedDataSize(ss.Frequencies...), alpha: opt.Alpha,
 		activeFrag: activeFrag, flexQ: flex, fixedQ: fixed, shares: shares,
-		weights: weights, hasFixed: true, ablation: opt.Ablation,
+		weights: weights, hasFixed: true,
 	}
 	p, ix, intVars := sp.build(true)
 

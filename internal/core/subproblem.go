@@ -35,7 +35,6 @@ type subproblem struct {
 	shares     [][]float64 // z̄[s][query]: inherited share per scenario
 	weights    []float64   // w_b = (leaves of subnode b)/K
 	hasFixed   bool        // subnode 0 contains global leaf 0
-	ablation   Ablation    // disabled refinements (benchmarking only)
 }
 
 // clone returns a copy of sp that is safe to solve concurrently with uses
@@ -206,7 +205,7 @@ func (sp *subproblem) build(withSymmetry bool) (*simplex.Problem, *indices, []in
 	// b. Every feasible solution has a permutation satisfying this, so the
 	// optimum is preserved while the permuted duplicates are cut off.
 	keyW := sp.symKeyWeights()
-	if !withSymmetry || sp.ablation.NoSymmetryBreaking {
+	if !withSymmetry {
 		keyW = nil
 	}
 	for _, cls := range sp.symClasses() {
@@ -526,10 +525,8 @@ func (sp *subproblem) solve(opt mip.Options, ck *subCheckpoint, hints ...map[int
 			_ = rec.RecordMIP(id, mr)
 		}
 	}
-	if !sp.ablation.NoDive {
-		if start := sp.dive(ix, opt.LP); start != nil {
-			opt.Starts = append(opt.Starts, start)
-		}
+	if start := sp.dive(ix, opt.LP); start != nil {
+		opt.Starts = append(opt.Starts, start)
 	}
 	for _, hint := range hints {
 		if hint == nil {
@@ -551,9 +548,6 @@ func (sp *subproblem) solve(opt mip.Options, ck *subCheckpoint, hints ...map[int
 		opt.Starts = append(opt.Starts, prop)
 	}
 	tr, trErr := sp.newTrimmer(ix, opt.LP)
-	if sp.ablation.NoTrim {
-		trErr = fmt.Errorf("trim disabled")
-	}
 	if trErr == nil {
 		classes, keyW := sp.symClasses(), sp.symKeyWeights()
 		// Compress every proposal, then restore the canonical subnode

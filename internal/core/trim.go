@@ -251,6 +251,18 @@ func (tr *trimmer) trim(x []float64) []float64 {
 	if res.Status != simplex.StatusOptimal || res.Obj > target {
 		return x
 	}
+	// The simplex can report StatusOptimal for a point that violates its own
+	// rows (ROADMAP item 4a). x entered with conservation (7) intact, so a
+	// routing that breaks it must not overwrite x.
+	for key, cols := range tr.zcol {
+		var sum float64
+		for _, col := range cols {
+			sum += res.X[col]
+		}
+		if math.Abs(sum-sp.shares[key[1]][key[0]]) > 1e-6 {
+			return x
+		}
+	}
 	for _, j := range sp.flexQ {
 		for bb, col := range ix.y[j] {
 			if on[j][bb] {

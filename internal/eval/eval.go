@@ -13,8 +13,8 @@
 //
 // Two independent implementations are provided: WorstLoadLP solves the
 // routing LP with the simplex solver (the paper's method of fixing x in
-// model (3)–(7)), and WorstLoadFlow binary-searches L with Dinic max-flow
-// feasibility probes, which is much faster for repeated evaluation. They
+// model (3)–(7)), and WorstLoadFlow finds L by a parametric Newton search
+// over Dinic max-flows, which is much faster for repeated evaluation. They
 // agree to within the search tolerance and are cross-checked in tests.
 package eval
 
@@ -109,10 +109,11 @@ func WorstLoadLP(w *model.Workload, alloc *model.Allocation, freq []float64) (fl
 	return res.Obj, nil
 }
 
-// WorstLoadFlow computes L̃ for one scenario by binary search over L with a
-// max-flow feasibility probe per step: route query loads (source→query→
-// runnable node→sink with node capacity L) and check all load is placed.
-// tol is the absolute precision of the returned L̃ (default 1e-9 if ≤ 0).
+// WorstLoadFlow computes L̃ for one scenario on the routing flow network
+// (source→query→runnable node→sink with node capacity L): the smallest L at
+// which a max flow places all load, found by the parametric Newton search
+// of Evaluator.WorstLoad. tol is the absolute precision of the returned L̃
+// (default 1e-9 if ≤ 0).
 //
 // This is the one-shot convenience wrapper; it rebuilds the allocation's
 // executability sets and flow graph on every call. Evaluating many

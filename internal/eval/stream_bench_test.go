@@ -36,9 +36,8 @@ func benchFixture(b *testing.B) (*model.Workload, *model.Allocation, *model.Scen
 //	mode=cached  one reused Evaluator, parametric Newton search, serial
 //	mode=par     EvaluateStream at GOMAXPROCS workers
 //
-// cmd/benchjson pairs the modes into speedup_vs_naive ratios for
-// BENCH_scenario.json, so cache reuse (cached) and parallelism (par) are
-// certified separately.
+// The three modes separate what cache reuse (cached) buys from what
+// parallelism (par) buys.
 func BenchmarkEvalStream(b *testing.B) {
 	w, alloc, ss := benchFixture(b)
 	b.Run("mode=naive", func(b *testing.B) {

@@ -8,11 +8,9 @@ import (
 	"fragalloc/internal/simplex"
 )
 
-// goldenInstance builds a seeded random binary knapsack-with-covering MIP.
-// The generator is frozen: TestAllOffGolden pins the all-features-off
-// configuration to search statistics captured from the solver BEFORE
-// presolve, pseudocost branching, and Devex pricing existed, so it must
-// keep producing bit-identical instances.
+// goldenInstance builds a seeded random binary knapsack-with-covering MIP:
+// 14 binaries, one knapsack row and up to four covering rows, no continuous
+// part — small enough for enumerateBinary to check every assignment.
 func goldenInstance(seed int64) (*simplex.Problem, []int) {
 	rng := rand.New(rand.NewSource(seed))
 	p := &simplex.Problem{}
@@ -48,12 +46,45 @@ func sumFloats(a []float64) float64 {
 	return s
 }
 
-func allOff() Options {
-	return Options{
-		DisablePresolve:   true,
-		DisablePseudocost: true,
-		LP:                simplex.Options{Pricing: simplex.PricingDantzig},
+// enumerateBinary is an oracle that shares no code with the solver: it
+// checks every 0/1 assignment of p's variables (all binary) against the rows
+// and returns the least objective, or false when no assignment is feasible.
+func enumerateBinary(p *simplex.Problem) (float64, bool) {
+	best, feasible := math.Inf(1), false
+	for mask := 0; mask < 1<<p.NumVars; mask++ {
+		ok := true
+		for r, row := range p.Rows {
+			var lhs float64
+			for k, j := range row.Idx {
+				if mask>>j&1 == 1 {
+					lhs += row.Coef[k]
+				}
+			}
+			switch p.Rel[r] {
+			case simplex.LE:
+				ok = lhs <= p.RHS[r]+1e-9
+			case simplex.GE:
+				ok = lhs >= p.RHS[r]-1e-9
+			default:
+				ok = math.Abs(lhs-p.RHS[r]) <= 1e-9
+			}
+			if !ok {
+				break
+			}
+		}
+		if !ok {
+			continue
+		}
+		var obj float64
+		for j := 0; j < p.NumVars; j++ {
+			if mask>>j&1 == 1 {
+				obj += p.Obj[j]
+			}
+		}
+		feasible = true
+		best = math.Min(best, obj)
 	}
+	return best, feasible
 }
 
 // xhash is an order-sensitive fingerprint of a solution vector; on these
@@ -66,68 +97,45 @@ func xhash(x []float64) float64 {
 	return h
 }
 
-// TestAllOffGolden pins the all-features-off configuration (presolve off,
-// pseudocost off, Dantzig pricing) to the exact node counts, LP iteration
-// counts, objectives, and solution fingerprints the solver produced before
-// this PR introduced the features. Any drift here means the "off" switches
-// no longer reproduce the historical search bit-identically.
-func TestAllOffGolden(t *testing.T) {
-	golden := []struct {
-		seed           int64
-		obj            float64
-		nodes, lpiters int
-		hash           float64
-	}{
-		{seed: 3, obj: -41.25, nodes: 109, lpiters: 254, hash: 33},
-		{seed: 17, obj: -38.75, nodes: 81, lpiters: 128, hash: 33},
-		{seed: 41, obj: -40.25, nodes: 36, lpiters: 61, hash: 47},
-	}
-	for _, g := range golden {
-		p, ints := goldenInstance(g.seed)
-		res, err := Solve(p, ints, allOff())
+// matchEnumeration solves the 40 seeded golden instances under opt and
+// requires agreement with explicit enumeration on feasibility and, at proven
+// optimality, on the objective.
+func matchEnumeration(t *testing.T, opt Options) {
+	t.Helper()
+	for seed := int64(1); seed <= 40; seed++ {
+		p, ints := goldenInstance(seed)
+		want, feasible := enumerateBinary(p)
+		res, err := Solve(p, ints, opt)
 		if err != nil {
-			t.Fatalf("seed %d: %v", g.seed, err)
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if res.Status != StatusOptimal {
-			t.Fatalf("seed %d: status %v", g.seed, res.Status)
+		if !feasible {
+			if res.Status != StatusInfeasible {
+				t.Errorf("seed %d: status %v, enumeration says infeasible", seed, res.Status)
+			}
+			continue
 		}
-		//fragvet:ignore floatcmp — golden regression pin: the all-off configuration must reproduce the pre-feature solver bit-identically
-		if res.Obj != g.obj || res.Nodes != g.nodes || res.LPIters != g.lpiters || xhash(res.X) != g.hash {
-			t.Errorf("seed %d: got obj=%v nodes=%d lpiters=%d hash=%v, want obj=%v nodes=%d lpiters=%d hash=%v",
-				g.seed, res.Obj, res.Nodes, res.LPIters, xhash(res.X), g.obj, g.nodes, g.lpiters, g.hash)
+		if res.Status != StatusOptimal || math.Abs(res.Obj-want) > 1e-6*(1+math.Abs(want)) {
+			t.Errorf("seed %d: status=%v obj=%v, enumeration optimum %v", seed, res.Status, res.Obj, want)
+		}
+		if len(res.X) != p.NumVars {
+			t.Errorf("seed %d: X length %d, want original NumVars %d", seed, len(res.X), p.NumVars)
 		}
 	}
 }
 
-// TestFeaturesMatchBaseline cross-checks the default configuration (all
-// features on) against the all-off baseline on a pile of seeded instances:
-// both must agree on feasibility and, at proven optimality, on the
-// objective. The features may only change how fast the tree collapses,
-// never what it proves.
+// TestFeaturesMatchBaseline cross-checks the default search (presolve,
+// pseudocost branching, Devex pricing) against explicit enumeration: the
+// accelerators may only change how fast the tree collapses, never what it
+// proves.
 func TestFeaturesMatchBaseline(t *testing.T) {
-	for seed := int64(1); seed <= 40; seed++ {
-		p, ints := goldenInstance(seed)
-		on, err := Solve(p, ints, Options{})
-		if err != nil {
-			t.Fatalf("seed %d on: %v", seed, err)
-		}
-		off, err := Solve(p, ints, allOff())
-		if err != nil {
-			t.Fatalf("seed %d off: %v", seed, err)
-		}
-		if on.Status != off.Status {
-			t.Fatalf("seed %d: status on=%v off=%v", seed, on.Status, off.Status)
-		}
-		if on.Status != StatusOptimal {
-			continue
-		}
-		if math.Abs(on.Obj-off.Obj) > 1e-6*(1+math.Abs(off.Obj)) {
-			t.Errorf("seed %d: obj on=%v off=%v", seed, on.Obj, off.Obj)
-		}
-		if len(on.X) != p.NumVars {
-			t.Errorf("seed %d: X length %d, want original NumVars %d", seed, len(on.X), p.NumVars)
-		}
-	}
+	matchEnumeration(t, Options{})
+}
+
+// TestPerFeatureToggles repeats the cross-check under the one remaining
+// search switch, Dantzig pricing — the rule core's dive pins in production.
+func TestPerFeatureToggles(t *testing.T) {
+	matchEnumeration(t, Options{LP: simplex.Options{Pricing: simplex.PricingDantzig}})
 }
 
 // TestFeaturesDeterministic runs the default configuration twice on the
@@ -148,35 +156,6 @@ func TestFeaturesDeterministic(t *testing.T) {
 		if a.Obj != b.Obj || a.Nodes != b.Nodes || a.LPIters != b.LPIters || xhash(a.X) != xhash(b.X) {
 			t.Errorf("seed %d: run 1 (obj=%v nodes=%d iters=%d) != run 2 (obj=%v nodes=%d iters=%d)",
 				seed, a.Obj, a.Nodes, a.LPIters, b.Obj, b.Nodes, b.LPIters)
-		}
-	}
-}
-
-// TestPerFeatureToggles solves one instance with each feature disabled in
-// isolation; every configuration must prove the same optimum.
-func TestPerFeatureToggles(t *testing.T) {
-	p, ints := goldenInstance(7)
-	want, err := Solve(p, ints, allOff())
-	if err != nil {
-		t.Fatal(err)
-	}
-	configs := []struct {
-		name string
-		opt  Options
-	}{
-		{"no-presolve", Options{DisablePresolve: true}},
-		{"no-pseudocost", Options{DisablePseudocost: true}},
-		{"dantzig", Options{LP: simplex.Options{Pricing: simplex.PricingDantzig}}},
-		{"all-on", Options{}},
-	}
-	for _, c := range configs {
-		name, opt := c.name, c.opt
-		res, err := Solve(p, ints, opt)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if res.Status != StatusOptimal || math.Abs(res.Obj-want.Obj) > 1e-6*(1+math.Abs(want.Obj)) {
-			t.Errorf("%s: status=%v obj=%v, want optimal obj=%v", name, res.Status, res.Obj, want.Obj)
 		}
 	}
 }

@@ -148,23 +148,14 @@ type Options struct {
 	// seconds, hard ones keep the full budget.
 	MaxStallNodes int
 	// Priority, if non-nil, biases branching: until pseudocosts are
-	// initialized (and for the whole search with DisablePseudocost), among
-	// fractional integer variables the one with the highest priority is
-	// branched first, with fractionality as the tie-break. Once the search
-	// has observed objective degradations, the reliability-weighted
-	// pseudocost product becomes the primary key and priority demotes to
-	// the tie-break — measured degradation beats the static hint (see
-	// pseudocostVar). Indexed by variable; variables without an entry
-	// default to 0.
+	// initialized, among fractional integer variables the one with the
+	// highest priority is branched first, with fractionality as the
+	// tie-break. Once the search has observed objective degradations, the
+	// reliability-weighted pseudocost product becomes the primary key and
+	// priority demotes to the tie-break — measured degradation beats the
+	// static hint (see pseudocostVar). Indexed by variable; variables
+	// without an entry default to 0.
 	Priority []float64
-	// DisablePresolve skips the presolve reductions (see presolve.go); the
-	// search then runs directly on the caller's problem, reproducing the
-	// pre-presolve behavior bit-identically.
-	DisablePresolve bool
-	// DisablePseudocost disables pseudocost branching; every branching
-	// decision then uses the most-fractional rule (with Priority as the
-	// primary key), reproducing the pre-pseudocost behavior bit-identically.
-	DisablePseudocost bool
 	// Starts proposes initial values for the integer variables (same
 	// semantics as Rounding proposals): the solver fixes them, solves the
 	// continuous rest, and adopts the best feasible one as the first
@@ -295,24 +286,20 @@ func Solve(p *simplex.Problem, intVars []int, opt Options) (*Result, error) {
 			return nil, fmt.Errorf("mip: integer variable %d must have finite bounds", j)
 		}
 	}
-	work, workInts := p, append([]int(nil), intVars...)
-	var ps *presolveInfo
-	if !opt.DisablePresolve {
-		ps = runPresolve(p, intVars, opt.IntTol, opt.Logf)
-		if ps.infeasible {
-			return &Result{Status: StatusInfeasible, Bound: math.Inf(1), Gap: math.Inf(1), Exact: true}, nil
-		}
-		work, workInts = ps.reduced, ps.intVars
-		if work.NumVars == 0 {
-			// Presolve solved the whole problem: every variable is fixed and
-			// every row verified against the fixings.
-			x := ps.restore(nil)
-			return &Result{Status: StatusOptimal, X: x, Obj: ps.objOff, Bound: ps.objOff, Exact: true}, nil
-		}
+	ps := runPresolve(p, intVars, opt.IntTol, opt.Logf)
+	if ps.infeasible {
+		return &Result{Status: StatusInfeasible, Bound: math.Inf(1), Gap: math.Inf(1), Exact: true}, nil
+	}
+	work := ps.reduced
+	if work.NumVars == 0 {
+		// Presolve solved the whole problem: every variable is fixed and
+		// every row verified against the fixings.
+		x := ps.restore(nil)
+		return &Result{Status: StatusOptimal, X: x, Obj: ps.objOff, Bound: ps.objOff, Exact: true}, nil
 	}
 	s := &search{
 		opt: opt, p: work, ps: ps,
-		intVars:      workInts,
+		intVars:      ps.intVars,
 		exact:        true,
 		skippedBound: math.Inf(1),
 	}
@@ -411,13 +398,12 @@ func (s *search) snapshot() Snapshot {
 
 type search struct {
 	opt Options
-	// p is the problem the search actually explores: the presolve-reduced
-	// problem when ps is non-nil, the caller's problem otherwise. Every
-	// internal slice (incumbent, proposals, priorities) lives in p's
-	// coordinates; translation to/from the caller's coordinates happens at
-	// the boundaries (restoreX, reduceVec, origVar, off).
+	// p is the problem the search actually explores, the presolve-reduced
+	// problem. Every internal slice (incumbent, proposals, priorities) lives
+	// in p's coordinates; translation to/from the caller's coordinates
+	// happens at the boundaries (restoreX, reduceVec, origVar, off).
 	p        *simplex.Problem
-	ps       *presolveInfo // nil when presolve is disabled or trivial
+	ps       *presolveInfo
 	intVars  []int
 	lp       *simplex.Solver // tree solver, bounds mutated per node
 	heur     *simplex.Solver // lazily created solver for rounding probes
@@ -480,47 +466,23 @@ func (s *search) applyPath(path []fixing) {
 
 // off returns the objective offset of the eliminated variables: internal
 // objectives and bounds live in reduced coordinates, reported ones add off.
-func (s *search) off() float64 {
-	if s.ps != nil {
-		return s.ps.objOff
-	}
-	return 0
-}
+func (s *search) off() float64 { return s.ps.objOff }
 
 // restoreX translates a solution vector from p's coordinates to the
-// caller's. Without presolve the vector is returned unchanged (not copied),
-// preserving the historical aliasing behavior of Result.X.
-func (s *search) restoreX(x []float64) []float64 {
-	if s.ps == nil {
-		return x
-	}
-	return s.ps.restore(x)
-}
+// caller's.
+func (s *search) restoreX(x []float64) []float64 { return s.ps.restore(x) }
 
-// reduceVec translates a caller proposal into p's coordinates; nil when the
-// proposal contradicts a presolve fixing (it cannot be feasibly completed).
-func (s *search) reduceVec(proposal []float64) []float64 {
-	if proposal == nil || s.ps == nil {
-		return proposal
-	}
-	return s.ps.reduceProposal(proposal)
-}
+// reduceVec translates a caller proposal into p's coordinates; nil for a nil
+// proposal and for one that contradicts a presolve fixing (it cannot be
+// feasibly completed).
+func (s *search) reduceVec(proposal []float64) []float64 { return s.ps.reduceProposal(proposal) }
 
 // origVar maps a variable index in p's coordinates to the caller's.
-func (s *search) origVar(j int) int {
-	if s.ps == nil {
-		return j
-	}
-	return s.ps.origCol[j]
-}
+func (s *search) origVar(j int) int { return s.ps.origCol[j] }
 
 // initPriority maps the caller's branching priorities into p's coordinates.
 func (s *search) initPriority() {
 	if s.opt.Priority == nil {
-		return
-	}
-	if s.ps == nil {
-		s.prio = s.opt.Priority
 		return
 	}
 	s.prio = make([]float64, s.p.NumVars)
@@ -540,9 +502,6 @@ func (s *search) prioOf(j int) float64 {
 
 // initPseudocost sizes the pseudocost accumulators.
 func (s *search) initPseudocost() {
-	if s.opt.DisablePseudocost {
-		return
-	}
 	n := s.p.NumVars
 	s.pcDownSum = make([]float64, n)
 	s.pcUpSum = make([]float64, n)
@@ -553,9 +512,6 @@ func (s *search) initPseudocost() {
 // creditPseudocost records one observed per-unit objective degradation for
 // branching variable j in the given direction.
 func (s *search) creditPseudocost(j int, up bool, perUnit float64) {
-	if s.pcDownSum == nil {
-		return
-	}
 	if up {
 		s.pcUpSum[j] += perUnit
 		s.pcUpCnt[j]++
@@ -569,10 +525,9 @@ func (s *search) creditPseudocost(j int, up bool, perUnit float64) {
 
 // fractionalVar selects the branching variable among the fractional integer
 // variables of x, or returns -1 if the relaxation is integral within
-// tolerance. Before any objective degradation has been observed — and for
-// the whole search with DisablePseudocost — the choice is by priority with
-// fractionality as the tie-break, exactly the historical most-fractional
-// rule. Once pseudocosts carry data the reliability-weighted product score
+// tolerance. Before any objective degradation has been observed the choice
+// is by priority with fractionality as the tie-break (the most-fractional
+// rule). Once pseudocosts carry data the reliability-weighted product score
 // takes over as the primary key (priority demotes to the tie-break): on the
 // allocation subproblems the caller's expected-load priorities nearly
 // totally order the candidates, and keeping them primary would mute the

@@ -246,7 +246,7 @@ func TestProposalIncumbentNotAliased(t *testing.T) {
 	a := p.AddVar(0, 1, -2)
 	b := p.AddVar(0, 1, -1)
 	p.AddRow([]int{a, b}, []float64{1, 1}, simplex.LE, 1)
-	s := &search{opt: Options{}.withDefaults(), p: p, intVars: []int{a, b}, exact: true, skippedBound: math.Inf(1)}
+	s := &search{opt: Options{}.withDefaults(), p: p, ps: &presolveInfo{}, intVars: []int{a, b}, exact: true, skippedBound: math.Inf(1)}
 
 	s.tryProposal([]float64{1, 0})
 	if !s.hasInc || !approx(s.incObj, -2, 1e-9) {

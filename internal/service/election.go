@@ -96,9 +96,6 @@ type HAConfig struct {
 	RenewEvery time.Duration
 	// TailEvery is the follower's journal poll period (default LeaseTTL/4).
 	TailEvery time.Duration
-	// Peers lists the other replicas' advertised base URLs (informational;
-	// surfaced in Status).
-	Peers []string
 	// NoPromote keeps this replica a pure standby: it tails and serves
 	// reads but never runs for the lease.
 	NoPromote bool

@@ -872,7 +872,6 @@ type Status struct {
 	Role           Role          `json:"role"`
 	LeaderAddr     string        `json:"leader_addr,omitempty"`
 	LeaseEpoch     uint64        `json:"lease_epoch,omitempty"`
-	Peers          []string      `json:"peers,omitempty"`
 	TailGeneration uint64        `json:"tail_generation,omitempty"`
 	TailAge        time.Duration `json:"tail_age_ns,omitempty"`
 }
@@ -895,9 +894,6 @@ func (s *Service) Status() Status {
 	}
 	if s.role != RoleLeader {
 		st.LeaderAddr = s.leaderAddr
-	}
-	if s.cfg.HA != nil {
-		st.Peers = s.cfg.HA.Peers
 	}
 	if !s.tailedAt.IsZero() {
 		st.TailAge = time.Since(s.tailedAt)

@@ -7,17 +7,9 @@ import (
 	"testing"
 )
 
-// Benchmarks comparing the sparse LU kernel (kern=lu) against the retired
-// dense inverse (kern=dense) on the three code paths the MIP solver
+// Benchmarks of the sparse LU kernel on the three code paths the MIP solver
 // exercises hardest: cold solves, warm dual re-solves after bound changes,
-// and basis refactorization. Run
-//
-//	make bench
-//
-// to regenerate BENCH_simplex.json from this suite; cmd/benchjson pairs the
-// lu/dense variants and reports the speedup and memory ratios. The largest
-// dense variants take minutes (the dense refactorization is O(m³)) and are
-// skipped in -short mode, which the bench-rot guard in `make check` uses.
+// and basis refactorization.
 
 // benchLP draws a feasible bounded sparse LP with m rows and m structural
 // variables (~3 nonzeros per row), the shape of the allocation subproblems.
@@ -33,32 +25,15 @@ func benchLP(m int) *Problem {
 	return p
 }
 
-func benchOptions(dense bool) Options {
-	return Options{DenseBaseline: dense}
-}
-
-func kernels(b *testing.B, m int, denseCap int, run func(b *testing.B, opt Options)) {
-	b.Helper()
-	for _, kern := range []string{"lu", "dense"} {
-		kern := kern
-		b.Run(fmt.Sprintf("m=%d/kern=%s", m, kern), func(b *testing.B) {
-			if kern == "dense" && m > denseCap && testing.Short() {
-				b.Skip("dense baseline too slow at this size for -short (bench-rot guard)")
-			}
-			run(b, benchOptions(kern == "dense"))
-		})
-	}
-}
-
 // BenchmarkColdSolve is NewSolver + two-phase primal from scratch — the
 // eval and root-relaxation path.
 func BenchmarkColdSolve(b *testing.B) {
 	for _, m := range []int{512, 2048} {
 		p := benchLP(m)
-		kernels(b, m, 512, func(b *testing.B, opt Options) {
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := Solve(p, opt)
+				res, err := Solve(p, Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -76,8 +51,8 @@ func BenchmarkColdSolve(b *testing.B) {
 func BenchmarkWarmDualReSolve(b *testing.B) {
 	for _, m := range []int{512, 2048} {
 		p := benchLP(m)
-		kernels(b, m, 512, func(b *testing.B, opt Options) {
-			s, err := NewSolver(p, opt)
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
+			s, err := NewSolver(p, Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -104,8 +79,7 @@ func BenchmarkWarmDualReSolve(b *testing.B) {
 
 // BenchmarkRefactor builds a kernel and factorizes the optimal basis of a
 // solved LP, capturing both the time and — via -benchmem — the allocation
-// footprint of a from-scratch factorization: the dense baseline allocates
-// its m² inverse and m² working matrix, the LU kernel only its fill.
+// footprint of a from-scratch factorization (the kernel's fill).
 func BenchmarkRefactor(b *testing.B) {
 	for _, m := range []int{512, 2048, 4096} {
 		p := benchLP(m)
@@ -116,13 +90,11 @@ func BenchmarkRefactor(b *testing.B) {
 		if res := s.Solve(); res.Status != StatusOptimal {
 			b.Fatalf("setup solve: %v", res.Status)
 		}
-		kernels(b, m, 2048, func(b *testing.B, opt Options) {
-			o := opt.withDefaults(s.m, s.n)
+		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				k := newBasisKernel(s.m, o)
-				if err := k.factor(s.basic, s.cols, o.PivotTol); err != nil {
+				k := newLUKernel(s.m, s.opt.MaxFactorNonzeros)
+				if err := k.factor(s.basic, s.cols, s.opt.PivotTol); err != nil {
 					b.Fatal(err)
 				}
 			}

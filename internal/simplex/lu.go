@@ -7,9 +7,8 @@ import (
 
 // basisKernel maintains a factorized representation of the m×m basis matrix
 // B. The simplex driver (solver.go, primal.go, dual.go) is written entirely
-// against this interface; the production implementation is the sparse LU
-// kernel below, and dense.go keeps the retired dense inverse as a pluggable
-// baseline for benchmarks and regression comparison.
+// against this interface; the one implementation is the sparse LU kernel
+// below, and dualrepair_test.go substitutes a corrupting shim through it.
 //
 // Vector indexing convention: FTRAN maps a right-hand side indexed by
 // constraint row to a result indexed by basis position (column c of B is the
@@ -39,15 +38,6 @@ type basisKernel interface {
 	// nnz reports the current factorization size (L+U+eta entries), the
 	// quantity bounded by Options.MaxFactorNonzeros.
 	nnz() int
-}
-
-// newBasisKernel builds the kernel for a new Solver: the sparse LU kernel,
-// or the retired dense baseline when opt.DenseBaseline is set.
-func newBasisKernel(m int, opt Options) basisKernel {
-	if opt.DenseBaseline {
-		return newDenseKernel(m)
-	}
-	return newLUKernel(m, opt.MaxFactorNonzeros)
 }
 
 // luThreshold is the relative threshold for partial pivoting: within a
@@ -360,9 +350,8 @@ func (k *luKernel) factor(basic []int, cols [][]colEntry, pivotTol float64) erro
 // ization, so a failed factor must leave the kernel safely indexable: the
 // remaining steps become empty columns whose stale rowOf/colOf/udiag entries
 // are in range and whose udiag values are nonzero (from resetUnit or an
-// earlier successful factor). Solves then return garbage — the same contract
-// the dense inverse had after a failed Gauss-Jordan elimination — and the
-// recovery ladder or a later successful refactorization restores sanity.
+// earlier successful factor). Solves then return garbage, and the recovery
+// ladder or a later successful refactorization restores sanity.
 func (k *luKernel) abort(step int) {
 	for t := step; t < k.m; t++ {
 		k.lptr[t+1] = int32(len(k.lval))

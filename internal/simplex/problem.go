@@ -252,11 +252,6 @@ type Options struct {
 	// zero value is PricingDevex (the default); PricingDantzig restores the
 	// pre-Devex rule bit-identically for regression baselines.
 	Pricing Pricing
-	// DenseBaseline selects the retired dense basis-inverse kernel instead
-	// of the sparse LU kernel. It exists so benchmarks and the kernel-swap
-	// regression tests can measure the LU kernel against the exact pre-LU
-	// behavior; it has no production use and no large-model guard.
-	DenseBaseline bool
 	// Canceled, when non-nil, is polled once per simplex iteration; as soon
 	// as it returns true the solve stops and reports StatusCanceled. The
 	// hook must be cheap — it sits on the pivot loop — and is only ever

@@ -119,7 +119,7 @@ func NewSolver(p *Problem, opt Options) (*Solver, error) {
 	s.w = make([]float64, m)
 	s.rho = make([]float64, m)
 	s.tmpRHS = make([]float64, m)
-	s.kern = newBasisKernel(m, s.opt)
+	s.kern = newLUKernel(m, s.opt.MaxFactorNonzeros)
 	return s, nil
 }
 
