@@ -54,7 +54,6 @@ func TestSimplexTrajectoryGolden(t *testing.T) {
 		var cols []int
 		for j, x := range root.X {
 			if f := x - math.Floor(x); f > 1e-6 && f < 1-1e-6 {
-				//fragvet:ignore floatcmp — bounds are stored, never computed: a 0/1 column has exactly these bits
 				if lb, ub := s.Bounds(j); lb == 0 && ub == 1 {
 					cols = append(cols, j)
 				}

@@ -460,15 +460,14 @@ func TestServiceHAFencing(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() { done <- s.RunHA(ctx) }()
-	waitCond(t, 120*time.Second, "a to lead", func() bool {
-		inc, _ := s.Incumbent()
-		return s.Role() == RoleLeader && inc != nil
-	})
+	// Adoption installs the incumbent before it journals it, so wait for the
+	// journal frame too: sampled in between, gensBefore would miss it.
 	stateDir := filepath.Join(dir, "state")
+	waitCond(t, 120*time.Second, "a to lead and journal its adoption", func() bool {
+		inc, _ := s.Incumbent()
+		return s.Role() == RoleLeader && inc != nil && len(journalGens(t, stateDir)) > 0
+	})
 	gensBefore := journalGens(t, stateDir)
-	if len(gensBefore) == 0 {
-		t.Fatal("leader adopted without journaling")
-	}
 
 	// Usurp: forge the lease into expiry and take it over as "b". The old
 	// leader's renew loop may interleave fresh renewals; retry until the

@@ -525,6 +525,9 @@ func (s *Service) reoptimize(ctx context.Context, boot bool) error {
 			return rerr
 		}
 		solveSet = red.Reduced.Clone()
+		// Read what the log line needs before publishing red: once it is
+		// s.red, an ingest may fold into it (and widen Radius) at any time.
+		reps, bound := red.R(), red.MaxRadius()
 		s.mu.Lock()
 		if s.scen == scen {
 			s.red, s.redDirty, s.drifted, s.redBaseS = red, false, 0, scen.S()
@@ -532,7 +535,7 @@ func (s *Service) reoptimize(ctx context.Context, boot bool) error {
 		}
 		s.mu.Unlock()
 		s.logf("service: re-clustered %d scenarios into %d representatives (max deviation bound %.4f)",
-			scen.S(), red.R(), red.MaxRadius())
+			scen.S(), reps, bound)
 	}
 
 	sctx := ctx

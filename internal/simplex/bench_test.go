@@ -7,15 +7,16 @@ import (
 	"testing"
 )
 
-// Benchmarks of the sparse LU kernel on the three code paths the MIP solver
+// Benchmarks of the sparse LU kernel on the code paths the MIP solver
 // exercises hardest: cold solves, warm dual re-solves after bound changes,
-// and basis refactorization.
+// basis refactorization, and the per-pivot FTRAN/BTRAN solves themselves.
 
-// benchLP draws a feasible bounded sparse LP with m rows and m structural
-// variables (~3 nonzeros per row), the shape of the allocation subproblems.
-func benchLP(m int) *Problem {
+// benchLP draws a feasible bounded sparse LP with m rows and n structural
+// variables; the square ~3-nonzeros-per-row draw has the shape of the
+// allocation subproblems.
+func benchLP(m, n, nnzPerRow int) *Problem {
 	rng := rand.New(rand.NewSource(int64(m)))
-	_, _, _, _, p := randomSparseLP(rng, m, m, 3)
+	_, _, _, _, p := randomSparseLP(rng, n, m, nnzPerRow)
 	// Cap every variable so the LP is bounded regardless of the draw.
 	for j := range p.UB {
 		if math.IsInf(p.UB[j], 1) {
@@ -29,7 +30,7 @@ func benchLP(m int) *Problem {
 // eval and root-relaxation path.
 func BenchmarkColdSolve(b *testing.B) {
 	for _, m := range []int{512, 2048} {
-		p := benchLP(m)
+		p := benchLP(m, m, 3)
 		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -50,7 +51,7 @@ func BenchmarkColdSolve(b *testing.B) {
 // is internal/mip, which performs thousands of these per search.
 func BenchmarkWarmDualReSolve(b *testing.B) {
 	for _, m := range []int{512, 2048} {
-		p := benchLP(m)
+		p := benchLP(m, m, 3)
 		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
 			s, err := NewSolver(p, Options{})
 			if err != nil {
@@ -82,7 +83,7 @@ func BenchmarkWarmDualReSolve(b *testing.B) {
 // footprint of a from-scratch factorization (the kernel's fill).
 func BenchmarkRefactor(b *testing.B) {
 	for _, m := range []int{512, 2048, 4096} {
-		p := benchLP(m)
+		p := benchLP(m, m, 3)
 		s, err := NewSolver(p, Options{})
 		if err != nil {
 			b.Fatal(err)
@@ -100,4 +101,66 @@ func BenchmarkRefactor(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkKernelSolves times the three solves a simplex pivot issues, on a
+// basis of the lp_wide shape (bench/README.md: BuildRootLP of the reduced
+// TPC-DS set has 2748 rows, 3301 columns, ~5 nonzeros per row) sitting 60
+// eta updates past its factorization, the middle of a RefactorEvery window.
+// btranPair does the work of two btran calls; the pair sweep pays off when
+// its ns/op stays well under twice btran's.
+func BenchmarkKernelSolves(b *testing.B) {
+	s, err := NewSolver(benchLP(2748, 3301, 5), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if res := s.Solve(); res.Status != StatusOptimal {
+		b.Fatalf("setup solve: %v", res.Status)
+	}
+	if err := s.refactor(); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(60))
+	for updates := 0; updates < 60; {
+		j := rng.Intn(s.ncols)
+		if s.vstat[j] == isBasic {
+			continue
+		}
+		w := s.ftran(j)
+		r := 0
+		for i := range w {
+			if math.Abs(w[i]) > math.Abs(w[r]) {
+				r = i
+			}
+		}
+		if math.Abs(w[r]) < 0.1 {
+			continue
+		}
+		s.pivot(r, j, w)
+		updates++
+	}
+	col := append([]float64(nil), s.ftran(0)...) // any dense-ish row-indexed right-hand side
+	unit, costs := make([]float64, s.m), make([]float64, s.m)
+	unit[s.m/2] = 1
+	copy(costs, s.basicCosts())
+	v, v2 := make([]float64, s.m), make([]float64, s.m)
+	b.Run("ftran", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			copy(v, col)
+			s.kern.ftran(v)
+		}
+	})
+	b.Run("btran", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			copy(v, costs)
+			s.kern.btran(v)
+		}
+	})
+	b.Run("btranPair", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			copy(v, unit)
+			copy(v2, costs)
+			s.kern.btranPair(v, v2)
+		}
+	})
 }

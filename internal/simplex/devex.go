@@ -11,7 +11,7 @@ package simplex
 //
 //   - primal: weight γ_j per column, score d_j²/γ_j. The update needs the
 //     pivot row α_j = (B⁻¹)_r·A_j over the nonbasic columns, one extra
-//     btranUnit plus a column sweep per basis change.
+//     unit-vector BTRAN (binvRow) plus a column sweep per basis change.
 //   - dual: weight γ_r per basis row, score viol_r²/γ_r. The update reuses
 //     the FTRAN column w = B⁻¹·A_e the pivot already computed, so dual Devex
 //     — the hot loop of branch-and-bound re-solves — is nearly free.

@@ -219,8 +219,7 @@ func (s *Solver) runDual() Status {
 		// theta = d_e/alpha_e; dual feasibility of every other nonbasic
 		// column is preserved by choosing the minimal |d_j/alpha_j| among
 		// sign-eligible candidates.
-		rho := s.binvRow(leave)
-		y := s.btran()
+		rho, y := s.btranPair(leave)
 		sigma := -1.0 // below lower bound
 		if above {
 			sigma = 1.0

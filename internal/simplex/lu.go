@@ -29,15 +29,13 @@ type basisKernel interface {
 	// btran solves Bᵀ·y = v in place: on entry v is indexed by basis
 	// position, on exit by constraint row.
 	btran(v []float64)
-	// btranUnit computes row r of B⁻¹ into out (out is fully overwritten).
-	btranUnit(r int, out []float64)
+	// btranPair is btran(a) and btran(b) in one sweep over the factorization,
+	// each result bit-identical to a lone btran of that vector.
+	btranPair(a, b []float64)
 	// update absorbs a pivot replacing the basic variable of position r,
 	// where w = B⁻¹·a_enter is the FTRAN result of the entering column.
 	// w is read only; its nonzeros are copied into the eta file.
 	update(r int, w []float64)
-	// nnz reports the current factorization size (L+U+eta entries), the
-	// quantity bounded by Options.MaxFactorNonzeros.
-	nnz() int
 }
 
 // luThreshold is the relative threshold for partial pivoting: within a
@@ -109,7 +107,8 @@ type luKernel struct {
 	// steps (stamped with the current elimination step, so no clearing
 	// between columns), stack/pstack drive the iterative DFS, reach holds
 	// the topologically ordered update set, order the column ordering, and
-	// hb the second dense vector of the triangular solves.
+	// hb the second dense vector of the triangular solves (hb2 the same for
+	// the second vector of btranPair).
 	x      []float64
 	pat    []int32
 	rmark  []int32
@@ -119,6 +118,7 @@ type luKernel struct {
 	reach  []int32
 	order  []int32
 	hb     []float64
+	hb2    []float64
 }
 
 func newLUKernel(m, maxNNZ int) *luKernel {
@@ -140,6 +140,7 @@ func newLUKernel(m, maxNNZ int) *luKernel {
 		reach:  make([]int32, m),
 		order:  make([]int32, m),
 		hb:     make([]float64, m),
+		hb2:    make([]float64, m),
 	}
 }
 
@@ -149,10 +150,6 @@ func newStamped(m int) []int32 {
 		s[i] = -1
 	}
 	return s
-}
-
-func (k *luKernel) nnz() int {
-	return len(k.lval) + len(k.uval) + k.m + len(k.etaVal) + len(k.etaPivVal)
 }
 
 func (k *luKernel) resetUnit(diag []float64) {
@@ -276,14 +273,14 @@ func (k *luKernel) factor(basic []int, cols [][]colEntry, pivotTol float64) erro
 			if v == 0 {
 				continue
 			}
-			for q := k.lptr[t]; q < k.lptr[t+1]; q++ {
-				r := k.lrow[q]
+			rows, vals := column(k.lptr, k.lrow, k.lval, int(t))
+			for q, r := range rows {
 				if k.rmark[r] != stamp {
 					k.rmark[r] = stamp
 					k.pat = append(k.pat, r)
 					k.x[r] = 0
 				}
-				k.x[r] -= k.lval[q] * v
+				k.x[r] -= vals[q] * v
 			}
 		}
 
@@ -359,85 +356,103 @@ func (k *luKernel) abort(step int) {
 	}
 }
 
+// column returns the index and value slices of column t of a compressed
+// sparse matrix, cut to equal length: a range over rows then indexes vals
+// without a bounds check, which leaves the gather/scatter into the dense
+// vector as the only check of a solve's inner loop.
+func column(ptr, idx []int32, val []float64, t int) (rows []int32, vals []float64) {
+	lo, hi := ptr[t], ptr[t+1]
+	rows = idx[lo:hi]
+	return rows, val[lo:hi][:len(rows)]
+}
+
 // ftran solves B·w = v in place (v: row-indexed in, position-indexed out):
 // L-solve, U-solve, permute, then the eta file in creation order. Every pass
 // skips zero entries, so sparse right-hand sides cost O(m) scans plus work
 // proportional to the structural nonzeros they actually touch.
 func (k *luKernel) ftran(v []float64) {
 	m := k.m
+	// Cut to m (their length already) so the per-step reads below are
+	// provably in range; btran and btranPair do the same.
+	rowOf, colOf, udiag, hb := k.rowOf[:m], k.colOf[:m], k.udiag[:m], k.hb[:m]
 	// L-solve in row indexing, steps ascending.
 	for t := 0; t < m; t++ {
-		val := v[k.rowOf[t]]
+		val := v[rowOf[t]]
 		if val == 0 {
 			continue
 		}
-		for p := k.lptr[t]; p < k.lptr[t+1]; p++ {
-			v[k.lrow[p]] -= k.lval[p] * val
+		rows, vals := column(k.lptr, k.lrow, k.lval, t)
+		for p, i := range rows {
+			v[i] -= vals[p] * val
 		}
 	}
 	// U-solve in step indexing, steps descending; hb[t] collects the
 	// solution component of step t.
-	hb := k.hb
 	for t := m - 1; t >= 0; t-- {
-		g := v[k.rowOf[t]]
+		g := v[rowOf[t]]
 		if g == 0 {
 			hb[t] = 0
 			continue
 		}
-		h := g / k.udiag[t]
+		h := g / udiag[t]
 		hb[t] = h
-		for p := k.uptr[t]; p < k.uptr[t+1]; p++ {
-			v[k.rowOf[k.urow[p]]] -= k.uval[p] * h
+		rows, vals := column(k.uptr, k.urow, k.uval, t)
+		for p, i := range rows {
+			v[rowOf[i]] -= vals[p] * h
 		}
 	}
 	// Permute into basis-position indexing.
-	for i := 0; i < m; i++ {
-		v[i] = 0
-	}
-	for t := 0; t < m; t++ {
-		if h := hb[t]; h != 0 {
-			v[k.colOf[t]] = h
+	clear(v[:m])
+	for t, h := range hb {
+		if h != 0 {
+			v[colOf[t]] = h
 		}
 	}
 	// Eta file forward: x_r ← x_r/w_r, then x_i ← x_i − w_i·x_r.
-	for e := 0; e < len(k.etaPiv); e++ {
-		r := k.etaPiv[e]
+	for e, r := range k.etaPiv {
 		xr := v[r]
 		if xr == 0 {
 			continue
 		}
 		xr /= k.etaPivVal[e]
 		v[r] = xr
-		for p := k.etaPtr[e]; p < k.etaPtr[e+1]; p++ {
-			v[k.etaRow[p]] -= k.etaVal[p] * xr
+		rows, vals := column(k.etaPtr, k.etaRow, k.etaVal, e)
+		for p, i := range rows {
+			v[i] -= vals[p] * xr
 		}
 	}
 }
 
 // btran solves Bᵀ·y = v in place (v: position-indexed in, row-indexed out):
-// eta file in reverse creation order, then Uᵀ-solve and Lᵀ-solve.
+// eta file in reverse creation order, then Uᵀ-solve and Lᵀ-solve. The solves
+// are gather-form — each output component is one running sum over a whole
+// column — so every call visits all of the eta file, U and L whatever the
+// sparsity of v.
 func (k *luKernel) btran(v []float64) {
 	m := k.m
-	// Eta file reverse: y_r ← (y_r − Σ_{i≠r} w_i·y_i) / w_r.
+	rowOf, colOf, udiag, hb := k.rowOf[:m], k.colOf[:m], k.udiag[:m], k.hb[:m]
+	// Eta file reverse: y_r ← (y_r − Σ_{i≠r} w_i·y_i) / w_r. No zero-skip on
+	// y_i: the branch mispredicts cost more than the multiplies it saves.
 	for e := len(k.etaPiv) - 1; e >= 0; e-- {
 		r := k.etaPiv[e]
 		s := v[r]
-		for p := k.etaPtr[e]; p < k.etaPtr[e+1]; p++ {
-			s -= k.etaVal[p] * v[k.etaRow[p]]
+		rows, vals := column(k.etaPtr, k.etaRow, k.etaVal, e)
+		for p, i := range rows {
+			s -= vals[p] * v[i]
 		}
 		v[r] = s / k.etaPivVal[e]
 	}
 	// Uᵀ forward solve in step indexing into hb.
-	hb := k.hb
 	for t := 0; t < m; t++ {
-		s := v[k.colOf[t]]
-		for p := k.uptr[t]; p < k.uptr[t+1]; p++ {
-			if f := hb[k.urow[p]]; f != 0 {
-				s -= k.uval[p] * f
+		s := v[colOf[t]]
+		rows, vals := column(k.uptr, k.urow, k.uval, t)
+		for p, i := range rows {
+			if f := hb[i]; f != 0 {
+				s -= vals[p] * f
 			}
 		}
 		if s != 0 {
-			s /= k.udiag[t]
+			s /= udiag[t]
 		}
 		hb[t] = s
 	}
@@ -445,21 +460,75 @@ func (k *luKernel) btran(v []float64) {
 	// reads rows pivotal at later steps, which are already final.
 	for t := m - 1; t >= 0; t-- {
 		s := hb[t]
-		for p := k.lptr[t]; p < k.lptr[t+1]; p++ {
-			if y := v[k.lrow[p]]; y != 0 {
-				s -= k.lval[p] * y
+		rows, vals := column(k.lptr, k.lrow, k.lval, t)
+		for p, i := range rows {
+			if y := v[i]; y != 0 {
+				s -= vals[p] * y
 			}
 		}
-		v[k.rowOf[t]] = s
+		v[rowOf[t]] = s
 	}
 }
 
-func (k *luKernel) btranUnit(r int, out []float64) {
-	for i := range out {
-		out[i] = 0
+// btranPair is btran(a) and btran(b) in one sweep over the eta file, U and
+// L. Each vector keeps its own accumulator and sees exactly the operations
+// of a lone btran in the same order, so both results are bit-identical to
+// two separate calls. What the pair saves is the walk itself: the reverse
+// eta pass is bound by the latency of one dependent s −= w_i·y_i chain, and
+// the second chain runs in its shadow on index and value loads already made.
+func (k *luKernel) btranPair(a, b []float64) {
+	m := k.m
+	rowOf, colOf, udiag := k.rowOf[:m], k.colOf[:m], k.udiag[:m]
+	ha, hb := k.hb[:m], k.hb2[:m]
+	b = b[:len(a)] // one bounds check per element then covers both vectors
+	for e := len(k.etaPiv) - 1; e >= 0; e-- {
+		r := k.etaPiv[e]
+		sa, sb := a[r], b[r]
+		rows, vals := column(k.etaPtr, k.etaRow, k.etaVal, e)
+		for p, i := range rows {
+			w := vals[p]
+			sa -= w * a[i]
+			sb -= w * b[i]
+		}
+		piv := k.etaPivVal[e]
+		a[r], b[r] = sa/piv, sb/piv
 	}
-	out[r] = 1
-	k.btran(out)
+	for t := 0; t < m; t++ {
+		c := colOf[t]
+		sa, sb := a[c], b[c]
+		rows, vals := column(k.uptr, k.urow, k.uval, t)
+		for p, i := range rows {
+			u := vals[p]
+			if f := ha[i]; f != 0 {
+				sa -= u * f
+			}
+			if f := hb[i]; f != 0 {
+				sb -= u * f
+			}
+		}
+		if sa != 0 {
+			sa /= udiag[t]
+		}
+		if sb != 0 {
+			sb /= udiag[t]
+		}
+		ha[t], hb[t] = sa, sb
+	}
+	for t := m - 1; t >= 0; t-- {
+		sa, sb := ha[t], hb[t]
+		rows, vals := column(k.lptr, k.lrow, k.lval, t)
+		for p, i := range rows {
+			l := vals[p]
+			if y := a[i]; y != 0 {
+				sa -= l * y
+			}
+			if y := b[i]; y != 0 {
+				sb -= l * y
+			}
+		}
+		r := rowOf[t]
+		a[r], b[r] = sa, sb
+	}
 }
 
 func (k *luKernel) update(r int, w []float64) {

@@ -1,6 +1,7 @@
 package simplex
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -155,8 +156,8 @@ func residualBtran(s *Solver, y, rhs []float64) float64 {
 }
 
 // TestLUFactorSolveVsDense cross-checks the LU kernel's FTRAN and BTRAN
-// (and btranUnit) against dense Gaussian elimination on random sparse
-// bases of varying size.
+// (on sparse and on unit right-hand sides) against dense Gaussian
+// elimination on random sparse bases of varying size.
 func TestLUFactorSolveVsDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 200; trial++ {
@@ -188,14 +189,14 @@ func TestLUFactorSolveVsDense(t *testing.T) {
 		if d := residualBtran(s, v, rhs); d > 1e-8 {
 			t.Fatalf("trial %d m=%d: btran residual %g", trial, m, d)
 		}
-		// btranUnit r = row r of B⁻¹ = solution of Bᵀ y = e_r.
+		// Row r of B⁻¹ = solution of Bᵀ y = e_r.
 		r := rng.Intn(m)
 		unit := make([]float64, m)
 		unit[r] = 1
-		rho := make([]float64, m)
-		s.kern.btranUnit(r, rho)
+		rho := append([]float64(nil), unit...)
+		s.kern.btran(rho)
 		if d := residualBtran(s, rho, unit); d > 1e-8 {
-			t.Fatalf("trial %d m=%d: btranUnit(%d) residual %g", trial, m, r, d)
+			t.Fatalf("trial %d m=%d: btran(e_%d) residual %g", trial, m, r, d)
 		}
 	}
 }
@@ -305,7 +306,9 @@ func TestLUFailedFactorStaysIndexable(t *testing.T) {
 	}
 	s.kern.ftran(v) // must not panic
 	s.kern.btran(v) // must not panic
-	s.kern.btranUnit(3, v)
+	clear(v)
+	v[3] = 1
+	s.kern.btran(v)
 	s.kern.update(2, v)
 	s.kern.btran(v)
 	// And a subsequent successful factorization fully restores the kernel.
@@ -367,5 +370,96 @@ func TestLUDeterministic(t *testing.T) {
 		if k1.uval[i] != k2.uval[i] || k1.urow[i] != k2.urow[i] {
 			t.Fatalf("U entry %d differs", i)
 		}
+	}
+}
+
+// TestBtranPairMatchesBtran is the bit-identity contract of the pair sweep:
+// on random sparse bases — freshly factored, behind an eta file of 1 to 120
+// updates, and in the "safely indexable" state a failed factorization leaves
+// — btranPair(a, b) must equal btran(a) and btran(b) bit for bit, for unit,
+// cost-like sparse and dense right-hand sides. runDual relies on it to keep
+// every pivot where two separate BTRANs put it.
+func TestBtranPairMatchesBtran(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	rhs := map[string]func(m int) []float64{
+		"unit": func(m int) []float64 {
+			v := make([]float64, m)
+			v[rng.Intn(m)] = 1
+			return v
+		},
+		"cost": func(m int) []float64 {
+			v := make([]float64, m)
+			for i := range v {
+				if rng.Intn(3) == 0 {
+					v[i] = float64(1+rng.Intn(8)) / 4
+				}
+			}
+			return v
+		},
+		"dense": func(m int) []float64 {
+			v := make([]float64, m)
+			for i := range v {
+				v[i] = rng.Float64()*4 - 2
+			}
+			return v
+		},
+	}
+	pairs := [][2]string{{"unit", "cost"}, {"dense", "unit"}, {"cost", "dense"}}
+	check := func(s *Solver, state string) {
+		t.Helper()
+		for _, pr := range pairs {
+			a, b := rhs[pr[0]](s.m), rhs[pr[1]](s.m)
+			wantA, wantB := append([]float64(nil), a...), append([]float64(nil), b...)
+			s.kern.btran(wantA)
+			s.kern.btran(wantB)
+			s.kern.btranPair(a, b)
+			for i := range a {
+				if math.Float64bits(a[i]) != math.Float64bits(wantA[i]) || math.Float64bits(b[i]) != math.Float64bits(wantB[i]) {
+					t.Fatalf("%s, m=%d, (%s, %s), row %d: pair (%v, %v), lone (%v, %v)",
+						state, s.m, pr[0], pr[1], i, a[i], b[i], wantA[i], wantB[i])
+				}
+			}
+		}
+	}
+	bases := 0
+	for trial := 0; bases < 200; trial++ {
+		if trial == 2000 {
+			t.Fatalf("only %d of %d random bases were nonsingular", bases, trial)
+		}
+		m := 4 + rng.Intn(60)
+		s := randomKernelHarness(t, rng, m, m+15)
+		randomBasis(rng, s)
+		if err := s.kern.factor(s.basic, s.cols, 1e-10); err != nil {
+			continue
+		}
+		bases++
+		check(s, "fresh factor")
+		updates := 1 + rng.Intn(120)
+		for u := 1; u <= updates; u++ {
+			w := make([]float64, m)
+			for _, en := range s.cols[rng.Intn(s.n)] {
+				w[en.row] = en.val
+			}
+			s.kern.ftran(w)
+			r := -1
+			for i, off := 0, rng.Intn(m); i < m && r < 0; i++ {
+				if c := (i + off) % m; math.Abs(w[c]) > 0.1 {
+					r = c
+				}
+			}
+			if r < 0 {
+				continue
+			}
+			s.kern.update(r, w)
+			if u == updates || u%16 == 1 {
+				check(s, fmt.Sprintf("after %d updates", u))
+			}
+		}
+		bad := append([]int(nil), s.basic...)
+		bad[m-1] = bad[0]
+		if err := s.kern.factor(bad, s.cols, 1e-10); err == nil {
+			t.Fatal("want error for duplicated basis column")
+		}
+		check(s, "after a failed factor")
 	}
 }

@@ -253,9 +253,7 @@ func (s *Solver) resetBasisKernel() {
 // retain it across kernel operations.
 func (s *Solver) ftran(j int) []float64 {
 	w := s.w
-	for r := range w {
-		w[r] = 0
-	}
+	clear(w)
 	for _, e := range s.cols[j] {
 		w[e.row] = e.val
 	}
@@ -263,18 +261,32 @@ func (s *Solver) ftran(j int) []float64 {
 	return w
 }
 
-// btran computes y = (pcost_B)ᵀ · B⁻¹ into s.y and returns it. The buffer
-// is owned by the Solver, like s.w for ftran.
-func (s *Solver) btran() []float64 {
+// basicCosts loads the active-phase costs of the basic columns into s.y,
+// the right-hand side of the BTRAN that prices them out.
+func (s *Solver) basicCosts() []float64 {
 	y := s.y
-	for r := range y {
-		y[r] = 0
-	}
-	for r := 0; r < s.m; r++ {
-		if cb := s.pcost[s.basic[r]]; cb != 0 {
+	clear(y)
+	for r, j := range s.basic {
+		if cb := s.pcost[j]; cb != 0 {
 			y[r] = cb
 		}
 	}
+	return y
+}
+
+// unitRow loads the unit vector e_r into s.rho, the right-hand side of the
+// BTRAN that yields row r of B⁻¹.
+func (s *Solver) unitRow(r int) []float64 {
+	rho := s.rho
+	clear(rho)
+	rho[r] = 1
+	return rho
+}
+
+// btran computes y = (pcost_B)ᵀ · B⁻¹ into s.y and returns it. The buffer
+// is owned by the Solver, like s.w for ftran.
+func (s *Solver) btran() []float64 {
+	y := s.basicCosts()
 	s.kern.btran(y)
 	return y
 }
@@ -282,8 +294,17 @@ func (s *Solver) btran() []float64 {
 // binvRow computes row r of B⁻¹ (a unit-vector BTRAN) into s.rho and
 // returns it. The buffer is owned by the Solver, like s.w for ftran.
 func (s *Solver) binvRow(r int) []float64 {
-	s.kern.btranUnit(r, s.rho)
-	return s.rho
+	rho := s.unitRow(r)
+	s.kern.btran(rho)
+	return rho
+}
+
+// btranPair computes binvRow(r) and btran() — the pivot row and the duals a
+// dual-simplex iteration prices with — in one sweep over the factorization.
+func (s *Solver) btranPair(r int) (rho, y []float64) {
+	rho, y = s.unitRow(r), s.basicCosts()
+	s.kern.btranPair(rho, y)
+	return rho, y
 }
 
 // reducedCost returns c_j − y·A_j for the active phase cost.
@@ -435,9 +456,14 @@ func (s *Solver) solveAttempt() *Result {
 	s.bland = s.forceBland
 	s.stall = 0
 	nart := s.initBasis()
+	// One cost buffer serves both phases and every later attempt; it is
+	// replaced only when initBasis extended ncols with new artificials.
+	if len(s.pcost) < s.ncols {
+		s.pcost = make([]float64, s.ncols)
+	}
 	if nart > 0 {
 		// Phase 1: minimize the sum of artificials.
-		s.pcost = make([]float64, s.ncols)
+		clear(s.pcost)
 		for j := s.n + s.m; j < s.ncols; j++ {
 			s.pcost[j] = 1
 		}
@@ -457,11 +483,8 @@ func (s *Solver) solveAttempt() *Result {
 		for j := s.n + s.m; j < s.ncols; j++ {
 			s.lb[j], s.ub[j] = 0, 0
 		}
-	} else {
-		s.pcost = nil
 	}
 	// Phase 2: true objective.
-	s.pcost = make([]float64, s.ncols)
 	copy(s.pcost, s.cost)
 	s.bland = s.forceBland
 	s.stall = 0
