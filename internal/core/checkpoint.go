@@ -7,7 +7,6 @@ import (
 
 	"fragalloc/internal/checkpoint"
 	"fragalloc/internal/mip"
-	"fragalloc/internal/model"
 )
 
 // This file is the bridge between the decomposition driver and the durable
@@ -26,11 +25,11 @@ import (
 // excluded: re-running with a larger budget or different core count must be
 // allowed to resume the same journal — the subproblems are the same, only
 // how long we work on them differs.
-func runKey(w *model.Workload, ss *model.ScenarioSet, k int, spec *ChunkSpec, opt Options) string {
+func runKey(root *subproblem, spec *ChunkSpec) string {
 	// The constant "-ab0" field keeps the key equal to the one earlier
 	// commits journaled, so their journals still bind.
 	return fmt.Sprintf("w%016x-s%016x-k%d-c%s-a%x-f%d-ab0",
-		w.Digest(), ss.Digest(), k, spec, math.Float64bits(opt.Alpha), opt.FixedQueries)
+		root.w.Digest(), root.ss.Digest(), root.k, spec, math.Float64bits(root.alpha), len(root.fixedQ))
 }
 
 // subCheckpoint pairs the run's recorder with one subproblem's journal id.
@@ -61,8 +60,8 @@ func finite(v float64) float64 {
 // recordFromSolution serializes a completed subproblem solve — including a
 // degraded one: the greedy routing is journaled exactly like a MIP routing,
 // not just its DegradedDelta cost. leaf marks exact groups, whose bytes feed
-// the journal's running W; map-keyed fields are emitted in sorted order so
-// the record bytes are deterministic.
+// the journal's running W. The solution already holds its placement and
+// routing in the journal's shape and order; the record shares them.
 func recordFromSolution(d *driver, sol *solution, leaf bool) *checkpoint.SubRecord {
 	rec := &checkpoint.SubRecord{
 		Outcome:    sol.outcome.String(),
@@ -73,6 +72,8 @@ func recordFromSolution(d *driver, sol *solution, leaf bool) *checkpoint.SubReco
 		ExtraBytes: finite(sol.extraBytes),
 		Leaf:       leaf,
 		Frags:      sol.frags,
+		Yes:        sol.yes,
+		Z:          sol.z,
 	}
 	if leaf {
 		var bytes float64
@@ -83,50 +84,36 @@ func recordFromSolution(d *driver, sol *solution, leaf bool) *checkpoint.SubReco
 		}
 		rec.Bytes = finite(bytes)
 	}
-	qs := make([]int, 0, len(sol.yes))
-	for j := range sol.yes {
-		qs = append(qs, j)
-	}
-	sort.Ints(qs)
-	for _, j := range qs {
-		rec.Yes = append(rec.Yes, checkpoint.YesRow{Q: j, On: sol.yes[j]})
-	}
-	keys := make([][2]int, 0, len(sol.z))
-	for key := range sol.z {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a][0] != keys[b][0] {
-			return keys[a][0] < keys[b][0]
+	for _, rt := range rec.Z {
+		for i, v := range rt.Shares {
+			rt.Shares[i] = finite(v)
 		}
-		return keys[a][1] < keys[b][1]
-	})
-	for _, key := range keys {
-		shares := sol.z[key]
-		for i, v := range shares {
-			shares[i] = finite(v)
-		}
-		rec.Z = append(rec.Z, checkpoint.Route{Q: key[0], S: key[1], Shares: shares})
 	}
 	return rec
 }
 
 // recordCompatible sanity-checks a journaled record against the subproblem
 // shape about to be solved: every per-subnode vector must have exactly B
-// entries. The run key already guarantees the model matches; this guards
-// against a journal written by a buggy or future build.
+// entries, and Yes and Z must be strictly ascending — the order every
+// consumer of a solution relies on. The run key already guarantees the model
+// matches; this guards against a journal written by a buggy or future build.
 func recordCompatible(rec *checkpoint.SubRecord, b int) bool {
 	if len(rec.Frags) != b {
 		return false
 	}
-	for _, row := range rec.Yes {
-		if len(row.On) != b {
+	for i, row := range rec.Yes {
+		if len(row.On) != b || (i > 0 && rec.Yes[i-1].Q >= row.Q) {
 			return false
 		}
 	}
-	for _, rt := range rec.Z {
+	for i, rt := range rec.Z {
 		if len(rt.Shares) != b {
 			return false
+		}
+		if i > 0 {
+			if prev := rec.Z[i-1]; prev.Q > rt.Q || (prev.Q == rt.Q && prev.S >= rt.S) {
+				return false
+			}
 		}
 	}
 	return true
@@ -139,8 +126,8 @@ func recordCompatible(rec *checkpoint.SubRecord, b int) bool {
 // encoding round-trips exactly).
 func solutionFromRecord(rec *checkpoint.SubRecord) *solution {
 	sol := &solution{
-		yes:        make(map[int][]bool, len(rec.Yes)),
-		z:          make(map[[2]int][]float64, len(rec.Z)),
+		yes:        rec.Yes,
+		z:          rec.Z,
 		frags:      rec.Frags,
 		l:          rec.L,
 		gap:        rec.Gap,
@@ -153,12 +140,6 @@ func solutionFromRecord(rec *checkpoint.SubRecord) *solution {
 		sol.status = mip.StatusOptimal
 	} else {
 		sol.status = mip.StatusFeasible
-	}
-	for _, row := range rec.Yes {
-		sol.yes[row.Q] = row.On
-	}
-	for _, rt := range rec.Z {
-		sol.z[[2]int{rt.Q, rt.S}] = rt.Shares
 	}
 	return sol
 }
@@ -176,16 +157,20 @@ func outcomeFromString(s string) (Outcome, bool) {
 	return 0, false
 }
 
-// hintFromRecord converts a journaled routing into the query-placement map
-// the solver accepts as a starting incumbent — how Feasible and Degraded
-// records warm-start their re-solve on resume.
-func hintFromRecord(rec *checkpoint.SubRecord) map[int][]bool {
+// hintFromRecord turns a journaled placement into the starting incumbent
+// the solver accepts — how Feasible and Degraded records warm-start their
+// re-solve on resume. flexQ is ascending, so it is its own query → position
+// index; a journaled query this subproblem no longer holds (its parent was
+// re-solved differently) is skipped.
+func (sp *subproblem) hintFromRecord(rec *checkpoint.SubRecord) [][]bool {
 	if len(rec.Yes) == 0 {
 		return nil
 	}
-	hint := make(map[int][]bool, len(rec.Yes))
+	hint := make([][]bool, len(sp.flexQ))
 	for _, row := range rec.Yes {
-		hint[row.Q] = row.On
+		if q := sort.SearchInts(sp.flexQ, row.Q); q < len(sp.flexQ) && sp.flexQ[q] == row.Q {
+			hint[q] = row.On
+		}
 	}
 	return hint
 }

@@ -121,6 +121,65 @@ type Result struct {
 // clustering of opt.FixedQueries low-load queries.
 func Allocate(w *model.Workload, ss *model.ScenarioSet, k int, opt Options) (*Result, error) {
 	start := time.Now()
+	root, err := newRoot(w, ss, k, opt)
+	if err != nil {
+		return nil, err
+	}
+	ss = root.ss
+	spec := opt.Chunks
+	if spec == nil {
+		spec = Flat(k)
+	}
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	if spec.Leaves != k {
+		return nil, fmt.Errorf("core: chunk spec %q covers %d nodes, want K=%d", spec, spec.Leaves, k)
+	}
+
+	d := &driver{
+		w: w, ss: ss, opt: opt, alloc: newAllocation(w, ss, k), exact: true,
+		gate: newGate(opt.Parallelism), logMu: &sync.Mutex{},
+	}
+	d.logf("core: allocating K=%d with spec %v (%d exact groups, parallelism %d)",
+		k, spec, spec.Groups(), d.gate.width())
+	if opt.Checkpoint != nil {
+		if err := opt.Checkpoint.Bind(runKey(root, spec), root.vNorm); err != nil {
+			return nil, err
+		}
+		if opt.Checkpoint.Resumed() {
+			subs, mips := opt.Checkpoint.Counts()
+			d.logf("core: resuming from checkpoint journal (%d subproblem records, %d in-flight MIP incumbents)", subs, mips)
+		}
+	}
+	if err := d.solve(root, spec, 0, "r"); err != nil {
+		return nil, err
+	}
+
+	res := &Result{
+		Allocation:    d.alloc,
+		W:             d.alloc.TotalData(w),
+		V:             root.vNorm,
+		MaxLoad:       d.maxLoad,
+		SolveTime:     time.Since(start),
+		BBNodes:       d.nodes,
+		LPIters:       d.lpiters,
+		MaxGap:        d.maxGap,
+		Exact:         d.exact,
+		FixedQueries:  root.fixedQ,
+		Outcomes:      d.outcomes,
+		DegradedDelta: d.degradedBytes / root.vNorm,
+		Canceled:      d.canceled(),
+	}
+	res.ReplicationFactor = res.W / root.vNorm
+	return res, nil
+}
+
+// newRoot validates the inputs and builds the root subproblem: every active
+// query with full share in every scenario, the opt.FixedQueries lightest of
+// them pinned to node 0. A nil ss means the workload's default scenario;
+// the one used is root.ss. The caller still has to split it.
+func newRoot(w *model.Workload, ss *model.ScenarioSet, k int, opt Options) (*subproblem, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
@@ -136,18 +195,6 @@ func Allocate(w *model.Workload, ss *model.ScenarioSet, k int, opt Options) (*Re
 	if opt.Alpha == 0 {
 		opt.Alpha = 1000
 	}
-	spec := opt.Chunks
-	if spec == nil {
-		spec = Flat(k)
-	}
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	if spec.Leaves != k {
-		return nil, fmt.Errorf("core: chunk spec %q covers %d nodes, want K=%d", spec, spec.Leaves, k)
-	}
-
-	costs := ss.TotalCosts(w)
 	active := activeQueries(w, ss)
 	if len(active) == 0 {
 		return nil, fmt.Errorf("core: no query carries load in any scenario")
@@ -156,13 +203,10 @@ func Allocate(w *model.Workload, ss *model.ScenarioSet, k int, opt Options) (*Re
 	if v <= 0 {
 		return nil, fmt.Errorf("core: accessed data size is zero")
 	}
-
 	fixed, flex, err := splitFixed(w, ss, active, opt.FixedQueries, k)
 	if err != nil {
 		return nil, err
 	}
-
-	// Root subproblem: every active query with full share in every scenario.
 	shares := make([][]float64, ss.S())
 	for s := range shares {
 		shares[s] = make([]float64, len(w.Queries))
@@ -177,11 +221,16 @@ func Allocate(w *model.Workload, ss *model.ScenarioSet, k int, opt Options) (*Re
 		}
 	}
 	root := &subproblem{
-		w: w, ss: ss, costs: costs, k: k, vNorm: v, alpha: opt.Alpha,
+		w: w, ss: ss, costs: ss.TotalCosts(w), k: k, vNorm: v, alpha: opt.Alpha,
 		activeFrag: activeFrag, flexQ: flex, fixedQ: fixed, shares: shares,
 		hasFixed: true,
 	}
+	return root.index(), nil
+}
 
+// newAllocation returns an empty K-node allocation with zeroed routing
+// shares for every (scenario, query).
+func newAllocation(w *model.Workload, ss *model.ScenarioSet, k int) *model.Allocation {
 	alloc := model.NewAllocation(k)
 	alloc.Shares = make([][][]float64, ss.S())
 	for s := range alloc.Shares {
@@ -190,42 +239,7 @@ func Allocate(w *model.Workload, ss *model.ScenarioSet, k int, opt Options) (*Re
 			alloc.Shares[s][j] = make([]float64, k)
 		}
 	}
-	d := &driver{
-		w: w, ss: ss, opt: opt, alloc: alloc, exact: true,
-		gate: newGate(opt.Parallelism), logMu: &sync.Mutex{},
-	}
-	d.logf("core: allocating K=%d with spec %v (%d exact groups, parallelism %d)",
-		k, spec, spec.Groups(), d.gate.width())
-	if opt.Checkpoint != nil {
-		if err := opt.Checkpoint.Bind(runKey(w, ss, k, spec, opt), v); err != nil {
-			return nil, err
-		}
-		if opt.Checkpoint.Resumed() {
-			subs, mips := opt.Checkpoint.Counts()
-			d.logf("core: resuming from checkpoint journal (%d subproblem records, %d in-flight MIP incumbents)", subs, mips)
-		}
-	}
-	if err := d.solve(root, spec, 0, "r"); err != nil {
-		return nil, err
-	}
-
-	res := &Result{
-		Allocation:    alloc,
-		W:             alloc.TotalData(w),
-		V:             v,
-		MaxLoad:       d.maxLoad,
-		SolveTime:     time.Since(start),
-		BBNodes:       d.nodes,
-		LPIters:       d.lpiters,
-		MaxGap:        d.maxGap,
-		Exact:         d.exact,
-		FixedQueries:  fixed,
-		Outcomes:      d.outcomes,
-		DegradedDelta: d.degradedBytes / v,
-		Canceled:      d.canceled(),
-	}
-	res.ReplicationFactor = res.W / v
-	return res, nil
+	return alloc
 }
 
 // activeQueries returns the queries with positive load in at least one
@@ -348,22 +362,8 @@ func (d *driver) solve(sp *subproblem, spec *ChunkSpec, leaf int, id string) err
 		return nil
 	}
 
-	var b int
-	var weights []float64
-	if len(spec.Children) == 0 {
-		b = spec.Leaves
-		weights = make([]float64, b)
-		for i := range weights {
-			weights[i] = 1 / float64(d.alloc.K)
-		}
-	} else {
-		b = len(spec.Children)
-		weights = make([]float64, b)
-		for i, c := range spec.Children {
-			weights[i] = float64(c.Leaves) / float64(d.alloc.K)
-		}
-	}
-	sp.weights = weights
+	sp.split(spec)
+	b := len(sp.weights)
 
 	// Resume: a journaled proven-optimal record replays verbatim — no hint
 	// pre-solves, no MIP — which both skips the work and (because the
@@ -373,7 +373,7 @@ func (d *driver) solve(sp *subproblem, spec *ChunkSpec, leaf int, id string) err
 	// the re-solve starts no worse than the journaled incumbent and a
 	// larger budget may improve it.
 	ck := d.subCkpt(id)
-	var journalHint map[int][]bool
+	var journalHint [][]bool
 	if ck != nil {
 		if rec := ck.rec.Sub(ck.id); rec != nil && recordCompatible(rec, b) {
 			if o, ok := outcomeFromString(rec.Outcome); ok && o == OutcomeOptimal {
@@ -382,7 +382,7 @@ func (d *driver) solve(sp *subproblem, spec *ChunkSpec, leaf int, id string) err
 				d.logf("core: split %v replayed from checkpoint (optimal, %d nodes)", spec, sol.nodes)
 				return d.finish(sp, spec, sol, leaf, id)
 			}
-			journalHint = hintFromRecord(rec)
+			journalHint = sp.hintFromRecord(rec)
 		}
 	}
 
@@ -395,7 +395,7 @@ func (d *driver) solve(sp *subproblem, spec *ChunkSpec, leaf int, id string) err
 	// greedy baseline (merged over scenarios), so the LP-based allocation
 	// provably starts no worse than greedy. The two hints are independent
 	// reads of sp, so they run concurrently with each other.
-	var hint, greedyHint map[int][]bool
+	var hint, greedyHint [][]bool
 	var hintTasks []func() error
 	if len(spec.Children) == 0 && b >= 3 {
 		hintTasks = append(hintTasks, func() error {
@@ -423,9 +423,9 @@ func (d *driver) solve(sp *subproblem, spec *ChunkSpec, leaf int, id string) err
 	// An incumbent allocation from a previous run warm-starts the same flat
 	// root shape the greedy hint does. It is a cheap projection, not a
 	// solve, so it runs inline rather than on the worker pool.
-	var warmHint map[int][]bool
+	var warmHint [][]bool
 	if len(spec.Children) == 0 && leaf == 0 && spec.Leaves == d.alloc.K && d.opt.Warm != nil {
-		warmHint = d.warmHint(sp, b)
+		warmHint = sp.placement(d.opt.Warm, b)
 	}
 
 	d.logf("core: solving split %v (B=%d, %d flexible queries, %d fragments) for leaves %d..%d",
@@ -456,12 +456,8 @@ func (d *driver) finish(sp *subproblem, spec *ChunkSpec, sol *solution, leaf int
 		for bb := 0; bb < len(sp.weights); bb++ {
 			d.alloc.Fragments[leaf+bb] = append([]int(nil), sol.frags[bb]...)
 		}
-		//fragvet:ignore rangemaporder — each (j,s) key writes only its own Shares[s][j] row, so the final contents are order-independent
-		for key, zs := range sol.z {
-			j, s := key[0], key[1]
-			for bb, z := range zs {
-				d.alloc.Shares[s][j][leaf+bb] = z
-			}
+		for _, rt := range sol.z {
+			copy(d.alloc.Shares[rt.S][rt.Q][leaf:], rt.Shares)
 		}
 		if sp.hasFixed {
 			d.assignFixedShares(sp, leaf)
@@ -490,54 +486,40 @@ func (d *driver) finish(sp *subproblem, spec *ChunkSpec, sol *solution, leaf int
 	return d.gate.run(tasks...)
 }
 
-// greedyHint computes the greedy baseline allocation (merged over the
-// scenario set) and converts it into a starting placement for a flat exact
-// solve over all K nodes. The baseline computation counts against the
-// driver's worker pool like any other solver task.
-func (d *driver) greedyHint(sp *subproblem, n int) map[int][]bool {
+// placement reads a starting placement for a flat solve over n subnodes off
+// an allocation: every flexible query is proposed on each of the first n
+// nodes that stores all its fragments. When alloc has fewer nodes (a warm
+// incumbent from before a node join), only the overlapping prefix carries
+// over; a query alloc cannot run anywhere contributes nothing, which the
+// proposal repair inside the MIP tolerates like any other partial start.
+func (sp *subproblem) placement(alloc *model.Allocation, n int) [][]bool {
+	hint := make([][]bool, len(sp.flexQ))
+	for q, j := range sp.flexQ {
+		hint[q] = make([]bool, n)
+		for bb := 0; bb < n && bb < alloc.K; bb++ {
+			hint[q][bb] = alloc.CanRun(&sp.w.Queries[j], bb)
+		}
+	}
+	return hint
+}
+
+// greedyHint places the flexible queries as the greedy baseline allocation
+// (merged over the scenario set) does. The baseline computation counts
+// against the driver's worker pool like any other solver task.
+func (d *driver) greedyHint(sp *subproblem, n int) [][]bool {
 	d.gate.acquire()
 	alloc, err := greedy.AllocateScenarios(d.w, d.ss, n)
 	d.gate.release()
 	if err != nil {
 		return nil
 	}
-	hint := make(map[int][]bool, len(sp.flexQ))
-	for _, j := range sp.flexQ {
-		q := &d.w.Queries[j]
-		row := make([]bool, n)
-		for bb := 0; bb < n; bb++ {
-			row[bb] = alloc.CanRun(q, bb)
-		}
-		hint[j] = row
-	}
-	return hint
-}
-
-// warmHint converts Options.Warm — the incumbent allocation of a previous
-// solve — into a starting placement for a flat exact solve over all K nodes:
-// a query is proposed on every warm node that already stores all its
-// fragments. When the node counts differ (node join/leave), only the
-// overlapping prefix carries over; queries the warm allocation cannot place
-// anywhere simply contribute nothing to the proposal, which the proposal
-// repair inside the MIP tolerates like any other partial start.
-func (d *driver) warmHint(sp *subproblem, n int) map[int][]bool {
-	warm := d.opt.Warm
-	hint := make(map[int][]bool, len(sp.flexQ))
-	for _, j := range sp.flexQ {
-		q := &d.w.Queries[j]
-		row := make([]bool, n)
-		for bb := 0; bb < n && bb < warm.K; bb++ {
-			row[bb] = warm.CanRun(q, bb)
-		}
-		hint[j] = row
-	}
-	return hint
+	return sp.placement(alloc, n)
 }
 
 // hierarchicalHint solves the same subproblem with a balanced two-way
 // decomposition into a scratch allocation and returns the resulting
-// query-placement map, used as a starting incumbent for the exact solve.
-func (d *driver) hierarchicalHint(sp *subproblem, n int) map[int][]bool {
+// placement, used as a starting incumbent for the exact solve.
+func (d *driver) hierarchicalHint(sp *subproblem, n int) [][]bool {
 	half := n / 2
 	spec := Split(Flat(half), Flat(n-half))
 	// The scratch driver gets its own allocation and statistics but shares
@@ -548,33 +530,16 @@ func (d *driver) hierarchicalHint(sp *subproblem, n int) map[int][]bool {
 	opt := d.opt
 	opt.Checkpoint = nil
 	scratch := &driver{
-		w: d.w, ss: d.ss, opt: opt, alloc: model.NewAllocation(d.alloc.K), exact: true,
+		w: d.w, ss: d.ss, opt: opt, alloc: newAllocation(d.w, d.ss, d.alloc.K), exact: true,
 		gate: d.gate, logMu: d.logMu,
 	}
-	scratch.alloc.Shares = make([][][]float64, d.ss.S())
-	for s := range scratch.alloc.Shares {
-		scratch.alloc.Shares[s] = make([][]float64, len(d.w.Queries))
-		for j := range scratch.alloc.Shares[s] {
-			scratch.alloc.Shares[s][j] = make([]float64, d.alloc.K)
-		}
-	}
-	// Deep-copy the fields driver.solve mutates: the pre-solve may run
-	// concurrently with other readers of sp, and a shallow struct copy
-	// would share the mutated slice headers' underlying arrays.
+	// The pre-solve may run concurrently with other readers of sp, and
+	// driver.solve installs its own weights: give it a clone.
 	if err := scratch.solve(sp.clone(), spec, 0, "h"); err != nil {
 		d.logf("core: hierarchical pre-solve failed: %v", err)
 		return nil
 	}
-	hint := make(map[int][]bool, len(sp.flexQ))
-	for _, j := range sp.flexQ {
-		q := &d.w.Queries[j]
-		row := make([]bool, n)
-		for bb := 0; bb < n; bb++ {
-			row[bb] = scratch.alloc.CanRun(q, bb)
-		}
-		hint[j] = row
-	}
-	return hint
+	return sp.placement(scratch.alloc, n)
 }
 
 // assignLeaf routes a leaf subproblem's entire inherited workload to one
@@ -587,12 +552,8 @@ func (d *driver) assignLeaf(sp *subproblem, leaf int) {
 		}
 	}
 	d.alloc.Fragments[leaf] = frags
-	for _, j := range sp.flexQ {
-		for s := 0; s < d.ss.S(); s++ {
-			if sp.shares[s][j] > 0 && d.ss.Frequencies[s][j] > 0 {
-				d.alloc.Shares[s][j][leaf] = sp.shares[s][j]
-			}
-		}
+	for _, rt := range sp.routes {
+		d.alloc.Shares[rt.s][rt.j][leaf] = sp.shares[rt.s][rt.j]
 	}
 	if sp.hasFixed {
 		d.assignFixedShares(sp, leaf)
@@ -611,26 +572,23 @@ func (d *driver) assignFixedShares(sp *subproblem, leaf int) {
 	}
 }
 
-// childSubproblem builds the subproblem inherited by subnode bb.
+// childSubproblem builds the subproblem inherited by subnode bb: the routes
+// with a share there, and through them — sol.z being ascending — the
+// ascending list of queries that still carry load.
 func (d *driver) childSubproblem(sp *subproblem, sol *solution, bb int) *subproblem {
 	shares := make([][]float64, d.ss.S())
 	for s := range shares {
 		shares[s] = make([]float64, len(d.w.Queries))
 	}
-	flexSet := make(map[int]bool)
-	//fragvet:ignore rangemaporder — each (j,s) key writes only its own shares[s][j] cell, so the final contents are order-independent
-	for key, zs := range sol.z {
-		j, s := key[0], key[1]
-		if zs[bb] > 1e-9 {
-			shares[s][j] = zs[bb]
-			flexSet[j] = true
+	var flex []int
+	for _, rt := range sol.z {
+		if rt.Shares[bb] > 1e-9 {
+			shares[rt.S][rt.Q] = rt.Shares[bb]
+			if len(flex) == 0 || flex[len(flex)-1] != rt.Q {
+				flex = append(flex, rt.Q)
+			}
 		}
 	}
-	var flex []int
-	for j := range flexSet {
-		flex = append(flex, j)
-	}
-	sort.Ints(flex)
 
 	activeFrag := make([]bool, len(d.w.Fragments))
 	for _, i := range sol.frags[bb] {
@@ -650,7 +608,7 @@ func (d *driver) childSubproblem(sp *subproblem, sol *solution, bb int) *subprob
 			}
 		}
 	}
-	return sub
+	return sub.index()
 }
 
 func countTrue(b []bool) int {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 
+	"fragalloc/internal/checkpoint"
 	"fragalloc/internal/greedy"
 	"fragalloc/internal/mip"
 )
@@ -24,35 +25,30 @@ import (
 // replication-factor cost of all degraded subproblems).
 func (sp *subproblem) degrade() *solution {
 	b := len(sp.weights)
-	S := sp.ss.S()
 
 	// Aggregate the inherited per-scenario loads into one frequency vector,
 	// so the greedy shares are proportional to the load each query actually
 	// carries in this subproblem.
 	freq := make([]float64, len(sp.w.Queries))
-	queryLoad := make([]float64, len(sp.w.Queries))
+	queryLoad := make([]float64, len(sp.flexQ)) // by flexQ position
 	var flexLoad float64
-	for _, j := range sp.flexQ {
-		var load float64
-		for s := 0; s < S; s++ {
-			load += sp.shares[s][j] * sp.ss.Frequencies[s][j] * sp.w.Queries[j].Cost / sp.costs[s]
-		}
-		if load > 0 && sp.w.Queries[j].Cost > 0 {
+	for q, j := range sp.flexQ {
+		if load := sp.queryLoad(j); load > 0 && sp.w.Queries[j].Cost > 0 {
 			freq[j] = load / sp.w.Queries[j].Cost
-			queryLoad[j] = load
+			queryLoad[q] = load
 			flexLoad += load
 		}
 	}
 	var fixedAgg float64
 	if sp.hasFixed {
-		for s := 0; s < S; s++ {
+		for s := 0; s < sp.ss.S(); s++ {
 			fixedAgg += sp.fixedLoad(s)
 		}
 	}
 
-	// routing[j][bb] is the fraction of query j's inherited share routed to
-	// subnode bb (rows sum to 1 for queries that carry load).
-	routing := make(map[int][]float64, len(sp.flexQ))
+	// routing[q][bb] is the fraction of the inherited share of flexQ[q]
+	// routed to subnode bb (rows sum to 1; nil for queries without load).
+	routing := make([][]float64, len(sp.flexQ))
 	if flexLoad > 0 {
 		if r := sp.greedyRouting(freq, flexLoad, fixedAgg); r != nil {
 			routing = r
@@ -63,61 +59,34 @@ func (sp *subproblem) degrade() *solution {
 
 	// Assemble the solution exactly like decode does for a MIP result.
 	sol := &solution{
-		yes:     make(map[int][]bool, len(sp.flexQ)),
-		z:       make(map[[2]int][]float64),
+		yes:     make([]checkpoint.YesRow, len(sp.flexQ)),
 		exact:   false,
 		status:  mip.StatusFeasible,
 		outcome: OutcomeDegraded,
 	}
-	need := make([][]bool, b)
-	for bb := range need {
-		need[bb] = make([]bool, len(sp.w.Fragments))
-	}
-	for _, j := range sp.flexQ {
-		r := routing[j]
+	for q, j := range sp.flexQ {
 		runnable := make([]bool, b)
-		for bb := 0; bb < b && r != nil; bb++ {
-			if r[bb] > 0 {
-				runnable[bb] = true
-				for _, i := range sp.w.Queries[j].Fragments {
-					need[bb][i] = true
-				}
-			}
+		for bb, share := range routing[q] {
+			runnable[bb] = share > 0
 		}
-		sol.yes[j] = runnable
+		sol.yes[q] = checkpoint.YesRow{Q: j, On: runnable}
+	}
+	for _, rt := range sp.routes {
+		r := routing[rt.q]
 		if r == nil {
 			continue
 		}
-		for s := 0; s < S; s++ {
-			if sp.shares[s][j] <= 0 || sp.ss.Frequencies[s][j] <= 0 {
-				continue
-			}
-			zs := make([]float64, b)
-			for bb := 0; bb < b; bb++ {
-				zs[bb] = sp.shares[s][j] * r[bb]
-			}
-			sol.z[[2]int{j, s}] = zs
+		zs := make([]float64, b)
+		for bb := range zs {
+			zs[bb] = sp.shares[rt.s][rt.j] * r[bb]
 		}
+		sol.z = append(sol.z, checkpoint.Route{Q: rt.j, S: rt.s, Shares: zs})
 	}
-	if sp.hasFixed {
-		for _, j := range sp.fixedQ {
-			if !sp.fixedRuns(j) {
-				continue
-			}
-			for _, i := range sp.w.Queries[j].Fragments {
-				need[0][i] = true
-			}
-		}
-	}
-	sol.frags = make([][]int, b)
+	sol.frags = sp.fragSets(sol.yes)
 	anywhere := make([]bool, len(sp.w.Fragments))
 	var allocated, single float64
-	for bb := 0; bb < b; bb++ {
-		for i, n := range need[bb] {
-			if !n {
-				continue
-			}
-			sol.frags[bb] = append(sol.frags[bb], i)
+	for _, frags := range sol.frags {
+		for _, i := range frags {
 			allocated += sp.w.Fragments[i].Size
 			if !anywhere[i] {
 				anywhere[i] = true
@@ -139,7 +108,7 @@ func (sp *subproblem) degrade() *solution {
 // fractions. Subnode capacities are proportional to the leaf weights, with
 // subnode 0's fair share reduced by the load the clustering queries already
 // pin there. Returns nil if the greedy allocator fails.
-func (sp *subproblem) greedyRouting(freq []float64, flexLoad, fixedAgg float64) map[int][]float64 {
+func (sp *subproblem) greedyRouting(freq []float64, flexLoad, fixedAgg float64) [][]float64 {
 	b := len(sp.weights)
 	var wsum float64
 	for _, wt := range sp.weights {
@@ -155,8 +124,8 @@ func (sp *subproblem) greedyRouting(freq []float64, flexLoad, fixedAgg float64) 
 	if err != nil {
 		return nil
 	}
-	routing := make(map[int][]float64, len(sp.flexQ))
-	for _, j := range sp.flexQ {
+	routing := make([][]float64, len(sp.flexQ))
+	for q, j := range sp.flexQ {
 		if freq[j] <= 0 {
 			continue
 		}
@@ -171,7 +140,7 @@ func (sp *subproblem) greedyRouting(freq []float64, flexLoad, fixedAgg float64) 
 		for bb := range r {
 			r[bb] /= sum
 		}
-		routing[j] = r
+		routing[q] = r
 	}
 	return routing
 }
@@ -181,9 +150,12 @@ func (sp *subproblem) greedyRouting(freq []float64, flexLoad, fixedAgg float64) 
 // projected relative load is smallest — heaviest queries first, ties on the
 // lowest query ID and then the lowest subnode, so the result is
 // deterministic.
-func (sp *subproblem) fallbackRouting(queryLoad []float64, fixedAgg float64) map[int][]float64 {
+func (sp *subproblem) fallbackRouting(queryLoad []float64, fixedAgg float64) [][]float64 {
 	b := len(sp.weights)
-	order := append([]int(nil), sp.flexQ...)
+	order := make([]int, len(sp.flexQ)) // flexQ positions
+	for q := range order {
+		order[q] = q
+	}
 	sort.SliceStable(order, func(a, c int) bool {
 		//fragvet:ignore floatcmp — sort comparator: the exact != keeps the ordering antisymmetric and transitive; a tolerance would not
 		if queryLoad[order[a]] != queryLoad[order[c]] {
@@ -193,44 +165,48 @@ func (sp *subproblem) fallbackRouting(queryLoad []float64, fixedAgg float64) map
 	})
 	load := make([]float64, b)
 	load[0] = fixedAgg
-	routing := make(map[int][]float64, len(order))
-	for _, j := range order {
-		if queryLoad[j] <= 0 {
+	routing := make([][]float64, len(order))
+	for _, q := range order {
+		if queryLoad[q] <= 0 {
 			continue
 		}
 		best := 0
 		for bb := 1; bb < b; bb++ {
-			if (load[bb]+queryLoad[j])/sp.weights[bb] < (load[best]+queryLoad[j])/sp.weights[best] {
+			if (load[bb]+queryLoad[q])/sp.weights[bb] < (load[best]+queryLoad[q])/sp.weights[best] {
 				best = bb
 			}
 		}
-		load[best] += queryLoad[j]
-		r := make([]float64, b)
-		r[best] = 1
-		routing[j] = r
+		load[best] += queryLoad[q]
+		routing[q] = make([]float64, b)
+		routing[q][best] = 1
 	}
 	return routing
 }
 
 // worstLoad computes the solution's worst normalized subnode load over all
 // scenarios — the value the MIP's L variable would take for this routing.
+// sol.z is ascending by query, so each (scenario, subnode) sum accumulates
+// in ascending query order.
 func (sp *subproblem) worstLoad(sol *solution) float64 {
 	b := len(sp.weights)
+	load := make([][]float64, sp.ss.S())
+	for s := range load {
+		load[s] = make([]float64, b)
+	}
+	for _, rt := range sol.z {
+		for bb, z := range rt.Shares {
+			if z != 0 {
+				load[rt.S][bb] += z * sp.ss.Frequencies[rt.S][rt.Q] * sp.w.Queries[rt.Q].Cost / sp.costs[rt.S]
+			}
+		}
+	}
 	var worst float64
-	for s := 0; s < sp.ss.S(); s++ {
-		for bb := 0; bb < b; bb++ {
-			var load float64
-			for _, j := range sp.flexQ {
-				zs, ok := sol.z[[2]int{j, s}]
-				if !ok || zs[bb] == 0 {
-					continue
-				}
-				load += zs[bb] * sp.ss.Frequencies[s][j] * sp.w.Queries[j].Cost / sp.costs[s]
-			}
-			if bb == 0 && sp.hasFixed {
-				load += sp.fixedLoad(s)
-			}
-			worst = math.Max(worst, load/sp.weights[bb])
+	for s := range load {
+		if sp.hasFixed {
+			load[s][0] += sp.fixedLoad(s)
+		}
+		for bb := range load[s] {
+			worst = math.Max(worst, load[s][bb]/sp.weights[bb])
 		}
 	}
 	return worst

@@ -115,7 +115,7 @@ func (d *driver) escalateIters(n int) int {
 // (suboptimal) allocation under the soft load-limit model. Infeasible or
 // malformed inputs still abort the run: degradation can't fix those, and
 // hiding them would report a broken allocation as a success.
-func (d *driver) solveWithPolicy(sp *subproblem, spec *ChunkSpec, ck *subCheckpoint, hints ...map[int][]bool) (*solution, error) {
+func (d *driver) solveWithPolicy(sp *subproblem, spec *ChunkSpec, ck *subCheckpoint, hints ...[][]bool) (*solution, error) {
 	sol, err := sp.solve(d.mipOptions(), ck, hints...)
 	if err == nil {
 		return sol, nil

@@ -164,41 +164,22 @@ func TestPipelineGolden(t *testing.T) {
 // result.
 func fallbackRecord(t *testing.T, w *model.Workload, ss *model.ScenarioSet) *checkpoint.SubRecord {
 	t.Helper()
-	weights := []float64{0.5, math.Inf(1)}
-	active := activeQueries(w, ss)
-	fixed, flex, err := splitFixed(w, ss, active, 4, len(weights))
+	sp, err := newRoot(w, ss, 2, Options{FixedQueries: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	shares := make([][]float64, ss.S())
-	for s := range shares {
-		shares[s] = make([]float64, len(w.Queries))
-		for _, j := range active {
-			shares[s][j] = 1
-		}
-	}
-	activeFrag := make([]bool, len(w.Fragments))
-	for _, j := range active {
-		for _, i := range w.Queries[j].Fragments {
-			activeFrag[i] = true
-		}
-	}
-	sp := &subproblem{
-		w: w, ss: ss, costs: ss.TotalCosts(w), k: len(weights), vNorm: w.AccessedDataSize(ss.Frequencies...),
-		alpha: 1000, activeFrag: activeFrag, flexQ: flex, fixedQ: fixed, shares: shares,
-		weights: weights, hasFixed: true,
-	}
+	sp.weights = []float64{0.5, math.Inf(1)}
 	sol := sp.degrade()
 	routed := 0
-	for _, on := range sol.yes {
-		for _, v := range on {
+	for _, row := range sol.yes {
+		for _, v := range row.On {
 			if v {
 				routed++
 			}
 		}
 	}
-	if routed != len(flex) {
-		t.Fatalf("fallback routing placed %d (query, subnode) pairs, want one per flexible query (%d): the greedy path ran instead", routed, len(flex))
+	if routed != len(sp.flexQ) {
+		t.Fatalf("fallback routing placed %d (query, subnode) pairs, want one per flexible query (%d): the greedy path ran instead", routed, len(sp.flexQ))
 	}
 	return recordFromSolution(&driver{w: w}, sol, true)
 }

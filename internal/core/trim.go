@@ -20,13 +20,12 @@ import (
 // over-covers by construction) and the branch-and-bound incumbent.
 type trimmer struct {
 	sp *subproblem
-	ix *indices
+	ix *indices // layout of the subproblem LP whose solutions are trimmed
 
 	solver *simplex.Solver
-	// zcol[key][b] is the routing-LP column of main z column ix.z[key][b];
-	// identical layout, different problem.
-	zcol map[[2]int][]int
-	lcol int
+	// rx lays out the routing LP: L first, then the z columns in the order
+	// ix has them, so route r, subnode bb pairs ix.z(r, bb) with rx.z(r, bb).
+	rx indices
 }
 
 // newTrimmer builds the routing LP: minimize L subject to the balance rows
@@ -35,85 +34,46 @@ type trimmer struct {
 // when a placement is removed.
 func (sp *subproblem) newTrimmer(ix *indices, lp simplex.Options) (*trimmer, error) {
 	p := &simplex.Problem{}
-	tr := &trimmer{sp: sp, ix: ix, zcol: make(map[[2]int][]int, len(ix.z))}
-	tr.lcol = p.AddVar(0, math.Inf(1), 1)
-	// Lay the z columns out in sorted key order: iterating the map here
-	// would make the LP's variable order — and with it the vertex the
-	// simplex picks among degenerate optima — differ between runs, leaking
-	// nondeterminism into which trims get certified.
-	keys := make([][2]int, 0, len(ix.z))
-	for key := range ix.z {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(a, b int) bool {
-		if keys[a][0] != keys[b][0] {
-			return keys[a][0] < keys[b][0]
-		}
-		return keys[a][1] < keys[b][1]
-	})
-	for _, key := range keys {
-		j, s := key[0], key[1]
-		cols := make([]int, ix.b)
+	tr := &trimmer{sp: sp, ix: ix, rx: indices{b: ix.b}}
+	tr.rx.l = p.AddVar(0, math.Inf(1), 1)
+	tr.rx.z0 = p.NumVars
+	for _, rt := range sp.routes {
 		for bb := 0; bb < ix.b; bb++ {
-			cols[bb] = p.AddVar(0, sp.shares[s][j], 0)
-		}
-		tr.zcol[key] = cols
-	}
-	// (6) balance per (subnode, scenario). Rows walk the same sorted key
-	// order as the columns: both the row sequence and the coefficient order
-	// within a row steer pivot tie-breaks, so map iteration here would
-	// reintroduce the run-to-run drift the sort above removes.
-	for bb := 0; bb < ix.b; bb++ {
-		for s := 0; s < sp.ss.S(); s++ {
-			var idx []int
-			var coef []float64
-			for _, key := range keys {
-				j := key[0]
-				if key[1] != s {
-					continue
-				}
-				c := sp.ss.Frequencies[s][j] * sp.w.Queries[j].Cost / (sp.costs[s] * sp.weights[bb])
-				if c == 0 {
-					continue
-				}
-				idx = append(idx, tr.zcol[key][bb])
-				coef = append(coef, c)
-			}
-			rhs := 0.0
-			if bb == 0 && sp.hasFixed {
-				rhs = -sp.fixedLoad(s) / sp.weights[0]
-			}
-			idx = append(idx, tr.lcol)
-			coef = append(coef, -1)
-			p.AddRow(idx, coef, simplex.LE, rhs)
+			p.AddVar(0, sp.shares[rt.s][rt.j], 0)
 		}
 	}
-	// (7) conservation per (query, scenario).
-	for _, key := range keys {
-		j, s := key[0], key[1]
-		cols := tr.zcol[key]
-		coef := make([]float64, len(cols))
-		for t := range coef {
-			coef[t] = 1
-		}
-		p.AddRow(cols, coef, simplex.EQ, sp.shares[s][j])
-	}
+	sp.addBalance(p, &tr.rx)
+	sp.addConservation(p, &tr.rx)
 	var err error
 	tr.solver, err = simplex.NewSolver(p, lp)
 	return tr, err
 }
 
-// setY applies an integral y assignment to the routing LP's z bounds.
-func (tr *trimmer) setY(yOn func(j, bb int) bool) {
-	for key, cols := range tr.zcol {
-		j, s := key[0], key[1]
-		for bb, col := range cols {
-			if yOn(j, bb) {
-				tr.solver.SetBound(col, 0, tr.sp.shares[s][j])
-			} else {
-				tr.solver.SetBound(col, 0, 0)
-			}
+// setY applies an integral y assignment (by flexQ position) to the routing
+// LP's z bounds.
+func (tr *trimmer) setY(on [][]bool) {
+	for q, row := range on {
+		for bb, isOn := range row {
+			tr.setRoutes(q, bb, isOn)
 		}
+	}
+}
+
+// setRoutes opens (to the inherited share) or closes the routing LP's z
+// columns of flexQ position q on subnode bb.
+func (tr *trimmer) setRoutes(q, bb int, open bool) {
+	sp := tr.sp
+	S := sp.ss.S()
+	for s := 0; s < S; s++ {
+		r := sp.routeAt[q*S+s]
+		if r < 0 {
+			continue
+		}
+		ub := 0.0
+		if open {
+			ub = sp.shares[s][sp.flexQ[q]]
+		}
+		tr.solver.SetBound(tr.rx.z(r, bb), 0, ub)
 	}
 }
 
@@ -123,17 +83,16 @@ func (tr *trimmer) setY(yOn func(j, bb int) bool) {
 // returned unchanged.
 func (tr *trimmer) trim(x []float64) []float64 {
 	sp, ix := tr.sp, tr.ix
-	on := make(map[int][]bool, len(sp.flexQ)) // query -> subnode placement
-	placed := make(map[int]int, len(sp.flexQ))
-	for _, j := range sp.flexQ {
-		row := make([]bool, ix.b)
-		for bb, col := range ix.y[j] {
-			if x[col] > 0.5 {
-				row[bb] = true
-				placed[j]++
+	on := make([][]bool, len(sp.flexQ)) // placement per flexQ position and subnode
+	placed := make([]int, len(sp.flexQ))
+	for q := range sp.flexQ {
+		on[q] = make([]bool, ix.b)
+		for bb := range on[q] {
+			if x[ix.y(q, bb)] > 0.5 {
+				on[q][bb] = true
+				placed[q]++
 			}
 		}
-		on[j] = row
 	}
 	// Fragment need-counts per subnode; forced clustering fragments on
 	// subnode 0 are pinned with a sentinel count.
@@ -141,8 +100,8 @@ func (tr *trimmer) trim(x []float64) []float64 {
 	for bb := range counts {
 		counts[bb] = make([]int, len(sp.w.Fragments))
 	}
-	for _, j := range sp.flexQ {
-		for bb, isOn := range on[j] {
+	for q, j := range sp.flexQ {
+		for bb, isOn := range on[q] {
 			if !isOn {
 				continue
 			}
@@ -163,16 +122,16 @@ func (tr *trimmer) trim(x []float64) []float64 {
 	}
 
 	// Baseline routing: the load target the trim must not exceed.
-	tr.setY(func(j, bb int) bool { return on[j][bb] })
+	tr.setY(on)
 	res := tr.solver.ReSolveDual()
 	if res.Status != simplex.StatusOptimal {
 		return x
 	}
 	target := math.Max(1, res.Obj) + 1e-7
 
-	saving := func(j, bb int) float64 {
+	saving := func(q, bb int) float64 {
 		var s float64
-		for _, i := range sp.w.Queries[j].Fragments {
+		for _, i := range sp.w.Queries[sp.flexQ[q]].Fragments {
 			if counts[bb][i] == 1 {
 				s += sp.w.Fragments[i].Size
 			}
@@ -181,21 +140,21 @@ func (tr *trimmer) trim(x []float64) []float64 {
 	}
 
 	type cand struct {
-		j, bb int
+		q, bb int // flexQ position, subnode
 		save  float64
 	}
 	for round := 0; round < 6; round++ {
 		var cands []cand
-		for _, j := range sp.flexQ {
-			if placed[j] <= 1 {
+		for q := range sp.flexQ {
+			if placed[q] <= 1 {
 				continue
 			}
-			for bb, isOn := range on[j] {
+			for bb, isOn := range on[q] {
 				if !isOn {
 					continue
 				}
-				if s := saving(j, bb); s > 0 {
-					cands = append(cands, cand{j, bb, s})
+				if s := saving(q, bb); s > 0 {
+					cands = append(cands, cand{q, bb, s})
 				}
 			}
 		}
@@ -207,38 +166,29 @@ func (tr *trimmer) trim(x []float64) []float64 {
 			if cands[a].save != cands[b].save {
 				return cands[a].save > cands[b].save
 			}
-			if cands[a].j != cands[b].j {
-				return cands[a].j < cands[b].j
+			if cands[a].q != cands[b].q {
+				return cands[a].q < cands[b].q
 			}
 			return cands[a].bb < cands[b].bb
 		})
 		improved := false
 		for _, c := range cands {
-			if placed[c.j] <= 1 || !on[c.j][c.bb] || saving(c.j, c.bb) <= 0 {
+			if placed[c.q] <= 1 || !on[c.q][c.bb] || saving(c.q, c.bb) <= 0 {
 				continue
 			}
 			// Tentatively remove the placement.
-			for s := 0; s < sp.ss.S(); s++ {
-				if cols, ok := tr.zcol[[2]int{c.j, s}]; ok {
-					tr.solver.SetBound(cols[c.bb], 0, 0)
-				}
-			}
+			tr.setRoutes(c.q, c.bb, false)
 			res := tr.solver.ReSolveDual()
 			if res.Status == simplex.StatusOptimal && res.Obj <= target {
-				on[c.j][c.bb] = false
-				placed[c.j]--
-				for _, i := range sp.w.Queries[c.j].Fragments {
+				on[c.q][c.bb] = false
+				placed[c.q]--
+				for _, i := range sp.w.Queries[sp.flexQ[c.q]].Fragments {
 					counts[c.bb][i]--
 				}
 				improved = true
 				continue
 			}
-			// Revert.
-			for s := 0; s < sp.ss.S(); s++ {
-				if cols, ok := tr.zcol[[2]int{c.j, s}]; ok {
-					tr.solver.SetBound(cols[c.bb], 0, sp.shares[s][c.j])
-				}
-			}
+			tr.setRoutes(c.q, c.bb, true) // revert
 		}
 		if !improved {
 			break
@@ -246,7 +196,7 @@ func (tr *trimmer) trim(x []float64) []float64 {
 	}
 
 	// Final routing at the trimmed placement; write everything back.
-	tr.setY(func(j, bb int) bool { return on[j][bb] })
+	tr.setY(on)
 	res = tr.solver.ReSolveDual()
 	if res.Status != simplex.StatusOptimal || res.Obj > target {
 		return x
@@ -254,37 +204,35 @@ func (tr *trimmer) trim(x []float64) []float64 {
 	// The simplex can report StatusOptimal for a point that violates its own
 	// rows (ROADMAP item 4a). x entered with conservation (7) intact, so a
 	// routing that breaks it must not overwrite x.
-	for key, cols := range tr.zcol {
+	for r, rt := range sp.routes {
 		var sum float64
-		for _, col := range cols {
-			sum += res.X[col]
+		for bb := 0; bb < ix.b; bb++ {
+			sum += res.X[tr.rx.z(r, bb)]
 		}
-		if math.Abs(sum-sp.shares[key[1]][key[0]]) > 1e-6 {
+		if math.Abs(sum-sp.shares[rt.s][rt.j]) > 1e-6 {
 			return x
 		}
 	}
-	for _, j := range sp.flexQ {
-		for bb, col := range ix.y[j] {
-			if on[j][bb] {
-				x[col] = 1
+	for q := range sp.flexQ {
+		for bb, isOn := range on[q] {
+			if isOn {
+				x[ix.y(q, bb)] = 1
 			} else {
-				x[col] = 0
+				x[ix.y(q, bb)] = 0
 			}
 		}
 	}
-	//fragvet:ignore rangemaporder — trim and main LP columns pair one-to-one per key; x[main[bb]] writes are disjoint across keys
-	for key, cols := range tr.zcol {
-		main := ix.z[key]
-		for bb, col := range cols {
-			x[main[bb]] = res.X[col]
+	for r := range sp.routes {
+		for bb := 0; bb < ix.b; bb++ {
+			x[ix.z(r, bb)] = res.X[tr.rx.z(r, bb)]
 		}
 	}
-	x[ix.l] = res.X[tr.lcol]
+	x[ix.l] = res.X[tr.rx.l]
 	// x (fragment) entries are re-derived from y by decode; set them for
 	// objective consistency anyway.
 	for fi, i := range ix.frags {
 		for bb := 0; bb < ix.b; bb++ {
-			col := ix.x[fi][bb]
+			col := ix.x(fi, bb)
 			need := counts[bb][i] > 0
 			if x[col] < 1 && need {
 				x[col] = 1
