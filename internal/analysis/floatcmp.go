@@ -8,8 +8,8 @@ import (
 // FloatCmp guards the tolerance discipline of the numerical code: exact
 // ==/!= between two computed floating-point values is almost always a
 // latent bug in a simplex/MIP codebase, where everything carries rounding
-// error and the feasibility/optimality tolerances (simplex.Options.FeasTol,
-// OptTol, mip.Options.IntTol) define what "equal" means. Comparisons
+// error and the feasibility/optimality tolerances (simplex's feasTol and
+// optTol, mip.Options.IntTol) define what "equal" means. Comparisons
 // against a constant (x == 0 as an "unset option" or "zero coefficient"
 // sentinel) are exact by construction and exempt, as are the designated
 // tolerance helpers in internal/simplex, whose job is the exact fast path.

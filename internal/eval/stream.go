@@ -15,9 +15,10 @@ type StreamOptions struct {
 	// Parallelism is the worker count (≤ 0 means GOMAXPROCS). The result is
 	// bit-identical at every parallelism level.
 	Parallelism int
-	// Tol is the absolute precision of each scenario's L̃ (default 1e-9).
-	Tol float64
 }
+
+// streamTol is the absolute precision of each scenario's L̃.
+const streamTol = 1e-9
 
 // EvaluateStream computes L̃ for every scenario in ss against one fixed
 // allocation with a bounded worker pool. Each worker owns a private
@@ -38,10 +39,6 @@ func EvaluateStream(w *model.Workload, alloc *model.Allocation, ss *model.Scenar
 	if s == 0 {
 		return &Metrics{}, nil
 	}
-	tol := opt.Tol
-	if tol <= 0 {
-		tol = 1e-9
-	}
 	workers := opt.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -58,7 +55,7 @@ func EvaluateStream(w *model.Workload, alloc *model.Allocation, ss *model.Scenar
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e := NewEvaluator(w, alloc, tol)
+			e := NewEvaluator(w, alloc, streamTol)
 			for {
 				idx := int(next.Add(1)) - 1
 				if idx >= s {

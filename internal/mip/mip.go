@@ -42,7 +42,6 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
-	"os"
 	"time"
 
 	"fragalloc/internal/simplex"
@@ -137,11 +136,9 @@ type Options struct {
 	// Rounding, if non-nil, receives the (fractional) relaxation solution
 	// of a node and proposes values for the integer variables; the solver
 	// fixes them, re-solves the continuous rest, and adopts the result as
-	// incumbent when feasible and improving. Called at the root and
-	// periodically during the search.
+	// incumbent when feasible and improving. Called at the root and every
+	// roundingEvery nodes during the search.
 	Rounding func(x []float64) []float64
-	// RoundingEvery invokes Rounding every this many nodes (default 50).
-	RoundingEvery int
 	// MaxStallNodes, if positive, stops the search once this many nodes
 	// have been explored without an incumbent improvement — an adaptive
 	// stand-in for a time limit: easy instances converge and return in
@@ -188,6 +185,9 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
+// roundingEvery is the node interval between Options.Rounding calls.
+const roundingEvery = 50
+
 func (o Options) withDefaults() Options {
 	if o.MaxNodes == 0 {
 		o.MaxNodes = 1 << 30
@@ -195,9 +195,6 @@ func (o Options) withDefaults() Options {
 	o.RelGap = defaultOrZero(o.RelGap, 1e-6)
 	o.AbsGap = defaultOrZero(o.AbsGap, 1e-9)
 	o.IntTol = defaultOrZero(o.IntTol, 1e-6)
-	if o.RoundingEvery == 0 {
-		o.RoundingEvery = 50
-	}
 	if o.CheckpointEvery == 0 {
 		o.CheckpointEvery = 30 * time.Second
 	}
@@ -378,7 +375,7 @@ func (s *search) maybeCheckpoint(now time.Time) {
 func (s *search) snapshot() Snapshot {
 	snap := Snapshot{
 		HasIncumbent: s.hasInc,
-		RootBound:    s.rootBound + s.off(),
+		RootBound:    s.rootBound + s.ps.objOff,
 		Nodes:        s.nodes,
 		LPIters:      s.lpIters,
 	}
@@ -386,11 +383,11 @@ func (s *search) snapshot() Snapshot {
 		// Everything the snapshot exposes is in the caller's coordinates:
 		// X at the caller's NumVars, path fixings on the caller's variable
 		// indices, objectives with the presolve offset folded back in.
-		snap.X = append([]float64(nil), s.restoreX(s.incumbent)...)
-		snap.Obj = s.incObj + s.off()
+		snap.X = append([]float64(nil), s.ps.restore(s.incumbent)...)
+		snap.Obj = s.incObj + s.ps.objOff
 		snap.BestPath = make([]Fixing, len(s.incPath))
 		for i, f := range s.incPath {
-			snap.BestPath[i] = Fixing{Var: s.origVar(f.j), LB: f.lb, UB: f.ub}
+			snap.BestPath[i] = Fixing{Var: s.ps.origCol[f.j], LB: f.lb, UB: f.ub}
 		}
 	}
 	return snap
@@ -401,7 +398,9 @@ type search struct {
 	// p is the problem the search actually explores, the presolve-reduced
 	// problem. Every internal slice (incumbent, proposals, priorities) lives
 	// in p's coordinates; translation to/from the caller's coordinates
-	// happens at the boundaries (restoreX, reduceVec, origVar, off).
+	// happens at the boundaries, through ps (restore, reduceProposal,
+	// origCol); internal objectives and bounds likewise exclude the
+	// eliminated variables, and reported ones add ps.objOff.
 	p        *simplex.Problem
 	ps       *presolveInfo
 	intVars  []int
@@ -463,22 +462,6 @@ func (s *search) applyPath(path []fixing) {
 		s.lp.SetBound(f.j, f.lb, f.ub)
 	}
 }
-
-// off returns the objective offset of the eliminated variables: internal
-// objectives and bounds live in reduced coordinates, reported ones add off.
-func (s *search) off() float64 { return s.ps.objOff }
-
-// restoreX translates a solution vector from p's coordinates to the
-// caller's.
-func (s *search) restoreX(x []float64) []float64 { return s.ps.restore(x) }
-
-// reduceVec translates a caller proposal into p's coordinates; nil for a nil
-// proposal and for one that contradicts a presolve fixing (it cannot be
-// feasibly completed).
-func (s *search) reduceVec(proposal []float64) []float64 { return s.ps.reduceProposal(proposal) }
-
-// origVar maps a variable index in p's coordinates to the caller's.
-func (s *search) origVar(j int) int { return s.ps.origCol[j] }
 
 // initPriority maps the caller's branching priorities into p's coordinates.
 func (s *search) initPriority() {
@@ -592,7 +575,7 @@ func (s *search) tryRounding(x []float64) {
 	if s.opt.Rounding == nil {
 		return
 	}
-	s.tryProposal(s.reduceVec(s.opt.Rounding(s.restoreX(x))))
+	s.tryProposal(s.ps.reduceProposal(s.opt.Rounding(s.ps.restore(x))))
 }
 
 // tryProposal completes an integral proposal (in p's coordinates) by
@@ -638,7 +621,7 @@ func (s *search) tryProposal(proposal []float64) {
 		s.hasInc = true
 		s.incPath = nil // heuristic incumbents carry no branching path
 		s.lastImprove = s.nodes
-		s.logf("mip: rounding incumbent obj=%.6f", res.Obj+s.off())
+		s.logf("mip: rounding incumbent obj=%.6f", res.Obj+s.ps.objOff)
 	}
 }
 
@@ -651,7 +634,7 @@ func (s *search) accept(x []float64, obj float64, path []fixing) {
 		s.hasInc = true
 		s.incPath = clonePath(path)
 		s.lastImprove = s.nodes
-		s.logf("mip: incumbent obj=%.6f after %d nodes", obj+s.off(), s.nodes)
+		s.logf("mip: incumbent obj=%.6f after %d nodes", obj+s.ps.objOff, s.nodes)
 	}
 }
 
@@ -664,14 +647,14 @@ func (s *search) gapClosed(bound float64) bool {
 	// presolve may have moved most of the objective into the constant
 	// offset, and a gap relative to the reduced remainder would be a far
 	// stricter (and surprising) criterion.
-	return gap <= s.opt.AbsGap || gap <= s.opt.RelGap*math.Max(1, math.Abs(s.incObj+s.off()))
+	return gap <= s.opt.AbsGap || gap <= s.opt.RelGap*math.Max(1, math.Abs(s.incObj+s.ps.objOff))
 }
 
 func (s *search) result(status Status, bound float64) *Result {
-	off := s.off()
+	off := s.ps.objOff
 	r := &Result{Status: status, Nodes: s.nodes, LPIters: s.lpIters, Bound: bound + off, Exact: s.exact}
 	if s.hasInc {
-		r.X = s.restoreX(s.incumbent)
+		r.X = s.ps.restore(s.incumbent)
 		r.Obj = s.incObj + off
 		r.Gap = math.Max(0, (s.incObj-bound)/math.Max(1, math.Abs(s.incObj+off)))
 		if status == StatusOptimal {
@@ -707,9 +690,9 @@ func (s *search) run() (*Result, error) {
 	}
 	rootBound := res.Obj
 	s.rootBound = rootBound
-	s.logf("mip: root relaxation obj=%.6f after %d iters", res.Obj+s.off(), res.Iters)
+	s.logf("mip: root relaxation obj=%.6f after %d iters", res.Obj+s.ps.objOff, res.Iters)
 	for _, start := range s.opt.Starts {
-		s.tryProposal(s.reduceVec(start))
+		s.tryProposal(s.ps.reduceProposal(start))
 	}
 	s.tryRounding(res.X)
 
@@ -811,19 +794,7 @@ func (s *search) plunge(nd *node, open *nodeHeap) {
 			}
 			nd.bvar = -1 // credit once, not on every dive iteration
 		}
-		s.logf("mip: node %d depth %d obj=%.6f iters=%d", s.nodes, len(nd.path), res.Obj+s.off(), res.Iters)
-		if debugVerifyNodes {
-			cold := s.lp.Solve()
-			s.lpIters += cold.Iters
-			if cold.Status == simplex.StatusCanceled {
-				heap.Push(open, &node{path: clonePath(nd.path), bound: nd.bound, bvar: -1})
-				return
-			}
-			if cold.Status != res.Status || (res.Status == simplex.StatusOptimal && math.Abs(cold.Obj-res.Obj) > 1e-4*(1+math.Abs(cold.Obj))) {
-				s.logf("mip: NODE MISMATCH warm %v %.6f vs cold %v %.6f path=%v", res.Status, res.Obj, cold.Status, cold.Obj, nd.path)
-			}
-			res = cold
-		}
+		s.logf("mip: node %d depth %d obj=%.6f iters=%d", s.nodes, len(nd.path), res.Obj+s.ps.objOff, res.Iters)
 		if s.hasInc && bound >= s.incObj-s.opt.AbsGap {
 			return // pruned
 		}
@@ -832,7 +803,7 @@ func (s *search) plunge(nd *node, open *nodeHeap) {
 			s.accept(res.X, bound, nd.path)
 			return
 		}
-		if s.opt.Rounding != nil && s.nodes%s.opt.RoundingEvery == 0 {
+		if s.opt.Rounding != nil && s.nodes%roundingEvery == 0 {
 			s.tryRounding(res.X)
 		}
 		if s.stopped() || s.nodes >= s.opt.MaxNodes {
@@ -867,7 +838,3 @@ func (s *search) plunge(nd *node, open *nodeHeap) {
 func clonePath(p []fixing) []fixing {
 	return append(make([]fixing, 0, len(p)+1), p...)
 }
-
-// debugVerifyNodes cold-solves every node LP and reports disagreements with
-// the warm dual re-solve; enabled by FRAGALLOC_VERIFY_NODES=1 for debugging.
-var debugVerifyNodes = os.Getenv("FRAGALLOC_VERIFY_NODES") == "1"

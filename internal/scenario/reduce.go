@@ -55,10 +55,11 @@ type ReduceConfig struct {
 	// deterministic farthest-first step. The same (workload, set, config)
 	// always reduces identically.
 	Seed int64
-	// MaxIter bounds the assign/update alternation (default 50; k-medoids
-	// converges in a handful of rounds on frequency-vector data).
-	MaxIter int
 }
+
+// maxIter bounds the assign/update alternation; k-medoids converges in a
+// handful of rounds on frequency-vector data.
+const maxIter = 50
 
 // Reduction is the result of clustering a scenario set: the weighted
 // representative set to solve over, the membership structure, and the
@@ -111,10 +112,6 @@ func Reduce(w *model.Workload, ss *model.ScenarioSet, cfg ReduceConfig) (*Reduct
 	r := cfg.R
 	if r > s {
 		r = s
-	}
-	maxIter := cfg.MaxIter
-	if maxIter <= 0 {
-		maxIter = 50
 	}
 
 	costs := make([]float64, len(w.Queries))

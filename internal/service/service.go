@@ -113,10 +113,6 @@ type Config struct {
 	// and a cap on the pending-update queue, both rejecting with a 429-able
 	// OverloadedError instead of queueing without bound.
 	Admission *AdmissionConfig
-	// JitterSeed seeds the deterministic ±25% jitter on the solve-retry
-	// backoff. 0 derives a per-node seed from HA.NodeID (so replicas
-	// de-synchronize their retry storms) or falls back to 1.
-	JitterSeed int64
 
 	// Logf receives progress lines; nil discards them.
 	Logf func(format string, args ...any)
@@ -249,14 +245,13 @@ func New(cfg Config) (*Service, error) {
 		}
 		cfg.Admission = &adm
 	}
-	seed := cfg.JitterSeed
-	if seed == 0 {
-		seed = 1
-		if cfg.HA != nil {
-			h := fnv.New64a()
-			h.Write([]byte(cfg.HA.NodeID))
-			seed = int64(h.Sum64())
-		}
+	// The ±25% jitter on the solve-retry backoff is deterministic per node:
+	// seeded from HA.NodeID, so replicas de-synchronize their retry storms.
+	seed := int64(1)
+	if cfg.HA != nil {
+		h := fnv.New64a()
+		h.Write([]byte(cfg.HA.NodeID))
+		seed = int64(h.Sum64())
 	}
 	scen := cfg.Scenarios
 	if scen == nil {

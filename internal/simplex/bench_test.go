@@ -95,7 +95,7 @@ func BenchmarkRefactor(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				k := newLUKernel(s.m, s.opt.MaxFactorNonzeros)
-				if err := k.factor(s.basic, s.cols, s.opt.PivotTol); err != nil {
+				if err := k.factor(s.basic, s.cols, s.pivotTol); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -132,21 +132,21 @@ func (s *Solver) repairDualFeasibility() bool {
 		d := s.reducedCost(j, y)
 		switch st {
 		case nbLower:
-			if d < -s.opt.OptTol {
+			if d < -s.optTol {
 				if math.IsInf(s.ub[j], 1) {
 					return false
 				}
 				s.vstat[j] = nbUpper
 			}
 		case nbUpper:
-			if d > s.opt.OptTol {
+			if d > s.optTol {
 				if math.IsInf(s.lb[j], -1) {
 					return false
 				}
 				s.vstat[j] = nbLower
 			}
 		case nbFree:
-			if math.Abs(d) > s.opt.OptTol {
+			if math.Abs(d) > s.optTol {
 				return false
 			}
 		}
@@ -191,7 +191,7 @@ func (s *Solver) runDual() Status {
 				if t := s.xB[r] - s.ub[bj]; t > v {
 					v, ab = t, true
 				}
-				if v <= s.opt.FeasTol {
+				if v <= s.feasTol {
 					continue
 				}
 				if score := v * v / s.ddw[r]; score > bestScore {
@@ -209,7 +209,7 @@ func (s *Solver) runDual() Status {
 				}
 			}
 		}
-		if leave == -1 || worst <= s.opt.FeasTol {
+		if leave == -1 || worst <= s.feasTol {
 			return StatusOptimal
 		}
 
@@ -237,7 +237,7 @@ func (s *Solver) runDual() Status {
 			for _, e := range s.cols[j] {
 				alpha += rho[e.row] * e.val
 			}
-			if math.Abs(alpha) <= s.opt.PivotTol {
+			if math.Abs(alpha) <= s.pivotTol {
 				continue
 			}
 			eligible := false
@@ -287,7 +287,7 @@ func (s *Solver) runDual() Status {
 			target = s.lb[bj]
 		}
 		w := s.ftran(enter)
-		if math.Abs(w[leave]) <= s.opt.PivotTol {
+		if math.Abs(w[leave]) <= s.pivotTol {
 			// Entering eligibility was judged on the rho-based alpha, but the
 			// pivot divides by the FTRAN column's w[leave]. The two are the
 			// same quantity computed through different triangular solves, and

@@ -48,11 +48,11 @@ func (s *Solver) runPrimal(phase1 bool) Status {
 			eligible := false
 			switch st {
 			case nbLower:
-				eligible = d < -s.opt.OptTol
+				eligible = d < -s.optTol
 			case nbUpper:
-				eligible = d > s.opt.OptTol
+				eligible = d > s.optTol
 			case nbFree:
-				eligible = math.Abs(d) > s.opt.OptTol
+				eligible = math.Abs(d) > s.optTol
 			}
 			if !eligible {
 				continue
@@ -129,7 +129,7 @@ func (s *Solver) runPrimal(phase1 bool) Status {
 			}
 			return tBest, leave, leavePiv
 		}
-		tBest, leave, leavePiv := ratioScan(s.opt.PivotTol)
+		tBest, leave, leavePiv := ratioScan(s.pivotTol)
 		if math.IsInf(tBest, 1) {
 			// Before declaring the direction unbounded, rule out a limiting
 			// row hidden below the pivot tolerance by degenerate
@@ -138,9 +138,9 @@ func (s *Solver) runPrimal(phase1 bool) Status {
 			if err := s.refactor(); err == nil {
 				s.computeXB()
 				w = s.ftran(enter)
-				tBest, leave, leavePiv = ratioScan(s.opt.PivotTol)
+				tBest, leave, leavePiv = ratioScan(s.pivotTol)
 				if math.IsInf(tBest, 1) {
-					tBest, leave, leavePiv = ratioScan(s.opt.PivotTol * 1e-3)
+					tBest, leave, leavePiv = ratioScan(s.pivotTol * 1e-3)
 				}
 			}
 		}

@@ -224,17 +224,18 @@ type FaultInjector interface {
 	ForceStall() bool
 }
 
+// The solver's tolerances. Only the last rung of Solve's recovery ladder
+// departs from them, and only for its own restart.
+const (
+	feasTol  = 1e-7 // primal feasibility
+	optTol   = 1e-7 // reduced-cost optimality
+	pivotTol = 1e-8 // minimum magnitude of an acceptable pivot element
+)
+
 // Options tune the solver. The zero value selects the defaults below.
 type Options struct {
 	// MaxIters bounds the total pivot count; 0 means 50000 + 50*(m+n).
 	MaxIters int
-	// FeasTol is the primal feasibility tolerance (default 1e-7).
-	FeasTol float64
-	// OptTol is the reduced-cost optimality tolerance (default 1e-7).
-	OptTol float64
-	// PivotTol is the minimum magnitude of an acceptable pivot element
-	// (default 1e-8).
-	PivotTol float64
 	// RefactorEvery forces a refactorization of the basis after this many
 	// eta updates (default 120). Besides bounding numerical drift, it
 	// bounds the eta file, the only part of the factorization that grows
@@ -265,15 +266,6 @@ type Options struct {
 func (o Options) withDefaults(m, n int) Options {
 	if o.MaxIters == 0 {
 		o.MaxIters = 50000 + 50*(m+n)
-	}
-	if o.FeasTol == 0 {
-		o.FeasTol = 1e-7
-	}
-	if o.OptTol == 0 {
-		o.OptTol = 1e-7
-	}
-	if o.PivotTol == 0 {
-		o.PivotTol = 1e-8
 	}
 	if o.RefactorEvery == 0 {
 		o.RefactorEvery = 120

@@ -25,6 +25,9 @@ type colEntry struct {
 // the MIP branch-and-bound explores its tree.
 type Solver struct {
 	opt Options
+	// The tolerances in force: the package constants, except during the
+	// recovery ladder's perturbed restart.
+	feasTol, optTol, pivotTol float64
 
 	m, n  int // constraint and structural variable counts
 	ncols int // n structurals + m slacks + artificials
@@ -79,6 +82,7 @@ func NewSolver(p *Problem, opt Options) (*Solver, error) {
 		basic: make([]int, m),
 		xB:    make([]float64, m),
 	}
+	s.feasTol, s.optTol, s.pivotTol = feasTol, optTol, pivotTol
 	s.basisRow = make([]int, n+m)
 	copy(s.cost, p.Obj)
 	copy(s.lb, p.LB)
@@ -190,7 +194,7 @@ func (s *Solver) initBasis() int {
 	for r := 0; r < s.m; r++ {
 		sl := s.n + r
 		v := res[r]
-		if v >= s.lb[sl]-s.opt.FeasTol && v <= s.ub[sl]+s.opt.FeasTol {
+		if v >= s.lb[sl]-s.feasTol && v <= s.ub[sl]+s.feasTol {
 			// Slack absorbs the residual: basic and feasible.
 			s.vstat[sl] = isBasic
 			s.basic[r] = sl
@@ -346,7 +350,7 @@ func (s *Solver) refactor() error {
 	if s.opt.Fault != nil && s.opt.Fault.FailRefactor() {
 		return fmt.Errorf("simplex: injected refactorization failure")
 	}
-	if err := s.kern.factor(s.basic, s.cols, s.opt.PivotTol); err != nil {
+	if err := s.kern.factor(s.basic, s.cols, s.pivotTol); err != nil {
 		return err
 	}
 	s.updates = 0
@@ -438,12 +442,11 @@ func (s *Solver) Solve() *Result {
 	s.forceBland = true
 	res = restart(RungBland)
 	if res.Status == StatusUnknown {
-		saved := s.opt
-		s.opt.PivotTol *= 1e-2
-		s.opt.FeasTol *= 100
-		s.opt.OptTol *= 100
+		s.pivotTol *= 1e-2
+		s.feasTol *= 100
+		s.optTol *= 100
 		res = restart(RungPerturb)
-		s.opt = saved
+		s.pivotTol, s.feasTol, s.optTol = pivotTol, feasTol, optTol
 	}
 	s.forceBland = false
 	res.Recovery = rec
