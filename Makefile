@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: check fmt-check vet fragvet build test race benchcompile bench-paper
+.PHONY: check fmt-check vet fragvet build test race benchcompile bench-paper size
 
 check: fmt-check vet fragvet build benchcompile race
 	@echo "make check: all stages passed"
@@ -60,3 +60,16 @@ benchcompile:
 # Paper-scale table/figure benchmarks (the pre-existing root suite).
 bench-paper:
 	$(GO) test -bench . -benchmem -run NONE .
+
+# The numbers a simplicity PR and its reviewer both read: non-test Go lines
+# per package and in total (bench/ and the analyzers' testdata excluded), and
+# how many findings each analyzer has suppressed by //fragvet:ignore outside
+# internal/analysis. Not part of `make check`.
+size:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' \
+		! -path './internal/analysis/testdata/*' ! -path './.bench_build/*' | sort | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); if (!(d in n)) order[++k] = d; n[d] += $$1; t += $$1 } \
+			END { for (i = 1; i <= k; i++) printf "%6d %s\n", n[order[i]], order[i]; printf "%6d total non-test Go lines\n", t }'
+	@grep -rhoE --include='*.go' --exclude-dir=analysis --exclude-dir=.bench_build \
+		'//fragvet:ignore [a-z]+' . | awk '{ print $$2 }' | sort | uniq -c | \
+		awk '{ printf "%6d //fragvet:ignore %s\n", $$1, $$2 }'

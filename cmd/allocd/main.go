@@ -177,9 +177,13 @@ func main() {
 	}
 	cfg.Logf = logf
 	if !*verbose {
-		// Quiet mode still reports service-level transitions, just not
-		// solver progress: the service logs through cfg.Logf only.
-		cfg.Logf = func(format string, args ...any) {}
+		// Quiet mode still reports service-level transitions — role changes,
+		// adoptions, failed journal writes — just not solver progress.
+		cfg.Logf = func(format string, args ...any) {
+			if !solverProgress(format) {
+				logf(format, args...)
+			}
+		}
 	}
 
 	svc, err := service.New(cfg)
@@ -248,6 +252,13 @@ func main() {
 		fail(err)
 	}
 	os.Exit(exitOK)
+}
+
+// solverProgress reports whether a log format is one of the solver's
+// progress lines, which the service passes through from core and mip under
+// their own prefixes, rather than a line of the service or of allocd itself.
+func solverProgress(format string) bool {
+	return strings.HasPrefix(format, "core: ") || strings.HasPrefix(format, "mip: ")
 }
 
 // advertiseFromAddr derives a redirect target from the listen address: a

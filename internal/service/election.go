@@ -343,9 +343,10 @@ func (s *Service) follow(ctx context.Context, leader *checkpoint.LeaseInfo) {
 	}
 }
 
-// reloadState re-adopts the newest good state-journal generation — the
-// promotion step: whatever the previous leader last journaled becomes this
-// replica's desired state and incumbent before it starts leading.
+// reloadState adopts the newest good state-journal generation, if any — at
+// boot, and again as the promotion step: whatever the previous leader last
+// journaled becomes this replica's desired state and incumbent before it
+// starts leading.
 func (s *Service) reloadState() error {
 	if s.st == nil {
 		return nil
@@ -357,13 +358,19 @@ func (s *Service) reloadState() error {
 	if payload == nil {
 		return nil
 	}
-	return s.adoptJournal(payload, 0)
+	if err := s.adoptJournal(payload, 0); err != nil {
+		return err
+	}
+	if inc, epoch := s.Incumbent(); inc != nil {
+		s.logf("service: restored incumbent of epoch %d (desired epoch %d) from %s", inc.Epoch, epoch, s.cfg.StateDir)
+	}
+	return nil
 }
 
 // adoptJournal decodes, validates, and installs one state-journal payload.
 // gen > 0 records the tailed generation for follower staleness metadata.
 // The scenario reduction is derived state and is rebuilt deterministically
-// from the adopted full set, exactly as at boot.
+// from the adopted full set.
 func (s *Service) adoptJournal(payload []byte, gen uint64) error {
 	ps, err := s.decodePersisted(payload)
 	if err != nil {

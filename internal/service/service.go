@@ -284,16 +284,17 @@ func New(cfg Config) (*Service, error) {
 			return nil, err
 		}
 		s.st = st
-		if err := s.restore(); err != nil {
+		if err := s.reloadState(); err != nil {
 			return nil, err
 		}
 	}
-	if cfg.ReduceTo > 0 {
-		// The reduction is derived state: build it here (and after every
-		// re-clustering) from the full set rather than journaling it. The
-		// seeded k-medoids init makes the boot-time rebuild deterministic;
-		// folds and radius widenings since the last clustering are lost in a
-		// crash, but the from-scratch rebuild is at least as tight.
+	if cfg.ReduceTo > 0 && s.red == nil {
+		// The reduction is derived state: it is built from the full set —
+		// here when the journal supplied none, by adoptJournal when it did,
+		// and after every re-clustering — rather than journaled. The seeded
+		// k-medoids init makes the rebuild deterministic; folds and radius
+		// widenings since the last clustering are lost in a crash, but the
+		// from-scratch rebuild is at least as tight.
 		red, err := scenario.Reduce(cfg.Workload, s.scen, s.reduceConfig())
 		if err != nil {
 			return nil, fmt.Errorf("service: scenario reduction: %w", err)
@@ -309,38 +310,10 @@ func (s *Service) reduceConfig() scenario.ReduceConfig {
 	return scenario.ReduceConfig{R: s.cfg.ReduceTo, Seed: s.cfg.ReduceSeed}
 }
 
-// restore adopts the newest good state-journal generation, if any.
-func (s *Service) restore() error {
-	payload, err := s.st.LoadRaw()
-	if err != nil {
-		return fmt.Errorf("service: state journal: %w", err)
-	}
-	if payload == nil {
-		return nil
-	}
-	ps, err := s.decodePersisted(payload)
-	if err != nil {
-		return err
-	}
-	s.scen, s.k, s.epoch = ps.Scenarios, ps.K, ps.Epoch
-	if ps.Incumbent != nil {
-		s.inc = &Incumbent{
-			Allocation: ps.Incumbent,
-			Epoch:      ps.IncumbentEpoch,
-			Outcome:    ps.Outcome,
-			W:          ps.W,
-			V:          ps.V,
-			Exact:      ps.Exact,
-		}
-		s.logf("service: restored incumbent of epoch %d (desired epoch %d) from %s",
-			ps.IncumbentEpoch, ps.Epoch, s.cfg.StateDir)
-	}
-	return nil
-}
-
 // decodePersisted decodes and fully validates one state-journal payload
 // against this daemon's workload. It is the shared trust boundary for every
-// journal consumer — boot restore, follower tailing, and promotion reload —
+// journal consumer — boot, follower tailing, and promotion all go through
+// adoptJournal —
 // so a corrupt or foreign generation is rejected identically everywhere.
 func (s *Service) decodePersisted(payload []byte) (*persistedState, error) {
 	var ps persistedState

@@ -6,14 +6,17 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"fragalloc/internal/checkpoint"
 	"fragalloc/internal/core"
 	"fragalloc/internal/faultinject"
+	"fragalloc/internal/greedy"
 	"fragalloc/internal/mip"
 	"fragalloc/internal/model"
 	"fragalloc/internal/scenario"
@@ -473,6 +476,92 @@ func TestServiceJournalRestore(t *testing.T) {
 	other.Workload.Fragments[0].Size += 1
 	if _, err := New(other); err == nil {
 		t.Fatal("New accepted a state journal written for a different workload")
+	}
+}
+
+// TestServiceJournalInstallPaths pins that a state-journal payload lands the
+// same way however it arrives: read at boot, tailed by a follower, or
+// reloaded by a replica on promotion. The payload is hand-built (a greedy
+// allocation over a scenario set no replica was configured with), so every
+// path has to take its desired state, incumbent and clustering from the
+// journal and from nowhere else.
+func TestServiceJournalInstallPaths(t *testing.T) {
+	cfg := reducedConfig(t)
+	journaled := scenario.InSample(cfg.Workload, 9, 0.6, 11)
+	alloc, err := greedy.AllocateScenarios(cfg.Workload, journaled, cfg.K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := json.Marshal(&persistedState{
+		WorkloadDigest: cfg.Workload.Digest(),
+		Epoch:          5, K: cfg.K, Scenarios: journaled,
+		Incumbent: alloc, IncumbentEpoch: 4, Outcome: "feasible", W: 7, V: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal := func(dir string) {
+		t.Helper()
+		st, err := checkpoint.Open(filepath.Join(dir, "state"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.SaveRaw(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	bootCfg := cfg
+	bootCfg.StateDir = t.TempDir()
+	journal(bootCfg.StateDir)
+	boot, err := New(bootCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	tail, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tail.adoptJournal(payload, 3); err != nil {
+		t.Fatal(err)
+	}
+
+	promoCfg := cfg
+	promoCfg.StateDir = t.TempDir()
+	promo, err := New(promoCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal(promoCfg.StateDir)
+	if err := promo.reloadState(); err != nil {
+		t.Fatal(err)
+	}
+
+	installed := func(s *Service) (Status, *Incumbent, *scenario.Reduction) {
+		st := s.Status()
+		st.TailGeneration, st.TailAge = 0, 0
+		inc, _ := s.Incumbent()
+		return st, inc, s.red
+	}
+	wantSt, wantInc, wantRed := installed(boot)
+	if wantSt.Epoch != 5 || wantSt.IncumbentEpoch != 4 || wantSt.Scenarios != 9 || wantSt.ReducedScenarios != 4 {
+		t.Fatalf("boot did not install the journal: %+v", wantSt)
+	}
+	for name, s := range map[string]*Service{"follower tail": tail, "promotion": promo} {
+		st, inc, red := installed(s)
+		if st != wantSt {
+			t.Errorf("%s: status %+v, boot has %+v", name, st, wantSt)
+		}
+		if !reflect.DeepEqual(inc, wantInc) {
+			t.Errorf("%s: incumbent differs from the one boot installed", name)
+		}
+		if !reflect.DeepEqual(red, wantRed) {
+			t.Errorf("%s: reduction differs from the one boot installed", name)
+		}
+	}
+	if st := tail.Status(); st.TailGeneration != 3 {
+		t.Errorf("follower tail recorded generation %d, want 3", st.TailGeneration)
 	}
 }
 
