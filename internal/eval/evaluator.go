@@ -13,7 +13,7 @@ import (
 // allocation: the per-query executability sets (Runnable), the max-flow
 // graph's structure, and all numeric scratch. After construction, WorstLoad
 // performs zero heap allocations per scenario — only edge capacities change
-// between binary-search probes, never the graph.
+// between the probes of the parametric Newton search, never the graph.
 //
 // An Evaluator is not safe for concurrent use; EvaluateStream gives each
 // worker its own. Results are a pure function of (workload, allocation,

@@ -39,9 +39,9 @@ var (
 //
 // For the accounting workload the clustering rows run at the paper's full
 // scale (F = 4361 leaves only 100 flexible queries), but the W^D reference
-// is not computable with the dense pure-Go simplex at Q = 4461 — which is
-// precisely the runtime wall the paper's Section 3.2 motivates — so the
-// W/W^D column prints n/a there.
+// — the same decomposition with all Q = 4461 queries flexible — does not
+// finish within a table budget, which is precisely the runtime wall the
+// paper's Section 3.2 motivates, so the W/W^D column prints n/a there.
 func Table2(cfg Config) error {
 	cfg = cfg.withDefaults()
 	w, err := cfg.load()

@@ -4,8 +4,8 @@
 // tree. The warm starts lean on the simplex solver's sparse LU basis
 // kernel: a SetBound call invalidates neither the factorization nor the
 // eta file, so a node re-solve costs a few dual pivots at the sparse
-// factorization's fill — not the O(m²)-per-pivot of the retired dense
-// inverse — which is what makes deep trees affordable on large models.
+// factorization's fill, which is what makes deep trees affordable on large
+// models.
 //
 // The solver is built for the fragment-allocation MIPs of the reproduced
 // paper: minimization problems whose integer variables are binaries (the

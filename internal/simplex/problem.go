@@ -244,10 +244,10 @@ type Options struct {
 	// MaxFactorNonzeros bounds the size of the basis factorization: NewSolver
 	// rejects problems whose constraint matrix already has more nonzeros,
 	// and a refactorization whose L+U fill exceeds it fails like a singular
-	// basis (entering the recovery ladder). The default of 50e6 entries
-	// (≈ 600 MB) replaces the retired MaxDenseRows guard: dense row limits
-	// penalized huge-but-sparse models that the LU kernel handles easily,
-	// so the budget is now on what actually costs memory.
+	// basis (entering the recovery ladder). The default is 50e6 entries
+	// (≈ 600 MB): the budget is on what costs memory, so a huge-but-sparse
+	// model that the LU kernel handles easily is not turned away by its
+	// row count.
 	MaxFactorNonzeros int
 	// Pricing selects the pivot-pricing rule for both simplex loops. The
 	// zero value is PricingDevex (the default); PricingDantzig restores the
