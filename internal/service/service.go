@@ -311,9 +311,8 @@ func (s *Service) reduceConfig() scenario.ReduceConfig {
 }
 
 // decodePersisted decodes and fully validates one state-journal payload
-// against this daemon's workload. It is the shared trust boundary for every
-// journal consumer — boot, follower tailing, and promotion all go through
-// adoptJournal —
+// against this daemon's workload. It is the trust boundary of adoptJournal,
+// through which boot, follower tailing and promotion all install a journal,
 // so a corrupt or foreign generation is rejected identically everywhere.
 func (s *Service) decodePersisted(payload []byte) (*persistedState, error) {
 	var ps persistedState
