@@ -202,3 +202,42 @@ func TestLeaseFenceOnStore(t *testing.T) {
 		t.Fatalf("journal = (%q, %v), want the successor's payload", payload, err)
 	}
 }
+
+// TestLeaseWritesLeaveNoTempFiles: a crash-free fresh acquisition, a
+// takeover and a renewal each leave the lease directory holding exactly the
+// lease file — no *.tmp behind — and a file ReadLease parses back.
+func TestLeaseWritesLeaveNoTempFiles(t *testing.T) {
+	path := leasePath(t)
+	check := func(step, holder string, epoch uint64) {
+		t.Helper()
+		entries, err := os.ReadDir(filepath.Dir(path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 || entries[0].Name() != filepath.Base(path) {
+			names := make([]string, len(entries))
+			for i, e := range entries {
+				names[i] = e.Name()
+			}
+			t.Fatalf("%s left %v, want only %s", step, names, filepath.Base(path))
+		}
+		li, err := ReadLease(path)
+		if err != nil || li == nil || li.Holder != holder || li.Epoch != epoch || li.TTL != time.Second || li.RenewedAt.IsZero() {
+			t.Fatalf("%s: ReadLease = (%+v, %v), want holder %s epoch %d", step, li, err, holder, epoch)
+		}
+	}
+	if _, _, err := AcquireLease(path, "a", "http://a:1", time.Second); err != nil {
+		t.Fatal(err)
+	}
+	check("fresh acquire", "a", 1)
+	forgeRenewedAt(t, path, time.Hour)
+	b, _, err := AcquireLease(path, "b", "http://b:2", time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("takeover", "b", 2)
+	if err := b.Renew(); err != nil {
+		t.Fatal(err)
+	}
+	check("renew", "b", 2)
+}

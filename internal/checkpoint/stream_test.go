@@ -217,3 +217,85 @@ func TestStoreFenceBlocksSaves(t *testing.T) {
 		t.Fatalf("SaveRaw after lifting the fence: %v", err)
 	}
 }
+
+// TestLoadRawAndPollAgree feeds the writer-side loader and a fresh read-only
+// tailer the same directories and checks they surface the same payload. The
+// two differ only where their contracts say so: LoadRaw reports an error
+// when generations exist but none verifies, Poll reports "nothing new".
+func TestLoadRawAndPollAgree(t *testing.T) {
+	// damage rewrites the newest generation file in place.
+	damage := func(t *testing.T, dir string, f func(full []byte) []byte) {
+		t.Helper()
+		name := newestGen(t, dir)
+		full, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(name, f(full), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	torn := func(full []byte) []byte { return full[:headerSize+2] }
+	flipped := func(full []byte) []byte {
+		out := append([]byte(nil), full...)
+		out[len(out)-1] ^= 0x01
+		return out
+	}
+	cases := []struct {
+		name    string
+		saves   []string
+		prepare func(t *testing.T, dir string)
+		want    string // "" = no payload
+		loadErr bool
+	}{
+		{name: "empty"},
+		{name: "torn newest frame", saves: []string{"one", "two"},
+			prepare: func(t *testing.T, dir string) { damage(t, dir, torn) }, want: "one"},
+		{name: "bit-flipped newest frame", saves: []string{"one", "two"},
+			prepare: func(t *testing.T, dir string) { damage(t, dir, flipped) }, want: "one"},
+		{name: "dangling tmp", saves: []string{"one"},
+			prepare: func(t *testing.T, dir string) {
+				if err := os.WriteFile(filepath.Join(dir, genName(2)+".tmp"), frame([]byte("half")), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}, want: "one"},
+		{name: "only corrupt generations", saves: []string{"one", "two"},
+			prepare: func(t *testing.T, dir string) {
+				damage(t, dir, flipped)
+				if err := os.WriteFile(filepath.Join(dir, genName(1)), []byte("FRAG"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}, loadErr: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range tc.saves {
+				if err := st.SaveRaw([]byte(p)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.prepare != nil {
+				tc.prepare(t, dir)
+			}
+			loaded, lerr := st.LoadRaw()
+			if (lerr != nil) != tc.loadErr {
+				t.Fatalf("LoadRaw error = %v, want error: %v", lerr, tc.loadErr)
+			}
+			_, polled, ok, perr := NewWatcher(dir).Poll()
+			if perr != nil {
+				t.Fatalf("Poll error = %v, want none", perr)
+			}
+			if ok != (tc.want != "") {
+				t.Fatalf("Poll ok = %v with payload %q, want %q", ok, polled, tc.want)
+			}
+			if string(loaded) != tc.want || string(polled) != tc.want {
+				t.Fatalf("LoadRaw = %q, Poll = %q, want both %q", loaded, polled, tc.want)
+			}
+		})
+	}
+}

@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -183,6 +185,47 @@ func TestRowPool(t *testing.T) {
 		if rowPar != c.wantRow || innerPar != c.wantCore {
 			t.Errorf("rowPool(Parallelism=%d, rows=%d) = (%d, %d), want (%d, %d)",
 				c.cfg, c.rows, rowPar, innerPar, c.wantRow, c.wantCore)
+		}
+	}
+}
+
+var (
+	durCell  = regexp.MustCompile(`\b[0-9]+(\.[0-9]+)?m?s\b`)
+	spaceRun = regexp.MustCompile(` +`)
+)
+
+// maskDurations replaces every rendered duration with "T" and collapses the
+// tabwriter's padding, whose width follows the widest duration in a column.
+func maskDurations(out string) string {
+	return spaceRun.ReplaceAllString(durCell.ReplaceAllString(out, "T"), " ")
+}
+
+// TestTablesGolden pins the rendered rows of the five solver-backed tables:
+// the Bench row sets on TPC-DS under a budget no solve reaches (the stall
+// rule ends each one, so the search is deterministic), with the wall-clock
+// columns masked. Serial rows and fanned-out rows must print the same bytes.
+func TestTablesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solves every Bench row of five tables twice")
+	}
+	const want = "8f13e302372b712c9ec280ff29cd74cc3cb97224dd8c94aa642aa7d17b70473d"
+	for _, par := range []int{1, 4} {
+		var buf bytes.Buffer
+		cfg := benchCfg("tpcds", &buf)
+		cfg.Budget = time.Hour
+		cfg.Parallelism = par
+		for _, table := range []func(Config) error{
+			Table1, Table2, Table3,
+			func(c Config) error { return Fig2(c, false) },
+			Scale,
+		} {
+			if err := table(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		masked := maskDurations(buf.String())
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(masked))); got != want {
+			t.Errorf("Parallelism %d: digest %s, want %s; masked output:\n%s", par, got, want, masked)
 		}
 	}
 }
