@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: check fmt-check vet fragvet build test race benchcompile bench-paper size
+.PHONY: check fmt-check vet fragvet build test race benchcompile bench-paper size traffic
 
 check: fmt-check vet fragvet build benchcompile race
 	@echo "make check: all stages passed"
@@ -73,3 +73,17 @@ size:
 	@grep -rhoE --include='*.go' --exclude-dir=analysis --exclude-dir=.bench_build \
 		'//fragvet:ignore [a-z]+' . | awk '{ print $$2 }' | sort | uniq -c | \
 		awk '{ printf "%6d //fragvet:ignore %s\n", $$1, $$2 }'
+
+# Which code does the benchmark's traffic never reach? Builds ./bench with
+# coverage instrumentation over the whole module into a temp dir (nothing
+# under bench/ is edited or written), runs the traced pass of all five
+# workloads at seed 1, and prints every function outside bench/, cmd/ and
+# internal/analysis that stayed at 0.0 % — the list a simplicity PR starts
+# from: a function on it is either reached only by tests and the CLIs, or
+# by nothing. ~1.5 min. Not part of `make check`.
+traffic:
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; mkdir "$$dir/cov"; \
+	$(GO) build -cover -coverpkg=./... -o "$$dir/bench" ./bench || exit $$?; \
+	GOCOVERDIR="$$dir/cov" "$$dir/bench" trace -seed 1 -out "$$dir/out" >"$$dir/log" 2>&1 || { cat "$$dir/log"; exit 1; }; \
+	$(GO) tool covdata func -i="$$dir/cov" | \
+		awk '$$NF == "0.0%" && $$1 !~ /^fragalloc\/(bench|cmd|internal\/analysis)\// { print $$1, $$2 }'

@@ -259,19 +259,16 @@ func openRecorder(dir string, resume bool, every time.Duration) (*checkpoint.Rec
 	if err != nil {
 		return nil, err
 	}
-	var prev *checkpoint.Snapshot
-	if resume {
-		prev, err = st.Load()
-		if err != nil {
-			return nil, err
-		}
-		if prev == nil {
-			fmt.Fprintf(os.Stderr, "allocate: no checkpoint found in %s; starting fresh\n", dir)
-		} else {
-			fmt.Fprintf(os.Stderr, "allocate: resuming from checkpoint journal in %s\n", dir)
-		}
+	rec, err := st.Recorder(resume, every)
+	if err != nil {
+		return nil, err
 	}
-	return checkpoint.NewRecorder(st, prev, every), nil
+	if rec.Resumed() {
+		fmt.Fprintf(os.Stderr, "allocate: resuming from checkpoint journal in %s\n", dir)
+	} else if resume {
+		fmt.Fprintf(os.Stderr, "allocate: no checkpoint found in %s; starting fresh\n", dir)
+	}
+	return rec, nil
 }
 
 func fail(err error) {

@@ -11,10 +11,10 @@
 // half-written. Each file carries a versioned header and a CRC32 of its
 // payload; the loader verifies both and falls back to the previous
 // generation when the newest is torn, truncated, or bit-flipped (the store
-// keeps the two newest generations for exactly this reason). This is the
-// only sanctioned way to write checkpoint files — the fragvet analyzer
-// `atomicwrite` flags direct os.WriteFile/os.Create calls on checkpoint
-// paths elsewhere.
+// keeps the two newest generations for exactly this reason). writeDurably is
+// the only sanctioned way to write checkpoint files — generations and the
+// leader lease both go through it, and the fragvet analyzer `atomicwrite`
+// flags direct os.WriteFile/os.Create calls on checkpoint paths elsewhere.
 package checkpoint
 
 import (
@@ -163,37 +163,15 @@ func unframe(data []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// encode frames the snapshot payload with the versioned, checksummed header.
-func encode(snap *Snapshot) ([]byte, error) {
-	payload, err := json.Marshal(snap)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: encoding snapshot: %w", err)
-	}
-	return frame(payload), nil
-}
-
-// decode verifies the frame and unmarshals the Snapshot payload.
-func decode(data []byte) (*Snapshot, error) {
-	payload, err := unframe(data)
-	if err != nil {
-		return nil, err
-	}
-	snap := &Snapshot{}
-	if err := json.Unmarshal(payload, snap); err != nil {
-		return nil, fmt.Errorf("checkpoint: decoding payload: %w", err)
-	}
-	return snap, nil
-}
-
 // Save durably writes snap as the next generation: write-temp → fsync →
 // rename → fsync-directory, then prunes generations beyond the newest two.
 // A crash at any point leaves the previous generations loadable.
 func (st *Store) Save(snap *Snapshot) error {
-	buf, err := encode(snap)
+	payload, err := json.Marshal(snap)
 	if err != nil {
-		return err
+		return fmt.Errorf("checkpoint: encoding snapshot: %w", err)
 	}
-	return st.saveFramed(buf)
+	return st.saveFramed(frame(payload))
 }
 
 // SaveRaw durably writes an opaque payload as the next generation, with the
@@ -216,34 +194,15 @@ func (st *Store) saveFramed(buf []byte) error {
 	}
 	gen := st.gen + 1
 	final := filepath.Join(st.dir, genName(gen))
-	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if st.fault != nil && st.fault.BeforeRename() {
+	tear := func(f *os.File) error {
+		if st.fault == nil || !st.fault.BeforeRename() {
+			return nil
+		}
 		// Torn-write simulation: chop the payload in half before the file
 		// becomes the newest generation, so the loader's CRC must reject it.
-		if err := f.Truncate(int64(headerSize + (len(buf)-headerSize)/2)); err != nil {
-			f.Close()
-			return fmt.Errorf("checkpoint: %w", err)
-		}
+		return f.Truncate(int64(headerSize + (len(buf)-headerSize)/2))
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := syncDir(st.dir); err != nil {
+	if err := writeDurably(final+".tmp", final, os.O_CREATE|os.O_TRUNC, buf, tear); err != nil {
 		return err
 	}
 	st.gen = gen
@@ -266,6 +225,35 @@ func (st *Store) prune() {
 		os.Remove(filepath.Join(st.dir, genName(gens[0])))
 		gens = gens[1:]
 	}
+}
+
+// writeDurably is the one durable write of the package: open tmp with the
+// caller's flags, write data, let tear (when non-nil) damage the file the way
+// a crash would, fsync, close, rename tmp to final when the two differ, and
+// fsync the directory so the new name itself survives a crash. The open
+// error stays matchable (a lease's O_EXCL claim tests for os.ErrExist).
+func writeDurably(tmp, final string, flags int, data []byte, tear func(*os.File) error) error {
+	f, err := os.OpenFile(tmp, os.O_WRONLY|flags, 0o644)
+	if err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
+	}
+	_, err = f.Write(data)
+	if err == nil && tear != nil {
+		err = tear(f)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil && tmp != final {
+		err = os.Rename(tmp, final)
+	}
+	if err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
+	}
+	return syncDir(filepath.Dir(final))
 }
 
 // syncDir fsyncs the directory so the rename itself is durable.
@@ -307,47 +295,53 @@ func (st *Store) Load() (*Snapshot, error) {
 // directory, an error only when generations exist but none verifies.
 func (st *Store) LoadRaw() ([]byte, error) {
 	var out []byte
-	found, err := st.loadNewest(func(payload []byte) error {
-		out = append([]byte(nil), payload...)
+	_, err := st.loadNewest(func(payload []byte) error {
+		out = payload
 		return nil
 	})
-	if err != nil || !found {
-		return nil, err
-	}
-	return out, nil
+	return out, err
 }
 
-// loadNewest walks the generations newest-first, handing each verified
-// payload to accept; a frame failure or an accept error means "corrupt, fall
-// back to the previous generation". It reports whether any generation was
-// accepted; (false, nil) means the directory holds none at all.
+// loadNewest hands the newest verified payload to accept; a frame failure or
+// an accept error means "corrupt, fall back to the previous generation". It
+// reports whether any generation was accepted; (false, nil) means the
+// directory holds none at all.
 func (st *Store) loadNewest(accept func(payload []byte) error) (bool, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	gens, err := st.generations()
+	gen, _, skipped, err := newestVerified(st.dir, 0, accept)
 	if err != nil {
 		return false, err
 	}
-	if len(gens) == 0 {
-		return false, nil
+	if gen == 0 && len(skipped) > 0 {
+		return false, fmt.Errorf("checkpoint: no loadable generation in %s: %w", st.dir, errors.Join(skipped...))
 	}
-	var errs []error
-	for i := len(gens) - 1; i >= 0; i-- {
-		name := filepath.Join(st.dir, genName(gens[i]))
-		data, err := os.ReadFile(name)
-		if err != nil {
-			errs = append(errs, fmt.Errorf("%s: %w", genName(gens[i]), err))
-			continue
-		}
-		payload, err := unframe(data)
+	return gen != 0, nil
+}
+
+// newestVerified walks dir's generations newest-first, no further back than
+// after (a generation its caller has already seen bounds the fallback), and
+// returns the first whose file reads, whose frame verifies and which accept,
+// when non-nil, takes. gen is 0 when none did; skipped says why each newer
+// candidate was passed over. The writing Store and the read-only Watcher
+// share it, so a torn or bit-flipped tail means the same thing to both.
+func newestVerified(dir string, after uint64, accept func(payload []byte) error) (gen uint64, payload []byte, skipped []error, err error) {
+	gens, err := scanGenerations(dir)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	for i := len(gens) - 1; i >= 0 && gens[i] > after; i-- {
+		data, err := os.ReadFile(filepath.Join(dir, genName(gens[i])))
 		if err == nil {
+			payload, err = unframe(data)
+		}
+		if err == nil && accept != nil {
 			err = accept(payload)
 		}
-		if err != nil {
-			errs = append(errs, fmt.Errorf("%s: %w", genName(gens[i]), err))
-			continue
+		if err == nil {
+			return gens[i], payload, skipped, nil
 		}
-		return true, nil
+		skipped = append(skipped, fmt.Errorf("%s: %w", genName(gens[i]), err))
 	}
-	return false, fmt.Errorf("checkpoint: no loadable generation in %s: %w", st.dir, errors.Join(errs...))
+	return 0, nil, skipped, nil
 }

@@ -39,13 +39,7 @@ func sampleSnapshot() *Snapshot {
 			},
 		},
 		MIPs: map[string]*MIPRecord{
-			"r.1": {
-				X:         []float64{1, 0, 0.30000000000000004, 1},
-				Obj:       18.125,
-				RootBound: 16.5,
-				Nodes:     7,
-				Path:      []Fixing{{Var: 2, LB: 1, UB: 1}, {Var: 0, LB: 0, UB: 0}},
-			},
+			"r.1": {X: []float64{1, 0, 0.30000000000000004, 1}},
 		},
 	}
 }
@@ -330,10 +324,10 @@ func TestRecorderJournal(t *testing.T) {
 	if err := rec.Bind("key", 200); err != nil {
 		t.Fatal(err)
 	}
-	if err := rec.RecordMIP("r.0", &MIPRecord{X: []float64{1, 0}, Obj: 3}); err != nil {
+	if err := rec.RecordMIP("r.0", &MIPRecord{X: []float64{1, 0}}); err != nil {
 		t.Fatal(err)
 	}
-	if m := rec.MIP("r.0"); m == nil || m.Obj != 3 {
+	if m := rec.MIP("r.0"); m == nil || !reflect.DeepEqual(m.X, []float64{1, 0}) {
 		t.Fatalf("MIP(r.0) = %+v, want the journaled incumbent", m)
 	}
 	if err := rec.RecordSub("r.0", &SubRecord{Outcome: "optimal", Leaf: true, Bytes: 60}); err != nil {
@@ -403,5 +397,26 @@ func TestRecorderWDeterministic(t *testing.T) {
 		if w, _ := rec.Progress(); w != 0 {
 			t.Fatalf("trial %d: W = %v, want 0 (sorted-order fold a,b,c)", trial, w)
 		}
+	}
+}
+
+// TestLoadJournalWithRetiredMIPFields: a journal written when the in-flight
+// MIP record still carried the objective, root bound, node count and
+// branching path loads, and hands a resume the one field it ever read.
+func TestLoadJournalWithRetiredMIPFields(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := `{"run_key":"k","v":2,"mips":{"r.1":{"x":[1,0,0.5],"obj":18.125,"root_bound":16.5,"nodes":7,"path":[{"var":2,"lb":1,"ub":1}]}}}`
+	if err := st.SaveRaw([]byte(old)); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := st.Recorder(true, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := rec.MIP("r.1"); !rec.Resumed() || m == nil || !reflect.DeepEqual(m.X, []float64{1, 0, 0.5}) {
+		t.Fatalf("resumed = %v, MIP(r.1) = %+v, want the journaled incumbent vector", rec.Resumed(), m)
 	}
 }

@@ -1,6 +1,6 @@
 // Lease-based leader election over a shared state directory. One small JSON
-// file is the whole protocol: whoever last wrote it (atomically, via the
-// same temp→fsync→rename discipline as generation files) holds the lease
+// file is the whole protocol: whoever last wrote it (atomically, through the
+// same writeDurably as generation files) holds the lease
 // until TTL elapses after its RenewedAt stamp. Every acquisition — fresh or
 // takeover of an expired lease — bumps a monotone *fencing epoch*; a holder
 // renews with its own epoch and detects deposition the moment the file
@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 	"time"
 )
@@ -168,56 +167,24 @@ func (l *Lease) create() error {
 	l.mu.Lock()
 	l.epoch = 1
 	l.mu.Unlock()
-	payload, err := json.Marshal(l.record())
-	if err != nil {
-		return fmt.Errorf("checkpoint: encoding lease: %w", err)
-	}
-	f, err := os.OpenFile(l.path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(payload); err != nil {
-		f.Close()
-		return fmt.Errorf("checkpoint: writing lease: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("checkpoint: syncing lease: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("checkpoint: closing lease: %w", err)
-	}
-	return nil
+	return l.put(l.path, os.O_CREATE|os.O_EXCL)
 }
 
 // write replaces the lease file atomically (temp → fsync → rename →
 // fsync-dir), used by takeover and renewal. Unlike create, it deliberately
 // clobbers whatever is there; callers verify afterwards.
 func (l *Lease) write() error {
+	return l.put(fmt.Sprintf("%s.%s.tmp", l.path, l.holder), os.O_CREATE|os.O_TRUNC)
+}
+
+// put stamps the lease record now and writes it durably to the lease path by
+// way of tmp (the lease path itself for the O_EXCL claim).
+func (l *Lease) put(tmp string, flags int) error {
 	payload, err := json.Marshal(l.record())
 	if err != nil {
 		return fmt.Errorf("checkpoint: encoding lease: %w", err)
 	}
-	tmp := fmt.Sprintf("%s.%s.tmp", l.path, l.holder)
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if _, err := f.Write(payload); err != nil {
-		f.Close()
-		return fmt.Errorf("checkpoint: writing lease: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("checkpoint: syncing lease: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("checkpoint: closing lease: %w", err)
-	}
-	if err := os.Rename(tmp, l.path); err != nil {
-		return fmt.Errorf("checkpoint: publishing lease: %w", err)
-	}
-	return syncDir(filepath.Dir(l.path))
+	return writeDurably(tmp, l.path, flags, payload, nil)
 }
 
 // verify re-reads the file and confirms this lease is still the one on

@@ -46,6 +46,21 @@ func NewRecorder(st *Store, prev *Snapshot, every time.Duration) *Recorder {
 	return &Recorder{st: st, every: every, snap: snap, resumed: resumed}
 }
 
+// Recorder opens the store's journal: fresh, or with resume continuing from
+// the newest loadable snapshot (fresh again when the directory holds none).
+// An error means generations exist but none loads; what to do about that is
+// the caller's policy.
+func (st *Store) Recorder(resume bool, every time.Duration) (*Recorder, error) {
+	var prev *Snapshot
+	if resume {
+		var err error
+		if prev, err = st.Load(); err != nil {
+			return nil, err
+		}
+	}
+	return NewRecorder(st, prev, every), nil
+}
+
 // Every returns the mid-MIP checkpoint interval.
 func (r *Recorder) Every() time.Duration { return r.every }
 

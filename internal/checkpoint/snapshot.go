@@ -6,7 +6,7 @@ package checkpoint
 // so an Optimal record replays verbatim without solver work; in-flight MIP
 // searches additionally journal their best incumbent so a resumed run can
 // warm-start instead of starting cold (the frontier itself is re-expanded
-// from the root — only the incumbent and its provenance are durable).
+// from the root — only the incumbent is durable).
 type Snapshot struct {
 	// RunKey fingerprints the model-shaping inputs (workload, scenarios, K,
 	// chunk spec, α, clustering). A resume against a snapshot with a
@@ -69,21 +69,11 @@ type Route struct {
 }
 
 // MIPRecord is the warm-resume state of one in-flight branch-and-bound
-// search: the incumbent solution vector, its objective, the proven root
-// bound, and the branching decisions of the path that produced the
-// incumbent. A resumed solve injects X as a starting proposal and
-// re-expands the frontier from the root.
+// search: the incumbent solution vector. A resumed solve injects X as a
+// starting proposal and re-expands the frontier from the root. Journals
+// written before the record shrank carry the incumbent's objective, root
+// bound, node count and branching path too; no resume ever read them, and
+// the decoder skips the unknown fields.
 type MIPRecord struct {
-	X         []float64 `json:"x"`
-	Obj       float64   `json:"obj"`
-	RootBound float64   `json:"root_bound"`
-	Nodes     int       `json:"nodes"`
-	Path      []Fixing  `json:"path,omitempty"`
-}
-
-// Fixing is one branching decision: variable Var restricted to [LB, UB].
-type Fixing struct {
-	Var int     `json:"var"`
-	LB  float64 `json:"lb"`
-	UB  float64 `json:"ub"`
+	X []float64 `json:"x"`
 }

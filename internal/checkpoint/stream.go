@@ -11,8 +11,6 @@ package checkpoint
 import (
 	"errors"
 	"io/fs"
-	"os"
-	"path/filepath"
 )
 
 // Watcher tails a checkpoint directory for new generations. It is strictly
@@ -42,42 +40,26 @@ func NewWatcher(dir string) *Watcher {
 // Poll sees the completed write). err is reserved for real I/O failures
 // reading the directory or a generation file.
 func (w *Watcher) Poll() (gen uint64, payload []byte, ok bool, err error) {
-	gens, err := scanGenerations(w.dir)
+	gen, payload, skipped, err := newestVerified(w.dir, w.last, nil)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			return 0, nil, false, nil
 		}
 		return 0, nil, false, err
 	}
-	// Newest-first: the newest verified generation wins; generations the
-	// watcher already surfaced bound the fallback (an older-than-last
-	// generation is "nothing new", never a regression).
-	for i := len(gens) - 1; i >= 0; i-- {
-		g := gens[i]
-		if g <= w.last {
-			return 0, nil, false, nil
+	for _, serr := range skipped {
+		// A frame that fails verification is a torn tail, and the writer
+		// prunes old generations concurrently, so a file that vanished
+		// between the scan and the read is stale, not broken. Any other
+		// failure to read a generation file is real.
+		var perr *fs.PathError
+		if errors.As(serr, &perr) && !errors.Is(serr, fs.ErrNotExist) {
+			return 0, nil, false, serr
 		}
-		data, rerr := os.ReadFile(filepath.Join(w.dir, genName(g)))
-		if rerr != nil {
-			// The writer prunes old generations concurrently; a file that
-			// vanished between the scan and the read is stale, not broken.
-			if errors.Is(rerr, fs.ErrNotExist) {
-				continue
-			}
-			return 0, nil, false, rerr
-		}
-		p, uerr := unframe(data)
-		if uerr != nil {
-			// Torn or truncated frame — mid-write or crashed writer. Fall
-			// back toward older generations.
-			continue
-		}
-		w.last = g
-		return g, append([]byte(nil), p...), true, nil
 	}
-	return 0, nil, false, nil
+	if gen == 0 {
+		return 0, nil, false, nil
+	}
+	w.last = gen
+	return gen, payload, true, nil
 }
-
-// Last reports the newest generation the watcher has surfaced (0 before the
-// first successful Poll).
-func (w *Watcher) Last() uint64 { return w.last }

@@ -525,17 +525,9 @@ func (sp *subproblem) solve(opt mip.Options, ck *subCheckpoint, hints ...[][]boo
 			if !snap.HasIncumbent {
 				return
 			}
-			mr := &checkpoint.MIPRecord{
-				X:         snap.X,
-				Obj:       finite(snap.Obj),
-				RootBound: finite(snap.RootBound),
-				Nodes:     snap.Nodes,
-			}
+			mr := &checkpoint.MIPRecord{X: snap.X}
 			for i, v := range mr.X {
 				mr.X[i] = finite(v)
-			}
-			for _, f := range snap.BestPath {
-				mr.Path = append(mr.Path, checkpoint.Fixing{Var: f.Var, LB: finite(f.LB), UB: finite(f.UB)})
 			}
 			// Best-effort: a full journal disk must not fail the solve. The
 			// recorder remembers the error for end-of-run reporting.

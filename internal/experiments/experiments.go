@@ -207,26 +207,65 @@ func runRows(rowPar, n int, work func(i int) error) error {
 	return nil
 }
 
-// rowRecorder opens the durable journal for one table row, or returns nil
-// when checkpointing is off. Every row gets its own subdirectory: the rows
-// solve different models (different K, F, scenario sets), and a checkpoint
-// journal binds to exactly one model fingerprint.
-func (c Config) rowRecorder(rowID string) (*checkpoint.Recorder, error) {
-	if c.CheckpointDir == "" {
-		return nil, nil
+// rowSet picks the row set a Config asks for: the Bench minimum, the Full
+// paper-scale set, or the reduced default sized for a laptop run.
+func rowSet[T any](c Config, quick, full, bench T) T {
+	switch {
+	case c.Bench:
+		return bench
+	case c.Full:
+		return full
 	}
-	st, err := checkpoint.Open(filepath.Join(c.CheckpointDir, rowID))
+	return quick
+}
+
+// table renders one solver-backed table: the title, the header, n rows
+// computed through the row pool and printed in row order whatever their
+// completion order, then footer (rows the table adds without a solve). Each
+// row receives the option block every row's Allocate shares — the inner
+// parallelism the pool leaves it, the budget, the cancel hook and one logger
+// whose mutex serializes the rows' progress output.
+func (c Config) table(title, header string, n int, row func(i int, opts core.Options) (string, error), footer string) error {
+	fmt.Fprintln(c.Out, title)
+	t := newTable(c.Out)
+	fmt.Fprintln(t, header)
+	rowPar, innerPar := c.rowPool(n)
+	opts := core.Options{Parallelism: innerPar, MIP: c.mipOptions(), Logf: c.coreLogf(), Canceled: c.Canceled}
+	lines := make([]string, n)
+	err := runRows(rowPar, n, func(i int) (err error) {
+		lines[i], err = row(i, opts)
+		return err
+	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	var prev *checkpoint.Snapshot
-	if c.Resume {
-		prev, err = st.Load()
+	for _, line := range lines {
+		fmt.Fprint(t, line)
+	}
+	fmt.Fprint(t, footer)
+	return t.Flush()
+}
+
+// allocate solves one table row: opts is the table's shared block with the
+// row's Chunks and FixedQueries filled in. With checkpointing on, the row
+// journals under CheckpointDir/rowID — every row gets its own subdirectory,
+// because the rows solve different models (different K, F, scenario sets)
+// and a checkpoint journal binds to exactly one model fingerprint.
+func (c Config) allocate(rowID string, w *model.Workload, ss *model.ScenarioSet, k int, opts core.Options) (*core.Result, error) {
+	if c.CheckpointDir != "" {
+		st, err := checkpoint.Open(filepath.Join(c.CheckpointDir, rowID))
 		if err != nil {
 			return nil, err
 		}
+		if opts.Checkpoint, err = st.Recorder(c.Resume, 0); err != nil {
+			return nil, err
+		}
 	}
-	return checkpoint.NewRecorder(st, prev, 0), nil
+	res, err := core.Allocate(w, ss, k, opts)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", rowID, err)
+	}
+	return res, nil
 }
 
 // newTable returns a tabwriter for aligned output.

@@ -28,74 +28,60 @@ func Fig2(cfg Config, perScenario bool) error {
 		return err
 	}
 
-	oursS := []int{1, 5, 10}
-	mergeS := []int{1, 2, 3, 5, 10}
-	if cfg.Full {
-		oursS = []int{1, 3, 5, 7, 10, 20, 50}
-		mergeS = []int{1, 2, 3, 5, 10, 20, 50}
-	}
-	if cfg.Bench {
-		oursS = []int{1}
-		mergeS = []int{1, 2}
-	}
-
-	fmt.Fprintf(cfg.Out, "Figure 2a (%s): memory vs expected relative throughput over %d unseen scenarios; K=%d=%s\n",
-		w.Name, cfg.OutOfSample, table3K, table3Chunks)
-	t := newTable(cfg.Out)
-	fmt.Fprintln(t, "approach\tS\tW/V\tE((1/K)/L~)\tnote")
+	type series struct{ ours, merge []int }
+	plan := rowSet(cfg,
+		series{[]int{1, 5, 10}, []int{1, 2, 3, 5, 10}},
+		series{[]int{1, 3, 5, 7, 10, 20, 50}, []int{1, 2, 3, 5, 10, 20, 50}},
+		series{[]int{1}, []int{1, 2}})
+	oursS, mergeS := plan.ours, plan.merge
 
 	// One indexed pool over both series: ours rows first, merge rows after,
 	// rendered in that order whatever the completion order.
 	n := len(oursS) + len(mergeS)
-	rowPar, innerPar := cfg.rowPool(n)
-	logf := cfg.coreLogf()
-	lines := make([]string, n)
 	allocs := make([]*model.Allocation, n)
-	err = runRows(rowPar, n, func(i int) error {
-		ours := i < len(oursS)
-		s := 0
-		if ours {
-			s = oursS[i]
-		} else {
-			s = mergeS[i-len(oursS)]
-		}
-		seen := scenario.InSample(w, s, scenario.DefaultP, cfg.Seed)
-		if ours {
-			rec, err := cfg.rowRecorder(fmt.Sprintf("fig2-s%d", s))
-			if err != nil {
-				return err
+	err = cfg.table(
+		fmt.Sprintf("Figure 2a (%s): memory vs expected relative throughput over %d unseen scenarios; K=%d=%s",
+			w.Name, cfg.OutOfSample, table3K, table3Chunks),
+		"approach\tS\tW/V\tE((1/K)/L~)\tnote",
+		n, func(i int, opts core.Options) (string, error) {
+			if i < len(oursS) {
+				s := oursS[i]
+				opts.Chunks, opts.FixedQueries = spec, 47
+				res, err := cfg.allocate(fmt.Sprintf("fig2-s%d", s), w, scenario.InSample(w, s, scenario.DefaultP, cfg.Seed), table3K, opts)
+				if err != nil {
+					return "", err
+				}
+				m, err := eval.Evaluate(w, res.Allocation, unseen)
+				if err != nil {
+					return "", err
+				}
+				allocs[i] = res.Allocation
+				return fmt.Sprintf("partial clustering (F=47)\t%d\t%.3f\t%.3f\t%s\n",
+					s, res.ReplicationFactor, m.MeanThroughput, gapMark(res)), nil
 			}
-			res, err := core.Allocate(w, seen, table3K, core.Options{
-				Chunks: spec, FixedQueries: 47, Parallelism: innerPar, MIP: cfg.mipOptions(), Logf: logf, Canceled: cfg.Canceled,
-				Checkpoint: rec,
-			})
+			s := mergeS[i-len(oursS)]
+			seen := scenario.InSample(w, s, scenario.DefaultP, cfg.Seed)
+			alloc, err := greedy.AllocateScenarios(w, seen, table3K)
 			if err != nil {
-				return fmt.Errorf("fig2 ours S=%d: %w", s, err)
+				return "", err
 			}
-			m, err := eval.Evaluate(w, res.Allocation, unseen)
+			m, err := eval.Evaluate(w, alloc, unseen)
 			if err != nil {
-				return err
+				return "", err
 			}
-			lines[i] = fmt.Sprintf("partial clustering (F=47)\t%d\t%.3f\t%.3f\t%s\n",
-				s, res.ReplicationFactor, m.MeanThroughput, gapMark(res))
-			allocs[i] = res.Allocation
-			return nil
-		}
-		alloc, err := greedy.AllocateScenarios(w, seen, table3K)
-		if err != nil {
-			return err
-		}
-		m, err := eval.Evaluate(w, alloc, unseen)
-		if err != nil {
-			return err
-		}
-		repl := alloc.TotalData(w) / w.AccessedDataSize(seen.Frequencies...)
-		lines[i] = fmt.Sprintf("greedy merge\t%d\t%.3f\t%.3f\t\n", s, repl, m.MeanThroughput)
-		allocs[i] = alloc
-		return nil
-	})
+			repl := alloc.TotalData(w) / w.AccessedDataSize(seen.Frequencies...)
+			allocs[i] = alloc
+			return fmt.Sprintf("greedy merge\t%d\t%.3f\t%.3f\t\n", s, repl, m.MeanThroughput), nil
+		},
+		// Full replication balances every scenario perfectly at W/V = K.
+		fmt.Sprintf("full replication\t/\t%.3f\t%.3f\t\n", float64(table3K), 1.0))
 	if err != nil {
 		return err
+	}
+	fmt.Fprintln(cfg.Out)
+
+	if !perScenario {
+		return nil
 	}
 	var oursAlloc10, merge2 *model.Allocation
 	for i, s := range oursS {
@@ -107,19 +93,6 @@ func Fig2(cfg Config, perScenario bool) error {
 		if s == 2 {
 			merge2 = allocs[len(oursS)+i]
 		}
-	}
-	for _, line := range lines {
-		fmt.Fprint(t, line)
-	}
-	// Full replication balances every scenario perfectly at W/V = K.
-	fmt.Fprintf(t, "full replication\t/\t%.3f\t%.3f\t\n", float64(table3K), 1.0)
-	if err := t.Flush(); err != nil {
-		return err
-	}
-	fmt.Fprintln(cfg.Out)
-
-	if !perScenario {
-		return nil
 	}
 	if oursAlloc10 == nil || merge2 == nil {
 		return fmt.Errorf("fig2: per-scenario series need the S=10 (ours) and S=2 (merge) rows")
@@ -133,7 +106,7 @@ func Fig2(cfg Config, perScenario bool) error {
 	if err != nil {
 		return err
 	}
-	t = newTable(cfg.Out)
+	t := newTable(cfg.Out)
 	fmt.Fprintln(t, "scenario\tmerge S=2\tours S=10 (F=47)")
 	invK := 1.0 / table3K
 	for i := range mOurs.L {

@@ -34,14 +34,15 @@ func Scale(cfg Config) error {
 		return err
 	}
 
-	sizes := []int{4, 40, 400}
-	r := scaleR
-	fullUpTo := 40 // full-S reference solves only where still tractable
-	if cfg.Bench {
-		sizes = []int{4, 8}
-		r = 2
-		fullUpTo = 4
+	// sizes are the in-sample |S| values, r the representative budget, and
+	// fullUpTo the largest |S| whose full-S reference solve is still tractable.
+	type scalePlan struct {
+		sizes       []int
+		r, fullUpTo int
 	}
+	paper := scalePlan{[]int{4, 40, 400}, scaleR, 40}
+	plan := rowSet(cfg, paper, paper, scalePlan{[]int{4, 8}, 2, 4})
+	sizes, r, fullUpTo := plan.sizes, plan.r, plan.fullUpTo
 
 	// Row plan: one reduced row per size, plus a full-S reference row for
 	// the sizes where solving over every scenario is still affordable.
@@ -57,64 +58,47 @@ func Scale(cfg Config) error {
 		}
 	}
 
-	fmt.Fprintf(cfg.Out, "Scenario scale-out (%s): solve over R=%d clustered representatives vs the full set; K=%d=%s, F=47, p=%.2f, budget %v\n",
-		w.Name, r, table3K, table3Chunks, scenario.DefaultP, cfg.Budget)
-	t := newTable(cfg.Out)
-	fmt.Fprintln(t, "S\tsolve set\tbound\tW/V\tE(L~)-1/K\tE((1/K)/L~)\tsolve\teval\tnote")
-
 	n := len(rows)
-	rowPar, innerPar := cfg.rowPool(n)
-	logf := cfg.coreLogf()
-	lines := make([]string, n)
 	gaps := make([]float64, n)
 	bounds := make([]float64, n)
-	err = runRows(rowPar, n, func(i int) error {
-		rw := rows[i]
-		seen := scenario.InSample(w, rw.s, scenario.DefaultP, cfg.Seed)
-		solveSet := seen
-		setLabel := fmt.Sprintf("full S=%d", rw.s)
-		ckptID := fmt.Sprintf("scale-s%d-full", rw.s)
-		if rw.reduced {
-			red, err := scenario.Reduce(w, seen, scenario.ReduceConfig{R: min(r, rw.s), Seed: cfg.Seed})
-			if err != nil {
-				return fmt.Errorf("scale S=%d: %w", rw.s, err)
+	err = cfg.table(
+		fmt.Sprintf("Scenario scale-out (%s): solve over R=%d clustered representatives vs the full set; K=%d=%s, F=47, p=%.2f, budget %v",
+			w.Name, r, table3K, table3Chunks, scenario.DefaultP, cfg.Budget),
+		"S\tsolve set\tbound\tW/V\tE(L~)-1/K\tE((1/K)/L~)\tsolve\teval\tnote",
+		n, func(i int, opts core.Options) (string, error) {
+			rw := rows[i]
+			seen := scenario.InSample(w, rw.s, scenario.DefaultP, cfg.Seed)
+			solveSet := seen
+			setLabel := fmt.Sprintf("full S=%d", rw.s)
+			ckptID := fmt.Sprintf("scale-s%d-full", rw.s)
+			if rw.reduced {
+				red, err := scenario.Reduce(w, seen, scenario.ReduceConfig{R: min(r, rw.s), Seed: cfg.Seed})
+				if err != nil {
+					return "", fmt.Errorf("scale S=%d: %w", rw.s, err)
+				}
+				solveSet = red.Reduced
+				bounds[i] = red.MaxRadius()
+				setLabel = fmt.Sprintf("reduced R=%d", red.R())
+				ckptID = fmt.Sprintf("scale-s%d-r%d", rw.s, red.R())
 			}
-			solveSet = red.Reduced
-			bounds[i] = red.MaxRadius()
-			setLabel = fmt.Sprintf("reduced R=%d", red.R())
-			ckptID = fmt.Sprintf("scale-s%d-r%d", rw.s, red.R())
-		}
-		rec, err := cfg.rowRecorder(ckptID)
-		if err != nil {
-			return err
-		}
-		res, err := core.Allocate(w, solveSet, table3K, core.Options{
-			Chunks: spec, FixedQueries: 47, Parallelism: innerPar, MIP: cfg.mipOptions(), Logf: logf, Canceled: cfg.Canceled,
-			Checkpoint: rec,
-		})
-		if err != nil {
-			return fmt.Errorf("scale %s: %w", setLabel, err)
-		}
-		// The robustness verdict always comes from the FULL member set — the
-		// streaming evaluator makes that cheap even at |S| = 400.
-		evalStart := time.Now()
-		m, err := eval.EvaluateStream(w, res.Allocation, seen, eval.StreamOptions{})
-		if err != nil {
-			return err
-		}
-		gaps[i] = m.MeanGap
-		lines[i] = fmt.Sprintf("%d\t%s\t%.4f\t%.3f\t%.4f\t%.3f\t%s\t%s\t%s\n",
-			rw.s, setLabel, bounds[i], res.ReplicationFactor, m.MeanGap, m.MeanThroughput,
-			fmtDur(res.SolveTime), fmtDur(time.Since(evalStart)), gapMark(res))
-		return nil
-	})
+			opts.Chunks, opts.FixedQueries = spec, 47
+			res, err := cfg.allocate(ckptID, w, solveSet, table3K, opts)
+			if err != nil {
+				return "", err
+			}
+			// The robustness verdict always comes from the FULL member set — the
+			// streaming evaluator makes that cheap even at |S| = 400.
+			evalStart := time.Now()
+			m, err := eval.EvaluateStream(w, res.Allocation, seen, eval.StreamOptions{})
+			if err != nil {
+				return "", err
+			}
+			gaps[i] = m.MeanGap
+			return fmt.Sprintf("%d\t%s\t%.4f\t%.3f\t%.4f\t%.3f\t%s\t%s\t%s\n",
+				rw.s, setLabel, bounds[i], res.ReplicationFactor, m.MeanGap, m.MeanThroughput,
+				fmtDur(res.SolveTime), fmtDur(time.Since(evalStart)), gapMark(res)), nil
+		}, "")
 	if err != nil {
-		return err
-	}
-	for _, line := range lines {
-		fmt.Fprint(t, line)
-	}
-	if err := t.Flush(); err != nil {
 		return err
 	}
 

@@ -48,78 +48,48 @@ func Table1(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	rows := table1TPCDSQuick
+	rows := rowSet(cfg, table1TPCDSQuick, table1TPCDSFull, table1TPCDSBench)
 	if cfg.Workload == "accounting" {
 		w = truncate(w, cfg.MaxQ)
-		rows = table1AcctQuick
-		if cfg.Full {
-			rows = table1AcctFull
-		}
-		if cfg.Bench {
-			rows = table1AcctBench
-		}
-	} else {
-		if cfg.Full {
-			rows = table1TPCDSFull
-		}
-		if cfg.Bench {
-			rows = table1TPCDSBench
-		}
+		rows = rowSet(cfg, table1AcctQuick, table1AcctFull, table1AcctBench)
 	}
 	freq := ones(w)
 	ss := model.SingleScenario(freq)
 
-	fmt.Fprintf(cfg.Out, "Table 1 (%s): decomposition W^D vs greedy W^G; N=%d, Q=%d, f_j=1, budget %v/subproblem\n",
-		w.Name, w.NumFragments(), w.NumQueries(), cfg.Budget)
-	t := newTable(cfg.Out)
-	fmt.Fprintln(t, "K\tchunks\tW^D/V\tsolve time_W^D\tW^G/W^D\tsolve time_W^G\tnote")
-	rowPar, innerPar := cfg.rowPool(len(rows))
-	logf := cfg.coreLogf() // one logger: its mutex serializes rows' output
-	lines := make([]string, len(rows))
-	err = runRows(rowPar, len(rows), func(i int) error {
-		row := rows[i]
-		spec, err := core.ParseChunks(row.chunks)
-		if err != nil {
-			return err
-		}
-		rec, err := cfg.rowRecorder(fmt.Sprintf("table1-k%d-%s", row.k, row.chunks))
-		if err != nil {
-			return err
-		}
-		res, err := core.Allocate(w, ss, row.k, core.Options{
-			Chunks: spec, Parallelism: innerPar, MIP: cfg.mipOptions(), Logf: logf, Canceled: cfg.Canceled,
-			Checkpoint: rec,
-		})
-		if err != nil {
-			return fmt.Errorf("table1 K=%d chunks=%s: %w", row.k, row.chunks, err)
-		}
+	err = cfg.table(
+		fmt.Sprintf("Table 1 (%s): decomposition W^D vs greedy W^G; N=%d, Q=%d, f_j=1, budget %v/subproblem",
+			w.Name, w.NumFragments(), w.NumQueries(), cfg.Budget),
+		"K\tchunks\tW^D/V\tsolve time_W^D\tW^G/W^D\tsolve time_W^G\tnote",
+		len(rows), func(i int, opts core.Options) (string, error) {
+			row := rows[i]
+			spec, err := core.ParseChunks(row.chunks)
+			if err != nil {
+				return "", err
+			}
+			opts.Chunks = spec
+			res, err := cfg.allocate(fmt.Sprintf("table1-k%d-%s", row.k, row.chunks), w, ss, row.k, opts)
+			if err != nil {
+				return "", err
+			}
 
-		gStart := time.Now()
-		gAlloc, err := greedy.Allocate(w, freq, row.k)
-		if err != nil {
-			return err
-		}
-		gTime := time.Since(gStart)
-		gw := gAlloc.TotalData(w)
+			gStart := time.Now()
+			gAlloc, err := greedy.Allocate(w, freq, row.k)
+			if err != nil {
+				return "", err
+			}
+			gTime := time.Since(gStart)
+			gw := gAlloc.TotalData(w)
 
-		note := gapMark(res)
-		star := ""
-		if len(spec.Children) == 0 {
-			star = "*" // no decomposition: the (budgeted) exact solve
-		}
-		lines[i] = fmt.Sprintf("%d\t%s%s\t%.3f\t%s\t%+.0f%%\t%s\t%s\n",
-			row.k, row.chunks, star,
-			res.ReplicationFactor, fmtDur(res.SolveTime),
-			(gw/res.W-1)*100, fmtDur(gTime), note)
-		return nil
-	})
+			star := ""
+			if len(spec.Children) == 0 {
+				star = "*" // no decomposition: the (budgeted) exact solve
+			}
+			return fmt.Sprintf("%d\t%s%s\t%.3f\t%s\t%+.0f%%\t%s\t%s\n",
+				row.k, row.chunks, star,
+				res.ReplicationFactor, fmtDur(res.SolveTime),
+				(gw/res.W-1)*100, fmtDur(gTime), gapMark(res)), nil
+		}, "")
 	if err != nil {
-		return err
-	}
-	for _, line := range lines {
-		fmt.Fprint(t, line)
-	}
-	if err := t.Flush(); err != nil {
 		return err
 	}
 	fmt.Fprintln(cfg.Out)

@@ -48,92 +48,59 @@ func Table2(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	rows := table2TPCDSQuick
+	rows := rowSet(cfg, table2TPCDSQuick, table2TPCDSFull, table2TPCDSBench)
 	withWD := true
 	if cfg.Workload == "accounting" {
-		rows = table2AcctQuick
-		if cfg.Full {
-			rows = table2AcctFull
-		}
-		if cfg.Bench {
-			rows = table2AcctBench
-		}
+		rows = rowSet(cfg, table2AcctQuick, table2AcctFull, table2AcctBench)
 		withWD = false
-	} else {
-		if cfg.Full {
-			rows = table2TPCDSFull
-		}
-		if cfg.Bench {
-			rows = table2TPCDSBench
-		}
 	}
 	freq := ones(w)
 	ss := model.SingleScenario(freq)
 
-	fmt.Fprintf(cfg.Out, "Table 2 (%s): partial clustering W (F fixed queries) vs W^D (F=0) and W^G; N=%d, Q=%d, budget %v/subproblem\n",
-		w.Name, w.NumFragments(), w.NumQueries(), cfg.Budget)
-	t := newTable(cfg.Out)
-	fmt.Fprintln(t, "K\tF\tchunks\tW/V\tsolve time_W\tW/W^D\tW/W^G\tnote")
-	rowPar, innerPar := cfg.rowPool(len(rows))
-	logf := cfg.coreLogf()
-	lines := make([]string, len(rows))
-	err = runRows(rowPar, len(rows), func(i int) error {
-		row := rows[i]
-		spec, err := core.ParseChunks(row.chunks)
-		if err != nil {
-			return err
-		}
-		rec, err := cfg.rowRecorder(fmt.Sprintf("table2-k%d-f%d", row.k, row.f))
-		if err != nil {
-			return err
-		}
-		res, err := core.Allocate(w, ss, row.k, core.Options{
-			Chunks: spec, FixedQueries: row.f, Parallelism: innerPar, MIP: cfg.mipOptions(), Logf: logf, Canceled: cfg.Canceled,
-			Checkpoint: rec,
-		})
-		if err != nil {
-			return fmt.Errorf("table2 K=%d F=%d: %w", row.k, row.f, err)
-		}
-
-		wd := "n/a"
-		note := gapMark(res)
-		if withWD {
-			drec, err := cfg.rowRecorder(fmt.Sprintf("table2-k%d-f%d-wd", row.k, row.f))
+	err = cfg.table(
+		fmt.Sprintf("Table 2 (%s): partial clustering W (F fixed queries) vs W^D (F=0) and W^G; N=%d, Q=%d, budget %v/subproblem",
+			w.Name, w.NumFragments(), w.NumQueries(), cfg.Budget),
+		"K\tF\tchunks\tW/V\tsolve time_W\tW/W^D\tW/W^G\tnote",
+		len(rows), func(i int, opts core.Options) (string, error) {
+			row := rows[i]
+			spec, err := core.ParseChunks(row.chunks)
 			if err != nil {
-				return err
+				return "", err
 			}
-			dres, err := core.Allocate(w, ss, row.k, core.Options{
-				Chunks: spec, Parallelism: innerPar, MIP: cfg.mipOptions(), Logf: logf, Canceled: cfg.Canceled,
-				Checkpoint: drec,
-			})
+			opts.Chunks = spec
+			rowID := fmt.Sprintf("table2-k%d-f%d", row.k, row.f)
+			clustered := opts
+			clustered.FixedQueries = row.f
+			res, err := cfg.allocate(rowID, w, ss, row.k, clustered)
 			if err != nil {
-				return err
+				return "", err
 			}
-			wd = fmt.Sprintf("%+.1f%%", (res.W/dres.W-1)*100)
-			if !dres.Exact {
-				note += " W^D" + gapMark(dres)
+
+			wd := "n/a"
+			note := gapMark(res)
+			if withWD {
+				dres, err := cfg.allocate(rowID+"-wd", w, ss, row.k, opts)
+				if err != nil {
+					return "", err
+				}
+				wd = fmt.Sprintf("%+.1f%%", (res.W/dres.W-1)*100)
+				if !dres.Exact {
+					note += " W^D" + gapMark(dres)
+				}
 			}
-		}
 
-		gAlloc, err := greedy.Allocate(w, freq, row.k)
-		if err != nil {
-			return err
-		}
-		gw := gAlloc.TotalData(w)
+			gAlloc, err := greedy.Allocate(w, freq, row.k)
+			if err != nil {
+				return "", err
+			}
+			gw := gAlloc.TotalData(w)
 
-		lines[i] = fmt.Sprintf("%d\t%d\t%s\t%.3f\t%s\t%s\t%+.1f%%\t%s\n",
-			row.k, row.f, row.chunks,
-			res.ReplicationFactor, fmtDur(res.SolveTime),
-			wd, (res.W/gw-1)*100, note)
-		return nil
-	})
+			return fmt.Sprintf("%d\t%d\t%s\t%.3f\t%s\t%s\t%+.1f%%\t%s\n",
+				row.k, row.f, row.chunks,
+				res.ReplicationFactor, fmtDur(res.SolveTime),
+				wd, (res.W/gw-1)*100, note), nil
+		}, "")
 	if err != nil {
-		return err
-	}
-	for _, line := range lines {
-		fmt.Fprint(t, line)
-	}
-	if err := t.Flush(); err != nil {
 		return err
 	}
 	fmt.Fprintln(cfg.Out)

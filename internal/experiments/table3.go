@@ -56,22 +56,9 @@ func Table3(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	rows := table3TPCDSQuick
+	rows := rowSet(cfg, table3TPCDSQuick, table3TPCDSFull, table3TPCDSBench)
 	if cfg.Workload == "accounting" {
-		rows = table3AcctQuick
-		if cfg.Full {
-			rows = table3AcctFull
-		}
-		if cfg.Bench {
-			rows = table3AcctBench
-		}
-	} else {
-		if cfg.Full {
-			rows = table3TPCDSFull
-		}
-		if cfg.Bench {
-			rows = table3TPCDSBench
-		}
+		rows = rowSet(cfg, table3AcctQuick, table3AcctFull, table3AcctBench)
 	}
 	unseen := scenario.OutOfSample(w, cfg.OutOfSample, scenario.DefaultP, cfg.Seed+1000)
 	spec, err := core.ParseChunks(table3Chunks)
@@ -79,65 +66,49 @@ func Table3(cfg Config) error {
 		return err
 	}
 
-	fmt.Fprintf(cfg.Out, "Table 3 (%s): robustness with S seen scenarios vs %d unseen; K=%d=%s, p=%.2f, budget %v/subproblem\n",
-		w.Name, cfg.OutOfSample, table3K, table3Chunks, scenario.DefaultP, cfg.Budget)
-	t := newTable(cfg.Out)
-	fmt.Fprintln(t, "approach\tS\tF\tW/V\tsolve time\tE(L~)-1/K\tE((1/K)/L~)\tnote")
-	rowPar, innerPar := cfg.rowPool(len(rows))
-	logf := cfg.coreLogf()
-	lines := make([]string, len(rows))
-	err = runRows(rowPar, len(rows), func(i int) error {
-		row := rows[i]
-		seen := scenario.InSample(w, row.s, scenario.DefaultP, cfg.Seed)
-		var (
-			alloc     *model.Allocation
-			repl      float64
-			solveTime time.Duration
-			label     string
-			fCol      string
-			note      string
-		)
-		if row.f >= 0 {
-			rec, err := cfg.rowRecorder(fmt.Sprintf("table3-s%d-f%d", row.s, row.f))
-			if err != nil {
-				return err
+	err = cfg.table(
+		fmt.Sprintf("Table 3 (%s): robustness with S seen scenarios vs %d unseen; K=%d=%s, p=%.2f, budget %v/subproblem",
+			w.Name, cfg.OutOfSample, table3K, table3Chunks, scenario.DefaultP, cfg.Budget),
+		"approach\tS\tF\tW/V\tsolve time\tE(L~)-1/K\tE((1/K)/L~)\tnote",
+		len(rows), func(i int, opts core.Options) (string, error) {
+			row := rows[i]
+			seen := scenario.InSample(w, row.s, scenario.DefaultP, cfg.Seed)
+			var (
+				alloc     *model.Allocation
+				repl      float64
+				solveTime time.Duration
+				label     string
+				fCol      string
+				note      string
+			)
+			if row.f >= 0 {
+				opts.Chunks, opts.FixedQueries = spec, row.f
+				res, err := cfg.allocate(fmt.Sprintf("table3-s%d-f%d", row.s, row.f), w, seen, table3K, opts)
+				if err != nil {
+					return "", err
+				}
+				alloc, repl, solveTime = res.Allocation, res.ReplicationFactor, res.SolveTime
+				label, fCol, note = "W(S)", fmt.Sprintf("%d", row.f), gapMark(res)
+			} else {
+				start := time.Now()
+				var err error
+				alloc, err = greedy.AllocateScenarios(w, seen, table3K)
+				if err != nil {
+					return "", fmt.Errorf("table3 merge S=%d: %w", row.s, err)
+				}
+				solveTime = time.Since(start)
+				repl = alloc.TotalData(w) / w.AccessedDataSize(seen.Frequencies...)
+				label, fCol = "W^G(S)", "/"
 			}
-			res, err := core.Allocate(w, seen, table3K, core.Options{
-				Chunks: spec, FixedQueries: row.f, Parallelism: innerPar, MIP: cfg.mipOptions(), Logf: logf, Canceled: cfg.Canceled,
-				Checkpoint: rec,
-			})
-			if err != nil {
-				return fmt.Errorf("table3 S=%d F=%d: %w", row.s, row.f, err)
-			}
-			alloc, repl, solveTime = res.Allocation, res.ReplicationFactor, res.SolveTime
-			label, fCol, note = "W(S)", fmt.Sprintf("%d", row.f), gapMark(res)
-		} else {
-			start := time.Now()
-			var err error
-			alloc, err = greedy.AllocateScenarios(w, seen, table3K)
-			if err != nil {
-				return fmt.Errorf("table3 merge S=%d: %w", row.s, err)
-			}
-			solveTime = time.Since(start)
-			repl = alloc.TotalData(w) / w.AccessedDataSize(seen.Frequencies...)
-			label, fCol = "W^G(S)", "/"
-		}
 
-		m, err := eval.Evaluate(w, alloc, unseen)
-		if err != nil {
-			return err
-		}
-		lines[i] = fmt.Sprintf("%s\t%d\t%s\t%.3f\t%s\t%.4f\t%.3f\t%s\n",
-			label, row.s, fCol, repl, fmtDur(solveTime), m.MeanGap, m.MeanThroughput, note)
-		return nil
-	})
+			m, err := eval.Evaluate(w, alloc, unseen)
+			if err != nil {
+				return "", err
+			}
+			return fmt.Sprintf("%s\t%d\t%s\t%.3f\t%s\t%.4f\t%.3f\t%s\n",
+				label, row.s, fCol, repl, fmtDur(solveTime), m.MeanGap, m.MeanThroughput, note), nil
+		}, "")
 	if err != nil {
-		return err
-	}
-	for _, line := range lines {
-		fmt.Fprint(t, line)
-	}
-	if err := t.Flush(); err != nil {
 		return err
 	}
 	fmt.Fprintln(cfg.Out)

@@ -89,14 +89,6 @@ func TestCheckpointObservationIsPure(t *testing.T) {
 		if math.Abs(obj-s.Obj) > 1e-6 {
 			t.Errorf("snapshot %d: Obj %g inconsistent with X (recomputed %g)", i, s.Obj, obj)
 		}
-		if s.RootBound > s.Obj+1e-6 {
-			t.Errorf("snapshot %d: RootBound %g exceeds incumbent %g", i, s.RootBound, s.Obj)
-		}
-		for _, f := range s.BestPath {
-			if f.Var < 0 || f.Var >= p.NumVars || f.LB > f.UB {
-				t.Errorf("snapshot %d: bad fixing %+v", i, f)
-			}
-		}
 	}
 	if !sawIncumbent {
 		t.Error("no snapshot carried an incumbent; the kill-point journal would be empty")

@@ -14,9 +14,8 @@
 // It therefore supports
 //
 //   - presolve reductions (bound tightening, implication fixing between the
-//     paper's binaries, dominated-row removal; see presolve.go) applied
-//     before the root relaxation, with results reported in the caller's
-//     original coordinates,
+//     paper's binaries; see presolve.go) applied before the root relaxation,
+//     with results reported in the caller's original coordinates,
 //   - best-first node selection with depth-first plunging,
 //   - reliability-weighted pseudocost branching with a most-fractional
 //     fallback until degradation observations exist,
@@ -202,32 +201,16 @@ func (o Options) withDefaults() Options {
 }
 
 // Snapshot is the warm-resume state a Checkpoint callback receives: the
-// incumbent (a copy), the branching decisions of the path that produced it,
-// and the proven root bound. It is enough to warm-resume a crashed search —
-// inject X as a starting proposal and re-expand the frontier from the root
-// — without journaling the entire open-node heap.
+// incumbent (a copy). It is enough to warm-resume a crashed search — inject
+// X as a starting proposal and re-expand the frontier from the root —
+// without journaling the entire open-node heap.
 type Snapshot struct {
-	// HasIncumbent reports whether X/Obj/BestPath are meaningful.
+	// HasIncumbent reports whether X/Obj are meaningful.
 	HasIncumbent bool
 	// X is a copy of the incumbent solution (length NumVars).
 	X []float64
 	// Obj is the incumbent objective value.
 	Obj float64
-	// RootBound is the root relaxation's proven lower bound.
-	RootBound float64
-	// BestPath lists the branching decisions (bound fixings relative to the
-	// root) of the node that produced the incumbent; empty for incumbents
-	// from heuristic proposals, which need no path to reproduce.
-	BestPath []Fixing
-	// Nodes and LPIters mirror Result's progress counters at snapshot time.
-	Nodes   int
-	LPIters int
-}
-
-// Fixing is one branching decision: variable Var restricted to [LB, UB].
-type Fixing struct {
-	Var    int
-	LB, UB float64
 }
 
 // defaultOrZero resolves the tolerance convention of Options: zero means
@@ -373,22 +356,13 @@ func (s *search) maybeCheckpoint(now time.Time) {
 
 // snapshot captures the warm-resume state of the search.
 func (s *search) snapshot() Snapshot {
-	snap := Snapshot{
-		HasIncumbent: s.hasInc,
-		RootBound:    s.rootBound + s.ps.objOff,
-		Nodes:        s.nodes,
-		LPIters:      s.lpIters,
-	}
+	snap := Snapshot{HasIncumbent: s.hasInc}
 	if s.hasInc {
-		// Everything the snapshot exposes is in the caller's coordinates:
-		// X at the caller's NumVars, path fixings on the caller's variable
-		// indices, objectives with the presolve offset folded back in.
+		// Everything the snapshot exposes is in the caller's coordinates: X
+		// at the caller's NumVars, the objective with the presolve offset
+		// folded back in.
 		snap.X = append([]float64(nil), s.ps.restore(s.incumbent)...)
 		snap.Obj = s.incObj + s.ps.objOff
-		snap.BestPath = make([]Fixing, len(s.incPath))
-		for i, f := range s.incPath {
-			snap.BestPath[i] = Fixing{Var: s.ps.origCol[f.j], LB: f.lb, UB: f.ub}
-		}
 	}
 	return snap
 }
@@ -420,8 +394,6 @@ type search struct {
 	incumbent   []float64
 	incObj      float64
 	hasInc      bool
-	incPath     []fixing // branching path of the incumbent (nil for heuristic ones)
-	rootBound   float64
 	lastCkpt    time.Time // last Checkpoint callback (driving goroutine only)
 	nodes       int
 	lpIters     int // simplex pivots across all inner LP solves
@@ -619,20 +591,17 @@ func (s *search) tryProposal(proposal []float64) {
 		s.incumbent = append([]float64(nil), res.X...)
 		s.incObj = res.Obj
 		s.hasInc = true
-		s.incPath = nil // heuristic incumbents carry no branching path
 		s.lastImprove = s.nodes
 		s.logf("mip: rounding incumbent obj=%.6f", res.Obj+s.ps.objOff)
 	}
 }
 
-// accept adopts an improving integral node solution as the incumbent; path
-// is the node's branching path, journaled into checkpoint snapshots.
-func (s *search) accept(x []float64, obj float64, path []fixing) {
+// accept adopts an improving integral node solution as the incumbent.
+func (s *search) accept(x []float64, obj float64) {
 	if !s.hasInc || obj < s.incObj-s.opt.AbsGap {
 		s.incumbent = append([]float64(nil), x...)
 		s.incObj = obj
 		s.hasInc = true
-		s.incPath = clonePath(path)
 		s.lastImprove = s.nodes
 		s.logf("mip: incumbent obj=%.6f after %d nodes", obj+s.ps.objOff, s.nodes)
 	}
@@ -689,7 +658,6 @@ func (s *search) run() (*Result, error) {
 		return nil, fmt.Errorf("mip: root relaxation failed with status %v", res.Status)
 	}
 	rootBound := res.Obj
-	s.rootBound = rootBound
 	s.logf("mip: root relaxation obj=%.6f after %d iters", res.Obj+s.ps.objOff, res.Iters)
 	for _, start := range s.opt.Starts {
 		s.tryProposal(s.ps.reduceProposal(start))
@@ -800,7 +768,7 @@ func (s *search) plunge(nd *node, open *nodeHeap) {
 		}
 		branch := s.fractionalVar(res.X)
 		if branch == -1 {
-			s.accept(res.X, bound, nd.path)
+			s.accept(res.X, bound)
 			return
 		}
 		if s.opt.Rounding != nil && s.nodes%roundingEvery == 0 {

@@ -20,9 +20,6 @@ import (
 //   - singleton-row conversion: a one-variable row is just a bound,
 //   - redundant-row removal and infeasible-row detection from the same
 //     activity bounds,
-//   - dominated/duplicate-row removal: parallel rows (equal support and
-//     proportional coefficients) are compared as intervals on the shared
-//     activity; a row whose interval contains another's is redundant,
 //   - elimination of fixed variables (lb = ub, including variables fixed by
 //     tightening) and of empty columns, with their objective contribution
 //     accumulated into a constant offset.
@@ -32,14 +29,13 @@ import (
 // the mapping restores Result.X, snapshots, and log output to the caller's
 // original coordinates (and translates caller proposals the other way).
 //
-// Everything is deterministic: rows and columns are visited in index order,
-// parallel-row grouping sorts by an explicit (hash, index) key, and ties
-// resolve to the smallest index.
+// Everything is deterministic: rows and columns are visited in index order
+// and ties resolve to the smallest index.
 
 // presolveStats summarizes the reductions for logging and tests.
 type presolveStats struct {
 	FixedVars     int // variables eliminated (bounds collapsed or empty column)
-	RemovedRows   int // rows removed (redundant, singleton, dominated, empty)
+	RemovedRows   int // rows removed (redundant, singleton, empty)
 	TightenedVars int // bound-tightening applications
 	Rounds        int // tightening sweeps until fixpoint
 }
@@ -157,11 +153,6 @@ func runPresolve(p *simplex.Problem, intVars []int, intTol float64, logf func(st
 		if !pr.changed {
 			break
 		}
-	}
-
-	if !pr.removeDominatedRows() {
-		ps.infeasible = true
-		return ps
 	}
 
 	pr.fixCollapsedAndEmptyColumns(p)
@@ -455,122 +446,6 @@ func (pr *presolver) tightenLB(j int, v float64) {
 		pr.lb[j] = v
 		pr.ps.stats.TightenedVars++
 		pr.changed = true
-	}
-}
-
-// removeDominatedRows finds parallel rows (equal support, proportional
-// coefficients), compares them as intervals on the shared normalized
-// activity, and removes the looser one. Reports false when two parallel
-// rows contradict each other. Grouping is by a content hash sorted together
-// with the row index, so the pass is deterministic.
-func (pr *presolver) removeDominatedRows() bool {
-	type keyed struct {
-		hash uint64
-		row  int
-	}
-	var keys []keyed
-	for r := range pr.rows {
-		w := &pr.rows[r]
-		if !w.live || len(w.idx) < 2 {
-			continue
-		}
-		// Hash the support only: proportional rows share it, and the exact
-		// proportionality check happens pairwise below.
-		h := uint64(1469598103934665603)
-		for _, j := range w.idx {
-			h = (h ^ uint64(j)) * 1099511628211
-		}
-		keys = append(keys, keyed{h, r})
-	}
-	// Insertion sort by (hash, row): key counts are small and this avoids a
-	// comparator closure over package sort for a struct pair.
-	for i := 1; i < len(keys); i++ {
-		for k := i; k > 0 && (keys[k].hash < keys[k-1].hash || (keys[k].hash == keys[k-1].hash && keys[k].row < keys[k-1].row)); k-- {
-			keys[k], keys[k-1] = keys[k-1], keys[k]
-		}
-	}
-	for a := 0; a < len(keys); a++ {
-		ra := &pr.rows[keys[a].row]
-		if !ra.live {
-			continue
-		}
-		for b := a + 1; b < len(keys) && keys[b].hash == keys[a].hash; b++ {
-			rb := &pr.rows[keys[b].row]
-			if !rb.live {
-				continue
-			}
-			ok, infeasible := pr.mergeParallel(ra, rb)
-			if infeasible {
-				return false
-			}
-			if ok && !ra.live {
-				break
-			}
-		}
-	}
-	return true
-}
-
-// mergeParallel checks whether rb is proportional to ra and, if so, removes
-// whichever row's activity interval contains the other's. Returns
-// (handled, infeasible).
-func (pr *presolver) mergeParallel(ra, rb *wrow) (bool, bool) {
-	if len(ra.idx) != len(rb.idx) {
-		return false, false
-	}
-	for t := range ra.idx {
-		if ra.idx[t] != rb.idx[t] {
-			return false, false
-		}
-	}
-	scale := rb.coef[0] / ra.coef[0]
-	for t := range ra.coef {
-		if math.Abs(rb.coef[t]-scale*ra.coef[t]) > 1e-9*(1+math.Abs(rb.coef[t])) {
-			return false, false
-		}
-	}
-	// Express both rows as intervals on the activity of ra's coefficients.
-	loA, hiA := rowInterval(ra.rel, ra.rhs, 1)
-	loB, hiB := rowInterval(rb.rel, rb.rhs, scale)
-	eps := feasEps(ra.rhs) + feasEps(rb.rhs)
-	if math.Max(loA, loB) > math.Min(hiA, hiB)+eps {
-		return true, true // contradictory parallel rows
-	}
-	if loA >= loB-eps && hiA <= hiB+eps {
-		// ra's interval is inside rb's: rb is redundant.
-		rb.live = false
-		pr.ps.stats.RemovedRows++
-		pr.changed = true
-		return true, false
-	}
-	if loB >= loA-eps && hiB <= hiA+eps {
-		ra.live = false
-		pr.ps.stats.RemovedRows++
-		pr.changed = true
-		return true, false
-	}
-	return true, false
-}
-
-// rowInterval is the allowed activity interval of a row with the given
-// relation and rhs, after dividing the row by scale (which flips the
-// relation when negative).
-func rowInterval(rel simplex.Relation, rhs, scale float64) (lo, hi float64) {
-	b := rhs / scale
-	if scale < 0 {
-		if rel == simplex.LE {
-			rel = simplex.GE
-		} else if rel == simplex.GE {
-			rel = simplex.LE
-		}
-	}
-	switch rel {
-	case simplex.LE:
-		return math.Inf(-1), b
-	case simplex.GE:
-		return b, math.Inf(1)
-	default:
-		return b, b
 	}
 }
 

@@ -59,34 +59,6 @@ func TestPresolveUpwardFixing(t *testing.T) {
 	}
 }
 
-// TestPresolveDominatedRows checks parallel-row reduction: of two
-// proportional LE rows the looser is dropped, and contradictory parallel
-// rows prove infeasibility.
-func TestPresolveDominatedRows(t *testing.T) {
-	p := &simplex.Problem{}
-	a := p.AddVar(0, 10, 1)
-	b := p.AddVar(0, 10, 1)
-	p.AddRow([]int{a, b}, []float64{1, 2}, simplex.LE, 8)
-	p.AddRow([]int{a, b}, []float64{2, 4}, simplex.LE, 30) // 2× the first, looser
-	ps := runPresolve(p, nil, 1e-6, nil)
-	if ps.infeasible {
-		t.Fatal("feasible instance reported infeasible")
-	}
-	if got := len(ps.reduced.Rows); got != 1 {
-		t.Errorf("reduced problem has %d rows, want 1 (dominated duplicate removed)", got)
-	}
-
-	q := &simplex.Problem{}
-	c := q.AddVar(0, 10, 1)
-	d := q.AddVar(0, 10, 1)
-	q.AddRow([]int{c, d}, []float64{1, 1}, simplex.GE, 6)
-	q.AddRow([]int{c, d}, []float64{-2, -2}, simplex.GE, -4) // i.e. c+d ≤ 2: contradiction
-	ps = runPresolve(q, nil, 1e-6, nil)
-	if !ps.infeasible {
-		t.Error("contradictory parallel rows not detected")
-	}
-}
-
 // TestPresolveInfeasibleRow checks activity-based infeasibility: a row no
 // point in the box can satisfy short-circuits the solve.
 func TestPresolveInfeasibleRow(t *testing.T) {

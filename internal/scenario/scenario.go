@@ -35,7 +35,7 @@ func InSample(w *model.Workload, s int, p float64, seed int64) *model.ScenarioSe
 	ss.Frequencies = append(ss.Frequencies, base)
 	rng := rand.New(rand.NewSource(seed))
 	for i := 1; i < s; i++ {
-		ss.Frequencies = append(ss.Frequencies, sample(rng, len(w.Queries), p))
+		ss.Frequencies = append(ss.Frequencies, Sample(rng, len(w.Queries), p))
 	}
 	return ss
 }
@@ -47,14 +47,17 @@ func OutOfSample(w *model.Workload, count int, p float64, seed int64) *model.Sce
 	ss := &model.ScenarioSet{}
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < count; i++ {
-		ss.Frequencies = append(ss.Frequencies, sample(rng, len(w.Queries), p))
+		ss.Frequencies = append(ss.Frequencies, Sample(rng, len(w.Queries), p))
 	}
 	return ss
 }
 
-// sample draws one frequency vector. At least one query is always kept so
-// the scenario carries load.
-func sample(rng *rand.Rand, q int, p float64) []float64 {
+// Sample draws one frequency vector over q queries from rng: each query is
+// present with probability p at f = U(0,2)/p, else 0, and at least one query
+// is always kept so the scenario carries load. It panics when p is outside
+// (0,1]. InSample and OutOfSample draw their scenarios with it, and the
+// daemon's drift generator its observed ones.
+func Sample(rng *rand.Rand, q int, p float64) []float64 {
 	if p <= 0 || p > 1 {
 		panic(fmt.Sprintf("scenario: presence probability %g outside (0,1]", p))
 	}

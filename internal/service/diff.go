@@ -110,7 +110,6 @@ func ComputeDiff(w *model.Workload, old, next *model.Allocation, fromEpoch, toEp
 			d.Removed = append(d.Removed, c)
 		}
 	}
-	sort.Ints(d.Removed)
 	return d, nil
 }
 

@@ -90,19 +90,17 @@ type HAConfig struct {
 	Addr string
 	// LeaseTTL is how long the lease survives without renewal (default 2s).
 	// A leader that cannot renew within the TTL is deposed; failover takes
-	// at most 2×TTL from leader death to a standby serving.
+	// at most 2×TTL from leader death to a standby serving. The leader
+	// renews every LeaseTTL/3 and followers poll the journal every
+	// LeaseTTL/4.
 	LeaseTTL time.Duration
-	// RenewEvery is the leader's renewal period (default LeaseTTL/3).
-	RenewEvery time.Duration
-	// TailEvery is the follower's journal poll period (default LeaseTTL/4).
-	TailEvery time.Duration
 	// NoPromote keeps this replica a pure standby: it tails and serves
 	// reads but never runs for the lease.
 	NoPromote bool
 }
 
 // withDefaults validates the HA config against the rest of the service
-// config and fills the derived periods.
+// config and fills the default TTL.
 func (ha HAConfig) withDefaults(cfg *Config) (HAConfig, error) {
 	if ha.NodeID == "" {
 		return ha, fmt.Errorf("service: HA.NodeID is required")
@@ -113,23 +111,19 @@ func (ha HAConfig) withDefaults(cfg *Config) (HAConfig, error) {
 	if ha.LeaseTTL <= 0 {
 		ha.LeaseTTL = 2 * time.Second
 	}
-	if ha.RenewEvery <= 0 {
-		ha.RenewEvery = ha.LeaseTTL / 3
-	}
-	if ha.TailEvery <= 0 {
-		ha.TailEvery = ha.LeaseTTL / 4
-	}
 	return ha, nil
 }
+
+// renewEvery is the leader's renewal period: two renewals may fail or run
+// late before the TTL lapses.
+func (ha HAConfig) renewEvery() time.Duration { return ha.LeaseTTL / 3 }
+
+// tailEvery is the follower's journal and lease poll period.
+func (ha HAConfig) tailEvery() time.Duration { return ha.LeaseTTL / 4 }
 
 // leasePath is the group's election file, a sibling of the state journal.
 func (s *Service) leasePath() string {
 	return filepath.Join(s.cfg.StateDir, "leader.lease")
-}
-
-// stateJournalDir is the directory followers tail.
-func (s *Service) stateJournalDir() string {
-	return filepath.Join(s.cfg.StateDir, "state")
 }
 
 // Role reports this replica's current role.
@@ -137,17 +131,6 @@ func (s *Service) Role() Role {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.role
-}
-
-// LeaderAddr reports the advertised address of the leader this replica
-// knows about ("" when unknown, or when this replica leads itself).
-func (s *Service) LeaderAddr() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.role == RoleLeader {
-		return ""
-	}
-	return s.leaderAddr
 }
 
 // RunHA is the HA replica's main loop, replacing the Bootstrap+Run pair of
@@ -179,7 +162,7 @@ func (s *Service) RunHA(ctx context.Context) error {
 			s.logf("service: lease acquisition: %v", err)
 			select {
 			case <-ctx.Done():
-			case <-time.After(ha.RenewEvery):
+			case <-time.After(ha.renewEvery()):
 			}
 		}
 	}
@@ -198,15 +181,8 @@ func (s *Service) lead(ctx context.Context, lease *checkpoint.Lease) error {
 		s.releaseLease(lease)
 		return err
 	}
-	if s.st != nil {
-		s.st.SetFence(lease.Check)
-	}
-	s.mu.Lock()
-	s.role = RoleLeader
-	s.leaderAddr = ha.Addr
-	s.leaseEpoch = lease.Epoch()
-	s.leaseCheck = lease.Check
-	s.mu.Unlock()
+	s.st.SetFence(lease.Check)
+	s.setRole(RoleLeader, ha.Addr, lease)
 	s.logf("service: %s leading at fencing epoch %d (ttl %v)", ha.NodeID, lease.Epoch(), ha.LeaseTTL)
 
 	leaseCtx, cancel := context.WithCancel(ctx)
@@ -215,7 +191,7 @@ func (s *Service) lead(ctx context.Context, lease *checkpoint.Lease) error {
 	renew.Add(1)
 	go func() {
 		defer renew.Done()
-		t := time.NewTicker(ha.RenewEvery)
+		t := time.NewTicker(ha.renewEvery())
 		defer t.Stop()
 		for {
 			select {
@@ -240,37 +216,40 @@ func (s *Service) lead(ctx context.Context, lease *checkpoint.Lease) error {
 	renew.Wait()
 
 	demoted := lease.Lost()
-	s.mu.Lock()
-	s.role = RoleCandidate
-	s.leaderAddr = ""
-	s.leaseEpoch = 0
-	s.leaseCheck = nil
-	s.mu.Unlock()
+	s.setRole(RoleCandidate, "", nil)
 
-	switch {
-	case demoted:
+	if demoted {
 		// The fence stays installed: the lost lease is sticky, so any late
 		// journal write on this deposed replica fails permanently. A future
 		// reign installs a fresh fence over it.
 		return ErrDemoted
-	case ctx.Err() != nil:
+	}
+	s.st.SetFence(nil)
+	if ctx.Err() != nil {
 		// Graceful shutdown: hand the lease over so a standby elects
 		// immediately instead of waiting out the TTL.
-		if s.st != nil {
-			s.st.SetFence(nil)
-		}
 		s.cfg.Fault.At(KillPointLeaseHandover)
-		s.releaseLease(lease)
-		return nil
-	default:
-		// Bootstrap failed on a live context — a hard solver error the
-		// operator must see. Release so a healthier replica can try.
-		if s.st != nil {
-			s.st.SetFence(nil)
-		}
-		s.releaseLease(lease)
-		return bootErr
+		bootErr = nil
 	}
+	// Otherwise Bootstrap failed on a live context — a hard solver error the
+	// operator must see. Release so a healthier replica can try.
+	s.releaseLease(lease)
+	return bootErr
+}
+
+// setRole moves this replica to role, knowing the leader at leaderAddr ("" =
+// none known). lease is the held lease when the role is RoleLeader and nil
+// otherwise: the fencing epoch and the publish-time lease check exist exactly
+// while leading.
+func (s *Service) setRole(role Role, leaderAddr string, lease *checkpoint.Lease) {
+	var epoch uint64
+	var check func() error
+	if lease != nil {
+		epoch, check = lease.Epoch(), lease.Check
+	}
+	s.mu.Lock()
+	s.role, s.leaderAddr, s.leaseEpoch, s.leaseCheck = role, leaderAddr, epoch, check
+	s.mu.Unlock()
 }
 
 func (s *Service) releaseLease(lease *checkpoint.Lease) {
@@ -289,14 +268,11 @@ func (s *Service) follow(ctx context.Context, leader *checkpoint.LeaseInfo) {
 	if leader != nil {
 		addr = leader.Addr
 	}
-	s.mu.Lock()
-	s.role = RoleFollower
-	s.leaderAddr = addr
-	s.mu.Unlock()
+	s.setRole(RoleFollower, addr, nil)
 	s.logf("service: %s following (leader %q)", ha.NodeID, addr)
 
-	w := checkpoint.NewWatcher(s.stateJournalDir())
-	t := time.NewTicker(ha.TailEvery)
+	w := checkpoint.NewWatcher(s.st.Dir())
+	t := time.NewTicker(ha.tailEvery())
 	defer t.Stop()
 	for {
 		gen, payload, ok, err := w.Poll()
@@ -316,23 +292,16 @@ func (s *Service) follow(ctx context.Context, leader *checkpoint.LeaseInfo) {
 		}
 
 		li, lerr := checkpoint.ReadLease(s.leasePath())
-		if lerr != nil {
+		switch {
+		case lerr != nil:
 			s.logf("service: reading lease: %v", lerr)
-		} else if li == nil || li.Expired(time.Now()) {
-			if !ha.NoPromote {
-				s.mu.Lock()
-				s.role = RoleCandidate
-				s.leaderAddr = ""
-				s.mu.Unlock()
-				return
-			}
-			s.mu.Lock()
-			s.leaderAddr = ""
-			s.mu.Unlock()
-		} else {
-			s.mu.Lock()
-			s.leaderAddr = li.Addr
-			s.mu.Unlock()
+		case li != nil && !li.Expired(time.Now()):
+			s.setRole(RoleFollower, li.Addr, nil)
+		case ha.NoPromote:
+			s.setRole(RoleFollower, "", nil)
+		default:
+			s.setRole(RoleCandidate, "", nil)
+			return
 		}
 
 		select {
@@ -348,9 +317,6 @@ func (s *Service) follow(ctx context.Context, leader *checkpoint.LeaseInfo) {
 // journaled becomes this replica's desired state and incumbent before it
 // starts leading.
 func (s *Service) reloadState() error {
-	if s.st == nil {
-		return nil
-	}
 	payload, err := s.st.LoadRaw()
 	if err != nil {
 		return fmt.Errorf("service: state journal: %w", err)
@@ -378,9 +344,8 @@ func (s *Service) adoptJournal(payload []byte, gen uint64) error {
 	}
 	var red *scenario.Reduction
 	if s.cfg.ReduceTo > 0 {
-		red, err = scenario.Reduce(s.cfg.Workload, ps.Scenarios, s.reduceConfig())
-		if err != nil {
-			return fmt.Errorf("service: scenario reduction: %w", err)
+		if red, err = s.cluster(ps.Scenarios); err != nil {
+			return err
 		}
 	}
 	s.mu.Lock()
@@ -396,7 +361,7 @@ func (s *Service) adoptJournal(payload []byte, gen uint64) error {
 		}
 	}
 	if red != nil {
-		s.red, s.redDirty, s.drifted, s.redBaseS = red, false, 0, ps.Scenarios.S()
+		s.installClustering(red, ps.Scenarios.S())
 	}
 	if gen > 0 {
 		s.tailGen, s.tailedAt = gen, time.Now()
@@ -416,17 +381,15 @@ func (s *Service) publishGate() error {
 	leader := s.leaderAddr
 	check := s.leaseCheck
 	s.mu.Unlock()
-	switch role {
-	case RoleSingle:
-		return nil
-	case RoleLeader:
-		if check != nil {
-			if err := check(); err != nil {
-				return fmt.Errorf("service: refusing to adopt: %w", err)
-			}
-		}
-		return nil
-	default:
+	if role == RoleFollower || role == RoleCandidate {
 		return &NotLeaderError{Leader: leader}
 	}
+	// setRole hands out the lease check exactly while leading; a single-node
+	// daemon has none and is always the write authority.
+	if check != nil {
+		if err := check(); err != nil {
+			return fmt.Errorf("service: refusing to adopt: %w", err)
+		}
+	}
+	return nil
 }

@@ -31,14 +31,10 @@ const haTestTTL = 1500 * time.Millisecond
 func haConfig(t testing.TB, dir, node string, fault *faultinject.Injector) Config {
 	t.Helper()
 	cfg := crashConfig(t, dir, fault)
-	// The derived periods are pinned explicitly (not left to New's defaults)
-	// because the helper subprocess paces its linger off RenewEvery.
 	cfg.HA = &HAConfig{
-		NodeID:     node,
-		Addr:       "http://" + node + ".test",
-		LeaseTTL:   haTestTTL,
-		RenewEvery: haTestTTL / 3,
-		TailEvery:  haTestTTL / 4,
+		NodeID:   node,
+		Addr:     "http://" + node + ".test",
+		LeaseTTL: haTestTTL,
 	}
 	return cfg
 }
@@ -138,7 +134,7 @@ func TestServiceHAHelperProcess(t *testing.T) {
 	if adopted, err := s.WaitEpoch(ctx, 1); err != nil || !adopted {
 		t.Fatalf("WaitEpoch(1) = (%v, %v), want adoption", adopted, err)
 	}
-	time.Sleep(5 * cfg.HA.RenewEvery)
+	time.Sleep(5 * cfg.HA.renewEvery())
 	cancel()
 	<-done
 	t.Fatalf("kill point %s never fired", spec)
@@ -527,5 +523,43 @@ func TestServiceHAFencing(t *testing.T) {
 	}
 	if err := usurper.Release(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServiceFencedApplyIsRefused covers the window between a takeover and
+// the deposed leader's next renewal: the role still admits the update, but
+// the journal fence finds the lease lost. The update is then in no journal,
+// so Apply must refuse it as a non-leader instead of acknowledging it, and
+// the journal must be untouched.
+func TestServiceFencedApplyIsRefused(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(crashConfig(t, dir, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.persist(); err != nil {
+		t.Fatal(err)
+	}
+	stateDir := filepath.Join(dir, "state")
+	gensBefore := journalGens(t, stateDir)
+	s.st.SetFence(func() error { return checkpoint.ErrLeaseLost })
+
+	var notLeader *NotLeaderError
+	if epoch, err := s.Apply(driftUpdate()); !errors.As(err, &notLeader) {
+		t.Fatalf("fenced Apply = (%d, %v), want NotLeaderError", epoch, err)
+	}
+	select {
+	case <-s.wake:
+		t.Fatal("a refused update woke the re-optimization loop")
+	default:
+	}
+	if got := journalGens(t, stateDir); !reflect.DeepEqual(got, gensBefore) || len(got) != 1 {
+		t.Fatalf("fenced Apply changed the journal: %v -> %v", gensBefore, got)
+	}
+
+	// Any other journal failure keeps the warn-and-acknowledge policy.
+	s.st.SetFence(func() error { return errors.New("disk unhappy") })
+	if _, err := s.Apply(driftUpdate()); err != nil {
+		t.Fatalf("Apply through a failing (not fenced) journal = %v, want acknowledged", err)
 	}
 }

@@ -67,7 +67,6 @@ type Config struct {
 	// Solver knobs, passed through to core.Allocate.
 	Chunks       *core.ChunkSpec
 	FixedQueries int
-	Alpha        float64
 	Parallelism  int
 	MIP          mip.Options
 
@@ -261,14 +260,14 @@ func New(cfg Config) (*Service, error) {
 		return nil, fmt.Errorf("service: scenarios: %w", err)
 	}
 	s := &Service{
-		cfg:  cfg,
-		wake: make(chan struct{}, 1),
-		scen: scen.Clone(),
-		k:    cfg.K,
-		rng:  rand.New(rand.NewSource(seed)),
-		role: RoleSingle,
+		cfg:         cfg,
+		wake:        make(chan struct{}, 1),
+		scen:        scen.Clone(),
+		k:           cfg.K,
+		rng:         rand.New(rand.NewSource(seed)),
+		role:        RoleSingle,
+		attemptDone: make(chan struct{}),
 	}
-	s.attemptDone = make(chan struct{})
 	if cfg.HA != nil {
 		s.role = RoleCandidate
 	}
@@ -295,19 +294,31 @@ func New(cfg Config) (*Service, error) {
 		// k-medoids init makes the rebuild deterministic; folds and radius
 		// widenings since the last clustering are lost in a crash, but the
 		// from-scratch rebuild is at least as tight.
-		red, err := scenario.Reduce(cfg.Workload, s.scen, s.reduceConfig())
+		red, err := s.cluster(s.scen)
 		if err != nil {
-			return nil, fmt.Errorf("service: scenario reduction: %w", err)
+			return nil, err
 		}
-		s.red, s.redBaseS = red, s.scen.S()
+		s.installClustering(red, s.scen.S())
 	}
 	return s, nil
 }
 
-// reduceConfig is the daemon's fixed clustering recipe; using it for both
-// the boot build and every re-clustering keeps reductions reproducible.
-func (s *Service) reduceConfig() scenario.ReduceConfig {
-	return scenario.ReduceConfig{R: s.cfg.ReduceTo, Seed: s.cfg.ReduceSeed}
+// cluster reduces scen by the daemon's fixed clustering recipe; using it for
+// the boot build, every adopted journal and every re-clustering keeps
+// reductions reproducible.
+func (s *Service) cluster(scen *model.ScenarioSet) (*scenario.Reduction, error) {
+	red, err := scenario.Reduce(s.cfg.Workload, scen, scenario.ReduceConfig{R: s.cfg.ReduceTo, Seed: s.cfg.ReduceSeed})
+	if err != nil {
+		return nil, fmt.Errorf("service: scenario reduction: %w", err)
+	}
+	return red, nil
+}
+
+// installClustering makes red, built from a full set of baseS scenarios, the
+// live clustering and restarts the drift accounting. Caller holds s.mu, or is
+// New before s is shared.
+func (s *Service) installClustering(red *scenario.Reduction, baseS int) {
+	s.red, s.redDirty, s.drifted, s.redBaseS = red, false, 0, baseS
 }
 
 // decodePersisted decodes and fully validates one state-journal payload
@@ -372,10 +383,7 @@ func (s *Service) persist() error {
 // degraded allocation — serving something feasible beats serving nothing —
 // but a hard solver error (including infeasibility) fails the boot.
 func (s *Service) Bootstrap(ctx context.Context) error {
-	s.mu.Lock()
-	have := s.inc != nil
-	s.mu.Unlock()
-	if have {
+	if inc, _ := s.Incumbent(); inc != nil {
 		return nil
 	}
 	return s.reoptimize(ctx, true)
@@ -409,11 +417,7 @@ func (s *Service) Run(ctx context.Context) {
 			// wake channel is deliberately not selected here — a burst of
 			// updates must not defeat the backoff; the pending check above
 			// picks them up after the sleep.
-			shift := fails
-			if shift > 20 {
-				shift = 20
-			}
-			d := s.cfg.BackoffBase << shift
+			d := s.cfg.BackoffBase << min(fails, 20)
 			if d > s.cfg.BackoffMax || d <= 0 {
 				d = s.cfg.BackoffMax
 			}
@@ -451,10 +455,22 @@ func (s *Service) jitter(d time.Duration) time.Duration {
 }
 
 // reoptimize runs one solve attempt against the latest desired state and
-// adopts the result if it is good enough. The incumbent is only ever
+// adopts the result if it is good enough; a rejected attempt is recorded
+// here, whichever step rejected it.
+func (s *Service) reoptimize(ctx context.Context, boot bool) error {
+	epoch, err := s.attempt(ctx, boot)
+	if err != nil {
+		s.finishAttempt(epoch, false, nil, err)
+	}
+	return err
+}
+
+// attempt is the body of one re-optimization: snapshot the desired state,
+// re-cluster if due, solve, diff, and adopt. It returns the epoch it
+// targeted; an error means nothing was adopted. The incumbent is only ever
 // replaced, never partially mutated, so readers always see a complete
 // allocation.
-func (s *Service) reoptimize(ctx context.Context, boot bool) error {
+func (s *Service) attempt(ctx context.Context, boot bool) (uint64, error) {
 	s.mu.Lock()
 	epoch := s.epoch
 	k := s.k
@@ -485,11 +501,9 @@ func (s *Service) reoptimize(ctx context.Context, boot bool) error {
 		// race ingests or block Status readers. Adopt the result only if no
 		// update landed meanwhile; otherwise it still serves this solve and
 		// the dirty flag sends the next attempt back here.
-		red, rerr := scenario.Reduce(s.cfg.Workload, scen, s.reduceConfig())
-		if rerr != nil {
-			rerr = fmt.Errorf("service: scenario reduction: %w", rerr)
-			s.finishAttempt(epoch, false, nil, rerr)
-			return rerr
+		red, err := s.cluster(scen)
+		if err != nil {
+			return epoch, err
 		}
 		solveSet = red.Reduced.Clone()
 		// Read what the log line needs before publishing red: once it is
@@ -497,7 +511,7 @@ func (s *Service) reoptimize(ctx context.Context, boot bool) error {
 		reps, bound := red.R(), red.MaxRadius()
 		s.mu.Lock()
 		if s.scen == scen {
-			s.red, s.redDirty, s.drifted, s.redBaseS = red, false, 0, scen.S()
+			s.installClustering(red, scen.S())
 			s.reclusters++
 		}
 		s.mu.Unlock()
@@ -514,12 +528,10 @@ func (s *Service) reoptimize(ctx context.Context, boot bool) error {
 
 	rec, cleanup, err := s.solveRecorder(epoch)
 	if err != nil {
-		s.finishAttempt(epoch, false, nil, err)
-		return err
+		return epoch, err
 	}
 
 	opt := core.Options{
-		Alpha:        s.cfg.Alpha,
 		Chunks:       s.cfg.Chunks,
 		FixedQueries: s.cfg.FixedQueries,
 		Parallelism:  s.cfg.Parallelism,
@@ -533,19 +545,14 @@ func (s *Service) reoptimize(ctx context.Context, boot bool) error {
 	res, err := core.Allocate(s.cfg.Workload, solveSet, k, opt)
 	switch {
 	case err != nil:
-		s.finishAttempt(epoch, false, nil, err)
-		return err
+		return epoch, err
 	case res.Canceled:
-		err = fmt.Errorf("service: solve for epoch %d timed out or was canceled", epoch)
-		s.finishAttempt(epoch, false, nil, err)
-		return err
+		return epoch, fmt.Errorf("service: solve for epoch %d timed out or was canceled", epoch)
 	case !boot && res.Outcomes.Degraded > 0:
 		// Steady state: a degraded allocation never displaces a good
 		// incumbent. Bootstrap is the exception — see Bootstrap.
-		err = fmt.Errorf("service: solve for epoch %d degraded %d subproblem(s); keeping the incumbent",
+		return epoch, fmt.Errorf("service: solve for epoch %d degraded %d subproblem(s); keeping the incumbent",
 			epoch, res.Outcomes.Degraded)
-		s.finishAttempt(epoch, false, nil, err)
-		return err
 	}
 
 	outcome := "optimal"
@@ -558,8 +565,7 @@ func (s *Service) reoptimize(ctx context.Context, boot bool) error {
 	if warm != nil {
 		diff, err = ComputeDiff(s.cfg.Workload, warm, res.Allocation, fromEpoch, epoch)
 		if err != nil {
-			s.finishAttempt(epoch, false, nil, err)
-			return err
+			return epoch, err
 		}
 	}
 	inc := &Incumbent{
@@ -578,8 +584,7 @@ func (s *Service) reoptimize(ctx context.Context, boot bool) error {
 	// leader re-verifies its lease here, so a deposition mid-solve rejects
 	// the result instead of forking the group's served history.
 	if err := s.publishGate(); err != nil {
-		s.finishAttempt(epoch, false, nil, err)
-		return err
+		return epoch, err
 	}
 
 	// Adoption order is the crash contract: (1) publish the incumbent in
@@ -599,7 +604,7 @@ func (s *Service) reoptimize(ctx context.Context, boot bool) error {
 	cleanup()
 	s.logf("service: adopted epoch %d (%s, W/V=%.4f, %v, warm=%v)",
 		epoch, outcome, res.ReplicationFactor, time.Since(start).Round(time.Millisecond), warm != nil)
-	return nil
+	return epoch, nil
 }
 
 // finishAttempt records an attempt's outcome and releases WaitEpoch waiters.
@@ -648,19 +653,16 @@ func (s *Service) solveRecorder(epoch uint64) (*checkpoint.Recorder, func(), err
 	s.mu.Lock()
 	check := s.leaseCheck
 	s.mu.Unlock()
-	if check != nil {
-		st.SetFence(check)
-	}
-	prev, err := st.Load()
+	st.SetFence(check)
+	rec, err := st.Recorder(true, s.cfg.CheckpointEvery)
 	if err != nil {
 		// A corrupt solve journal costs a fresh solve, never the daemon.
 		s.logf("service: warning: discarding unreadable solve journal %s: %v", dir, err)
-		prev = nil
+		rec = checkpoint.NewRecorder(st, nil, s.cfg.CheckpointEvery)
 	}
-	if prev != nil {
+	if rec.Resumed() {
 		s.logf("service: resuming interrupted solve of epoch %d from its journal", epoch)
 	}
-	rec := checkpoint.NewRecorder(st, prev, s.cfg.CheckpointEvery)
 	cleanup := func() {
 		if err := os.RemoveAll(filepath.Join(s.cfg.StateDir, "solve")); err != nil {
 			s.logf("service: warning: could not retire solve journals: %v", err)
@@ -672,8 +674,9 @@ func (s *Service) solveRecorder(epoch uint64) (*checkpoint.Recorder, func(), err
 // Apply ingests one drift update: validate against the current desired
 // state, bump the epoch, journal, and wake the re-optimization loop. It
 // returns the new epoch (pass it to WaitEpoch to await adoption). An invalid
-// update is rejected whole with no state change; a non-leader replica
-// rejects with NotLeaderError, and the admission gates reject with
+// update is rejected whole with no state change; a non-leader replica —
+// one that is following, or a leader whose journal write finds the lease
+// lost — rejects with NotLeaderError, and the admission gates reject with
 // OverloadedError before any validation work.
 func (s *Service) Apply(u Update) (uint64, error) {
 	if err := s.admit(); err != nil {
@@ -703,6 +706,13 @@ func (s *Service) Apply(u Update) (uint64, error) {
 
 	if err := s.persist(); err != nil {
 		s.logf("service: warning: journaling epoch %d failed: %v", epoch, err)
+		if errors.Is(err, checkpoint.ErrLeaseLost) {
+			// Deposed between renewals: the update is in no journal and dies
+			// with this reign, so it must not be acknowledged. Any other
+			// journal failure leaves this replica the write authority, and the
+			// next successful save carries the update.
+			return 0, &NotLeaderError{}
+		}
 	}
 	s.cfg.Fault.At(KillPointIngest)
 	s.kick()
@@ -894,6 +904,3 @@ func (s *Service) logf(format string, args ...any) {
 		s.cfg.Logf(format, args...)
 	}
 }
-
-// ErrNoIncumbent is returned by handlers asked to serve before bootstrap.
-var ErrNoIncumbent = errors.New("service: no incumbent yet")

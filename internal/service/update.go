@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"fragalloc/internal/model"
+	"fragalloc/internal/scenario"
 )
 
 // Update is one workload-drift event the service ingests: query-frequency
@@ -142,7 +143,7 @@ func GenerateDrift(w *model.Workload, base *model.ScenarioSet, cfg DriftConfig) 
 			k = nk
 			u.SetK = nk
 		case rng.Float64() < observeProb:
-			u.Observe = [][]float64{sampleScenario(rng, q, presence)}
+			u.Observe = [][]float64{scenario.Sample(rng, q, presence)}
 			scenarios++
 		default:
 			for i := 0; i < deltas; i++ {
@@ -156,24 +157,4 @@ func GenerateDrift(w *model.Workload, base *model.ScenarioSet, cfg DriftConfig) 
 		updates = append(updates, u)
 	}
 	return updates
-}
-
-// sampleScenario draws one observed frequency vector the way the paper's
-// scenario sampler does: f = U(0,2)/p with probability p, else 0, with at
-// least one query kept so the scenario carries load.
-func sampleScenario(rng *rand.Rand, q int, p float64) []float64 {
-	freq := make([]float64, q)
-	any := false
-	for j := range freq {
-		if rng.Float64() < p {
-			freq[j] = rng.Float64() * 2 / p
-			if freq[j] > 0 {
-				any = true
-			}
-		}
-	}
-	if !any {
-		freq[rng.Intn(q)] = 1
-	}
-	return freq
 }
