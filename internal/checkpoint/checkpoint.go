@@ -276,7 +276,7 @@ func syncDir(dir string) error {
 // at all, and an error only when generations exist but none is loadable.
 func (st *Store) Load() (*Snapshot, error) {
 	var snap *Snapshot
-	found, err := st.loadNewest(func(payload []byte) error {
+	_, err := st.loadNewest(func(payload []byte) error {
 		s := &Snapshot{}
 		if err := json.Unmarshal(payload, s); err != nil {
 			return fmt.Errorf("checkpoint: decoding payload: %w", err)
@@ -284,39 +284,28 @@ func (st *Store) Load() (*Snapshot, error) {
 		snap = s
 		return nil
 	})
-	if err != nil || !found {
-		return nil, err
-	}
-	return snap, nil
+	return snap, err
 }
 
 // LoadRaw returns the newest generation's opaque payload (the counterpart of
 // SaveRaw), with the same fallback semantics as Load: (nil, nil) on an empty
 // directory, an error only when generations exist but none verifies.
 func (st *Store) LoadRaw() ([]byte, error) {
-	var out []byte
-	_, err := st.loadNewest(func(payload []byte) error {
-		out = payload
-		return nil
-	})
-	return out, err
+	return st.loadNewest(nil)
 }
 
-// loadNewest hands the newest verified payload to accept; a frame failure or
-// an accept error means "corrupt, fall back to the previous generation". It
-// reports whether any generation was accepted; (false, nil) means the
-// directory holds none at all.
-func (st *Store) loadNewest(accept func(payload []byte) error) (bool, error) {
+// loadNewest returns the newest payload whose frame verifies and which
+// accept, when non-nil, takes; a frame failure or an accept error means
+// "corrupt, fall back to the previous generation". (nil, nil) means the
+// directory holds no generation at all.
+func (st *Store) loadNewest(accept func(payload []byte) error) ([]byte, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	gen, _, skipped, err := newestVerified(st.dir, 0, accept)
-	if err != nil {
-		return false, err
+	gen, payload, skipped, err := newestVerified(st.dir, 0, accept)
+	if err == nil && gen == 0 && len(skipped) > 0 {
+		err = fmt.Errorf("checkpoint: no loadable generation in %s: %w", st.dir, errors.Join(skipped...))
 	}
-	if gen == 0 && len(skipped) > 0 {
-		return false, fmt.Errorf("checkpoint: no loadable generation in %s: %w", st.dir, errors.Join(skipped...))
-	}
-	return gen != 0, nil
+	return payload, err
 }
 
 // newestVerified walks dir's generations newest-first, no further back than
