@@ -91,8 +91,9 @@ func mustChunks(t *testing.T, s string) *ChunkSpec {
 
 // TestPipelineGolden pins the whole core pipeline — model build, dive, trim,
 // hints, branch and bound, decode, child derivation, degradation, journal —
-// to digests recorded at 29862a1, before the routing table became
-// positional. Every budget is a node count, so each digest must come out the
+// to digests recorded in PR 18 with the simplex's work-balanced refresh
+// (the digests of 29862a1 held from before the routing table became
+// positional until then). Every budget is a node count, so each digest must come out the
 // same at every parallelism; a change that moves one LP column, one
 // coefficient, one sort tie-break or one journal byte fails here.
 func TestPipelineGolden(t *testing.T) {
@@ -101,7 +102,7 @@ func TestPipelineGolden(t *testing.T) {
 	for _, par := range []int{1, 2} {
 		check := func(name string, res *Result, st *checkpoint.Store, want uint64) {
 			t.Helper()
-			t.Logf("%s: %d nodes, %d LP iterations, %v", name, res.BBNodes, res.LPIters, res.Outcomes)
+			t.Logf("%s: %d nodes, %d LP iterations, W/V %.6f, %v", name, res.BBNodes, res.LPIters, res.ReplicationFactor, res.Outcomes)
 			if got := goldenDigest(t, res, st); got != want {
 				t.Errorf("%s, parallelism %d: digest %#016x, want %#016x (%d nodes, %d LP iterations, %v)",
 					name, par, got, want, res.BBNodes, res.LPIters, res.Outcomes)
@@ -111,7 +112,7 @@ func TestPipelineGolden(t *testing.T) {
 		// (a) the robust clustered row: three 4+4 subproblems, three scenarios.
 		res, st := goldenRun(t, full, scenario.InSample(full, 3, scenario.DefaultP, 1), 8,
 			Options{Chunks: mustChunks(t, "4+4"), FixedQueries: 47, Parallelism: par, MIP: budget}, "")
-		check("tpcds K=8 4+4 F=47 S=3", res, st, 0x13f4a702b3071a11)
+		check("tpcds K=8 4+4 F=47 S=3", res, st, 0x03747fd5295619f4)
 
 		// (b) allocd's re-optimization shape: warm-started from the allocation
 		// of a neighbouring scenario draw.
@@ -119,7 +120,7 @@ func TestPipelineGolden(t *testing.T) {
 			Options{Chunks: mustChunks(t, "2+2"), FixedQueries: 64, Parallelism: par, MIP: budget}, "")
 		res, st = goldenRun(t, full, scenario.InSample(full, 4, scenario.DefaultP, 1), 4,
 			Options{Chunks: mustChunks(t, "2+2"), FixedQueries: 64, Parallelism: par, MIP: budget, Warm: prior.Allocation}, "")
-		check("tpcds K=4 2+2 F=64 S=4 warm", res, st, 0x83b143fbe0aa84a9)
+		check("tpcds K=4 2+2 F=64 S=4 warm", res, st, 0x2ba75c013fcd0701)
 
 		// (c) a flat solve: the hierarchical pre-solve, the greedy hint and a
 		// warm hint all seed one root MIP.
@@ -127,7 +128,7 @@ func TestPipelineGolden(t *testing.T) {
 		seen := scenario.InSample(sub, 2, scenario.DefaultP, 1)
 		res, st = goldenRun(t, sub, seen, 4,
 			Options{FixedQueries: 4, Parallelism: par, MIP: budget, Warm: prior.Allocation}, "")
-		check("tpcds-top30 flat K=4", res, st, 0xcb7158b8ca1e5665)
+		check("tpcds-top30 flat K=4", res, st, 0x80ef69f775a5a86a)
 
 		// (d) every subproblem degrades to the greedy routing; then a clean
 		// run resumes that journal, so the degraded records come back as
@@ -140,7 +141,7 @@ func TestPipelineGolden(t *testing.T) {
 		check("degraded 2+2", res, st, 0x6a5a9f4c8071c190)
 		res, st = goldenRun(t, sub, seen, 4,
 			Options{Chunks: mustChunks(t, "2+2"), FixedQueries: 4, Parallelism: par, MIP: budget}, st.Dir())
-		check("resumed from degraded journal", res, st, 0x1883f95e90d18f22)
+		check("resumed from degraded journal", res, st, 0xcf2ef7db468f5150)
 	}
 
 	// The greedy allocator only refuses non-finite capacities, which no chunk

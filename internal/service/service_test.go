@@ -248,40 +248,58 @@ func TestServiceDegradedServesIncumbent(t *testing.T) {
 	}
 }
 
-// TestServiceWarmStartFewerLPIters pins the point of warm-starting: on the
-// same drifted instance, re-optimizing from the incumbent does measurably
-// less simplex work than solving cold. The instance (3-scenario workload,
-// seed 30, one small frequency delta) is calibrated and the solver is
-// deterministic at Parallelism 1, so the iteration counts — 107812 cold vs
-// 93132 warm at calibration time — reproduce exactly; the test only asserts
-// the inequality with a real margin so solver improvements don't break it.
+// TestServiceWarmStartFewerLPIters pins the point of warm-starting: over a
+// run of drifted instances, re-optimizing from the incumbent does less
+// simplex work than solving cold, and never ends on a worse allocation.
+//
+// One instance cannot carry that claim. Branch and bound is chaotic in its
+// pivots, so on any single instance the ratio of warm to cold LP iterations
+// moves with every change to the pivot trajectory: the instance this test
+// used to rest on (seed 30, n=14, q=10, K=3, S=3) read 93 132 warm against
+// 107 812 cold until PR 18 and 62 817 against 56 824 after it, and over
+// seeds 20–44 of that family the sums are level (warm/cold 1.07 before,
+// 1.00 after), because at K ≥ 3 the cold solve runs the hierarchical
+// pre-solve and starts from an incumbent as good as the warm one. At K = 2
+// there is no pre-solve: the cold search has the greedy placement alone, the
+// warm one also the pre-drift optimum, and the head start shows in the sum —
+// over these twelve consecutive seeds Σ warm / Σ cold is 0.75 on the pivot
+// trajectory before PR 18 and 0.59 on the one after (0.84 and 0.63 over
+// seeds 1–24; single instances range from 0.20 to 1.48). The solver is
+// deterministic at Parallelism 1, so the counts reproduce exactly; the test
+// asserts only the sign of the sum.
 func TestServiceWarmStartFewerLPIters(t *testing.T) {
-	w := calibratedWorkload(30, 14, 10)
-	ss := scenario.InSample(w, 3, 0.75, 30)
-	base, err := core.Allocate(w, ss, 3, core.Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
+	var sumCold, sumWarm int
+	for seed := int64(1); seed <= 12; seed++ {
+		w := calibratedWorkload(seed, 20, 16)
+		ss := scenario.InSample(w, 1, 0.75, seed)
+		base, err := core.Allocate(w, ss, 2, core.Options{Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		drifted, _, err := applyUpdate(w, ss, 2, Update{FreqDeltas: []FreqDelta{{Scenario: 0, Query: 2, Delta: 0.3}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := core.Allocate(w, drifted, 2, core.Options{Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm, err := core.Allocate(w, drifted, 2, core.Options{Parallelism: 1, Warm: base.Allocation})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm.ReplicationFactor > cold.ReplicationFactor+1e-9 {
+			t.Errorf("seed %d: warm W/V %.6f worse than cold %.6f", seed, warm.ReplicationFactor, cold.ReplicationFactor)
+		}
+		sumCold += cold.LPIters
+		sumWarm += warm.LPIters
+		t.Logf("seed %d: cold LPIters=%d, warm LPIters=%d (%.1f%%)", seed, cold.LPIters, warm.LPIters,
+			100*float64(warm.LPIters)/float64(cold.LPIters))
 	}
-	drifted, _, err := applyUpdate(w, ss, 3, Update{FreqDeltas: []FreqDelta{{Scenario: 1, Query: 2, Delta: 0.3}}})
-	if err != nil {
-		t.Fatal(err)
+	if sumWarm >= sumCold {
+		t.Errorf("warm starts did not reduce simplex work: Σ warm LPIters=%d, Σ cold=%d", sumWarm, sumCold)
 	}
-	cold, err := core.Allocate(w, drifted, 3, core.Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := core.Allocate(w, drifted, 3, core.Options{Parallelism: 1, Warm: base.Allocation})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.ReplicationFactor > cold.ReplicationFactor+1e-9 {
-		t.Errorf("warm W/V %.6f worse than cold %.6f", warm.ReplicationFactor, cold.ReplicationFactor)
-	}
-	if warm.LPIters >= cold.LPIters {
-		t.Errorf("warm start did not reduce simplex work: warm LPIters=%d, cold=%d", warm.LPIters, cold.LPIters)
-	}
-	t.Logf("cold LPIters=%d, warm LPIters=%d (%.1f%%)", cold.LPIters, warm.LPIters,
-		100*float64(warm.LPIters)/float64(cold.LPIters))
+	t.Logf("Σ cold LPIters=%d, Σ warm LPIters=%d (%.1f%%)", sumCold, sumWarm, 100*float64(sumWarm)/float64(sumCold))
 }
 
 // TestServiceHTTPEndpoints exercises the full endpoint table over a live

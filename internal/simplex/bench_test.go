@@ -105,10 +105,13 @@ func BenchmarkRefactor(b *testing.B) {
 
 // BenchmarkKernelSolves times the three solves a simplex pivot issues, on a
 // basis of the lp_wide shape (bench/README.md: BuildRootLP of the reduced
-// TPC-DS set has 2748 rows, 3301 columns, ~5 nonzeros per row) sitting 60
-// eta updates past its factorization, the middle of a RefactorEvery window.
-// btranPair does the work of two btran calls; the pair sweep pays off when
-// its ns/op stays well under twice btran's.
+// TPC-DS set has 2748 rows, 3301 columns, ~5 nonzeros per row) behind two
+// eta files: 24 updates past its factorization, the length an average solve
+// finds under the work-balanced refresh (TestRefreshCadenceTPCDS logs it),
+// and 60 updates past it, the middle of the fixed 120-update window that
+// DESIGN.md §3.8's PR 13 numbers were taken in. btranPair does the work of
+// two btran calls; the pair sweep pays off when its ns/op stays well under
+// twice btran's.
 func BenchmarkKernelSolves(b *testing.B) {
 	s, err := NewSolver(benchLP(2748, 3301, 5), Options{})
 	if err != nil {
@@ -121,46 +124,47 @@ func BenchmarkKernelSolves(b *testing.B) {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(60))
-	for updates := 0; updates < 60; {
-		j := rng.Intn(s.ncols)
-		if s.vstat[j] == isBasic {
-			continue
-		}
-		w := s.ftran(j)
-		r := 0
-		for i := range w {
-			if math.Abs(w[i]) > math.Abs(w[r]) {
-				r = i
+	for _, etas := range []int{24, 60} {
+		for s.updates < etas {
+			j := rng.Intn(s.ncols)
+			if s.vstat[j] == isBasic {
+				continue
 			}
+			w := s.ftran(j)
+			r := 0
+			for i := range w {
+				if math.Abs(w[i]) > math.Abs(w[r]) {
+					r = i
+				}
+			}
+			if math.Abs(w[r]) < 0.1 {
+				continue
+			}
+			s.pivot(r, j, w)
 		}
-		if math.Abs(w[r]) < 0.1 {
-			continue
-		}
-		s.pivot(r, j, w)
-		updates++
+		col := append([]float64(nil), s.ftran(0)...) // any dense-ish row-indexed right-hand side
+		unit, costs := make([]float64, s.m), make([]float64, s.m)
+		unit[s.m/2] = 1
+		copy(costs, s.basicCosts())
+		v, v2 := make([]float64, s.m), make([]float64, s.m)
+		b.Run(fmt.Sprintf("etas=%d/ftran", etas), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(v, col)
+				s.kern.ftran(v)
+			}
+		})
+		b.Run(fmt.Sprintf("etas=%d/btran", etas), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(v, costs)
+				s.kern.btran(v)
+			}
+		})
+		b.Run(fmt.Sprintf("etas=%d/btranPair", etas), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				copy(v, unit)
+				copy(v2, costs)
+				s.kern.btranPair(v, v2)
+			}
+		})
 	}
-	col := append([]float64(nil), s.ftran(0)...) // any dense-ish row-indexed right-hand side
-	unit, costs := make([]float64, s.m), make([]float64, s.m)
-	unit[s.m/2] = 1
-	copy(costs, s.basicCosts())
-	v, v2 := make([]float64, s.m), make([]float64, s.m)
-	b.Run("ftran", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			copy(v, col)
-			s.kern.ftran(v)
-		}
-	})
-	b.Run("btran", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			copy(v, costs)
-			s.kern.btran(v)
-		}
-	})
-	b.Run("btranPair", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			copy(v, unit)
-			copy(v2, costs)
-			s.kern.btranPair(v, v2)
-		}
-	})
 }

@@ -65,7 +65,7 @@ func (s *Solver) ReSolveDual() *Result {
 	// drift. xB is not recomputed here: repairDualFeasibility does it after
 	// settling the nonbasic statuses, and a failed repair discards the
 	// state in a cold restart anyway.
-	if s.updates >= s.opt.RefactorEvery/2 {
+	if s.updates >= s.opt.RefactorEvery/2 || s.kern.refreshDue() {
 		if err := s.refactor(); err != nil {
 			return s.Solve() // basis unusable; cold restart
 		}
@@ -170,7 +170,7 @@ func (s *Solver) runDual() Status {
 		if s.iters >= s.opt.MaxIters {
 			return StatusIterLimit
 		}
-		if s.updates >= s.opt.RefactorEvery {
+		if s.updates >= s.opt.RefactorEvery || s.kern.refreshDue() {
 			if err := s.refactor(); err != nil {
 				return StatusUnknown
 			}

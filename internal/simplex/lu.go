@@ -36,6 +36,11 @@ type basisKernel interface {
 	// where w = B⁻¹·a_enter is the FTRAN result of the entering column.
 	// w is read only; its nonzeros are copied into the eta file.
 	update(r int, w []float64)
+	// refreshDue reports that the solves since the last factor or resetUnit
+	// have spent more on the updates absorbed since than a fresh factor
+	// would cost, so the caller should refactorize now. It is never true
+	// while no update has been absorbed.
+	refreshDue() bool
 }
 
 // luThreshold is the relative threshold for partial pivoting: within a
@@ -47,6 +52,22 @@ type basisKernel interface {
 // rule makes the choice deterministic, which PR 1's bit-identical-results
 // guarantee depends on.
 const luThreshold = 0.1
+
+// refreshRatio is the work balance behind refreshDue: a refactorization is
+// due once the solves have walked refreshRatio eta nonzeros per unit of
+// factorWork. It is the measured price of one factor work unit in eta
+// nonzeros walked. Profile of `bench measure --seconds 20` at 1afa37b
+// (2-vCPU 2.10 GHz Xeon, go1.24.0) on accounting_cluster_k8 /
+// tpcds_robust_r5 / allocd_drift: factor takes ~80 µs per call at a
+// factorWork of ~2 500 (m ≈ 1000 / 420 / 250, basis columns plus L+U about
+// as many again), ~32 ns per unit — DFS, scatter, pivot search and gather,
+// each a dependent load per nonzero — while the eta passes of ftran, btran
+// and btranPair stream at ~1 ns per nonzero. Refactoring when the eta walk
+// since the last factor has cost as much as that factor did keeps the sum of
+// the two within 2× of its minimum whatever the pivot sequence (the
+// ski-rental balance), which on these workloads is a refresh every ~20–25
+// updates instead of every 120.
+const refreshRatio = 32
 
 // luKernel is a sparse LU factorization of the basis, maintained across
 // pivots by an eta file (product-form updates stored sparsely).
@@ -101,6 +122,14 @@ type luKernel struct {
 	etaVal    []float64
 	etaPiv    []int32
 	etaPivVal []float64
+
+	// The two sides of the refreshDue balance. factorWork is the size of the
+	// last factor call: the basis columns it read plus m, plus the L and U
+	// nonzeros it wrote if it succeeded (m alone after resetUnit). etaWalked
+	// is the number of eta nonzeros the solves have visited since, a pair
+	// sweep counting once.
+	factorWork int
+	etaWalked  int
 
 	// Factorization scratch, reused across calls: x is the dense working
 	// column, pat its nonzero pattern, rmark/vmark stamp visited rows and
@@ -164,12 +193,18 @@ func (k *luKernel) resetUnit(diag []float64) {
 	k.lrow, k.lval = k.lrow[:0], k.lval[:0]
 	k.urow, k.uval = k.urow[:0], k.uval[:0]
 	k.clearEtas()
+	k.factorWork = k.m
 }
 
 func (k *luKernel) clearEtas() {
 	k.etaPtr = k.etaPtr[:0]
 	k.etaRow, k.etaVal = k.etaRow[:0], k.etaVal[:0]
 	k.etaPiv, k.etaPivVal = k.etaPiv[:0], k.etaPivVal[:0]
+	k.etaWalked = 0
+}
+
+func (k *luKernel) refreshDue() bool {
+	return len(k.etaPiv) > 0 && k.etaWalked >= refreshRatio*k.factorWork
 }
 
 // factor runs the left-looking sparse LU elimination described on luKernel.
@@ -191,8 +226,10 @@ func (k *luKernel) factor(basic []int, cols [][]colEntry, pivotTol float64) erro
 	for c := 0; c < m; c++ {
 		counts[c] = 0
 	}
+	k.factorWork = m
 	for c := 0; c < m; c++ {
 		n := len(cols[basic[c]])
+		k.factorWork += n
 		if n >= m {
 			n = m - 1
 		}
@@ -338,6 +375,7 @@ func (k *luKernel) factor(basic []int, cols [][]colEntry, pivotTol float64) erro
 			return fmt.Errorf("simplex: basis factorization exceeds the %d-nonzero budget (Options.MaxFactorNonzeros) at step %d of %d", k.maxNNZ, step, m)
 		}
 	}
+	k.factorWork += len(k.lval) + len(k.uval)
 	return nil
 }
 
@@ -372,6 +410,7 @@ func column(ptr, idx []int32, val []float64, t int) (rows []int32, vals []float6
 // proportional to the structural nonzeros they actually touch.
 func (k *luKernel) ftran(v []float64) {
 	m := k.m
+	k.etaWalked += len(k.etaVal)
 	// Cut to m (their length already) so the per-step reads below are
 	// provably in range; btran and btranPair do the same.
 	rowOf, colOf, udiag, hb := k.rowOf[:m], k.colOf[:m], k.udiag[:m], k.hb[:m]
@@ -430,6 +469,7 @@ func (k *luKernel) ftran(v []float64) {
 // sparsity of v.
 func (k *luKernel) btran(v []float64) {
 	m := k.m
+	k.etaWalked += len(k.etaVal)
 	rowOf, colOf, udiag, hb := k.rowOf[:m], k.colOf[:m], k.udiag[:m], k.hb[:m]
 	// Eta file reverse: y_r ← (y_r − Σ_{i≠r} w_i·y_i) / w_r. No zero-skip on
 	// y_i: the branch mispredicts cost more than the multiplies it saves.
@@ -478,6 +518,7 @@ func (k *luKernel) btran(v []float64) {
 // the second chain runs in its shadow on index and value loads already made.
 func (k *luKernel) btranPair(a, b []float64) {
 	m := k.m
+	k.etaWalked += len(k.etaVal)
 	rowOf, colOf, udiag := k.rowOf[:m], k.colOf[:m], k.udiag[:m]
 	ha, hb := k.hb[:m], k.hb2[:m]
 	b = b[:len(a)] // one bounds check per element then covers both vectors

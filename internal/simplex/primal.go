@@ -27,7 +27,7 @@ func (s *Solver) runPrimal(phase1 bool) Status {
 		if s.iters >= s.opt.MaxIters {
 			return StatusIterLimit
 		}
-		if s.updates >= s.opt.RefactorEvery {
+		if s.updates >= s.opt.RefactorEvery || s.kern.refreshDue() {
 			if err := s.refactor(); err != nil {
 				return StatusUnknown
 			}

@@ -236,10 +236,14 @@ const (
 type Options struct {
 	// MaxIters bounds the total pivot count; 0 means 50000 + 50*(m+n).
 	MaxIters int
-	// RefactorEvery forces a refactorization of the basis after this many
-	// eta updates (default 120). Besides bounding numerical drift, it
-	// bounds the eta file, the only part of the factorization that grows
-	// per pivot.
+	// RefactorEvery caps the eta updates between two refactorizations of
+	// the basis (default 120; a dual re-solve enters at half of it): the
+	// bound on numerical drift through the product-form file. It is rarely
+	// what triggers one. The kernel asks for a refresh as soon as the solves
+	// have spent more on walking the eta file than a fresh factorization
+	// costs (refreshDue in lu.go), which on the repo's workloads is every
+	// 20–35 updates. Only tests set it, to 1, so that every pivot
+	// refactorizes.
 	RefactorEvery int
 	// MaxFactorNonzeros bounds the size of the basis factorization: NewSolver
 	// rejects problems whose constraint matrix already has more nonzeros,
