@@ -482,13 +482,19 @@ func (k *luKernel) btran(v []float64) {
 		}
 		v[r] = s / k.etaPivVal[e]
 	}
-	// Uᵀ forward solve in step indexing into hb.
+	// Uᵀ forward solve in step indexing into hb. Most columns of U and L are
+	// empty (the unit slack columns of an LP basis), and with the eta file
+	// kept short they are most of what is left of the sweep: both passes
+	// compare the column's two pointers before slicing it.
+	uptr, lptr := k.uptr, k.lptr
 	for t := 0; t < m; t++ {
 		s := v[colOf[t]]
-		rows, vals := column(k.uptr, k.urow, k.uval, t)
-		for p, i := range rows {
-			if f := hb[i]; f != 0 {
-				s -= vals[p] * f
+		if uptr[t] != uptr[t+1] {
+			rows, vals := column(uptr, k.urow, k.uval, t)
+			for p, i := range rows {
+				if f := hb[i]; f != 0 {
+					s -= vals[p] * f
+				}
 			}
 		}
 		if s != 0 {
@@ -500,10 +506,12 @@ func (k *luKernel) btran(v []float64) {
 	// reads rows pivotal at later steps, which are already final.
 	for t := m - 1; t >= 0; t-- {
 		s := hb[t]
-		rows, vals := column(k.lptr, k.lrow, k.lval, t)
-		for p, i := range rows {
-			if y := v[i]; y != 0 {
-				s -= vals[p] * y
+		if lptr[t] != lptr[t+1] {
+			rows, vals := column(lptr, k.lrow, k.lval, t)
+			for p, i := range rows {
+				if y := v[i]; y != 0 {
+					s -= vals[p] * y
+				}
 			}
 		}
 		v[rowOf[t]] = s
@@ -534,17 +542,20 @@ func (k *luKernel) btranPair(a, b []float64) {
 		piv := k.etaPivVal[e]
 		a[r], b[r] = sa/piv, sb/piv
 	}
+	uptr, lptr := k.uptr, k.lptr
 	for t := 0; t < m; t++ {
 		c := colOf[t]
 		sa, sb := a[c], b[c]
-		rows, vals := column(k.uptr, k.urow, k.uval, t)
-		for p, i := range rows {
-			u := vals[p]
-			if f := ha[i]; f != 0 {
-				sa -= u * f
-			}
-			if f := hb[i]; f != 0 {
-				sb -= u * f
+		if uptr[t] != uptr[t+1] {
+			rows, vals := column(uptr, k.urow, k.uval, t)
+			for p, i := range rows {
+				u := vals[p]
+				if f := ha[i]; f != 0 {
+					sa -= u * f
+				}
+				if f := hb[i]; f != 0 {
+					sb -= u * f
+				}
 			}
 		}
 		if sa != 0 {
@@ -557,14 +568,16 @@ func (k *luKernel) btranPair(a, b []float64) {
 	}
 	for t := m - 1; t >= 0; t-- {
 		sa, sb := ha[t], hb[t]
-		rows, vals := column(k.lptr, k.lrow, k.lval, t)
-		for p, i := range rows {
-			l := vals[p]
-			if y := a[i]; y != 0 {
-				sa -= l * y
-			}
-			if y := b[i]; y != 0 {
-				sb -= l * y
+		if lptr[t] != lptr[t+1] {
+			rows, vals := column(lptr, k.lrow, k.lval, t)
+			for p, i := range rows {
+				l := vals[p]
+				if y := a[i]; y != 0 {
+					sa -= l * y
+				}
+				if y := b[i]; y != 0 {
+					sb -= l * y
+				}
 			}
 		}
 		r := rowOf[t]
