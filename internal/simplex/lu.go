@@ -56,17 +56,17 @@ const luThreshold = 0.1
 // refreshRatio is the work balance behind refreshDue: a refactorization is
 // due once the solves have walked refreshRatio eta nonzeros per unit of
 // factorWork. It is the measured price of one factor work unit in eta
-// nonzeros walked. Profile of `bench measure --seconds 20` at 1afa37b
-// (2-vCPU 2.10 GHz Xeon, go1.24.0) on accounting_cluster_k8 /
-// tpcds_robust_r5 / allocd_drift: factor takes ~80 µs per call at a
-// factorWork of ~2 500 (m ≈ 1000 / 420 / 250, basis columns plus L+U about
-// as many again), ~32 ns per unit — DFS, scatter, pivot search and gather,
-// each a dependent load per nonzero — while the eta passes of ftran, btran
-// and btranPair stream at ~1 ns per nonzero. Refactoring when the eta walk
-// since the last factor has cost as much as that factor did keeps the sum of
-// the two within 2× of its minimum whatever the pivot sequence (the
-// ski-rental balance), which on these workloads is a refresh every ~20–25
-// updates instead of every 120.
+// nonzeros walked. CPU profiles of `bench measure --seconds 20` on
+// accounting_cluster_k8 / tpcds_robust_r5 / allocd_drift (2-vCPU 2.10 GHz
+// Xeon, go1.24.0; 1afa37b and this rule's own commit agree): factor takes
+// 60–110 µs per call at a mean factorWork of 2 800 / 2 700 / 1 400, which
+// is 27–50 ns per unit — DFS, scatter, pivot search and gather are each a
+// dependent load per nonzero — while the eta passes of ftran, btran and
+// btranPair stream at ~1 ns per nonzero. Refactoring when the eta walk since
+// the last factor has cost as much as that factor did keeps the sum of the
+// two within 2× of the best cadence in hindsight, whatever the pivot
+// sequence (the ski-rental balance); on these workloads it is a refresh
+// every 30–40 updates where the fixed cadence waited for 120.
 const refreshRatio = 32
 
 // luKernel is a sparse LU factorization of the basis, maintained across

@@ -242,7 +242,7 @@ type Options struct {
 	// what triggers one. The kernel asks for a refresh as soon as the solves
 	// have spent more on walking the eta file than a fresh factorization
 	// costs (refreshDue in lu.go), which on the repo's workloads is every
-	// 20–35 updates. Only tests set it, to 1, so that every pivot
+	// 30–40 updates. Only tests set it, to 1, so that every pivot
 	// refactorizes.
 	RefactorEvery int
 	// MaxFactorNonzeros bounds the size of the basis factorization: NewSolver
