@@ -91,9 +91,8 @@ func mustChunks(t *testing.T, s string) *ChunkSpec {
 
 // TestPipelineGolden pins the whole core pipeline — model build, dive, trim,
 // hints, branch and bound, decode, child derivation, degradation, journal —
-// to digests recorded in PR 18 with the simplex's work-balanced refresh
-// (the digests of 29862a1 held from before the routing table became
-// positional until then). Every budget is a node count, so each digest must come out the
+// to digests recorded in PR 18, with the simplex's work-balanced refresh in
+// place. Every budget is a node count, so each digest must come out the
 // same at every parallelism; a change that moves one LP column, one
 // coefficient, one sort tie-break or one journal byte fails here.
 func TestPipelineGolden(t *testing.T) {

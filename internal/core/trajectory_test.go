@@ -17,10 +17,9 @@ import (
 // re-solve, restore, dual re-solve — on the first 50 fractional columns.
 // The digest covers the status, the iteration count and every bit of X of
 // every solve, so a kernel change that reorders one floating-point operation
-// anywhere in FTRAN/BTRAN fails here. The digests were recorded in PR 18
-// with the work-balanced refresh (simplex's refreshDue), which moved every
-// refactorization and with it the trajectory: 1870 → 1590 root iterations
-// under Devex, 1443 → 1393 under Dantzig, against the digests of 23b69cf.
+// anywhere in FTRAN/BTRAN fails here, and so does one that moves a
+// refactorization. The digests were recorded in PR 18, with the
+// work-balanced refresh (simplex's refreshDue) in place.
 func TestSimplexTrajectoryGolden(t *testing.T) {
 	w := tpcds.Workload()
 	lp, _, err := BuildRootLP(w, model.DefaultScenario(w), 4)

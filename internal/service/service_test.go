@@ -252,21 +252,17 @@ func TestServiceDegradedServesIncumbent(t *testing.T) {
 // run of drifted instances, re-optimizing from the incumbent does less
 // simplex work than solving cold, and never ends on a worse allocation.
 //
-// One instance cannot carry that claim. Branch and bound is chaotic in its
-// pivots, so on any single instance the ratio of warm to cold LP iterations
-// moves with every change to the pivot trajectory: the instance this test
-// used to rest on (seed 30, n=14, q=10, K=3, S=3) read 93 132 warm against
-// 107 812 cold until PR 18 and 62 817 against 56 824 after it, and over
-// seeds 20–44 of that family the sums are level (warm/cold 1.07 before,
-// 1.00 after), because at K ≥ 3 the cold solve runs the hierarchical
-// pre-solve and starts from an incumbent as good as the warm one. At K = 2
-// there is no pre-solve: the cold search has the greedy placement alone, the
-// warm one also the pre-drift optimum, and the head start shows in the sum —
-// over these twelve consecutive seeds Σ warm / Σ cold is 0.75 on the pivot
-// trajectory before PR 18 and 0.59 on the one after (0.84 and 0.63 over
-// seeds 1–24; single instances range from 0.20 to 1.48). The solver is
-// deterministic at Parallelism 1, so the counts reproduce exactly; the test
-// asserts only the sign of the sum.
+// It is a sum because branch and bound is chaotic in its pivots: on a single
+// instance the ratio of warm to cold LP iterations moves with every change to
+// the pivot trajectory (over these seeds from 0.20 to 1.48; the one instance
+// this test once rested on went from 0.86 to 1.11 in PR 18). It is at K = 2
+// because that is where the head start is systematic: a flat root with three
+// or more subnodes runs the hierarchical pre-solve, so its cold search starts
+// from an incumbent as good as the warm one and the sums come out level,
+// while at K = 2 the cold search has the greedy placement alone. Over these
+// twelve consecutive seeds Σ warm / Σ cold is 0.59, and was 0.75 on the pivot
+// trajectory before PR 18. The solver is deterministic at Parallelism 1, so
+// the counts reproduce exactly; the test asserts only the sign of the sum.
 func TestServiceWarmStartFewerLPIters(t *testing.T) {
 	var sumCold, sumWarm int
 	for seed := int64(1); seed <= 12; seed++ {
