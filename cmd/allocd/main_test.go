@@ -13,7 +13,7 @@ func TestSolverProgress(t *testing.T) {
 		{"core: solving split %v (B=%d, %d flexible queries, %d fragments) for leaves %d..%d", true},
 		{"core: split %v degraded to the greedy allocator (%v)", true},
 		{"mip: node %d depth %d obj=%.6f iters=%d", true},
-		{"service: warning: journaling epoch %d failed: %v", false},
+		{"service: warning: journaling %s failed: %v", false},
 		{"service: lease renewal failed: %v", false},
 		{"service: %s leading at fencing epoch %d (ttl %v)", false},
 		{"service: %s following (leader %q)", false},

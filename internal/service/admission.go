@@ -1,16 +1,15 @@
 // Admission control: under an update burst the daemon stays responsive by
 // refusing early and cheaply instead of queueing without bound. Two gates
-// run at ingest, before any validation work: the pending-queue bound (epoch
-// minus incumbent epoch — updates accepted but not yet reflected by a solve)
-// and a token bucket on the ingest rate. Both reject with an
-// OverloadedError carrying a Retry-After hint, which the HTTP layer maps to
-// 429. Single-flight coalescing (service.go) is what keeps the bound
-// meaningful: N pending updates still cost at most one solve.
+// run inside the ingest transition (state.go), before any validation work:
+// the pending-queue bound (epoch minus incumbent epoch — updates accepted
+// but not yet reflected by a solve) and a token bucket on the ingest rate.
+// Both reject with an OverloadedError carrying a Retry-After hint, which the
+// HTTP layer maps to 429. Single-flight coalescing (service.go) is what keeps
+// the bound meaningful: N pending updates still cost at most one solve.
 package service
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -58,78 +57,4 @@ type OverloadedError struct {
 
 func (e *OverloadedError) Error() string {
 	return fmt.Sprintf("service: update refused (%s limit); retry in %v", e.Reason, e.RetryAfter)
-}
-
-// tokenBucket is a standard leaky token bucket with an injectable clock so
-// admission tests are deterministic. Safe for concurrent use.
-type tokenBucket struct {
-	mu     sync.Mutex
-	rate   float64 // tokens per second
-	burst  float64
-	tokens float64
-	last   time.Time
-	now    func() time.Time
-}
-
-func newTokenBucket(rate float64, burst int, now func() time.Time) *tokenBucket {
-	if now == nil {
-		now = time.Now
-	}
-	b := &tokenBucket{rate: rate, burst: float64(burst), now: now}
-	b.tokens = b.burst // start full: the first burst is always admitted
-	b.last = now()
-	return b
-}
-
-// take admits one update if a token is available; otherwise it reports how
-// long until the next token accrues.
-func (b *tokenBucket) take() (ok bool, retryAfter time.Duration) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	now := b.now()
-	if dt := now.Sub(b.last).Seconds(); dt > 0 {
-		b.tokens += dt * b.rate
-		if b.tokens > b.burst {
-			b.tokens = b.burst
-		}
-	}
-	b.last = now
-	if b.tokens >= 1 {
-		b.tokens--
-		return true, 0
-	}
-	return false, time.Duration((1 - b.tokens) / b.rate * float64(time.Second))
-}
-
-// admit runs the ingest gates in rejection-cost order: role (a follower
-// redirects), queue bound, then the rate bucket — so a rejected update never
-// consumes a token it did not use.
-func (s *Service) admit() error {
-	s.mu.Lock()
-	role := s.role
-	leader := s.leaderAddr
-	pending := s.epoch
-	if s.inc != nil {
-		pending = s.epoch - s.inc.Epoch
-	}
-	s.mu.Unlock()
-
-	if role == RoleFollower || role == RoleCandidate {
-		return &NotLeaderError{Leader: leader}
-	}
-	if s.maxPending > 0 && pending >= uint64(s.maxPending) {
-		// The queue drains one solve at a time; the backoff base is the
-		// closest cheap estimate of when a slot frees up.
-		ra := s.cfg.BackoffBase
-		if ra < time.Second {
-			ra = time.Second
-		}
-		return &OverloadedError{Reason: "queue", RetryAfter: ra}
-	}
-	if s.bucket != nil {
-		if ok, ra := s.bucket.take(); !ok {
-			return &OverloadedError{Reason: "rate", RetryAfter: ra}
-		}
-	}
-	return nil
 }

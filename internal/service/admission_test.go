@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,19 +18,19 @@ import (
 	"fragalloc/internal/simplex"
 )
 
-// TestTokenBucket pins the bucket's arithmetic on an injected clock: the
+// TestTokenBucket pins the bucket's arithmetic on the caller's clock: the
 // burst is admitted immediately, refusals report the exact time to the next
 // token, refill accrues at the configured rate, and idle time never grows
 // the bucket past its depth.
 func TestTokenBucket(t *testing.T) {
 	now := time.Unix(1000, 0)
-	b := newTokenBucket(2, 3, func() time.Time { return now })
+	b := newTokenBucket(2, 3, now)
 	for i := 0; i < 3; i++ {
-		if ok, _ := b.take(); !ok {
+		if ok, _ := b.take(now); !ok {
 			t.Fatalf("burst take %d refused", i)
 		}
 	}
-	ok, ra := b.take()
+	ok, ra := b.take(now)
 	if ok {
 		t.Fatal("4th take admitted past the burst depth")
 	}
@@ -36,19 +38,19 @@ func TestTokenBucket(t *testing.T) {
 		t.Fatalf("retryAfter = %v, want 500ms (one token at 2/s)", ra)
 	}
 	now = now.Add(500 * time.Millisecond)
-	if ok, _ := b.take(); !ok {
+	if ok, _ := b.take(now); !ok {
 		t.Fatal("take refused after exactly one token accrued")
 	}
-	if ok, _ := b.take(); ok {
+	if ok, _ := b.take(now); ok {
 		t.Fatal("take admitted from an empty bucket")
 	}
 	now = now.Add(time.Hour)
 	for i := 0; i < 3; i++ {
-		if ok, _ := b.take(); !ok {
+		if ok, _ := b.take(now); !ok {
 			t.Fatalf("post-idle take %d refused; burst cap was not restored", i)
 		}
 	}
-	if ok, _ := b.take(); ok {
+	if ok, _ := b.take(now); ok {
 		t.Fatal("idle time grew the bucket past its burst depth")
 	}
 }
@@ -179,5 +181,52 @@ func TestServiceAdmissionBurst(t *testing.T) {
 	// With the queue drained, fresh updates are admitted again.
 	if _, err := s.Apply(driftUpdate()); err != nil {
 		t.Fatalf("post-drain update refused: %v", err)
+	}
+}
+
+// TestServiceAdmissionConcurrent pins that the pending bound holds under
+// concurrent ingest: the gate and the epoch bump it guards are one
+// transition, so however 32 simultaneous Apply calls interleave, exactly
+// MaxPending of them are admitted. (With the gate checked in one critical
+// section and the epoch bumped in the next, two callers could both pass the
+// check against the last free slot.) No solve loop runs, so nothing drains
+// the queue.
+func TestServiceAdmissionConcurrent(t *testing.T) {
+	const (
+		trials     = 2000
+		callers    = 32
+		maxPending = 4
+	)
+	cfg := serviceConfig(t)
+	cfg.Admission = &AdmissionConfig{MaxPending: maxPending}
+	u := driftUpdate()
+	for trial := 0; trial < trials; trial++ {
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var accepted atomic.Int32
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for i := 0; i < callers; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				_, err := s.Apply(u)
+				var overloaded *OverloadedError
+				switch {
+				case err == nil:
+					accepted.Add(1)
+				case !errors.As(err, &overloaded):
+					t.Errorf("trial %d: %v", trial, err)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		if got := accepted.Load(); got != maxPending {
+			t.Fatalf("trial %d: %d concurrent updates admitted %d, want exactly MaxPending = %d", trial, callers, got, maxPending)
+		}
 	}
 }

@@ -128,9 +128,8 @@ func (s *Service) leasePath() string {
 
 // Role reports this replica's current role.
 func (s *Service) Role() Role {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.role
+	v, _ := s.snapshot()
+	return v.Role
 }
 
 // RunHA is the HA replica's main loop, replacing the Bootstrap+Run pair of
@@ -247,9 +246,10 @@ func (s *Service) setRole(role Role, leaderAddr string, lease *checkpoint.Lease)
 	if lease != nil {
 		epoch, check = lease.Epoch(), lease.Check
 	}
-	s.mu.Lock()
-	s.role, s.leaderAddr, s.leaseEpoch, s.leaseCheck = role, leaderAddr, epoch, check
-	s.mu.Unlock()
+	s.locked(func(st *state) {
+		st.setRole(role, leaderAddr, epoch)
+		s.leaseCheck = check
+	})
 }
 
 func (s *Service) releaseLease(lease *checkpoint.Lease) {
@@ -327,8 +327,8 @@ func (s *Service) reloadState() error {
 	if err := s.adoptJournal(payload, 0); err != nil {
 		return err
 	}
-	if inc, epoch := s.Incumbent(); inc != nil {
-		s.logf("service: restored incumbent of epoch %d (desired epoch %d) from %s", inc.Epoch, epoch, s.cfg.StateDir)
+	if v, _ := s.snapshot(); v.Inc != nil {
+		s.logf("service: restored incumbent of epoch %d (desired epoch %d) from %s", v.Inc.Epoch, v.Epoch, s.cfg.StateDir)
 	}
 	return nil
 }
@@ -338,7 +338,7 @@ func (s *Service) reloadState() error {
 // The scenario reduction is derived state and is rebuilt deterministically
 // from the adopted full set.
 func (s *Service) adoptJournal(payload []byte, gen uint64) error {
-	ps, err := s.decodePersisted(payload)
+	ps, err := decodePersisted(s.cfg.Workload, payload)
 	if err != nil {
 		return err
 	}
@@ -348,25 +348,8 @@ func (s *Service) adoptJournal(payload []byte, gen uint64) error {
 			return err
 		}
 	}
-	s.mu.Lock()
-	s.scen, s.k, s.epoch = ps.Scenarios, ps.K, ps.Epoch
-	if ps.Incumbent != nil {
-		s.inc = &Incumbent{
-			Allocation: ps.Incumbent,
-			Epoch:      ps.IncumbentEpoch,
-			Outcome:    ps.Outcome,
-			W:          ps.W,
-			V:          ps.V,
-			Exact:      ps.Exact,
-		}
-	}
-	if red != nil {
-		s.installClustering(red, ps.Scenarios.S())
-	}
-	if gen > 0 {
-		s.tailGen, s.tailedAt = gen, time.Now()
-	}
-	s.mu.Unlock()
+	now := time.Now()
+	s.locked(func(st *state) { st.install(ps, red, gen, now) })
 	return nil
 }
 
@@ -376,13 +359,13 @@ func (s *Service) adoptJournal(payload []byte, gen uint64) error {
 // would fork the group's history even though the journal fence already
 // protects the disk.
 func (s *Service) publishGate() error {
-	s.mu.Lock()
-	role := s.role
-	leader := s.leaderAddr
-	check := s.leaseCheck
-	s.mu.Unlock()
-	if role == RoleFollower || role == RoleCandidate {
-		return &NotLeaderError{Leader: leader}
+	var (
+		err   error
+		check func() error
+	)
+	s.locked(func(st *state) { err, check = st.writeAuthority(), s.leaseCheck })
+	if err != nil {
+		return err
 	}
 	// setRole hands out the lease check exactly while leading; a single-node
 	// daemon has none and is always the write authority.

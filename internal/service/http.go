@@ -66,33 +66,27 @@ type allocationResponse struct {
 }
 
 func (s *Service) handleAllocation(w http.ResponseWriter, r *http.Request) {
-	inc, epoch := s.Incumbent()
-	if inc == nil {
+	v, _ := s.snapshot()
+	if v.Inc == nil {
 		http.Error(w, "no incumbent allocation yet", http.StatusServiceUnavailable)
 		return
 	}
-	st := s.Status()
-	resp := allocationResponse{
-		Epoch:          epoch,
-		IncumbentEpoch: inc.Epoch,
-		StaleUpdates:   epoch - inc.Epoch,
-		Outcome:        inc.Outcome,
-		W:              inc.W,
-		V:              inc.V,
-		Exact:          inc.Exact,
-		Role:           st.Role,
-		LeaderAddr:     st.LeaderAddr,
-		TailAge:        st.TailAge,
-		LastError:      st.LastError,
-		Allocation:     inc.Allocation,
-	}
-	if inc.V > 0 {
-		resp.ReplicationFactor = inc.W / inc.V
-	}
-	if !inc.AdoptedAt.IsZero() {
-		resp.Age = time.Since(inc.AdoptedAt)
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.writeJSON(w, http.StatusOK, allocationResponse{
+		Epoch:             v.Epoch,
+		IncumbentEpoch:    v.IncumbentEpoch,
+		StaleUpdates:      v.StaleUpdates,
+		Age:               v.Age,
+		Outcome:           v.Outcome,
+		W:                 v.W,
+		V:                 v.V,
+		ReplicationFactor: v.ReplicationFactor,
+		Exact:             v.Exact,
+		Role:              v.Role,
+		LeaderAddr:        v.LeaderAddr,
+		TailAge:           v.TailAge,
+		LastError:         v.LastError,
+		Allocation:        v.Inc.Allocation,
+	})
 }
 
 // updateResponse is the POST /v1/update body. Without ?wait=1 only Epoch is
@@ -143,18 +137,16 @@ func (s *Service) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusAccepted, updateResponse{Epoch: epoch})
 		return
 	}
-	adopted, err := s.WaitEpoch(r.Context(), epoch)
+	v, adopted, err := s.waitEpoch(r.Context(), epoch)
 	if err != nil {
 		// The update is accepted and journaled; only the wait was cut
 		// short by the client going away.
 		http.Error(w, "wait canceled: "+err.Error(), http.StatusRequestTimeout)
 		return
 	}
-	resp := updateResponse{Epoch: epoch, Adopted: adopted}
-	st := s.Status()
-	resp.Outcome = st.Outcome
-	resp.LastError = st.LastError
-	if d := s.Diff(); adopted && d != nil && d.ToEpoch >= epoch {
+	// The view that ended the wait answers the whole response.
+	resp := updateResponse{Epoch: epoch, Adopted: adopted, Outcome: v.Outcome, LastError: v.LastError}
+	if d := v.LastDiff; adopted && d != nil && d.ToEpoch >= epoch {
 		resp.Diff = d
 	}
 	s.writeJSON(w, http.StatusOK, resp)
@@ -199,18 +191,17 @@ type readyResponse struct {
 // restored) warm incumbent can answer reads; a candidate — a replica between
 // reigns — is never ready.
 func (s *Service) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	inc, _ := s.Incumbent()
-	st := s.Status()
+	v, _ := s.snapshot()
 	resp := readyResponse{
-		Role:           st.Role,
-		LeaderAddr:     st.LeaderAddr,
-		TailGeneration: st.TailGeneration,
-		TailAge:        st.TailAge,
+		Role:           v.Role,
+		LeaderAddr:     v.LeaderAddr,
+		TailGeneration: v.TailGeneration,
+		TailAge:        v.TailAge,
 	}
 	switch {
-	case st.Role == RoleCandidate:
+	case v.Role == RoleCandidate:
 		resp.Reason = "between reigns: electing or awaiting a leader"
-	case inc == nil:
+	case v.Inc == nil:
 		resp.Reason = "no incumbent allocation yet"
 	default:
 		resp.Ready = true

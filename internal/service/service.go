@@ -22,10 +22,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
@@ -35,20 +33,6 @@ import (
 	"fragalloc/internal/mip"
 	"fragalloc/internal/model"
 	"fragalloc/internal/scenario"
-)
-
-// Named kill points of the service loop, planted for the crash-restart suite
-// via faultinject.Plan.KillAt (the solver's own kill points are
-// KillAtCheckpoint on the per-epoch solve journal).
-const (
-	// KillPointIngest fires after an ingested update is journaled but
-	// before the re-optimization loop is woken: the update must survive the
-	// crash and be solved after restart.
-	KillPointIngest = "service.ingest"
-	// KillPointPublish fires between journaling an adopted incumbent and
-	// publishing its diff: the restarted daemon must serve the new
-	// incumbent immediately.
-	KillPointPublish = "service.publish"
 )
 
 // Config parameterizes a Service. Workload and K are required; everything
@@ -120,28 +104,9 @@ type Config struct {
 	Fault *faultinject.Injector
 }
 
-// Incumbent is the allocation the daemon currently serves, with the
-// provenance needed to judge it: which epoch it solved, how (the PR 3
-// Optimal/Feasible/Degraded ladder, collapsed to the worst outcome), and how
-// hard the solve worked.
-type Incumbent struct {
-	Allocation *model.Allocation `json:"allocation"`
-	// Epoch is the update epoch this allocation was solved against. The
-	// service's current epoch minus this is the staleness in updates.
-	Epoch   uint64 `json:"epoch"`
-	Outcome string `json:"outcome"`
-	W       float64
-	V       float64
-	Exact   bool
-	LPIters int
-	// SolveTime is the wall clock of the adopting solve; AdoptedAt is when
-	// it was published.
-	SolveTime time.Duration `json:"solve_time"`
-	AdoptedAt time.Time     `json:"adopted_at"`
-}
-
-// Service is the daemon core. Create with New, seed with Bootstrap, then run
-// the re-optimization loop with Run while serving reads/updates concurrently.
+// Service is the daemon core: the I/O shell around the state machine in
+// state.go. Create with New, seed with Bootstrap, then run the
+// re-optimization loop with Run while serving reads/updates concurrently.
 type Service struct {
 	cfg  Config
 	st   *checkpoint.Store // state journal; nil when memory-only
@@ -152,56 +117,30 @@ type Service struct {
 	// persistMu before mu, never inverted.
 	persistMu sync.Mutex
 
-	mu           sync.Mutex
-	scen         *model.ScenarioSet  // desired scenario set (current epoch)
-	k            int                 // desired node count
-	epoch        uint64              // bumps on every accepted update
-	inc          *Incumbent          // last good incumbent; nil before bootstrap
-	red          *scenario.Reduction // derived reduced set; nil unless cfg.ReduceTo > 0
-	redDirty     bool                // accumulated drift warrants a re-clustering
-	drifted      float64             // weight folded or drifted since the last clustering
-	redBaseS     int                 // full-set size the live clustering was built from
-	reclusters   int                 // re-clusterings since boot (the boot build excluded)
-	lastDiff     *Diff               // migration plan of the latest adoption
-	lastErr      string              // why the latest attempt was rejected
-	attemptEpoch uint64              // highest epoch a finished attempt targeted
-	attemptDone  chan struct{}       // closed when an attempt finishes; then swapped
-	fails        int                 // consecutive failed attempts
-	attempts     int                 // total attempts
-	adoptions    int                 // total adoptions
-	rng          *rand.Rand          // seeded backoff jitter (guarded by mu)
-
-	// High-availability state (DESIGN.md §3.13); role is RoleSingle and the
-	// rest zero unless Config.HA is set.
-	role       Role
-	leaderAddr string       // known leader's advertised address
-	leaseEpoch uint64       // fencing epoch while leading
-	leaseCheck func() error // lease fence while leading; also on the store
-	tailGen    uint64       // follower: newest journal generation adopted
-	tailedAt   time.Time    // follower: when tailGen was adopted
-
-	// Admission gates (nil/0 = unbounded).
-	bucket     *tokenBucket
-	maxPending int
+	// mu guards state and the two fields below it; locked is the only place
+	// that takes it.
+	mu          sync.Mutex
+	state       state
+	attemptDone chan struct{} // closed when an attempt finishes; then swapped
+	leaseCheck  func() error  // lease fence while leading; also on the store
 }
 
-// persistedState is the state journal's payload: everything the daemon needs
-// to boot back into its last served state. The workload digest binds the
-// journal to its workload, mirroring the solver journal's runKey binding.
-// Scenarios is always the FULL desired set — the scenario reduction is
-// derived state and deliberately not journaled; New re-clusters
-// deterministically from the full set at boot.
-type persistedState struct {
-	WorkloadDigest uint64             `json:"workload_digest"`
-	Epoch          uint64             `json:"epoch"`
-	K              int                `json:"k"`
-	Scenarios      *model.ScenarioSet `json:"scenarios"`
-	Incumbent      *model.Allocation  `json:"incumbent,omitempty"`
-	IncumbentEpoch uint64             `json:"incumbent_epoch"`
-	Outcome        string             `json:"outcome,omitempty"`
-	W              float64            `json:"w"`
-	V              float64            `json:"v"`
-	Exact          bool               `json:"exact"`
+// locked runs f on the state with s.mu held. f is a transition or a read of
+// state.go plus, at most, a touch of attemptDone or leaseCheck: it must not
+// block, log or do I/O — whatever the transition obliges comes back as
+// effects, which perform carries out after the lock is released.
+func (s *Service) locked(f func(st *state)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f(&s.state)
+}
+
+// snapshot is the one read of the state: its view at this instant, and the
+// channel that closes when the next attempt finishes.
+func (s *Service) snapshot() (v view, done <-chan struct{}) {
+	now := time.Now()
+	s.locked(func(st *state) { v, done = st.view(now), s.attemptDone })
+	return v, done
 }
 
 // New validates the config and restores the daemon's state from the journal
@@ -259,23 +198,12 @@ func New(cfg Config) (*Service, error) {
 	if err := scen.Validate(cfg.Workload); err != nil {
 		return nil, fmt.Errorf("service: scenarios: %w", err)
 	}
+	scen = scen.Clone()
 	s := &Service{
 		cfg:         cfg,
 		wake:        make(chan struct{}, 1),
-		scen:        scen.Clone(),
-		k:           cfg.K,
-		rng:         rand.New(rand.NewSource(seed)),
-		role:        RoleSingle,
+		state:       newState(cfg, scen, seed, time.Now()),
 		attemptDone: make(chan struct{}),
-	}
-	if cfg.HA != nil {
-		s.role = RoleCandidate
-	}
-	if cfg.Admission != nil {
-		s.maxPending = cfg.Admission.MaxPending
-		if cfg.Admission.Rate > 0 {
-			s.bucket = newTokenBucket(cfg.Admission.Rate, cfg.Admission.Burst, nil)
-		}
 	}
 	if cfg.StateDir != "" {
 		st, err := checkpoint.Open(filepath.Join(cfg.StateDir, "state"))
@@ -287,24 +215,25 @@ func New(cfg Config) (*Service, error) {
 			return nil, err
 		}
 	}
-	if cfg.ReduceTo > 0 && s.red == nil {
+	if v, _ := s.snapshot(); cfg.ReduceTo > 0 && v.ReducedScenarios == 0 {
 		// The reduction is derived state: it is built from the full set —
-		// here when the journal supplied none, by adoptJournal when it did,
-		// and after every re-clustering — rather than journaled. The seeded
-		// k-medoids init makes the rebuild deterministic; folds and radius
-		// widenings since the last clustering are lost in a crash, but the
-		// from-scratch rebuild is at least as tight.
-		red, err := s.cluster(s.scen)
+		// here when the journal supplied no frame (so scen is still the
+		// desired set), by adoptJournal when it did, and after every
+		// re-clustering — rather than journaled. The seeded k-medoids init
+		// makes the rebuild deterministic; folds and radius widenings since
+		// the last clustering are lost in a crash, but the from-scratch
+		// rebuild is at least as tight.
+		red, err := s.cluster(scen)
 		if err != nil {
 			return nil, err
 		}
-		s.installClustering(red, s.scen.S())
+		s.locked(func(st *state) { st.setClustering(red, scen.S()) })
 	}
 	return s, nil
 }
 
 // cluster reduces scen by the daemon's fixed clustering recipe; using it for
-// the boot build, every adopted journal and every re-clustering keeps
+// the boot build, every installed journal frame and every re-clustering keeps
 // reductions reproducible.
 func (s *Service) cluster(scen *model.ScenarioSet) (*scenario.Reduction, error) {
 	red, err := scenario.Reduce(s.cfg.Workload, scen, scenario.ReduceConfig{R: s.cfg.ReduceTo, Seed: s.cfg.ReduceSeed})
@@ -314,68 +243,68 @@ func (s *Service) cluster(scen *model.ScenarioSet) (*scenario.Reduction, error) 
 	return red, nil
 }
 
-// installClustering makes red, built from a full set of baseS scenarios, the
-// live clustering and restarts the drift accounting. Caller holds s.mu, or is
-// New before s is shared.
-func (s *Service) installClustering(red *scenario.Reduction, baseS int) {
-	s.red, s.redDirty, s.drifted, s.redBaseS = red, false, 0, baseS
-}
-
-// decodePersisted decodes and fully validates one state-journal payload
-// against this daemon's workload. It is the trust boundary of adoptJournal,
-// through which boot, follower tailing and promotion all install a journal,
-// so a corrupt or foreign generation is rejected identically everywhere.
-func (s *Service) decodePersisted(payload []byte) (*persistedState, error) {
-	var ps persistedState
-	if err := json.Unmarshal(payload, &ps); err != nil {
-		return nil, fmt.Errorf("service: state journal: %w", err)
-	}
-	if got, want := ps.WorkloadDigest, s.cfg.Workload.Digest(); got != want {
-		return nil, fmt.Errorf("service: state journal was written for workload digest %016x, this daemon runs %016x", got, want)
-	}
-	if ps.K < 1 || ps.Scenarios == nil {
-		return nil, fmt.Errorf("service: state journal is incomplete (k=%d)", ps.K)
-	}
-	if err := ps.Scenarios.Validate(s.cfg.Workload); err != nil {
-		return nil, fmt.Errorf("service: state journal scenarios: %w", err)
-	}
-	if ps.Incumbent != nil {
-		if err := ps.Incumbent.Validate(s.cfg.Workload); err != nil {
-			return nil, fmt.Errorf("service: state journal incumbent: %w", err)
-		}
-	}
-	return &ps, nil
-}
-
 // persist journals the daemon's current desired state and incumbent. It
-// always snapshots the latest state under mu, so even when adoptions and
-// ingests race, every written generation is internally consistent and the
-// journal is monotone.
+// always snapshots the latest state, so even when adoptions and ingests
+// race, every written generation is internally consistent and the journal is
+// monotone.
 func (s *Service) persist() error {
 	if s.st == nil {
 		return nil
 	}
 	s.persistMu.Lock()
 	defer s.persistMu.Unlock()
-	s.mu.Lock()
-	ps := persistedState{
-		WorkloadDigest: s.cfg.Workload.Digest(),
-		Epoch:          s.epoch,
-		K:              s.k,
-		Scenarios:      s.scen,
-	}
-	if s.inc != nil {
-		ps.Incumbent = s.inc.Allocation
-		ps.IncumbentEpoch = s.inc.Epoch
-		ps.Outcome = s.inc.Outcome
-		ps.W, ps.V, ps.Exact = s.inc.W, s.inc.V, s.inc.Exact
-	}
-	s.mu.Unlock()
+	var ps persistedState
+	s.locked(func(st *state) { ps = st.persisted() })
 	payload, err := json.Marshal(&ps)
 	if err != nil {
 		return err
 	}
 	return s.st.SaveRaw(payload)
+}
+
+// perform carries out a transition's effects, in order, with no lock held.
+// It stops at, and returns, the one failure that forbids the rest of a list:
+// an acknowledging journal write the lease fence refused. Then this replica
+// was deposed between renewals, the state it meant to journal is in no
+// journal and dies with this reign, and nothing after the write may happen.
+// Any other journal failure leaves this replica the write authority, and the
+// next successful save carries the state.
+func (s *Service) perform(effs []effect) error {
+	for _, e := range effs {
+		switch e.op {
+		case effJournal:
+			if err := s.persist(); err != nil {
+				s.logf("service: warning: journaling %s failed: %v", e.text, err)
+				if e.ack && errors.Is(err, checkpoint.ErrLeaseLost) {
+					return &NotLeaderError{}
+				}
+			}
+		case effKill:
+			s.cfg.Fault.At(e.text)
+		case effWake:
+			// A pending wake already covers this one (coalescing).
+			select {
+			case s.wake <- struct{}{}:
+			default:
+			}
+		case effRelease:
+			// Swapped under the lock, closed outside it: waiters never
+			// receive a close while s.mu is held.
+			var done chan struct{}
+			s.locked(func(*state) { done, s.attemptDone = s.attemptDone, make(chan struct{}) })
+			close(done)
+		case effRetire:
+			if s.cfg.StateDir == "" {
+				break
+			}
+			if err := os.RemoveAll(filepath.Join(s.cfg.StateDir, "solve")); err != nil {
+				s.logf("service: warning: could not retire solve journals: %v", err)
+			}
+		case effLog:
+			s.logf(e.text, e.args...)
+		}
+	}
+	return nil
 }
 
 // Bootstrap computes and adopts the first incumbent if the journal did not
@@ -395,12 +324,7 @@ func (s *Service) Bootstrap(ctx context.Context) error {
 // itself.
 func (s *Service) Run(ctx context.Context) {
 	for {
-		s.mu.Lock()
-		pending := s.inc == nil || s.epoch > s.inc.Epoch
-		fails := s.fails
-		s.mu.Unlock()
-
-		if !pending {
+		if v, _ := s.snapshot(); v.Inc != nil && v.Epoch <= v.Inc.Epoch {
 			select {
 			case <-ctx.Done():
 				return
@@ -412,16 +336,11 @@ func (s *Service) Run(ctx context.Context) {
 			if ctx.Err() != nil {
 				return
 			}
-			// Exponential backoff with the pre-attempt failure count + 1:
-			// 1×, 2×, 4×, ... of BackoffBase, clamped to BackoffMax. The
-			// wake channel is deliberately not selected here — a burst of
-			// updates must not defeat the backoff; the pending check above
-			// picks them up after the sleep.
-			d := s.cfg.BackoffBase << min(fails, 20)
-			if d > s.cfg.BackoffMax || d <= 0 {
-				d = s.cfg.BackoffMax
-			}
-			d = s.jitter(d)
+			// The wake channel is deliberately not selected here — a burst
+			// of updates must not defeat the backoff; the staleness check
+			// above picks them up after the sleep.
+			var d time.Duration
+			s.locked(func(st *state) { d = st.retryDelay() })
 			s.logf("service: re-optimization failed (%v); retrying in %v", err, d)
 			t := time.NewTimer(d)
 			select {
@@ -437,30 +356,18 @@ func (s *Service) Run(ctx context.Context) {
 	}
 }
 
-// jitter scales a backoff delay by a seeded ±25% factor, keeping the clamp:
-// replicas retrying the same failure de-synchronize (each node derives its
-// own seed from its ID) while any single node's delays stay reproducible.
-func (s *Service) jitter(d time.Duration) time.Duration {
-	s.mu.Lock()
-	f := 0.75 + 0.5*s.rng.Float64()
-	s.mu.Unlock()
-	j := time.Duration(float64(d) * f)
-	if j > s.cfg.BackoffMax {
-		j = s.cfg.BackoffMax
-	}
-	if j <= 0 {
-		j = d
-	}
-	return j
-}
-
 // reoptimize runs one solve attempt against the latest desired state and
 // adopts the result if it is good enough; a rejected attempt is recorded
 // here, whichever step rejected it.
 func (s *Service) reoptimize(ctx context.Context, boot bool) error {
 	epoch, err := s.attempt(ctx, boot)
-	if err != nil {
-		s.finishAttempt(epoch, false, nil, err)
+	if err == nil {
+		return nil
+	}
+	var effs []effect
+	s.locked(func(st *state) { effs = st.reject(epoch, err) })
+	if perr := s.perform(effs); perr != nil {
+		return perr
 	}
 	return err
 }
@@ -471,52 +378,23 @@ func (s *Service) reoptimize(ctx context.Context, boot bool) error {
 // replaced, never partially mutated, so readers always see a complete
 // allocation.
 func (s *Service) attempt(ctx context.Context, boot bool) (uint64, error) {
-	s.mu.Lock()
-	epoch := s.epoch
-	k := s.k
-	scen := s.scen
-	solveSet := scen
-	rebuild := false
-	if s.cfg.ReduceTo > 0 {
-		if s.redDirty || s.red == nil {
-			rebuild = true
-		} else {
-			// Clone under mu: Apply folds observations into s.red.Reduced
-			// concurrently, and the solver must see a frozen set.
-			solveSet = s.red.Reduced.Clone()
-		}
-	}
-	var warm *model.Allocation
-	var fromEpoch uint64
-	if s.inc != nil {
-		warm = s.inc.Allocation
-		fromEpoch = s.inc.Epoch
-	}
-	s.attempts++
-	s.mu.Unlock()
+	var p attemptPlan
+	s.locked(func(st *state) { p = st.beginAttempt() })
 
-	if rebuild {
-		// Re-cluster outside the lock — the snapshot pointer is immutable
-		// (applyUpdate always clones), so the O(S·R·Q) k-medoids run cannot
-		// race ingests or block Status readers. Adopt the result only if no
-		// update landed meanwhile; otherwise it still serves this solve and
-		// the dirty flag sends the next attempt back here.
-		red, err := s.cluster(scen)
+	if p.SolveSet == nil {
+		// Re-cluster outside the lock — the snapshot is immutable, so the
+		// O(S·R·Q) k-medoids run cannot race ingests or block readers.
+		red, err := s.cluster(p.Scen)
 		if err != nil {
-			return epoch, err
+			return p.Epoch, err
 		}
-		solveSet = red.Reduced.Clone()
-		// Read what the log line needs before publishing red: once it is
-		// s.red, an ingest may fold into it (and widen Radius) at any time.
+		p.SolveSet = red.Reduced.Clone()
+		// Read what the log line needs before handing red over: once it is
+		// installed, an ingest may fold into it (and widen Radius) at any time.
 		reps, bound := red.R(), red.MaxRadius()
-		s.mu.Lock()
-		if s.scen == scen {
-			s.installClustering(red, scen.S())
-			s.reclusters++
-		}
-		s.mu.Unlock()
+		s.locked(func(st *state) { st.recluster(red, p.Scen) })
 		s.logf("service: re-clustered %d scenarios into %d representatives (max deviation bound %.4f)",
-			scen.S(), reps, bound)
+			p.Scen.S(), reps, bound)
 	}
 
 	sctx := ctx
@@ -526,9 +404,9 @@ func (s *Service) attempt(ctx context.Context, boot bool) (uint64, error) {
 		defer cancel()
 	}
 
-	rec, cleanup, err := s.solveRecorder(epoch)
+	rec, err := s.solveRecorder(p.Epoch)
 	if err != nil {
-		return epoch, err
+		return p.Epoch, err
 	}
 
 	opt := core.Options{
@@ -537,22 +415,22 @@ func (s *Service) attempt(ctx context.Context, boot bool) (uint64, error) {
 		Parallelism:  s.cfg.Parallelism,
 		MIP:          s.cfg.MIP,
 		Canceled:     func() bool { return sctx.Err() != nil },
-		Warm:         warm,
+		Warm:         p.Warm,
 		Checkpoint:   rec,
 		Logf:         s.cfg.Logf,
 	}
 	start := time.Now()
-	res, err := core.Allocate(s.cfg.Workload, solveSet, k, opt)
+	res, err := core.Allocate(s.cfg.Workload, p.SolveSet, p.K, opt)
 	switch {
 	case err != nil:
-		return epoch, err
+		return p.Epoch, err
 	case res.Canceled:
-		return epoch, fmt.Errorf("service: solve for epoch %d timed out or was canceled", epoch)
+		return p.Epoch, fmt.Errorf("service: solve for epoch %d timed out or was canceled", p.Epoch)
 	case !boot && res.Outcomes.Degraded > 0:
 		// Steady state: a degraded allocation never displaces a good
 		// incumbent. Bootstrap is the exception — see Bootstrap.
-		return epoch, fmt.Errorf("service: solve for epoch %d degraded %d subproblem(s); keeping the incumbent",
-			epoch, res.Outcomes.Degraded)
+		return p.Epoch, fmt.Errorf("service: solve for epoch %d degraded %d subproblem(s); keeping the incumbent",
+			p.Epoch, res.Outcomes.Degraded)
 	}
 
 	outcome := "optimal"
@@ -562,87 +440,47 @@ func (s *Service) attempt(ctx context.Context, boot bool) (uint64, error) {
 		outcome = "feasible"
 	}
 	var diff *Diff
-	if warm != nil {
-		diff, err = ComputeDiff(s.cfg.Workload, warm, res.Allocation, fromEpoch, epoch)
+	if p.Warm != nil {
+		diff, err = ComputeDiff(s.cfg.Workload, p.Warm, res.Allocation, p.FromEpoch, p.Epoch)
 		if err != nil {
-			return epoch, err
+			return p.Epoch, err
 		}
 	}
+	now := time.Now()
 	inc := &Incumbent{
 		Allocation: res.Allocation,
-		Epoch:      epoch,
+		Epoch:      p.Epoch,
 		Outcome:    outcome,
 		W:          res.W,
 		V:          res.V,
 		Exact:      res.Exact,
 		LPIters:    res.LPIters,
 		SolveTime:  res.SolveTime,
-		AdoptedAt:  time.Now(),
+		AdoptedAt:  now,
 	}
 
 	// A replica may only publish while it is the write authority: the
 	// leader re-verifies its lease here, so a deposition mid-solve rejects
 	// the result instead of forking the group's served history.
 	if err := s.publishGate(); err != nil {
-		return epoch, err
+		return p.Epoch, err
 	}
-
-	// Adoption order is the crash contract: (1) publish the incumbent in
-	// memory, (2) journal it, (3) hit the publish kill point, (4) publish
-	// the diff and release waiters. A crash between (2) and (4) restarts
-	// into the new incumbent with the diff lost — the diff is derivable,
-	// the incumbent is not.
-	s.mu.Lock()
-	s.inc = inc
-	s.adoptions++
-	s.mu.Unlock()
-	if err := s.persist(); err != nil {
-		s.logf("service: warning: journaling the adopted incumbent failed: %v", err)
-	}
-	s.cfg.Fault.At(KillPointPublish)
-	s.finishAttempt(epoch, true, diff, nil)
-	cleanup()
-	s.logf("service: adopted epoch %d (%s, W/V=%.4f, %v, warm=%v)",
-		epoch, outcome, res.ReplicationFactor, time.Since(start).Round(time.Millisecond), warm != nil)
-	return epoch, nil
-}
-
-// finishAttempt records an attempt's outcome and releases WaitEpoch waiters.
-// The done channel is closed outside the lock (and swapped for a fresh one
-// under it), so waiters never receive a close while s.mu is held.
-func (s *Service) finishAttempt(epoch uint64, adopted bool, diff *Diff, err error) {
-	s.mu.Lock()
-	if epoch > s.attemptEpoch {
-		s.attemptEpoch = epoch
-	}
-	if adopted {
-		s.fails = 0
-		s.lastErr = ""
-		if diff != nil {
-			s.lastDiff = diff
-		}
-	} else {
-		s.fails++
-		s.lastErr = err.Error()
-	}
-	done := s.attemptDone
-	s.attemptDone = make(chan struct{})
-	s.mu.Unlock()
-	close(done)
+	var effs []effect
+	s.locked(func(st *state) { effs = st.adopt(inc, diff, now.Sub(start)) })
+	return p.Epoch, s.perform(effs)
 }
 
 // solveRecorder opens the durable journal for the solve of the given epoch,
 // resuming a previous attempt's progress if the daemon crashed mid-solve.
-// The cleanup retires the journal after adoption. Memory-only daemons get no
-// recorder.
-func (s *Service) solveRecorder(epoch uint64) (*checkpoint.Recorder, func(), error) {
+// Memory-only daemons get no recorder.
+func (s *Service) solveRecorder(epoch uint64) (*checkpoint.Recorder, error) {
 	if s.cfg.StateDir == "" {
-		return nil, func() {}, nil
+		return nil, nil
 	}
 	dir := filepath.Join(s.cfg.StateDir, "solve", fmt.Sprintf("ep-%d", epoch))
 	st, err := checkpoint.Open(dir)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if s.cfg.Fault != nil {
 		st.SetFault(s.cfg.Fault)
@@ -650,9 +488,8 @@ func (s *Service) solveRecorder(epoch uint64) (*checkpoint.Recorder, func(), err
 	// The solve journal is fenced like the state journal: a deposed
 	// leader's in-flight solve must not keep writing under a directory the
 	// successor now owns.
-	s.mu.Lock()
-	check := s.leaseCheck
-	s.mu.Unlock()
+	var check func() error
+	s.locked(func(*state) { check = s.leaseCheck })
 	st.SetFence(check)
 	rec, err := st.Recorder(true, s.cfg.CheckpointEvery)
 	if err != nil {
@@ -663,12 +500,7 @@ func (s *Service) solveRecorder(epoch uint64) (*checkpoint.Recorder, func(), err
 	if rec.Resumed() {
 		s.logf("service: resuming interrupted solve of epoch %d from its journal", epoch)
 	}
-	cleanup := func() {
-		if err := os.RemoveAll(filepath.Join(s.cfg.StateDir, "solve")); err != nil {
-			s.logf("service: warning: could not retire solve journals: %v", err)
-		}
-	}
-	return rec, cleanup, nil
+	return rec, nil
 }
 
 // Apply ingests one drift update: validate against the current desired
@@ -679,82 +511,38 @@ func (s *Service) solveRecorder(epoch uint64) (*checkpoint.Recorder, func(), err
 // lost — rejects with NotLeaderError, and the admission gates reject with
 // OverloadedError before any validation work.
 func (s *Service) Apply(u Update) (uint64, error) {
-	if err := s.admit(); err != nil {
-		return 0, err
+	var (
+		epoch uint64
+		effs  []effect
+		err   error
+	)
+	now := time.Now()
+	s.locked(func(st *state) { epoch, effs, err = st.ingest(u, now) })
+	if err == nil {
+		err = s.perform(effs)
 	}
-	s.mu.Lock()
-	scen, k, err := applyUpdate(s.cfg.Workload, s.scen, s.k, u)
 	if err != nil {
-		s.mu.Unlock()
 		return 0, err
 	}
-	// A fixed decomposition spec covers exactly Chunks.Leaves nodes, so a
-	// resize away from it could never solve — reject at ingest rather than
-	// letting the loop retry an unsolvable epoch forever.
-	if k != s.k && s.cfg.Chunks != nil && s.cfg.Chunks.Leaves != k {
-		s.mu.Unlock()
-		return 0, fmt.Errorf("service: set_k %d conflicts with the fixed chunk spec %q (%d nodes)", k, s.cfg.Chunks, s.cfg.Chunks.Leaves)
-	}
-	oldS := s.scen.S()
-	s.scen, s.k = scen, k
-	s.epoch++
-	epoch := s.epoch
-	if s.red != nil {
-		s.absorbLocked(u, oldS, scen)
-	}
-	s.mu.Unlock()
-
-	if err := s.persist(); err != nil {
-		s.logf("service: warning: journaling epoch %d failed: %v", epoch, err)
-		if errors.Is(err, checkpoint.ErrLeaseLost) {
-			// Deposed between renewals: the update is in no journal and dies
-			// with this reign, so it must not be acknowledged. Any other
-			// journal failure leaves this replica the write authority, and the
-			// next successful save carries the update.
-			return 0, &NotLeaderError{}
-		}
-	}
-	s.cfg.Fault.At(KillPointIngest)
-	s.kick()
 	return epoch, nil
 }
 
-// absorbLocked folds an accepted update into the derived reduction instead
-// of re-clustering: newly observed scenarios join their nearest cluster with
-// weight 1, and scenarios moved by frequency deltas re-register their
-// coverage and deviation with weight 0 (they are already counted). Either
-// way the cluster radius widens as needed, so the deviation bound stays
-// honest between re-clusterings. Both kinds advance the drift total; once it
-// exceeds ReclusterThreshold × the size the clustering was built from, the
-// next re-optimization rebuilds from scratch. Caller holds s.mu.
-func (s *Service) absorbLocked(u Update, oldS int, scen *model.ScenarioSet) {
-	seen := make(map[int]bool)
-	var touched []int
-	for _, d := range u.FreqDeltas {
-		if d.Scenario < oldS && !seen[d.Scenario] {
-			seen[d.Scenario] = true
-			touched = append(touched, d.Scenario)
+// waitEpoch is WaitEpoch plus the view that settled it, so a caller can
+// answer from the same reading of the state that ended its wait.
+func (s *Service) waitEpoch(ctx context.Context, epoch uint64) (view, bool, error) {
+	for {
+		v, done := s.snapshot()
+		if v.Inc != nil && v.Inc.Epoch >= epoch {
+			return v, true, nil
 		}
-	}
-	sort.Ints(touched)
-	for _, idx := range touched {
-		s.red.Absorb(scen.Frequencies[idx], 0)
-		s.drifted++
-	}
-	for i := oldS; i < scen.S(); i++ {
-		s.red.Absorb(scen.Frequencies[i], 1)
-		s.drifted++
-	}
-	if s.drifted > s.cfg.ReclusterThreshold*float64(s.redBaseS) {
-		s.redDirty = true
-	}
-}
-
-// kick wakes the Run loop; a pending wake already covers us (coalescing).
-func (s *Service) kick() {
-	select {
-	case s.wake <- struct{}{}:
-	default:
+		if v.AttemptEpoch >= epoch {
+			return v, false, nil
+		}
+		select {
+		case <-ctx.Done():
+			return v, false, ctx.Err()
+		case <-done:
+		}
 	}
 }
 
@@ -763,140 +551,35 @@ func (s *Service) kick() {
 // without adoption (failed, timed out, or degraded — the incumbent is stale
 // but still serving).
 func (s *Service) WaitEpoch(ctx context.Context, epoch uint64) (bool, error) {
-	for {
-		s.mu.Lock()
-		if s.inc != nil && s.inc.Epoch >= epoch {
-			s.mu.Unlock()
-			return true, nil
-		}
-		if s.attemptEpoch >= epoch {
-			s.mu.Unlock()
-			return false, nil
-		}
-		done := s.attemptDone
-		s.mu.Unlock()
-		select {
-		case <-ctx.Done():
-			return false, ctx.Err()
-		case <-done:
-		}
-	}
+	_, adopted, err := s.waitEpoch(ctx, epoch)
+	return adopted, err
 }
 
 // Incumbent returns the currently served incumbent (nil before bootstrap)
 // and the current desired epoch. The staleness in updates is
 // epoch − inc.Epoch.
 func (s *Service) Incumbent() (*Incumbent, uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.inc, s.epoch
+	v, _ := s.snapshot()
+	return v.Inc, v.Epoch
 }
 
 // Diff returns the migration plan of the latest adoption, or nil if the
 // daemon has not re-optimized since boot.
 func (s *Service) Diff() *Diff {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastDiff
+	v, _ := s.snapshot()
+	return v.LastDiff
 }
 
 // Epoch returns the current desired epoch.
 func (s *Service) Epoch() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.epoch
-}
-
-// Status is the daemon's self-description, served on /v1/status.
-type Status struct {
-	// Epoch is the desired state's epoch, IncumbentEpoch the epoch the
-	// served allocation solved; StaleUpdates is their difference.
-	Epoch          uint64 `json:"epoch"`
-	IncumbentEpoch uint64 `json:"incumbent_epoch"`
-	StaleUpdates   uint64 `json:"stale_updates"`
-	// Outcome is the incumbent solve's worst subproblem outcome:
-	// optimal, feasible, or degraded ("" before bootstrap).
-	Outcome   string    `json:"outcome,omitempty"`
-	AdoptedAt time.Time `json:"adopted_at"`
-
-	W                 float64 `json:"w"`
-	V                 float64 `json:"v"`
-	ReplicationFactor float64 `json:"replication_factor"`
-	Exact             bool    `json:"exact"`
-	LPIters           int     `json:"lp_iters"`
-
-	K         int `json:"k"`
-	Scenarios int `json:"scenarios"`
-
-	// Scenario reduction (all zero unless the daemon clusters its set,
-	// DESIGN.md §3.12): how many weighted representatives the solves see,
-	// the certified worst-case deviation of any member scenario from its
-	// representative, the drift folded in since the last clustering, and how
-	// often the threshold forced a rebuild.
-	ReducedScenarios    int     `json:"reduced_scenarios,omitempty"`
-	MaxDeviationBound   float64 `json:"max_deviation_bound,omitempty"`
-	DriftSinceRecluster float64 `json:"drift_since_recluster,omitempty"`
-	Reclusterings       int     `json:"reclusterings,omitempty"`
-
-	// LastError is why the latest attempt was rejected ("" when the
-	// incumbent is current); ConsecutiveFailures drives the backoff.
-	LastError           string `json:"last_error,omitempty"`
-	ConsecutiveFailures int    `json:"consecutive_failures"`
-	Attempts            int    `json:"attempts"`
-	Adoptions           int    `json:"adoptions"`
-
-	// High availability (DESIGN.md §3.13). Role is "single" outside HA;
-	// LeaseEpoch is the fencing epoch while leading. Followers report the
-	// journal generation they last tailed and how long ago, plus the leader
-	// they redirect writes to.
-	Role           Role          `json:"role"`
-	LeaderAddr     string        `json:"leader_addr,omitempty"`
-	LeaseEpoch     uint64        `json:"lease_epoch,omitempty"`
-	TailGeneration uint64        `json:"tail_generation,omitempty"`
-	TailAge        time.Duration `json:"tail_age_ns,omitempty"`
+	v, _ := s.snapshot()
+	return v.Epoch
 }
 
 // Status snapshots the daemon's state.
 func (s *Service) Status() Status {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := Status{
-		Epoch:               s.epoch,
-		K:                   s.k,
-		Scenarios:           s.scen.S(),
-		LastError:           s.lastErr,
-		ConsecutiveFailures: s.fails,
-		Attempts:            s.attempts,
-		Adoptions:           s.adoptions,
-		Role:                s.role,
-		LeaseEpoch:          s.leaseEpoch,
-		TailGeneration:      s.tailGen,
-	}
-	if s.role != RoleLeader {
-		st.LeaderAddr = s.leaderAddr
-	}
-	if !s.tailedAt.IsZero() {
-		st.TailAge = time.Since(s.tailedAt)
-	}
-	if s.red != nil {
-		st.ReducedScenarios = s.red.R()
-		st.MaxDeviationBound = s.red.MaxRadius()
-		st.DriftSinceRecluster = s.drifted
-		st.Reclusterings = s.reclusters
-	}
-	if s.inc != nil {
-		st.IncumbentEpoch = s.inc.Epoch
-		st.StaleUpdates = s.epoch - s.inc.Epoch
-		st.Outcome = s.inc.Outcome
-		st.AdoptedAt = s.inc.AdoptedAt
-		st.W, st.V = s.inc.W, s.inc.V
-		if s.inc.V > 0 {
-			st.ReplicationFactor = s.inc.W / s.inc.V
-		}
-		st.Exact = s.inc.Exact
-		st.LPIters = s.inc.LPIters
-	}
-	return st
+	v, _ := s.snapshot()
+	return v.Status
 }
 
 func (s *Service) logf(format string, args ...any) {

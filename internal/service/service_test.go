@@ -552,26 +552,32 @@ func TestServiceJournalInstallPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	installed := func(s *Service) (Status, *Incumbent, *scenario.Reduction) {
-		st := s.Status()
-		st.TailGeneration, st.TailAge = 0, 0
-		inc, _ := s.Incumbent()
-		return st, inc, s.red
+	// Everything the state can be asked: its view, the frame it would
+	// journal, and what its next attempt would solve (the reduced set).
+	installed := func(s *Service) (view, persistedState, attemptPlan) {
+		var (
+			v  view
+			ps persistedState
+			p  attemptPlan
+		)
+		s.locked(func(st *state) { v, ps, p = st.view(time.Time{}), st.persisted(), st.beginAttempt() })
+		v.TailGeneration, v.TailAge = 0, 0
+		return v, ps, p
 	}
-	wantSt, wantInc, wantRed := installed(boot)
-	if wantSt.Epoch != 5 || wantSt.IncumbentEpoch != 4 || wantSt.Scenarios != 9 || wantSt.ReducedScenarios != 4 {
-		t.Fatalf("boot did not install the journal: %+v", wantSt)
+	wantView, wantFrame, wantPlan := installed(boot)
+	if wantView.Epoch != 5 || wantView.IncumbentEpoch != 4 || wantView.Scenarios != 9 || wantView.ReducedScenarios != 4 {
+		t.Fatalf("boot did not install the journal: %+v", wantView.Status)
 	}
 	for name, s := range map[string]*Service{"follower tail": tail, "promotion": promo} {
-		st, inc, red := installed(s)
-		if st != wantSt {
-			t.Errorf("%s: status %+v, boot has %+v", name, st, wantSt)
+		v, frame, plan := installed(s)
+		if !reflect.DeepEqual(v, wantView) {
+			t.Errorf("%s: view %+v, boot has %+v", name, v, wantView)
 		}
-		if !reflect.DeepEqual(inc, wantInc) {
-			t.Errorf("%s: incumbent differs from the one boot installed", name)
+		if !reflect.DeepEqual(frame, wantFrame) {
+			t.Errorf("%s: would journal a different frame than boot", name)
 		}
-		if !reflect.DeepEqual(red, wantRed) {
-			t.Errorf("%s: reduction differs from the one boot installed", name)
+		if !reflect.DeepEqual(plan, wantPlan) {
+			t.Errorf("%s: next attempt differs from the one boot would run", name)
 		}
 	}
 	if st := tail.Status(); st.TailGeneration != 3 {
