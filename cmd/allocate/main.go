@@ -78,7 +78,6 @@ func main() {
 	p := flag.Float64("p", fragalloc.DefaultPresence, "scenario presence probability")
 	seed := flag.Int64("seed", 1, "scenario sampling seed")
 	reduce := flag.Int("reduce", 0, "cluster the scenario set down to R weighted representatives before solving (0 = off)")
-	reduceMetric := flag.String("reduce-metric", "l1", "clustering distance for -reduce: l1 or l2")
 	reduceSeed := flag.Int64("reduce-seed", 1, "k-medoids initialization seed for -reduce")
 	budget := flag.Duration("budget", 30*time.Second, "MIP time budget per subproblem (lp)")
 	timeout := flag.Duration("timeout", 0, "overall wall-clock limit; on expiry lp emits its best partial allocation (0 = none)")
@@ -116,18 +115,7 @@ func main() {
 		if ss == nil {
 			fail(fmt.Errorf("-reduce needs -scenarios > 1 (nothing to cluster)"))
 		}
-		var metric fragalloc.ReduceMetric
-		switch *reduceMetric {
-		case "l1":
-			metric = fragalloc.ReduceL1
-		case "l2":
-			metric = fragalloc.ReduceL2
-		default:
-			fail(fmt.Errorf("unknown -reduce-metric %q (want l1 or l2)", *reduceMetric))
-		}
-		red, err := fragalloc.ReduceScenarios(w, ss, fragalloc.ReduceConfig{
-			R: *reduce, Metric: metric, Seed: *reduceSeed,
-		})
+		red, err := fragalloc.ReduceScenarios(w, ss, fragalloc.ReduceConfig{R: *reduce, Seed: *reduceSeed})
 		if err != nil {
 			fail(err)
 		}

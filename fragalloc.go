@@ -174,16 +174,8 @@ type (
 	// Reduction is a clustered scenario set: weighted representatives,
 	// membership, and per-cluster deviation bounds.
 	Reduction = scenario.Reduction
-	// ReduceConfig parameterizes ReduceScenarios (R, metric, seed).
+	// ReduceConfig parameterizes ReduceScenarios (R, seed).
 	ReduceConfig = scenario.ReduceConfig
-	// ReduceMetric selects the clustering distance (ReduceL1 or ReduceL2).
-	ReduceMetric = scenario.Metric
-)
-
-// Clustering distances for ReduceConfig.Metric.
-const (
-	ReduceL1 = scenario.L1
-	ReduceL2 = scenario.L2
 )
 
 // EvaluateStream is Evaluate with an explicit worker pool: L̃ for every

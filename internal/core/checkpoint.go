@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"fragalloc/internal/checkpoint"
-	"fragalloc/internal/mip"
 )
 
 // This file is the bridge between the decomposition driver and the durable
@@ -29,7 +28,7 @@ func runKey(root *subproblem, spec *ChunkSpec) string {
 	// The constant "-ab0" field keeps the key equal to the one earlier
 	// commits journaled, so their journals still bind.
 	return fmt.Sprintf("w%016x-s%016x-k%d-c%s-a%x-f%d-ab0",
-		root.w.Digest(), root.ss.Digest(), root.k, spec, math.Float64bits(root.alpha), len(root.fixedQ))
+		root.w.Digest(), root.ss.Digest(), root.k, spec, math.Float64bits(alpha), len(root.fixedQ))
 }
 
 // subCheckpoint pairs the run's recorder with one subproblem's journal id.
@@ -136,11 +135,6 @@ func solutionFromRecord(rec *checkpoint.SubRecord) *solution {
 		extraBytes: rec.ExtraBytes,
 	}
 	sol.outcome, _ = outcomeFromString(rec.Outcome)
-	if sol.outcome == OutcomeOptimal {
-		sol.status = mip.StatusOptimal
-	} else {
-		sol.status = mip.StatusFeasible
-	}
 	return sol
 }
 

@@ -14,13 +14,14 @@ import (
 	"fragalloc/internal/model"
 )
 
+// alpha is the penalty weight on the worst-case load limit L in objective
+// (3). It must be large relative to K so that even balancing dominates memory
+// savings; 1000 is the paper's choice.
+const alpha = 1000.0
+
 // Options configure Allocate. The zero value solves the model exactly
-// (single chunk, no fixed queries, α = 1000).
+// (single chunk, no fixed queries).
 type Options struct {
-	// Alpha is the penalty weight on the worst-case load limit L in
-	// objective (3); it must be large relative to K so that even balancing
-	// dominates memory savings (default 1000, the paper's choice).
-	Alpha float64
 	// Chunks is the decomposition spec (Section 2.2.3). nil means Flat(K),
 	// the exact solve. Its total leaves must equal K.
 	Chunks *ChunkSpec
@@ -192,9 +193,6 @@ func newRoot(w *model.Workload, ss *model.ScenarioSet, k int, opt Options) (*sub
 	if k <= 0 {
 		return nil, fmt.Errorf("core: K must be positive, got %d", k)
 	}
-	if opt.Alpha == 0 {
-		opt.Alpha = 1000
-	}
 	active := activeQueries(w, ss)
 	if len(active) == 0 {
 		return nil, fmt.Errorf("core: no query carries load in any scenario")
@@ -221,7 +219,7 @@ func newRoot(w *model.Workload, ss *model.ScenarioSet, k int, opt Options) (*sub
 		}
 	}
 	root := &subproblem{
-		w: w, ss: ss, costs: ss.TotalCosts(w), k: k, vNorm: v, alpha: opt.Alpha,
+		w: w, ss: ss, costs: ss.TotalCosts(w), k: k, vNorm: v,
 		activeFrag: activeFrag, flexQ: flex, fixedQ: fixed, shares: shares,
 		hasFixed: true,
 	}
@@ -596,7 +594,7 @@ func (d *driver) childSubproblem(sp *subproblem, sol *solution, bb int) *subprob
 	}
 
 	sub := &subproblem{
-		w: sp.w, ss: sp.ss, costs: sp.costs, k: sp.k, vNorm: sp.vNorm, alpha: sp.alpha,
+		w: sp.w, ss: sp.ss, costs: sp.costs, k: sp.k, vNorm: sp.vNorm,
 		activeFrag: activeFrag, flexQ: flex, shares: shares,
 	}
 	if bb == 0 && sp.hasFixed {

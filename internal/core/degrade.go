@@ -6,7 +6,6 @@ import (
 
 	"fragalloc/internal/checkpoint"
 	"fragalloc/internal/greedy"
-	"fragalloc/internal/mip"
 )
 
 // degrade is the terminal rung of the failure policy: it produces a
@@ -61,7 +60,6 @@ func (sp *subproblem) degrade() *solution {
 	sol := &solution{
 		yes:     make([]checkpoint.YesRow, len(sp.flexQ)),
 		exact:   false,
-		status:  mip.StatusFeasible,
 		outcome: OutcomeDegraded,
 	}
 	for q, j := range sp.flexQ {

@@ -34,7 +34,6 @@ type subproblem struct {
 	costs []float64 // C_s, global scenario costs (shared across levels)
 	k     int       // global node count
 	vNorm float64   // V, global accessed data size (objective normalizer)
-	alpha float64   // penalty weight on the load limit L
 
 	activeFrag []bool      // x̄: fragments available to this subproblem
 	flexQ      []int       // active queries assignable by the LP, ascending
@@ -212,7 +211,7 @@ func (sp *subproblem) build(withSymmetry bool) (*simplex.Problem, *indices, []in
 	// L: worst normalized node load over subnodes and scenarios. Perfect
 	// balance corresponds to L = 1 (each subnode b carries exactly w_b of a
 	// scenario's cost); the α-penalty drives solutions toward it.
-	ix.l = p.AddVar(0, math.Inf(1), sp.alpha)
+	ix.l = p.AddVar(0, math.Inf(1), alpha)
 
 	// (4) coverage: Σ_{i∈q_j} x_{i,b} − |q_j|·y_{j,b} ≥ 0.
 	for q, j := range sp.flexQ {
@@ -496,7 +495,6 @@ type solution struct {
 	nodes   int
 	lpiters int
 	exact   bool
-	status  mip.Status
 	// outcome classifies the solve for the failure policy; extraBytes is
 	// nonzero only for degraded solutions (allocated bytes beyond the
 	// single-copy floor, feeding Result.DegradedDelta).
@@ -613,7 +611,6 @@ func (sp *subproblem) decode(ix *indices, res *mip.Result) *solution {
 		nodes:   res.Nodes,
 		lpiters: res.LPIters,
 		exact:   res.Exact && res.Status == mip.StatusOptimal,
-		status:  res.Status,
 	}
 	if res.Status == mip.StatusOptimal {
 		sol.outcome = OutcomeOptimal

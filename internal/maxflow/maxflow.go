@@ -54,9 +54,6 @@ func (g *Graph) AddEdge(u, v int, capacity float64) int {
 // reverse residual edge). Only meaningful after MaxFlow ran.
 func (g *Graph) Flow(id int) float64 { return g.cap[id^1] }
 
-// Capacity returns the remaining residual capacity of edge id.
-func (g *Graph) Capacity(id int) float64 { return g.cap[id] }
-
 // SetCapacity resets the capacity of edge id and zeroes its residual
 // counterpart, allowing the graph to be re-used across MaxFlow runs with
 // different capacities (the evaluator's binary search does this).

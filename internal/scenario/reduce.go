@@ -22,34 +22,11 @@ import (
 // the farthest member of cluster r, so an allocation that balances the
 // representatives to L̃_r balances every member to at most L̃_r + Radius[r].
 
-// Metric selects the clustering distance between normalized load-share
-// vectors. The deviation bound (Radius) is always measured in half-L1,
-// whatever metric shaped the clusters.
-type Metric int
-
-const (
-	// L1 is the sum of absolute share differences — the metric of the
-	// coverage bound, and the default.
-	L1 Metric = iota
-	// L2 is the Euclidean distance; it trades the tightest bound for
-	// clusters that punish single-query outliers more.
-	L2
-)
-
-func (m Metric) String() string {
-	if m == L2 {
-		return "l2"
-	}
-	return "l1"
-}
-
 // ReduceConfig parameterizes Reduce. Only R is required.
 type ReduceConfig struct {
 	// R is the number of cluster representatives to keep (1 ≤ R; R ≥ S
 	// yields the identity reduction).
 	R int
-	// Metric is the clustering distance (default L1).
-	Metric Metric
 	// Seed drives the deterministic k-medoids++ initialization: the first
 	// medoid is drawn from the seeded generator, every later choice is a
 	// deterministic farthest-first step. The same (workload, set, config)
@@ -95,7 +72,6 @@ type Reduction struct {
 	costs     []float64
 	repShares [][]float64
 	scratch   []float64
-	metric    Metric
 }
 
 // Reduce clusters the scenario set's normalized load-share vectors with
@@ -122,7 +98,7 @@ func Reduce(w *model.Workload, ss *model.ScenarioSet, cfg ReduceConfig) (*Reduct
 	for i := range shares {
 		shares[i] = shareVector(costs, ss.Frequencies[i], nil)
 	}
-	dist := func(a, b int) float64 { return distance(cfg.Metric, shares[a], shares[b]) }
+	dist := func(a, b int) float64 { return l1(shares[a], shares[b]) }
 
 	// Seeded k-medoids++ initialization: one random first medoid, then
 	// deterministic farthest-first steps (ties break on the lowest index).
@@ -190,7 +166,7 @@ func Reduce(w *model.Workload, ss *model.ScenarioSet, cfg ReduceConfig) (*Reduct
 			for _, cand := range members[c] {
 				var sum float64
 				for _, m := range members[c] {
-					sum += ss.Weight(m) * distance(cfg.Metric, shares[cand], shares[m])
+					sum += ss.Weight(m) * l1(shares[cand], shares[m])
 				}
 				if sum < bestSum {
 					best, bestSum = cand, sum
@@ -218,7 +194,6 @@ func Reduce(w *model.Workload, ss *model.ScenarioSet, cfg ReduceConfig) (*Reduct
 		Members: members,
 		Radius:  make([]float64, r),
 		costs:   costs,
-		metric:  cfg.Metric,
 	}
 	red.Reduced = &model.ScenarioSet{
 		Frequencies: make([][]float64, r),
@@ -272,14 +247,14 @@ func (r *Reduction) MaxRadius() float64 {
 }
 
 // Nearest returns the cluster whose representative is closest to the raw
-// frequency vector under the clustering metric, plus the half-L1 deviation
+// frequency vector in L1 — the clustering distance — plus the half-L1 deviation
 // of the vector from that representative (comparable against Radius). Not
 // safe for concurrent use.
 func (r *Reduction) Nearest(freq []float64) (cluster int, deviation float64) {
 	r.scratch = shareVector(r.costs, freq, r.scratch)
 	best, bestD := 0, math.Inf(1)
 	for c, rep := range r.repShares {
-		if d := distance(r.metric, r.scratch, rep); d < bestD {
+		if d := l1(r.scratch, rep); d < bestD {
 			best, bestD = c, d
 		}
 	}
@@ -350,15 +325,10 @@ func shareVector(costs, freq, dst []float64) []float64 {
 	return dst
 }
 
-func distance(m Metric, a, b []float64) float64 {
+// l1 is the clustering distance between two normalized load-share vectors:
+// the sum of absolute share differences, the metric of the coverage bound.
+func l1(a, b []float64) float64 {
 	var d float64
-	if m == L2 {
-		for j := range a {
-			diff := a[j] - b[j]
-			d += diff * diff
-		}
-		return math.Sqrt(d)
-	}
 	for j := range a {
 		d += math.Abs(a[j] - b[j])
 	}
@@ -367,10 +337,4 @@ func distance(m Metric, a, b []float64) float64 {
 
 // halfL1 is the deviation bound between two normalized share vectors: half
 // their L1 distance bounds |L̃(a) − L̃(b)| under any allocation serving both.
-func halfL1(a, b []float64) float64 {
-	var d float64
-	for j := range a {
-		d += math.Abs(a[j] - b[j])
-	}
-	return d / 2
-}
+func halfL1(a, b []float64) float64 { return l1(a, b) / 2 }

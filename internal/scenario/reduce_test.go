@@ -53,53 +53,51 @@ func TestReduceDeterministic(t *testing.T) {
 func TestReduceStructure(t *testing.T) {
 	w := reduceWorkload(25)
 	ss := InSample(w, 24, DefaultP, 7)
-	for _, metric := range []Metric{L1, L2} {
-		red, err := Reduce(w, ss, ReduceConfig{R: 4, Metric: metric, Seed: 1})
-		if err != nil {
-			t.Fatal(err)
+	red, err := Reduce(w, ss, ReduceConfig{R: 4, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if red.R() != 4 {
+		t.Fatalf("R = %d, want 4", red.R())
+	}
+	if err := red.Reduced.Validate(w); err != nil {
+		t.Fatalf("reduced set invalid: %v", err)
+	}
+	// Weights are member counts and sum to S.
+	var total float64
+	for c, wt := range red.Reduced.Weights {
+		if int(wt) != len(red.Members[c]) {
+			t.Fatalf("cluster %d weight %g, want member count %d", c, wt, len(red.Members[c]))
 		}
-		if red.R() != 4 {
-			t.Fatalf("R = %d, want 4", red.R())
+		total += wt
+	}
+	if int(total) != ss.S() {
+		t.Fatalf("weights sum to %g, want %d", total, ss.S())
+	}
+	// Medoids ascend and every cluster contains its own medoid.
+	for c, m := range red.Medoids {
+		if c > 0 && red.Medoids[c-1] >= m {
+			t.Fatalf("medoids not ascending: %v", red.Medoids)
 		}
-		if err := red.Reduced.Validate(w); err != nil {
-			t.Fatalf("reduced set invalid: %v", err)
+		if red.Assign[m] != c {
+			t.Fatalf("medoid %d not assigned to its own cluster %d", m, c)
 		}
-		// Weights are member counts and sum to S.
-		var total float64
-		for c, wt := range red.Reduced.Weights {
-			if int(wt) != len(red.Members[c]) {
-				t.Fatalf("metric %v cluster %d weight %g, want member count %d", metric, c, wt, len(red.Members[c]))
+	}
+	// Members mirror Assign, sorted ascending.
+	seen := 0
+	for c, ms := range red.Members {
+		for i, s := range ms {
+			if i > 0 && ms[i-1] >= s {
+				t.Fatalf("cluster %d members not ascending: %v", c, ms)
 			}
-			total += wt
-		}
-		if int(total) != ss.S() {
-			t.Fatalf("weights sum to %g, want %d", total, ss.S())
-		}
-		// Medoids ascend and every cluster contains its own medoid.
-		for c, m := range red.Medoids {
-			if c > 0 && red.Medoids[c-1] >= m {
-				t.Fatalf("medoids not ascending: %v", red.Medoids)
+			if red.Assign[s] != c {
+				t.Fatalf("scenario %d in members of %d but assigned %d", s, c, red.Assign[s])
 			}
-			if red.Assign[m] != c {
-				t.Fatalf("medoid %d not assigned to its own cluster %d", m, c)
-			}
+			seen++
 		}
-		// Members mirror Assign, sorted ascending.
-		seen := 0
-		for c, ms := range red.Members {
-			for i, s := range ms {
-				if i > 0 && ms[i-1] >= s {
-					t.Fatalf("cluster %d members not ascending: %v", c, ms)
-				}
-				if red.Assign[s] != c {
-					t.Fatalf("scenario %d in members of %d but assigned %d", s, c, red.Assign[s])
-				}
-				seen++
-			}
-		}
-		if seen != ss.S() {
-			t.Fatalf("members cover %d scenarios, want %d", seen, ss.S())
-		}
+	}
+	if seen != ss.S() {
+		t.Fatalf("members cover %d scenarios, want %d", seen, ss.S())
 	}
 }
 

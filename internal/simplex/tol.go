@@ -1,12 +1,9 @@
 package simplex
 
-// Tolerance helpers for floating-point comparison. These are the designated
-// comparison helpers recognized by fragvet's floatcmp analyzer: the exact
-// == fast paths below are the one place in the module where exact
-// floating-point equality is the point (they make the helpers safe for
-// infinities of equal sign, where a-b is NaN).
-
-// EqTol reports whether a and b are equal within tol.
+// EqTol reports whether a and b are equal within tol. It is the tolerance
+// helper fragvet's floatcmp analyzer recognizes: the exact == fast path is the
+// one place in the module where exact floating-point equality is the point
+// (it makes the helper safe for infinities of equal sign, where a-b is NaN).
 func EqTol(a, b, tol float64) bool {
 	if a == b { // fast path; handles equal infinities
 		return true
@@ -16,17 +13,4 @@ func EqTol(a, b, tol float64) bool {
 		d = -d
 	}
 	return d <= tol
-}
-
-// LeTol reports whether a <= b within tol, i.e. a <= b+tol.
-func LeTol(a, b, tol float64) bool {
-	if a == b { // fast path; handles equal infinities
-		return true
-	}
-	return a-b <= tol
-}
-
-// GeTol reports whether a >= b within tol, i.e. a >= b-tol.
-func GeTol(a, b, tol float64) bool {
-	return LeTol(b, a, tol)
 }
