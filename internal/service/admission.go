@@ -1,11 +1,9 @@
 // Admission control: under an update burst the daemon stays responsive by
-// refusing early and cheaply instead of queueing without bound. Two gates
-// run inside the ingest transition (state.go), before any validation work:
-// the pending-queue bound (epoch minus incumbent epoch — updates accepted
-// but not yet reflected by a solve) and a token bucket on the ingest rate.
-// Both reject with an OverloadedError carrying a Retry-After hint, which the
-// HTTP layer maps to 429. Single-flight coalescing (service.go) is what keeps
-// the bound meaningful: N pending updates still cost at most one solve.
+// refusing early and cheaply instead of queueing without bound. The two gates
+// — a bound on updates accepted but not yet solved, and a token bucket on the
+// ingest rate — run inside state.ingest and reject with an OverloadedError
+// carrying a Retry-After hint, which the HTTP layer maps to 429. Single-flight
+// coalescing keeps the bound meaningful: N pending updates cost one solve.
 package service
 
 import (

@@ -237,19 +237,15 @@ func (s *Service) lead(ctx context.Context, lease *checkpoint.Lease) error {
 }
 
 // setRole moves this replica to role, knowing the leader at leaderAddr ("" =
-// none known). lease is the held lease when the role is RoleLeader and nil
-// otherwise: the fencing epoch and the publish-time lease check exist exactly
-// while leading.
+// none known). lease is the held lease for RoleLeader and nil otherwise: the
+// fencing epoch and the publish-time lease check exist exactly while leading.
 func (s *Service) setRole(role Role, leaderAddr string, lease *checkpoint.Lease) {
 	var epoch uint64
 	var check func() error
 	if lease != nil {
 		epoch, check = lease.Epoch(), lease.Check
 	}
-	s.locked(func(st *state) {
-		st.setRole(role, leaderAddr, epoch)
-		s.leaseCheck = check
-	})
+	s.locked(func(st *state) { st.setRole(role, leaderAddr, epoch); s.leaseCheck = check })
 }
 
 func (s *Service) releaseLease(lease *checkpoint.Lease) {
@@ -333,10 +329,9 @@ func (s *Service) reloadState() error {
 	return nil
 }
 
-// adoptJournal decodes, validates, and installs one state-journal payload.
-// gen > 0 records the tailed generation for follower staleness metadata.
-// The scenario reduction is derived state and is rebuilt deterministically
-// from the adopted full set.
+// adoptJournal decodes, validates, and installs one state-journal payload
+// (gen > 0: tailed by a follower at that generation). The scenario reduction
+// is derived state, rebuilt deterministically from the frame's full set.
 func (s *Service) adoptJournal(payload []byte, gen uint64) error {
 	ps, err := decodePersisted(s.cfg.Workload, payload)
 	if err != nil {
@@ -358,11 +353,8 @@ func (s *Service) adoptJournal(payload []byte, gen uint64) error {
 // re-verifies its lease at this instant — adopting on a deposed replica
 // would fork the group's history even though the journal fence already
 // protects the disk.
-func (s *Service) publishGate() error {
-	var (
-		err   error
-		check func() error
-	)
+func (s *Service) publishGate() (err error) {
+	var check func() error
 	s.locked(func(st *state) { err, check = st.writeAuthority(), s.leaseCheck })
 	if err != nil {
 		return err

@@ -198,17 +198,14 @@ func (s *Service) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		TailGeneration: v.TailGeneration,
 		TailAge:        v.TailAge,
 	}
+	code := http.StatusServiceUnavailable
 	switch {
 	case v.Role == RoleCandidate:
 		resp.Reason = "between reigns: electing or awaiting a leader"
 	case v.Inc == nil:
 		resp.Reason = "no incumbent allocation yet"
 	default:
-		resp.Ready = true
-	}
-	code := http.StatusOK
-	if !resp.Ready {
-		code = http.StatusServiceUnavailable
+		resp.Ready, code = true, http.StatusOK
 	}
 	s.writeJSON(w, code, resp)
 }

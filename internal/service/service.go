@@ -117,18 +117,16 @@ type Service struct {
 	// persistMu before mu, never inverted.
 	persistMu sync.Mutex
 
-	// mu guards state and the two fields below it; locked is the only place
-	// that takes it.
+	// mu guards the three fields below it; only locked takes it.
 	mu          sync.Mutex
 	state       state
 	attemptDone chan struct{} // closed when an attempt finishes; then swapped
 	leaseCheck  func() error  // lease fence while leading; also on the store
 }
 
-// locked runs f on the state with s.mu held. f is a transition or a read of
-// state.go plus, at most, a touch of attemptDone or leaseCheck: it must not
-// block, log or do I/O — whatever the transition obliges comes back as
-// effects, which perform carries out after the lock is released.
+// locked runs f — a transition or read of state.go, plus at most a touch of
+// attemptDone or leaseCheck — with s.mu held. f must not block, log or do I/O:
+// what a transition obliges comes back as effects, for perform after unlock.
 func (s *Service) locked(f func(st *state)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -216,13 +214,12 @@ func New(cfg Config) (*Service, error) {
 		}
 	}
 	if v, _ := s.snapshot(); cfg.ReduceTo > 0 && v.ReducedScenarios == 0 {
-		// The reduction is derived state: it is built from the full set —
-		// here when the journal supplied no frame (so scen is still the
-		// desired set), by adoptJournal when it did, and after every
-		// re-clustering — rather than journaled. The seeded k-medoids init
-		// makes the rebuild deterministic; folds and radius widenings since
-		// the last clustering are lost in a crash, but the from-scratch
-		// rebuild is at least as tight.
+		// The reduction is derived state, built from the full set rather than
+		// journaled: here when the journal supplied no frame (scen is still
+		// the desired set), by adoptJournal when it did, and at every
+		// re-clustering. The seeded k-medoids init makes the rebuild
+		// deterministic; folds since the last clustering are lost in a crash,
+		// but the from-scratch rebuild is at least as tight.
 		red, err := s.cluster(scen)
 		if err != nil {
 			return nil, err
@@ -243,10 +240,9 @@ func (s *Service) cluster(scen *model.ScenarioSet) (*scenario.Reduction, error) 
 	return red, nil
 }
 
-// persist journals the daemon's current desired state and incumbent. It
-// always snapshots the latest state, so even when adoptions and ingests
-// race, every written generation is internally consistent and the journal is
-// monotone.
+// persist journals the desired state and incumbent as they are now: each
+// write snapshots the latest state, so even when adoptions and ingests race,
+// every generation is internally consistent and the journal is monotone.
 func (s *Service) persist() error {
 	if s.st == nil {
 		return nil
@@ -262,13 +258,11 @@ func (s *Service) persist() error {
 	return s.st.SaveRaw(payload)
 }
 
-// perform carries out a transition's effects, in order, with no lock held.
-// It stops at, and returns, the one failure that forbids the rest of a list:
-// an acknowledging journal write the lease fence refused. Then this replica
-// was deposed between renewals, the state it meant to journal is in no
-// journal and dies with this reign, and nothing after the write may happen.
-// Any other journal failure leaves this replica the write authority, and the
-// next successful save carries the state.
+// perform carries out a transition's effects, in order, with no lock held. It
+// stops at, and returns, the one failure that forbids the rest of a list: an
+// acknowledging journal write refused by the lease fence — this replica was
+// deposed between renewals. After any other journal failure it is still the
+// write authority, and its next successful save carries the state.
 func (s *Service) perform(effs []effect) error {
 	for _, e := range effs {
 		switch e.op {
@@ -288,8 +282,7 @@ func (s *Service) perform(effs []effect) error {
 			default:
 			}
 		case effRelease:
-			// Swapped under the lock, closed outside it: waiters never
-			// receive a close while s.mu is held.
+			// Swapped under the lock, closed outside it.
 			var done chan struct{}
 			s.locked(func(*state) { done, s.attemptDone = s.attemptDone, make(chan struct{}) })
 			close(done)
@@ -361,13 +354,10 @@ func (s *Service) Run(ctx context.Context) {
 // here, whichever step rejected it.
 func (s *Service) reoptimize(ctx context.Context, boot bool) error {
 	epoch, err := s.attempt(ctx, boot)
-	if err == nil {
-		return nil
-	}
-	var effs []effect
-	s.locked(func(st *state) { effs = st.reject(epoch, err) })
-	if perr := s.perform(effs); perr != nil {
-		return perr
+	if err != nil {
+		var effs []effect
+		s.locked(func(st *state) { effs = st.reject(epoch, err) })
+		err = errors.Join(err, s.perform(effs))
 	}
 	return err
 }
@@ -459,9 +449,6 @@ func (s *Service) attempt(ctx context.Context, boot bool) (uint64, error) {
 		AdoptedAt:  now,
 	}
 
-	// A replica may only publish while it is the write authority: the
-	// leader re-verifies its lease here, so a deposition mid-solve rejects
-	// the result instead of forking the group's served history.
 	if err := s.publishGate(); err != nil {
 		return p.Epoch, err
 	}
@@ -503,19 +490,14 @@ func (s *Service) solveRecorder(epoch uint64) (*checkpoint.Recorder, error) {
 	return rec, nil
 }
 
-// Apply ingests one drift update: validate against the current desired
-// state, bump the epoch, journal, and wake the re-optimization loop. It
-// returns the new epoch (pass it to WaitEpoch to await adoption). An invalid
-// update is rejected whole with no state change; a non-leader replica —
-// one that is following, or a leader whose journal write finds the lease
-// lost — rejects with NotLeaderError, and the admission gates reject with
+// Apply ingests one drift update (state.ingest), journals it and wakes the
+// re-optimization loop. It returns the new epoch (pass it to WaitEpoch to
+// await adoption). An invalid update is rejected whole with no state change;
+// a replica that is following, or a leader whose journal write finds the
+// lease lost, rejects with NotLeaderError; the admission gates reject with
 // OverloadedError before any validation work.
-func (s *Service) Apply(u Update) (uint64, error) {
-	var (
-		epoch uint64
-		effs  []effect
-		err   error
-	)
+func (s *Service) Apply(u Update) (epoch uint64, err error) {
+	var effs []effect
 	now := time.Now()
 	s.locked(func(st *state) { epoch, effs, err = st.ingest(u, now) })
 	if err == nil {

@@ -1,10 +1,8 @@
-// The daemon's state machine (DESIGN.md §3.11, §3.13): every field an update,
-// an attempt, a journal frame or a role change can move, and the transitions
-// that move them. Nothing here locks, logs, reads a clock, touches a file or
-// a channel, or calls the solver — the instant is an argument, and a
-// transition that obliges I/O returns it as an ordered effect list for the
-// shell in service.go to perform after it has let go of the lock. What the
-// daemon does on an event is therefore a function one can call in a test.
+// The daemon's state machine (DESIGN.md §3.11, §3.13): every field an event
+// can move, and the transitions that move them. Nothing here locks, logs,
+// reads a clock, touches a file or a channel, or calls the solver: the instant
+// is an argument, and the I/O a transition obliges comes back as an ordered
+// effect list for the shell in service.go to perform once it has unlocked.
 package service
 
 import (
@@ -55,9 +53,8 @@ type state struct {
 	tailedAt   time.Time // follower: when tailGen was installed
 }
 
-// newState is the state of a daemon that has seen nothing yet: cfg (already
-// defaulted by New) with scen as its desired set. jitterSeed seeds the
-// backoff jitter; now fills the admission bucket.
+// newState is the state of a daemon that has seen nothing yet, from a cfg New
+// has defaulted; now is the instant the admission bucket starts full.
 func newState(cfg Config, scen *model.ScenarioSet, jitterSeed int64, now time.Time) state {
 	st := state{
 		w:                  cfg.Workload,
@@ -98,19 +95,15 @@ const (
 	KillPointPublish = "service.publish"
 )
 
-// An effect is one piece of I/O a transition obliges the shell to perform.
-// A transition returns its effects in the order they must happen.
+// An effect is one piece of I/O a transition obliges the shell to perform;
+// a transition returns its effects in the order they must happen.
 type effect struct {
-	op effectOp
-	// text is what is being journaled (effJournal, for the warning when the
-	// write fails), the kill point's name (effKill), or the log format
-	// (effLog, with args).
-	text string
-	args []any
-	// ack marks a journal write that what follows would acknowledge: if the
-	// lease fence refuses it, the shell stops there and reports
-	// NotLeaderError. Any other failure, and any failure of a write that is
-	// not ack, is logged and the list goes on.
+	op   effectOp
+	text string // what is journaled (for the warning), the kill point, or the log format
+	args []any  // effLog's arguments
+	// ack marks a journal write the rest of the list would acknowledge: if
+	// the lease fence refuses it, the shell stops there with NotLeaderError.
+	// Every other journal failure is logged and the list goes on.
 	ack bool
 }
 
@@ -125,8 +118,7 @@ const (
 	effLog                     // one progress line
 )
 
-// writeAuthority refuses with NotLeaderError on a replica that is following
-// or between reigns; single-node daemons and leaders may write.
+// writeAuthority refuses a replica that is following or between reigns.
 func (st *state) writeAuthority() error {
 	if st.role == RoleFollower || st.role == RoleCandidate {
 		return &NotLeaderError{Leader: st.leaderAddr}
@@ -136,10 +128,9 @@ func (st *state) writeAuthority() error {
 
 // ingest applies one drift update as of now, or refuses it whole. The gates
 // run in rejection-cost order — role (a follower redirects), queue bound,
-// rate bucket — so a refused update never consumes a token it did not use,
-// and only then is the update validated. Gates, validation and epoch bump
-// are one transition: the pending count an update is admitted against is the
-// one its own epoch extends.
+// rate bucket — so a refused update never consumes a token, and only then is
+// the update validated. Being one transition, the pending count an update is
+// admitted against is the one its own epoch extends.
 func (st *state) ingest(u Update, now time.Time) (uint64, []effect, error) {
 	if err := st.writeAuthority(); err != nil {
 		return 0, nil, err
@@ -174,8 +165,6 @@ func (st *state) ingest(u Update, now time.Time) (uint64, []effect, error) {
 	if st.red != nil {
 		st.absorb(u, oldS)
 	}
-	// The update must be durable before the loop can act on it; a crash at
-	// the kill point restarts into the new epoch with the old incumbent.
 	return st.epoch, []effect{
 		{op: effJournal, text: fmt.Sprintf("epoch %d", st.epoch), ack: true},
 		{op: effKill, text: KillPointIngest},
@@ -214,11 +203,10 @@ func (st *state) absorb(u Update, oldS int) {
 	}
 }
 
-// attemptPlan is what one re-optimization attempt solves: the desired state
-// at the instant it began. Scen is the full desired set (immutable —
-// applyUpdate always clones); SolveSet is what the solver sees, a frozen copy
-// of the reduced set when the daemon clusters, and nil when the clustering is
-// due for a rebuild from Scen first.
+// attemptPlan is the desired state at the instant an attempt began. Scen is
+// the full set (immutable — applyUpdate always clones); SolveSet is what the
+// solver sees: Scen, or a frozen copy of the reduced set when the daemon
+// clusters, or nil when the clustering must first be rebuilt from Scen.
 type attemptPlan struct {
 	Epoch     uint64
 	K         int
@@ -234,8 +222,7 @@ func (st *state) beginAttempt() attemptPlan {
 	if st.red != nil {
 		p.SolveSet = nil
 		if !st.redDirty {
-			// ingest folds observations into the live reduced set; the solver
-			// must see a frozen one.
+			// ingest folds into the live reduced set; the solver needs a frozen one.
 			p.SolveSet = st.red.Reduced.Clone()
 		}
 	}
@@ -253,9 +240,8 @@ func (st *state) setClustering(red *scenario.Reduction, baseS int) {
 }
 
 // recluster installs a re-clustering computed from the snapshot from — unless
-// an update landed since: then red describes a set that is no longer the
-// desired one, it is dropped (it still served the attempt that built it) and
-// the dirty flag sends the next attempt back to rebuild.
+// an update landed since: then red (which still served the attempt that built
+// it) is dropped, and the dirty flag sends the next attempt back to rebuild.
 func (st *state) recluster(red *scenario.Reduction, from *model.ScenarioSet) bool {
 	if st.scen != from {
 		return false
@@ -265,13 +251,11 @@ func (st *state) recluster(red *scenario.Reduction, from *model.ScenarioSet) boo
 	return true
 }
 
-// adopt makes inc the served incumbent and returns what must follow, which
-// is the crash contract: the incumbent is in memory (with its diff) from
-// here; then it is journaled; then the publish kill point; then the waiters
-// learn of it. A crash after the journal write restarts into the new
-// incumbent with the diff lost — the diff is derivable, the incumbent is not.
-// diff is nil for the first incumbent, which has nothing to migrate from; took
-// is the attempt's wall clock, for the log line only.
+// adopt makes inc the served incumbent. What it returns is the crash
+// contract: inc and its diff are in memory from here; then the journal; then
+// the publish kill point; then the waiters. A crash after the journal write
+// restarts into inc with the diff lost — the diff is derivable, the incumbent
+// is not. diff is nil for the first incumbent; took is for the log line only.
 func (st *state) adopt(inc *Incumbent, diff *Diff, took time.Duration) []effect {
 	warm := st.inc != nil
 	st.inc = inc
@@ -287,13 +271,13 @@ func (st *state) adopt(inc *Incumbent, diff *Diff, took time.Duration) []effect 
 		{op: effRelease},
 		{op: effRetire},
 		{op: effLog, text: "service: adopted epoch %d (%s, W/V=%.4f, %v, warm=%v)",
-			args: []any{inc.Epoch, inc.Outcome, replicationFactor(inc), took.Round(time.Millisecond), warm}},
+			args: []any{inc.Epoch, inc.Outcome, inc.W / inc.V, took.Round(time.Millisecond), warm}},
 	}
 }
 
-// reject records that the attempt targeting epoch ended without an adoption
-// (failed, timed out, degraded, or refused at the publish gate): the
-// incumbent keeps serving, tagged with the reason.
+// reject records that the attempt targeting epoch adopted nothing (failed,
+// timed out, degraded, refused at the publish gate): the incumbent keeps
+// serving, tagged with the reason.
 func (st *state) reject(epoch uint64, err error) []effect {
 	st.attemptEpoch = max(st.attemptEpoch, epoch)
 	st.fails++
@@ -301,20 +285,16 @@ func (st *state) reject(epoch uint64, err error) []effect {
 	return []effect{{op: effRelease}}
 }
 
-// retryDelay is how long the loop sleeps after the rejection just recorded:
-// 1×, 2×, 4×, ... of the backoff base by consecutive failure, clamped to the
-// maximum, then scaled by a seeded ±25% so replicas retrying the same failure
-// de-synchronize (each node seeds from its ID) while any single node's
-// delays stay reproducible.
+// retryDelay is the sleep after the rejection just recorded: 1×, 2×, 4×, ...
+// of the backoff base by consecutive failure, clamped to the maximum, then
+// scaled by a seeded ±25% so replicas retrying the same failure de-synchronize
+// (each seeds from its node ID) while one node's delays stay reproducible.
 func (st *state) retryDelay() time.Duration {
 	d := st.backoffBase << min(max(st.fails-1, 0), 20)
 	if d > st.backoffMax || d <= 0 {
 		d = st.backoffMax
 	}
-	j := time.Duration(float64(d) * (0.75 + 0.5*st.rng.Float64()))
-	if j > st.backoffMax {
-		j = st.backoffMax
-	}
+	j := min(time.Duration(float64(d)*(0.75+0.5*st.rng.Float64())), st.backoffMax)
 	if j <= 0 {
 		j = d
 	}
@@ -348,17 +328,10 @@ type persistedState struct {
 
 // persisted is the journal frame describing the state as it is now.
 func (st *state) persisted() persistedState {
-	ps := persistedState{
-		WorkloadDigest: st.w.Digest(),
-		Epoch:          st.epoch,
-		K:              st.k,
-		Scenarios:      st.scen,
-	}
-	if st.inc != nil {
-		ps.Incumbent = st.inc.Allocation
-		ps.IncumbentEpoch = st.inc.Epoch
-		ps.Outcome = st.inc.Outcome
-		ps.W, ps.V, ps.Exact = st.inc.W, st.inc.V, st.inc.Exact
+	ps := persistedState{WorkloadDigest: st.w.Digest(), Epoch: st.epoch, K: st.k, Scenarios: st.scen}
+	if inc := st.inc; inc != nil {
+		ps.Incumbent, ps.IncumbentEpoch, ps.Outcome = inc.Allocation, inc.Epoch, inc.Outcome
+		ps.W, ps.V, ps.Exact = inc.W, inc.V, inc.Exact
 	}
 	return ps
 }
@@ -390,21 +363,14 @@ func decodePersisted(w *model.Workload, payload []byte) (*persistedState, error)
 }
 
 // install replaces the desired state and the incumbent by a decoded journal
-// frame — the same way at boot, on a follower's tail and at promotion. red
-// is the clustering of the frame's scenario set (nil when the daemon does not
-// cluster). gen > 0 is the generation a follower tailed it from, recorded
-// with the instant for its staleness report.
+// frame — at boot, on a follower's tail and at promotion alike. red clusters
+// the frame's scenario set (nil when the daemon does not cluster); gen > 0 is
+// the generation a follower tailed, recorded with now for its staleness.
 func (st *state) install(ps *persistedState, red *scenario.Reduction, gen uint64, now time.Time) {
 	st.scen, st.k, st.epoch = ps.Scenarios, ps.K, ps.Epoch
 	if ps.Incumbent != nil {
-		st.inc = &Incumbent{
-			Allocation: ps.Incumbent,
-			Epoch:      ps.IncumbentEpoch,
-			Outcome:    ps.Outcome,
-			W:          ps.W,
-			V:          ps.V,
-			Exact:      ps.Exact,
-		}
+		st.inc = &Incumbent{Allocation: ps.Incumbent, Epoch: ps.IncumbentEpoch, Outcome: ps.Outcome,
+			W: ps.W, V: ps.V, Exact: ps.Exact}
 	}
 	if red != nil {
 		st.setClustering(red, ps.Scenarios.S())
@@ -483,24 +449,14 @@ type Status struct {
 	TailAge        time.Duration `json:"tail_age_ns,omitempty"`
 }
 
-// view is one consistent reading of the state: the status plus the pointers
-// and counters the accessors, WaitEpoch and the HTTP handlers answer from.
-// Every response is built from exactly one.
+// view is one consistent reading of the state; the accessors, WaitEpoch and
+// every HTTP response answer from exactly one.
 type view struct {
 	Status
-	Inc *Incumbent
-	// Age is how long Inc has been serving (0 for an incumbent restored from
-	// the journal, whose adoption instant is not recorded).
-	Age          time.Duration
+	Inc          *Incumbent
+	Age          time.Duration // how long Inc has served; 0 when restored from the journal
 	LastDiff     *Diff
 	AttemptEpoch uint64
-}
-
-func replicationFactor(inc *Incumbent) float64 {
-	if inc.V > 0 {
-		return inc.W / inc.V
-	}
-	return 0
 }
 
 // view reads the state as of now.
@@ -540,7 +496,9 @@ func (st *state) view(now time.Time) view {
 		v.Outcome = inc.Outcome
 		v.AdoptedAt = inc.AdoptedAt
 		v.W, v.V = inc.W, inc.V
-		v.ReplicationFactor = replicationFactor(inc)
+		if inc.V > 0 {
+			v.ReplicationFactor = inc.W / inc.V
+		}
 		v.Exact = inc.Exact
 		v.LPIters = inc.LPIters
 		if !inc.AdoptedAt.IsZero() {
