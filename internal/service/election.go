@@ -355,15 +355,15 @@ func (s *Service) adoptJournal(payload []byte, gen uint64) error {
 // protects the disk.
 func (s *Service) publishGate() (err error) {
 	var check func() error
-	s.locked(func(st *state) { err, check = st.writeAuthority(), s.leaseCheck })
+	s.locked(func(st *state) { check, err = s.leaseCheck, st.writeAuthority() })
 	if err != nil {
 		return err
 	}
 	// setRole hands out the lease check exactly while leading; a single-node
 	// daemon has none and is always the write authority.
 	if check != nil {
-		if err := check(); err != nil {
-			return fmt.Errorf("service: refusing to adopt: %w", err)
+		if cerr := check(); cerr != nil {
+			return fmt.Errorf("service: refusing to adopt: %w", cerr)
 		}
 	}
 	return nil

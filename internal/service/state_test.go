@@ -399,13 +399,8 @@ func TestStatePurity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stateFile *ast.File
 	fields := map[string]bool{}
-	for name, f := range pkgs["service"].Files {
-		if name == "state.go" {
-			stateFile = f
-		}
-	}
+	stateFile := pkgs["service"].Files["state.go"]
 	if stateFile == nil {
 		t.Fatal("state.go not found")
 	}
