@@ -261,6 +261,15 @@ func TestScenarioSetValidate(t *testing.T) {
 	if err := (&ScenarioSet{}).Validate(w); err == nil {
 		t.Error("want error for empty set")
 	}
+	// Non-finite frequencies, and finite ones whose total cost overflows: a
+	// set holding either could never be journaled as JSON.
+	for _, freq := range [][]float64{
+		{1, math.Inf(1)}, {math.NaN(), 1}, {1e308, 1e308},
+	} {
+		if err := (&ScenarioSet{Frequencies: [][]float64{freq}}).Validate(w); err == nil {
+			t.Errorf("want error for frequencies %v", freq)
+		}
+	}
 }
 
 func TestExpectedLoads(t *testing.T) {

@@ -71,9 +71,10 @@ func (ss *ScenarioSet) Clone() *ScenarioSet {
 	return c
 }
 
-// Validate checks that every scenario has exactly Q non-negative
-// frequencies and a positive total cost, and that Weights — if present —
-// holds one positive weight per scenario.
+// Validate checks that every scenario has exactly Q finite non-negative
+// frequencies and a finite positive total cost, and that Weights — if
+// present — holds one finite positive weight per scenario. Finiteness is what
+// lets every consumer encode the set as JSON and sum it without overflow.
 func (ss *ScenarioSet) Validate(w *Workload) error {
 	if len(ss.Frequencies) == 0 {
 		return fmt.Errorf("model: scenario set is empty")
@@ -93,12 +94,12 @@ func (ss *ScenarioSet) Validate(w *Workload) error {
 			return fmt.Errorf("model: scenario %d has %d frequencies, want %d", s, len(freq), len(w.Queries))
 		}
 		for j, f := range freq {
-			if f < 0 {
-				return fmt.Errorf("model: scenario %d query %d has negative frequency %g", s, j, f)
+			if f < 0 || math.IsInf(f, 0) || math.IsNaN(f) {
+				return fmt.Errorf("model: scenario %d query %d has frequency %g, want finite and non-negative", s, j, f)
 			}
 		}
-		if w.TotalCost(freq) <= 0 {
-			return fmt.Errorf("model: scenario %d has zero total cost", s)
+		if c := w.TotalCost(freq); c <= 0 || math.IsInf(c, 0) {
+			return fmt.Errorf("model: scenario %d has total cost %g, want finite and positive", s, c)
 		}
 	}
 	return nil
