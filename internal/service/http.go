@@ -101,10 +101,24 @@ type updateResponse struct {
 	LastError string `json:"last_error,omitempty"`
 }
 
+// maxUpdateBytes caps a POST /v1/update body; the server's ReadTimeout bounds
+// time, not bytes. It is sized from the largest legitimate update: on the
+// largest built-in workload (accounting, Q = 4461) one observed scenario is
+// at most 4461 × 25 bytes (a shortest round-trip float64 and its comma) ≈
+// 109 KiB, and a delta on every query of a scenario at most 4461 × 80 bytes
+// ({"scenario":…,"query":…,"delta":…}) ≈ 349 KiB. 8 MiB holds more than
+// twenty such sweeps in one body; anything larger is a new scenario set, and
+// a new scenario set is a new daemon.
+const maxUpdateBytes = 8 << 20
+
 func (s *Service) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	var u Update
-	if err := json.NewDecoder(r.Body).Decode(&u); err != nil {
-		http.Error(w, "bad update: "+err.Error(), http.StatusBadRequest)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUpdateBytes)).Decode(&u); err != nil {
+		code := http.StatusBadRequest
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "bad update: "+err.Error(), code)
 		return
 	}
 	epoch, err := s.Apply(u)

@@ -438,6 +438,91 @@ func TestServiceHTTPEndpoints(t *testing.T) {
 	}
 }
 
+// postUpdate POSTs body to srv's update endpoint and returns the status code.
+func postUpdate(t *testing.T, srv *httptest.Server, body string) int {
+	t.Helper()
+	resp, err := http.Post(srv.URL+"/v1/update", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := resp.Body.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode
+}
+
+// TestServiceRefusesNonFiniteUpdate: an update whose frequencies overflow to
+// +Inf — two deltas on one query, or an observed scenario whose total cost
+// overflows — is refused whole, because a desired state holding +Inf could
+// never be journaled again; the next valid update still journals.
+func TestServiceRefusesNonFiniteUpdate(t *testing.T) {
+	cfg := serviceConfig(t)
+	cfg.StateDir = t.TempDir()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	huge := make([]string, len(cfg.Workload.Queries))
+	for j := range huge {
+		huge[j] = "1e308"
+	}
+	for _, body := range []string{
+		`{"freq_deltas":[{"scenario":0,"query":1,"delta":1.7e308},{"scenario":0,"query":1,"delta":1.7e308}]}`,
+		`{"observe":[[` + strings.Join(huge, ",") + `]]}`,
+	} {
+		if code := postUpdate(t, srv, body); code != http.StatusBadRequest {
+			t.Errorf("POST %.60s… = %d, want 400", body, code)
+		}
+	}
+	if got := s.Epoch(); got != 0 {
+		t.Fatalf("refused updates moved the epoch to %d", got)
+	}
+
+	if code := postUpdate(t, srv, `{"freq_deltas":[{"scenario":0,"query":1,"delta":0.5}]}`); code != http.StatusAccepted {
+		t.Fatalf("POST valid update = %d, want 202", code)
+	}
+	st, err := checkpoint.Open(filepath.Join(cfg.StateDir, "state"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := st.LoadRaw()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, err := decodePersisted(cfg.Workload, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ps.Epoch != 1 {
+		t.Errorf("newest state-journal frame is epoch %d, want the valid update's 1", ps.Epoch)
+	}
+}
+
+// TestServiceUpdateBodyCap: a body of maxUpdateBytes is read, one byte more
+// is refused with 413 before anything is applied.
+func TestServiceUpdateBodyCap(t *testing.T) {
+	s, err := New(serviceConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+
+	pad := strings.Repeat(" ", maxUpdateBytes-2)
+	if code := postUpdate(t, srv, " "+pad+"{}"); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("POST of maxUpdateBytes+1 = %d, want 413", code)
+	}
+	if got := s.Epoch(); got != 0 {
+		t.Fatalf("an over-size body moved the epoch to %d", got)
+	}
+	if code := postUpdate(t, srv, pad+"{}"); code != http.StatusAccepted {
+		t.Errorf("POST of exactly maxUpdateBytes = %d, want 202", code)
+	}
+}
+
 // TestServiceJournalRestore pins clean-restart durability: a fresh Service
 // on the same state directory boots into the last served incumbent without
 // solving, and rejects a journal written for a different workload.
