@@ -25,11 +25,11 @@
 // greedy allocator — plus a per-subproblem status breakdown on stderr.
 //
 // With -checkpoint DIR the lp approach additionally journals its progress
-// durably (every completed subproblem, plus long MIP searches every
-// -checkpoint-every), so a crash or kill loses at most the work since the
-// last checkpoint; -resume restarts from the journal, replaying
-// proven-optimal subproblems verbatim and warm-starting the rest. See
-// DESIGN.md §3.9 for the format and guarantees.
+// durably (every completed subproblem, plus long MIP searches every 30 s),
+// so a crash or kill loses at most the work since the last checkpoint;
+// -resume restarts from the journal, replaying proven-optimal subproblems
+// verbatim and warm-starting the rest. See DESIGN.md §3.9 for the format and
+// guarantees.
 //
 // Exit codes:
 //
@@ -84,7 +84,6 @@ func main() {
 	parallel := flag.Int("parallel", 0, "concurrent subproblem solves for lp (0 = GOMAXPROCS, 1 = serial)")
 	ckptDir := flag.String("checkpoint", "", "journal lp solve progress durably into this directory")
 	resume := flag.Bool("resume", false, "resume from the journal in -checkpoint instead of starting fresh")
-	ckptEvery := flag.Duration("checkpoint-every", 0, "minimum interval between mid-MIP checkpoints (default 30s)")
 	out := flag.String("o", "", "output file (default stdout)")
 	exportLP := flag.String("export-lp", "", "write the exact MIP in CPLEX LP format to this file and exit")
 	verbose := flag.Bool("v", false, "progress logging to stderr")
@@ -162,7 +161,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, format+"\n", args...)
 			}
 		}
-		rec, err := openRecorder(*ckptDir, *resume, *ckptEvery)
+		rec, err := openRecorder(*ckptDir, *resume)
 		if err != nil {
 			fail(err)
 		}
@@ -236,7 +235,7 @@ func main() {
 // creates) the checkpoint directory and, with resume, loads the newest good
 // generation to restart from. Resuming an empty directory starts fresh —
 // that is what lets a crash-resume loop converge unattended.
-func openRecorder(dir string, resume bool, every time.Duration) (*checkpoint.Recorder, error) {
+func openRecorder(dir string, resume bool) (*checkpoint.Recorder, error) {
 	if dir == "" {
 		if resume {
 			return nil, fmt.Errorf("-resume requires -checkpoint DIR")
@@ -247,7 +246,7 @@ func openRecorder(dir string, resume bool, every time.Duration) (*checkpoint.Rec
 	if err != nil {
 		return nil, err
 	}
-	rec, err := st.Recorder(resume, every)
+	rec, err := st.Recorder(resume)
 	if err != nil {
 		return nil, err
 	}

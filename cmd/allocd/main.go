@@ -11,10 +11,12 @@
 //
 // With -reduce R the daemon clusters its scenario set into R weighted
 // representatives and solves over those: observed scenarios fold into their
-// nearest cluster between solves, and a full re-clustering runs only when
-// the accumulated drift trips -recluster-threshold (DESIGN.md §3.12). The
-// /v1/status response reports the reduction's size, deviation bound, drift,
-// and re-clustering count.
+// nearest cluster between solves, and a full re-clustering runs only once the
+// drift folded in exceeds a quarter of the set the clustering was built from
+// (DESIGN.md §3.12). The clustering recipe — that threshold and k-medoids
+// seed 1 — is fixed, because a follower re-clusters every frame it tails and
+// must land on the leader's reduction. The /v1/status response reports the
+// reduction's size, deviation bound, drift, and re-clustering count.
 //
 // Endpoints:
 //
@@ -96,13 +98,10 @@ func main() {
 	p := flag.Float64("p", fragalloc.DefaultPresence, "scenario presence probability")
 	seed := flag.Int64("seed", 1, "scenario sampling seed")
 	reduce := flag.Int("reduce", 0, "solve over this many clustered scenario representatives instead of the full set (0 = off)")
-	reclusterAt := flag.Float64("recluster-threshold", 0, "re-cluster once folded drift exceeds this fraction of the clustered set size (0 = default 0.25)")
-	reduceSeed := flag.Int64("reduce-seed", 1, "k-medoids initialization seed for -reduce")
 	budget := flag.Duration("budget", 30*time.Second, "MIP time budget per subproblem")
 	solveTimeout := flag.Duration("solve-timeout", 0, "wall-clock bound per re-optimization attempt (0 = none)")
 	parallel := flag.Int("parallel", 0, "concurrent subproblem solves (0 = GOMAXPROCS, 1 = serial)")
 	state := flag.String("state", "", "durable state directory (empty = memory-only, no crash tolerance)")
-	ckptEvery := flag.Duration("checkpoint-every", 0, "minimum interval between mid-MIP checkpoints (default 30s)")
 	addr := flag.String("addr", "127.0.0.1:8080", "HTTP listen address")
 	role := flag.String("role", "single", "replica role: single (no HA), auto (elect through the shared-state lease), standby (follow, never lead)")
 	nodeID := flag.String("node-id", "", "replica name in the lease file (default hostname-pid)")
@@ -122,18 +121,14 @@ func main() {
 		fail(err)
 	}
 	cfg := service.Config{
-		Workload:        w,
-		K:               *k,
-		FixedQueries:    *fixed,
-		Parallelism:     *parallel,
-		MIP:             mip.Options{TimeLimit: *budget, MaxStallNodes: 300},
-		SolveTimeout:    *solveTimeout,
-		StateDir:        *state,
-		CheckpointEvery: *ckptEvery,
-
-		ReduceTo:           *reduce,
-		ReclusterThreshold: *reclusterAt,
-		ReduceSeed:         *reduceSeed,
+		Workload:     w,
+		K:            *k,
+		FixedQueries: *fixed,
+		Parallelism:  *parallel,
+		MIP:          mip.Options{TimeLimit: *budget, MaxStallNodes: 300},
+		SolveTimeout: *solveTimeout,
+		StateDir:     *state,
+		ReduceTo:     *reduce,
 	}
 	if *scenarios > 1 {
 		cfg.Scenarios = fragalloc.InSampleScenarios(w, *scenarios, *p, *seed)

@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 )
 
 // sampleSnapshot builds a snapshot exercising every journaled field,
@@ -293,7 +292,7 @@ func TestRecorderBindRejectsForeignKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	prev := &Snapshot{RunKey: "key-a"}
-	rec := NewRecorder(st, prev, 0)
+	rec := NewRecorder(st, prev)
 	if !rec.Resumed() {
 		t.Error("Resumed() = false for a recorder built from a loaded snapshot")
 	}
@@ -314,10 +313,7 @@ func TestRecorderJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := NewRecorder(st, nil, 5*time.Second)
-	if rec.Every() != 5*time.Second {
-		t.Errorf("Every() = %v, want 5s", rec.Every())
-	}
+	rec := NewRecorder(st, nil)
 	if rec.Resumed() {
 		t.Error("Resumed() = true for a fresh recorder")
 	}
@@ -361,7 +357,7 @@ func TestRecorderJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec2 := NewRecorder(st2, snap, 0)
+	rec2 := NewRecorder(st2, snap)
 	if err := rec2.Bind("key", 200); err != nil {
 		t.Fatalf("resumed Bind: %v", err)
 	}
@@ -385,7 +381,7 @@ func TestRecorderWDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rec := NewRecorder(st, nil, 0)
+		rec := NewRecorder(st, nil)
 		if err := rec.Bind("key", 1); err != nil {
 			t.Fatal(err)
 		}
@@ -412,7 +408,7 @@ func TestLoadJournalWithRetiredMIPFields(t *testing.T) {
 	if err := st.SaveRaw([]byte(old)); err != nil {
 		t.Fatal(err)
 	}
-	rec, err := st.Recorder(true, 0)
+	rec, err := st.Recorder(true)
 	if err != nil {
 		t.Fatal(err)
 	}

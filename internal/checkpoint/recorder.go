@@ -4,20 +4,14 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 )
-
-// DefaultEvery is the default minimum interval between mid-MIP checkpoint
-// saves. Subproblem completions always checkpoint immediately.
-const DefaultEvery = 30 * time.Second
 
 // Recorder is the journal the decomposition driver writes through: it holds
 // the in-memory Snapshot, persists it through a Store on every record, and
 // serves the journaled records back to a resuming run. Safe for concurrent
 // use — parallel subproblem solves share one Recorder.
 type Recorder struct {
-	st    *Store
-	every time.Duration
+	st *Store
 
 	mu      sync.Mutex
 	snap    *Snapshot
@@ -26,12 +20,8 @@ type Recorder struct {
 }
 
 // NewRecorder wraps st. prev, when non-nil, is a loaded snapshot to resume
-// from; every is the minimum interval between mid-MIP checkpoints (0 means
-// DefaultEvery).
-func NewRecorder(st *Store, prev *Snapshot, every time.Duration) *Recorder {
-	if every <= 0 {
-		every = DefaultEvery
-	}
+// from.
+func NewRecorder(st *Store, prev *Snapshot) *Recorder {
 	snap := prev
 	resumed := prev != nil
 	if snap == nil {
@@ -43,14 +33,14 @@ func NewRecorder(st *Store, prev *Snapshot, every time.Duration) *Recorder {
 	if snap.MIPs == nil {
 		snap.MIPs = make(map[string]*MIPRecord)
 	}
-	return &Recorder{st: st, every: every, snap: snap, resumed: resumed}
+	return &Recorder{st: st, snap: snap, resumed: resumed}
 }
 
 // Recorder opens the store's journal: fresh, or with resume continuing from
 // the newest loadable snapshot (fresh again when the directory holds none).
 // An error means generations exist but none loads; what to do about that is
 // the caller's policy.
-func (st *Store) Recorder(resume bool, every time.Duration) (*Recorder, error) {
+func (st *Store) Recorder(resume bool) (*Recorder, error) {
 	var prev *Snapshot
 	if resume {
 		var err error
@@ -58,11 +48,8 @@ func (st *Store) Recorder(resume bool, every time.Duration) (*Recorder, error) {
 			return nil, err
 		}
 	}
-	return NewRecorder(st, prev, every), nil
+	return NewRecorder(st, prev), nil
 }
-
-// Every returns the mid-MIP checkpoint interval.
-func (r *Recorder) Every() time.Duration { return r.every }
 
 // Resumed reports whether the Recorder started from a loaded snapshot.
 func (r *Recorder) Resumed() bool { return r.resumed }

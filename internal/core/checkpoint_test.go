@@ -46,7 +46,7 @@ func checkpointedRun(t *testing.T, dir string, fault checkpoint.FaultInjector, r
 			t.Fatal(err)
 		}
 	}
-	rec := checkpoint.NewRecorder(st, prev, 0)
+	rec := checkpoint.NewRecorder(st, prev)
 	// Parallelism 1 keeps the kill-point panic on the driving goroutine, so
 	// an in-process test can recover it like a crash.
 	return Allocate(w, nil, 4, Options{Chunks: spec, Parallelism: 1, Checkpoint: rec})
@@ -183,7 +183,7 @@ func TestResumeReplaysWithoutSolver(t *testing.T) {
 	if prev.RunKey != e118db2RunKey {
 		t.Fatalf("run key %q, want %q: journals written before this commit would be refused", prev.RunKey, e118db2RunKey)
 	}
-	rec := checkpoint.NewRecorder(st, prev, 0)
+	rec := checkpoint.NewRecorder(st, prev)
 	res, err := Allocate(w, nil, 4, Options{
 		Chunks: spec, Parallelism: 1, Checkpoint: rec,
 		MIP: faultedMIP(), // any real solve would degrade, breaking equality
@@ -208,7 +208,7 @@ func TestDegradedOutcomesJournalRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := checkpoint.NewRecorder(st, nil, 0)
+	rec := checkpoint.NewRecorder(st, nil)
 	res, err := Allocate(w, nil, 4, Options{
 		Chunks: spec, Parallelism: 1, Checkpoint: rec, MIP: faultedMIP(),
 	})
@@ -259,7 +259,7 @@ func TestResumeRejectsForeignJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := checkpoint.NewRecorder(st, prev, 0)
+	rec := checkpoint.NewRecorder(st, prev)
 	other := starWorkload(4, 10, 5)
 	_, spec := crashWorkload()
 	if _, err := Allocate(other, nil, 4, Options{Chunks: spec, Parallelism: 1, Checkpoint: rec}); err == nil {

@@ -94,7 +94,7 @@ func goldenRun(t *testing.T, w *model.Workload, ss *model.ScenarioSet, k int, op
 			t.Fatal(err)
 		}
 	}
-	opt.Checkpoint = checkpoint.NewRecorder(st, snap, 0)
+	opt.Checkpoint = checkpoint.NewRecorder(st, snap)
 	res, err := Allocate(w, ss, k, opt)
 	if err != nil {
 		t.Fatal(err)

@@ -517,7 +517,6 @@ func (sp *subproblem) solve(opt mip.Options, ck *subCheckpoint, hints ...[][]boo
 		if m := ck.rec.MIP(ck.id); m != nil && len(m.X) == p.NumVars {
 			opt.Starts = append(opt.Starts, append([]float64(nil), m.X...))
 		}
-		opt.CheckpointEvery = ck.rec.Every()
 		rec, id := ck.rec, ck.id
 		opt.Checkpoint = func(snap mip.Snapshot) {
 			if !snap.HasIncumbent {

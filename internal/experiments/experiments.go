@@ -257,7 +257,7 @@ func (c Config) allocate(rowID string, w *model.Workload, ss *model.ScenarioSet,
 		if err != nil {
 			return nil, err
 		}
-		if opts.Checkpoint, err = st.Recorder(c.Resume, 0); err != nil {
+		if opts.Checkpoint, err = st.Recorder(c.Resume); err != nil {
 			return nil, err
 		}
 	}

@@ -126,12 +126,6 @@ type Options struct {
 	// (default 1e-6). Zero selects the default; pass a negative value to
 	// request an exact zero relative gap.
 	RelGap float64
-	// AbsGap is the absolute gap at which the search stops (default 1e-9).
-	// Zero selects the default; negative requests an exact zero gap.
-	AbsGap float64
-	// IntTol is the integrality tolerance (default 1e-6). Zero selects the
-	// default; negative requests exact integrality.
-	IntTol float64
 	// Rounding, if non-nil, receives the (fractional) relaxation solution
 	// of a node and proposes values for the integer variables; the solver
 	// fixes them, re-solves the continuous rest, and adopts the result as
@@ -184,16 +178,20 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// roundingEvery is the node interval between Options.Rounding calls.
-const roundingEvery = 50
+const (
+	// roundingEvery is the node interval between Options.Rounding calls.
+	roundingEvery = 50
+	// absGap is the absolute gap at which the search stops, beside the
+	// relative Options.RelGap; intTol is the integrality tolerance.
+	absGap = 1e-9
+	intTol = 1e-6
+)
 
 func (o Options) withDefaults() Options {
 	if o.MaxNodes == 0 {
 		o.MaxNodes = 1 << 30
 	}
 	o.RelGap = defaultOrZero(o.RelGap, 1e-6)
-	o.AbsGap = defaultOrZero(o.AbsGap, 1e-9)
-	o.IntTol = defaultOrZero(o.IntTol, 1e-6)
 	if o.CheckpointEvery == 0 {
 		o.CheckpointEvery = 30 * time.Second
 	}
@@ -213,7 +211,7 @@ type Snapshot struct {
 	Obj float64
 }
 
-// defaultOrZero resolves the tolerance convention of Options: zero means
+// defaultOrZero resolves the convention of Options.RelGap: zero means
 // the default, negative means an explicit zero (the zero value of a float
 // field cannot otherwise express "no tolerance").
 func defaultOrZero(v, def float64) float64 {
@@ -266,7 +264,7 @@ func Solve(p *simplex.Problem, intVars []int, opt Options) (*Result, error) {
 			return nil, fmt.Errorf("mip: integer variable %d must have finite bounds", j)
 		}
 	}
-	ps := runPresolve(p, intVars, opt.IntTol, opt.Logf)
+	ps := runPresolve(p, intVars, opt.Logf)
 	if ps.infeasible {
 		return &Result{Status: StatusInfeasible, Bound: math.Inf(1), Gap: math.Inf(1), Exact: true}, nil
 	}
@@ -497,7 +495,7 @@ func (s *search) fractionalVar(x []float64) int {
 	for _, j := range s.intVars {
 		frac := x[j] - math.Floor(x[j])
 		dist := math.Min(frac, 1-frac)
-		if dist <= s.opt.IntTol {
+		if dist <= intTol {
 			continue
 		}
 		prio := s.prioOf(j)
@@ -525,7 +523,7 @@ func (s *search) pseudocostVar(x []float64) int {
 	for _, j := range s.intVars {
 		frac := x[j] - math.Floor(x[j])
 		dist := math.Min(frac, 1-frac)
-		if dist <= s.opt.IntTol {
+		if dist <= intTol {
 			continue
 		}
 		prio := s.prioOf(j)
@@ -584,7 +582,7 @@ func (s *search) tryProposal(proposal []float64) {
 	if res.Status != simplex.StatusOptimal {
 		return
 	}
-	if !s.hasInc || res.Obj < s.incObj-s.opt.AbsGap {
+	if !s.hasInc || res.Obj < s.incObj-absGap {
 		// Copy, like accept: the heuristic solver is re-solved for later
 		// proposals, and an aliased incumbent would silently corrupt if the
 		// solver ever reused its solution buffer.
@@ -598,7 +596,7 @@ func (s *search) tryProposal(proposal []float64) {
 
 // accept adopts an improving integral node solution as the incumbent.
 func (s *search) accept(x []float64, obj float64) {
-	if !s.hasInc || obj < s.incObj-s.opt.AbsGap {
+	if !s.hasInc || obj < s.incObj-absGap {
 		s.incumbent = append([]float64(nil), x...)
 		s.incObj = obj
 		s.hasInc = true
@@ -616,7 +614,7 @@ func (s *search) gapClosed(bound float64) bool {
 	// presolve may have moved most of the objective into the constant
 	// offset, and a gap relative to the reduced remainder would be a far
 	// stricter (and surprising) criterion.
-	return gap <= s.opt.AbsGap || gap <= s.opt.RelGap*math.Max(1, math.Abs(s.incObj+s.ps.objOff))
+	return gap <= absGap || gap <= s.opt.RelGap*math.Max(1, math.Abs(s.incObj+s.ps.objOff))
 }
 
 func (s *search) result(status Status, bound float64) *Result {
@@ -693,7 +691,7 @@ func (s *search) run() (*Result, error) {
 			return s.result(StatusNoSolution, globalBound), nil
 		}
 		nd := heap.Pop(open).(*node)
-		if s.hasInc && nd.bound >= s.incObj-s.opt.AbsGap {
+		if s.hasInc && nd.bound >= s.incObj-absGap {
 			continue // pruned by bound
 		}
 		s.plunge(nd, open)
@@ -757,13 +755,13 @@ func (s *search) plunge(nd *node, open *nodeHeap) {
 			if nd.up {
 				dist = 1 - nd.frac
 			}
-			if dist > s.opt.IntTol {
+			if dist > intTol {
 				s.creditPseudocost(nd.bvar, nd.up, math.Max(0, bound-nd.parentObj)/dist)
 			}
 			nd.bvar = -1 // credit once, not on every dive iteration
 		}
 		s.logf("mip: node %d depth %d obj=%.6f iters=%d", s.nodes, len(nd.path), res.Obj+s.ps.objOff, res.Iters)
-		if s.hasInc && bound >= s.incObj-s.opt.AbsGap {
+		if s.hasInc && bound >= s.incObj-absGap {
 			return // pruned
 		}
 		branch := s.fractionalVar(res.X)

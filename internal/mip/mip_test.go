@@ -320,20 +320,18 @@ func TestSkippedSubtreeNotOptimal(t *testing.T) {
 	}
 }
 
-// TestZeroGapOptions checks the negative-means-zero convention: a caller
-// can request exact zero tolerances, while the zero value keeps defaults.
+// TestZeroGapOptions checks RelGap's negative-means-zero convention: a
+// caller can request an exact zero relative gap, while the zero value keeps
+// the default.
 func TestZeroGapOptions(t *testing.T) {
-	d := Options{}.withDefaults()
-	if d.RelGap != 1e-6 || d.AbsGap != 1e-9 || d.IntTol != 1e-6 {
-		t.Errorf("zero-value defaults wrong: %+v", d)
+	if d := (Options{}).withDefaults(); d.RelGap != 1e-6 {
+		t.Errorf("zero-value RelGap default %v, want 1e-6", d.RelGap)
 	}
-	z := Options{RelGap: -1, AbsGap: -1, IntTol: -1}.withDefaults()
-	if z.RelGap != 0 || z.AbsGap != 0 || z.IntTol != 0 {
-		t.Errorf("negative tolerances not mapped to zero: %+v", z)
+	if z := (Options{RelGap: -1}).withDefaults(); z.RelGap != 0 {
+		t.Errorf("negative RelGap mapped to %v, want 0", z.RelGap)
 	}
-	kept := Options{RelGap: 1e-3, AbsGap: 1e-4, IntTol: 1e-5}.withDefaults()
-	if kept.RelGap != 1e-3 || kept.AbsGap != 1e-4 || kept.IntTol != 1e-5 {
-		t.Errorf("positive tolerances not kept: %+v", kept)
+	if kept := (Options{RelGap: 1e-3}).withDefaults(); kept.RelGap != 1e-3 {
+		t.Errorf("positive RelGap %v, want it kept at 1e-3", kept.RelGap)
 	}
 
 	// A zero-gap solve must still terminate and prove optimality.
@@ -345,7 +343,7 @@ func TestZeroGapOptions(t *testing.T) {
 		idx = append(idx, p.AddVar(0, 1, -vals[j]))
 	}
 	p.AddRow(idx, wts, simplex.LE, 7)
-	res, err := Solve(p, idx, Options{RelGap: -1, AbsGap: -1})
+	res, err := Solve(p, idx, Options{RelGap: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

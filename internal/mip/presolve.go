@@ -106,7 +106,7 @@ type wrow struct {
 // runPresolve applies the reductions to p (which is never mutated) and
 // returns the mapping, with infeasible set when the reductions prove the
 // problem has no feasible point.
-func runPresolve(p *simplex.Problem, intVars []int, intTol float64, logf func(string, ...any)) *presolveInfo {
+func runPresolve(p *simplex.Problem, intVars []int, logf func(string, ...any)) *presolveInfo {
 	n := p.NumVars
 	ps := &presolveInfo{
 		origN:   n,
@@ -123,7 +123,7 @@ func runPresolve(p *simplex.Problem, intVars []int, intTol float64, logf func(st
 
 	rows := buildWorkingRows(p)
 
-	pr := &presolver{ps: ps, lb: lb, ub: ub, intTol: intTol, rows: rows}
+	pr := &presolver{ps: ps, lb: lb, ub: ub, rows: rows}
 	pr.roundIntBounds()
 	if pr.infeasibleBounds() {
 		ps.infeasible = true
@@ -211,7 +211,6 @@ func sortInts(a []int) {
 type presolver struct {
 	ps      *presolveInfo
 	lb, ub  []float64
-	intTol  float64
 	rows    []wrow
 	changed bool
 }
@@ -228,10 +227,10 @@ func (pr *presolver) roundIntBounds() {
 		if !pr.ps.isInt[j] || pr.ps.isFixed[j] {
 			continue
 		}
-		if l := math.Ceil(pr.lb[j] - pr.intTol); l > pr.lb[j] {
+		if l := math.Ceil(pr.lb[j] - intTol); l > pr.lb[j] {
 			pr.lb[j] = l
 		}
-		if u := math.Floor(pr.ub[j] + pr.intTol); u < pr.ub[j] {
+		if u := math.Floor(pr.ub[j] + intTol); u < pr.ub[j] {
 			pr.ub[j] = u
 		}
 	}
@@ -414,7 +413,7 @@ func (pr *presolver) singletonToBound(w *wrow) bool {
 // epsilon-sized "improvements" keeping the fixpoint loop alive.
 func (pr *presolver) tightenUB(j int, v float64) {
 	if pr.ps.isInt[j] {
-		v = math.Floor(v + pr.intTol)
+		v = math.Floor(v + intTol)
 		if v < pr.ub[j] {
 			pr.ub[j] = v
 			pr.ps.stats.TightenedVars++
@@ -433,7 +432,7 @@ func (pr *presolver) tightenUB(j int, v float64) {
 // tightenLB raises variable j's lower bound to v; see tightenUB.
 func (pr *presolver) tightenLB(j int, v float64) {
 	if pr.ps.isInt[j] {
-		v = math.Ceil(v - pr.intTol)
+		v = math.Ceil(v - intTol)
 		if v > pr.lb[j] {
 			pr.lb[j] = v
 			pr.ps.stats.TightenedVars++

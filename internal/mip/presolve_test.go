@@ -19,7 +19,7 @@ func TestPresolveImplicationChain(t *testing.T) {
 	z := p.AddVar(0, 5, -1)                                        // would love to grow, but z ≤ y ≤ 0
 	p.AddRow([]int{x1, x2, y}, []float64{1, 1, -2}, simplex.GE, 0) // coverage
 	p.AddRow([]int{z, y}, []float64{1, -5}, simplex.LE, 0)         // linking (scaled)
-	ps := runPresolve(p, []int{y}, 1e-6, nil)
+	ps := runPresolve(p, []int{y}, nil)
 	if ps.infeasible {
 		t.Fatal("feasible instance reported infeasible")
 	}
@@ -47,7 +47,7 @@ func TestPresolveUpwardFixing(t *testing.T) {
 	x := p.AddVar(0, 1, 1)
 	y := p.AddVar(1, 1, 0)                                 // query must run
 	p.AddRow([]int{x, y}, []float64{1, -1}, simplex.GE, 0) // coverage: x ≥ y
-	ps := runPresolve(p, []int{x, y}, 1e-6, nil)
+	ps := runPresolve(p, []int{x, y}, nil)
 	if ps.infeasible {
 		t.Fatal("feasible instance reported infeasible")
 	}
@@ -141,7 +141,7 @@ func TestPresolveSingletonAndIntegerRounding(t *testing.T) {
 	w := p.AddVar(0, 1, -1)
 	p.AddRow([]int{x}, []float64{3}, simplex.LE, 7)
 	p.AddRow([]int{x, w}, []float64{1, 1}, simplex.LE, 2) // live: max activity 3 > 2
-	ps := runPresolve(p, []int{x}, 1e-6, nil)
+	ps := runPresolve(p, []int{x}, nil)
 	if ps.infeasible {
 		t.Fatal("feasible instance reported infeasible")
 	}
@@ -168,7 +168,7 @@ func TestPresolveProposalTranslation(t *testing.T) {
 	b := p.AddVar(0, 1, -1)
 	p.AddRow([]int{a, y}, []float64{1, 1}, simplex.LE, 1)
 	p.AddRow([]int{a, b}, []float64{1, 1}, simplex.LE, 1)
-	ps := runPresolve(p, []int{y, a, b}, 1e-6, nil)
+	ps := runPresolve(p, []int{y, a, b}, nil)
 	if !ps.isFixed[y] {
 		t.Fatal("y not eliminated")
 	}
@@ -191,7 +191,7 @@ func TestPresolveCrossedBounds(t *testing.T) {
 	p := &simplex.Problem{}
 	x := p.AddVar(0, 1, 0)
 	p.AddRow([]int{x}, []float64{2}, simplex.GE, 3)
-	ps := runPresolve(p, []int{x}, 1e-6, nil)
+	ps := runPresolve(p, []int{x}, nil)
 	if !ps.infeasible {
 		t.Error("crossed integer bounds not detected")
 	}

@@ -60,17 +60,10 @@ type Config struct {
 	// by R while the set keeps growing with every observed scenario. Newly
 	// observed scenarios fold into their nearest cluster between solves; a
 	// full re-clustering runs only when the accumulated drift trips
-	// ReclusterThreshold. The full set stays the desired state and is what
+	// reclusterThreshold. The full set stays the desired state and is what
 	// the journal persists — the reduction is derived and rebuilt
 	// deterministically at boot.
 	ReduceTo int
-	// ReclusterThreshold triggers a re-clustering once the weight folded or
-	// drifted since the last clustering exceeds this fraction of the set
-	// size the clustering was built from (default 0.25).
-	ReclusterThreshold float64
-	// ReduceSeed seeds the deterministic k-medoids initialization
-	// (default 1).
-	ReduceSeed int64
 
 	// SolveTimeout bounds each re-optimization attempt (0 = none).
 	// BackoffBase and BackoffMax shape the exponential retry backoff after
@@ -83,9 +76,6 @@ type Config struct {
 	// state + incumbent, StateDir/solve/ep-N journals the in-flight solve
 	// of epoch N. Empty means memory-only (no crash tolerance).
 	StateDir string
-	// CheckpointEvery is the minimum interval between mid-MIP checkpoints
-	// (0 = the checkpoint package's default).
-	CheckpointEvery time.Duration
 
 	// HA, when set, runs this daemon as one replica of a highly available
 	// group sharing StateDir: lease-based leader election with fencing
@@ -161,12 +151,6 @@ func New(cfg Config) (*Service, error) {
 	if cfg.BackoffMax <= 0 {
 		cfg.BackoffMax = 30 * time.Second
 	}
-	if cfg.ReclusterThreshold <= 0 {
-		cfg.ReclusterThreshold = 0.25
-	}
-	if cfg.ReduceSeed == 0 {
-		cfg.ReduceSeed = 1
-	}
 	if cfg.HA != nil {
 		ha, err := cfg.HA.withDefaults(&cfg)
 		if err != nil {
@@ -229,11 +213,16 @@ func New(cfg Config) (*Service, error) {
 	return s, nil
 }
 
+// reduceSeed seeds the k-medoids initialization of every clustering. A
+// follower re-clusters each tailed frame itself, so every restart and replica
+// must share it — it is part of the recipe, not a knob.
+const reduceSeed = 1
+
 // cluster reduces scen by the daemon's fixed clustering recipe; using it for
 // the boot build, every installed journal frame and every re-clustering keeps
 // reductions reproducible.
 func (s *Service) cluster(scen *model.ScenarioSet) (*scenario.Reduction, error) {
-	red, err := scenario.Reduce(s.cfg.Workload, scen, scenario.ReduceConfig{R: s.cfg.ReduceTo, Seed: s.cfg.ReduceSeed})
+	red, err := scenario.Reduce(s.cfg.Workload, scen, scenario.ReduceConfig{R: s.cfg.ReduceTo, Seed: reduceSeed})
 	if err != nil {
 		return nil, fmt.Errorf("service: scenario reduction: %w", err)
 	}
@@ -478,11 +467,11 @@ func (s *Service) solveRecorder(epoch uint64) (*checkpoint.Recorder, error) {
 	var check func() error
 	s.locked(func(*state) { check = s.leaseCheck })
 	st.SetFence(check)
-	rec, err := st.Recorder(true, s.cfg.CheckpointEvery)
+	rec, err := st.Recorder(true)
 	if err != nil {
 		// A corrupt solve journal costs a fresh solve, never the daemon.
 		s.logf("service: warning: discarding unreadable solve journal %s: %v", dir, err)
-		rec = checkpoint.NewRecorder(st, nil, s.cfg.CheckpointEvery)
+		rec = checkpoint.NewRecorder(st, nil)
 	}
 	if rec.Resumed() {
 		s.logf("service: resuming interrupted solve of epoch %d from its journal", epoch)

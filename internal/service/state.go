@@ -18,14 +18,13 @@ import (
 
 type state struct {
 	// Fixed at construction: the parts of Config the transitions read.
-	w                  *model.Workload
-	fixedK             int    // node count the fixed chunk spec covers; 0 without one
-	chunkSpec          string // that spec, for the refusal message
-	reclusterThreshold float64
-	backoffBase        time.Duration
-	backoffMax         time.Duration
-	maxPending         int          // pending-update bound; 0 = unbounded
-	bucket             *tokenBucket // ingest-rate gate; nil = unbounded
+	w           *model.Workload
+	fixedK      int    // node count the fixed chunk spec covers; 0 without one
+	chunkSpec   string // that spec, for the refusal message
+	backoffBase time.Duration
+	backoffMax  time.Duration
+	maxPending  int          // pending-update bound; 0 = unbounded
+	bucket      *tokenBucket // ingest-rate gate; nil = unbounded
 
 	scen         *model.ScenarioSet  // desired scenario set (current epoch)
 	k            int                 // desired node count
@@ -57,14 +56,13 @@ type state struct {
 // has defaulted; now is the instant the admission bucket starts full.
 func newState(cfg Config, scen *model.ScenarioSet, jitterSeed int64, now time.Time) state {
 	st := state{
-		w:                  cfg.Workload,
-		reclusterThreshold: cfg.ReclusterThreshold,
-		backoffBase:        cfg.BackoffBase,
-		backoffMax:         cfg.BackoffMax,
-		scen:               scen,
-		k:                  cfg.K,
-		rng:                rand.New(rand.NewSource(jitterSeed)),
-		role:               RoleSingle,
+		w:           cfg.Workload,
+		backoffBase: cfg.BackoffBase,
+		backoffMax:  cfg.BackoffMax,
+		scen:        scen,
+		k:           cfg.K,
+		rng:         rand.New(rand.NewSource(jitterSeed)),
+		role:        RoleSingle,
 	}
 	if cfg.Chunks != nil {
 		st.fixedK, st.chunkSpec = cfg.Chunks.Leaves, cfg.Chunks.String()
@@ -172,6 +170,11 @@ func (st *state) ingest(u Update, now time.Time) (uint64, []effect, error) {
 	}, nil
 }
 
+// reclusterThreshold is the drift, as a fraction of the full-set size the
+// live clustering was built from, past which the next attempt re-clusters.
+// Like reduceSeed it is part of the clustering recipe every replica shares.
+const reclusterThreshold = 0.25
+
 // absorb folds an accepted update into the derived reduction instead of
 // re-clustering: newly observed scenarios join their nearest cluster with
 // weight 1, and scenarios moved by frequency deltas re-register their
@@ -198,7 +201,7 @@ func (st *state) absorb(u Update, oldS int) {
 		st.red.Absorb(st.scen.Frequencies[i], 1)
 		st.drifted++
 	}
-	if st.drifted > st.reclusterThreshold*float64(st.redBaseS) {
+	if st.drifted > reclusterThreshold*float64(st.redBaseS) {
 		st.redDirty = true
 	}
 }

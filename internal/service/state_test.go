@@ -172,16 +172,15 @@ func TestStateAdmission(t *testing.T) {
 }
 
 // TestStateReclustering walks the drift ladder on the state alone: folds
-// below ReclusterThreshold × the clustered set's size keep the clustering,
+// below reclusterThreshold × the clustered set's size keep the clustering,
 // the fold that crosses it marks it dirty, a re-clustering computed against a
 // snapshot an update has since replaced is not installed, and one computed
 // against the current snapshot is.
 func TestStateReclustering(t *testing.T) {
-	cfg := reducedConfig(t) // 12 scenarios in 4 clusters, threshold 0.25
-	cfg.ReclusterThreshold = 0.25
+	cfg := reducedConfig(t) // 12 scenarios in 4 clusters
 	cluster := func(scen *model.ScenarioSet) *scenario.Reduction {
 		t.Helper()
-		red, err := scenario.Reduce(cfg.Workload, scen, scenario.ReduceConfig{R: cfg.ReduceTo, Seed: 1})
+		red, err := scenario.Reduce(cfg.Workload, scen, scenario.ReduceConfig{R: cfg.ReduceTo, Seed: reduceSeed})
 		if err != nil {
 			t.Fatal(err)
 		}
