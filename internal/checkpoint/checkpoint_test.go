@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"testing"
 )
 
@@ -12,8 +13,6 @@ import (
 func sampleSnapshot() *Snapshot {
 	return &Snapshot{
 		RunKey: "w0011223344556677-s8899aabbccddeeff-k4-c2x2-a3fd5555555555555-f0-ab5",
-		V:      12345.678901234567,
-		W:      0.1 + 0.2, // 0.30000000000000004 — must round-trip exactly
 		Subs: map[string]*SubRecord{
 			"r": {
 				Outcome: "optimal",
@@ -28,10 +27,8 @@ func sampleSnapshot() *Snapshot {
 			"r.0": {
 				Outcome:    "degraded",
 				L:          19,
-				Gap:        0.1,
+				Gap:        0.30000000000000004, // the float64 sum 0.1+0.2: must round-trip exactly
 				ExtraBytes: 3.5,
-				Leaf:       true,
-				Bytes:      100.25,
 				Frags:      [][]int{{1}},
 				Yes:        []YesRow{{Q: 1, On: []bool{true}}},
 				Z:          []Route{{Q: 1, S: 0, Shares: []float64{1}}},
@@ -86,7 +83,7 @@ func TestGenerationsAndPruning(t *testing.T) {
 	}
 	for i := 1; i <= 5; i++ {
 		snap := sampleSnapshot()
-		snap.W = float64(i)
+		snap.RunKey = strconv.Itoa(i)
 		if err := st.Save(snap); err != nil {
 			t.Fatalf("save %d: %v", i, err)
 		}
@@ -102,8 +99,8 @@ func TestGenerationsAndPruning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.W != 5 {
-		t.Errorf("Load returned W=%v, want the newest generation's 5", got.W)
+	if got.RunKey != "5" {
+		t.Errorf("Load returned run key %q, want the newest generation's 5", got.RunKey)
 	}
 
 	// Reopening resumes the sequence rather than colliding with gen 5.
@@ -111,9 +108,7 @@ func TestGenerationsAndPruning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := sampleSnapshot()
-	snap.W = 6
-	if err := st2.Save(snap); err != nil {
+	if err := st2.Save(sampleSnapshot()); err != nil {
 		t.Fatal(err)
 	}
 	gens, err = st2.generations()
@@ -143,7 +138,7 @@ func newestGen(t *testing.T, dir string) string {
 }
 
 // twoGenerations writes two distinguishable snapshots and returns the dir;
-// the older generation carries W=1, the newer W=2.
+// the older generation carries run key 1, the newer run key 2.
 func twoGenerations(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -153,7 +148,7 @@ func twoGenerations(t *testing.T) string {
 	}
 	for i := 1; i <= 2; i++ {
 		snap := sampleSnapshot()
-		snap.W = float64(i)
+		snap.RunKey = strconv.Itoa(i)
 		if err := st.Save(snap); err != nil {
 			t.Fatal(err)
 		}
@@ -183,8 +178,8 @@ func TestTruncationSweep(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut=%d: load: %v", cut, err)
 		}
-		if snap.W != 1 {
-			t.Fatalf("cut=%d: loaded W=%v, want fallback generation's 1", cut, snap.W)
+		if snap.RunKey != "1" {
+			t.Fatalf("cut=%d: loaded run key %q, want fallback generation's 1", cut, snap.RunKey)
 		}
 	}
 }
@@ -213,8 +208,8 @@ func TestBitFlipSweep(t *testing.T) {
 		if err != nil {
 			t.Fatalf("flip byte %d: load: %v", i, err)
 		}
-		if snap.W != 1 {
-			t.Fatalf("flip byte %d: loaded W=%v, want fallback generation's 1", i, snap.W)
+		if snap.RunKey != "1" {
+			t.Fatalf("flip byte %d: loaded run key %q, want fallback generation's 1", i, snap.RunKey)
 		}
 	}
 }
@@ -264,12 +259,12 @@ func TestTornWriteFallsBack(t *testing.T) {
 	}
 	st.SetFault(&tornFault{at: 2})
 	good := sampleSnapshot()
-	good.W = 1
+	good.RunKey = "1"
 	if err := st.Save(good); err != nil {
 		t.Fatal(err)
 	}
 	torn := sampleSnapshot()
-	torn.W = 2
+	torn.RunKey = "2"
 	if err := st.Save(torn); err != nil {
 		t.Fatal(err)
 	}
@@ -281,8 +276,8 @@ func TestTornWriteFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.W != 1 {
-		t.Errorf("loaded W=%v, want the intact previous generation's 1", snap.W)
+	if snap.RunKey != "1" {
+		t.Errorf("loaded run key %q, want the intact previous generation's 1", snap.RunKey)
 	}
 }
 
@@ -296,17 +291,17 @@ func TestRecorderBindRejectsForeignKey(t *testing.T) {
 	if !rec.Resumed() {
 		t.Error("Resumed() = false for a recorder built from a loaded snapshot")
 	}
-	if err := rec.Bind("key-b", 1); err == nil {
+	if err := rec.Bind("key-b"); err == nil {
 		t.Fatal("Bind accepted a journal written by a different run")
 	}
-	if err := rec.Bind("key-a", 1); err != nil {
+	if err := rec.Bind("key-a"); err != nil {
 		t.Fatalf("Bind rejected the matching key: %v", err)
 	}
 }
 
-// TestRecorderJournal exercises the record/serve cycle: RecordSub persists
-// and recomputes W from leaf records, RecordMIP journals incumbents, and a
-// completed subproblem drops its in-flight MIP record.
+// TestRecorderJournal exercises the record/serve cycle: RecordSub persists,
+// RecordMIP journals incumbents, and a completed subproblem drops its
+// in-flight MIP record.
 func TestRecorderJournal(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir)
@@ -317,7 +312,7 @@ func TestRecorderJournal(t *testing.T) {
 	if rec.Resumed() {
 		t.Error("Resumed() = true for a fresh recorder")
 	}
-	if err := rec.Bind("key", 200); err != nil {
+	if err := rec.Bind("key"); err != nil {
 		t.Fatal(err)
 	}
 	if err := rec.RecordMIP("r.0", &MIPRecord{X: []float64{1, 0}}); err != nil {
@@ -326,10 +321,10 @@ func TestRecorderJournal(t *testing.T) {
 	if m := rec.MIP("r.0"); m == nil || !reflect.DeepEqual(m.X, []float64{1, 0}) {
 		t.Fatalf("MIP(r.0) = %+v, want the journaled incumbent", m)
 	}
-	if err := rec.RecordSub("r.0", &SubRecord{Outcome: "optimal", Leaf: true, Bytes: 60}); err != nil {
+	if err := rec.RecordSub("r.0", &SubRecord{Outcome: "optimal", L: 0.6}); err != nil {
 		t.Fatal(err)
 	}
-	if err := rec.RecordSub("r.1", &SubRecord{Outcome: "optimal", Leaf: true, Bytes: 40}); err != nil {
+	if err := rec.RecordSub("r.1", &SubRecord{Outcome: "optimal", L: 0.4}); err != nil {
 		t.Fatal(err)
 	}
 	if err := rec.RecordSub("r", &SubRecord{Outcome: "optimal"}); err != nil {
@@ -337,9 +332,6 @@ func TestRecorderJournal(t *testing.T) {
 	}
 	if m := rec.MIP("r.0"); m != nil {
 		t.Errorf("MIP(r.0) survived its subproblem's completion: %+v", m)
-	}
-	if w, v := rec.Progress(); w != 100 || v != 200 {
-		t.Errorf("Progress() = (%v, %v), want (100, 200): W sums leaf bytes only", w, v)
 	}
 	if subs, mips := rec.Counts(); subs != 3 || mips != 0 {
 		t.Errorf("Counts() = (%d, %d), want (3, 0)", subs, mips)
@@ -358,41 +350,11 @@ func TestRecorderJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec2 := NewRecorder(st2, snap)
-	if err := rec2.Bind("key", 200); err != nil {
+	if err := rec2.Bind("key"); err != nil {
 		t.Fatalf("resumed Bind: %v", err)
 	}
-	if s := rec2.Sub("r.1"); s == nil || s.Bytes != 40 {
+	if s := rec2.Sub("r.1"); s == nil || s.L != 0.4 {
 		t.Fatalf("resumed Sub(r.1) = %+v, want the journaled record", s)
-	}
-	if w, _ := rec2.Progress(); w != 100 {
-		t.Errorf("resumed Progress() W = %v, want 100", w)
-	}
-}
-
-// TestRecorderWDeterministic pins the journaled W to a sorted-key fold.
-// The leaf bytes are chosen so that float addition in any other order
-// yields a different last bit (1e16 + 1 + -1e16 is 0 sorted, 1 otherwise);
-// summing in map iteration order — the bug this test regresses — would
-// make W flip between runs of the identical solve. Fresh maps each trial
-// so Go's per-range iteration randomization gets every chance to reorder.
-func TestRecorderWDeterministic(t *testing.T) {
-	for trial := 0; trial < 32; trial++ {
-		st, err := Open(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		rec := NewRecorder(st, nil)
-		if err := rec.Bind("key", 1); err != nil {
-			t.Fatal(err)
-		}
-		for id, bytes := range map[string]float64{"a": 1e16, "b": 1, "c": -1e16} {
-			if err := rec.RecordSub(id, &SubRecord{Outcome: "optimal", Leaf: true, Bytes: bytes}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if w, _ := rec.Progress(); w != 0 {
-			t.Fatalf("trial %d: W = %v, want 0 (sorted-order fold a,b,c)", trial, w)
-		}
 	}
 }
 
@@ -414,5 +376,36 @@ func TestLoadJournalWithRetiredMIPFields(t *testing.T) {
 	}
 	if m := rec.MIP("r.1"); !rec.Resumed() || m == nil || !reflect.DeepEqual(m.X, []float64{1, 0, 0.5}) {
 		t.Fatalf("resumed = %v, MIP(r.1) = %+v, want the journaled incumbent vector", rec.Resumed(), m)
+	}
+}
+
+// TestLoadJournalWithRetiredTotals: a journal written when the snapshot still
+// carried the running W/V totals, and each record a leaf flag and a byte
+// count, loads, binds under its run key, and serves its optimal record with
+// every field a replay reads bit for bit.
+func TestLoadJournalWithRetiredTotals(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := `{"run_key":"k","v":12345.678901234567,"w":0.30000000000000004,"subs":{"r.0":{"outcome":"optimal","l":0.9999999999999999,"gap":0,"nodes":3,"exact":true,"leaf":true,"bytes":100.25,"frags":[[0,2],[1]],"yes":[{"q":4,"on":[true,false]}],"z":[{"q":4,"s":0,"shares":[0.30000000000000004,0.7]}]}}}`
+	if err := st.SaveRaw([]byte(old)); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := st.Recorder(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Bind("k"); err != nil {
+		t.Fatalf("Bind refused the retired journal's own run key: %v", err)
+	}
+	want := &SubRecord{
+		Outcome: "optimal", L: 0.9999999999999999, Nodes: 3, Exact: true,
+		Frags: [][]int{{0, 2}, {1}},
+		Yes:   []YesRow{{Q: 4, On: []bool{true, false}}},
+		Z:     []Route{{Q: 4, S: 0, Shares: []float64{0.30000000000000004, 0.7}}},
+	}
+	if got := rec.Sub("r.0"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Sub(r.0) = %+v, want %+v", got, want)
 	}
 }

@@ -2,7 +2,6 @@ package checkpoint
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -57,7 +56,7 @@ func (r *Recorder) Resumed() bool { return r.resumed }
 // Bind validates the journal against the run's fingerprint and records it.
 // A resumed snapshot whose RunKey differs describes a different model — its
 // subproblem records would be silently wrong to replay — so Bind refuses.
-func (r *Recorder) Bind(runKey string, v float64) error {
+func (r *Recorder) Bind(runKey string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.snap.RunKey != "" && r.snap.RunKey != runKey {
@@ -65,7 +64,6 @@ func (r *Recorder) Bind(runKey string, v float64) error {
 			r.st.Dir(), r.snap.RunKey, runKey)
 	}
 	r.snap.RunKey = runKey
-	r.snap.V = v
 	return nil
 }
 
@@ -87,8 +85,7 @@ func (r *Recorder) MIP(id string) *MIPRecord {
 
 // RecordSub journals a completed subproblem and checkpoints immediately.
 // The subproblem's in-flight MIP record, if any, is dropped — the completed
-// solution supersedes it — and the global W is recomputed from the
-// completed exact groups. Save failures are returned for logging but leave
+// solution supersedes it. Save failures are returned for logging but leave
 // the in-memory journal intact; the solve itself must not fail because the
 // journal disk is unhappy.
 func (r *Recorder) RecordSub(id string, rec *SubRecord) error {
@@ -96,22 +93,6 @@ func (r *Recorder) RecordSub(id string, rec *SubRecord) error {
 	defer r.mu.Unlock()
 	r.snap.Subs[id] = rec
 	delete(r.snap.MIPs, id)
-	// Sum in sorted key order: float addition does not commute in the last
-	// bit, so folding in map iteration order would let the journaled W
-	// drift between runs of the same solve — exactly the bit-drift the
-	// resume path's consistency checks exist to catch.
-	ids := make([]string, 0, len(r.snap.Subs))
-	for sid := range r.snap.Subs {
-		ids = append(ids, sid)
-	}
-	sort.Strings(ids)
-	var w float64
-	for _, sid := range ids {
-		if s := r.snap.Subs[sid]; s.Leaf {
-			w += s.Bytes
-		}
-	}
-	r.snap.W = w
 	return r.save()
 }
 
@@ -139,14 +120,6 @@ func (r *Recorder) Counts() (subs, mips int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.snap.Subs), len(r.snap.MIPs)
-}
-
-// Progress reports the journaled running totals: allocated bytes over
-// completed exact groups (W) and the run's accessed data size (V).
-func (r *Recorder) Progress() (w, v float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.snap.W, r.snap.V
 }
 
 // SaveErr returns the most recent checkpoint-save failure, or nil.

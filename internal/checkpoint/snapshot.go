@@ -6,18 +6,15 @@ package checkpoint
 // so an Optimal record replays verbatim without solver work; in-flight MIP
 // searches additionally journal their best incumbent so a resumed run can
 // warm-start instead of starting cold (the frontier itself is re-expanded
-// from the root — only the incumbent is durable).
+// from the root — only the incumbent is durable). Journals written before
+// the snapshot shrank also carry running W/V totals, and a leaf flag and a
+// byte count per record; nothing read them, and the decoder skips them.
 type Snapshot struct {
 	// RunKey fingerprints the model-shaping inputs (workload, scenarios, K,
 	// chunk spec, α, clustering). A resume against a snapshot with a
 	// different RunKey is refused: the journaled subproblems would describe a
 	// different model.
 	RunKey string `json:"run_key,omitempty"`
-	// V is the total accessed data size of the run; W is the running total
-	// of allocated bytes over the completed exact-group subproblems. W/V is
-	// the best-known replication factor at checkpoint time.
-	V float64 `json:"v,omitempty"`
-	W float64 `json:"w,omitempty"`
 	// Subs maps deterministic subproblem IDs (the path through the chunk
 	// spec tree) to completed solve records.
 	Subs map[string]*SubRecord `json:"subs,omitempty"`
@@ -41,10 +38,6 @@ type SubRecord struct {
 	// ExtraBytes is the degraded-solution replication cost beyond the
 	// single-copy floor (zero for MIP solutions).
 	ExtraBytes float64 `json:"extra_bytes,omitempty"`
-	// Leaf marks exact groups, whose subnodes are final nodes; Bytes is
-	// their allocated data (the contribution to the global W).
-	Leaf  bool    `json:"leaf,omitempty"`
-	Bytes float64 `json:"bytes,omitempty"`
 	// Frags[b] is the sorted fragment set derived for subnode b.
 	Frags [][]int `json:"frags"`
 	// Yes records query runnability per subnode, ascending by query ID.

@@ -58,10 +58,9 @@ func finite(v float64) float64 {
 
 // recordFromSolution serializes a completed subproblem solve — including a
 // degraded one: the greedy routing is journaled exactly like a MIP routing,
-// not just its DegradedDelta cost. leaf marks exact groups, whose bytes feed
-// the journal's running W. The solution already holds its placement and
-// routing in the journal's shape and order; the record shares them.
-func recordFromSolution(d *driver, sol *solution, leaf bool) *checkpoint.SubRecord {
+// not just its DegradedDelta cost. The solution already holds its placement
+// and routing in the journal's shape and order; the record shares them.
+func recordFromSolution(sol *solution) *checkpoint.SubRecord {
 	rec := &checkpoint.SubRecord{
 		Outcome:    sol.outcome.String(),
 		L:          finite(sol.l),
@@ -69,19 +68,9 @@ func recordFromSolution(d *driver, sol *solution, leaf bool) *checkpoint.SubReco
 		Nodes:      sol.nodes,
 		Exact:      sol.exact,
 		ExtraBytes: finite(sol.extraBytes),
-		Leaf:       leaf,
 		Frags:      sol.frags,
 		Yes:        sol.yes,
 		Z:          sol.z,
-	}
-	if leaf {
-		var bytes float64
-		for _, frags := range sol.frags {
-			for _, i := range frags {
-				bytes += d.w.Fragments[i].Size
-			}
-		}
-		rec.Bytes = finite(bytes)
 	}
 	for _, rt := range rec.Z {
 		for i, v := range rt.Shares {
@@ -170,8 +159,8 @@ func (sp *subproblem) hintFromRecord(rec *checkpoint.SubRecord) [][]bool {
 }
 
 // record journals a completed solve; save failures are logged, never fatal.
-func (ck *subCheckpoint) record(d *driver, sol *solution, leaf bool) {
-	if err := ck.rec.RecordSub(ck.id, recordFromSolution(d, sol, leaf)); err != nil {
+func (ck *subCheckpoint) record(d *driver, sol *solution) {
+	if err := ck.rec.RecordSub(ck.id, recordFromSolution(sol)); err != nil {
 		d.logf("core: checkpoint save failed for %s: %v", ck.id, err)
 	}
 }

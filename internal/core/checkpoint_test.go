@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"math/rand"
 	"os"
 	"os/exec"
@@ -192,6 +193,68 @@ func TestResumeReplaysWithoutSolver(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameResult(t, "replay", res, uninterrupted)
+	if res.Outcomes.Degraded != 0 {
+		t.Errorf("replay invoked the faulted solver: %+v", res.Outcomes)
+	}
+}
+
+// TestResumeReplaysJournalWithRetiredFields: a completed journal as builds
+// before PR 25 wrote it — running W/V totals on the snapshot, a leaf flag
+// and byte count on every record — still binds and replays verbatim, under
+// MIP options that cannot solve anything.
+func TestResumeReplaysJournalWithRetiredFields(t *testing.T) {
+	dir := t.TempDir()
+	uninterrupted, err := checkpointedRun(t, dir, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := checkpoint.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := st.LoadRaw()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap map[string]json.RawMessage
+	var subs map[string]map[string]json.RawMessage
+	if err := json.Unmarshal(payload, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(snap["subs"], &subs); err != nil {
+		t.Fatal(err)
+	}
+	snap["v"], snap["w"] = json.RawMessage("1234.5"), json.RawMessage("0.30000000000000004")
+	for _, sub := range subs {
+		sub["leaf"], sub["bytes"] = json.RawMessage("true"), json.RawMessage("100.25")
+	}
+	if snap["subs"], err = json.Marshal(subs); err != nil {
+		t.Fatal(err)
+	}
+	old, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldDir := t.TempDir()
+	if st, err = checkpoint.Open(oldDir); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SaveRaw(old); err != nil {
+		t.Fatal(err)
+	}
+	prev, err := st.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, spec := crashWorkload()
+	res, err := Allocate(w, nil, 4, Options{
+		Chunks: spec, Parallelism: 1, Checkpoint: checkpoint.NewRecorder(st, prev),
+		MIP: faultedMIP(), // any real solve would degrade, breaking equality
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResult(t, "replay of a journal with retired fields", res, uninterrupted)
 	if res.Outcomes.Degraded != 0 {
 		t.Errorf("replay invoked the faulted solver: %+v", res.Outcomes)
 	}

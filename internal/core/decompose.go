@@ -145,7 +145,7 @@ func Allocate(w *model.Workload, ss *model.ScenarioSet, k int, opt Options) (*Re
 	d.logf("core: allocating K=%d with spec %v (%d exact groups, parallelism %d)",
 		k, spec, spec.Groups(), d.gate.width())
 	if opt.Checkpoint != nil {
-		if err := opt.Checkpoint.Bind(runKey(root, spec), root.vNorm); err != nil {
+		if err := opt.Checkpoint.Bind(runKey(root, spec)); err != nil {
 			return nil, err
 		}
 		if opt.Checkpoint.Resumed() {
@@ -439,7 +439,7 @@ func (d *driver) solve(sp *subproblem, spec *ChunkSpec, leaf int, id string) err
 		// Journal the completed solve — degraded outcomes included, routing
 		// and all — before any child work starts, so a crash below this
 		// point never re-solves this subproblem.
-		ck.record(d, sol, len(spec.Children) == 0)
+		ck.record(d, sol)
 	}
 	d.logf("core: split %v solved (%v): L=%.4f gap=%.4f nodes=%d", spec, sol.outcome, sol.l, sol.gap, sol.nodes)
 	return d.finish(sp, spec, sol, leaf, id)

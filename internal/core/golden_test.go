@@ -23,35 +23,6 @@ func hashInts(h hash.Hash64, vs ...int) {
 	}
 }
 
-// journalDigestBytes is the newest journal generation's payload as the digest
-// reads it: re-encoded with the running totals (W, V) and the per-record
-// Leaf/Bytes zeroed, so omitempty drops them. Nothing reads those fields;
-// every other byte is the payload's own, because json.Marshal of the decoded
-// snapshot reproduces Store.Save's encoding.
-func journalDigestBytes(t *testing.T, st *checkpoint.Store) []byte {
-	t.Helper()
-	payload, err := st.LoadRaw()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(payload) == 0 {
-		t.Fatal("journal is empty after a checkpointed run")
-	}
-	var snap checkpoint.Snapshot
-	if err := json.Unmarshal(payload, &snap); err != nil {
-		t.Fatal(err)
-	}
-	snap.W, snap.V = 0, 0
-	for _, sub := range snap.Subs {
-		sub.Leaf, sub.Bytes = false, 0
-	}
-	out, err := json.Marshal(&snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
 // goldenDigest folds everything a caller can observe of one Allocate run —
 // placement, every routing share bit, the search statistics, the outcome
 // tally — and the newest journal generation's payload into one FNV-64a sum.
@@ -72,7 +43,14 @@ func goldenDigest(t *testing.T, res *Result, st *checkpoint.Store) uint64 {
 		}
 	}
 	hashInts(h, res.BBNodes, res.LPIters, res.Outcomes.Optimal, res.Outcomes.Feasible, res.Outcomes.Degraded)
-	h.Write(journalDigestBytes(t, st))
+	payload, err := st.LoadRaw()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(payload) == 0 {
+		t.Fatal("journal is empty after a checkpointed run")
+	}
+	h.Write(payload)
 	return h.Sum64()
 }
 
@@ -113,8 +91,7 @@ func mustChunks(t *testing.T, s string) *ChunkSpec {
 
 // TestPipelineGolden pins the whole core pipeline — model build, dive, trim,
 // hints, branch and bound, decode, child derivation, degradation, journal —
-// to digests recorded in PR 25 (the journal part without the W/V totals and
-// Leaf/Bytes nothing reads), with the simplex's work-balanced refresh in
+// to digests recorded in PR 25, with the simplex's work-balanced refresh in
 // place. Every budget is a node count, so each digest must come out the
 // same at every parallelism; a change that moves one LP column, one
 // coefficient, one sort tie-break or one journal byte fails here.
@@ -171,9 +148,7 @@ func TestPipelineGolden(t *testing.T) {
 	// subproblem whose second weight poisons the capacity vector.
 	sub := tpcdsSubset(30)
 	seen := scenario.InSample(sub, 2, scenario.DefaultP, 1)
-	fb := fallbackRecord(t, sub, seen)
-	fb.Leaf, fb.Bytes = false, 0
-	rec, err := json.Marshal(fb)
+	rec, err := json.Marshal(fallbackRecord(t, sub, seen))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,5 +181,5 @@ func fallbackRecord(t *testing.T, w *model.Workload, ss *model.ScenarioSet) *che
 	if routed != len(sp.flexQ) {
 		t.Fatalf("fallback routing placed %d (query, subnode) pairs, want one per flexible query (%d): the greedy path ran instead", routed, len(sp.flexQ))
 	}
-	return recordFromSolution(&driver{w: w}, sol, true)
+	return recordFromSolution(sol)
 }

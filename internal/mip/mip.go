@@ -203,12 +203,10 @@ func (o Options) withDefaults() Options {
 // X as a starting proposal and re-expand the frontier from the root —
 // without journaling the entire open-node heap.
 type Snapshot struct {
-	// HasIncumbent reports whether X/Obj are meaningful.
+	// HasIncumbent reports whether X is meaningful.
 	HasIncumbent bool
 	// X is a copy of the incumbent solution (length NumVars).
 	X []float64
-	// Obj is the incumbent objective value.
-	Obj float64
 }
 
 // defaultOrZero resolves the convention of Options.RelGap: zero means
@@ -356,11 +354,8 @@ func (s *search) maybeCheckpoint(now time.Time) {
 func (s *search) snapshot() Snapshot {
 	snap := Snapshot{HasIncumbent: s.hasInc}
 	if s.hasInc {
-		// Everything the snapshot exposes is in the caller's coordinates: X
-		// at the caller's NumVars, the objective with the presolve offset
-		// folded back in.
+		// In the caller's coordinates: X at the caller's NumVars.
 		snap.X = append([]float64(nil), s.ps.restore(s.incumbent)...)
-		snap.Obj = s.incObj + s.ps.objOff
 	}
 	return snap
 }
