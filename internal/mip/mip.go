@@ -172,7 +172,9 @@ type Options struct {
 	// unobserved one. Called only from the goroutine driving Solve.
 	Checkpoint func(Snapshot)
 	// CheckpointEvery is the minimum interval between Checkpoint calls
-	// (default 30s). Only consulted when Checkpoint is non-nil.
+	// (default 30s). Only consulted when Checkpoint is non-nil. Every
+	// journalled solve — allocate, paper, allocd — runs at the default; only
+	// tests shorten it.
 	CheckpointEvery time.Duration
 	// Logf, if non-nil, receives progress lines.
 	Logf func(format string, args ...any)
