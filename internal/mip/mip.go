@@ -193,7 +193,14 @@ func (o Options) withDefaults() Options {
 	if o.MaxNodes == 0 {
 		o.MaxNodes = 1 << 30
 	}
-	o.RelGap = defaultOrZero(o.RelGap, 1e-6)
+	// A float field's zero value cannot say "no gap", so zero means the
+	// default and a negative value an explicit zero.
+	switch {
+	case o.RelGap < 0:
+		o.RelGap = 0
+	case o.RelGap == 0:
+		o.RelGap = 1e-6
+	}
 	if o.CheckpointEvery == 0 {
 		o.CheckpointEvery = 30 * time.Second
 	}
@@ -209,19 +216,6 @@ type Snapshot struct {
 	HasIncumbent bool
 	// X is a copy of the incumbent solution (length NumVars).
 	X []float64
-}
-
-// defaultOrZero resolves the convention of Options.RelGap: zero means
-// the default, negative means an explicit zero (the zero value of a float
-// field cannot otherwise express "no tolerance").
-func defaultOrZero(v, def float64) float64 {
-	switch {
-	case v < 0:
-		return 0
-	case v == 0:
-		return def
-	}
-	return v
 }
 
 type fixing struct {

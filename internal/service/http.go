@@ -115,7 +115,8 @@ func (s *Service) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	var u Update
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxUpdateBytes)).Decode(&u); err != nil {
 		code := http.StatusBadRequest
-		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
 			code = http.StatusRequestEntityTooLarge
 		}
 		http.Error(w, "bad update: "+err.Error(), code)
