@@ -1,6 +1,6 @@
 // Package checkpoint makes long allocation runs restartable: it journals
-// solve progress — completed subproblem solutions, the global best W/V, and
-// in-flight MIP incumbents — into durable generation files, so a crash,
+// solve progress — completed subproblem solutions and in-flight MIP
+// incumbents — into durable generation files, so a crash,
 // OOM kill, or preemption loses at most the work since the last checkpoint
 // instead of the whole run (DESIGN.md §3.9).
 //
