@@ -3,8 +3,8 @@
 # static analyzers, DESIGN.md §3.6), build, and the full test suite under
 # the race detector (the parallel decomposition driver makes
 # race-cleanliness part of the contract). Each stage reports its wall time
-# so suite-latency regressions (fragvet has a 2x budget over its
-# six-analyzer baseline) show up in every run, not just when profiled.
+# so suite-latency regressions show up in every run, not just when
+# profiled.
 
 GO ?= go
 
@@ -62,12 +62,12 @@ bench-paper:
 	$(GO) test -bench . -benchmem -run NONE .
 
 # The numbers a simplicity PR and its reviewer both read: non-test Go lines
-# per package and in total (bench/ and the analyzers' testdata excluded), and
+# per package and in total (bench/ and testdata directories excluded), and
 # how many findings each analyzer has suppressed by //fragvet:ignore outside
 # internal/analysis. Not part of `make check`.
 size:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' \
-		! -path './internal/analysis/testdata/*' ! -path './.bench_build/*' | sort | xargs wc -l | \
+		! -path '*/testdata/*' ! -path './.bench_build/*' | sort | xargs wc -l | \
 		awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); if (!(d in n)) order[++k] = d; n[d] += $$1; t += $$1 } \
 			END { for (i = 1; i <= k; i++) printf "%6d %s\n", n[order[i]], order[i]; printf "%6d total non-test Go lines\n", t }'
 	@grep -rhoE --include='*.go' --exclude-dir=analysis --exclude-dir=.bench_build \

@@ -1,8 +1,6 @@
 // Command fragvet runs the repo's custom static-analysis suite (package
-// internal/analysis) over the module — including the interprocedural
-// analyzers built on the module call graph and effect summaries
-// (detsource, errdrop, the interprocedural lockheld) — and over _test.go
-// files, in-package and external. See DESIGN.md §3.6 for the full
+// internal/analysis) over the module's production code, one package at a
+// time; _test.go files are not analyzed. See DESIGN.md §3.6 for the
 // analyzer table.
 //
 // Usage:
@@ -25,8 +23,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -44,57 +44,62 @@ type jsonDiag struct {
 	SuppressedBy string `json:"suppressed_by,omitempty"`
 }
 
-func main() {
-	list := flag.Bool("list", false, "list the registered analyzers and exit")
-	jsonOut := flag.Bool("json", false, "emit one JSON diagnostic object per line (including suppressed findings)")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: fragvet [-list] [-json] [packages]\n")
-		flag.PrintDefaults()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is fragvet's whole behaviour behind main, returning the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fragvet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	list := fs.Bool("list", false, "list the registered analyzers and exit")
+	jsonOut := fs.Bool("json", false, "emit one JSON diagnostic object per line (including suppressed findings)")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: fragvet [-list] [-json] [packages]\n")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	// fail reports a load or internal error: exit code 2, distinct from the
+	// findings exit code 1, so CI can tell a broken tool from a dirty tree.
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "fragvet:", err)
+		return 2
+	}
 
 	analyzers := analysis.Analyzers()
 	if *list {
 		for _, a := range analyzers {
-			fmt.Printf("%-15s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-15s %s\n", a.Name, a.Doc)
 		}
-		return
+		return 0
 	}
 
 	root, err := findModuleRoot()
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	loader, err := analysis.NewLoader(root)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	paths, err := selectPackages(loader, flag.Args())
+	paths, err := selectPackages(loader, fs.Args())
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	// Two phases: load every non-test package first, then augment with test
-	// files — by then every import a test file can reach resolves against a
-	// complete memoized package, so no load-order cycles are possible.
-	base := make([]*analysis.Package, 0, len(paths))
+	pkgs := make([]*analysis.Package, 0, len(paths))
 	for _, path := range paths {
 		pkg, err := loader.Load(path)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		base = append(base, pkg)
-	}
-	var pkgs []*analysis.Package
-	for _, pkg := range base {
-		withTests, err := loader.LoadTests(pkg)
-		if err != nil {
-			fatal(err)
-		}
-		pkgs = append(pkgs, withTests...)
+		pkgs = append(pkgs, pkg)
 	}
 
 	diags := analysis.Run(pkgs, analyzers)
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(stdout)
 	findings := 0
 	for _, d := range diags {
 		pos := d.Pos
@@ -113,19 +118,20 @@ func main() {
 				Analyzer: d.Analyzer, File: pos.Filename, Line: pos.Line,
 				Column: pos.Column, Message: d.Message, SuppressedBy: sup,
 			}); err != nil {
-				fatal(err)
+				return fail(err)
 			}
 			continue
 		}
 		if d.SuppressedBy != "" {
 			continue // human mode shows actionable findings only
 		}
-		fmt.Printf("%s:%d:%d: %s: %s\n", pos.Filename, pos.Line, pos.Column, d.Analyzer, d.Message)
+		fmt.Fprintf(stdout, "%s:%d:%d: %s: %s\n", pos.Filename, pos.Line, pos.Column, d.Analyzer, d.Message)
 	}
 	if findings > 0 {
-		fmt.Fprintf(os.Stderr, "fragvet: %d diagnostic(s)\n", findings)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "fragvet: %d diagnostic(s)\n", findings)
+		return 1
 	}
+	return 0
 }
 
 // selectPackages resolves the command-line arguments to module import
@@ -180,11 +186,4 @@ func findModuleRoot() (string, error) {
 		}
 		dir = parent
 	}
-}
-
-// fatal reports a load or internal error: exit code 2, distinct from the
-// findings exit code 1, so CI can tell a broken tool from a dirty tree.
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "fragvet:", err)
-	os.Exit(2)
 }

@@ -148,7 +148,6 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err := a2.Validate(w); err != nil {
 		t.Fatal(err)
 	}
-	//fragvet:ignore floatcmp — roundtrip contract: the re-imported allocation must reproduce TotalData bit-for-bit; both sides run the identical arithmetic
 	if a2.TotalData(w) != alloc.TotalData(w) {
 		t.Error("allocation round trip changed data size")
 	}

@@ -34,7 +34,6 @@ func TestWorkloadShape(t *testing.T) {
 func TestDeterministic(t *testing.T) {
 	a, b := Workload(), Workload()
 	for j := range a.Queries {
-		//fragvet:ignore floatcmp — generator determinism contract: the same seed must reproduce the workload bit-identically
 		if a.Queries[j].Cost != b.Queries[j].Cost || a.Queries[j].Frequency != b.Queries[j].Frequency {
 			t.Fatalf("query %d differs between runs", j)
 		}
@@ -42,7 +41,6 @@ func TestDeterministic(t *testing.T) {
 	c := WorkloadSeed(1234)
 	same := true
 	for j := range a.Queries {
-		//fragvet:ignore floatcmp — generator determinism contract: different seeds must actually change the workload; any bit of drift counts
 		if a.Queries[j].Cost != c.Queries[j].Cost {
 			same = false
 			break

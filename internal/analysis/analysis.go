@@ -44,16 +44,15 @@ type Analyzer struct {
 
 // Analyzers is the fragvet suite, in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{RangeMapOrder, FloatCmp, AliasRetain, LockHeld, CtxHook, Atomicwrite, DetSource, ErrDrop, SrvTimeout}
+	return []*Analyzer{RangeMapOrder, FloatCmp, AliasRetain, LockHeld, CtxHook, Atomicwrite, ErrDrop, SrvTimeout}
 }
 
-// A Pass hands one analyzer the parsed and type-checked view of one package,
-// plus the module-wide call graph and effect summaries (shared across all
-// analyzers of a Run, so nine analyzers pay for one interprocedural build).
+// A Pass hands one analyzer the parsed and type-checked view of one package.
+// Every analyzer is per-package: a finding never depends on another
+// package's function bodies.
 type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
-	Mod      *Module
 
 	diags []Diagnostic
 }
@@ -85,20 +84,18 @@ func (d Diagnostic) String() string {
 // Run applies the analyzers to each package and returns every diagnostic —
 // suppressed findings carry SuppressedBy, stale directives and directive
 // errors are reported under the "fragvet" analyzer — sorted by file, line,
-// column, and analyzer. The interprocedural module (call graph + effect
-// summaries) is built once and shared by every pass.
+// column, and analyzer.
 func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	known := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
 		known[a.Name] = true
 	}
-	mod := BuildModule(pkgs)
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
 		dirs := collectDirectives(pkg, known)
 		diags = append(diags, dirs.errs...)
 		for _, a := range analyzers {
-			pass := &Pass{Analyzer: a, Pkg: pkg, Mod: mod}
+			pass := &Pass{Analyzer: a, Pkg: pkg}
 			a.Run(pass)
 			for _, d := range pass.diags {
 				if by := dirs.suppressor(a.Name, d.Pos); by != nil {

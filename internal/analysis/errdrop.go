@@ -14,26 +14,20 @@ import (
 //     the cleanup idiom `f.Close()` immediately before returning a primary
 //     error (the primary error supersedes the Close result, and the file
 //     is abandoned anyway).
-//   - Strict (durability paths): inside internal/checkpoint, and inside any
-//     function whose effect summary reaches an fsync or rename (EffFsync),
-//     explicit discards are flagged too — `_ = f.Sync()` and
-//     `defer f.Close()` — because the crash-safety story (DESIGN.md §3.9)
-//     is exactly the claim that these errors are observed: a torn write
-//     that Close or Sync reported and nobody saw produces a corrupt
-//     newest generation instead of a detected one. The strict rule only
-//     fires when the discarded call is itself durability-relevant (a module
-//     callee whose summary reaches fsync/rename, an *os.File mutation, or
-//     an os rename/remove); a durability-adjacent function discarding,
-//     say, a parse error is the general rule's business, not a crash-safety
-//     hazard.
-//
-// The strict scope is computed from the call graph, not a path list: a
-// helper in another package that a durability path calls inherits
-// strictness through its own EffFsync summary.
+//   - Strict (durability paths): inside internal/checkpoint — the package
+//     that holds the module's fsync and rename calls — explicit discards
+//     are flagged too: `_ = f.Sync()` and `defer f.Close()`, because the
+//     crash-safety story (DESIGN.md §3.9) is exactly the claim that these
+//     errors are observed: a torn write that Close or Sync reported and
+//     nobody saw produces a corrupt newest generation instead of a detected
+//     one. The strict rule only fires when the discarded call is itself
+//     durability-relevant (an *os.File mutation or an os
+//     rename/remove/write); a checkpoint function discarding, say, a parse
+//     error is the general rule's business, not a crash-safety hazard.
 var ErrDrop = &Analyzer{
 	Name: "errdrop",
-	Doc: "flag discarded error results; on durability paths (internal/checkpoint, " +
-		"fsync/rename-reachable functions) explicit discards via _ = and defer are flagged too",
+	Doc: "flag discarded error results; inside internal/checkpoint, explicit " +
+		"discards of file and rename errors via _ = and defer are flagged too",
 	Run: runErrDrop,
 }
 
@@ -50,6 +44,7 @@ var errDropExemptRecvs = []string{
 }
 
 func runErrDrop(pass *Pass) {
+	strict := strings.HasSuffix("/"+pass.Pkg.Path, "/internal/checkpoint")
 	for _, file := range pass.Pkg.Files {
 		var stack nodeStack
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -58,7 +53,7 @@ func runErrDrop(pass *Pass) {
 			}
 			switch s := n.(type) {
 			case *ast.ExprStmt:
-				call, ok := unparen(s.X).(*ast.CallExpr)
+				call, ok := ast.Unparen(s.X).(*ast.CallExpr)
 				if !ok {
 					return true
 				}
@@ -72,7 +67,7 @@ func runErrDrop(pass *Pass) {
 					callName(call))
 			case *ast.DeferStmt:
 				call := s.Call
-				if !strictErrDrop(pass, stack) || !durableCallee(pass, call) {
+				if !strict || !durableCallee(pass, call) {
 					return true
 				}
 				if !returnsError(pass.Pkg, call) || errDropExempt(pass.Pkg, call) {
@@ -83,66 +78,21 @@ func runErrDrop(pass *Pass) {
 						"crash safety depends on observing it (use a named-error defer)",
 					callName(call))
 			case *ast.AssignStmt:
-				if !strictErrDrop(pass, stack) {
-					return true
+				if strict {
+					checkBlankErrAssign(pass, s)
 				}
-				checkBlankErrAssign(pass, s)
 			}
 			return true
 		})
 	}
 }
 
-// strictErrDrop reports whether the innermost enclosing function is on a
-// durability path: the checkpoint package itself, or any function whose
-// summary reaches fsync/rename.
-func strictErrDrop(pass *Pass, stack nodeStack) bool {
-	if pkgPathHasSuffix(pass.Pkg, "internal/checkpoint") {
-		return true
-	}
-	if pass.Mod == nil {
-		return false
-	}
-	n := enclosingCGNode(pass, stack)
-	return n != nil && n.Summary&EffFsync != 0
-}
-
-// enclosingCGNode resolves the innermost enclosing function on the walk
-// stack to its call-graph node.
-func enclosingCGNode(pass *Pass, stack nodeStack) *CGNode {
-	for i := len(stack) - 2; i >= 0; i-- {
-		switch fn := stack[i].(type) {
-		case *ast.FuncLit:
-			return pass.Mod.LitNode(fn)
-		case *ast.FuncDecl:
-			if obj, ok := pass.Pkg.Info.Defs[fn.Name].(*types.Func); ok {
-				return pass.Mod.NodeOf(obj)
-			}
-			return nil
-		}
-	}
-	return nil
-}
-
-func pkgPathHasSuffix(pkg *Package, suffix string) bool {
-	p := pkg.Types.Path()
-	return p == suffix || len(p) > len(suffix) && p[len(p)-len(suffix)-1] == '/' && p[len(p)-len(suffix):] == suffix
-}
-
 // durableCallee reports whether the discarded call is itself
-// durability-relevant: a module callee whose transitive summary reaches
-// fsync/rename, an *os.File mutation, or an os-package rename/remove/write.
-// The strict rule requires this — being *called from* a durability path
-// does not make a parse error crash-safety-critical.
+// durability-relevant: an *os.File mutation or an os-package
+// rename/remove/write. The strict rule requires this — being inside the
+// checkpoint package does not make a parse error crash-safety-critical.
 func durableCallee(pass *Pass, call *ast.CallExpr) bool {
-	if pass.Mod != nil {
-		for _, callee := range pass.Mod.CalleesAt(call) {
-			if callee.Summary&EffFsync != 0 {
-				return true
-			}
-		}
-	}
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
@@ -177,7 +127,7 @@ func durableCallee(pass *Pass, call *ast.CallExpr) bool {
 // propagates a primary error. The Close result is superseded; flagging it
 // forces noise annotations on every error path that abandons a file.
 func closeBeforeErrorReturn(pkg *Package, call *ast.CallExpr, stack nodeStack) bool {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "Close" {
 		return false
 	}
@@ -220,7 +170,7 @@ func checkBlankErrAssign(pass *Pass, s *ast.AssignStmt) {
 	if len(s.Rhs) != 1 {
 		return
 	}
-	call, ok := unparen(s.Rhs[0]).(*ast.CallExpr)
+	call, ok := ast.Unparen(s.Rhs[0]).(*ast.CallExpr)
 	if !ok || errDropExempt(pass.Pkg, call) || !durableCallee(pass, call) {
 		return
 	}
@@ -277,7 +227,7 @@ func isErrorType(t types.Type) bool {
 // *expression*, not the method's declared receiver: hash.Hash inherits
 // Write from an embedded io.Writer, so the declared receiver says nothing.
 func errDropExempt(pkg *Package, call *ast.CallExpr) bool {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
@@ -288,7 +238,7 @@ func errDropExempt(pkg *Package, call *ast.CallExpr) bool {
 	if fn.Pkg() != nil && errDropExemptPkgs[fn.Pkg().Path()] {
 		return true
 	}
-	if x, ok := unparen(sel.X).(*ast.SelectorExpr); ok {
+	if x, ok := ast.Unparen(sel.X).(*ast.SelectorExpr); ok {
 		if obj := pkg.Info.Uses[x.Sel]; obj != nil && obj.Pkg() != nil &&
 			obj.Pkg().Path() == "os" && (obj.Name() == "Stdout" || obj.Name() == "Stderr") {
 			return true
@@ -307,5 +257,5 @@ func errDropExempt(pkg *Package, call *ast.CallExpr) bool {
 
 // callName renders the called function compactly for diagnostics.
 func callName(call *ast.CallExpr) string {
-	return exprString(unparen(call.Fun))
+	return exprString(ast.Unparen(call.Fun))
 }

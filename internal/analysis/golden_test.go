@@ -132,9 +132,14 @@ func TestAliasRetainGolden(t *testing.T) { runGolden(t, "aliasretain", AliasReta
 func TestLockHeldGolden(t *testing.T)    { runGolden(t, "lockheld", LockHeld) }
 func TestCtxHookGolden(t *testing.T)     { runGolden(t, "ctxhook", CtxHook) }
 func TestAtomicwriteGolden(t *testing.T) { runGolden(t, "atomicwrite", Atomicwrite) }
-func TestDetSourceGolden(t *testing.T)   { runGolden(t, "detsource", DetSource) }
-func TestErrDropGolden(t *testing.T)     { runGolden(t, "errdrop", ErrDrop) }
 func TestSrvTimeoutGolden(t *testing.T)  { runGolden(t, "srvtimeout", SrvTimeout) }
+
+// TestErrDropGolden checks the general rule, then the strict rule on a
+// package whose import path ends in internal/checkpoint.
+func TestErrDropGolden(t *testing.T) {
+	runGolden(t, "errdrop", ErrDrop)
+	runGolden(t, "errdrop/internal/checkpoint", ErrDrop)
+}
 
 // TestIgnoreDirectives exercises the suppression path with the full suite:
 // valid annotations silence their analyzer, while empty reasons, missing

@@ -19,17 +19,11 @@ import (
 type Package struct {
 	// Path is the import path ("fragalloc/internal/core"), or a synthetic
 	// path for directories loaded outside the module.
-	Path string
-	// Dir is the absolute directory the package was loaded from.
-	Dir   string
+	Path  string
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-
-	// testsLoaded records that the package's in-package _test.go files have
-	// been type-checked into it (LoadTests is idempotent).
-	testsLoaded bool
 }
 
 // A Loader parses and type-checks packages from source. Module-local import
@@ -127,7 +121,8 @@ func (l *Loader) Load(path string) (*Package, error) {
 
 // LoadDir parses and type-checks the package in dir under the given import
 // path. It considers the non-test Go files that match the host build
-// context, like the go tool would.
+// context, like the go tool would: fragvet analyzes production code only,
+// and _test.go files are never parsed.
 func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 	if pkg, ok := l.pkgs[path]; ok {
 		return pkg, nil
@@ -139,16 +134,13 @@ func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analysis: %s: %w", dir, err)
 	}
-	names := bp.GoFiles
-	testOnly := false
-	if len(names) == 0 {
-		// A test-only directory: the in-package test files are the package.
-		names = bp.TestGoFiles
-		testOnly = true
-	}
-	files, err := l.parseFiles(dir, names)
-	if err != nil {
-		return nil, err
+	files := make([]*ast.File, 0, len(bp.GoFiles))
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
 	}
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
@@ -163,80 +155,9 @@ func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analysis: type-checking %s: %w", path, err)
 	}
-	pkg := &Package{Path: path, Dir: dir, Fset: l.Fset, Files: files, Types: tpkg, Info: info, testsLoaded: testOnly}
+	pkg := &Package{Path: path, Fset: l.Fset, Files: files, Types: tpkg, Info: info}
 	l.pkgs[path] = pkg
 	return pkg, nil
-}
-
-func (l *Loader) parseFiles(dir string, names []string) ([]*ast.File, error) {
-	files := make([]*ast.File, 0, len(names))
-	for _, name := range names {
-		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	return files, nil
-}
-
-// LoadTests extends pkg with its test code and returns the packages to
-// analyze: pkg itself — with the in-package _test.go files type-checked
-// into the same *types.Package via an incremental checker pass, so
-// importers and analyzers share one instance — plus the external _test
-// package when the directory has one. Test code carries the same invariant
-// bugs as production code (a determinism test that itself iterates a map
-// unsorted proves nothing), so fragvet sees both.
-//
-// The package must already be fully loaded; augmenting after the initial
-// load keeps import resolution acyclic (a test file importing a package
-// that imports pkg back resolves against the memoized non-test view, which
-// is complete by then).
-func (l *Loader) LoadTests(pkg *Package) ([]*Package, error) {
-	bp, err := build.Default.ImportDir(pkg.Dir, 0)
-	if err != nil {
-		return nil, fmt.Errorf("analysis: %s: %w", pkg.Dir, err)
-	}
-	out := []*Package{pkg}
-	conf := types.Config{Importer: l}
-	if !pkg.testsLoaded && len(bp.TestGoFiles) > 0 {
-		files, err := l.parseFiles(pkg.Dir, bp.TestGoFiles)
-		if err != nil {
-			return nil, err
-		}
-		check := types.NewChecker(&conf, l.Fset, pkg.Types, pkg.Info)
-		if err := check.Files(files); err != nil {
-			return nil, fmt.Errorf("analysis: type-checking %s test files: %w", pkg.Path, err)
-		}
-		pkg.Files = append(pkg.Files, files...)
-	}
-	pkg.testsLoaded = true
-	if len(bp.XTestGoFiles) > 0 {
-		xpath := pkg.Path + "_test"
-		if xpkg, ok := l.pkgs[xpath]; ok {
-			return append(out, xpkg), nil
-		}
-		files, err := l.parseFiles(pkg.Dir, bp.XTestGoFiles)
-		if err != nil {
-			return nil, err
-		}
-		info := &types.Info{
-			Types:      make(map[ast.Expr]types.TypeAndValue),
-			Defs:       make(map[*ast.Ident]types.Object),
-			Uses:       make(map[*ast.Ident]types.Object),
-			Selections: make(map[*ast.SelectorExpr]*types.Selection),
-			Implicits:  make(map[ast.Node]types.Object),
-			Scopes:     make(map[ast.Node]*types.Scope),
-		}
-		tpkg, err := conf.Check(xpath, l.Fset, files, info)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: type-checking %s: %w", xpath, err)
-		}
-		xpkg := &Package{Path: xpath, Dir: pkg.Dir, Fset: l.Fset, Files: files, Types: tpkg, Info: info, testsLoaded: true}
-		l.pkgs[xpath] = xpkg
-		out = append(out, xpkg)
-	}
-	return out, nil
 }
 
 // ModulePackages lists the import paths of every package in the module, in
@@ -263,8 +184,8 @@ func (l *Loader) ModulePackages() ([]string, error) {
 			}
 			return fmt.Errorf("analysis: %s: %w", p, err)
 		}
-		if len(bp.GoFiles) == 0 && len(bp.TestGoFiles) == 0 {
-			return nil // external-test-only dirs have no in-package view to anchor
+		if len(bp.GoFiles) == 0 {
+			return nil // test-only directories have no production code
 		}
 		rel, err := filepath.Rel(l.ModuleRoot, p)
 		if err != nil {

@@ -18,18 +18,13 @@ import (
 // from x.Lock() to x.Unlock() in straight-line code, or to the end of the
 // function when the unlock is deferred. Nested function literals are
 // analyzed separately with no locks held (goroutine bodies and deferred
-// closures run on their own schedule). What happens *inside* a call made
-// under the lock is interprocedural: every call site resolves through the
-// module call graph, and a callee whose effect summary blocks (channel
-// operations, WaitGroup.Wait) or reaches a solver entry point is flagged
-// even when the dangerous operation is several frames away. go/defer edges
-// do not propagate those bits (asyncSuppressed), matching the literal-body
-// scoping above.
+// closures run on their own schedule). Only operations written in the
+// locked function itself are seen; a helper that blocks is its own
+// function's business.
 var LockHeld = &Analyzer{
 	Name: "lockheld",
 	Doc: "flag channel operations, WaitGroup.Wait, and solver entry points " +
-		"(Solve, ReSolveDual, Allocate) while a sync.Mutex/RWMutex is held, " +
-		"including through calls (interprocedural via effect summaries)",
+		"(Solve, ReSolveDual, Allocate) while a sync.Mutex/RWMutex is held",
 	Run: runLockHeld,
 }
 
@@ -170,17 +165,8 @@ func checkUnderLock(pass *Pass, n ast.Node, held lockState) {
 		pass.Reportf(pos, "%s while %s is held (locked at line %d); release the mutex before blocking or solver work",
 			what, name, pass.Pkg.Fset.Position(lockPos).Line)
 	}
-	// The immediate call of a go or defer statement does not run under the
-	// lock (a goroutine is on its own schedule; a deferred call runs at
-	// return) — exempt from the callee-summary rule. Arguments are still
-	// evaluated synchronously and stay checked.
-	async := make(map[*ast.CallExpr]bool)
 	ast.Inspect(n, func(c ast.Node) bool {
 		switch c := c.(type) {
-		case *ast.GoStmt:
-			async[c.Call] = true
-		case *ast.DeferStmt:
-			async[c.Call] = true
 		case *ast.FuncLit:
 			return false
 		case *ast.SendStmt:
@@ -196,50 +182,15 @@ func checkUnderLock(pass *Pass, n ast.Node, held lockState) {
 			if sel, ok := c.Fun.(*ast.SelectorExpr); ok {
 				if sel.Sel.Name == "Wait" && isWaitGroupWait(pass, sel) {
 					report(c.Pos(), "sync.WaitGroup.Wait")
-					return true
-				}
-				if solverEntryPoints[sel.Sel.Name] {
+				} else if solverEntryPoints[sel.Sel.Name] {
 					report(c.Pos(), "solver entry point "+sel.Sel.Name)
-					return true
 				}
 			} else if id, ok := c.Fun.(*ast.Ident); ok && solverEntryPoints[id.Name] {
 				report(c.Pos(), "solver entry point "+id.Name)
-				return true
-			}
-			if !async[c] {
-				checkCalleeSummary(pass, c, report)
 			}
 		}
 		return true
 	})
-}
-
-// checkCalleeSummary applies the interprocedural rule: a module callee
-// whose transitive effect summary blocks or reaches solver work must not
-// be called under a mutex, however deep the dangerous operation sits.
-func checkCalleeSummary(pass *Pass, call *ast.CallExpr, report func(token.Pos, string)) {
-	if pass.Mod == nil {
-		return
-	}
-	for _, callee := range pass.Mod.CalleesAt(call) {
-		var bit Effect
-		var what string
-		switch {
-		case callee.Summary&EffSolver != 0:
-			bit, what = EffSolver, "reaches solver work"
-		case callee.Summary&EffBlock != 0:
-			bit, what = EffBlock, "may block"
-		default:
-			continue
-		}
-		chain, desc, _ := callee.witnessChain(bit)
-		detail := desc
-		if chain != "" {
-			detail = desc + " via " + chain
-		}
-		report(call.Pos(), "call to "+callee.Label+", which "+what+" ("+detail+"),")
-		return // one finding per call site is enough
-	}
 }
 
 // syncMutexCall matches a method call on a sync.Mutex or sync.RWMutex

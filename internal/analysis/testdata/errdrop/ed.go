@@ -1,6 +1,6 @@
 // Package ed is golden-test input for the errdrop analyzer: the general
-// bare-statement rule, its conventional exemptions, and the strict rule on
-// durability (fsync-reachable) paths.
+// bare-statement rule and its conventional exemptions. The strict rule's
+// cases live in internal/checkpoint below, the one package it covers.
 package ed
 
 import (
@@ -11,8 +11,7 @@ import (
 	"os"
 )
 
-func work() error                 { return errors.New("x") }
-func parse(s string) (int, error) { return 0, nil }
+func work() error { return errors.New("x") }
 
 // --- general rule ---------------------------------------------------------
 
@@ -58,43 +57,9 @@ func closeNotBeforeReturn(f *os.File) {
 	f.Close() // want "error result of f.Close is discarded"
 }
 
-// --- strict rule (durability paths) ---------------------------------------
-
-// flush reaches fsync, so its whole frame is a durability path.
-func flush(f *os.File) error {
-	_ = f.Sync() // want "explicitly discarded on a durability path"
-	return nil
-}
-
-func deferredCloseOnDurabilityPath(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close() // want "deferred f.Close is discarded on a durability path"
-	return f.Sync()
-}
-
-// A durability-adjacent frame discarding a non-durable error is the general
-// rule's business, not a crash-safety finding: parse has no FS effects.
-func durableScopeNonDurableDropOK(f *os.File, s string) error {
-	if err := f.Sync(); err != nil {
-		return err
-	}
-	_, _ = parse(s)
-	return nil
-}
-
-// saveAll reaches fsync through flushAndSync, so discarding its error is a
-// strict finding via the interprocedural summary, not a path list.
-func flushAndSync(f *os.File) error {
-	if err := f.Sync(); err != nil {
-		return err
-	}
-	return nil
-}
-
-func callerDiscardsDurableCallee(f *os.File) error {
-	_ = flushAndSync(f) // want "explicitly discarded on a durability path"
-	return nil
+// Outside internal/checkpoint an explicit discard is a visible decision,
+// not a finding.
+func syncDropOutsideCheckpointOK(f *os.File) {
+	_ = f.Sync()
+	defer f.Close()
 }

@@ -75,7 +75,6 @@ func requireSameResult(t *testing.T, label string, got, want *Result) {
 	if !reflect.DeepEqual(got.Allocation, want.Allocation) {
 		t.Errorf("%s: allocation differs from the uninterrupted run", label)
 	}
-	//fragvet:ignore floatcmp — resume contract: a resumed solve must reproduce W and V bit-identically (DESIGN §3.9)
 	if got.W != want.W || got.V != want.V {
 		t.Errorf("%s: W/V = (%v, %v), want (%v, %v)", label, got.W, got.V, want.W, want.V)
 	}

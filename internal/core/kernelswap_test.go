@@ -62,7 +62,6 @@ func TestKernelSwapRegression(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			//fragvet:ignore floatcmp — determinism contract: two identical solves must agree bit-for-bit
 			if r1.W != r2.W || r1.V != r2.V || r1.BBNodes != r2.BBNodes || r1.LPIters != r2.LPIters {
 				t.Errorf("pipeline not reproducible: W %v vs %v, V %v vs %v, nodes %d vs %d, lpiters %d vs %d",
 					r1.W, r2.W, r1.V, r2.V, r1.BBNodes, r2.BBNodes, r1.LPIters, r2.LPIters)

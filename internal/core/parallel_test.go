@@ -68,9 +68,7 @@ func TestParallelDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(serial.Allocation.Shares, parallel.Allocation.Shares) {
 			t.Errorf("chunks %s: routing shares differ between Parallelism 1 and 8", c.chunks)
 		}
-		//fragvet:ignore floatcmp — parallel determinism contract: serial and parallel solves must agree bit-for-bit
 		if serial.W != parallel.W || serial.BBNodes != parallel.BBNodes ||
-			//fragvet:ignore floatcmp — parallel determinism contract: serial and parallel solves must agree bit-for-bit
 			serial.MaxGap != parallel.MaxGap || serial.MaxLoad != parallel.MaxLoad ||
 			serial.Exact != parallel.Exact {
 			t.Errorf("chunks %s: solve statistics differ: serial {W:%v nodes:%d gap:%v load:%v exact:%v} parallel {W:%v nodes:%d gap:%v load:%v exact:%v}",

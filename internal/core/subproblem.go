@@ -526,9 +526,9 @@ func (sp *subproblem) solve(opt mip.Options, ck *subCheckpoint, hints ...[][]boo
 			for i, v := range mr.X {
 				mr.X[i] = finite(v)
 			}
-			// Best-effort: a full journal disk must not fail the solve. The
-			// recorder remembers the error for end-of-run reporting.
-			//fragvet:ignore errdrop — journaling is best-effort by design: the recorder retains the failure for end-of-run reporting (SaveErr), and a full journal disk must not abort the solve
+			// Journaling is best-effort by design: the recorder retains the
+			// failure for end-of-run reporting (SaveErr), and a full journal
+			// disk must not abort the solve.
 			_ = rec.RecordMIP(id, mr)
 		}
 	}

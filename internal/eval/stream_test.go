@@ -44,7 +44,6 @@ func TestEvaluatorMatchesOneShot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		//fragvet:ignore floatcmp — purity contract: a reused Evaluator must reproduce the fresh-graph result bit-identically
 		if got != want {
 			t.Fatalf("scenario %d: reused evaluator %.12f vs fresh %.12f", s, got, want)
 		}
@@ -96,12 +95,10 @@ func TestEvaluateStreamBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		//fragvet:ignore floatcmp — determinism contract: aggregates must be bit-identical at every parallelism level
 		if m.MeanL != base.MeanL || m.MeanGap != base.MeanGap || m.MeanThroughput != base.MeanThroughput || m.Unservable != base.Unservable {
 			t.Fatalf("parallelism %d: aggregates differ from serial run", par)
 		}
 		for s := range m.L {
-			//fragvet:ignore floatcmp — determinism contract: per-scenario L̃ must not depend on worker scheduling
 			if m.L[s] != base.L[s] {
 				t.Fatalf("parallelism %d: L[%d] = %.12f vs %.12f", par, s, m.L[s], base.L[s])
 			}

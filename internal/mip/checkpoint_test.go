@@ -60,9 +60,7 @@ func TestCheckpointObservationIsPure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	//fragvet:ignore floatcmp — resume contract: a replayed incumbent must match the original bit-for-bit
 	if base.Status != observed.Status || base.Obj != observed.Obj ||
-		//fragvet:ignore floatcmp — resume contract: a replayed incumbent must match the original bit-for-bit
 		base.Bound != observed.Bound || base.Nodes != observed.Nodes ||
 		!reflect.DeepEqual(base.X, observed.X) {
 		t.Errorf("checkpoint callback perturbed the search:\n base %+v\n with %+v", base, observed)

@@ -152,7 +152,6 @@ func TestFeaturesDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		//fragvet:ignore floatcmp — determinism contract: two identical solves must agree bit-for-bit
 		if a.Obj != b.Obj || a.Nodes != b.Nodes || a.LPIters != b.LPIters || xhash(a.X) != xhash(b.X) {
 			t.Errorf("seed %d: run 1 (obj=%v nodes=%d iters=%d) != run 2 (obj=%v nodes=%d iters=%d)",
 				seed, a.Obj, a.Nodes, a.LPIters, b.Obj, b.Nodes, b.LPIters)

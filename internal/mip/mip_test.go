@@ -261,7 +261,6 @@ func TestProposalIncumbentNotAliased(t *testing.T) {
 		t.Errorf("worse proposal replaced the incumbent: obj=%g", s.incObj)
 	}
 	for j := range snap {
-		//fragvet:ignore floatcmp — verbatim-copy check: the snapshot stores the incumbent unchanged; exact equality is the assertion
 		if s.incumbent[j] != snap[j] {
 			t.Fatalf("incumbent[%d] changed from %g to %g after a later proposal", j, snap[j], s.incumbent[j])
 		}

@@ -38,7 +38,6 @@ func TestReduceDeterministic(t *testing.T) {
 		if a.Medoids[c] != b.Medoids[c] {
 			t.Fatalf("medoid %d differs: %d vs %d", c, a.Medoids[c], b.Medoids[c])
 		}
-		//fragvet:ignore floatcmp — determinism contract: the same seed must reproduce the reduction bit-identically
 		if a.Radius[c] != b.Radius[c] || a.Reduced.Weights[c] != b.Reduced.Weights[c] {
 			t.Fatalf("cluster %d radius/weight differ", c)
 		}
@@ -193,7 +192,7 @@ func TestNearestAndFold(t *testing.T) {
 	beforeW, beforeR := red.Reduced.Weights[c], red.Radius[c]
 	red.Fold(c, dev, 1)
 	// Adding the integer 1 to a small member count is exact in float64.
-	if red.Reduced.Weights[c] != beforeW+1 { //fragvet:ignore floatcmp — integer-valued weight increment is exact
+	if red.Reduced.Weights[c] != beforeW+1 {
 		t.Fatalf("fold weight %g, want %g", red.Reduced.Weights[c], beforeW+1)
 	}
 	if red.Radius[c] < beforeR || red.Radius[c] < dev {

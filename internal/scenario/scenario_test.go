@@ -69,7 +69,6 @@ func TestDeterministicSeeds(t *testing.T) {
 	b := OutOfSample(w, 3, DefaultP, 9)
 	for s := range a.Frequencies {
 		for j := range a.Frequencies[s] {
-			//fragvet:ignore floatcmp — generator determinism contract: the same seed must reproduce the scenario set bit-identically
 			if a.Frequencies[s][j] != b.Frequencies[s][j] {
 				t.Fatalf("scenario %d query %d differs for same seed", s, j)
 			}
@@ -78,7 +77,6 @@ func TestDeterministicSeeds(t *testing.T) {
 	c := OutOfSample(w, 3, DefaultP, 10)
 	same := true
 	for j := range a.Frequencies[0] {
-		//fragvet:ignore floatcmp — generator determinism contract: different seeds must actually change the frequencies; any bit of drift counts
 		if a.Frequencies[0][j] != c.Frequencies[0][j] {
 			same = false
 		}

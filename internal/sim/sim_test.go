@@ -73,7 +73,6 @@ func TestDeterministicSeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := range r1.BusyTime {
-		//fragvet:ignore floatcmp — simulator determinism contract: the same seed must reproduce the run bit-identically
 		if r1.BusyTime[k] != r2.BusyTime[k] {
 			t.Fatal("same seed produced different runs")
 		}

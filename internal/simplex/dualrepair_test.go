@@ -39,7 +39,6 @@ func TestSetBoundStatusTransitions(t *testing.T) {
 		if s.vstat[j] != c.want {
 			t.Errorf("%s: status = %d, want %d", c.name, s.vstat[j], c.want)
 		}
-		//fragvet:ignore floatcmp — bounds are stored verbatim from the case table; exact equality is the assertion
 		if lb, ub := s.Bounds(j); lb != c.lb || ub != c.ub {
 			t.Errorf("%s: bounds = [%v,%v], want [%v,%v]", c.name, lb, ub, c.lb, c.ub)
 		}

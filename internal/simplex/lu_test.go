@@ -360,13 +360,11 @@ func TestLUDeterministic(t *testing.T) {
 		t.Fatalf("fill differs: L %d vs %d, U %d vs %d", len(k1.lval), len(k2.lval), len(k1.uval), len(k2.uval))
 	}
 	for i := range k1.lval {
-		//fragvet:ignore floatcmp — refactorization determinism: two factorizations of the same basis must agree bit-for-bit
 		if k1.lval[i] != k2.lval[i] || k1.lrow[i] != k2.lrow[i] {
 			t.Fatalf("L entry %d differs", i)
 		}
 	}
 	for i := range k1.uval {
-		//fragvet:ignore floatcmp — refactorization determinism: two factorizations of the same basis must agree bit-for-bit
 		if k1.uval[i] != k2.uval[i] || k1.urow[i] != k2.urow[i] {
 			t.Fatalf("U entry %d differs", i)
 		}

@@ -98,7 +98,6 @@ func TestWorkloadDeterministic(t *testing.T) {
 		t.Fatal("nondeterministic query count")
 	}
 	for j := range a.Queries {
-		//fragvet:ignore floatcmp — generator determinism contract: the same seed must reproduce the workload bit-identically
 		if a.Queries[j].Cost != b.Queries[j].Cost {
 			t.Fatalf("query %d cost differs between runs", j)
 		}
@@ -115,7 +114,6 @@ func TestWorkloadDeterministic(t *testing.T) {
 	c := WorkloadSeed(99)
 	same := true
 	for j := range a.Queries {
-		//fragvet:ignore floatcmp — generator determinism contract: different seeds must actually change the costs; any bit of drift counts
 		if a.Queries[j].Cost != c.Queries[j].Cost {
 			same = false
 			break
