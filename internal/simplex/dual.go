@@ -48,11 +48,24 @@ func (s *Solver) Bounds(j int) (lb, ub float64) { return s.lb[j], s.ub[j] }
 // status flip, which repairDualFeasibility performs for variables with two
 // finite bounds.
 //
+// A numerical breakdown of the dual pass is repaired in place (runDual's
+// refactor and rollback rungs); only what that cannot repair falls back to
+// a cold Solve, with its own bland and perturb rungs, as the last rung.
+// Result.Recovery records the rungs climbed.
+//
 // If the solver has never completed a primal solve, it falls back to Solve.
 func (s *Solver) ReSolveDual() *Result {
 	if s.pcost == nil {
 		return s.Solve()
 	}
+	s.rec = nil
+	res := s.reSolveDual()
+	res.Recovery = s.rec
+	return res
+}
+
+// reSolveDual is ReSolveDual on a solver that has a basis to start from.
+func (s *Solver) reSolveDual() *Result {
 	s.iters = 0
 	s.bland = false
 	s.stall = 0
@@ -67,13 +80,13 @@ func (s *Solver) ReSolveDual() *Result {
 	// state in a cold restart anyway.
 	if s.updates >= s.opt.RefactorEvery/2 || s.kern.refreshDue() {
 		if err := s.refactor(); err != nil {
-			return s.Solve() // basis unusable; cold restart
+			return s.cold() // basis unusable; cold restart
 		}
 	}
 	if !s.repairDualFeasibility() {
 		// A nonbasic variable with an infinite opposite bound has a
 		// wrong-signed reduced cost; the dual start is invalid. Restart.
-		return s.Solve()
+		return s.cold()
 	}
 	res := s.runDual()
 	if res == StatusInfeasible && s.updates > 0 {
@@ -103,7 +116,7 @@ func (s *Solver) ReSolveDual() *Result {
 		case StatusCanceled:
 			return &Result{Status: StatusCanceled, Iters: s.iters}
 		default:
-			return s.Solve()
+			return s.cold()
 		}
 	case StatusInfeasible:
 		return &Result{Status: StatusInfeasible, Iters: s.iters}
@@ -112,10 +125,18 @@ func (s *Solver) ReSolveDual() *Result {
 	case StatusCanceled:
 		return &Result{Status: StatusCanceled, Iters: s.iters}
 	}
-	// Numerical failure (singular refactorization or a stalled dual pass):
-	// a cold two-phase primal solve from a fresh basis is always well
-	// defined, so fall back to it rather than reporting unknown.
-	return s.Solve()
+	// Numerical failure the dual pass could not repair in place: a second
+	// failed refactorization after its one rollback, a pivot disagreement
+	// on a fresh factorization, or an injected stall. A cold two-phase
+	// primal solve from a fresh basis is always well defined, so fall back
+	// to it rather than reporting unknown.
+	return s.cold()
+}
+
+// cold is ReSolveDual's last rung: abandon the warm basis and Solve.
+func (s *Solver) cold() *Result {
+	s.climb(RungCold)
+	return s.solve()
 }
 
 // repairDualFeasibility flips nonbasic statuses whose reduced-cost sign
@@ -155,11 +176,38 @@ func (s *Solver) repairDualFeasibility() bool {
 	return true
 }
 
+// undoEntry records one dual pivot for rollback: basis row row passed from
+// leave, basic before the pivot by definition, to enter, which was nonbasic
+// with status enterStat.
+type undoEntry struct {
+	row, leave, enter int32
+	enterStat         int8
+}
+
+// dualCand is an entering candidate of the Harris ratio test: an eligible
+// column j with its pivot-row entry alpha and reduced cost d.
+type dualCand struct {
+	j        int
+	alpha, d float64
+}
+
 // runDual is the bounded-variable dual simplex loop. It assumes a
 // dual-feasible basis and pivots until primal feasibility (optimal), proven
 // primal infeasibility (dual unboundedness), or the iteration limit.
+//
+// Two numerical breakdowns are repaired in place. A pivot element that the
+// FTRAN column and the pivot row disagree about refactorizes and prices the
+// iteration again (rung refactor). A basis that fails to factor, on the
+// scheduled refresh or on that refactorization, is rolled back through the
+// undo log to the last basis that did — still dual feasible, since bounds
+// do not change inside a pass — and the pass finishes from there with the
+// Harris ratio test (rung rollback). A pass rolls back at most once; the
+// next failure returns StatusUnknown.
 func (s *Solver) runDual() Status {
 	s.resetDevexWeights()
+	s.undo = s.undo[:0]
+	refresh := false // rung refactor asked for a factorization
+	harris := false  // the pass has rolled back
 	for {
 		if s.interrupted() {
 			return StatusCanceled
@@ -170,9 +218,18 @@ func (s *Solver) runDual() Status {
 		if s.iters >= s.opt.MaxIters {
 			return StatusIterLimit
 		}
-		if s.updates >= s.opt.RefactorEvery || s.kern.refreshDue() {
+		if refresh || s.updates >= s.opt.RefactorEvery || s.kern.refreshDue() {
+			refresh = false
 			if err := s.refactor(); err != nil {
-				return StatusUnknown
+				if harris {
+					return StatusUnknown
+				}
+				harris = true
+				s.climb(RungRollback)
+				s.undoPivots()
+				if err := s.refactor(); err != nil {
+					return StatusUnknown
+				}
 			}
 			s.computeXB()
 		}
@@ -218,12 +275,15 @@ func (s *Solver) runDual() Status {
 		// to its violated bound while the dual multiplier moves by
 		// theta = d_e/alpha_e; dual feasibility of every other nonbasic
 		// column is preserved by choosing the minimal |d_j/alpha_j| among
-		// sign-eligible candidates.
+		// sign-eligible candidates. After a rollback the candidates are
+		// collected for the Harris test instead (outside Bland's rule,
+		// whose tie-break is what guarantees termination).
 		rho, y := s.btranPair(leave)
 		sigma := -1.0 // below lower bound
 		if above {
 			sigma = 1.0
 		}
+		useHarris := harris && !s.bland
 		enter := -1
 		bestRatio := math.Inf(1)
 		var bestAlpha float64
@@ -252,6 +312,10 @@ func (s *Solver) runDual() Status {
 			if !eligible {
 				continue
 			}
+			if useHarris {
+				s.cand = append(s.cand, dualCand{j, alpha, s.reducedCost(j, y)})
+				continue
+			}
 			ratio := math.Abs(s.reducedCost(j, y)) / math.Abs(alpha)
 			better := ratio < bestRatio-1e-12
 			if !better && ratio < bestRatio+1e-12 && enter >= 0 {
@@ -264,6 +328,9 @@ func (s *Solver) runDual() Status {
 			if better {
 				enter, bestRatio, bestAlpha = j, ratio, alpha
 			}
+		}
+		if useHarris {
+			enter, bestRatio = s.harrisEnter()
 		}
 		if enter == -1 {
 			// No column can relieve the violated row: primal infeasible.
@@ -292,10 +359,16 @@ func (s *Solver) runDual() Status {
 			// pivot divides by the FTRAN column's w[leave]. The two are the
 			// same quantity computed through different triangular solves, and
 			// after enough eta updates they can disagree; dividing by a
-			// near-zero w[leave] would blast xB with a huge delta. Abort the
-			// pass instead — the caller's recovery ladder refactorizes and
-			// restarts from a clean basis.
-			return StatusUnknown
+			// near-zero w[leave] would blast xB with a huge delta. Refactorize
+			// and price this iteration again on the fresh factors. On a fresh
+			// factorization there is no eta file to blame: abort the pass, and
+			// ReSolveDual restarts cold.
+			if s.updates == 0 {
+				return StatusUnknown
+			}
+			s.climb(RungRefactor)
+			refresh = true
+			continue
 		}
 		if s.devex() {
 			s.updateDualDevex(leave, w)
@@ -312,8 +385,51 @@ func (s *Solver) runDual() Status {
 		} else {
 			s.vstat[bj] = nbLower
 		}
+		s.undo = append(s.undo, undoEntry{int32(leave), int32(bj), int32(enter), s.vstat[enter]})
 		s.pivot(leave, enter, w)
 		s.xB[leave] = enterVal
 		s.iters++
 	}
+}
+
+// undoPivots takes back the pivots in the undo log, newest first, which
+// returns the basis and the statuses of the variables they moved to the
+// last basis that factored, or to the one the pass began from. The eta
+// file no longer describes that basis; the caller refactorizes it.
+func (s *Solver) undoPivots() {
+	for i := len(s.undo) - 1; i >= 0; i-- {
+		u := s.undo[i]
+		s.basic[u.row] = int(u.leave)
+		s.basisRow[u.leave] = int(u.row)
+		s.vstat[u.leave] = isBasic
+		s.basisRow[u.enter] = -1
+		s.vstat[u.enter] = u.enterStat
+	}
+	s.undo = s.undo[:0]
+}
+
+// harrisEnter is the two-pass ratio test of Harris (1973) over the
+// candidates in s.cand. Pass 1 bounds the step by the smallest ratio with
+// every reduced cost relaxed by optTol; pass 2 takes, among the candidates
+// whose exact ratio is within that bound, the one with the largest |alpha|
+// (the smallest index on ties). It trades a dual infeasibility below optTol
+// for the largest pivot element on offer, which is what a basis that just
+// failed to factor needs. It returns the entering column and its ratio, or
+// -1 when there is no candidate, and empties s.cand for the next iteration.
+func (s *Solver) harrisEnter() (enter int, ratio float64) {
+	bound := math.Inf(1)
+	for _, c := range s.cand {
+		if r := (math.Abs(c.d) + s.optTol) / math.Abs(c.alpha); r < bound {
+			bound = r
+		}
+	}
+	enter = -1
+	var best float64
+	for _, c := range s.cand {
+		if r := math.Abs(c.d) / math.Abs(c.alpha); r <= bound && math.Abs(c.alpha) > best {
+			enter, ratio, best = c.j, r, math.Abs(c.alpha)
+		}
+	}
+	s.cand = s.cand[:0]
+	return enter, ratio
 }

@@ -138,12 +138,14 @@ func (k *shrinkFtranKernel) ftran(v []float64) {
 	}
 }
 
-// TestDualPivotGuardReturnsUnknown checks the runDual tiny-pivot guard
-// white-box: when the FTRAN column's pivot element collapses below
-// PivotTol even though the rho-based eligibility test passed, the pass
-// must abort with StatusUnknown instead of dividing by the near-zero
-// element and blasting xB.
-func TestDualPivotGuardReturnsUnknown(t *testing.T) {
+// TestDualPivotGuardRefactorsInPlace checks the runDual tiny-pivot guard
+// behind eta updates: when the FTRAN column's pivot element collapses below
+// the pivot tolerance even though the rho-based eligibility test passed,
+// the pass must neither divide by it nor give up, but refactorize, price
+// the iteration again and finish optimal — rung refactor, no cold restart.
+// Call 1 is repairDualFeasibility's computeXB; call 2 is the dual pivot's
+// entering column.
+func TestDualPivotGuardRefactorsInPlace(t *testing.T) {
 	s, err := NewSolver(recoveryLP(), Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -151,27 +153,30 @@ func TestDualPivotGuardReturnsUnknown(t *testing.T) {
 	if res := s.Solve(); res.Status != StatusOptimal {
 		t.Fatalf("initial solve: %v", res.Status)
 	}
+	if s.updates == 0 {
+		t.Fatal("setup assumption broken: no eta updates behind the re-solve")
+	}
 	s.SetBound(0, 0, 0.5) // x was basic at 1.6: a dual pivot is required
-	s.pcost = append(s.pcost[:0], s.cost...)
-	if !s.repairDualFeasibility() {
-		t.Fatal("repairDualFeasibility failed on a repairable instance")
-	}
-	shim := &shrinkFtranKernel{basisKernel: s.kern, corruptAt: 1}
+	shim := &shrinkFtranKernel{basisKernel: s.kern, corruptAt: 2}
 	s.kern = shim
-	if st := s.runDual(); st != StatusUnknown {
-		t.Fatalf("runDual = %v with a collapsed pivot column, want unknown", st)
+	res := s.ReSolveDual()
+	if shim.calls < shim.corruptAt {
+		t.Fatalf("only %d ftran calls; the corruption never fired", shim.calls)
 	}
-	if shim.calls == 0 {
-		t.Fatal("shim never invoked; the guard was not exercised")
+	if res.Status != StatusOptimal || !approx(res.Obj, -2.25, 1e-9) {
+		t.Fatalf("ReSolveDual: status %v, obj %v; want optimal -2.25", res.Status, res.Obj)
+	}
+	if res.Recovery == nil || len(res.Recovery.Rungs) != 1 || res.Recovery.Rungs[0] != RungRefactor || res.Recovery.Restarts != 0 {
+		t.Errorf("Recovery = %+v, want the refactor rung alone and no restart", res.Recovery)
 	}
 }
 
-// TestDualPivotGuardRecovery is the end-to-end version: ReSolveDual hits
-// the tiny-pivot guard mid-pass and must still deliver the true optimum
-// through its cold-restart fallback. Call 1 is repairDualFeasibility's
-// computeXB; call 2 is the dual pivot's entering column.
+// TestDualPivotGuardRecovery is the guard on a fresh factorization, where
+// there is no eta file to blame: RefactorEvery 1 makes ReSolveDual
+// refactorize on entry, the pass aborts at the collapsed pivot, and the
+// cold restart must still deliver the true optimum.
 func TestDualPivotGuardRecovery(t *testing.T) {
-	s, err := NewSolver(recoveryLP(), Options{})
+	s, err := NewSolver(recoveryLP(), Options{RefactorEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,6 +196,117 @@ func TestDualPivotGuardRecovery(t *testing.T) {
 	}
 	if shim.calls < shim.corruptAt {
 		t.Fatalf("only %d ftran calls; the corruption never fired", shim.calls)
+	}
+	if res.Recovery == nil || len(res.Recovery.Rungs) != 1 || res.Recovery.Rungs[0] != RungCold {
+		t.Errorf("Recovery = %+v, want the cold rung alone", res.Recovery)
+	}
+}
+
+// factorLog wraps the basis kernel and keeps, for every factorization that
+// reaches it, a copy of the basis and the number of updates absorbed
+// before it.
+type factorLog struct {
+	basisKernel
+	updates   int
+	bases     [][]int
+	updatesAt []int
+}
+
+func (k *factorLog) factor(basic []int, cols [][]colEntry, pivotTol float64) error {
+	k.bases = append(k.bases, append([]int(nil), basic...))
+	k.updatesAt = append(k.updatesAt, k.updates)
+	return k.basisKernel.factor(basic, cols, pivotTol)
+}
+
+func (k *factorLog) update(r int, w []float64) {
+	k.updates++
+	k.basisKernel.update(r, w)
+}
+
+// rollbackSetup solves a sparse LP with RefactorEvery 2, then fixes every
+// basic structural that sits inside its bounds at its lower bound, so that
+// the dual pass takes many pivots and refactorizes every two of them. It
+// returns the solver with the fault armed on the first refactorization
+// inside runDual, the basis that pass starts from, the kernel log, and the
+// cold optimum of the re-bounded LP.
+func rollbackSetup(t *testing.T, twice bool) (*Solver, []int, *factorLog, *Result) {
+	t.Helper()
+	p := benchLP(40, 40, 3)
+	s, err := NewSolver(p, Options{RefactorEvery: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := s.Solve(); res.Status != StatusOptimal {
+		t.Fatalf("initial solve: %v", res.Status)
+	}
+	for r, j := range s.basic {
+		if j < s.n && s.xB[r] > s.lb[j]+1e-3 {
+			s.SetBound(j, s.lb[j], s.lb[j])
+			p.UB[j] = p.LB[j]
+		}
+	}
+	cold, err := Solve(p, Options{})
+	if err != nil || cold.Status != StatusOptimal {
+		t.Fatalf("cold solve: %v, %v", cold, err)
+	}
+	// ReSolveDual refactorizes on entry after any update (RefactorEvery/2
+	// is 1); the refactorization after that is runDual's first.
+	n := 1
+	if s.updates >= s.opt.RefactorEvery/2 || s.kern.refreshDue() {
+		n = 2
+	}
+	s.opt.Fault = &failNthRefactor{n: n, twice: twice}
+	log := &factorLog{basisKernel: s.kern}
+	s.kern = log
+	return s, append([]int(nil), s.basic...), log, cold
+}
+
+// TestDualRollbackOnFailedRefactor fails runDual's first scheduled
+// refactorization: the pass must undo its pivots to the basis it began
+// from, factor that one, and finish there to the cold optimum — rung
+// rollback, no cold restart.
+func TestDualRollbackOnFailedRefactor(t *testing.T) {
+	s, start, log, cold := rollbackSetup(t, false)
+	res := s.ReSolveDual()
+	if res.Status != StatusOptimal || !approx(res.Obj, cold.Obj, 1e-9) {
+		t.Fatalf("ReSolveDual: status %v, obj %.12g; want optimal %.12g", res.Status, res.Obj, cold.Obj)
+	}
+	if res.Recovery == nil || len(res.Recovery.Rungs) != 1 || res.Recovery.Rungs[0] != RungRollback || res.Recovery.Restarts != 0 {
+		t.Fatalf("Recovery = %+v, want the rollback rung alone and no restart", res.Recovery)
+	}
+	// The failed call never reaches the kernel: the rollback's factor is the
+	// kernel's n-th, behind the pivots the pass took before the failure.
+	i := s.opt.Fault.(*failNthRefactor).n - 1
+	if len(log.bases) <= i || log.updatesAt[i] == 0 {
+		t.Fatalf("factor calls %d, updates before each %v: no pivot before the rollback", len(log.bases), log.updatesAt)
+	}
+	for r := range start {
+		if log.bases[i][r] != start[r] {
+			t.Fatalf("rollback factored basis %v, want the pass's starting basis %v", log.bases[i], start)
+		}
+	}
+	if cap(s.cand) == 0 {
+		t.Error("the pass finished without the Harris ratio test")
+	}
+}
+
+// TestDualRollbackThenColdOnSecondFailure fails the rolled-back basis's
+// refactorization too: a pass rolls back once, so the second failure must
+// reach the cold rung — and still end optimal.
+func TestDualRollbackThenColdOnSecondFailure(t *testing.T) {
+	s, _, _, cold := rollbackSetup(t, true)
+	res := s.ReSolveDual()
+	if res.Status != StatusOptimal || !approx(res.Obj, cold.Obj, 1e-9) {
+		t.Fatalf("ReSolveDual: status %v, obj %.12g; want optimal %.12g", res.Status, res.Obj, cold.Obj)
+	}
+	want := []string{RungRollback, RungCold}
+	if res.Recovery == nil || len(res.Recovery.Rungs) != len(want) || res.Recovery.Restarts != 1 {
+		t.Fatalf("Recovery = %+v, want rungs %v and one restart", res.Recovery, want)
+	}
+	for i, rung := range want {
+		if res.Recovery.Rungs[i] != rung {
+			t.Errorf("Rungs[%d] = %q, want %q", i, res.Recovery.Rungs[i], rung)
+		}
 	}
 }
 

@@ -179,18 +179,22 @@ type Result struct {
 	// Iters is the total number of simplex pivots performed (both phases).
 	Iters int
 	// Recovery, when non-nil, records the numerical recovery ladder the
-	// solve had to climb (see Recovery); nil means the first attempt
-	// finished without a restart.
+	// solve had to climb (see Recovery); nil means it finished without
+	// climbing a rung.
 	Recovery *Recovery
 }
 
-// Recovery is the telemetry of the numerical recovery ladder: when a
-// cold-start solve fails numerically (a singular refactorization or a
-// stalled pass ending in StatusUnknown), Solve restarts from scratch with
-// progressively more conservative settings instead of reporting
-// StatusUnknown outright. Each restart appends one rung name to Rungs.
+// Recovery is the telemetry of the numerical recovery ladders. A warm
+// ReSolveDual whose dual pass breaks down numerically first repairs it in
+// place (rungs refactor and rollback) and only then restarts cold (rung
+// cold); a cold-start solve that fails numerically (a singular
+// refactorization or a stalled pass ending in StatusUnknown) restarts
+// from scratch with progressively more conservative settings (rungs
+// bland and perturb) instead of reporting StatusUnknown outright. Each
+// rung climbed appends its name to Rungs.
 type Recovery struct {
-	// Restarts is the number of from-scratch restarts performed.
+	// Restarts is the number of from-scratch restarts performed: the
+	// cold, bland and perturb rungs.
 	Restarts int
 	// Rungs names the ladder rungs tried, in order.
 	Rungs []string
@@ -198,6 +202,16 @@ type Recovery struct {
 
 // Ladder rung names recorded in Recovery.Rungs.
 const (
+	// RungRefactor refactorizes in the middle of a dual pass whose pivot
+	// element, computed through the eta file, disagreed with the pivot row
+	// about its size, and prices the iteration again on the fresh factors.
+	RungRefactor = "refactor"
+	// RungRollback undoes a dual pass's pivots back to the last basis that
+	// factored, after the basis they led to failed to, and finishes the
+	// pass from there with the Harris ratio test.
+	RungRollback = "rollback"
+	// RungCold abandons a warm ReSolveDual and solves cold with Solve.
+	RungCold = "cold"
 	// RungBland restarts the solve with Bland's anti-cycling rule forced
 	// from the first pivot.
 	RungBland = "bland"

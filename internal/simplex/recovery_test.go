@@ -164,3 +164,48 @@ func TestReSolveDualCanceled(t *testing.T) {
 		t.Fatalf("ReSolveDual status = %v, want canceled", res.Status)
 	}
 }
+
+// TestReSolveDualAllocs pins what a warm re-solve that climbs no rung
+// allocates: its Result and the Result's X, nothing else. The dual pass's
+// undo log lives in a buffer NewSolver preallocates, so keeping it costs
+// the clean path nothing.
+func TestReSolveDualAllocs(t *testing.T) {
+	s, err := NewSolver(benchLP(60, 60, 3), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := s.Solve(); res.Status != StatusOptimal {
+		t.Fatalf("initial solve: %v", res.Status)
+	}
+	// Fix the basic structurals sitting strictly inside their bounds at
+	// their lower bound, one per run, so every re-solve pivots.
+	var js []int
+	for r, j := range s.basic {
+		if j < s.n && s.xB[r] > s.lb[j]+1e-3 {
+			js = append(js, j)
+		}
+	}
+	if len(js) == 0 {
+		t.Fatal("no basic structural strictly inside its bounds")
+	}
+	run, iters, bad := 0, 0, 0
+	allocs := testing.AllocsPerRun(20, func() {
+		j := js[run%len(js)]
+		run++
+		lb, ub := s.Bounds(j)
+		s.SetBound(j, lb, lb)
+		fixed := s.ReSolveDual()
+		s.SetBound(j, lb, ub)
+		relaxed := s.ReSolveDual()
+		iters += fixed.Iters
+		if fixed.Status != StatusOptimal || relaxed.Status != StatusOptimal || fixed.Recovery != nil || relaxed.Recovery != nil {
+			bad++
+		}
+	})
+	if bad > 0 || iters == 0 {
+		t.Fatalf("%d of %d runs left the clean path, %d dual pivots in all; want none and some", bad, run, iters)
+	}
+	if allocs != 4 {
+		t.Errorf("%v allocations per fix+relax pair of re-solves, want 4 (two Results and their X)", allocs)
+	}
+}

@@ -166,11 +166,18 @@ func TestRefreshCounters(t *testing.T) {
 	}
 }
 
-// failNthRefactor fails exactly the n-th refactorization.
-type failNthRefactor struct{ calls, n int }
+// failNthRefactor fails exactly the n-th refactorization, and with twice
+// set the one after it as well.
+type failNthRefactor struct {
+	calls, n int
+	twice    bool
+}
 
-func (f *failNthRefactor) FailRefactor() bool { f.calls++; return f.calls == f.n }
-func (f *failNthRefactor) ForceStall() bool   { return false }
+func (f *failNthRefactor) FailRefactor() bool {
+	f.calls++
+	return f.calls == f.n || f.twice && f.calls == f.n+1
+}
+func (f *failNthRefactor) ForceStall() bool { return false }
 
 // TestRefreshNeverDueOnEmptyFile is the no-refactor-loop guarantee: however
 // many solves run, a kernel that has absorbed no update never asks for a

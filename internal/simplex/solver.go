@@ -54,6 +54,15 @@ type Solver struct {
 	pdw []float64 // primal Devex reference weights, per column (see devex.go)
 	ddw []float64 // dual Devex reference weights, per basis row
 
+	// The dual pass's in-place recovery (dual.go). undo holds one entry per
+	// pivot since the pass began or the basis last factored, whichever is
+	// later; it is preallocated to RefactorEvery, the most pivots a pass
+	// takes between two factorizations. cand is the Harris ratio test's
+	// candidate list, grown only by a pass that rolled back.
+	undo []undoEntry
+	cand []dualCand
+	rec  *Recovery // rungs climbed by the current solve; nil until one is
+
 	// scratch buffers
 	y, w, rho, tmpRHS []float64
 }
@@ -82,6 +91,7 @@ func NewSolver(p *Problem, opt Options) (*Solver, error) {
 		basic: make([]int, m),
 		xB:    make([]float64, m),
 	}
+	s.undo = make([]undoEntry, 0, s.opt.RefactorEvery)
 	s.feasTol, s.optTol, s.pivotTol = feasTol, optTol, pivotTol
 	s.basisRow = make([]int, n+m)
 	copy(s.cost, p.Obj)
@@ -354,6 +364,7 @@ func (s *Solver) refactor() error {
 		return err
 	}
 	s.updates = 0
+	s.undo = s.undo[:0]
 	// A fresh factorization discards the eta file the Devex weights were
 	// accumulated against; restart the reference framework with it.
 	s.resetDevexWeights()
@@ -429,28 +440,42 @@ func (s *Solver) trueObjective() float64 {
 // tolerances. Each restart is recorded in Result.Recovery; only if every
 // rung fails does the caller see StatusUnknown.
 func (s *Solver) Solve() *Result {
+	s.rec = nil
+	return s.solve()
+}
+
+// solve is Solve's ladder. It appends its rungs to s.rec, which holds
+// ReSolveDual's when the cold solve is that ladder's last rung.
+func (s *Solver) solve() *Result {
 	res := s.solveAttempt()
-	if res.Status != StatusUnknown {
-		return res
-	}
-	rec := &Recovery{}
-	restart := func(rung string) *Result {
-		rec.Restarts++
-		rec.Rungs = append(rec.Rungs, rung)
-		return s.solveAttempt()
-	}
-	s.forceBland = true
-	res = restart(RungBland)
 	if res.Status == StatusUnknown {
-		s.pivotTol *= 1e-2
-		s.feasTol *= 100
-		s.optTol *= 100
-		res = restart(RungPerturb)
-		s.pivotTol, s.feasTol, s.optTol = pivotTol, feasTol, optTol
+		s.forceBland = true
+		s.climb(RungBland)
+		res = s.solveAttempt()
+		if res.Status == StatusUnknown {
+			s.pivotTol *= 1e-2
+			s.feasTol *= 100
+			s.optTol *= 100
+			s.climb(RungPerturb)
+			res = s.solveAttempt()
+			s.pivotTol, s.feasTol, s.optTol = pivotTol, feasTol, optTol
+		}
+		s.forceBland = false
 	}
-	s.forceBland = false
-	res.Recovery = rec
+	res.Recovery = s.rec
 	return res
+}
+
+// climb records one rung of a recovery ladder in s.rec, allocating the
+// record on the first: a solve that climbs none attaches nil for free.
+func (s *Solver) climb(rung string) {
+	if s.rec == nil {
+		s.rec = &Recovery{}
+	}
+	s.rec.Rungs = append(s.rec.Rungs, rung)
+	if rung != RungRefactor && rung != RungRollback {
+		s.rec.Restarts++
+	}
 }
 
 // solveAttempt is one cold-start two-phase primal pass.
