@@ -441,7 +441,9 @@ func (s *Solver) trueObjective() float64 {
 // rung fails does the caller see StatusUnknown.
 func (s *Solver) Solve() *Result {
 	s.rec = nil
-	return s.solve()
+	res := s.solve()
+	res.Recovery = s.rec
+	return res
 }
 
 // solve is Solve's ladder. It appends its rungs to s.rec, which holds
@@ -462,7 +464,6 @@ func (s *Solver) solve() *Result {
 		}
 		s.forceBland = false
 	}
-	res.Recovery = s.rec
 	return res
 }
 
