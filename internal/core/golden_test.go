@@ -23,25 +23,39 @@ func hashInts(h hash.Hash64, vs ...int) {
 	}
 }
 
-// goldenDigest folds everything a caller can observe of one Allocate run —
-// placement, every routing share bit, the search statistics, the outcome
-// tally — and the newest journal generation's payload into one FNV-64a sum.
-func goldenDigest(t *testing.T, res *Result, st *checkpoint.Store) uint64 {
-	t.Helper()
+func hashFloats(h hash.Hash64, vs ...float64) {
+	var buf [8]byte
+	for _, v := range vs {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		h.Write(buf[:])
+	}
+}
+
+// allocDigest folds the answer of one Allocate run — every node's fragment
+// set, every routing share bit, W and V — into one FNV-64a sum. A change
+// that makes the search cheaper without changing what it finds leaves it
+// alone.
+func allocDigest(res *Result) uint64 {
 	h := fnv.New64a()
 	for _, frags := range res.Allocation.Fragments {
 		hashInts(h, len(frags))
 		hashInts(h, frags...)
 	}
-	var buf [8]byte
 	for _, perScenario := range res.Allocation.Shares {
 		for _, perQuery := range perScenario {
-			for _, z := range perQuery {
-				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(z))
-				h.Write(buf[:])
-			}
+			hashFloats(h, perQuery...)
 		}
 	}
+	hashFloats(h, res.W, res.V)
+	return h.Sum64()
+}
+
+// workDigest folds how one Allocate run got there — the search statistics,
+// the outcome tally — and the newest journal generation's payload into one
+// FNV-64a sum. It moves whenever the search does less or different work.
+func workDigest(t *testing.T, res *Result, st *checkpoint.Store) uint64 {
+	t.Helper()
+	h := fnv.New64a()
 	hashInts(h, res.BBNodes, res.LPIters, res.Outcomes.Optimal, res.Outcomes.Feasible, res.Outcomes.Degraded)
 	payload, err := st.LoadRaw()
 	if err != nil {
@@ -91,27 +105,34 @@ func mustChunks(t *testing.T, s string) *ChunkSpec {
 
 // TestPipelineGolden pins the whole core pipeline — model build, dive, trim,
 // hints, branch and bound, decode, child derivation, degradation, journal —
-// to digests recorded in PR 25, with the simplex's work-balanced refresh in
-// place. Every budget is a node count, so each digest must come out the
-// same at every parallelism; a change that moves one LP column, one
-// coefficient, one sort tie-break or one journal byte fails here.
+// with two digests per run: the allocation (what the run found) and the work
+// (nodes, LP iterations, outcome tally and journal bytes: what it took to
+// find it). A change that only makes the search cheaper re-records the work
+// digests and leaves every allocation digest alone. Every budget is a node
+// count, so each digest must come out the same at every parallelism; a
+// change that moves one LP column, one coefficient, one sort tie-break or
+// one journal byte fails here.
 func TestPipelineGolden(t *testing.T) {
 	full := tpcds.Workload()
 	budget := mip.Options{MaxNodes: 60, MaxStallNodes: 30}
 	for _, par := range []int{1, 2} {
-		check := func(name string, res *Result, st *checkpoint.Store, want uint64) {
+		check := func(name string, res *Result, st *checkpoint.Store, wantAlloc, wantWork uint64) {
 			t.Helper()
 			t.Logf("%s: %d nodes, %d LP iterations, W/V %.6f, %v", name, res.BBNodes, res.LPIters, res.ReplicationFactor, res.Outcomes)
-			if got := goldenDigest(t, res, st); got != want {
-				t.Errorf("%s, parallelism %d: digest %#016x, want %#016x (%d nodes, %d LP iterations, %v)",
-					name, par, got, want, res.BBNodes, res.LPIters, res.Outcomes)
+			if got := allocDigest(res); got != wantAlloc {
+				t.Errorf("%s, parallelism %d: allocation digest %#016x, want %#016x (W/V %.6f)",
+					name, par, got, wantAlloc, res.ReplicationFactor)
+			}
+			if got := workDigest(t, res, st); got != wantWork {
+				t.Errorf("%s, parallelism %d: work digest %#016x, want %#016x (%d nodes, %d LP iterations, %v)",
+					name, par, got, wantWork, res.BBNodes, res.LPIters, res.Outcomes)
 			}
 		}
 
 		// (a) the robust clustered row: three 4+4 subproblems, three scenarios.
 		res, st := goldenRun(t, full, scenario.InSample(full, 3, scenario.DefaultP, 1), 8,
 			Options{Chunks: mustChunks(t, "4+4"), FixedQueries: 47, Parallelism: par, MIP: budget}, "")
-		check("tpcds K=8 4+4 F=47 S=3", res, st, 0x48a186fb22c959b0)
+		check("tpcds K=8 4+4 F=47 S=3", res, st, 0xc84ce8f645dc0ab2, 0x6f15da2db609c7a2)
 
 		// (b) allocd's re-optimization shape: warm-started from the allocation
 		// of a neighbouring scenario draw.
@@ -119,7 +140,7 @@ func TestPipelineGolden(t *testing.T) {
 			Options{Chunks: mustChunks(t, "2+2"), FixedQueries: 64, Parallelism: par, MIP: budget}, "")
 		res, st = goldenRun(t, full, scenario.InSample(full, 4, scenario.DefaultP, 1), 4,
 			Options{Chunks: mustChunks(t, "2+2"), FixedQueries: 64, Parallelism: par, MIP: budget, Warm: prior.Allocation}, "")
-		check("tpcds K=4 2+2 F=64 S=4 warm", res, st, 0xd0b88c696c8b4267)
+		check("tpcds K=4 2+2 F=64 S=4 warm", res, st, 0x541b1b57d7d31316, 0xa74fb0c9da052873)
 
 		// (c) a flat solve: the hierarchical pre-solve, the greedy hint and a
 		// warm hint all seed one root MIP.
@@ -127,7 +148,7 @@ func TestPipelineGolden(t *testing.T) {
 		seen := scenario.InSample(sub, 2, scenario.DefaultP, 1)
 		res, st = goldenRun(t, sub, seen, 4,
 			Options{FixedQueries: 4, Parallelism: par, MIP: budget, Warm: prior.Allocation}, "")
-		check("tpcds-top30 flat K=4", res, st, 0x225770e2f31c516a)
+		check("tpcds-top30 flat K=4", res, st, 0x1d098cc09eef40e8, 0xb5fdc581d06df47e)
 
 		// (d) every subproblem degrades to the greedy routing; then a clean
 		// run resumes that journal, so the degraded records come back as
@@ -137,10 +158,10 @@ func TestPipelineGolden(t *testing.T) {
 		if res.Outcomes.Degraded != 3 {
 			t.Fatalf("faulted run: outcomes %v, want 3 degraded", res.Outcomes)
 		}
-		check("degraded 2+2", res, st, 0xa0627f3ea742fafa)
+		check("degraded 2+2", res, st, 0x9779327d62a25b8a, 0x5a2223821f790830)
 		res, st = goldenRun(t, sub, seen, 4,
 			Options{Chunks: mustChunks(t, "2+2"), FixedQueries: 4, Parallelism: par, MIP: budget}, st.Dir())
-		check("resumed from degraded journal", res, st, 0x97d5e428683f2571)
+		check("resumed from degraded journal", res, st, 0x7293d9309dd0ab1f, 0x4b258a53f63764ab)
 	}
 
 	// The greedy allocator only refuses non-finite capacities, which no chunk
