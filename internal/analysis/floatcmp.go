@@ -8,7 +8,7 @@ import (
 // FloatCmp guards the tolerance discipline of the numerical code: exact
 // ==/!= between two computed floating-point values is almost always a
 // latent bug in a simplex/MIP codebase, where everything carries rounding
-// error and the feasibility/optimality tolerances (simplex's feasTol and
+// error and the feasibility/optimality tolerances (simplex's FeasTol and
 // optTol, mip's intTol) define what "equal" means. Comparisons
 // against a constant (x == 0 as an "unset option" or "zero coefficient"
 // sentinel) are exact by construction and exempt, as are the designated

@@ -375,9 +375,12 @@ func (sp *subproblem) rounding(ix *indices) func(x []float64) []float64 {
 	}
 }
 
-// canonicalize permutes the proposed y columns within each symmetric class
-// so the incidence keys are non-increasing, making the proposal consistent
-// with the symmetry-breaking rows.
+// canonicalize relabels the subnodes of each symmetric class so the
+// proposal's incidence keys are non-increasing, making it consistent with
+// the symmetry-breaking rows. A subnode's whole block moves — its fragment
+// coverage x, placements y and routes z — so a complete point stays one:
+// the subnodes of a class have equal weights and no pinned load, so the
+// relabelled point satisfies the same rows at the same objective.
 func (sp *subproblem) canonicalize(out []float64, ix *indices) {
 	key := make([]float64, ix.b)
 	for _, cls := range sp.classes {
@@ -400,14 +403,25 @@ func (sp *subproblem) canonicalize(out []float64, ix *indices) {
 		if !changed {
 			continue
 		}
+		// The subnode is the minor index of every column block (see
+		// indices), so subnode b of the block starting at base is base+b.
 		vals := make([]float64, len(cls))
-		for q := range sp.flexQ {
+		move := func(base int) {
 			for t, b := range perm {
-				vals[t] = out[ix.y(q, b)]
+				vals[t] = out[base+b]
 			}
 			for t, b := range cls {
-				out[ix.y(q, b)] = vals[t]
+				out[base+b] = vals[t]
 			}
+		}
+		for fi := range ix.frags {
+			move(ix.x(fi, 0))
+		}
+		for q := range sp.flexQ {
+			move(ix.y(q, 0))
+		}
+		for r := range sp.routes {
+			move(ix.z(r, 0))
 		}
 	}
 }

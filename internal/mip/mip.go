@@ -19,8 +19,11 @@
 //   - best-first node selection with depth-first plunging,
 //   - reliability-weighted pseudocost branching with a most-fractional
 //     fallback until degradation observations exist,
-//   - an optional caller-supplied rounding heuristic that proposes integer
-//     assignments which the solver completes into feasible incumbents, and
+//   - an optional caller-supplied rounding heuristic whose proposals become
+//     incumbents: a proposal that already is a complete point of the
+//     problem — every bound and row checked at simplex.FeasTol — is priced
+//     as it stands, any other is completed by an LP over the continuous
+//     variables with its integer entries fixed, and
 //   - wall-clock and node budgets with proven-bound and gap reporting, so
 //     callers can trade solution quality for time exactly like the paper
 //     trades Gurobi time for memory quality.
@@ -104,7 +107,8 @@ type Result struct {
 	Nodes int
 	// LPIters is the total number of simplex pivots across every LP the
 	// search ran: the root relaxation, warm-started node re-solves, cold
-	// retries after numerical trouble, and heuristic completion solves.
+	// retries after numerical trouble, and heuristic completion solves (a
+	// proposal priced as it stands runs no LP and adds nothing).
 	// Nodes/LPIters together show how well the warm-start contract is
 	// working: a healthy search spends a handful of dual pivots per node
 	// because the basis factorization and eta file carry over across
@@ -127,10 +131,14 @@ type Options struct {
 	// request an exact zero relative gap.
 	RelGap float64
 	// Rounding, if non-nil, receives the (fractional) relaxation solution
-	// of a node and proposes values for the integer variables; the solver
-	// fixes them, re-solves the continuous rest, and adopts the result as
-	// incumbent when feasible and improving. Called at the root and every
-	// roundingEvery nodes during the search.
+	// of a node and proposes a point. The solver rounds its integer
+	// entries; if the whole vector then satisfies every bound and row, it
+	// is priced as it stands and no LP runs — the caller vouches that its
+	// continuous entries are the completion it wants. Otherwise the solver
+	// fixes the integer entries, re-solves the continuous rest, and keeps
+	// that completion only if it satisfies every row too. Either way the
+	// point becomes the incumbent when it improves on it. Called at the
+	// root and every roundingEvery nodes during the search.
 	Rounding func(x []float64) []float64
 	// MaxStallNodes, if positive, stops the search once this many nodes
 	// have been explored without an incumbent improvement — an adaptive
@@ -146,11 +154,11 @@ type Options struct {
 	// static hint (see pseudocostVar). Indexed by variable; variables
 	// without an entry default to 0.
 	Priority []float64
-	// Starts proposes initial values for the integer variables (same
-	// semantics as Rounding proposals): the solver fixes them, solves the
-	// continuous rest, and adopts the best feasible one as the first
-	// incumbent. Callers use this to inject solutions from domain-specific
-	// primal heuristics.
+	// Starts proposes initial points, with the semantics of Rounding
+	// proposals: a complete feasible point is priced as it stands, any
+	// other is completed over its continuous rest, and the best becomes the
+	// first incumbent. Callers use this to inject solutions from
+	// domain-specific primal heuristics.
 	Starts [][]float64
 	// LP passes options through to the simplex solver. When TimeLimit or
 	// Canceled is set, Solve chains its own stop hook onto LP.Canceled so
@@ -539,11 +547,25 @@ func (s *search) tryRounding(x []float64) {
 	s.tryProposal(s.ps.reduceProposal(s.opt.Rounding(s.ps.restore(x))))
 }
 
-// tryProposal completes an integral proposal (in p's coordinates) by
-// solving the continuous remainder, and updates the incumbent when feasible
-// and improving.
+// tryProposal turns a proposal (in p's coordinates, owned by the search)
+// into an incumbent candidate. Its integer entries are rounded and must lie
+// within their root bounds. A proposal that then satisfies every bound and
+// row of p already is a point of the problem and is priced as it stands;
+// any other has its integer entries fixed and the continuous remainder
+// solved, and that completion is kept only if it satisfies every row too.
 func (s *search) tryProposal(proposal []float64) {
 	if proposal == nil {
+		return
+	}
+	for _, j := range s.intVars {
+		v := math.Round(proposal[j])
+		if v < s.p.LB[j] || v > s.p.UB[j] {
+			return // proposal violates root bounds
+		}
+		proposal[j] = v
+	}
+	if s.p.Satisfies(proposal) {
+		s.adoptProposal(proposal, s.objective(proposal))
 		return
 	}
 	if s.heur == nil {
@@ -562,27 +584,47 @@ func (s *search) tryProposal(proposal []float64) {
 		}
 	}
 	for _, j := range s.intVars {
-		v := math.Round(proposal[j])
-		if v < s.p.LB[j] || v > s.p.UB[j] {
-			return // proposal violates root bounds
-		}
-		s.heur.SetBound(j, v, v)
+		s.heur.SetBound(j, proposal[j], proposal[j])
 	}
 	res := s.heur.ReSolveDual()
 	s.lpIters += res.Iters
 	if res.Status != simplex.StatusOptimal {
 		return
 	}
-	if !s.hasInc || res.Obj < s.incObj-absGap {
-		// Copy, like accept: the heuristic solver is re-solved for later
-		// proposals, and an aliased incumbent would silently corrupt if the
-		// solver ever reused its solution buffer.
-		s.incumbent = append([]float64(nil), res.X...)
-		s.incObj = res.Obj
+	if !s.p.Satisfies(res.X) {
+		// The simplex can report StatusOptimal for a point that violates
+		// its own rows; such a completion is no incumbent.
+		s.logf("mip: rounding completion violates a row of the problem; refused")
+		return
+	}
+	s.adoptProposal(res.X, res.Obj)
+}
+
+// adoptProposal makes x the incumbent when it improves on the incumbent by
+// more than absGap. x is copied, like accept does: the heuristic solver is
+// re-solved for later proposals, and an aliased incumbent would silently
+// corrupt if the solver ever reused its solution buffer.
+func (s *search) adoptProposal(x []float64, obj float64) {
+	if !s.hasInc || obj < s.incObj-absGap {
+		s.incumbent = append([]float64(nil), x...)
+		s.incObj = obj
 		s.hasInc = true
 		s.lastImprove = s.nodes
-		s.logf("mip: rounding incumbent obj=%.6f", res.Obj+s.ps.objOff)
+		s.logf("mip: rounding incumbent obj=%.6f", obj+s.ps.objOff)
 	}
+}
+
+// objective is cᵀx over p's columns in index order, zero costs skipped: the
+// fold the simplex applies to its own points, so a proposal priced here and
+// an LP completion at the same point agree bit for bit.
+func (s *search) objective(x []float64) float64 {
+	var obj float64
+	for j, c := range s.p.Obj {
+		if c != 0 {
+			obj += c * x[j]
+		}
+	}
+	return obj
 }
 
 // accept adopts an improving integral node solution as the incumbent.

@@ -240,15 +240,18 @@ func TestRoundingHeuristicProducesIncumbent(t *testing.T) {
 // heuristic solver's solution slice without copying: re-solving that solver
 // for a later proposal must not be able to mutate the stored incumbent.
 func TestProposalIncumbentNotAliased(t *testing.T) {
-	// min -2a -b s.t. a + b <= 1: proposal a=1 is optimal (obj -2),
-	// proposal b=1 is feasible but worse (obj -1) and must be rejected.
+	// min -2a -b s.t. a + b + c <= 1, c continuous: proposal a=1 is optimal
+	// (obj -2), proposal b=1 is feasible but worse (obj -1) and must be
+	// rejected. Both propose c = 0.5, which breaks the row, so both go
+	// through the heuristic solver rather than being priced as they stand.
 	p := &simplex.Problem{}
 	a := p.AddVar(0, 1, -2)
 	b := p.AddVar(0, 1, -1)
-	p.AddRow([]int{a, b}, []float64{1, 1}, simplex.LE, 1)
+	c := p.AddVar(0, 1, 0)
+	p.AddRow([]int{a, b, c}, []float64{1, 1, 1}, simplex.LE, 1)
 	s := &search{opt: Options{}.withDefaults(), p: p, ps: &presolveInfo{}, intVars: []int{a, b}, exact: true, skippedBound: math.Inf(1)}
 
-	s.tryProposal([]float64{1, 0})
+	s.tryProposal([]float64{1, 0, 0.5})
 	if !s.hasInc || !approx(s.incObj, -2, 1e-9) {
 		t.Fatalf("first proposal not adopted: hasInc=%v obj=%g", s.hasInc, s.incObj)
 	}
@@ -256,7 +259,10 @@ func TestProposalIncumbentNotAliased(t *testing.T) {
 
 	// A second, worse proposal re-solves the shared heuristic solver. The
 	// incumbent must remain byte-identical to the snapshot.
-	s.tryProposal([]float64{0, 1})
+	s.tryProposal([]float64{0, 1, 0.5})
+	if s.heur == nil {
+		t.Fatal("the proposals never reached the heuristic solver")
+	}
 	if !approx(s.incObj, -2, 1e-9) {
 		t.Errorf("worse proposal replaced the incumbent: obj=%g", s.incObj)
 	}

@@ -130,6 +130,45 @@ func (p *Problem) Validate() error {
 	return nil
 }
 
+// Satisfies reports whether x is a point of p: every variable within its
+// bounds and every row within its relation, each to FeasTol scaled by
+// max(1, |b|) for the bound or right-hand side b it is held against. A NaN
+// entry fails.
+func (p *Problem) Satisfies(x []float64) bool {
+	if len(x) != p.NumVars {
+		return false
+	}
+	for j, v := range x {
+		if !(v >= p.LB[j]-feasSlack(p.LB[j]) && v <= p.UB[j]+feasSlack(p.UB[j])) {
+			return false
+		}
+	}
+	for r, row := range p.Rows {
+		var act float64
+		for t, j := range row.Idx {
+			act += row.Coef[t] * x[j]
+		}
+		b, slack := p.RHS[r], feasSlack(p.RHS[r])
+		var ok bool
+		switch p.Rel[r] {
+		case LE:
+			ok = act <= b+slack
+		case GE:
+			ok = act >= b-slack
+		default:
+			ok = math.Abs(act-b) <= slack
+		}
+		if !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// feasSlack is the slack Satisfies grants against the bound or right-hand
+// side b; an infinite bound grants an infinite one.
+func feasSlack(b float64) float64 { return FeasTol * math.Max(1, math.Abs(b)) }
+
 // Status is the outcome of a solve.
 type Status int
 
@@ -241,7 +280,11 @@ type FaultInjector interface {
 // The solver's tolerances. Only the last rung of Solve's recovery ladder
 // departs from them, and only for its own restart.
 const (
-	feasTol  = 1e-7 // primal feasibility
+	// FeasTol is the primal feasibility tolerance: how far a basic variable
+	// may sit outside its bounds and still count as feasible. It is exported
+	// so that a point checked outside the solver (Problem.Satisfies) is held
+	// to the standard the solver holds its own points to.
+	FeasTol  = 1e-7
 	optTol   = 1e-7 // reduced-cost optimality
 	pivotTol = 1e-8 // minimum magnitude of an acceptable pivot element
 )

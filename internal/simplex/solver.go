@@ -92,7 +92,7 @@ func NewSolver(p *Problem, opt Options) (*Solver, error) {
 		xB:    make([]float64, m),
 	}
 	s.undo = make([]undoEntry, 0, s.opt.RefactorEvery)
-	s.feasTol, s.optTol, s.pivotTol = feasTol, optTol, pivotTol
+	s.feasTol, s.optTol, s.pivotTol = FeasTol, optTol, pivotTol
 	s.basisRow = make([]int, n+m)
 	copy(s.cost, p.Obj)
 	copy(s.lb, p.LB)
@@ -460,7 +460,7 @@ func (s *Solver) solve() *Result {
 			s.optTol *= 100
 			s.climb(RungPerturb)
 			res = s.solveAttempt()
-			s.pivotTol, s.feasTol, s.optTol = pivotTol, feasTol, optTol
+			s.pivotTol, s.feasTol, s.optTol = pivotTol, FeasTol, optTol
 		}
 		s.forceBland = false
 	}
