@@ -110,7 +110,8 @@ func WorstLoadLP(w *model.Workload, alloc *model.Allocation, freq []float64) (fl
 }
 
 // WorstLoadFlow computes L̃ for one scenario on the routing flow network
-// (source→query→runnable node→sink with node capacity L): the smallest L at
+// (source→class of queries sharing a runnable node set→node→sink with node
+// capacity L): the smallest L at
 // which a max flow places all load, found by the parametric Newton search
 // of Evaluator.WorstLoad. tol is the absolute precision of the returned L̃
 // (default 1e-9 if ≤ 0).

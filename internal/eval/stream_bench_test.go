@@ -4,7 +4,10 @@ import (
 	"runtime"
 	"testing"
 
+	"fragalloc/internal/accounting"
+	"fragalloc/internal/core"
 	"fragalloc/internal/greedy"
+	"fragalloc/internal/mip"
 	"fragalloc/internal/model"
 	"fragalloc/internal/scenario"
 	"fragalloc/internal/tpcds"
@@ -26,6 +29,36 @@ func benchFixture(b *testing.B) (*model.Workload, *model.Allocation, *model.Scen
 		s = 20
 	}
 	return w, alloc, scenario.OutOfSample(w, s, scenario.DefaultP, 71)
+}
+
+// BenchmarkWorstLoad measures one scenario's L̃ against the Table 2b
+// allocation: the accounting workload's 4 461 queries solved 4+4 over K=8
+// with F=4361 clustered (the benchmark's accounting_cluster_k8 row), evaluated
+// on out-of-sample scenarios. The flow network has one vertex per
+// runnable-set class, reported as the classes metric.
+func BenchmarkWorstLoad(b *testing.B) {
+	w := accounting.Workload()
+	spec, err := core.ParseChunks("4+4")
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := core.Allocate(w, nil, 8, core.Options{
+		Chunks: spec, FixedQueries: 4361, Parallelism: 1,
+		MIP: mip.Options{MaxNodes: 300, MaxStallNodes: 150},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	unseen := scenario.OutOfSample(w, 200, scenario.DefaultP, 1001)
+	e := NewEvaluator(w, res.Allocation, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.WorstLoad(unseen.Frequencies[i%unseen.S()]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(e.classNodes)), "classes")
 }
 
 // BenchmarkEvalStream measures one full out-of-sample sweep per op.
