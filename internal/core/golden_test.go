@@ -132,7 +132,7 @@ func TestPipelineGolden(t *testing.T) {
 		// (a) the robust clustered row: three 4+4 subproblems, three scenarios.
 		res, st := goldenRun(t, full, scenario.InSample(full, 3, scenario.DefaultP, 1), 8,
 			Options{Chunks: mustChunks(t, "4+4"), FixedQueries: 47, Parallelism: par, MIP: budget}, "")
-		check("tpcds K=8 4+4 F=47 S=3", res, st, 0xc84ce8f645dc0ab2, 0x6f15da2db609c7a2)
+		check("tpcds K=8 4+4 F=47 S=3", res, st, 0xc84ce8f645dc0ab2, 0x1803190bc3276278)
 
 		// (b) allocd's re-optimization shape: warm-started from the allocation
 		// of a neighbouring scenario draw.
@@ -140,7 +140,7 @@ func TestPipelineGolden(t *testing.T) {
 			Options{Chunks: mustChunks(t, "2+2"), FixedQueries: 64, Parallelism: par, MIP: budget}, "")
 		res, st = goldenRun(t, full, scenario.InSample(full, 4, scenario.DefaultP, 1), 4,
 			Options{Chunks: mustChunks(t, "2+2"), FixedQueries: 64, Parallelism: par, MIP: budget, Warm: prior.Allocation}, "")
-		check("tpcds K=4 2+2 F=64 S=4 warm", res, st, 0x541b1b57d7d31316, 0xa74fb0c9da052873)
+		check("tpcds K=4 2+2 F=64 S=4 warm", res, st, 0x541b1b57d7d31316, 0x90afa87ed8a7a089)
 
 		// (c) a flat solve: the hierarchical pre-solve, the greedy hint and a
 		// warm hint all seed one root MIP.
@@ -148,7 +148,7 @@ func TestPipelineGolden(t *testing.T) {
 		seen := scenario.InSample(sub, 2, scenario.DefaultP, 1)
 		res, st = goldenRun(t, sub, seen, 4,
 			Options{FixedQueries: 4, Parallelism: par, MIP: budget, Warm: prior.Allocation}, "")
-		check("tpcds-top30 flat K=4", res, st, 0x1d098cc09eef40e8, 0xb5fdc581d06df47e)
+		check("tpcds-top30 flat K=4", res, st, 0x1d098cc09eef40e8, 0xaf1d1240d46c2c94)
 
 		// (d) every subproblem degrades to the greedy routing; then a clean
 		// run resumes that journal, so the degraded records come back as
@@ -161,7 +161,7 @@ func TestPipelineGolden(t *testing.T) {
 		check("degraded 2+2", res, st, 0x9779327d62a25b8a, 0x5a2223821f790830)
 		res, st = goldenRun(t, sub, seen, 4,
 			Options{Chunks: mustChunks(t, "2+2"), FixedQueries: 4, Parallelism: par, MIP: budget}, st.Dir())
-		check("resumed from degraded journal", res, st, 0x7293d9309dd0ab1f, 0x4b258a53f63764ab)
+		check("resumed from degraded journal", res, st, 0x7293d9309dd0ab1f, 0xea7f5e1e54b9c57e)
 	}
 
 	// The greedy allocator only refuses non-finite capacities, which no chunk

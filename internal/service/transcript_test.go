@@ -251,7 +251,7 @@ func TestServiceTranscriptGolden(t *testing.T) {
 	inc, _ := replica.Incumbent()
 	tr.addJSON("promoted incumbent", inc.Allocation)
 
-	const want = uint64(0xfcf5a0f4d5e8ceb9)
+	const want = uint64(0xff42d015b8466340)
 	if tr.sum != want {
 		t.Errorf("transcript digest %#016x, want %#016x (the steps are logged above)", tr.sum, want)
 	}
