@@ -565,7 +565,7 @@ func (s *search) tryProposal(proposal []float64) {
 		proposal[j] = v
 	}
 	if s.p.Satisfies(proposal) {
-		s.adoptProposal(proposal, s.objective(proposal))
+		s.accept(proposal, s.objective(proposal))
 		return
 	}
 	if s.heur == nil {
@@ -597,21 +597,7 @@ func (s *search) tryProposal(proposal []float64) {
 		s.logf("mip: rounding completion violates a row of the problem; refused")
 		return
 	}
-	s.adoptProposal(res.X, res.Obj)
-}
-
-// adoptProposal makes x the incumbent when it improves on the incumbent by
-// more than absGap. x is copied, like accept does: the heuristic solver is
-// re-solved for later proposals, and an aliased incumbent would silently
-// corrupt if the solver ever reused its solution buffer.
-func (s *search) adoptProposal(x []float64, obj float64) {
-	if !s.hasInc || obj < s.incObj-absGap {
-		s.incumbent = append([]float64(nil), x...)
-		s.incObj = obj
-		s.hasInc = true
-		s.lastImprove = s.nodes
-		s.logf("mip: rounding incumbent obj=%.6f", obj+s.ps.objOff)
-	}
+	s.accept(res.X, res.Obj)
 }
 
 // objective is cᵀx over p's columns in index order, zero costs skipped: the
@@ -627,7 +613,10 @@ func (s *search) objective(x []float64) float64 {
 	return obj
 }
 
-// accept adopts an improving integral node solution as the incumbent.
+// accept adopts an improving point — an integral node solution or a
+// proposal — as the incumbent. x is copied: the heuristic solver is
+// re-solved for later proposals, and an aliased incumbent would silently
+// corrupt if the solver ever reused its solution buffer.
 func (s *search) accept(x []float64, obj float64) {
 	if !s.hasInc || obj < s.incObj-absGap {
 		s.incumbent = append([]float64(nil), x...)
