@@ -51,6 +51,9 @@ func BenchmarkWorstLoad(b *testing.B) {
 	}
 	unseen := scenario.OutOfSample(w, 200, scenario.DefaultP, 1001)
 	e := NewEvaluator(w, res.Allocation, 0)
+	if _, err := e.WorstLoad(unseen.Frequencies[0]); err != nil { // size the graph's scratch
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
