@@ -418,3 +418,36 @@ func TestFixedVariables(t *testing.T) {
 		t.Errorf("obj=%g x=%g, want 5 and 2", res.Obj, res.X[x])
 	}
 }
+
+// TestColdSolvesDropArtificials pins that a cold solve discards the
+// artificial columns of the one before it: three EQ rows need three
+// artificials each time, and five solves in a row must not stack them
+// (n+m = 9 columns, at most m more), nor move the optimum.
+func TestColdSolvesDropArtificials(t *testing.T) {
+	p := &Problem{}
+	var x [6]int
+	for j := range x {
+		x[j] = p.AddVar(0, 4, float64(j%3)-1)
+	}
+	p.AddRow([]int{x[0], x[1], x[2]}, []float64{1, 1, 1}, EQ, 3)
+	p.AddRow([]int{x[2], x[3], x[4]}, []float64{1, 2, 1}, EQ, 4)
+	p.AddRow([]int{x[4], x[5], x[0]}, []float64{1, 1, -1}, EQ, 2)
+	s, err := NewSolver(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := s.Solve()
+	if first.Status != StatusOptimal {
+		t.Fatalf("status %v, want optimal", first.Status)
+	}
+	for i := 0; i < 5; i++ {
+		res := s.Solve()
+		if s.ncols > s.n+2*s.m {
+			t.Fatalf("solve %d: %d columns, want at most n+2m = %d", i+2, s.ncols, s.n+2*s.m)
+		}
+		if res.Status != StatusOptimal || res.Obj != first.Obj || res.Iters != first.Iters {
+			t.Fatalf("solve %d: %v obj=%g iters=%d, want the first solve's optimal %g in %d",
+				i+2, res.Status, res.Obj, res.Iters, first.Obj, first.Iters)
+		}
+	}
+}

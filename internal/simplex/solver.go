@@ -185,6 +185,7 @@ func (s *Solver) initialStatus(j int) int8 {
 //
 // It returns the number of artificial columns added.
 func (s *Solver) initBasis() int {
+	s.dropArtificials()
 	// Place structurals (and provisionally slacks) nonbasic.
 	for j := 0; j < s.ncols; j++ {
 		s.vstat[j] = s.initialStatus(j)
@@ -234,6 +235,18 @@ func (s *Solver) initBasis() int {
 	}
 	s.resetBasisKernel()
 	return nart
+}
+
+// dropArtificials truncates the columns to the n structurals and m slacks,
+// discarding the artificials an earlier cold attempt appended: a fresh
+// basis never refers to them, and every pricing, ratio and computeXB sweep
+// would keep walking them. The columns that remain keep their indices, so
+// the relative order every pivot rule reads is unchanged.
+func (s *Solver) dropArtificials() {
+	k := s.n + s.m
+	s.ncols = k
+	s.cols, s.cost, s.lb, s.ub = s.cols[:k], s.cost[:k], s.lb[:k], s.ub[:k]
+	s.vstat, s.basisRow = s.vstat[:k], s.basisRow[:k]
 }
 
 // addArtificial appends an artificial column (±1 in row r, bounds [0,∞),
