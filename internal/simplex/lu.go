@@ -335,7 +335,11 @@ func (k *luKernel) factor(basic []int, cols [][]colEntry, pivotTol float64) erro
 				k.x[r] = 0
 			}
 			k.abort(step)
-			return fmt.Errorf("simplex: singular basis at elimination step %d", step)
+			row := 0
+			for k.pinv[row] >= 0 {
+				row++
+			}
+			return &singularError{step: step, pos: int(c), row: row}
 		}
 		prow := int32(-1)
 		bar := luThreshold * maxAbs
@@ -377,6 +381,16 @@ func (k *luKernel) factor(basic []int, cols [][]colEntry, pivotTol float64) erro
 	}
 	k.factorWork += len(k.lval) + len(k.uval)
 	return nil
+}
+
+// singularError is factor's report of a numerically singular basis: the
+// column at basis position pos found no pivot above the tolerance at
+// elimination step step, and row is the smallest row still unpivoted there.
+// SolveFrom repairs such a basis by swapping row's slack in at pos.
+type singularError struct{ step, pos, row int }
+
+func (e *singularError) Error() string {
+	return fmt.Sprintf("simplex: singular basis at elimination step %d", e.step)
 }
 
 // abort patches the column pointers of the not-yet-eliminated steps after a
