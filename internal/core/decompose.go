@@ -100,6 +100,9 @@ type Result struct {
 	// FixedQueries lists the queries pinned to node 0 by partial
 	// clustering, in ascending order of expected load.
 	FixedQueries []int
+	// Starts counts the LPs of the subproblem solves that started from a
+	// basis, and those whose start from one was refused.
+	Starts BasisStarts
 	// Outcomes tallies how the failure policy resolved each subproblem:
 	// proven optimal, budget-terminated feasible, or degraded to the greedy
 	// allocator (DESIGN.md §3.7).
@@ -169,6 +172,7 @@ func Allocate(w *model.Workload, ss *model.ScenarioSet, k int, opt Options) (*Re
 		Exact:         d.exact,
 		FixedQueries:  root.fixedQ,
 		Outcomes:      d.outcomes,
+		Starts:        d.starts,
 		DegradedDelta: d.degradedBytes / root.vNorm,
 		Canceled:      d.canceled(),
 	}
@@ -320,6 +324,7 @@ type driver struct {
 	lpiters       int
 	exact         bool
 	outcomes      OutcomeCounts
+	starts        BasisStarts
 	degradedBytes float64
 }
 
@@ -343,6 +348,7 @@ func (d *driver) recordSolution(sol *solution) {
 	d.maxLoad = math.Max(d.maxLoad, sol.l)
 	d.exact = d.exact && sol.exact
 	d.outcomes.add(sol.outcome)
+	d.starts.add(sol.starts)
 	d.degradedBytes += sol.extraBytes
 }
 
@@ -441,7 +447,7 @@ func (d *driver) solve(sp *subproblem, spec *ChunkSpec, leaf int, id string) err
 		// point never re-solves this subproblem.
 		ck.record(d, sol)
 	}
-	d.logf("core: split %v solved (%v): L=%.4f gap=%.4f nodes=%d", spec, sol.outcome, sol.l, sol.gap, sol.nodes)
+	d.logf("core: split %v solved (%v): L=%.4f gap=%.4f nodes=%d %v", spec, sol.outcome, sol.l, sol.gap, sol.nodes, sol.starts)
 	return d.finish(sp, spec, sol, leaf, id)
 }
 
@@ -607,6 +613,24 @@ func (d *driver) childSubproblem(sp *subproblem, sol *solution, bb int) *subprob
 		}
 	}
 	return sub.index()
+}
+
+// BasisStarts counts the LPs of a run that started from a basis instead of
+// cold (DESIGN.md §3.10), summed over its subproblem solves. Each *Cold
+// field counts the starts from a basis that were refused and solved cold.
+type BasisStarts struct {
+	mip.Starts
+}
+
+func (b *BasisStarts) add(o BasisStarts) {
+	b.Roots += o.Roots
+	b.RootsCold += o.RootsCold
+}
+
+// String is the form the per-split progress line prints: from basis, then
+// refused and solved cold, per kind of LP.
+func (b BasisStarts) String() string {
+	return fmt.Sprintf("starts from basis/cold: root %d/%d", b.Roots, b.RootsCold)
 }
 
 func countTrue(b []bool) int {

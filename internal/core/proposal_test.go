@@ -99,7 +99,7 @@ func TestTrimmedProposalsAreComplete(t *testing.T) {
 		if err != nil || relax.Status != simplex.StatusOptimal {
 			t.Fatalf("%s: root relaxation: %v %v", c.name, err, relax.Status)
 		}
-		dive := sp.dive(ix, simplex.Options{})
+		dive, _ := sp.dive(ix, simplex.Options{})
 		if dive == nil {
 			t.Fatalf("%s: dive found no start", c.name)
 		}

@@ -432,8 +432,10 @@ func (sp *subproblem) canonicalize(out []float64, ix *indices) {
 // relaxation value — re-solving the LP with the warm-started dual simplex
 // after every row. The result is an integral y proposal of far higher
 // quality than one-shot rounding; it seeds the branch and bound as its
-// first incumbent (mip.Options.Starts).
-func (sp *subproblem) dive(ix *indices, lp simplex.Options) []float64 {
+// first incumbent (mip.Options.Starts). The dive also returns the optimal
+// basis of its root relaxation, taken before the first fixing, for the
+// MIP's root to start from (see liftBasis); either result may be nil.
+func (sp *subproblem) dive(ix *indices, lp simplex.Options) ([]float64, *simplex.Basis) {
 	p, _, _ := sp.build(false)
 	// The dive's fix thresholds (0.5 / 0.02 / 0.05) read the *vertex* the LP
 	// returns, and degenerate relaxations have many optimal vertices — which
@@ -445,12 +447,13 @@ func (sp *subproblem) dive(ix *indices, lp simplex.Options) []float64 {
 	lp.Pricing = simplex.PricingDantzig
 	s, err := simplex.NewSolver(p, lp)
 	if err != nil {
-		return nil
+		return nil, nil
 	}
 	res := s.Solve()
 	if res.Status != simplex.StatusOptimal {
-		return nil
+		return nil, nil
 	}
+	basis := s.Basis()
 	for _, q := range sp.byLoad {
 		best, bestVal := 0, -1.0
 		for bb := 0; bb < ix.b; bb++ {
@@ -474,7 +477,7 @@ func (sp *subproblem) dive(ix *indices, lp simplex.Options) []float64 {
 		}
 		res = s.ReSolveDual()
 		if res.Status != simplex.StatusOptimal {
-			return nil
+			return nil, basis
 		}
 	}
 	// Round the leftover fractional y UP: upward rounding keeps every
@@ -491,7 +494,30 @@ func (sp *subproblem) dive(ix *indices, lp simplex.Options) []float64 {
 		}
 	}
 	sp.canonicalize(out, ix)
-	return out
+	return out, basis
+}
+
+// liftBasis carries a basis of the relaxation without symmetry rows
+// (build(false)) over to the model with them (build(true)): the columns are
+// the same, and the symmetry rows sit between rows (6) and (7), so each
+// enters with its slack basic and rows (7) move down past them. The
+// subnode blocks are deliberately not permuted into canonical order: on the
+// subproblems measured, the permuted basis cost more dual pivots and cold
+// restarts in the tree than the dual pass spends repairing the symmetry
+// rows (DESIGN.md §3.10).
+func (sp *subproblem) liftBasis(b *simplex.Basis, rows int) *simplex.Basis {
+	if b == nil {
+		return nil
+	}
+	sym := rows - len(b.Rows)
+	at := len(b.Rows) - len(sp.routes)
+	lifted := make([]simplex.BasisStatus, 0, rows)
+	lifted = append(lifted, b.Rows[:at]...)
+	for range sym {
+		lifted = append(lifted, simplex.Basic)
+	}
+	lifted = append(lifted, b.Rows[at:]...)
+	return &simplex.Basis{Cols: b.Cols, Rows: lifted}
 }
 
 // solution is the decoded outcome of one subproblem solve. yes and z are in
@@ -509,6 +535,7 @@ type solution struct {
 	nodes   int
 	lpiters int
 	exact   bool
+	starts  BasisStarts // LPs started from a basis (mip.Result.Starts)
 	// outcome classifies the solve for the failure policy; extraBytes is
 	// nonzero only for degraded solutions (allocated bytes beyond the
 	// single-copy floor, feeding Result.DegradedDelta).
@@ -546,9 +573,11 @@ func (sp *subproblem) solve(opt mip.Options, ck *subCheckpoint, hints ...[][]boo
 			_ = rec.RecordMIP(id, mr)
 		}
 	}
-	if start := sp.dive(ix, opt.LP); start != nil {
+	start, basis := sp.dive(ix, opt.LP)
+	if start != nil {
 		opt.Starts = append(opt.Starts, start)
 	}
+	opt.RootBasis = sp.liftBasis(basis, len(p.Rows))
 	for _, hint := range hints {
 		if hint == nil {
 			continue
@@ -624,6 +653,7 @@ func (sp *subproblem) decode(ix *indices, res *mip.Result) *solution {
 		nodes:   res.Nodes,
 		lpiters: res.LPIters,
 		exact:   res.Exact && res.Status == mip.StatusOptimal,
+		starts:  BasisStarts{Starts: res.Starts},
 	}
 	if res.Status == mip.StatusOptimal {
 		sol.outcome = OutcomeOptimal

@@ -16,6 +16,12 @@
 //   - presolve reductions (bound tightening, implication fixing between the
 //     paper's binaries; see presolve.go) applied before the root relaxation,
 //     with results reported in the caller's original coordinates,
+//   - a root relaxation that starts from a caller's basis (Options.RootBasis,
+//     typically the optimal basis of a relaxation with the same columns)
+//     instead of solving cold: the basis is mapped through presolve — a
+//     removed row that was tight demotes one basic column of its row to the
+//     bound that keeps it tight — and the root it reaches must satisfy every
+//     row before its bound is used, or the root is solved again cold,
 //   - best-first node selection with depth-first plunging,
 //   - reliability-weighted pseudocost branching with a most-fractional
 //     fallback until degradation observations exist,
@@ -117,6 +123,18 @@ type Result struct {
 	// Exact is false if any node LP failed numerically and was skipped, in
 	// which case Bound is best-effort rather than proven.
 	Exact bool
+	// Starts counts the LPs of the search that started from a basis.
+	Starts Starts
+}
+
+// Starts counts the LP solves of a search that began from a basis instead
+// of cold: the root relaxation from Options.RootBasis. Roots counts the
+// starts that stood; RootsCold those that were refused — they ended other
+// than optimal or at a point that breaks a row — or that the solver's own
+// ladder restarted cold, so their LP was in fact solved cold.
+type Starts struct {
+	Roots     int `json:"roots"`
+	RootsCold int `json:"roots_cold"`
 }
 
 // Options tune the branch-and-bound search. The zero value uses the
@@ -160,6 +178,13 @@ type Options struct {
 	// first incumbent. Callers use this to inject solutions from
 	// domain-specific primal heuristics.
 	Starts [][]float64
+	// RootBasis, when non-nil, is a basis of the problem in the caller's
+	// coordinates — typically the optimal basis of a relaxation with the
+	// same columns — that the root relaxation starts from instead of
+	// solving cold (simplex.Solver.SolveFrom, after presolve's mapping).
+	// A root started from it is checked against every row before its bound
+	// is used, and solved again cold if it fails. Nil solves the root cold.
+	RootBasis *simplex.Basis
 	// LP passes options through to the simplex solver. When TimeLimit or
 	// Canceled is set, Solve chains its own stop hook onto LP.Canceled so
 	// expiry and cancellation are detected inside every inner simplex solve,
@@ -279,6 +304,7 @@ func Solve(p *simplex.Problem, intVars []int, opt Options) (*Result, error) {
 	}
 	s := &search{
 		opt: opt, p: work, ps: ps,
+		rootBasis:    ps.reduceBasis(p, opt.RootBasis),
 		intVars:      ps.intVars,
 		exact:        true,
 		skippedBound: math.Inf(1),
@@ -372,13 +398,14 @@ type search struct {
 	// happens at the boundaries, through ps (restore, reduceProposal,
 	// origCol); internal objectives and bounds likewise exclude the
 	// eliminated variables, and reported ones add ps.objOff.
-	p        *simplex.Problem
-	ps       *presolveInfo
-	intVars  []int
-	lp       *simplex.Solver // tree solver, bounds mutated per node
-	heur     *simplex.Solver // lazily created solver for rounding probes
-	heurDead bool            // heuristic solver construction failed; stop retrying
-	prio     []float64       // branching priorities in p's coordinates
+	p         *simplex.Problem
+	ps        *presolveInfo
+	intVars   []int
+	lp        *simplex.Solver // tree solver, bounds mutated per node
+	heur      *simplex.Solver // lazily created solver for rounding probes
+	heurDead  bool            // heuristic solver construction failed; stop retrying
+	rootBasis *simplex.Basis  // Options.RootBasis in p's coordinates, or nil
+	prio      []float64       // branching priorities in p's coordinates
 
 	// Pseudocost state, indexed in p's coordinates: cumulative per-unit
 	// objective degradations and observation counts per branching direction,
@@ -394,6 +421,7 @@ type search struct {
 	lastCkpt    time.Time // last Checkpoint callback (driving goroutine only)
 	nodes       int
 	lpIters     int // simplex pivots across all inner LP solves
+	starts      Starts
 	lastImprove int // node count at the last incumbent improvement
 	exact       bool
 	// skippedBound is the smallest inherited LP bound over the subtrees
@@ -641,7 +669,7 @@ func (s *search) gapClosed(bound float64) bool {
 
 func (s *search) result(status Status, bound float64) *Result {
 	off := s.ps.objOff
-	r := &Result{Status: status, Nodes: s.nodes, LPIters: s.lpIters, Bound: bound + off, Exact: s.exact}
+	r := &Result{Status: status, Nodes: s.nodes, LPIters: s.lpIters, Bound: bound + off, Exact: s.exact, Starts: s.starts}
 	if s.hasInc {
 		r.X = s.ps.restore(s.incumbent)
 		r.Obj = s.incObj + off
@@ -660,10 +688,8 @@ func (s *search) result(status Status, bound float64) *Result {
 }
 
 func (s *search) run() (*Result, error) {
-	// Root relaxation.
-	res := s.lp.Solve()
+	res := s.solveRoot()
 	s.nodes++
-	s.lpIters += res.Iters
 	switch res.Status {
 	case simplex.StatusInfeasible:
 		return s.result(StatusInfeasible, math.Inf(1)), nil
@@ -678,7 +704,11 @@ func (s *search) run() (*Result, error) {
 		return nil, fmt.Errorf("mip: root relaxation failed with status %v", res.Status)
 	}
 	rootBound := res.Obj
-	s.logf("mip: root relaxation obj=%.6f after %d iters", res.Obj+s.ps.objOff, res.Iters)
+	start := "cold"
+	if s.starts.Roots > 0 {
+		start = "from basis"
+	}
+	s.logf("mip: root relaxation obj=%.6f after %d iters, %s", res.Obj+s.ps.objOff, res.Iters, start)
 	for _, start := range s.opt.Starts {
 		s.tryProposal(s.ps.reduceProposal(start))
 	}
@@ -733,6 +763,49 @@ func (s *search) run() (*Result, error) {
 	// No incumbent and a skipped subtree: the skipped part may well contain
 	// feasible points, so infeasibility is not proven either.
 	return s.result(StatusNoSolution, s.skippedBound), nil
+}
+
+// solveRoot solves the root relaxation, from rootBasis when there is one.
+// That start is checked, not trusted (startFrom); a refused one is solved
+// again cold.
+func (s *search) solveRoot() *simplex.Result {
+	if s.rootBasis != nil {
+		res, ok := s.startFrom(s.rootBasis, "root relaxation", &s.starts.Roots, &s.starts.RootsCold)
+		if ok {
+			return res
+		}
+	}
+	res := s.lp.Solve()
+	s.lpIters += res.Iters
+	return res
+}
+
+// startFrom solves the tree LP from basis b and checks the start: it stands
+// (ok) when it ends optimal at a point that satisfies every row of p, or
+// ends canceled. Any other ending is logged and refused, and the caller
+// solves again cold. A refused start, or one the solver's own ladder
+// restarted cold, counts in *cold; one that ran from b throughout in
+// *warm.
+func (s *search) startFrom(b *simplex.Basis, what string, warm, cold *int) (*simplex.Result, bool) {
+	res := s.lp.SolveFrom(b)
+	s.lpIters += res.Iters
+	switch {
+	case res.Status == simplex.StatusCanceled:
+		return res, true
+	case res.Status != simplex.StatusOptimal:
+		s.logf("mip: %s from basis ended %v; solving cold", what, res.Status)
+	case !s.p.Satisfies(res.X):
+		s.logf("mip: %s from basis violates a row of the problem; refused, solving cold", what)
+	default:
+		if res.Recovery != nil && res.Recovery.Restarts > 0 {
+			*cold++
+		} else {
+			*warm++
+		}
+		return res, true
+	}
+	*cold++
+	return nil, false
 }
 
 // plunge solves nd and then repeatedly descends into the child whose bound

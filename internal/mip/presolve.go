@@ -48,6 +48,7 @@ type presolveInfo struct {
 	intVars []int     // integer variables, reduced coordinates
 	colMap  []int     // original column -> reduced column, or -1 if eliminated
 	origCol []int     // reduced column -> original column
+	rowMap  []int     // original row -> reduced row, or -1 if removed
 	fixVal  []float64 // value of each eliminated original column
 	isFixed []bool    // original column eliminated?
 	isInt   []bool    // original column integer?
@@ -89,6 +90,55 @@ func (ps *presolveInfo) reduceProposal(proposal []float64) []float64 {
 	out := make([]float64, len(ps.origCol))
 	for r, j := range ps.origCol {
 		out[r] = proposal[j]
+	}
+	return out
+}
+
+// reduceBasis translates a basis of the caller's problem p into reduced
+// coordinates for the root's SolveFrom: kept columns and rows keep their
+// statuses, eliminated ones drop out. A removed row whose slack was
+// nonbasic was tight, and its removal leaves one basic too many; one kept
+// basic column of that row, the first in the row with a finite bound to
+// go to, is demoted to the bound that keeps the row tight — its upper bound
+// for a positive coefficient in an LE row or a negative one in a GE row,
+// its lower bound otherwise. Any count still off is SolveFrom's to repair.
+// It returns nil for a nil basis or one not sized for p.
+func (ps *presolveInfo) reduceBasis(p *simplex.Problem, b *simplex.Basis) *simplex.Basis {
+	if b == nil || len(b.Cols) != ps.origN || len(b.Rows) != len(p.Rows) {
+		return nil
+	}
+	red := ps.reduced
+	out := &simplex.Basis{
+		Cols: make([]simplex.BasisStatus, red.NumVars),
+		Rows: make([]simplex.BasisStatus, len(red.Rows)),
+	}
+	for k, j := range ps.origCol {
+		out.Cols[k] = b.Cols[j]
+	}
+	for i, r := range ps.rowMap {
+		if r >= 0 {
+			out.Rows[r] = b.Rows[i]
+			continue
+		}
+		if b.Rows[i] == simplex.Basic || p.Rel[i] == simplex.EQ {
+			continue
+		}
+		row := p.Rows[i]
+		for t, j := range row.Idx {
+			k := ps.colMap[j]
+			if k < 0 || out.Cols[k] != simplex.Basic || row.Coef[t] == 0 {
+				continue
+			}
+			if (row.Coef[t] > 0) == (p.Rel[i] == simplex.LE) {
+				if !math.IsInf(red.UB[k], 1) {
+					out.Cols[k] = simplex.AtUpper
+					break
+				}
+			} else if !math.IsInf(red.LB[k], -1) {
+				out.Cols[k] = simplex.AtLower
+				break
+			}
+		}
 	}
 	return out
 }
@@ -536,8 +586,10 @@ func (pr *presolver) rebuild(p *simplex.Problem) bool {
 	}
 	var idx []int
 	var coef []float64
+	ps.rowMap = make([]int, len(pr.rows))
 	for r := range pr.rows {
 		w := &pr.rows[r]
+		ps.rowMap[r] = -1
 		if !w.live {
 			continue
 		}
@@ -558,7 +610,7 @@ func (pr *presolver) rebuild(p *simplex.Problem) bool {
 			ps.stats.RemovedRows++
 			continue
 		}
-		red.AddRow(idx, coef, w.rel, rhs)
+		ps.rowMap[r] = red.AddRow(idx, coef, w.rel, rhs)
 	}
 	ps.reduced = red
 	for j := 0; j < ps.origN; j++ {
