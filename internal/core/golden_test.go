@@ -132,7 +132,7 @@ func TestPipelineGolden(t *testing.T) {
 		// (a) the robust clustered row: three 4+4 subproblems, three scenarios.
 		res, st := goldenRun(t, full, scenario.InSample(full, 3, scenario.DefaultP, 1), 8,
 			Options{Chunks: mustChunks(t, "4+4"), FixedQueries: 47, Parallelism: par, MIP: budget}, "")
-		check("tpcds K=8 4+4 F=47 S=3", res, st, 0xc84ce8f645dc0ab2, 0x1803190bc3276278)
+		check("tpcds K=8 4+4 F=47 S=3", res, st, 0x4751e15c1ad28625, 0x8be2c5d0e6d56fb3)
 
 		// (b) allocd's re-optimization shape: warm-started from the allocation
 		// of a neighbouring scenario draw.
@@ -140,7 +140,7 @@ func TestPipelineGolden(t *testing.T) {
 			Options{Chunks: mustChunks(t, "2+2"), FixedQueries: 64, Parallelism: par, MIP: budget}, "")
 		res, st = goldenRun(t, full, scenario.InSample(full, 4, scenario.DefaultP, 1), 4,
 			Options{Chunks: mustChunks(t, "2+2"), FixedQueries: 64, Parallelism: par, MIP: budget, Warm: prior.Allocation}, "")
-		check("tpcds K=4 2+2 F=64 S=4 warm", res, st, 0x541b1b57d7d31316, 0x90afa87ed8a7a089)
+		check("tpcds K=4 2+2 F=64 S=4 warm", res, st, 0xe8c9ab2c7d814eb5, 0xc53fb035c4e11f3f)
 
 		// (c) a flat solve: the hierarchical pre-solve, the greedy hint and a
 		// warm hint all seed one root MIP.
@@ -148,7 +148,7 @@ func TestPipelineGolden(t *testing.T) {
 		seen := scenario.InSample(sub, 2, scenario.DefaultP, 1)
 		res, st = goldenRun(t, sub, seen, 4,
 			Options{FixedQueries: 4, Parallelism: par, MIP: budget, Warm: prior.Allocation}, "")
-		check("tpcds-top30 flat K=4", res, st, 0x1d098cc09eef40e8, 0xaf1d1240d46c2c94)
+		check("tpcds-top30 flat K=4", res, st, 0xce8f0bcd6bc48d59, 0x4586bf1cb8225587)
 
 		// (d) every subproblem degrades to the greedy routing; then a clean
 		// run resumes that journal, so the degraded records come back as
@@ -161,7 +161,7 @@ func TestPipelineGolden(t *testing.T) {
 		check("degraded 2+2", res, st, 0x9779327d62a25b8a, 0x5a2223821f790830)
 		res, st = goldenRun(t, sub, seen, 4,
 			Options{Chunks: mustChunks(t, "2+2"), FixedQueries: 4, Parallelism: par, MIP: budget}, st.Dir())
-		check("resumed from degraded journal", res, st, 0x7293d9309dd0ab1f, 0xea7f5e1e54b9c57e)
+		check("resumed from degraded journal", res, st, 0x39f1bcc6c03bfd8e, 0x9cd71a4c2a18fcfb)
 	}
 
 	// The greedy allocator only refuses non-finite capacities, which no chunk
