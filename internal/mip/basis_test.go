@@ -169,6 +169,51 @@ func TestRootFromBasisRefusedGoesCold(t *testing.T) {
 	}
 }
 
+// TestRootFromBasisViolatingRowRefused makes the start from the basis end
+// optimal at a point off a row: the dual pass and the cold and bland
+// restarts of its ladder stall, and the perturb rung, whose feasibility
+// tolerance is a hundred times looser, takes the slack basis as feasible
+// with the row x + w ≥ 5e-6 still uncovered at x = w = 0. Problem.Satisfies
+// holds rows to the solver's own tolerance, so the root refuses the point,
+// says so, and solves cold to the true bound.
+func TestRootFromBasisViolatingRowRefused(t *testing.T) {
+	p := &simplex.Problem{}
+	x := p.AddVar(0, 1, 1)
+	w := p.AddVar(0, 1, 1)
+	y := p.AddVar(0, 1, -1)
+	p.AddRow([]int{x, w}, []float64{1, 1}, simplex.GE, 5e-6)
+	p.AddRow([]int{y, x, w}, []float64{1, 1, -1}, simplex.LE, 1.5)
+	lp, err := simplex.NewSolver(p, simplex.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := lp.Solve(); res.Status != simplex.StatusOptimal {
+		t.Fatalf("relaxation: %v", res.Status)
+	}
+	ints := []int{y}
+	cold, err := Solve(p, ints, Options{MaxNodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log []string
+	res, err := Solve(p, ints, Options{
+		MaxNodes:  1,
+		RootBasis: lp.Basis(),
+		LP:        simplex.Options{Fault: faultinject.New(faultinject.Plan{Stalls: []int{0, 1, 2}})},
+		Logf:      func(format string, args ...any) { log = append(log, fmt.Sprintf(format, args...)) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := strings.Join(log, "\n")
+	if !strings.Contains(all, "root relaxation from basis violates a row of the problem and is refused; solving cold") {
+		t.Errorf("log does not show the refusal:\n%s", all)
+	}
+	if res.Starts != (Starts{RootsCold: 1}) || math.Abs(res.Bound-cold.Bound) > 1e-12 {
+		t.Errorf("starts %+v, bound %.12g; want one refused root and the cold root's %.12g", res.Starts, res.Bound, cold.Bound)
+	}
+}
+
 // TestNilRootBasisUnchanged pins the search without a root basis to the
 // bits it produced before the option existed: status, objective, nodes, LP
 // iterations and every entry of X over the golden instances.

@@ -128,13 +128,17 @@ type Result struct {
 }
 
 // Starts counts the LP solves of a search that began from a basis instead
-// of cold: the root relaxation from Options.RootBasis. Roots counts the
-// starts that stood; RootsCold those that were refused — they ended other
-// than optimal or at a point that breaks a row — or that the solver's own
-// ladder restarted cold, so their LP was in fact solved cold.
+// of cold: the root relaxation from Options.RootBasis, and every node popped
+// off the open heap from its parent's optimal basis. Roots and Nodes count
+// the starts that stood; RootsCold and NodesCold those that were refused —
+// they ended other than optimal (or, for a node, infeasible) or at a point
+// that breaks a row — or that the solver's own ladder restarted cold, so
+// their LP was in fact solved cold.
 type Starts struct {
 	Roots     int `json:"roots"`
 	RootsCold int `json:"roots_cold"`
+	Nodes     int `json:"nodes"`
+	NodesCold int `json:"nodes_cold"`
 }
 
 // Options tune the branch-and-bound search. The zero value uses the
@@ -267,6 +271,10 @@ type node struct {
 	up        bool
 	frac      float64
 	parentObj float64
+	// basis is the parent's optimal basis, which a node popped off the
+	// heap starts from (siblings share one); nil for the root and for a
+	// plunge child, which continues from the tree solver's state.
+	basis *simplex.Basis
 }
 
 type nodeHeap []*node
@@ -770,7 +778,7 @@ func (s *search) run() (*Result, error) {
 // again cold.
 func (s *search) solveRoot() *simplex.Result {
 	if s.rootBasis != nil {
-		res, ok := s.startFrom(s.rootBasis, "root relaxation", &s.starts.Roots, &s.starts.RootsCold)
+		res, ok := s.startFrom(s.rootBasis, false, &s.starts.Roots, &s.starts.RootsCold)
 		if ok {
 			return res
 		}
@@ -780,22 +788,27 @@ func (s *search) solveRoot() *simplex.Result {
 	return res
 }
 
-// startFrom solves the tree LP from basis b and checks the start: it stands
+// startFrom solves the tree LP from basis b and checks the start. It stands
 // (ok) when it ends optimal at a point that satisfies every row of p, or
-// ends canceled. Any other ending is logged and refused, and the caller
-// solves again cold. A refused start, or one the solver's own ladder
-// restarted cold, counts in *cold; one that ran from b throughout in
-// *warm.
-func (s *search) startFrom(b *simplex.Basis, what string, warm, cold *int) (*simplex.Result, bool) {
+// canceled — or, for a node, infeasible: the dual pass proves that on a
+// fresh factorization just as it does for a node re-solved from the
+// solver's own state. Any other ending is logged and refused, and the
+// caller solves again cold. A refused start, or one the solver's own ladder
+// restarted cold, counts in *cold; one that ran from b throughout in *warm.
+func (s *search) startFrom(b *simplex.Basis, node bool, warm, cold *int) (*simplex.Result, bool) {
 	res := s.lp.SolveFrom(b)
 	s.lpIters += res.Iters
+	var why string
 	switch {
 	case res.Status == simplex.StatusCanceled:
 		return res, true
+	case res.Status == simplex.StatusInfeasible && node:
+		*warm++
+		return res, true
 	case res.Status != simplex.StatusOptimal:
-		s.logf("mip: %s from basis ended %v; solving cold", what, res.Status)
+		why = fmt.Sprintf("ended %v", res.Status)
 	case !s.p.Satisfies(res.X):
-		s.logf("mip: %s from basis violates a row of the problem; refused, solving cold", what)
+		why = "violates a row of the problem and is refused"
 	default:
 		if res.Recovery != nil && res.Recovery.Restarts > 0 {
 			*cold++
@@ -805,6 +818,11 @@ func (s *search) startFrom(b *simplex.Basis, what string, warm, cold *int) (*sim
 		return res, true
 	}
 	*cold++
+	what := "root relaxation"
+	if node {
+		what = fmt.Sprintf("node %d", s.nodes+1)
+	}
+	s.logf("mip: %s from basis %s; solving cold", what, why)
 	return nil, false
 }
 
@@ -814,15 +832,8 @@ func (s *search) startFrom(b *simplex.Basis, what string, warm, cold *int) (*sim
 func (s *search) plunge(nd *node, open *nodeHeap) {
 	s.applyPath(nd.path)
 	for {
-		res := s.lp.ReSolveDual()
+		res := s.solveNode(nd)
 		s.nodes++
-		s.lpIters += res.Iters
-		if res.Status != simplex.StatusOptimal && res.Status != simplex.StatusInfeasible && res.Status != simplex.StatusCanceled {
-			// Numerical trouble or iteration limit: retry from a fresh
-			// basis before giving up on the subtree.
-			res = s.lp.Solve()
-			s.lpIters += res.Iters
-		}
 		if res.Status == simplex.StatusCanceled {
 			// The node is unexplored, not failed: push it back so its bound
 			// stays visible to run(), which will wind the search down.
@@ -888,12 +899,36 @@ func (s *search) plunge(nd *node, open *nodeHeap) {
 		} else {
 			dive, sibling = up, down
 		}
+		sibling.basis = s.lp.Basis()
 		heap.Push(open, sibling)
 		nd = dive
 		// Apply only the new fixing; the rest of the path is already set.
 		f := nd.path[len(nd.path)-1]
 		s.lp.SetBound(f.j, f.lb, f.ub)
 	}
+}
+
+// solveNode solves nd's LP with its path's bounds applied: a node popped off
+// the heap from its parent's basis (startFrom), a plunge child by the dual
+// simplex from where its parent's solve left the tree solver. Numerical
+// trouble, an iteration limit or a refused start is retried from a fresh
+// basis before the caller gives up on the subtree.
+func (s *search) solveNode(nd *node) *simplex.Result {
+	if nd.basis != nil {
+		if res, ok := s.startFrom(nd.basis, true, &s.starts.Nodes, &s.starts.NodesCold); ok {
+			return res
+		}
+	} else {
+		res := s.lp.ReSolveDual()
+		s.lpIters += res.Iters
+		switch res.Status {
+		case simplex.StatusOptimal, simplex.StatusInfeasible, simplex.StatusCanceled:
+			return res
+		}
+	}
+	res := s.lp.Solve()
+	s.lpIters += res.Iters
+	return res
 }
 
 func clonePath(p []fixing) []fixing {

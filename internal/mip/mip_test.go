@@ -3,6 +3,7 @@ package mip
 import (
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -273,14 +274,15 @@ func TestProposalIncumbentNotAliased(t *testing.T) {
 	}
 }
 
-// TestSkippedSubtreeNotOptimal forces a node-LP failure via a tiny per-LP
-// iteration budget: the root relaxation solves, but a deeper node exceeds
-// MaxIters on both the warm dual re-solve and the cold retry, so its
-// subtree is skipped. The solver must then report StatusFeasible with a
-// best-effort bound, never StatusOptimal.
+// TestSkippedSubtreeNotOptimal forces a node-LP failure through the fault
+// injector: the root relaxation solves, the rounding heuristic then turns
+// every later simplex iteration into a stall and proposes a feasible point,
+// so the first node fails on its warm re-solve and on the cold retry alike
+// and its subtree is skipped. The solver must then report StatusFeasible
+// with a best-effort bound, never StatusOptimal.
 func TestSkippedSubtreeNotOptimal(t *testing.T) {
-	// Instance found by seeded search: a tight knapsack (root LP solves in
-	// a few pivots) plus a covering row that needs phase-1 work at nodes.
+	// A tight knapsack plus a covering row over the even variables; x_0
+	// alone satisfies both.
 	rng := rand.New(rand.NewSource(28))
 	n := 12
 	p := &simplex.Problem{}
@@ -301,12 +303,25 @@ func TestSkippedSubtreeNotOptimal(t *testing.T) {
 	}
 	p.AddRow(cidx, ccoef, simplex.GE, 1)
 
-	res, err := Solve(p, idx, Options{MaxNodes: 500, LP: simplex.Options{MaxIters: 7}})
+	fault := &stallWhenArmed{}
+	res, err := Solve(p, idx, Options{
+		MaxNodes: 500,
+		LP:       simplex.Options{Fault: fault},
+		Rounding: func(x []float64) []float64 {
+			fault.armed.Store(true)
+			start := make([]float64, len(x))
+			start[0] = 1
+			return start
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !fault.armed.Load() {
+		t.Fatal("the rounding heuristic never ran, so no node LP failed")
+	}
 	if res.Exact {
-		t.Fatal("expected an inexact search (node LP failure); the instance no longer triggers it")
+		t.Fatal("expected an inexact search (node LP failure)")
 	}
 	if res.Status == StatusOptimal {
 		t.Errorf("inexact search claimed StatusOptimal")
@@ -324,6 +339,13 @@ func TestSkippedSubtreeNotOptimal(t *testing.T) {
 		t.Errorf("bound %g not strictly below incumbent %g: the skipped subtree's gap vanished", res.Bound, res.Obj)
 	}
 }
+
+// stallWhenArmed is a fault injector that stalls every simplex iteration
+// once armed and leaves factorizations alone.
+type stallWhenArmed struct{ armed atomic.Bool }
+
+func (f *stallWhenArmed) FailRefactor() bool { return false }
+func (f *stallWhenArmed) ForceStall() bool   { return f.armed.Load() }
 
 // TestZeroGapOptions checks RelGap's negative-means-zero convention: a
 // caller can request an exact zero relative gap, while the zero value keeps
