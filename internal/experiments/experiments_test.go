@@ -208,8 +208,8 @@ func TestTablesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("solves every Bench row of five tables twice")
 	}
-	// Recorded with the MIP root started from the dive's root basis.
-	const want = "7a4f4640a52f8919cb4adc7023890fe6fe121e7ed7c8156521ce1e34ec785938"
+	// Recorded with popped B&B nodes started from their parent's basis.
+	const want = "a81fbbc305f4c768e9701fedfdf122eb05af9e6cdf38c80562708f409854dcb1"
 	for _, par := range []int{1, 4} {
 		var buf bytes.Buffer
 		cfg := benchCfg("tpcds", &buf)
