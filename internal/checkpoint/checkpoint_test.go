@@ -23,6 +23,11 @@ func sampleSnapshot() *Snapshot {
 				Frags:   [][]int{{0, 1, 3}, {2}},
 				Yes:     []YesRow{{Q: 0, On: []bool{true, false}}, {Q: 2, On: []bool{true, true}}},
 				Z:       []Route{{Q: 0, S: 0, Shares: []float64{1, 0}}, {Q: 2, S: 1, Shares: []float64{0.5, 0.5}}},
+				Basis: &Basis{
+					Basic: []Role{{1, 0, 0}, {2, 2, 1, 1}, {6, 1, 0}},
+					Upper: []Role{{1, 2, 1}},
+					Tight: []Role{{4, 0, 1}, {7, 2, 1}},
+				},
 			},
 			"r.0": {
 				Outcome:    "degraded",
@@ -355,6 +360,45 @@ func TestRecorderJournal(t *testing.T) {
 	}
 	if s := rec2.Sub("r.1"); s == nil || s.L != 0.4 {
 		t.Fatalf("resumed Sub(r.1) = %+v, want the journaled record", s)
+	}
+}
+
+// TestRecorderCarriesBases: the bases a run records with its subproblems
+// come back by id (a record without one is left out), and the bases handed
+// to a recorder are served by id without being journaled.
+func TestRecorderCarriesBases(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := NewRecorder(st, nil)
+	if got := rec.Bases(); got != nil {
+		t.Fatalf("Bases() of an empty journal = %v, want nil", got)
+	}
+	b := &Basis{Basic: []Role{{1, 2, 3}}, Tight: []Role{{4}}}
+	if err := rec.RecordSub("r", &SubRecord{Outcome: "optimal", Basis: b}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.RecordSub("r.0", &SubRecord{Outcome: "degraded"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.Bases(); !reflect.DeepEqual(got, map[string]*Basis{"r": b}) {
+		t.Errorf("Bases() = %v, want r's alone", got)
+	}
+	carried := &Basis{Basic: []Role{{9}}}
+	rec.Carry(map[string]*Basis{"r.1": carried})
+	if got := rec.Carried("r.1"); got != carried {
+		t.Errorf("Carried(r.1) = %v, want the carried basis", got)
+	}
+	if got := rec.Carried("r"); got != nil {
+		t.Errorf("Carried(r) = %v, want nil", got)
+	}
+	snap, err := st.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := NewRecorder(nil, snap).Bases(); !reflect.DeepEqual(got, map[string]*Basis{"r": b}) {
+		t.Errorf("journal holds bases %v, want r's alone", got)
 	}
 }
 

@@ -16,6 +16,9 @@ type Recorder struct {
 	snap    *Snapshot
 	resumed bool
 	saveErr error // last Save failure (journaling is best-effort; solves continue)
+	// carried holds the bases a previous run recorded, by subproblem id,
+	// for this run's solves to start from (Carry); it is not journaled here.
+	carried map[string]*Basis
 }
 
 // NewRecorder wraps st. prev, when non-nil, is a loaded snapshot to resume
@@ -81,6 +84,41 @@ func (r *Recorder) MIP(id string) *MIPRecord {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.snap.MIPs[id]
+}
+
+// Carry hands the run the bases a previous run recorded (Bases), by
+// subproblem id. They are starting points only: nothing journals them
+// again unless a solve records its own.
+func (r *Recorder) Carry(bases map[string]*Basis) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.carried = bases
+}
+
+// Carried returns the basis carried for subproblem id, or nil. Read-only,
+// like Sub.
+func (r *Recorder) Carried(id string) *Basis {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.carried[id]
+}
+
+// Bases returns the basis of every journaled subproblem record that has
+// one, by id; nil when none has.
+func (r *Recorder) Bases() map[string]*Basis {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var out map[string]*Basis
+	for id, rec := range r.snap.Subs {
+		if rec.Basis == nil {
+			continue
+		}
+		if out == nil {
+			out = make(map[string]*Basis)
+		}
+		out[id] = rec.Basis
+	}
+	return out
 }
 
 // RecordSub journals a completed subproblem and checkpoints immediately.

@@ -46,7 +46,28 @@ type SubRecord struct {
 	// (query, scenario) — the full routing, including the rows of degraded
 	// solutions, so no outcome class loses its routing in exports.
 	Z []Route `json:"z,omitempty"`
+	// Basis is the optimal basis of the subproblem's first LP, by role, for
+	// the next solve of a related model to start from; nil for a degraded
+	// solution and in journals written before bases were recorded.
+	Basis *Basis `json:"basis,omitempty"`
 }
+
+// Basis is a simplex basis keyed by model role instead of by column and row
+// index, so that it carries over to a related model whose columns and rows
+// are laid out differently (DESIGN.md §3.11). What a role means is the
+// journaling solver's business; the journal only stores them. Basic lists
+// the basic columns and Upper the columns nonbasic at their upper bound;
+// every other column is nonbasic at its natural bound. Tight lists the rows
+// whose slack is nonbasic; every other row's slack is basic. These are the
+// defaults a column or row the journaled model did not have starts from.
+type Basis struct {
+	Basic []Role `json:"basic"`
+	Upper []Role `json:"upper,omitempty"`
+	Tight []Role `json:"tight"`
+}
+
+// Role names one column or row of a model: a kind and up to three indices.
+type Role [4]int32
 
 // YesRow is one query's runnability vector over the subnodes.
 type YesRow struct {

@@ -71,6 +71,7 @@ func recordFromSolution(sol *solution) *checkpoint.SubRecord {
 		Frags:      sol.frags,
 		Yes:        sol.yes,
 		Z:          sol.z,
+		Basis:      sol.basis,
 	}
 	for _, rt := range rec.Z {
 		for i, v := range rt.Shares {

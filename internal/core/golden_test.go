@@ -69,8 +69,9 @@ func workDigest(t *testing.T, res *Result, st *checkpoint.Store) uint64 {
 }
 
 // goldenRun solves one journaled instance into a fresh directory; prev, when
-// non-nil, is a journal directory to resume from.
-func goldenRun(t *testing.T, w *model.Workload, ss *model.ScenarioSet, k int, opt Options, prev string) (*Result, *checkpoint.Store) {
+// non-empty, is a journal directory to resume from, and carry the bases the
+// run's dives start from.
+func goldenRun(t *testing.T, w *model.Workload, ss *model.ScenarioSet, k int, opt Options, prev string, carry map[string]*checkpoint.Basis) (*Result, *checkpoint.Store) {
 	t.Helper()
 	st, err := checkpoint.Open(t.TempDir())
 	if err != nil {
@@ -87,11 +88,23 @@ func goldenRun(t *testing.T, w *model.Workload, ss *model.ScenarioSet, k int, op
 		}
 	}
 	opt.Checkpoint = checkpoint.NewRecorder(st, snap)
+	opt.Checkpoint.Carry(carry)
 	res, err := Allocate(w, ss, k, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res, st
+}
+
+// journaledBases reads the bases a run journaled in st back, by subproblem
+// id, as the allocation service carries them to its next solve.
+func journaledBases(t *testing.T, st *checkpoint.Store) map[string]*checkpoint.Basis {
+	t.Helper()
+	snap, err := st.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return checkpoint.NewRecorder(nil, snap).Bases()
 }
 
 func mustChunks(t *testing.T, s string) *ChunkSpec {
@@ -131,15 +144,18 @@ func TestPipelineGolden(t *testing.T) {
 
 		// (a) the robust clustered row: three 4+4 subproblems, three scenarios.
 		res, st := goldenRun(t, full, scenario.InSample(full, 3, scenario.DefaultP, 1), 8,
-			Options{Chunks: mustChunks(t, "4+4"), FixedQueries: 47, Parallelism: par, MIP: budget}, "")
+			Options{Chunks: mustChunks(t, "4+4"), FixedQueries: 47, Parallelism: par, MIP: budget}, "", nil)
 		check("tpcds K=8 4+4 F=47 S=3", res, st, 0x4751e15c1ad28625, 0x637894afafd83154)
 
 		// (b) allocd's re-optimization shape: warm-started from the allocation
-		// of a neighbouring scenario draw.
-		prior, _ := goldenRun(t, full, scenario.InSample(full, 4, scenario.DefaultP, 2), 4,
-			Options{Chunks: mustChunks(t, "2+2"), FixedQueries: 64, Parallelism: par, MIP: budget}, "")
+		// of a neighbouring scenario draw, its dives from that run's bases.
+		prior, pst := goldenRun(t, full, scenario.InSample(full, 4, scenario.DefaultP, 2), 4,
+			Options{Chunks: mustChunks(t, "2+2"), FixedQueries: 64, Parallelism: par, MIP: budget}, "", nil)
 		res, st = goldenRun(t, full, scenario.InSample(full, 4, scenario.DefaultP, 1), 4,
-			Options{Chunks: mustChunks(t, "2+2"), FixedQueries: 64, Parallelism: par, MIP: budget, Warm: prior.Allocation}, "")
+			Options{Chunks: mustChunks(t, "2+2"), FixedQueries: 64, Parallelism: par, MIP: budget, Warm: prior.Allocation}, "", journaledBases(t, pst))
+		if res.Starts.Dives+res.Starts.DivesCold != 3 {
+			t.Errorf("warm run: %v, want every dive offered the prior run's basis", res.Starts)
+		}
 		check("tpcds K=4 2+2 F=64 S=4 warm", res, st, 0xe8c9ab2c7d814eb5, 0x6ece67bdcb7085ac)
 
 		// (c) a flat solve: the hierarchical pre-solve, the greedy hint and a
@@ -147,20 +163,20 @@ func TestPipelineGolden(t *testing.T) {
 		sub := tpcdsSubset(30)
 		seen := scenario.InSample(sub, 2, scenario.DefaultP, 1)
 		res, st = goldenRun(t, sub, seen, 4,
-			Options{FixedQueries: 4, Parallelism: par, MIP: budget, Warm: prior.Allocation}, "")
+			Options{FixedQueries: 4, Parallelism: par, MIP: budget, Warm: prior.Allocation}, "", nil)
 		check("tpcds-top30 flat K=4", res, st, 0xce8f0bcd6bc48d59, 0x4586bf1cb8225587)
 
 		// (d) every subproblem degrades to the greedy routing; then a clean
 		// run resumes that journal, so the degraded records come back as
 		// starting placements.
 		res, st = goldenRun(t, sub, seen, 4,
-			Options{Chunks: mustChunks(t, "2+2"), FixedQueries: 4, Parallelism: par, MIP: faultedMIP()}, "")
+			Options{Chunks: mustChunks(t, "2+2"), FixedQueries: 4, Parallelism: par, MIP: faultedMIP()}, "", nil)
 		if res.Outcomes.Degraded != 3 {
 			t.Fatalf("faulted run: outcomes %v, want 3 degraded", res.Outcomes)
 		}
 		check("degraded 2+2", res, st, 0x9779327d62a25b8a, 0x5a2223821f790830)
 		res, st = goldenRun(t, sub, seen, 4,
-			Options{Chunks: mustChunks(t, "2+2"), FixedQueries: 4, Parallelism: par, MIP: budget}, st.Dir())
+			Options{Chunks: mustChunks(t, "2+2"), FixedQueries: 4, Parallelism: par, MIP: budget}, st.Dir(), nil)
 		check("resumed from degraded journal", res, st, 0x39f1bcc6c03bfd8e, 0x98230d121c131ced)
 	}
 

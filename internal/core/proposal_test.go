@@ -99,7 +99,10 @@ func TestTrimmedProposalsAreComplete(t *testing.T) {
 		if err != nil || relax.Status != simplex.StatusOptimal {
 			t.Fatalf("%s: root relaxation: %v %v", c.name, err, relax.Status)
 		}
-		dive, _ := sp.dive(ix, simplex.Options{})
+		var dive []float64
+		if lp, root, _ := sp.relaxation(ix, simplex.Options{}, nil, nil); root != nil {
+			dive = sp.dive(lp, root, ix)
+		}
 		if dive == nil {
 			t.Fatalf("%s: dive found no start", c.name)
 		}

@@ -44,11 +44,11 @@ func rootProblem(tb testing.TB, c rootCase) (*simplex.Problem, []int, *simplex.B
 	}
 	sp.split(spec)
 	p, ix, intVars := sp.build(true)
-	_, basis := sp.dive(ix, simplex.Options{})
-	if basis == nil {
-		tb.Fatalf("%s: the dive returned no root basis", c.name)
+	lp, root, _ := sp.relaxation(ix, simplex.Options{}, nil, nil)
+	if root == nil {
+		tb.Fatalf("%s: the dive's root relaxation failed", c.name)
 	}
-	return p, intVars, sp.liftBasis(basis, len(p.Rows))
+	return p, intVars, sp.liftBasis(lp.Basis(), len(p.Rows))
 }
 
 // solveRootOnly runs mip.Solve to the root relaxation alone: no starts, no

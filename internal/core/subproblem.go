@@ -426,16 +426,16 @@ func (sp *subproblem) canonicalize(out []float64, ix *indices) {
 	}
 }
 
-// dive is the LP-guided dive-and-fix primal heuristic: starting from the
-// LP relaxation (without symmetry rows), it fixes the y row of one query at
-// a time — heaviest expected load first, each subnode rounded to its
-// relaxation value — re-solving the LP with the warm-started dual simplex
-// after every row. The result is an integral y proposal of far higher
-// quality than one-shot rounding; it seeds the branch and bound as its
-// first incumbent (mip.Options.Starts). The dive also returns the optimal
-// basis of its root relaxation, taken before the first fixing, for the
-// MIP's root to start from (see liftBasis); either result may be nil.
-func (sp *subproblem) dive(ix *indices, lp simplex.Options) ([]float64, *simplex.Basis) {
+// relaxation solves the subproblem's LP relaxation without the symmetry
+// rows (build(false)), the root of the dive. It starts from basis from when
+// one is carried — the optimal basis of the same subproblem's previous
+// solve, mapped by role (carriedBasis) — and that start is checked, not
+// trusted: one that ends other than optimal, or at a point that breaks a
+// row, is logged through logf, refused and solved again cold. It returns
+// the solver, the optimal result (nil when the relaxation failed) and what
+// the start counted.
+func (sp *subproblem) relaxation(ix *indices, lp simplex.Options, from *simplex.Basis, logf func(string, ...any)) (*simplex.Solver, *simplex.Result, BasisStarts) {
+	var starts BasisStarts
 	p, _, _ := sp.build(false)
 	// The dive's fix thresholds (0.5 / 0.02 / 0.05) read the *vertex* the LP
 	// returns, and degenerate relaxations have many optimal vertices — which
@@ -447,13 +447,48 @@ func (sp *subproblem) dive(ix *indices, lp simplex.Options) ([]float64, *simplex
 	lp.Pricing = simplex.PricingDantzig
 	s, err := simplex.NewSolver(p, lp)
 	if err != nil {
-		return nil, nil
+		return nil, nil, starts
 	}
-	res := s.Solve()
+	var res *simplex.Result
+	if from != nil {
+		res = s.SolveFrom(from)
+		var why string
+		switch {
+		case res.Status == simplex.StatusCanceled:
+		case res.Status != simplex.StatusOptimal:
+			why = fmt.Sprintf("ended %v", res.Status)
+		case !p.Satisfies(res.X):
+			why = "violates a row of the problem and is refused"
+		case res.Recovery != nil && res.Recovery.Restarts > 0:
+			starts.DivesCold++
+		default:
+			starts.Dives++
+		}
+		if why != "" {
+			starts.DivesCold++
+			if logf != nil {
+				logf("core: dive root from the carried basis %s; solving cold", why)
+			}
+			res = s.Solve()
+		}
+	} else {
+		res = s.Solve()
+	}
 	if res.Status != simplex.StatusOptimal {
-		return nil, nil
+		return s, nil, starts
 	}
-	basis := s.Basis()
+	return s, res, starts
+}
+
+// dive is the LP-guided dive-and-fix primal heuristic: starting from the
+// optimal relaxation res of solver s (see relaxation), it fixes the y row
+// of one query at a time — heaviest expected load first, each subnode
+// rounded to its relaxation value — re-solving the LP with the
+// warm-started dual simplex after every row. The result is an integral y
+// proposal of far higher quality than one-shot rounding; it seeds the
+// branch and bound as its first incumbent (mip.Options.Starts). It returns
+// nil when a re-solve fails.
+func (sp *subproblem) dive(s *simplex.Solver, res *simplex.Result, ix *indices) []float64 {
 	for _, q := range sp.byLoad {
 		best, bestVal := 0, -1.0
 		for bb := 0; bb < ix.b; bb++ {
@@ -477,7 +512,7 @@ func (sp *subproblem) dive(ix *indices, lp simplex.Options) ([]float64, *simplex
 		}
 		res = s.ReSolveDual()
 		if res.Status != simplex.StatusOptimal {
-			return nil, basis
+			return nil
 		}
 	}
 	// Round the leftover fractional y UP: upward rounding keeps every
@@ -494,7 +529,7 @@ func (sp *subproblem) dive(ix *indices, lp simplex.Options) ([]float64, *simplex
 		}
 	}
 	sp.canonicalize(out, ix)
-	return out, basis
+	return out
 }
 
 // liftBasis carries a basis of the relaxation without symmetry rows
@@ -520,6 +555,127 @@ func (sp *subproblem) liftBasis(b *simplex.Basis, rows int) *simplex.Basis {
 	return &simplex.Basis{Cols: b.Cols, Rows: lifted}
 }
 
+// The kinds of the roles that name a subproblem model's columns and rows in
+// a journaled basis (checkpoint.Role[0], followed by the indices noted).
+// The symmetry rows have none: the LP a basis is journaled from is the
+// dive's, built without them. Queries and fragments are named by ID, so a
+// role keeps naming the same variable when the set of queries a subproblem
+// routes changes between two solves.
+const (
+	roleX        int32 = iota // fragment ID, subnode
+	roleY                     // query ID, subnode
+	roleZ                     // query ID, scenario, subnode
+	roleL                     // the load limit
+	roleCover                 // row (4): query ID, subnode
+	roleLink                  // row (5): query ID, scenario, subnode
+	roleBalance               // row (6): subnode, scenario
+	roleConserve              // row (7): query ID, scenario
+)
+
+// roles names the columns and then the rows of build(false) by role, in
+// index order.
+func (sp *subproblem) roles(ix *indices) []checkpoint.Role {
+	b, S := int32(ix.b), int32(sp.ss.S())
+	var out []checkpoint.Role
+	for _, i := range ix.frags {
+		for bb := range b {
+			out = append(out, checkpoint.Role{roleX, int32(i), bb})
+		}
+	}
+	for _, j := range sp.flexQ {
+		for bb := range b {
+			out = append(out, checkpoint.Role{roleY, int32(j), bb})
+		}
+	}
+	for _, rt := range sp.routes {
+		for bb := range b {
+			out = append(out, checkpoint.Role{roleZ, int32(rt.j), int32(rt.s), bb})
+		}
+	}
+	out = append(out, checkpoint.Role{roleL})
+	for _, j := range sp.flexQ {
+		for bb := range b {
+			out = append(out, checkpoint.Role{roleCover, int32(j), bb})
+		}
+	}
+	for _, rt := range sp.routes {
+		for bb := range b {
+			out = append(out, checkpoint.Role{roleLink, int32(rt.j), int32(rt.s), bb})
+		}
+	}
+	for bb := range b {
+		for s := range S {
+			out = append(out, checkpoint.Role{roleBalance, bb, s})
+		}
+	}
+	for _, rt := range sp.routes {
+		out = append(out, checkpoint.Role{roleConserve, int32(rt.j), int32(rt.s)})
+	}
+	return out
+}
+
+// journalBasis names basis b of the model whose columns and then rows
+// roles names, in index order, by role.
+func journalBasis(b *simplex.Basis, roles []checkpoint.Role) *checkpoint.Basis {
+	out := &checkpoint.Basis{}
+	for j, st := range b.Cols {
+		switch st {
+		case simplex.Basic:
+			out.Basic = append(out.Basic, roles[j])
+		case simplex.AtUpper:
+			out.Upper = append(out.Upper, roles[j])
+		}
+	}
+	rows := roles[len(b.Cols):]
+	for r, st := range b.Rows {
+		if st != simplex.Basic {
+			out.Tight = append(out.Tight, rows[r])
+		}
+	}
+	return out
+}
+
+// carriedBasis maps a journaled basis onto the model whose n columns and
+// then rows roles names. A column or row the journal names takes its
+// journaled status; the others take the journal's defaults — a column
+// nonbasic at its natural bound, a row with its slack basic, the textbook
+// start for a column or row added to a model — and SolveFrom repairs what
+// that leaves. It returns nil when cb is nil or names no basic column of
+// the model.
+func carriedBasis(cb *checkpoint.Basis, roles []checkpoint.Role, n int) *simplex.Basis {
+	if cb == nil {
+		return nil
+	}
+	at := make(map[checkpoint.Role]int, len(roles))
+	for i, r := range roles {
+		at[r] = i
+	}
+	b := &simplex.Basis{Cols: make([]simplex.BasisStatus, n), Rows: make([]simplex.BasisStatus, len(roles)-n)}
+	matched := false
+	for _, r := range cb.Basic {
+		if j, ok := at[r]; ok && j < n {
+			b.Cols[j], matched = simplex.Basic, true
+		}
+	}
+	if !matched {
+		return nil
+	}
+	for _, r := range cb.Upper {
+		if j, ok := at[r]; ok && j < n {
+			b.Cols[j] = simplex.AtUpper
+		}
+	}
+	for r := range b.Rows {
+		b.Rows[r] = simplex.Basic
+	}
+	for _, r := range cb.Tight {
+		if i, ok := at[r]; ok && i >= n {
+			b.Rows[i-n] = simplex.AtLower
+		}
+	}
+	return b
+}
+
 // solution is the decoded outcome of one subproblem solve. yes and z are in
 // the journal's own shape and order, so a record is written from them and
 // replayed into them without conversion.
@@ -535,7 +691,10 @@ type solution struct {
 	nodes   int
 	lpiters int
 	exact   bool
-	starts  BasisStarts // LPs started from a basis (mip.Result.Starts)
+	starts  BasisStarts // LPs started from a basis
+	// basis is the optimal basis of the dive's root relaxation by role,
+	// journaled for the next solve to start from; nil when none was taken.
+	basis *checkpoint.Basis
 	// outcome classifies the solve for the failure policy; extraBytes is
 	// nonzero only for degraded solutions (allocated bytes beyond the
 	// single-copy floor, feeding Result.DegradedDelta).
@@ -573,11 +732,21 @@ func (sp *subproblem) solve(opt mip.Options, ck *subCheckpoint, hints ...[][]boo
 			_ = rec.RecordMIP(id, mr)
 		}
 	}
-	start, basis := sp.dive(ix, opt.LP)
-	if start != nil {
-		opt.Starts = append(opt.Starts, start)
+	var roles []checkpoint.Role
+	var from *simplex.Basis
+	if ck != nil {
+		roles = sp.roles(ix)
+		from = carriedBasis(ck.rec.Carried(ck.id), roles, p.NumVars)
 	}
-	opt.RootBasis = sp.liftBasis(basis, len(p.Rows))
+	lp, relax, starts := sp.relaxation(ix, opt.LP, from, opt.Logf)
+	var rootBasis *simplex.Basis
+	if relax != nil {
+		rootBasis = lp.Basis()
+		if start := sp.dive(lp, relax, ix); start != nil {
+			opt.Starts = append(opt.Starts, start)
+		}
+	}
+	opt.RootBasis = sp.liftBasis(rootBasis, len(p.Rows))
 	for _, hint := range hints {
 		if hint == nil {
 			continue
@@ -637,7 +806,12 @@ func (sp *subproblem) solve(opt mip.Options, ck *subCheckpoint, hints ...[][]boo
 	if trErr == nil {
 		res.X = tr.trim(res.X)
 	}
-	return sp.decode(ix, res), nil
+	sol := sp.decode(ix, res)
+	sol.starts.Dives, sol.starts.DivesCold = starts.Dives, starts.DivesCold
+	if roles != nil && rootBasis != nil {
+		sol.basis = journalBasis(rootBasis, roles)
+	}
+	return sol, nil
 }
 
 // decode turns a MIP solution vector into runnable sets, derived fragment

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -196,6 +197,10 @@ func TestServiceCrashRestart(t *testing.T) {
 			}
 			if !reflect.DeepEqual(final.Allocation.Shares, finalBase.Allocation.Shares) {
 				t.Fatalf("after %s, resumed routing shares differ from the uninterrupted baseline", spec)
+			}
+			// And so does the next epoch: it starts from the same bases.
+			if !bytes.Equal(final.Bases, finalBase.Bases) {
+				t.Fatalf("after %s, the resumed incumbent's bases differ from the uninterrupted baseline's", spec)
 			}
 		})
 	}

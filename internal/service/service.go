@@ -387,6 +387,14 @@ func (s *Service) attempt(ctx context.Context, boot bool) (uint64, error) {
 	if err != nil {
 		return p.Epoch, err
 	}
+	if rec != nil && p.Bases != nil {
+		var bases map[string]*checkpoint.Basis
+		if err := json.Unmarshal(p.Bases, &bases); err != nil {
+			s.logf("service: warning: the incumbent's journaled bases are unreadable, solving cold: %v", err)
+			bases = nil
+		}
+		rec.Carry(bases)
+	}
 
 	opt := core.Options{
 		Chunks:       s.cfg.Chunks,
@@ -400,6 +408,10 @@ func (s *Service) attempt(ctx context.Context, boot bool) (uint64, error) {
 	}
 	start := time.Now()
 	res, err := core.Allocate(s.cfg.Workload, p.SolveSet, p.K, opt)
+	if err == nil {
+		starts, _ := json.Marshal(res.Starts)
+		s.locked(func(st *state) { st.solved(starts) })
+	}
 	switch {
 	case err != nil:
 		return p.Epoch, err
@@ -436,6 +448,7 @@ func (s *Service) attempt(ctx context.Context, boot bool) (uint64, error) {
 		LPIters:    res.LPIters,
 		SolveTime:  res.SolveTime,
 		AdoptedAt:  now,
+		Bases:      journaledBases(rec),
 	}
 
 	if err := s.publishGate(); err != nil {
@@ -444,6 +457,23 @@ func (s *Service) attempt(ctx context.Context, boot bool) (uint64, error) {
 	var effs []effect
 	s.locked(func(st *state) { effs = st.adopt(inc, diff, now.Sub(start)) })
 	return p.Epoch, s.perform(effs)
+}
+
+// journaledBases is the bases a solve journaled through rec, encoded for the
+// incumbent to carry; nil without a recorder or bases.
+func journaledBases(rec *checkpoint.Recorder) json.RawMessage {
+	if rec == nil {
+		return nil
+	}
+	bases := rec.Bases()
+	if bases == nil {
+		return nil
+	}
+	raw, err := json.Marshal(bases)
+	if err != nil {
+		return nil
+	}
+	return raw
 }
 
 // solveRecorder opens the durable journal for the solve of the given epoch,

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"math/rand"
@@ -591,10 +592,12 @@ func TestServiceJournalInstallPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	bases := json.RawMessage(`{"r":{"basic":[[1,3,0,0],[5,3,0,1]],"upper":[[0,2,1,0]],"tight":[[4,3,1,0]]}}`)
 	payload, err := json.Marshal(&persistedState{
 		WorkloadDigest: cfg.Workload.Digest(),
 		Epoch:          5, K: cfg.K, Scenarios: journaled,
 		Incumbent: alloc, IncumbentEpoch: 4, Outcome: "feasible", W: 7, V: 3,
+		Bases: bases,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -652,6 +655,9 @@ func TestServiceJournalInstallPaths(t *testing.T) {
 	wantView, wantFrame, wantPlan := installed(boot)
 	if wantView.Epoch != 5 || wantView.IncumbentEpoch != 4 || wantView.Scenarios != 9 || wantView.ReducedScenarios != 4 {
 		t.Fatalf("boot did not install the journal: %+v", wantView.Status)
+	}
+	if !bytes.Equal(wantFrame.Bases, bases) || !bytes.Equal(wantPlan.Bases, bases) {
+		t.Fatalf("boot journals bases %s and starts the next solve from %s, want the journaled %s", wantFrame.Bases, wantPlan.Bases, bases)
 	}
 	for name, s := range map[string]*Service{"follower tail": tail, "promotion": promo} {
 		v, frame, plan := installed(s)

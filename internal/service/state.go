@@ -41,6 +41,7 @@ type state struct {
 	fails        int                 // consecutive failed attempts
 	attempts     int                 // total attempts
 	adoptions    int                 // total adoptions
+	lastStarts   json.RawMessage     // basis-start counts of the latest solve (solved)
 	rng          *rand.Rand          // seeded backoff jitter
 
 	// High availability (DESIGN.md §3.13); role is RoleSingle and the rest
@@ -217,6 +218,7 @@ type attemptPlan struct {
 	SolveSet  *model.ScenarioSet
 	Warm      *model.Allocation // the incumbent, as warm start and diff base
 	FromEpoch uint64
+	Bases     json.RawMessage // the incumbent's bases, for the solve to start from
 }
 
 // beginAttempt counts an attempt and snapshots what it targets.
@@ -230,7 +232,7 @@ func (st *state) beginAttempt() attemptPlan {
 		}
 	}
 	if st.inc != nil {
-		p.Warm, p.FromEpoch = st.inc.Allocation, st.inc.Epoch
+		p.Warm, p.FromEpoch, p.Bases = st.inc.Allocation, st.inc.Epoch, st.inc.Bases
 	}
 	st.attempts++
 	return p
@@ -252,6 +254,13 @@ func (st *state) recluster(red *scenario.Reduction, from *model.ScenarioSet) boo
 	st.setClustering(red, from.S())
 	st.reclusters++
 	return true
+}
+
+// solved records the basis-start counts of the solve an attempt just
+// finished, JSON-encoded by the shell (core.BasisStarts); /v1/status serves
+// them until the next solve finishes, whether or not its result is adopted.
+func (st *state) solved(starts json.RawMessage) {
+	st.lastStarts = starts
 }
 
 // adopt makes inc the served incumbent. What it returns is the crash
@@ -327,6 +336,7 @@ type persistedState struct {
 	W              float64            `json:"w"`
 	V              float64            `json:"v"`
 	Exact          bool               `json:"exact"`
+	Bases          json.RawMessage    `json:"bases,omitempty"`
 }
 
 // persisted is the journal frame describing the state as it is now.
@@ -334,7 +344,7 @@ func (st *state) persisted() persistedState {
 	ps := persistedState{WorkloadDigest: st.w.Digest(), Epoch: st.epoch, K: st.k, Scenarios: st.scen}
 	if inc := st.inc; inc != nil {
 		ps.Incumbent, ps.IncumbentEpoch, ps.Outcome = inc.Allocation, inc.Epoch, inc.Outcome
-		ps.W, ps.V, ps.Exact = inc.W, inc.V, inc.Exact
+		ps.W, ps.V, ps.Exact, ps.Bases = inc.W, inc.V, inc.Exact, inc.Bases
 	}
 	return ps
 }
@@ -373,7 +383,7 @@ func (st *state) install(ps *persistedState, red *scenario.Reduction, gen uint64
 	st.scen, st.k, st.epoch = ps.Scenarios, ps.K, ps.Epoch
 	if ps.Incumbent != nil {
 		st.inc = &Incumbent{Allocation: ps.Incumbent, Epoch: ps.IncumbentEpoch, Outcome: ps.Outcome,
-			W: ps.W, V: ps.V, Exact: ps.Exact}
+			W: ps.W, V: ps.V, Exact: ps.Exact, Bases: ps.Bases}
 	}
 	if red != nil {
 		st.setClustering(red, ps.Scenarios.S())
@@ -401,6 +411,12 @@ type Incumbent struct {
 	// it was published.
 	SolveTime time.Duration `json:"solve_time"`
 	AdoptedAt time.Time     `json:"adopted_at"`
+	// Bases are the optimal bases of the adopting solve's dive roots, by
+	// subproblem id and role — a JSON-encoded map[string]*checkpoint.Basis,
+	// opaque to the state machine. They are journaled with the incumbent,
+	// and the next solve's dives start from them (DESIGN.md §3.11); nil
+	// starts them cold.
+	Bases json.RawMessage `json:"-"`
 }
 
 // Status is the daemon's self-description, served on /v1/status.
@@ -420,6 +436,10 @@ type Status struct {
 	ReplicationFactor float64 `json:"replication_factor"`
 	Exact             bool    `json:"exact"`
 	LPIters           int     `json:"lp_iters"`
+	// BasisStarts counts, for the latest solve, the LPs that started from a
+	// basis and those refused and solved cold (core.BasisStarts); absent
+	// before the first solve.
+	BasisStarts json.RawMessage `json:"basis_starts,omitempty"`
 
 	K         int `json:"k"`
 	Scenarios int `json:"scenarios"`
@@ -471,6 +491,7 @@ func (st *state) view(now time.Time) view {
 			Scenarios:           st.scen.S(),
 			LastError:           st.lastErr,
 			ConsecutiveFailures: st.fails,
+			BasisStarts:         st.lastStarts,
 			Attempts:            st.attempts,
 			Adoptions:           st.adoptions,
 			Role:                st.role,
