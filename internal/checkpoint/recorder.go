@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 )
 
@@ -92,7 +93,7 @@ func (r *Recorder) MIP(id string) *MIPRecord {
 func (r *Recorder) Carry(bases map[string]*Basis) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.carried = bases
+	r.carried = maps.Clone(bases)
 }
 
 // Carried returns the basis carried for subproblem id, or nil. Read-only,

@@ -615,35 +615,6 @@ func (d *driver) childSubproblem(sp *subproblem, sol *solution, bb int) *subprob
 	return sub.index()
 }
 
-// BasisStarts counts the LPs of a run that started from a basis instead of
-// cold, summed over its subproblem solves: the MIP roots and popped
-// branch-and-bound nodes of mip.Starts (DESIGN.md §3.10), and the dive
-// roots, which start from the basis a previous run journaled under their
-// subproblem id (Options.Checkpoint, Recorder.Carry; DESIGN.md §3.11). Each
-// *Cold field counts the starts from a basis that were refused, or that the
-// simplex ladder restarted, and so were solved cold.
-type BasisStarts struct {
-	mip.Starts
-	Dives     int `json:"dives"`
-	DivesCold int `json:"dives_cold"`
-}
-
-func (b *BasisStarts) add(o BasisStarts) {
-	b.Roots += o.Roots
-	b.RootsCold += o.RootsCold
-	b.Nodes += o.Nodes
-	b.NodesCold += o.NodesCold
-	b.Dives += o.Dives
-	b.DivesCold += o.DivesCold
-}
-
-// String is the form the per-split progress line prints: per kind of LP,
-// the starts from a basis that stood and those solved cold.
-func (b BasisStarts) String() string {
-	return fmt.Sprintf("starts from basis/cold: root %d/%d, nodes %d/%d, dive %d/%d",
-		b.Roots, b.RootsCold, b.Nodes, b.NodesCold, b.Dives, b.DivesCold)
-}
-
 func countTrue(b []bool) int {
 	n := 0
 	for _, v := range b {

@@ -532,150 +532,6 @@ func (sp *subproblem) dive(s *simplex.Solver, res *simplex.Result, ix *indices) 
 	return out
 }
 
-// liftBasis carries a basis of the relaxation without symmetry rows
-// (build(false)) over to the model with them (build(true)): the columns are
-// the same, and the symmetry rows sit between rows (6) and (7), so each
-// enters with its slack basic and rows (7) move down past them. The
-// subnode blocks are deliberately not permuted into canonical order: on the
-// subproblems measured, the permuted basis cost more dual pivots and cold
-// restarts in the tree than the dual pass spends repairing the symmetry
-// rows (DESIGN.md §3.10).
-func (sp *subproblem) liftBasis(b *simplex.Basis, rows int) *simplex.Basis {
-	if b == nil {
-		return nil
-	}
-	sym := rows - len(b.Rows)
-	at := len(b.Rows) - len(sp.routes)
-	lifted := make([]simplex.BasisStatus, 0, rows)
-	lifted = append(lifted, b.Rows[:at]...)
-	for range sym {
-		lifted = append(lifted, simplex.Basic)
-	}
-	lifted = append(lifted, b.Rows[at:]...)
-	return &simplex.Basis{Cols: b.Cols, Rows: lifted}
-}
-
-// The kinds of the roles that name a subproblem model's columns and rows in
-// a journaled basis (checkpoint.Role[0], followed by the indices noted).
-// The symmetry rows have none: the LP a basis is journaled from is the
-// dive's, built without them. Queries and fragments are named by ID, so a
-// role keeps naming the same variable when the set of queries a subproblem
-// routes changes between two solves.
-const (
-	roleX        int32 = iota // fragment ID, subnode
-	roleY                     // query ID, subnode
-	roleZ                     // query ID, scenario, subnode
-	roleL                     // the load limit
-	roleCover                 // row (4): query ID, subnode
-	roleLink                  // row (5): query ID, scenario, subnode
-	roleBalance               // row (6): subnode, scenario
-	roleConserve              // row (7): query ID, scenario
-)
-
-// roles names the columns and then the rows of build(false) by role, in
-// index order.
-func (sp *subproblem) roles(ix *indices) []checkpoint.Role {
-	b, S := int32(ix.b), int32(sp.ss.S())
-	var out []checkpoint.Role
-	for _, i := range ix.frags {
-		for bb := range b {
-			out = append(out, checkpoint.Role{roleX, int32(i), bb})
-		}
-	}
-	for _, j := range sp.flexQ {
-		for bb := range b {
-			out = append(out, checkpoint.Role{roleY, int32(j), bb})
-		}
-	}
-	for _, rt := range sp.routes {
-		for bb := range b {
-			out = append(out, checkpoint.Role{roleZ, int32(rt.j), int32(rt.s), bb})
-		}
-	}
-	out = append(out, checkpoint.Role{roleL})
-	for _, j := range sp.flexQ {
-		for bb := range b {
-			out = append(out, checkpoint.Role{roleCover, int32(j), bb})
-		}
-	}
-	for _, rt := range sp.routes {
-		for bb := range b {
-			out = append(out, checkpoint.Role{roleLink, int32(rt.j), int32(rt.s), bb})
-		}
-	}
-	for bb := range b {
-		for s := range S {
-			out = append(out, checkpoint.Role{roleBalance, bb, s})
-		}
-	}
-	for _, rt := range sp.routes {
-		out = append(out, checkpoint.Role{roleConserve, int32(rt.j), int32(rt.s)})
-	}
-	return out
-}
-
-// journalBasis names basis b of the model whose columns and then rows
-// roles names, in index order, by role.
-func journalBasis(b *simplex.Basis, roles []checkpoint.Role) *checkpoint.Basis {
-	out := &checkpoint.Basis{}
-	for j, st := range b.Cols {
-		switch st {
-		case simplex.Basic:
-			out.Basic = append(out.Basic, roles[j])
-		case simplex.AtUpper:
-			out.Upper = append(out.Upper, roles[j])
-		}
-	}
-	rows := roles[len(b.Cols):]
-	for r, st := range b.Rows {
-		if st != simplex.Basic {
-			out.Tight = append(out.Tight, rows[r])
-		}
-	}
-	return out
-}
-
-// carriedBasis maps a journaled basis onto the model whose n columns and
-// then rows roles names. A column or row the journal names takes its
-// journaled status; the others take the journal's defaults — a column
-// nonbasic at its natural bound, a row with its slack basic, the textbook
-// start for a column or row added to a model — and SolveFrom repairs what
-// that leaves. It returns nil when cb is nil or names no basic column of
-// the model.
-func carriedBasis(cb *checkpoint.Basis, roles []checkpoint.Role, n int) *simplex.Basis {
-	if cb == nil {
-		return nil
-	}
-	at := make(map[checkpoint.Role]int, len(roles))
-	for i, r := range roles {
-		at[r] = i
-	}
-	b := &simplex.Basis{Cols: make([]simplex.BasisStatus, n), Rows: make([]simplex.BasisStatus, len(roles)-n)}
-	matched := false
-	for _, r := range cb.Basic {
-		if j, ok := at[r]; ok && j < n {
-			b.Cols[j], matched = simplex.Basic, true
-		}
-	}
-	if !matched {
-		return nil
-	}
-	for _, r := range cb.Upper {
-		if j, ok := at[r]; ok && j < n {
-			b.Cols[j] = simplex.AtUpper
-		}
-	}
-	for r := range b.Rows {
-		b.Rows[r] = simplex.Basic
-	}
-	for _, r := range cb.Tight {
-		if i, ok := at[r]; ok && i >= n {
-			b.Rows[i-n] = simplex.AtLower
-		}
-	}
-	return b
-}
-
 // solution is the decoded outcome of one subproblem solve. yes and z are in
 // the journal's own shape and order, so a record is written from them and
 // replayed into them without conversion.

@@ -1,9 +1,7 @@
 package mip
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strings"
 	"testing"
@@ -211,35 +209,5 @@ func TestRootFromBasisViolatingRowRefused(t *testing.T) {
 	}
 	if res.Starts != (Starts{RootsCold: 1}) || math.Abs(res.Bound-cold.Bound) > 1e-12 {
 		t.Errorf("starts %+v, bound %.12g; want one refused root and the cold root's %.12g", res.Starts, res.Bound, cold.Bound)
-	}
-}
-
-// TestNilRootBasisGolden pins the search without a root basis bit for bit:
-// status, objective, nodes, LP iterations and every entry of X over the
-// golden instances. Recorded with popped nodes started from their parent's
-// basis; a change that moves it moves every tree search.
-func TestNilRootBasisGolden(t *testing.T) {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	for seed := int64(1); seed <= 40; seed++ {
-		p, ints := goldenInstance(seed)
-		res, err := Solve(p, ints, Options{RootBasis: nil})
-		if err != nil {
-			t.Fatal(err)
-		}
-		put(uint64(res.Status))
-		put(math.Float64bits(res.Obj))
-		put(uint64(res.Nodes))
-		put(uint64(res.LPIters))
-		for _, x := range res.X {
-			put(math.Float64bits(x))
-		}
-	}
-	if got, want := h.Sum64(), uint64(0x9922a8b421e0f62a); got != want {
-		t.Errorf("digest %#016x, want %#016x", got, want)
 	}
 }

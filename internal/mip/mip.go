@@ -22,7 +22,9 @@
 //     removed row that was tight demotes one basic column of its row to the
 //     bound that keeps it tight — and the root it reaches must satisfy every
 //     row before its bound is used, or the root is solved again cold,
-//   - best-first node selection with depth-first plunging,
+//   - best-first node selection with depth-first plunging; a plunge child
+//     re-solves from the tree solver's state, a node popped off the heap
+//     from its parent's optimal basis, checked like the root's start,
 //   - reliability-weighted pseudocost branching with a most-fractional
 //     fallback until degradation observations exist,
 //   - an optional caller-supplied rounding heuristic whose proposals become

@@ -260,7 +260,7 @@ func (st *state) recluster(red *scenario.Reduction, from *model.ScenarioSet) boo
 // finished, JSON-encoded by the shell (core.BasisStarts); /v1/status serves
 // them until the next solve finishes, whether or not its result is adopted.
 func (st *state) solved(starts json.RawMessage) {
-	st.lastStarts = starts
+	st.lastStarts = append(json.RawMessage(nil), starts...)
 }
 
 // adopt makes inc the served incumbent. What it returns is the crash
