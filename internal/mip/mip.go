@@ -274,8 +274,9 @@ type node struct {
 	frac      float64
 	parentObj float64
 	// basis is the parent's optimal basis, which a node popped off the
-	// heap starts from (siblings share one); nil for the root and for a
-	// plunge child, which continues from the tree solver's state.
+	// heap starts from; nil for the root and for a plunge child, which
+	// continues from the tree solver's state, so a parent costs at most
+	// one Basis.
 	basis *simplex.Basis
 }
 
