@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: check fmt-check vet fragvet build test race benchcompile bench-paper size traffic
+.PHONY: check fmt-check vet fragvet build test race benchcompile bench-paper size census traffic
 
 check: fmt-check vet fragvet build benchcompile race
 	@echo "make check: all stages passed"
@@ -73,6 +73,26 @@ size:
 	@grep -rhoE --include='*.go' --exclude-dir=analysis --exclude-dir=.bench_build \
 		'//fragvet:ignore [a-z]+' . | awk '{ print $$2 }' | sort | uniq -c | \
 		awk '{ printf "%6d //fragvet:ignore %s\n", $$1, $$2 }'
+
+# The other number a simplicity PR quotes: every settable value, one line
+# each — every field of an *Options/*Config struct and every flag
+# definition (flag.* or on a FlagSet named fs) outside _test.go files,
+# bench/ and testdata — then the count. Run it at the parent and at the
+# change and diff the two. A knob that is a function argument rather than a
+# field does not show up. Not part of `make check`.
+census:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' \
+		! -path '*/testdata/*' ! -path './.bench_build/*' | sort | xargs awk ' \
+		FNR == 1 { d = FILENAME; sub(/\/[^\/]*$$/, "", d); sub(/^\.\/?/, "", d) } \
+		/^type [A-Za-z]*(Options|Config) struct/ { t = $$2; inside = 1; next } \
+		inside && /^}/ { inside = 0 } \
+		inside && match($$0, /^\t[A-Z][A-Za-z0-9]*(, *[A-Z][A-Za-z0-9]*)*/) { \
+			n = split(substr($$0, 2, RLENGTH - 1), names, /, */); \
+			for (i = 1; i <= n; i++) { print d ": " t "." names[i]; c++ } } \
+		!/NewFlagSet/ && match($$0, /(flag|fs)\.[A-Z][A-Za-z0-9]*\("[a-z0-9-]+"/) { \
+			f = substr($$0, RSTART, RLENGTH); sub(/.*\("/, "", f); sub(/"$$/, "", f); \
+			print d ": -" f; c++ } \
+		END { printf "%6d settable values\n", c }'
 
 # Which code does the benchmark's traffic never reach? Builds ./bench with
 # coverage instrumentation over the whole module into a temp dir (nothing

@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 
@@ -19,30 +20,40 @@ import (
 )
 
 func main() {
-	workload := flag.String("workload", "", "built-in workload: tpcds or accounting")
-	in := flag.String("in", "", "workload JSON file (alternative to -workload)")
-	allocPath := flag.String("alloc", "", "allocation JSON file (required)")
-	scenarios := flag.Int("scenarios", 0, "sample this many random unseen scenarios")
-	sfile := flag.String("sfile", "", "scenario set JSON file (alternative to -scenarios)")
-	p := flag.Float64("p", fragalloc.DefaultPresence, "scenario presence probability")
-	seed := flag.Int64("seed", 2, "scenario sampling seed")
-	perScenario := flag.Bool("per-scenario", false, "print L~ for every scenario")
-	parallel := flag.Int("parallel", 0, "evaluation worker pool width (0 = GOMAXPROCS); results are identical at any width")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "evaluate: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run is evaluate's whole behaviour behind main: it parses args, evaluates,
+// and prints the report to out.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("evaluate", flag.ExitOnError)
+	workload := fs.String("workload", "", "built-in workload: tpcds or accounting")
+	in := fs.String("in", "", "workload JSON file (alternative to -workload)")
+	allocPath := fs.String("alloc", "", "allocation JSON file (required)")
+	scenarios := fs.Int("scenarios", 0, "sample this many random unseen scenarios")
+	sfile := fs.String("sfile", "", "scenario set JSON file (alternative to -scenarios)")
+	p := fs.Float64("p", fragalloc.DefaultPresence, "scenario presence probability")
+	seed := fs.Int64("seed", 2, "scenario sampling seed")
+	perScenario := fs.Bool("per-scenario", false, "print L~ for every scenario")
+	parallel := fs.Int("parallel", 0, "evaluation worker pool width (0 = GOMAXPROCS); results are identical at any width")
+	_ = fs.Parse(args) // ExitOnError: Parse itself exits on a bad flag or -h
 
 	if *allocPath == "" {
-		fail(fmt.Errorf("-alloc is required"))
+		return fmt.Errorf("-alloc is required")
 	}
 	w, err := fragalloc.NamedWorkload(*workload, *in)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	alloc, err := fragalloc.LoadAllocation(*allocPath)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	if err := alloc.Validate(w); err != nil {
-		fail(fmt.Errorf("allocation does not fit the workload: %w", err))
+		return fmt.Errorf("allocation does not fit the workload: %w", err)
 	}
 
 	var ss *fragalloc.ScenarioSet
@@ -50,7 +61,10 @@ func main() {
 	case *sfile != "":
 		ss, err = fragalloc.LoadScenarioSet(*sfile)
 		if err != nil {
-			fail(err)
+			return err
+		}
+		if err := ss.Validate(w); err != nil {
+			return fmt.Errorf("scenario set does not fit the workload: %w", err)
 		}
 	case *scenarios > 0:
 		ss = fragalloc.OutOfSampleScenarios(w, *scenarios, *p, *seed)
@@ -60,28 +74,24 @@ func main() {
 
 	m, err := fragalloc.EvaluateStream(w, alloc, ss, fragalloc.StreamOptions{Parallelism: *parallel})
 	if err != nil {
-		fail(err)
+		return err
 	}
 	invK := 1 / float64(alloc.K)
-	fmt.Printf("K=%d nodes, W/V=%.4f, %d scenario(s)\n", alloc.K, alloc.ReplicationFactor(w), len(m.L))
-	fmt.Printf("E(L~)          = %.6f  (perfect balance: %.6f)\n", m.MeanL, invK)
-	fmt.Printf("E(L~) - 1/K    = %.6f\n", m.MeanGap)
-	fmt.Printf("E((1/K)/L~)    = %.4f  (expected relative throughput)\n", m.MeanThroughput)
+	fmt.Fprintf(out, "K=%d nodes, W/V=%.4f, %d scenario(s)\n", alloc.K, alloc.ReplicationFactor(w), len(m.L))
+	fmt.Fprintf(out, "E(L~)          = %.6f  (perfect balance: %.6f)\n", m.MeanL, invK)
+	fmt.Fprintf(out, "E(L~) - 1/K    = %.6f\n", m.MeanGap)
+	fmt.Fprintf(out, "E((1/K)/L~)    = %.4f  (expected relative throughput)\n", m.MeanThroughput)
 	if m.Unservable > 0 {
-		fmt.Printf("unservable     = %d scenario(s) with unplaceable queries\n", m.Unservable)
+		fmt.Fprintf(out, "unservable     = %d scenario(s) with unplaceable queries\n", m.Unservable)
 	}
 	if *perScenario {
 		for i, l := range m.L {
 			if math.IsInf(l, 1) {
-				fmt.Printf("scenario %3d: unservable\n", i+1)
+				fmt.Fprintf(out, "scenario %3d: unservable\n", i+1)
 				continue
 			}
-			fmt.Printf("scenario %3d: L~=%.6f throughput=%.4f\n", i+1, l, invK/l)
+			fmt.Fprintf(out, "scenario %3d: L~=%.6f throughput=%.4f\n", i+1, l, invK/l)
 		}
 	}
-}
-
-func fail(err error) {
-	fmt.Fprintf(os.Stderr, "evaluate: %v\n", err)
-	os.Exit(1)
+	return nil
 }

@@ -1,0 +1,54 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestRunValidatesScenarioFile checks that a -sfile is held to the workload
+// like -alloc is: a malformed set is refused with an error before any
+// evaluation, instead of panicking or printing an L~ for it.
+func TestRunValidatesScenarioFile(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, data string) string {
+		t.Helper()
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	// Two fragments, two single-fragment queries, both fragments on both
+	// nodes.
+	workload := write("workload.json", `{"fragments": [{"id": 0, "size": 1}, {"id": 1, "size": 1}],
+		"queries": [{"id": 0, "fragments": [0], "cost": 1, "frequency": 1},
+			{"id": 1, "fragments": [1], "cost": 1, "frequency": 1}]}`)
+	alloc := write("alloc.json", `{"k": 2, "fragments": [[0, 1], [0, 1]]}`)
+
+	for _, tc := range []struct {
+		name, sfile, want string
+	}{
+		{"valid", `{"frequencies": [[1, 1], [1, 0]], "weights": [1, 2]}`, "2 scenario(s)"},
+		{"weights short", `{"frequencies": [[1, 1], [1, 0]], "weights": [1]}`, "has 1 weights, want 2"},
+		{"negative frequency", `{"frequencies": [[2, -1]]}`, "query 1 has frequency -1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sfile := write(strings.ReplaceAll(tc.name, " ", "_")+".json", tc.sfile)
+			var out bytes.Buffer
+			err := run([]string{"-in", workload, "-alloc", alloc, "-sfile", sfile}, &out)
+			got := out.String()
+			if err != nil {
+				got = err.Error()
+			}
+			if !strings.Contains(got, tc.want) {
+				t.Fatalf("got %q (err %v), want it to contain %q", got, err, tc.want)
+			}
+			if tc.name != "valid" && (err == nil || out.Len() > 0) {
+				t.Fatalf("err %v with output %q, want an error and no report", err, out.String())
+			}
+		})
+	}
+}

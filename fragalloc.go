@@ -36,9 +36,9 @@
 //	m, err := fragalloc.Evaluate(w, res.Allocation, out)
 //	// m.MeanGap: E(L̃) − 1/K, m.MeanThroughput: E((1/K)/L̃)
 //
-// The package is a facade: examples and downstream users need only this
-// import, while the implementation lives in internal packages (model, core,
-// greedy, eval, simplex, mip, ...).
+// The package is a facade: the examples (example_test.go) and downstream
+// users need only this import, while the implementation lives in internal
+// packages (model, core, greedy, eval, simplex, mip, ...).
 package fragalloc
 
 import (
@@ -51,7 +51,6 @@ import (
 	"fragalloc/internal/greedy"
 	"fragalloc/internal/model"
 	"fragalloc/internal/scenario"
-	"fragalloc/internal/sim"
 	"fragalloc/internal/tpcds"
 )
 
@@ -89,36 +88,9 @@ type (
 // greedy allocator and are tallied in Result.Outcomes instead.
 var ErrInfeasible = core.ErrInfeasible
 
-// Evaluation of allocations against (unseen) scenarios.
-type (
-	// Metrics aggregates worst-case load shares over scenarios.
-	Metrics = eval.Metrics
-	// SimConfig parameterizes the discrete query-dispatch simulator.
-	SimConfig = sim.Config
-	// SimResult reports simulated per-node busy times and throughput.
-	SimResult = sim.Result
-	// SimPolicy selects the simulated router.
-	SimPolicy = sim.Policy
-)
-
-// Simulated routing policies.
-const (
-	SimLeastLoaded    = sim.LeastLoaded
-	SimWeightedShares = sim.WeightedShares
-	SimRoundRobin     = sim.RoundRobin
-)
-
-// Simulate dispatches a sampled stream of query executions against the
-// allocation with the configured routing policy and reports the realized
-// per-node load — the operational counterpart of Evaluate's analytic L̃.
-func Simulate(w *Workload, alloc *Allocation, freq []float64, cfg SimConfig) (*SimResult, error) {
-	return sim.Run(w, alloc, freq, cfg)
-}
-
-// SimulateCompare runs all routing policies on the same stream.
-func SimulateCompare(w *Workload, alloc *Allocation, freq []float64, cfg SimConfig) (map[SimPolicy]*SimResult, error) {
-	return sim.Compare(w, alloc, freq, cfg)
-}
+// Metrics aggregates the worst-case load shares of an allocation over
+// (unseen) scenarios.
+type Metrics = eval.Metrics
 
 // DefaultPresence is the paper's query-presence probability p = 0.75 for
 // randomly diversified scenarios.
@@ -169,8 +141,6 @@ func Evaluate(w *Workload, alloc *Allocation, ss *ScenarioSet) (*Metrics, error)
 type (
 	// StreamOptions bounds EvaluateStream's worker pool and tolerance.
 	StreamOptions = eval.StreamOptions
-	// Evaluator amortizes per-allocation state over many WorstLoad calls.
-	Evaluator = eval.Evaluator
 	// Reduction is a clustered scenario set: weighted representatives,
 	// membership, and per-cluster deviation bounds.
 	Reduction = scenario.Reduction
@@ -183,12 +153,6 @@ type (
 // reused, bit-identical aggregates at every parallelism level.
 func EvaluateStream(w *Workload, alloc *Allocation, ss *ScenarioSet, opt StreamOptions) (*Metrics, error) {
 	return eval.EvaluateStream(w, alloc, ss, opt)
-}
-
-// NewEvaluator builds reusable evaluation state for one allocation; its
-// WorstLoad method is allocation-free per scenario. tol ≤ 0 means 1e-9.
-func NewEvaluator(w *Workload, alloc *Allocation, tol float64) *Evaluator {
-	return eval.NewEvaluator(w, alloc, tol)
 }
 
 // ReduceScenarios clusters the scenario set with deterministic seeded
@@ -204,17 +168,6 @@ func ReduceScenarios(w *Workload, ss *ScenarioSet, cfg ReduceConfig) (*Reduction
 // 1e-9). It returns +Inf if the allocation cannot serve the scenario.
 func WorstLoad(w *Workload, alloc *Allocation, freq []float64) (float64, error) {
 	return eval.WorstLoadFlow(w, alloc, freq, 1e-9)
-}
-
-// FailureMetrics aggregates single-node-failure behaviour (extension; cf.
-// the authors' CIKM 2020 companion work on node failures).
-type FailureMetrics = eval.FailureMetrics
-
-// EvaluateFailures computes, for every single-node failure, the worst-case
-// load share over the surviving nodes (ideal: 1/(K−1); +Inf when a query
-// is stranded because its fragments lived only on the failed node).
-func EvaluateFailures(w *Workload, alloc *Allocation, freq []float64) (*FailureMetrics, error) {
-	return eval.EvaluateFailures(w, alloc, freq)
 }
 
 // ExportLP writes the exact allocation MIP in CPLEX LP format with

@@ -25,36 +25,57 @@ func ExportLP(out io.Writer, w *model.Workload, ss *model.ScenarioSet, k int, op
 	p, ix, intVars := root.build(true)
 
 	names := make([]string, p.NumVars)
-	fragName := func(i int) string {
-		if n := w.Fragments[i].Name; n != "" {
-			return sanitize(n)
-		}
-		return fmt.Sprintf("f%d", i)
-	}
-	queryName := func(j int) string {
-		if n := w.Queries[j].Name; n != "" {
-			return sanitize(n)
-		}
-		return fmt.Sprintf("q%d", j)
-	}
+	fragName := entityNames(len(w.Fragments), func(i int) string { return w.Fragments[i].Name }, "f")
+	queryName := entityNames(len(w.Queries), func(j int) string { return w.Queries[j].Name }, "q")
 	for fi, i := range ix.frags {
 		for b := 0; b < k; b++ {
-			names[ix.x(fi, b)] = fmt.Sprintf("x_%s_n%d", fragName(i), b)
+			names[ix.x(fi, b)] = fmt.Sprintf("x_%s_n%d", fragName[i], b)
 		}
 	}
 	for q, j := range root.flexQ {
 		for b := 0; b < k; b++ {
-			names[ix.y(q, b)] = fmt.Sprintf("y_%s_n%d", queryName(j), b)
+			names[ix.y(q, b)] = fmt.Sprintf("y_%s_n%d", queryName[j], b)
 		}
 	}
 	for r, rt := range root.routes {
 		for b := 0; b < k; b++ {
-			names[ix.z(r, b)] = fmt.Sprintf("z_%s_n%d_s%d", queryName(rt.j), b, rt.s)
+			names[ix.z(r, b)] = fmt.Sprintf("z_%s_n%d_s%d", queryName[rt.j], b, rt.s)
 		}
 	}
 	names[ix.l] = "L"
 
 	return lpfile.Write(out, p, intVars, names)
+}
+
+// entityNames returns one LP identifier per fragment or query: its name
+// sanitized, or prefix<i> when it has none. Sanitizing can map two names
+// onto one ("orders.id", "orders_id"); each name that collides gets
+// _<prefix><i> appended (and underscores, should even that be taken), so no
+// two entities share a variable.
+func entityNames(n int, name func(int) string, prefix string) []string {
+	out := make([]string, n)
+	count := make(map[string]int, n)
+	for i := range out {
+		if s := name(i); s != "" {
+			out[i] = sanitize(s)
+		} else {
+			out[i] = fmt.Sprintf("%s%d", prefix, i)
+		}
+		count[out[i]]++
+	}
+	used := make(map[string]bool)
+	for i, s := range out {
+		if count[s] == 1 {
+			continue
+		}
+		s = fmt.Sprintf("%s_%s%d", s, prefix, i)
+		for count[s] > 0 || used[s] {
+			s += "_"
+		}
+		used[s] = true
+		out[i] = s
+	}
+	return out
 }
 
 // sanitize maps arbitrary workload names onto the LP-format identifier

@@ -196,6 +196,3 @@ func TestEvaluateMetrics(t *testing.T) {
 		t.Errorf("Unservable = %d, want 0", m.Unservable)
 	}
 }
-
-// newTestRNG gives failure_test.go a shared deterministic source.
-func newTestRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
