@@ -101,7 +101,7 @@ func TestTrimmedProposalsAreComplete(t *testing.T) {
 		}
 		var dive []float64
 		if lp, root, _ := sp.relaxation(ix, simplex.Options{}, nil, nil); root != nil {
-			dive = sp.dive(lp, root, ix)
+			dive, _ = sp.dive(lp, root, ix)
 		}
 		if dive == nil {
 			t.Fatalf("%s: dive found no start", c.name)

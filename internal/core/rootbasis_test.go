@@ -105,3 +105,30 @@ func BenchmarkRootFromBasis(b *testing.B) {
 		})
 	}
 }
+
+// TestLPItersCountTheDive checks that Result.LPIters counts the dive's LP
+// work, not only the branch and bound's: on a golden root under a one-node
+// budget, where the MIP root starts from the dive's basis and takes few
+// pivots, the run reports at least the pivots of the relaxation solved cold.
+func TestLPItersCountTheDive(t *testing.T) {
+	c := rootCases()[0]
+	spec := mustChunks(t, c.spec)
+	sp, err := newRoot(c.w, c.ss, c.k, Options{FixedQueries: c.fixed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp.split(spec)
+	_, ix, _ := sp.build(false)
+	_, relax, _ := sp.relaxation(ix, simplex.Options{}, nil, nil)
+	if relax == nil {
+		t.Fatalf("%s: the dive's root relaxation failed", c.name)
+	}
+	res, err := Allocate(c.w, c.ss, c.k, Options{Chunks: spec, FixedQueries: c.fixed, Parallelism: 1, MIP: mip.Options{MaxNodes: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%s: relaxation %d pivots cold; run %d LP iterations", c.name, relax.Iters, res.LPIters)
+	if res.LPIters < relax.Iters {
+		t.Errorf("%s: LPIters %d, below the %d pivots of the root's relaxation alone", c.name, res.LPIters, relax.Iters)
+	}
+}

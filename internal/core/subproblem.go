@@ -433,7 +433,8 @@ func (sp *subproblem) canonicalize(out []float64, ix *indices) {
 // trusted: one that ends other than optimal, or at a point that breaks a
 // row, is logged through logf, refused and solved again cold. It returns
 // the solver, the optimal result (nil when the relaxation failed) and what
-// the start counted.
+// the start counted. The result's Iters counts every pivot the relaxation
+// took, a refused start's included.
 func (sp *subproblem) relaxation(ix *indices, lp simplex.Options, from *simplex.Basis, logf func(string, ...any)) (*simplex.Solver, *simplex.Result, BasisStarts) {
 	var starts BasisStarts
 	p, _, _ := sp.build(false)
@@ -469,7 +470,9 @@ func (sp *subproblem) relaxation(ix *indices, lp simplex.Options, from *simplex.
 			if logf != nil {
 				logf("core: dive root from the carried basis %s; solving cold", why)
 			}
+			refused := res.Iters
 			res = s.Solve()
+			res.Iters += refused
 		}
 	} else {
 		res = s.Solve()
@@ -487,8 +490,10 @@ func (sp *subproblem) relaxation(ix *indices, lp simplex.Options, from *simplex.
 // warm-started dual simplex after every row. The result is an integral y
 // proposal of far higher quality than one-shot rounding; it seeds the
 // branch and bound as its first incumbent (mip.Options.Starts). It returns
-// nil when a re-solve fails.
-func (sp *subproblem) dive(s *simplex.Solver, res *simplex.Result, ix *indices) []float64 {
+// the proposal, nil when a re-solve fails, and the pivots its re-solves
+// took.
+func (sp *subproblem) dive(s *simplex.Solver, res *simplex.Result, ix *indices) ([]float64, int) {
+	iters := 0
 	for _, q := range sp.byLoad {
 		best, bestVal := 0, -1.0
 		for bb := 0; bb < ix.b; bb++ {
@@ -511,8 +516,9 @@ func (sp *subproblem) dive(s *simplex.Solver, res *simplex.Result, ix *indices) 
 			}
 		}
 		res = s.ReSolveDual()
+		iters += res.Iters
 		if res.Status != simplex.StatusOptimal {
-			return nil
+			return nil, iters
 		}
 	}
 	// Round the leftover fractional y UP: upward rounding keeps every
@@ -529,7 +535,7 @@ func (sp *subproblem) dive(s *simplex.Solver, res *simplex.Result, ix *indices) 
 		}
 	}
 	sp.canonicalize(out, ix)
-	return out
+	return out, iters
 }
 
 // solution is the decoded outcome of one subproblem solve. yes and z are in
@@ -596,9 +602,13 @@ func (sp *subproblem) solve(opt mip.Options, ck *subCheckpoint, hints ...[][]boo
 	}
 	lp, relax, starts := sp.relaxation(ix, opt.LP, from, opt.Logf)
 	var rootBasis *simplex.Basis
+	diveIters := 0
 	if relax != nil {
 		rootBasis = lp.Basis()
-		if start := sp.dive(lp, relax, ix); start != nil {
+		diveIters += relax.Iters
+		start, iters := sp.dive(lp, relax, ix)
+		diveIters += iters
+		if start != nil {
 			opt.Starts = append(opt.Starts, start)
 		}
 	}
@@ -663,6 +673,7 @@ func (sp *subproblem) solve(opt mip.Options, ck *subCheckpoint, hints ...[][]boo
 		res.X = tr.trim(res.X)
 	}
 	sol := sp.decode(ix, res)
+	sol.lpiters += diveIters
 	sol.starts.Dives, sol.starts.DivesCold = starts.Dives, starts.DivesCold
 	if roles != nil && rootBasis != nil {
 		sol.basis = journalBasis(rootBasis, roles)
