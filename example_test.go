@@ -148,12 +148,12 @@ func Example_tpcds() {
 	// TPC-DS SF-1: 425 fragments (1.6 GB accessed), 94 queries
 	// greedy baseline:         W/V = 2.026
 	// LP exact:                W/V = 1.720   (budget-bound, gap <= 1.380 W/V)
-	// LP partial clustering:   W/V = 1.527   (F=36 queries pinned)
+	// LP partial clustering:   W/V = 1.544   (F=36 queries pinned)
 	// per-node data (partial clustering):
 	//   node 0:   1.63 GB, 250 fragments
 	//   node 1:   0.21 GB,  52 fragments
-	//   node 2:   0.19 GB,  25 fragments
-	//   node 3:   0.47 GB,  89 fragments
+	//   node 2:   0.40 GB,  74 fragments
+	//   node 3:   0.29 GB,  53 fragments
 	// worst-case load share under optimal routing (ideal = 1/K):
 	//   greedy         L~ = 0.2500 (1/K = 0.2500)
 	//   LP exact       L~ = 0.2500 (1/K = 0.2500)
@@ -218,8 +218,8 @@ func Example_robust() {
 	// Output:
 	// K=4, verified against 25 unseen workload scenarios (p=0.75)
 	// approach                    W/V    E(L~)-1/K      E((1/K)/L~)
-	// S=1 (expected only)       1.527       0.0930            0.747
-	// S=5 (robust)              2.001       0.0263            0.914
+	// S=1 (expected only)       1.544       0.0938            0.745
+	// S=5 (robust)              2.014       0.0511            0.847
 	// full replication          4.000       0.0000            1.000
 }
 
@@ -312,6 +312,6 @@ func Example_whatif() {
 	// provisioned for today's trace: W/V=1.493, worst node load 0.1667 (ideal 0.1667)
 	// after drift, unchanged allocation: worst node load 0.3671 (120% over ideal)
 	//   => cluster throughput drops to 45% of capacity
-	// re-allocated: W/V=1.654, worst node load 0.1667
-	// data to ship for the migration: 44.21 GB (23.8% of stored data)
+	// re-allocated: W/V=1.664, worst node load 0.1667
+	// data to ship for the migration: 63.92 GB (34.2% of stored data)
 }

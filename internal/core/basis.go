@@ -8,10 +8,11 @@ import (
 	"fragalloc/internal/simplex"
 )
 
-// This file is how a subproblem hands an optimal simplex basis on: from the
-// dive's root relaxation to the MIP root (liftBasis), and from one solve to
-// the next solve of the same subproblem id, through the journal, by role
-// (roles, journalBasis, carriedBasis; DESIGN.md §3.11).
+// This file is how a subproblem hands an optimal simplex basis on from one
+// solve to the next solve of the same subproblem id, through the journal, by
+// role (roles, journalBasis, carriedBasis; DESIGN.md §3.11). The MIP root
+// takes the dive's root basis as it stands, since both solve one LP
+// (subproblem.solve).
 
 // BasisStarts counts the LPs of a run that started from a basis instead of
 // cold, summed over its subproblem solves: the MIP roots and popped
@@ -42,33 +43,9 @@ func (b BasisStarts) String() string {
 		b.Roots, b.RootsCold, b.Nodes, b.NodesCold, b.Dives, b.DivesCold)
 }
 
-// liftBasis carries a basis of the relaxation without symmetry rows
-// (build(false)) over to the model with them (build(true)): the columns are
-// the same, and the symmetry rows sit between rows (6) and (7), so each
-// enters with its slack basic and rows (7) move down past them. The
-// subnode blocks are deliberately not permuted into canonical order: on the
-// subproblems measured, the permuted basis cost more dual pivots and cold
-// restarts in the tree than the dual pass spends repairing the symmetry
-// rows (DESIGN.md §3.10).
-func (sp *subproblem) liftBasis(b *simplex.Basis, rows int) *simplex.Basis {
-	if b == nil {
-		return nil
-	}
-	sym := rows - len(b.Rows)
-	at := len(b.Rows) - len(sp.routes)
-	lifted := make([]simplex.BasisStatus, 0, rows)
-	lifted = append(lifted, b.Rows[:at]...)
-	for range sym {
-		lifted = append(lifted, simplex.Basic)
-	}
-	lifted = append(lifted, b.Rows[at:]...)
-	return &simplex.Basis{Cols: b.Cols, Rows: lifted}
-}
-
 // The kinds of the roles that name a subproblem model's columns and rows in
 // a journaled basis (checkpoint.Role[0], followed by the indices noted).
-// The symmetry rows have none: the LP a basis is journaled from is the
-// dive's, built without them. Queries and fragments are named by ID, so a
+// Queries and fragments are named by ID, so a
 // role keeps naming the same variable when the set of queries a subproblem
 // routes changes between two solves.
 const (
@@ -82,7 +59,7 @@ const (
 	roleConserve              // row (7): query ID, scenario
 )
 
-// roles names the columns and then the rows of build(false) by role, in
+// roles names the columns and then the rows of build by role, in
 // index order.
 func (sp *subproblem) roles(ix *indices) []checkpoint.Role {
 	b, S := int32(ix.b), int32(sp.ss.S())

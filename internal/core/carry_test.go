@@ -20,7 +20,7 @@ func TestRolesNameTheModel(t *testing.T) {
 			t.Fatal(err)
 		}
 		sp.split(mustChunks(t, c.spec))
-		p, ix, _ := sp.build(false)
+		p, ix, _ := sp.build()
 		roles := sp.roles(ix)
 		if len(roles) != p.NumVars+len(p.Rows) {
 			t.Fatalf("%s: %d roles for %d columns and %d rows", c.name, len(roles), p.NumVars, len(p.Rows))
@@ -45,14 +45,14 @@ func TestCarriedBasisRestartsTheRelaxation(t *testing.T) {
 			t.Fatal(err)
 		}
 		sp.split(mustChunks(t, c.spec))
-		p, ix, _ := sp.build(false)
-		lp, cold, _ := sp.relaxation(ix, simplex.Options{}, nil, nil)
+		p, ix, _ := sp.build()
+		lp, cold, _ := relaxation(p, simplex.Options{}, nil, nil)
 		if cold == nil {
 			t.Fatalf("%s: relaxation failed", c.name)
 		}
 		roles := sp.roles(ix)
 		from := carriedBasis(journalBasis(lp.Basis(), roles), roles, p.NumVars)
-		_, warm, starts := sp.relaxation(ix, simplex.Options{}, from, nil)
+		_, warm, starts := relaxation(p, simplex.Options{}, from, nil)
 		if warm == nil || warm.Iters != 0 || math.Abs(warm.Obj-cold.Obj) > 1e-9*math.Abs(cold.Obj) {
 			t.Fatalf("%s: from the carried basis %v; want the cold optimum %v in 0 pivots", c.name, warm != nil, cold.Obj)
 		}

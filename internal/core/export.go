@@ -9,8 +9,7 @@ import (
 )
 
 // ExportLP writes the exact allocation MIP — model (3)–(7) for K subnodes,
-// including the partial clustering of opt.FixedQueries and the symmetry-
-// breaking rows — in CPLEX LP format, with readable variable names
+// including the partial clustering of opt.FixedQueries — in CPLEX LP format, with readable variable names
 // (x_<fragment>_n<node>, y_<query>_n<node>, z_<query>_n<node>_s<scenario>,
 // L). The export allows cross-checking this repository's solver against
 // external ones such as Gurobi, which the reproduced paper used.
@@ -22,7 +21,7 @@ func ExportLP(out io.Writer, w *model.Workload, ss *model.ScenarioSet, k int, op
 		return err
 	}
 	root.split(Flat(k))
-	p, ix, intVars := root.build(true)
+	p, ix, intVars := root.build()
 
 	names := make([]string, p.NumVars)
 	fragName := entityNames(len(w.Fragments), func(i int) string { return w.Fragments[i].Name }, "f")

@@ -145,7 +145,7 @@ func TestPipelineGolden(t *testing.T) {
 		// (a) the robust clustered row: three 4+4 subproblems, three scenarios.
 		res, st := goldenRun(t, full, scenario.InSample(full, 3, scenario.DefaultP, 1), 8,
 			Options{Chunks: mustChunks(t, "4+4"), FixedQueries: 47, Parallelism: par, MIP: budget}, "", nil)
-		check("tpcds K=8 4+4 F=47 S=3", res, st, 0x4751e15c1ad28625, 0x82c5aea901049d07)
+		check("tpcds K=8 4+4 F=47 S=3", res, st, 0x66617e1d6cda8227, 0x2aee14e222334361)
 
 		// (b) allocd's re-optimization shape: warm-started from the allocation
 		// of a neighbouring scenario draw, its dives from that run's bases.
@@ -156,7 +156,7 @@ func TestPipelineGolden(t *testing.T) {
 		if res.Starts.Dives+res.Starts.DivesCold != 3 {
 			t.Errorf("warm run: %v, want every dive offered the prior run's basis", res.Starts)
 		}
-		check("tpcds K=4 2+2 F=64 S=4 warm", res, st, 0xefaf3a8bdb24b7b4, 0x177982c423fb8b22)
+		check("tpcds K=4 2+2 F=64 S=4 warm", res, st, 0xb7501015b9e14caf, 0x6f3baf925d3b83c2)
 
 		// (c) a flat solve: the hierarchical pre-solve, the greedy hint and a
 		// warm hint all seed one root MIP.
@@ -164,7 +164,7 @@ func TestPipelineGolden(t *testing.T) {
 		seen := scenario.InSample(sub, 2, scenario.DefaultP, 1)
 		res, st = goldenRun(t, sub, seen, 4,
 			Options{FixedQueries: 4, Parallelism: par, MIP: budget, Warm: prior.Allocation}, "", nil)
-		check("tpcds-top30 flat K=4", res, st, 0xce8f0bcd6bc48d59, 0xf77da598d04a8059)
+		check("tpcds-top30 flat K=4", res, st, 0xdfc68a7506a4eb89, 0x6e12fb9bc1c555ca)
 
 		// (d) every subproblem degrades to the greedy routing; then a clean
 		// run resumes that journal, so the degraded records come back as
@@ -177,7 +177,7 @@ func TestPipelineGolden(t *testing.T) {
 		check("degraded 2+2", res, st, 0x9779327d62a25b8a, 0x5a2223821f790830)
 		res, st = goldenRun(t, sub, seen, 4,
 			Options{Chunks: mustChunks(t, "2+2"), FixedQueries: 4, Parallelism: par, MIP: budget}, st.Dir(), nil)
-		check("resumed from degraded journal", res, st, 0x39f1bcc6c03bfd8e, 0x6cc36a8f5cc4ad0f)
+		check("resumed from degraded journal", res, st, 0x40a3e238ba4843af, 0xdbda05a7a6c01289)
 	}
 
 	// The greedy allocator only refuses non-finite capacities, which no chunk

@@ -30,8 +30,8 @@ func rootCases() []rootCase {
 	}
 }
 
-// rootProblem builds c's subproblem MIP and the dive's root basis lifted
-// onto it: what subproblem.solve hands mip.Solve.
+// rootProblem builds c's subproblem MIP and the dive's root basis on it:
+// what subproblem.solve hands mip.Solve.
 func rootProblem(tb testing.TB, c rootCase) (*simplex.Problem, []int, *simplex.Basis) {
 	tb.Helper()
 	spec, err := ParseChunks(c.spec)
@@ -43,12 +43,12 @@ func rootProblem(tb testing.TB, c rootCase) (*simplex.Problem, []int, *simplex.B
 		tb.Fatal(err)
 	}
 	sp.split(spec)
-	p, ix, intVars := sp.build(true)
-	lp, root, _ := sp.relaxation(ix, simplex.Options{}, nil, nil)
+	p, _, intVars := sp.build()
+	lp, root, _ := relaxation(p, simplex.Options{}, nil, nil)
 	if root == nil {
 		tb.Fatalf("%s: the dive's root relaxation failed", c.name)
 	}
-	return p, intVars, sp.liftBasis(lp.Basis(), len(p.Rows))
+	return p, intVars, lp.Basis()
 }
 
 // solveRootOnly runs mip.Solve to the root relaxation alone: no starts, no
@@ -63,15 +63,15 @@ func solveRootOnly(tb testing.TB, p *simplex.Problem, intVars []int, b *simplex.
 	return res
 }
 
-// TestLiftedRootBasis pins the basis handoff on two golden TPC-DS
-// subproblems: the MIP root started from the dive's lifted basis reaches
-// the cold root's objective in at most 50 pivots, where the cold root takes
+// TestRootFromDiveBasis pins the basis handoff on two golden TPC-DS
+// subproblems: the MIP root started from the dive's root basis reaches the
+// cold root's objective in 0 pivots, where the cold root takes
 // hundreds.
-func TestLiftedRootBasis(t *testing.T) {
+func TestRootFromDiveBasis(t *testing.T) {
 	for _, c := range rootCases() {
-		p, intVars, lifted := rootProblem(t, c)
+		p, intVars, basis := rootProblem(t, c)
 		cold := solveRootOnly(t, p, intVars, nil)
-		warm := solveRootOnly(t, p, intVars, lifted)
+		warm := solveRootOnly(t, p, intVars, basis)
 		t.Logf("%s: cold root %d pivots, from basis %d; objective %.12f / %.12f", c.name, cold.LPIters, warm.LPIters, cold.Bound, warm.Bound)
 		if cold.Starts != (mip.Starts{}) || warm.Starts != (mip.Starts{Roots: 1}) {
 			t.Errorf("%s: starts %+v without a basis and %+v with one, want none and one root from basis", c.name, cold.Starts, warm.Starts)
@@ -79,22 +79,22 @@ func TestLiftedRootBasis(t *testing.T) {
 		if math.Abs(warm.Bound-cold.Bound) > 1e-9*math.Max(1, math.Abs(cold.Bound)) {
 			t.Errorf("%s: root from basis at %.12f, cold %.12f", c.name, warm.Bound, cold.Bound)
 		}
-		if warm.LPIters > 50 {
-			t.Errorf("%s: root from basis took %d pivots, want at most 50 (cold: %d)", c.name, warm.LPIters, cold.LPIters)
+		if warm.LPIters != 0 {
+			t.Errorf("%s: root from basis took %d pivots, want 0 (cold: %d)", c.name, warm.LPIters, cold.LPIters)
 		}
 	}
 }
 
 // BenchmarkRootFromBasis times the subproblem MIP's root relaxation on a
-// golden TPC-DS subproblem, solved cold and started from the dive's lifted
+// golden TPC-DS subproblem, solved cold and started from the dive's root
 // basis, each with presolve; pivots/op is the root's pivot count.
 func BenchmarkRootFromBasis(b *testing.B) {
 	c := rootCases()[0]
-	p, intVars, lifted := rootProblem(b, c)
+	p, intVars, basis := rootProblem(b, c)
 	for _, run := range []struct {
 		name  string
 		basis *simplex.Basis
-	}{{"cold", nil}, {"from-basis", lifted}} {
+	}{{"cold", nil}, {"from-basis", basis}} {
 		b.Run(run.name, func(b *testing.B) {
 			iters := 0
 			for i := 0; i < b.N; i++ {
@@ -108,8 +108,8 @@ func BenchmarkRootFromBasis(b *testing.B) {
 
 // TestLPItersCountTheDive checks that Result.LPIters counts the dive's LP
 // work, not only the branch and bound's: on a golden root under a one-node
-// budget, where the MIP root starts from the dive's basis and takes few
-// pivots, the run reports at least the pivots of the relaxation solved cold.
+// budget, where the MIP root starts from the dive's optimal basis and takes
+// no pivots, the run reports at least the pivots of the relaxation solved cold.
 func TestLPItersCountTheDive(t *testing.T) {
 	c := rootCases()[0]
 	spec := mustChunks(t, c.spec)
@@ -118,8 +118,8 @@ func TestLPItersCountTheDive(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp.split(spec)
-	_, ix, _ := sp.build(false)
-	_, relax, _ := sp.relaxation(ix, simplex.Options{}, nil, nil)
+	p, _, _ := sp.build()
+	_, relax, _ := relaxation(p, simplex.Options{}, nil, nil)
 	if relax == nil {
 		t.Fatalf("%s: the dive's root relaxation failed", c.name)
 	}

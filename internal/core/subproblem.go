@@ -26,8 +26,8 @@ import (
 // copy the problem), so concurrent solves of distinct subproblems share
 // nothing mutable. The workload, scenario set, costs, inherited shares and
 // the tables index derives from them are shared read-only across
-// subproblems; the only fields driver.solve sets after construction are
-// weights and classes, through split (see clone).
+// subproblems; the only field driver.solve sets after construction is
+// weights, through split (see clone).
 type subproblem struct {
 	w     *model.Workload
 	ss    *model.ScenarioSet
@@ -45,10 +45,8 @@ type subproblem struct {
 	routeAt []int     // routeAt[q·S+s]: position of that pair in routes, or -1
 	load    []float64 // expected load per flexQ position
 	byLoad  []int     // flexQ positions, heaviest first, ties on the lower query
-	symW    []float64 // symmetry-key weight 2^-rank per flexQ position; 0 past float precision
 
 	weights []float64 // w_b = (leaves of subnode b)/K
-	classes [][]int   // interchangeable subnodes under weights
 }
 
 // route is one z̄_{j,s} > 0 that the LP splits over the subnodes.
@@ -77,21 +75,12 @@ func (sp *subproblem) index() *subproblem {
 		sp.byLoad[q] = q
 	}
 	sort.SliceStable(sp.byLoad, func(a, b int) bool { return sp.load[sp.byLoad[a]] > sp.load[sp.byLoad[b]] })
-	sp.symW = make([]float64, len(sp.flexQ))
-	for rank, q := range sp.byLoad {
-		if rank >= 45 {
-			break
-		}
-		sp.symW[q] = math.Pow(0.5, float64(rank))
-	}
 	return sp
 }
 
 // split prepares sp for the LP that spec asks for at this level: one
 // subnode per child, weighted by the child's leaves — for an exact group,
-// one per final node — and among them the classes of interchangeable
-// subnodes: equal weight, and not the clustering subnode 0 (whose pinned
-// load makes it distinguishable).
+// one per final node.
 func (sp *subproblem) split(spec *ChunkSpec) {
 	if len(spec.Children) == 0 {
 		sp.weights = make([]float64, spec.Leaves)
@@ -104,25 +93,6 @@ func (sp *subproblem) split(spec *ChunkSpec) {
 			sp.weights[b] = float64(c.Leaves) / float64(sp.k)
 		}
 	}
-	sp.classes = nil
-	start := 0
-	if sp.hasFixed {
-		start = 1
-	}
-	var cur []int
-	flush := func() {
-		if len(cur) > 1 {
-			sp.classes = append(sp.classes, cur)
-		}
-		cur = nil
-	}
-	for b := start; b < len(sp.weights); b++ {
-		if len(cur) > 0 && !simplex.EqTol(sp.weights[b], sp.weights[cur[0]], 1e-12) {
-			flush()
-		}
-		cur = append(cur, b)
-	}
-	flush()
 }
 
 // clone returns a copy of sp that is safe to solve concurrently with uses
@@ -149,11 +119,8 @@ func (ix *indices) z(r, bb int) int  { return ix.z0 + r*ix.b + bb }
 // build constructs the MIP in the reformulated shape described in DESIGN.md:
 // y binary, x continuous in [0,1] (the aggregated coverage rows (4) force x
 // integral whenever y is integral), z continuous, and the balance limit L
-// unbounded above so that imbalance is penalized, not forbidden. With
-// withSymmetry false the symmetry-breaking rows are omitted (the dive
-// heuristic works on that relaxed copy and canonicalizes afterwards); the
-// variable layout is identical either way.
-func (sp *subproblem) build(withSymmetry bool) (*simplex.Problem, *indices, []int) {
+// unbounded above so that imbalance is penalized, not forbidden.
+func (sp *subproblem) build() (*simplex.Problem, *indices, []int) {
 	p := &simplex.Problem{}
 	b := len(sp.weights)
 	ix := &indices{b: b}
@@ -238,34 +205,6 @@ func (sp *subproblem) build(withSymmetry bool) (*simplex.Problem, *indices, []in
 
 	sp.addBalance(p, ix)
 
-	// Symmetry breaking (an implementation refinement over the paper's
-	// plain MIP): subnodes with equal weight — and without the pinned
-	// clustering load of subnode 0 — are interchangeable, which makes plain
-	// branch and bound revisit permuted copies of the same allocation.
-	// Within each class of interchangeable subnodes we require the weighted
-	// query-incidence key Σ_j 2^{-rank(j)}·y_{j,b} to be non-increasing in
-	// b. Every feasible solution has a permutation satisfying this, so the
-	// optimum is preserved while the permuted duplicates are cut off.
-	for _, cls := range sp.classes {
-		if !withSymmetry {
-			break
-		}
-		for t := 0; t+1 < len(cls); t++ {
-			var idx []int
-			var coef []float64
-			for q, wgt := range sp.symW {
-				if wgt == 0 {
-					continue
-				}
-				idx = append(idx, ix.y(q, cls[t]), ix.y(q, cls[t+1]))
-				coef = append(coef, wgt, -wgt)
-			}
-			if idx != nil {
-				p.AddRow(idx, coef, simplex.GE, 0)
-			}
-		}
-	}
-
 	sp.addConservation(p, ix)
 	return p, ix, intVars
 }
@@ -349,9 +288,7 @@ func (sp *subproblem) fixedLoad(s int) float64 {
 }
 
 // rounding builds the MIP incumbent heuristic: each flexible query proposes
-// y=1 on its strongest subnode plus every subnode already above 1/2, and
-// the proposal is canonicalized to satisfy the symmetry-breaking rows
-// (columns within an interchangeable class are sorted by the same key).
+// y=1 on its strongest subnode plus every subnode already above 1/2.
 func (sp *subproblem) rounding(ix *indices) func(x []float64) []float64 {
 	return func(x []float64) []float64 {
 		out := append([]float64(nil), x...)
@@ -370,74 +307,21 @@ func (sp *subproblem) rounding(ix *indices) func(x []float64) []float64 {
 			}
 			out[ix.y(q, best)] = 1
 		}
-		sp.canonicalize(out, ix)
 		return out
 	}
 }
 
-// canonicalize relabels the subnodes of each symmetric class so the
-// proposal's incidence keys are non-increasing, making it consistent with
-// the symmetry-breaking rows. A subnode's whole block moves — its fragment
-// coverage x, placements y and routes z — so a complete point stays one:
-// the subnodes of a class have equal weights and no pinned load, so the
-// relabelled point satisfies the same rows at the same objective.
-func (sp *subproblem) canonicalize(out []float64, ix *indices) {
-	key := make([]float64, ix.b)
-	for _, cls := range sp.classes {
-		for _, b := range cls {
-			key[b] = 0
-			for q, wgt := range sp.symW {
-				if wgt != 0 {
-					key[b] += wgt * out[ix.y(q, b)]
-				}
-			}
-		}
-		perm := append([]int(nil), cls...)
-		sort.SliceStable(perm, func(a, b int) bool { return key[perm[a]] > key[perm[b]] })
-		changed := false
-		for t := range cls {
-			if perm[t] != cls[t] {
-				changed = true
-			}
-		}
-		if !changed {
-			continue
-		}
-		// The subnode is the minor index of every column block (see
-		// indices), so subnode b of the block starting at base is base+b.
-		vals := make([]float64, len(cls))
-		move := func(base int) {
-			for t, b := range perm {
-				vals[t] = out[base+b]
-			}
-			for t, b := range cls {
-				out[base+b] = vals[t]
-			}
-		}
-		for fi := range ix.frags {
-			move(ix.x(fi, 0))
-		}
-		for q := range sp.flexQ {
-			move(ix.y(q, 0))
-		}
-		for r := range sp.routes {
-			move(ix.z(r, 0))
-		}
-	}
-}
-
-// relaxation solves the subproblem's LP relaxation without the symmetry
-// rows (build(false)), the root of the dive. It starts from basis from when
-// one is carried — the optimal basis of the same subproblem's previous
-// solve, mapped by role (carriedBasis) — and that start is checked, not
-// trusted: one that ends other than optimal, or at a point that breaks a
-// row, is logged through logf, refused and solved again cold. It returns
-// the solver, the optimal result (nil when the relaxation failed) and what
-// the start counted. The result's Iters counts every pivot the relaxation
-// took, a refused start's included.
-func (sp *subproblem) relaxation(ix *indices, lp simplex.Options, from *simplex.Basis, logf func(string, ...any)) (*simplex.Solver, *simplex.Result, BasisStarts) {
+// relaxation solves the LP relaxation of the subproblem MIP p, the root of
+// the dive. It starts from basis from when one is carried — the optimal
+// basis of the same subproblem's previous solve, mapped by role
+// (carriedBasis) — and that start is checked, not trusted: one that ends
+// other than optimal, or at a point that breaks a row, is logged through
+// logf, refused and solved again cold. It returns the solver, the optimal
+// result (nil when the relaxation failed) and what the start counted. The
+// result's Iters counts every pivot the relaxation took, a refused start's
+// included.
+func relaxation(p *simplex.Problem, lp simplex.Options, from *simplex.Basis, logf func(string, ...any)) (*simplex.Solver, *simplex.Result, BasisStarts) {
 	var starts BasisStarts
-	p, _, _ := sp.build(false)
 	// The dive's fix thresholds (0.5 / 0.02 / 0.05) read the *vertex* the LP
 	// returns, and degenerate relaxations have many optimal vertices — which
 	// one surfaces depends on the pricing rule's pivot order. Pin the
@@ -534,7 +418,6 @@ func (sp *subproblem) dive(s *simplex.Solver, res *simplex.Result, ix *indices) 
 			out[col] = 0
 		}
 	}
-	sp.canonicalize(out, ix)
 	return out, iters
 }
 
@@ -573,7 +456,7 @@ type solution struct {
 // and the search's periodic Checkpoint callback writes fresh incumbents back
 // under the same subproblem id.
 func (sp *subproblem) solve(opt mip.Options, ck *subCheckpoint, hints ...[][]bool) (*solution, error) {
-	p, ix, intVars := sp.build(true)
+	p, ix, intVars := sp.build()
 	opt.Rounding = sp.rounding(ix)
 	if ck != nil {
 		if m := ck.rec.MIP(ck.id); m != nil && len(m.X) == p.NumVars {
@@ -600,19 +483,20 @@ func (sp *subproblem) solve(opt mip.Options, ck *subCheckpoint, hints ...[][]boo
 		roles = sp.roles(ix)
 		from = carriedBasis(ck.rec.Carried(ck.id), roles, p.NumVars)
 	}
-	lp, relax, starts := sp.relaxation(ix, opt.LP, from, opt.Logf)
+	lp, relax, starts := relaxation(p, opt.LP, from, opt.Logf)
 	var rootBasis *simplex.Basis
 	diveIters := 0
 	if relax != nil {
 		rootBasis = lp.Basis()
-		diveIters += relax.Iters
 		start, iters := sp.dive(lp, relax, ix)
-		diveIters += iters
+		diveIters = relax.Iters + iters
 		if start != nil {
 			opt.Starts = append(opt.Starts, start)
 		}
 	}
-	opt.RootBasis = sp.liftBasis(rootBasis, len(p.Rows))
+	// The MIP root is the relaxation the dive started from, so it starts
+	// from that LP's optimal basis as it stands.
+	opt.RootBasis = rootBasis
 	for _, hint := range hints {
 		if hint == nil {
 			continue
@@ -629,23 +513,12 @@ func (sp *subproblem) solve(opt mip.Options, ck *subCheckpoint, hints ...[][]boo
 	}
 	tr, trErr := sp.newTrimmer(ix, opt.LP)
 	if trErr == nil {
-		// Compress every proposal, then restore the canonical subnode
-		// order the symmetry rows expect.
+		// Compress every proposal.
 		for i, start := range opt.Starts {
-			start = tr.trim(start)
-			sp.canonicalize(start, ix)
-			opt.Starts[i] = start
+			opt.Starts[i] = tr.trim(start)
 		}
 		round := opt.Rounding
-		opt.Rounding = func(x []float64) []float64 {
-			out := round(x)
-			if out == nil {
-				return nil
-			}
-			out = tr.trim(out)
-			sp.canonicalize(out, ix)
-			return out
-		}
+		opt.Rounding = func(x []float64) []float64 { return tr.trim(round(x)) }
 	}
 	// Branch on the y variables of the heaviest queries first: their
 	// placement decides most of the memory and balance structure.
@@ -768,6 +641,6 @@ func BuildRootLP(w *model.Workload, ss *model.ScenarioSet, k int) (*simplex.Prob
 		return nil, 0, err
 	}
 	root.split(Flat(k))
-	p, ix, _ := root.build(true)
+	p, ix, _ := root.build()
 	return p, ix.l, nil
 }

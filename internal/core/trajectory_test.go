@@ -30,8 +30,8 @@ func TestSimplexTrajectoryGolden(t *testing.T) {
 		pricing simplex.Pricing
 		want    uint64
 	}{
-		{simplex.PricingDevex, 0x5b1a7c54975fea4b},
-		{simplex.PricingDantzig, 0x0f43e313e559edad},
+		{simplex.PricingDevex, 0xa6f1141cd83f025a},
+		{simplex.PricingDantzig, 0xbf0576b9b780df7b},
 	} {
 		h := fnv.New64a()
 		record := func(r *simplex.Result) {
