@@ -10,6 +10,10 @@
 //	workloadgen -workload tpcds -scenarios 1000 -scenario-seed 7 -no-baseline -o unseen7.json
 //	workloadgen -workload tpcds -scenarios 5 -drift 20 -k 4 -o drift.json
 //
+// When it writes the workload itself, a nonzero -seed selects the
+// workload's generator seed (tpcds and accounting alike; 0 is the canonical
+// workload).
+//
 // With -scenarios > 0 the tool writes a scenario set (the first scenario is
 // the deterministic f=1 baseline unless -no-baseline is set) instead of the
 // workload itself.
@@ -23,40 +27,60 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"fragalloc"
+	"fragalloc/internal/accounting"
+	"fragalloc/internal/model"
 	"fragalloc/internal/service"
+	"fragalloc/internal/tpcds"
 )
 
 func main() {
-	workload := flag.String("workload", "tpcds", "workload: tpcds or accounting")
-	seed := flag.Int64("seed", 0, "generator seed (0 = canonical default)")
-	out := flag.String("o", "", "output file (default stdout)")
-	scenarios := flag.Int("scenarios", 0, "emit a scenario set with this many scenarios instead of the workload")
-	scenarioSeed := flag.Int64("scenario-seed", 0, "seed for -scenarios emission, separate from -seed (0 = use -seed); batch out-of-sample sets by varying it")
-	p := flag.Float64("p", fragalloc.DefaultPresence, "query presence probability for random scenarios")
-	noBaseline := flag.Bool("no-baseline", false, "scenario sets: omit the deterministic f=1 baseline (out-of-sample style)")
-	drift := flag.Int("drift", 0, "emit a stream of this many drift updates for allocd instead of the workload")
-	deltas := flag.Int("drift-deltas", 3, "drift: frequency deltas per plain update")
-	maxDelta := flag.Float64("drift-max", 0.5, "drift: maximum magnitude of one frequency delta")
-	observeProb := flag.Float64("drift-observe", 0.2, "drift: probability an update observes a new scenario")
-	nodeProb := flag.Float64("drift-nodes", 0, "drift: probability an update resizes the cluster by ±1 node")
-	k := flag.Int("k", 0, "drift: starting node count for -drift-nodes random walks")
-	minK := flag.Int("min-k", 1, "drift: lower bound of the node-count walk")
-	maxK := flag.Int("max-k", 0, "drift: upper bound of the node-count walk (0 = none)")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "workloadgen: %v\n", err)
+		os.Exit(1)
+	}
+}
 
-	var w *fragalloc.Workload
+// run is workloadgen's whole behaviour behind main: it parses args and
+// writes the requested JSON to the -o file, or to out when there is none.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("workloadgen", flag.ExitOnError)
+	workload := fs.String("workload", "tpcds", "workload: tpcds or accounting")
+	seed := fs.Int64("seed", 0, "generator seed (0 = canonical default)")
+	outPath := fs.String("o", "", "output file (default stdout)")
+	scenarios := fs.Int("scenarios", 0, "emit a scenario set with this many scenarios instead of the workload")
+	scenarioSeed := fs.Int64("scenario-seed", 0, "seed for -scenarios emission, separate from -seed (0 = use -seed); batch out-of-sample sets by varying it")
+	p := fs.Float64("p", fragalloc.DefaultPresence, "query presence probability for random scenarios")
+	noBaseline := fs.Bool("no-baseline", false, "scenario sets: omit the deterministic f=1 baseline (out-of-sample style)")
+	drift := fs.Int("drift", 0, "emit a stream of this many drift updates for allocd instead of the workload")
+	deltas := fs.Int("drift-deltas", 3, "drift: frequency deltas per plain update")
+	maxDelta := fs.Float64("drift-max", 0.5, "drift: maximum magnitude of one frequency delta")
+	observeProb := fs.Float64("drift-observe", 0.2, "drift: probability an update observes a new scenario")
+	nodeProb := fs.Float64("drift-nodes", 0, "drift: probability an update resizes the cluster by ±1 node")
+	k := fs.Int("k", 0, "drift: starting node count for -drift-nodes random walks")
+	minK := fs.Int("min-k", 1, "drift: lower bound of the node-count walk")
+	maxK := fs.Int("max-k", 0, "drift: upper bound of the node-count walk (0 = none)")
+	_ = fs.Parse(args) // ExitOnError: Parse itself exits on a bad flag or -h
+
+	var generate func(int64) *model.Workload
+	var wseed int64
 	switch *workload {
 	case "tpcds":
-		w = fragalloc.TPCDSWorkload()
+		generate, wseed = tpcds.WorkloadSeed, tpcds.DefaultSeed
 	case "accounting":
-		w = fragalloc.AccountingWorkload()
+		generate, wseed = accounting.WorkloadSeed, accounting.DefaultSeed
 	default:
-		fmt.Fprintf(os.Stderr, "workloadgen: unknown workload %q\n", *workload)
-		os.Exit(2)
+		return fmt.Errorf("unknown workload %q", *workload)
 	}
+	// Only the workload itself is generated under -seed; the scenario and
+	// drift modes sample against the canonical workload.
+	if *seed != 0 && *drift <= 0 && *scenarios <= 0 {
+		wseed = *seed
+	}
+	w := generate(wseed)
 	sseed := *seed
 	if sseed == 0 {
 		sseed = 1
@@ -70,8 +94,7 @@ func main() {
 		// emit, so one seed describes both files of a drift experiment.
 		base := fragalloc.InSampleScenarios(w, max(*scenarios, 1), *p, sseed)
 		if *nodeProb > 0 && *k < 1 {
-			fmt.Fprintln(os.Stderr, "workloadgen: -drift-nodes needs -k (the starting node count)")
-			os.Exit(2)
+			return fmt.Errorf("-drift-nodes needs -k (the starting node count)")
 		}
 		v = service.GenerateDrift(w, base, service.DriftConfig{
 			Updates:         *drift,
@@ -100,22 +123,8 @@ func main() {
 		}
 	}
 
-	if *out == "" {
-		if err := writeJSON(os.Stdout, v); err != nil {
-			fail(err)
-		}
-		return
+	if *outPath == "" {
+		return fragalloc.SaveJSONWriter(out, v)
 	}
-	if err := fragalloc.SaveJSON(*out, v); err != nil {
-		fail(err)
-	}
-}
-
-func writeJSON(f *os.File, v any) error {
-	return fragalloc.SaveJSONWriter(f, v)
-}
-
-func fail(err error) {
-	fmt.Fprintf(os.Stderr, "workloadgen: %v\n", err)
-	os.Exit(1)
+	return fragalloc.SaveJSON(*outPath, v)
 }

@@ -1,0 +1,61 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
+
+// TestRun checks that -seed selects the generator seed of the workload the
+// tool writes — a seed other than the workload's canonical one writes a
+// different workload, the canonical seed the default one — and that a bad
+// flag combination is returned as an error rather than exiting.
+func TestRun(t *testing.T) {
+	emit := func(args []string) (string, error) {
+		var out bytes.Buffer
+		err := run(args, &out)
+		return out.String(), err
+	}
+	for _, tc := range []struct {
+		name    string
+		args    []string
+		same    []string // args whose output must equal this one's
+		differs []string // args whose output must differ from this one's
+		wantErr string
+	}{
+		{name: "tpcds -seed 9", args: []string{"-workload", "tpcds", "-seed", "9"}, differs: []string{"-workload", "tpcds"}},
+		{name: "accounting -seed 9", args: []string{"-workload", "accounting", "-seed", "9"}, differs: []string{"-workload", "accounting"}},
+		{name: "tpcds -seed 1", args: []string{"-workload", "tpcds", "-seed", "1"}, same: []string{"-workload", "tpcds"}},
+		{name: "accounting -seed 7", args: []string{"-workload", "accounting", "-seed", "7"}, same: []string{"-workload", "accounting"}},
+		{name: "drift-nodes without -k", args: []string{"-drift", "3", "-drift-nodes", "0.5"}, wantErr: "-drift-nodes needs -k"},
+		{name: "unknown workload", args: []string{"-workload", "nope"}, wantErr: `unknown workload "nope"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := emit(tc.args)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) || got != "" {
+					t.Fatalf("err %v with %d bytes of output, want an error containing %q and none", err, len(got), tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ref := range []struct {
+				args []string
+				same bool
+			}{{tc.same, true}, {tc.differs, false}} {
+				if ref.args == nil {
+					continue
+				}
+				want, err := emit(ref.args)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if (got == want) != ref.same {
+					t.Errorf("output equals that of %q: %v, want %v", ref.args, got == want, ref.same)
+				}
+			}
+		})
+	}
+}
