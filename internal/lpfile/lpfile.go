@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 
 	"fragalloc/internal/simplex"
 )
@@ -152,7 +153,7 @@ func num(v float64) string {
 	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
 		return fmt.Sprintf("%d", int64(v))
 	}
-	return fmt.Sprintf("%.12g", v)
+	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
 // writeNameList emits names eight per line.

@@ -3,6 +3,7 @@ package lpfile
 import (
 	"bytes"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -103,5 +104,35 @@ func TestRootModelExports(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "Binary") {
 		t.Error("missing Binary section")
+	}
+}
+
+// TestWriteRoundTripsNumbers checks that every number is written so that it
+// parses back to the same float64: a value as objective coefficient, row
+// coefficient, right-hand side and bound, each found bit-identical among the
+// output's tokens.
+func TestWriteRoundTripsNumbers(t *testing.T) {
+	for _, v := range []float64{1.0 / 3, 3.0 / 7000, 1e-300} {
+		p := &simplex.Problem{}
+		x := p.AddVar(v, 1, v)
+		p.AddRow([]int{x}, []float64{v}, simplex.LE, v)
+		var buf bytes.Buffer
+		if err := Write(&buf, p, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		exact := 0
+		for _, tok := range strings.Fields(buf.String()) {
+			f, err := strconv.ParseFloat(tok, 64)
+			switch {
+			case err != nil:
+			case math.Float64bits(f) == math.Float64bits(v):
+				exact++
+			case math.Abs(f-v) <= 1e-9*v:
+				t.Errorf("%v written as %s, which parses back as %v", v, tok, f)
+			}
+		}
+		if exact != 4 {
+			t.Errorf("%v: %d tokens parse back to it exactly, want 4 (objective, coefficient, right-hand side, bound):\n%s", v, exact, buf.String())
+		}
 	}
 }
