@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: check fmt-check vet fragvet build test race benchcompile bench-paper size census traffic
+.PHONY: check fmt-check vet fragvet build test race benchcompile bench-paper goldens size census traffic
 
 check: fmt-check vet fragvet build benchcompile race
 	@echo "make check: all stages passed"
@@ -60,6 +60,13 @@ benchcompile:
 # Paper-scale table/figure benchmarks (the pre-existing root suite).
 bench-paper:
 	$(GO) test -bench . -benchmem -run NONE .
+
+# Every test that pins the search trajectory: the pipeline, simplex, table
+# and service-transcript goldens and the Example outputs. A change that
+# moves a pivot runs this to see, and re-record, everything it moved in one
+# place (~50 s). Not part of `make check`, which runs them all anyway.
+goldens:
+	$(GO) test -run 'Golden|^Example' ./...
 
 # The numbers a simplicity PR and its reviewer both read: non-test Go lines
 # per package and in total (bench/ and testdata directories excluded), and
