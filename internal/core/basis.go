@@ -45,9 +45,9 @@ func (b BasisStarts) String() string {
 
 // The kinds of the roles that name a subproblem model's columns and rows in
 // a journaled basis (checkpoint.Role[0], followed by the indices noted).
-// Queries and fragments are named by ID, so a
-// role keeps naming the same variable when the set of queries a subproblem
-// routes changes between two solves.
+// Queries and fragments are named by ID, so a role keeps naming the same
+// variable when the set of queries a subproblem routes changes between two
+// solves.
 const (
 	roleX        int32 = iota // fragment ID, subnode
 	roleY                     // query ID, subnode
@@ -59,8 +59,8 @@ const (
 	roleConserve              // row (7): query ID, scenario
 )
 
-// roles names the columns and then the rows of build by role, in
-// index order.
+// roles names the columns and then the rows of build by role, in index
+// order.
 func (sp *subproblem) roles(ix *indices) []checkpoint.Role {
 	b, S := int32(ix.b), int32(sp.ss.S())
 	var out []checkpoint.Role

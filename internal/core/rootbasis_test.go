@@ -64,9 +64,8 @@ func solveRootOnly(tb testing.TB, p *simplex.Problem, intVars []int, b *simplex.
 }
 
 // TestRootFromDiveBasis pins the basis handoff on two golden TPC-DS
-// subproblems: the MIP root started from the dive's root basis reaches the
-// cold root's objective in 0 pivots, where the cold root takes
-// hundreds.
+// subproblems: the MIP root started from the dive's root basis is at the
+// cold root's objective in 0 pivots, where the cold root takes hundreds.
 func TestRootFromDiveBasis(t *testing.T) {
 	for _, c := range rootCases() {
 		p, intVars, basis := rootProblem(t, c)

@@ -513,7 +513,6 @@ func (sp *subproblem) solve(opt mip.Options, ck *subCheckpoint, hints ...[][]boo
 	}
 	tr, trErr := sp.newTrimmer(ix, opt.LP)
 	if trErr == nil {
-		// Compress every proposal.
 		for i, start := range opt.Starts {
 			opt.Starts[i] = tr.trim(start)
 		}
