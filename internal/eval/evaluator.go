@@ -45,9 +45,10 @@ type Evaluator struct {
 	g            *maxflow.Graph
 	source, sink int
 	nodeBase     int
-	srcEdges     []int // per class c: source→class
-	midEdges     []int // class→runnable node, capacity 2 (loads sum to ≤ 1)
-	nodeEdges    []int // per node k: node→sink, capacity = probed L
+	srcEdges     []int     // per class c: source→class
+	midEdges     []int     // class→runnable node, capacity 2 (loads sum to ≤ 1)
+	nodeEdges    []int     // per node k: node→sink, capacity = probed L
+	unit, zero   []float64 // per node: the search's weights and offsets
 
 	loads []float64 // per-class normalized load scratch
 }
@@ -87,8 +88,10 @@ func NewEvaluator(w *model.Workload, alloc *model.Allocation, tol float64) *Eval
 		}
 	}
 	e.nodeEdges = make([]int, alloc.K)
+	e.unit, e.zero = make([]float64, alloc.K), make([]float64, alloc.K)
 	for k := range e.nodeEdges {
 		e.nodeEdges[k] = e.g.AddEdge(e.nodeBase+k, e.sink, 0)
+		e.unit[k] = 1
 	}
 	return e
 }
@@ -99,55 +102,17 @@ func NewEvaluator(w *model.Workload, alloc *model.Allocation, tol float64) *Eval
 // depends only on the inputs, never on previous calls.
 //
 // Instead of bisecting L with a from-scratch max-flow per probe (the
-// pre-streaming approach, kept as worstLoadBisect for cross-checking), the
-// search is parametric: the max-flow value F(L) is a concave, piecewise-
-// linear, non-decreasing function of the shared node capacity L, and the
-// slope of the active piece is the number of node vertices on the source
-// side of the current min cut. A Newton step from below — raise L by
-// deficit/slope — lands exactly on the crossing of the active cut's line
-// with the total load, never overshoots the true L̃, and strictly decreases
-// the slope whenever the deficit survives, so it converges in at most K
-// max-flow continuations. Because L only ever grows, each continuation
-// keeps all previously routed flow and pushes just the remaining deficit.
+// pre-streaming approach, kept as worstLoadBisect for cross-checking), it
+// runs the parametric Newton search maxflow.MinLevel with every node's
+// capacity at L (unit weights, no offsets): at most K max-flow
+// continuations, each keeping the flow routed before it.
 func (e *Evaluator) WorstLoad(freq []float64) (float64, error) {
 	lo, totalLoad, err := e.prepare(freq)
 	if err != nil || math.IsInf(lo, 1) {
 		return lo, err
 	}
-	l := lo
-	e.resetCapacities(l)
-	flow := e.g.MaxFlow(e.source, e.sink, e.tol/16)
-	// ≤ K productive steps; the slack is float-rounding insurance.
-	for iter := 0; iter < e.alloc.K+8; iter++ {
-		deficit := totalLoad - flow
-		if deficit <= e.tol/4 || l >= 1 {
-			return l, nil
-		}
-		m := 0
-		for k := range e.nodeEdges {
-			if e.g.SourceSide(e.nodeBase + k) {
-				m++
-			}
-		}
-		if m == 0 {
-			// Unreachable while deficit > tol/4 ≫ the flow epsilon; only
-			// float dust could get here, and a full-slope step is safe.
-			m = 1
-		}
-		step := deficit / float64(m)
-		if step < e.tol/16 {
-			step = e.tol / 16
-		}
-		if l+step > 1 {
-			step = 1 - l
-		}
-		l += step
-		for _, id := range e.nodeEdges {
-			e.g.AddCapacity(id, step)
-		}
-		flow += e.g.MaxFlow(e.source, e.sink, e.tol/16)
-	}
-	return l, nil
+	e.resetCapacities(lo)
+	return e.g.MinLevel(e.source, e.sink, e.nodeEdges, e.unit, e.zero, lo, 1, totalLoad, e.tol), nil
 }
 
 // worstLoadBisect is the reference search: binary-search L with an

@@ -1,17 +1,21 @@
 // Package maxflow implements Dinic's maximum-flow algorithm on graphs with
-// float64 capacities.
+// float64 capacities, and the parametric search built on it.
 //
-// The allocation evaluator (package eval) uses it to decide, for a candidate
-// worst-case load limit L, whether a query workload can be routed to the
-// nodes of a fixed fragment allocation without any node exceeding L — a
-// bipartite transportation feasibility question. A binary search over L then
-// yields the minimal worst-case load share L̃ of Section 4.2 of the paper,
-// orders of magnitude faster than re-solving the LP, and is cross-checked
-// against the LP evaluator in tests.
+// MinLevel answers a transportation question: what is the least level L at
+// which a given demand can be routed when every sink edge b admits
+// w_b·L − off_b? The max-flow value is a concave, piecewise-linear function
+// of L, so Newton steps from below land on the answer in at most one
+// max-flow continuation per sink edge. It has two consumers. The allocation
+// evaluator (package eval) finds the worst-case load share L̃ of Section 4.2
+// of the paper with unit weights and zero offsets, orders of magnitude
+// faster than re-solving the LP and cross-checked against the LP evaluator
+// in tests. The subproblem trim (package core) routes a fixed placement's
+// inherited shares over weighted subnodes, with subnode 0's pinned load as
+// its offset.
 //
 // A Graph owns its BFS/DFS scratch, so repeated MaxFlow runs on the same
-// graph (the evaluator's binary search, and its streaming driver's reuse of
-// one graph across thousands of scenarios) allocate nothing. A Graph is
+// graph (the parametric search, and the streaming evaluator's reuse of one
+// graph across thousands of scenarios) allocate nothing. A Graph is
 // therefore not safe for concurrent use; the streaming evaluator gives each
 // worker its own.
 package maxflow
@@ -56,7 +60,7 @@ func (g *Graph) Flow(id int) float64 { return g.cap[id^1] }
 
 // SetCapacity resets the capacity of edge id and zeroes its residual
 // counterpart, allowing the graph to be re-used across MaxFlow runs with
-// different capacities (the evaluator's binary search does this).
+// different capacities.
 func (g *Graph) SetCapacity(id int, capacity float64) {
 	g.cap[id] = capacity
 	g.cap[id^1] = 0
@@ -105,6 +109,67 @@ func (g *Graph) MaxFlow(s, t int, eps float64) float64 {
 		}
 	}
 	return total
+}
+
+// MinLevel returns the least level L ≥ lo at which a flow of value demand
+// fits from s to t when each sink edge sinks[b] has capacity w[b]·L − off[b]
+// and every other edge the capacity it was last set to; the caller resets
+// those (SetCapacity) before the call. L never exceeds hi, and is returned
+// within tol of the exact level, never above it. On return the graph holds
+// a maximum flow at the returned level.
+//
+// The search is parametric: above the level where every sink capacity is
+// non-negative, the max-flow value F(L) is concave, piecewise-linear and
+// non-decreasing, and the slope of the active piece is the summed weight of
+// the sink edges whose tails lie on the source side of the current min cut.
+// A Newton step from below — raise L by deficit/slope — lands exactly on
+// the crossing of the active cut's line with the demand, never overshoots,
+// and strictly decreases the slope whenever the deficit survives, so it
+// converges in at most len(sinks) max-flow continuations. Because L only
+// grows, each continuation keeps all previously routed flow and pushes just
+// the remaining deficit.
+func (g *Graph) MinLevel(s, t int, sinks []int, w, off []float64, lo, hi, demand, tol float64) float64 {
+	l := lo
+	for b := range sinks {
+		if v := off[b] / w[b]; v > l {
+			l = v
+		}
+	}
+	for b, id := range sinks {
+		g.SetCapacity(id, w[b]*l-off[b])
+	}
+	flow := g.MaxFlow(s, t, tol/16)
+	// ≤ len(sinks) productive steps; the slack is float-rounding insurance.
+	for iter := 0; iter < len(sinks)+8; iter++ {
+		deficit := demand - flow
+		if deficit <= tol/4 || l >= hi {
+			return l
+		}
+		var m float64
+		for b, id := range sinks {
+			if g.SourceSide(g.to[id^1]) {
+				m += w[b]
+			}
+		}
+		if m == 0 {
+			// Unreachable while deficit > tol/4 ≫ the flow epsilon; only
+			// float dust could get here, and a unit-slope step is safe.
+			m = 1
+		}
+		step := deficit / m
+		if step < tol/16 {
+			step = tol / 16
+		}
+		if l+step > hi {
+			step = hi - l
+		}
+		l += step
+		for b, id := range sinks {
+			g.AddCapacity(id, w[b]*step)
+		}
+		flow += g.MaxFlow(s, t, tol/16)
+	}
+	return l
 }
 
 // bfs builds the level graph of the current residual network and reports
