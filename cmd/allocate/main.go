@@ -56,6 +56,7 @@ import (
 	"fragalloc"
 	"fragalloc/internal/checkpoint"
 	"fragalloc/internal/mip"
+	"fragalloc/internal/scenario"
 	"fragalloc/internal/shutdown"
 )
 
@@ -88,6 +89,9 @@ func main() {
 	exportLP := flag.String("export-lp", "", "write the exact MIP in CPLEX LP format to this file and exit")
 	verbose := flag.Bool("v", false, "progress logging to stderr")
 	flag.Parse()
+	if err := scenario.CheckPresence(*p); err != nil {
+		fail(fmt.Errorf("-p: %w", err))
+	}
 
 	// Ctrl-C / SIGTERM and -timeout share one cancellation context: the
 	// solvers poll ctx.Err down to individual simplex iterations and wind

@@ -76,6 +76,7 @@ import (
 
 	"fragalloc"
 	"fragalloc/internal/mip"
+	"fragalloc/internal/scenario"
 	"fragalloc/internal/service"
 	"fragalloc/internal/shutdown"
 )
@@ -112,6 +113,9 @@ func main() {
 	maxPending := flag.Int("max-pending", 0, "max updates pending behind the incumbent before 429 (0 = unbounded)")
 	verbose := flag.Bool("v", false, "progress logging to stderr")
 	flag.Parse()
+	if err := scenario.CheckPresence(*p); err != nil {
+		fail(fmt.Errorf("-p: %w", err))
+	}
 
 	ctx, cancel := shutdown.Graceful("allocd", exitInternal)
 	defer cancel()

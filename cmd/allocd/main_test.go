@@ -1,6 +1,41 @@
 package main
 
-import "testing"
+import (
+	"context"
+	"errors"
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+	"time"
+)
+
+// TestMain lets a test run the command: a test binary whose first argument
+// is "allocd" runs main on the arguments after it.
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == "allocd" {
+		os.Args = append(os.Args[:1], os.Args[2:]...)
+		main()
+		os.Exit(exitOK)
+	}
+	os.Exit(m.Run())
+}
+
+// TestPresenceOutOfRange checks that a -p outside (0,1] ends in a one-line
+// error and exit 1 before the daemon starts, not a panic in the scenario
+// sampler.
+func TestPresenceOutOfRange(t *testing.T) {
+	for _, p := range []string{"1.5", "0", "NaN"} {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		out, err := exec.CommandContext(ctx, os.Args[0], "allocd", "-workload", "tpcds", "-scenarios", "2", "-p", p, "-addr", "127.0.0.1:0").CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != exitInternal ||
+			!strings.HasPrefix(string(out), "allocd: -p: ") || strings.Count(string(out), "\n") != 1 {
+			t.Errorf("-p %s: %v, output %q; want exit %d and one line about -p", p, err, out, exitInternal)
+		}
+	}
+}
 
 // TestSolverProgress pins what quiet mode (no -v) drops: the solver's
 // progress lines and nothing else — a failed journal write, a lost lease or

@@ -17,6 +17,7 @@ import (
 	"os"
 
 	"fragalloc"
+	"fragalloc/internal/scenario"
 )
 
 func main() {
@@ -40,6 +41,9 @@ func run(args []string, out io.Writer) error {
 	perScenario := fs.Bool("per-scenario", false, "print L~ for every scenario")
 	parallel := fs.Int("parallel", 0, "evaluation worker pool width (0 = GOMAXPROCS); results are identical at any width")
 	_ = fs.Parse(args) // ExitOnError: Parse itself exits on a bad flag or -h
+	if err := scenario.CheckPresence(*p); err != nil {
+		return fmt.Errorf("-p: %w", err)
+	}
 
 	if *allocPath == "" {
 		return fmt.Errorf("-alloc is required")

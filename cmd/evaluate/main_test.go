@@ -52,3 +52,15 @@ func TestRunValidatesScenarioFile(t *testing.T) {
 		})
 	}
 }
+
+// TestRunRejectsPresence checks that a -p outside (0,1] is a one-line error,
+// not a panic in the scenario sampler.
+func TestRunRejectsPresence(t *testing.T) {
+	for _, p := range []string{"1.5", "0", "-0.5", "NaN"} {
+		var out bytes.Buffer
+		err := run([]string{"-workload", "tpcds", "-scenarios", "2", "-p", p}, &out)
+		if err == nil || !strings.HasPrefix(err.Error(), "-p: ") || strings.Contains(err.Error(), "\n") || out.Len() > 0 {
+			t.Errorf("-p %s: err %v with output %q, want one line about -p and no report", p, err, out.String())
+		}
+	}
+}

@@ -33,6 +33,7 @@ import (
 	"fragalloc"
 	"fragalloc/internal/accounting"
 	"fragalloc/internal/model"
+	"fragalloc/internal/scenario"
 	"fragalloc/internal/service"
 	"fragalloc/internal/tpcds"
 )
@@ -64,6 +65,9 @@ func run(args []string, out io.Writer) error {
 	minK := fs.Int("min-k", 1, "drift: lower bound of the node-count walk")
 	maxK := fs.Int("max-k", 0, "drift: upper bound of the node-count walk (0 = none)")
 	_ = fs.Parse(args) // ExitOnError: Parse itself exits on a bad flag or -h
+	if err := scenario.CheckPresence(*p); err != nil {
+		return fmt.Errorf("-p: %w", err)
+	}
 
 	var generate func(int64) *model.Workload
 	var wseed int64

@@ -52,14 +52,23 @@ func OutOfSample(w *model.Workload, count int, p float64, seed int64) *model.Sce
 	return ss
 }
 
+// CheckPresence returns an error unless p is a presence probability in
+// (0,1]; the commands check their -p with it before sampling.
+func CheckPresence(p float64) error {
+	if !(p > 0 && p <= 1) {
+		return fmt.Errorf("scenario: presence probability %g outside (0,1]", p)
+	}
+	return nil
+}
+
 // Sample draws one frequency vector over q queries from rng: each query is
 // present with probability p at f = U(0,2)/p, else 0, and at least one query
 // is always kept so the scenario carries load. It panics when p is outside
-// (0,1]. InSample and OutOfSample draw their scenarios with it, and the
-// daemon's drift generator its observed ones.
+// (0,1] (see CheckPresence). InSample and OutOfSample draw their scenarios
+// with it, and the daemon's drift generator its observed ones.
 func Sample(rng *rand.Rand, q int, p float64) []float64 {
-	if p <= 0 || p > 1 {
-		panic(fmt.Sprintf("scenario: presence probability %g outside (0,1]", p))
+	if err := CheckPresence(p); err != nil {
+		panic(err.Error())
 	}
 	freq := make([]float64, q)
 	any := false
