@@ -97,8 +97,15 @@ func run(args []string, out io.Writer) error {
 		// frequency deltas may hit; it matches what -scenarios alone would
 		// emit, so one seed describes both files of a drift experiment.
 		base := fragalloc.InSampleScenarios(w, max(*scenarios, 1), *p, sseed)
-		if *nodeProb > 0 && *k < 1 {
-			return fmt.Errorf("-drift-nodes needs -k (the starting node count)")
+		if *nodeProb > 0 {
+			switch lo := max(*minK, 1); {
+			case *k < 1:
+				return fmt.Errorf("-drift-nodes needs -k (the starting node count)")
+			case *k < lo || *maxK > 0 && *k > *maxK:
+				return fmt.Errorf("-k %d outside [-min-k, -max-k] = [%d, %d]", *k, lo, *maxK)
+			case *maxK > 0 && *maxK <= lo:
+				return fmt.Errorf("-drift-nodes needs room to walk: -min-k %d, -max-k %d", lo, *maxK)
+			}
 		}
 		v = service.GenerateDrift(w, base, service.DriftConfig{
 			Updates:         *drift,

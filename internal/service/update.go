@@ -87,8 +87,9 @@ type DriftConfig struct {
 	ObserveProb float64
 	Presence    float64
 	// NodeProb, when positive, is the probability an update resizes the
-	// cluster by ±1 node, random-walking K within [MinK, MaxK] from
-	// StartK.
+	// cluster by ±1 node, random-walking K within [MinK, MaxK] (MaxK 0 =
+	// no upper bound) from StartK; a walk with no step inside the bounds
+	// stays put.
 	NodeProb   float64
 	MinK, MaxK int
 	StartK     int
@@ -121,24 +122,21 @@ func GenerateDrift(w *model.Workload, base *model.ScenarioSet, cfg DriftConfig) 
 	q := len(w.Queries)
 	scenarios := base.S()
 	k := cfg.StartK
+	inBounds := func(n int) bool { return n >= max(cfg.MinK, 1) && (cfg.MaxK <= 0 || n <= cfg.MaxK) }
 	var updates []Update
 	for len(updates) < cfg.Updates {
 		var u Update
 		switch {
-		case cfg.NodeProb > 0 && k > 0 && rng.Float64() < cfg.NodeProb:
-			// Node join/leave: random-walk K one step inside the bounds.
+		case cfg.NodeProb > 0 && k > 0 && (inBounds(k-1) || inBounds(k+1)) && rng.Float64() < cfg.NodeProb:
+			// Node join/leave: random-walk K one step inside the bounds,
+			// the other way when the drawn step would leave them. Bounds
+			// that leave no step never draw one.
 			nk := k + 1
 			if rng.Float64() < 0.5 {
 				nk = k - 1
 			}
-			if nk < cfg.MinK || nk < 1 {
-				nk = k + 1
-			}
-			if cfg.MaxK > 0 && nk > cfg.MaxK {
-				nk = k - 1
-			}
-			if nk == k || nk < 1 {
-				continue
+			if !inBounds(nk) {
+				nk = 2*k - nk
 			}
 			k = nk
 			u.SetK = nk

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"fragalloc/internal/model"
 	"fragalloc/internal/scenario"
@@ -159,5 +160,36 @@ func TestDriftGeneratorValidStream(t *testing.T) {
 	}
 	if ss.S() != base.S()+observes {
 		t.Errorf("final S = %d, want %d", ss.S(), base.S()+observes)
+	}
+}
+
+// TestDriftGeneratorBoundsLeaveNoRoom pins the node walk at bounds with no
+// step inside them: a start at MinK = MaxK draws no resize at all (the walk
+// used to spin forever at K = 1 and step below MinK at K = 3), and a walk
+// started above MaxK steps only into the bounds.
+func TestDriftGeneratorBoundsLeaveNoRoom(t *testing.T) {
+	w := updateWorkload(t)
+	base := scenario.InSample(w, 2, 0.75, 1)
+	for _, cfg := range []DriftConfig{
+		{Updates: 20, Seed: 1, NodeProb: 1, StartK: 1, MinK: 1, MaxK: 1},
+		{Updates: 20, Seed: 1, NodeProb: 1, StartK: 3, MinK: 3, MaxK: 3},
+		{Updates: 20, Seed: 1, NodeProb: 1, StartK: 5, MinK: 2, MaxK: 4},
+	} {
+		done := make(chan []Update, 1)
+		go func() { done <- GenerateDrift(w, base, cfg) }()
+		var updates []Update
+		select {
+		case updates = <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%+v: GenerateDrift did not return", cfg)
+		}
+		if len(updates) != cfg.Updates {
+			t.Fatalf("%+v: got %d updates, want %d", cfg, len(updates), cfg.Updates)
+		}
+		for i, u := range updates {
+			if u.SetK != 0 && (u.SetK < cfg.MinK || u.SetK > cfg.MaxK) {
+				t.Fatalf("%+v: update %d sets K %d", cfg, i, u.SetK)
+			}
+		}
 	}
 }
