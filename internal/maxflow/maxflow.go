@@ -5,13 +5,15 @@
 // which a given demand can be routed when every sink edge b admits
 // w_b·L − off_b? The max-flow value is a concave, piecewise-linear function
 // of L, so Newton steps from below land on the answer in at most one
-// max-flow continuation per sink edge. It has two consumers. The allocation
-// evaluator (package eval) finds the worst-case load share L̃ of Section 4.2
-// of the paper with unit weights and zero offsets, orders of magnitude
-// faster than re-solving the LP and cross-checked against the LP evaluator
-// in tests. The subproblem trim (package core) routes a fixed placement's
-// inherited shares over weighted subnodes, with subnode 0's pinned load as
-// its offset.
+// max-flow continuation per sink edge. The allocation evaluator (package
+// eval) runs it with unit weights and zero offsets to find the worst-case
+// load share L̃ of Section 4.2 of the paper, orders of magnitude faster
+// than re-solving the LP and cross-checked against the LP evaluator in
+// tests. Weights and offsets state a subproblem's routing rows (6)–(7) at a
+// fixed placement — subnode weights w_b, and subnode 0's load pinned by the
+// fixed queries — which the subproblem trim (package core) still answers
+// with a routing LP; TestFlowMatchesLP pins that form of the search against
+// the simplex.
 //
 // A Graph owns its BFS/DFS scratch, so repeated MaxFlow runs on the same
 // graph (the parametric search, and the streaming evaluator's reuse of one
