@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: check fmt-check vet fragvet build test race benchcompile bench-paper goldens size census traffic
+.PHONY: check fmt-check vet fragvet build test race benchcompile bench-paper goldens size census traffic profile
 
 check: fmt-check vet fragvet build benchcompile race
 	@echo "make check: all stages passed"
@@ -114,3 +114,17 @@ traffic:
 	GOCOVERDIR="$$dir/cov" "$$dir/bench" trace -seed 1 -out "$$dir/out" >"$$dir/log" 2>&1 || { cat "$$dir/log"; exit 1; }; \
 	$(GO) tool covdata func -i="$$dir/cov" | \
 		awk '$$NF == "0.0%" && $$1 !~ /^fragalloc\/(bench|cmd|internal\/analysis)\// { print $$1, $$2 }'
+
+# Where does one batch solve spend its CPU? Profiles TestPipelineGolden (the
+# golden TPC-DS subproblems, ~10 s) into a temp dir — no source patch, and
+# nothing written to the checkout — and prints pprof's top functions by flat
+# and by cumulative time, all of them by cum. A layer's share is the cum row
+# of its entry point, e.g. (*trimmer).trim for the trim. A failing golden
+# still prints its profile, so a change that moves the trajectory can be
+# profiled before it re-records. Not part of `make check`.
+profile:
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) test -count=1 -run '^TestPipelineGolden$$' -cpuprofile "$$dir/cpu.prof" -o "$$dir/core.test" ./internal/core; \
+	[ -s "$$dir/cpu.prof" ] || exit 1; \
+	echo "== by flat"; $(GO) tool pprof -top -nodecount=30 "$$dir/core.test" "$$dir/cpu.prof" 2>/dev/null; \
+	echo "== by cum"; $(GO) tool pprof -top -cum -nodecount=0 "$$dir/core.test" "$$dir/cpu.prof" 2>/dev/null
