@@ -1,25 +1,15 @@
 // Package maxflow implements Dinic's maximum-flow algorithm on graphs with
-// float64 capacities, and the parametric search built on it.
+// float64 capacities, and MinLevel, the parametric search on it: the least
+// level L at which a demand can be routed when each sink edge b admits
+// w_b·L − off_b. The allocation evaluator (package eval) runs it with unit
+// weights and no offsets for the worst-case load share L̃ of Section 4.2 of
+// the paper, cross-checked against the LP evaluator in tests. Weighted,
+// offset sinks state a subproblem's routing rows (6)–(7) at a fixed
+// placement, which the trim (package core) still answers with an LP.
 //
-// MinLevel answers a transportation question: what is the least level L at
-// which a given demand can be routed when every sink edge b admits
-// w_b·L − off_b? The max-flow value is a concave, piecewise-linear function
-// of L, so Newton steps from below land on the answer in at most one
-// max-flow continuation per sink edge. The allocation evaluator (package
-// eval) runs it with unit weights and zero offsets to find the worst-case
-// load share L̃ of Section 4.2 of the paper, orders of magnitude faster
-// than re-solving the LP and cross-checked against the LP evaluator in
-// tests. Weights and offsets state a subproblem's routing rows (6)–(7) at a
-// fixed placement — subnode weights w_b, and subnode 0's load pinned by the
-// fixed queries — which the subproblem trim (package core) still answers
-// with a routing LP; TestFlowMatchesLP pins that form of the search against
-// the simplex.
-//
-// A Graph owns its BFS/DFS scratch, so repeated MaxFlow runs on the same
-// graph (the parametric search, and the streaming evaluator's reuse of one
-// graph across thousands of scenarios) allocate nothing. A Graph is
-// therefore not safe for concurrent use; the streaming evaluator gives each
-// worker its own.
+// A Graph owns its BFS/DFS scratch, so repeated MaxFlow runs on one graph
+// allocate nothing; it is therefore not safe for concurrent use, and the
+// streaming evaluator gives each worker its own.
 package maxflow
 
 import "math"
@@ -115,21 +105,17 @@ func (g *Graph) MaxFlow(s, t int, eps float64) float64 {
 
 // MinLevel returns the least level L ≥ lo at which a flow of value demand
 // fits from s to t when each sink edge sinks[b] has capacity w[b]·L − off[b]
-// and every other edge the capacity it was last set to; the caller resets
-// those (SetCapacity) before the call. L never exceeds hi, and is returned
-// within tol of the exact level, never above it. On return the graph holds
-// a maximum flow at the returned level.
+// and every other edge the capacity the caller last set (SetCapacity). L is
+// within tol below the exact level, never above it, and at most hi; the
+// graph is left holding a maximum flow at L.
 //
-// The search is parametric: above the level where every sink capacity is
-// non-negative, the max-flow value F(L) is concave, piecewise-linear and
-// non-decreasing, and the slope of the active piece is the summed weight of
-// the sink edges whose tails lie on the source side of the current min cut.
-// A Newton step from below — raise L by deficit/slope — lands exactly on
-// the crossing of the active cut's line with the demand, never overshoots,
-// and strictly decreases the slope whenever the deficit survives, so it
-// converges in at most len(sinks) max-flow continuations. Because L only
-// grows, each continuation keeps all previously routed flow and pushes just
-// the remaining deficit.
+// Above the level where every sink capacity is non-negative, the max-flow
+// value is concave and piecewise-linear in L, and the slope of the active
+// piece is the summed weight of the sink edges whose tails lie on the
+// source side of the min cut. A Newton step from below — L += deficit/slope
+// — never overshoots and strictly decreases the slope while a deficit
+// survives, so at most len(sinks) max-flow continuations reach the level;
+// since L only grows, each keeps the flow routed before it.
 func (g *Graph) MinLevel(s, t int, sinks []int, w, off []float64, lo, hi, demand, tol float64) float64 {
 	l := lo
 	for b := range sinks {
@@ -153,9 +139,7 @@ func (g *Graph) MinLevel(s, t int, sinks []int, w, off []float64, lo, hi, demand
 				m += w[b]
 			}
 		}
-		if m == 0 {
-			// Unreachable while deficit > tol/4 ≫ the flow epsilon; only
-			// float dust could get here, and a unit-slope step is safe.
+		if m == 0 { // float dust only: deficit > tol/4 ≫ the flow epsilon
 			m = 1
 		}
 		step := deficit / m
