@@ -27,8 +27,8 @@ func TestMain(m *testing.M) {
 func TestPresenceOutOfRange(t *testing.T) {
 	for _, p := range []string{"1.5", "0", "NaN"} {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		defer cancel()
 		out, err := exec.CommandContext(ctx, os.Args[0], "allocd", "-workload", "tpcds", "-scenarios", "2", "-p", p, "-addr", "127.0.0.1:0").CombinedOutput()
+		cancel()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != exitInternal ||
 			!strings.HasPrefix(string(out), "allocd: -p: ") || strings.Count(string(out), "\n") != 1 {
