@@ -106,8 +106,8 @@ func (g *Graph) MaxFlow(s, t int, eps float64) float64 {
 // MinLevel returns the least level L ≥ lo at which a flow of value demand
 // fits from s to t when each sink edge sinks[b] has capacity w[b]·L − off[b]
 // and every other edge the capacity the caller last set (SetCapacity). L is
-// within tol below the exact level, never above it, and at most hi; the
-// graph is left holding a maximum flow at L.
+// within tol of the exact level and at most hi; the graph is left holding a
+// maximum flow at L.
 //
 // Above the level where every sink capacity is non-negative, the max-flow
 // value is concave and piecewise-linear in L, and the slope of the active
