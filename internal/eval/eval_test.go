@@ -5,9 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"fragalloc/internal/maxflow"
 	"fragalloc/internal/model"
-	"fragalloc/internal/simplex"
 )
 
 func randomWorkload(rng *rand.Rand, n, q int) *model.Workload {
@@ -130,9 +128,7 @@ func TestZeroCostScenarioRejected(t *testing.T) {
 }
 
 // TestFlowMatchesLP is the central property test: the two independent
-// evaluators must agree on random allocations and scenarios, and the
-// parametric search under weighted, offset sinks must meet the simplex on
-// the routing LP with those rows.
+// evaluators must agree on random allocations and scenarios.
 func TestFlowMatchesLP(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 60; trial++ {
@@ -161,64 +157,6 @@ func TestFlowMatchesLP(t *testing.T) {
 			t.Fatalf("trial %d: LP %.9f vs flow %.9f", trial, lp, fl)
 		}
 	}
-
-	// The search with weighted sinks and offsets — each node b admits
-	// w_b·L − off_b — against the same routing LP with those rows.
-	for trial := 0; trial < 60; trial++ {
-		nq, k := 2+rng.Intn(12), 2+rng.Intn(4)
-		w, off := make([]float64, k), make([]float64, k)
-		for b := range w {
-			w[b] = 0.2 + rng.Float64()
-			if rng.Float64() < 0.5 {
-				off[b] = rng.Float64() * 0.3
-			}
-		}
-		g := maxflow.NewGraph(1 + nq + k + 1)
-		sink := 1 + nq + k
-		p := &simplex.Problem{}
-		l := p.AddVar(0, math.Inf(1), 1)
-		rows := make([][]int, k)
-		var demand float64
-		for j := 0; j < nq; j++ {
-			load := rng.Float64()
-			demand += load
-			g.AddEdge(0, 1+j, load)
-			var idx []int
-			for b, first := 0, rng.Intn(k); b < k; b++ {
-				if b != first && rng.Float64() < 0.5 {
-					continue
-				}
-				g.AddEdge(1+j, 1+nq+b, 2)
-				col := p.AddVar(0, math.Inf(1), 0)
-				idx = append(idx, col)
-				rows[b] = append(rows[b], col)
-			}
-			p.AddRow(idx, ones(len(idx)), simplex.EQ, load)
-		}
-		sinks := make([]int, k)
-		var wsum, offsum float64
-		for b := range sinks {
-			sinks[b] = g.AddEdge(1+nq+b, sink, 0)
-			p.AddRow(append(rows[b], l), append(ones(len(rows[b])), -w[b]), simplex.LE, -off[b])
-			wsum, offsum = wsum+w[b], offsum+off[b]
-		}
-		res, err := simplex.Solve(p, simplex.Options{})
-		if err != nil || res.Status != simplex.StatusOptimal {
-			t.Fatalf("weighted trial %d: LP %v %v", trial, err, res.Status)
-		}
-		fl := g.MinLevel(0, sink, sinks, w, off, (demand+offsum)/wsum, math.Inf(1), demand, 1e-12)
-		if math.Abs(res.Obj-fl) > 1e-9 {
-			t.Fatalf("weighted trial %d: LP %.12f vs flow %.12f", trial, res.Obj, fl)
-		}
-	}
-}
-
-func ones(n int) []float64 {
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = 1
-	}
-	return v
 }
 
 func TestEvaluateMetrics(t *testing.T) {

@@ -45,10 +45,9 @@ type Evaluator struct {
 	g            *maxflow.Graph
 	source, sink int
 	nodeBase     int
-	srcEdges     []int     // per class c: source→class
-	midEdges     []int     // class→runnable node, capacity 2 (loads sum to ≤ 1)
-	nodeEdges    []int     // per node k: node→sink, capacity = probed L
-	unit, zero   []float64 // per node: the search's weights and offsets
+	srcEdges     []int // per class c: source→class
+	midEdges     []int // class→runnable node, capacity 2 (loads sum to ≤ 1)
+	nodeEdges    []int // per node k: node→sink, capacity = probed L
 
 	loads []float64 // per-class normalized load scratch
 }
@@ -88,10 +87,8 @@ func NewEvaluator(w *model.Workload, alloc *model.Allocation, tol float64) *Eval
 		}
 	}
 	e.nodeEdges = make([]int, alloc.K)
-	e.unit, e.zero = make([]float64, alloc.K), make([]float64, alloc.K)
 	for k := range e.nodeEdges {
 		e.nodeEdges[k] = e.g.AddEdge(e.nodeBase+k, e.sink, 0)
-		e.unit[k] = 1
 	}
 	return e
 }
@@ -104,15 +101,15 @@ func NewEvaluator(w *model.Workload, alloc *model.Allocation, tol float64) *Eval
 // Instead of bisecting L with a from-scratch max-flow per probe (the
 // pre-streaming approach, kept as worstLoadBisect for cross-checking), it
 // runs the parametric Newton search maxflow.MinLevel with every node's
-// capacity at L (unit weights, no offsets): at most K max-flow
-// continuations, each keeping the flow routed before it.
+// capacity at L: at most K max-flow continuations, each keeping the flow
+// routed before it.
 func (e *Evaluator) WorstLoad(freq []float64) (float64, error) {
 	lo, totalLoad, err := e.prepare(freq)
 	if err != nil || math.IsInf(lo, 1) {
 		return lo, err
 	}
 	e.resetCapacities(lo)
-	return e.g.MinLevel(e.source, e.sink, e.nodeEdges, e.unit, e.zero, lo, 1, totalLoad, e.tol), nil
+	return e.g.MinLevel(e.source, e.sink, e.nodeEdges, lo, 1, totalLoad, e.tol), nil
 }
 
 // worstLoadBisect is the reference search: binary-search L with an

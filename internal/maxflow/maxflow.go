@@ -1,11 +1,10 @@
 // Package maxflow implements Dinic's maximum-flow algorithm on graphs with
 // float64 capacities, and MinLevel, the parametric search on it: the least
-// level L at which a demand can be routed when each sink edge b admits
-// w_b·L − off_b. The allocation evaluator (package eval) runs it with unit
-// weights and no offsets for the worst-case load share L̃ of Section 4.2 of
-// the paper, cross-checked against the LP evaluator in tests. Weighted,
-// offset sinks state a subproblem's routing rows (6)–(7) at a fixed
-// placement, which the trim (package core) still answers with an LP.
+// level L at which a demand can be routed when every sink edge admits L.
+// The allocation evaluator (package eval) runs it for the worst-case load
+// share L̃ of Section 4.2 of the paper, cross-checked against the LP
+// evaluator in tests. The trim (package core) still routes a subproblem's
+// rows (6)–(7) at a fixed placement with an LP.
 //
 // A Graph owns its BFS/DFS scratch, so repeated MaxFlow runs on one graph
 // allocate nothing; it is therefore not safe for concurrent use, and the
@@ -104,28 +103,19 @@ func (g *Graph) MaxFlow(s, t int, eps float64) float64 {
 }
 
 // MinLevel returns the least level L ≥ lo at which a flow of value demand
-// fits from s to t when each sink edge sinks[b] has capacity w[b]·L − off[b]
-// and every other edge the capacity the caller last set (SetCapacity). L is
-// within tol of the exact level and at most hi; the graph is left holding a
-// maximum flow at L.
+// fits from s to t when every sink edge in sinks has capacity L. On entry
+// the caller has set every capacity (SetCapacity), the sink edges' at lo.
+// L is within tol of the exact level and at most hi; the graph is left
+// holding a maximum flow at L.
 //
-// Above the level where every sink capacity is non-negative, the max-flow
-// value is concave and piecewise-linear in L, and the slope of the active
-// piece is the summed weight of the sink edges whose tails lie on the
+// The max-flow value is concave and piecewise-linear in L, and the slope of
+// the active piece is the number of sink edges whose tails lie on the
 // source side of the min cut. A Newton step from below — L += deficit/slope
 // — never overshoots and strictly decreases the slope while a deficit
 // survives, so at most len(sinks) max-flow continuations reach the level;
 // since L only grows, each keeps the flow routed before it.
-func (g *Graph) MinLevel(s, t int, sinks []int, w, off []float64, lo, hi, demand, tol float64) float64 {
+func (g *Graph) MinLevel(s, t int, sinks []int, lo, hi, demand, tol float64) float64 {
 	l := lo
-	for b := range sinks {
-		if v := off[b] / w[b]; v > l {
-			l = v
-		}
-	}
-	for b, id := range sinks {
-		g.SetCapacity(id, w[b]*l-off[b])
-	}
 	flow := g.MaxFlow(s, t, tol/16)
 	// ≤ len(sinks) productive steps; the slack is float-rounding insurance.
 	for iter := 0; iter < len(sinks)+8; iter++ {
@@ -133,16 +123,16 @@ func (g *Graph) MinLevel(s, t int, sinks []int, w, off []float64, lo, hi, demand
 		if deficit <= tol/4 || l >= hi {
 			return l
 		}
-		var m float64
-		for b, id := range sinks {
+		m := 0
+		for _, id := range sinks {
 			if g.SourceSide(g.to[id^1]) {
-				m += w[b]
+				m++
 			}
 		}
 		if m == 0 { // float dust only: deficit > tol/4 ≫ the flow epsilon
 			m = 1
 		}
-		step := deficit / m
+		step := deficit / float64(m)
 		if step < tol/16 {
 			step = tol / 16
 		}
@@ -150,8 +140,8 @@ func (g *Graph) MinLevel(s, t int, sinks []int, w, off []float64, lo, hi, demand
 			step = hi - l
 		}
 		l += step
-		for b, id := range sinks {
-			g.AddCapacity(id, w[b]*step)
+		for _, id := range sinks {
+			g.AddCapacity(id, step)
 		}
 		flow += g.MaxFlow(s, t, tol/16)
 	}
