@@ -88,8 +88,8 @@ type DriftConfig struct {
 	Presence    float64
 	// NodeProb, when positive, is the probability an update resizes the
 	// cluster by ±1 node, random-walking K within [MinK, MaxK] (MaxK 0 =
-	// no upper bound) from StartK; a walk with no step inside the bounds
-	// stays put.
+	// no upper bound) from StartK. A StartK outside the bounds walks
+	// toward them; bounds with no room for a step keep K where it is.
 	NodeProb   float64
 	MinK, MaxK int
 	StartK     int
@@ -122,20 +122,31 @@ func GenerateDrift(w *model.Workload, base *model.ScenarioSet, cfg DriftConfig) 
 	q := len(w.Queries)
 	scenarios := base.S()
 	k := cfg.StartK
-	inBounds := func(n int) bool { return n >= max(cfg.MinK, 1) && (cfg.MaxK <= 0 || n <= cfg.MaxK) }
+	// away is how far n lies outside [max(MinK, 1), MaxK]; the walk may
+	// step to n when n is inside, or nearer than k from outside.
+	away := func(n int) int {
+		if lo := max(cfg.MinK, 1); n < lo {
+			return lo - n
+		}
+		if cfg.MaxK > 0 && n > cfg.MaxK {
+			return n - cfg.MaxK
+		}
+		return 0
+	}
+	fits := func(n int) bool { d := away(n); return d == 0 || d < away(k) }
 	var updates []Update
 	for len(updates) < cfg.Updates {
 		var u Update
 		switch {
-		case cfg.NodeProb > 0 && k > 0 && (inBounds(k-1) || inBounds(k+1)) && rng.Float64() < cfg.NodeProb:
-			// Node join/leave: random-walk K one step inside the bounds,
-			// the other way when the drawn step would leave them. Bounds
-			// that leave no step never draw one.
+		case cfg.NodeProb > 0 && k > 0 && (fits(k-1) || fits(k+1)) && rng.Float64() < cfg.NodeProb:
+			// Node join/leave: random-walk K one step inside the bounds (or
+			// toward them), the other way when the drawn step does not
+			// fit. Bounds that leave no step never draw one.
 			nk := k + 1
 			if rng.Float64() < 0.5 {
 				nk = k - 1
 			}
-			if !inBounds(nk) {
+			if !fits(nk) {
 				nk = 2*k - nk
 			}
 			k = nk

@@ -163,18 +163,22 @@ func TestDriftGeneratorValidStream(t *testing.T) {
 	}
 }
 
-// TestDriftGeneratorBoundsLeaveNoRoom pins the node walk at bounds with no
-// step inside them: a start at MinK = MaxK draws no resize at all (the walk
-// used to spin forever at K = 1 and step below MinK at K = 3), and a walk
-// started above MaxK steps only into the bounds.
-func TestDriftGeneratorBoundsLeaveNoRoom(t *testing.T) {
+// TestDriftGeneratorNodeWalkBounds pins the node walk against its bounds.
+// Every resize steps one node and lands inside [MinK, MaxK] or nearer to
+// it, so bounds with no room draw no resize (the walk used to spin forever
+// at K = MinK = MaxK = 1 and step below MinK at 3), and a walk started
+// outside ends inside.
+func TestDriftGeneratorNodeWalkBounds(t *testing.T) {
 	w := updateWorkload(t)
 	base := scenario.InSample(w, 2, 0.75, 1)
 	for _, cfg := range []DriftConfig{
 		{Updates: 20, Seed: 1, NodeProb: 1, StartK: 1, MinK: 1, MaxK: 1},
 		{Updates: 20, Seed: 1, NodeProb: 1, StartK: 3, MinK: 3, MaxK: 3},
 		{Updates: 20, Seed: 1, NodeProb: 1, StartK: 5, MinK: 2, MaxK: 4},
+		{Updates: 20, Seed: 1, NodeProb: 1, StartK: 1, MinK: 3, MaxK: 5},
+		{Updates: 20, Seed: 1, NodeProb: 1, StartK: 7, MinK: 2, MaxK: 4},
 	} {
+		away := func(k int) int { return max(cfg.MinK-k, k-cfg.MaxK, 0) }
 		done := make(chan []Update, 1)
 		go func() { done <- GenerateDrift(w, base, cfg) }()
 		var updates []Update
@@ -186,10 +190,18 @@ func TestDriftGeneratorBoundsLeaveNoRoom(t *testing.T) {
 		if len(updates) != cfg.Updates {
 			t.Fatalf("%+v: got %d updates, want %d", cfg, len(updates), cfg.Updates)
 		}
+		k := cfg.StartK
 		for i, u := range updates {
-			if u.SetK != 0 && (u.SetK < cfg.MinK || u.SetK > cfg.MaxK) {
-				t.Fatalf("%+v: update %d sets K %d", cfg, i, u.SetK)
+			if u.SetK == 0 {
+				continue
 			}
+			if d := u.SetK - k; d != 1 && d != -1 || away(u.SetK) > 0 && away(u.SetK) >= away(k) {
+				t.Fatalf("%+v: update %d steps K %d → %d", cfg, i, k, u.SetK)
+			}
+			k = u.SetK
+		}
+		if away(k) > 0 {
+			t.Fatalf("%+v: the walk ends at K %d", cfg, k)
 		}
 	}
 }
