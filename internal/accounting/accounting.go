@@ -23,7 +23,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"fragalloc/internal/model"
 )
@@ -48,7 +48,11 @@ func Workload() *model.Workload { return WorkloadSeed(DefaultSeed) }
 // WorkloadSeed builds the accounting workload with a specific seed.
 func WorkloadSeed(seed int64) *model.Workload {
 	rng := rand.New(rand.NewSource(seed))
-	w := &model.Workload{Name: "accounting"}
+	w := &model.Workload{
+		Name:      "accounting",
+		Fragments: make([]model.Fragment, 0, NumColumns),
+		Queries:   make([]model.Query, 0, NumQueries),
+	}
 
 	// Column sizes: lognormal bytes-per-value around ~6 bytes (codes,
 	// amounts, dates) with a long tail (text fields), times the row count.
@@ -79,12 +83,22 @@ func WorkloadSeed(seed int64) *model.Workload {
 	// pinned to one of K nodes.
 	costRank := rng.Perm(NumQueries)
 
+	// A template's columns are marked in stamp as they are drawn and
+	// collected in cols in draw order; both are reset once the template is
+	// built, so no template allocates a set of its own.
+	var stamp [NumColumns]bool
+	cols := make([]int, 0, NumColumns)
+	mark := func(c int) {
+		if !stamp[c] {
+			stamp[c] = true
+			cols = append(cols, c)
+		}
+	}
 	for j := 0; j < NumQueries; j++ {
-		set := map[int]bool{}
 		// 2-5 core columns: filters on company code / fiscal year / etc.
 		nCore := 2 + rng.Intn(4)
-		for len(set) < nCore {
-			set[rng.Intn(coreColumns)] = true
+		for len(cols) < nCore {
+			mark(rng.Intn(coreColumns))
 		}
 		// Payload columns: the expensive reporting tier (low cost rank)
 		// scans many and diverse columns — this is what makes the flexible
@@ -101,18 +115,17 @@ func WorkloadSeed(seed int64) *model.Workload {
 		}
 		for t := 0; t < nPayload; t++ {
 			if uniform {
-				set[coreColumns+rng.Intn(NumColumns-coreColumns)] = true
+				mark(coreColumns + rng.Intn(NumColumns-coreColumns))
 			} else {
-				set[coreColumns+int(zipf.Uint64())] = true
+				mark(coreColumns + int(zipf.Uint64()))
 			}
 		}
-		var frags []int
-		for f := range set {
-			frags = append(frags, f)
+		slices.Sort(cols)
+		frags := slices.Clone(cols)
+		for _, c := range cols {
+			stamp[c] = false
 		}
-		// Map iteration order is randomized; sort so the generated workload
-		// is bit-identical across runs before NormalizeQueryFragments.
-		sort.Ints(frags)
+		cols = cols[:0]
 
 		// Frequencies: Zipf over the template rank with a random tie-break
 		// so the rank order is not the ID order. Costs: lognormal per-
