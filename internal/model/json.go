@@ -7,14 +7,16 @@ import (
 	"os"
 )
 
-// WriteJSON writes v as indented JSON to w.
+// Model files — workloads, scenario sets, allocations — are compact JSON,
+// one line written in one pass: `jq . file` prints one indented. Every
+// loader reads compact and indented files alike.
+
+// WriteJSON writes v to w as compact JSON ended by a newline.
 func WriteJSON(w io.Writer, v any) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
+	return json.NewEncoder(w).Encode(v)
 }
 
-// SaveJSON writes v as indented JSON to the named file.
+// SaveJSON writes v as compact JSON to the named file.
 func SaveJSON(path string, v any) error {
 	f, err := os.Create(path)
 	if err != nil {
