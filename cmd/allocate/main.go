@@ -92,6 +92,9 @@ func main() {
 	if err := scenario.CheckPresence(*p); err != nil {
 		fail(fmt.Errorf("-p: %w", err))
 	}
+	if err := scenario.CheckCount(*scenarios); err != nil {
+		fail(fmt.Errorf("-scenarios: %w", err))
+	}
 
 	// Ctrl-C / SIGTERM and -timeout share one cancellation context: the
 	// solvers poll ctx.Err down to individual simplex iterations and wind

@@ -25,13 +25,26 @@ func TestMain(m *testing.M) {
 // error and exit 1, not a panic in the scenario sampler.
 func TestPresenceOutOfRange(t *testing.T) {
 	for _, p := range []string{"1.5", "0", "NaN"} {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		out, err := exec.CommandContext(ctx, os.Args[0], "allocate", "-workload", "tpcds", "-k", "2", "-scenarios", "2", "-p", p).CombinedOutput()
-		cancel()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != exitInternal ||
-			!strings.HasPrefix(string(out), "allocate: -p: ") || strings.Count(string(out), "\n") != 1 {
-			t.Errorf("-p %s: %v, output %q; want exit %d and one line about -p", p, err, out, exitInternal)
-		}
+		wantOneLineExit(t, "-p", "-workload", "tpcds", "-k", "2", "-scenarios", "2", "-p", p)
+	}
+}
+
+// TestNegativeScenarios checks that a negative -scenarios ends in a one-line
+// error and exit 1, where it used to solve the deterministic S=1 case.
+func TestNegativeScenarios(t *testing.T) {
+	wantOneLineExit(t, "-scenarios", "-workload", "tpcds", "-k", "2", "-scenarios", "-3")
+}
+
+// wantOneLineExit runs allocate on args and checks that it exits 1 with one
+// line of output, about flag.
+func wantOneLineExit(t *testing.T, flag string, args ...string) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, os.Args[0], append([]string{"allocate"}, args...)...).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != exitInternal ||
+		!strings.HasPrefix(string(out), "allocate: "+flag+": ") || strings.Count(string(out), "\n") != 1 {
+		t.Errorf("%q: %v, output %q; want exit %d and one line about %s", args, err, out, exitInternal, flag)
 	}
 }

@@ -116,6 +116,9 @@ func main() {
 	if err := scenario.CheckPresence(*p); err != nil {
 		fail(fmt.Errorf("-p: %w", err))
 	}
+	if err := scenario.CheckCount(*scenarios); err != nil {
+		fail(fmt.Errorf("-scenarios: %w", err))
+	}
 
 	ctx, cancel := shutdown.Graceful("allocd", exitInternal)
 	defer cancel()

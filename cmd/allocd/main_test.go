@@ -26,14 +26,27 @@ func TestMain(m *testing.M) {
 // sampler.
 func TestPresenceOutOfRange(t *testing.T) {
 	for _, p := range []string{"1.5", "0", "NaN"} {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-		out, err := exec.CommandContext(ctx, os.Args[0], "allocd", "-workload", "tpcds", "-scenarios", "2", "-p", p, "-addr", "127.0.0.1:0").CombinedOutput()
-		cancel()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != exitInternal ||
-			!strings.HasPrefix(string(out), "allocd: -p: ") || strings.Count(string(out), "\n") != 1 {
-			t.Errorf("-p %s: %v, output %q; want exit %d and one line about -p", p, err, out, exitInternal)
-		}
+		wantOneLineExit(t, "-p", "-workload", "tpcds", "-scenarios", "2", "-p", p, "-addr", "127.0.0.1:0")
+	}
+}
+
+// TestNegativeScenarios checks that a negative -scenarios ends in a one-line
+// error and exit 1, where it used to boot the daemon on S=1.
+func TestNegativeScenarios(t *testing.T) {
+	wantOneLineExit(t, "-scenarios", "-workload", "tpcds", "-scenarios", "-3", "-addr", "127.0.0.1:0")
+}
+
+// wantOneLineExit runs allocd on args and checks that it exits 1 with one
+// line of output, about flag.
+func wantOneLineExit(t *testing.T, flag string, args ...string) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, os.Args[0], append([]string{"allocd"}, args...)...).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != exitInternal ||
+		!strings.HasPrefix(string(out), "allocd: "+flag+": ") || strings.Count(string(out), "\n") != 1 {
+		t.Errorf("%q: %v, output %q; want exit %d and one line about %s", args, err, out, exitInternal, flag)
 	}
 }
 

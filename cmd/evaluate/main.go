@@ -44,6 +44,9 @@ func run(args []string, out io.Writer) error {
 	if err := scenario.CheckPresence(*p); err != nil {
 		return fmt.Errorf("-p: %w", err)
 	}
+	if err := scenario.CheckCount(*scenarios); err != nil {
+		return fmt.Errorf("-scenarios: %w", err)
+	}
 
 	if *allocPath == "" {
 		return fmt.Errorf("-alloc is required")

@@ -53,6 +53,16 @@ func TestRunValidatesScenarioFile(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNegativeScenarios checks that a negative -scenarios is a
+// one-line error, where it used to evaluate the f=1 baseline.
+func TestRunRejectsNegativeScenarios(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-workload", "tpcds", "-alloc", "unread.json", "-scenarios", "-5"}, &out)
+	if err == nil || !strings.HasPrefix(err.Error(), "-scenarios: ") || strings.Contains(err.Error(), "\n") || out.Len() > 0 {
+		t.Errorf("err %v with output %q, want one line about -scenarios and no report", err, out.String())
+	}
+}
+
 // TestRunRejectsPresence checks that a -p outside (0,1] is a one-line error,
 // not a panic in the scenario sampler.
 func TestRunRejectsPresence(t *testing.T) {

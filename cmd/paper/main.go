@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"fragalloc/internal/experiments"
+	"fragalloc/internal/scenario"
 	"fragalloc/internal/shutdown"
 )
 
@@ -67,6 +68,10 @@ func main() {
 	if flag.NArg() != 1 {
 		flag.Usage()
 		os.Exit(2)
+	}
+	if err := scenario.CheckCount(*unseen); err != nil {
+		fmt.Fprintf(os.Stderr, "paper: -unseen: %v\n", err)
+		os.Exit(1)
 	}
 
 	// Ctrl-C / SIGTERM and -timeout share one cancellation context; the

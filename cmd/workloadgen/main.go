@@ -68,6 +68,12 @@ func run(args []string, out io.Writer) error {
 	if err := scenario.CheckPresence(*p); err != nil {
 		return fmt.Errorf("-p: %w", err)
 	}
+	if err := scenario.CheckCount(*scenarios); err != nil {
+		return fmt.Errorf("-scenarios: %w", err)
+	}
+	if err := scenario.CheckCount(*drift); err != nil {
+		return fmt.Errorf("-drift: %w", err)
+	}
 
 	var generate func(int64) *model.Workload
 	var wseed int64

@@ -31,6 +31,8 @@ func TestRun(t *testing.T) {
 		{name: "unknown workload", args: []string{"-workload", "nope"}, wantErr: `unknown workload "nope"`},
 		{name: "-p above 1", args: []string{"-scenarios", "2", "-p", "2"}, wantErr: "-p: scenario: presence probability 2 outside (0,1]"},
 		{name: "-p zero", args: []string{"-drift", "3", "-p", "0"}, wantErr: "presence probability 0 outside"},
+		{name: "-scenarios negative", args: []string{"-scenarios", "-2"}, wantErr: "-scenarios: scenario: scenario count -2 is negative"},
+		{name: "-drift negative", args: []string{"-drift", "-2"}, wantErr: "-drift: scenario: scenario count -2 is negative"},
 		{name: "no room to walk", args: []string{"-drift", "4", "-drift-nodes", "1", "-k", "3", "-min-k", "3", "-max-k", "3"}, wantErr: "needs room to walk"},
 		{name: "start above -max-k", args: []string{"-drift", "4", "-drift-nodes", "1", "-k", "5", "-max-k", "4"}, wantErr: "-k 5 outside"},
 		{name: "start below -min-k", args: []string{"-drift", "4", "-drift-nodes", "1", "-k", "2", "-min-k", "3"}, wantErr: "-k 2 outside"},

@@ -74,6 +74,17 @@ func CheckPresence(p float64) error {
 	return nil
 }
 
+// CheckCount returns an error when n, a number of scenarios to draw, is
+// negative; the commands check their scenario counts with it, where a
+// negative count used to fall through to the deterministic case or to an
+// empty set.
+func CheckCount(n int) error {
+	if n < 0 {
+		return fmt.Errorf("scenario: scenario count %d is negative", n)
+	}
+	return nil
+}
+
 // Sample draws one frequency vector over q queries from rng: each query is
 // present with probability p at f = U(0,2)/p, else 0, and at least one query
 // is always kept so the scenario carries load. It panics when p is outside
