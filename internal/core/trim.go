@@ -202,7 +202,7 @@ func (tr *trimmer) trim(x []float64) []float64 {
 		return x
 	}
 	// The simplex can report StatusOptimal for a point that violates its own
-	// rows (ROADMAP item 4a). x entered with conservation (7) intact, so a
+	// rows (ROADMAP item 1(a)). x entered with conservation (7) intact, so a
 	// routing that breaks it must not overwrite x.
 	for r, rt := range sp.routes {
 		var sum float64
