@@ -1,12 +1,8 @@
 package model
 
 import (
-	"bytes"
-	"encoding/json"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -365,37 +361,5 @@ func TestReplicationFactorEdgeCases(t *testing.T) {
 	}
 	if rf := a.ReplicationFactor(w); math.Abs(rf-1) > 1e-12 {
 		t.Errorf("single full node rf = %g, want 1", rf)
-	}
-}
-
-// TestWriteJSONCompact checks that WriteJSON writes one compact line and
-// that an indented file, as WriteJSON used to write, loads to the same bits.
-func TestWriteJSONCompact(t *testing.T) {
-	ss := &ScenarioSet{Frequencies: [][]float64{{1, 0.1}, {2.5e-300, 3}}, Weights: []float64{0.3, 7}}
-	var out bytes.Buffer
-	if err := WriteJSON(&out, ss); err != nil {
-		t.Fatal(err)
-	}
-	var compact bytes.Buffer
-	if err := json.Compact(&compact, out.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if want := compact.String() + "\n"; out.String() != want {
-		t.Errorf("WriteJSON wrote %q, want the compact %q", out.String(), want)
-	}
-	var indented bytes.Buffer
-	if err := json.Indent(&indented, out.Bytes(), "", "  "); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "indented.json")
-	if err := os.WriteFile(path, indented.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadScenarioSet(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Digest() != ss.Digest() {
-		t.Errorf("indented file loads as %v, want %v", back, ss)
 	}
 }

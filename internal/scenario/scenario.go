@@ -75,9 +75,8 @@ func CheckPresence(p float64) error {
 }
 
 // CheckCount returns an error when n, a number of scenarios to draw, is
-// negative; the commands check their scenario counts with it, where a
-// negative count used to fall through to the deterministic case or to an
-// empty set.
+// negative; the commands check their scenario counts with it before
+// sampling.
 func CheckCount(n int) error {
 	if n < 0 {
 		return fmt.Errorf("scenario: scenario count %d is negative", n)
