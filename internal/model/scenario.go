@@ -57,22 +57,13 @@ func DefaultScenario(w *Workload) *ScenarioSet {
 // S returns the number of scenarios.
 func (ss *ScenarioSet) S() int { return len(ss.Frequencies) }
 
-// Clone returns a deep copy of the scenario set, its rows laid out in one
-// backing array; each row's capacity is capped at its length, so an append
-// to one row copies it instead of writing into the next. The allocation
-// service mutates only clones, so a scenario set handed to a running solve
-// is immutable for the solve's whole lifetime.
+// Clone returns a deep copy of the scenario set. The allocation service
+// mutates only clones, so a scenario set handed to a running solve is
+// immutable for the solve's whole lifetime.
 func (ss *ScenarioSet) Clone() *ScenarioSet {
-	n := 0
-	for _, freq := range ss.Frequencies {
-		n += len(freq)
-	}
-	buf := make([]float64, 0, n)
 	c := &ScenarioSet{Frequencies: make([][]float64, len(ss.Frequencies))}
-	for s, freq := range ss.Frequencies {
-		start := len(buf)
-		buf = append(buf, freq...)
-		c.Frequencies[s] = buf[start:len(buf):len(buf)]
+	for s := range ss.Frequencies {
+		c.Frequencies[s] = append([]float64(nil), ss.Frequencies[s]...)
 	}
 	if ss.Weights != nil {
 		c.Weights = append([]float64(nil), ss.Weights...)

@@ -27,13 +27,15 @@ func InSample(w *model.Workload, s int, p float64, seed int64) *model.ScenarioSe
 	if s < 1 {
 		panic(fmt.Sprintf("scenario: need at least one scenario, got %d", s))
 	}
-	ss := &model.ScenarioSet{Frequencies: rows(s, len(w.Queries))}
-	for j := range ss.Frequencies[0] {
-		ss.Frequencies[0][j] = 1
+	ss := &model.ScenarioSet{}
+	base := make([]float64, len(w.Queries))
+	for j := range base {
+		base[j] = 1
 	}
+	ss.Frequencies = append(ss.Frequencies, base)
 	rng := rand.New(rand.NewSource(seed))
-	for _, freq := range ss.Frequencies[1:] {
-		fill(rng, freq, p)
+	for i := 1; i < s; i++ {
+		ss.Frequencies = append(ss.Frequencies, Sample(rng, len(w.Queries), p))
 	}
 	return ss
 }
@@ -42,27 +44,12 @@ func InSample(w *model.Workload, s int, p float64, seed int64) *model.ScenarioSe
 // sampled exactly like the diversified in-sample scenarios but from an
 // independent seed.
 func OutOfSample(w *model.Workload, count int, p float64, seed int64) *model.ScenarioSet {
-	ss := &model.ScenarioSet{Frequencies: rows(count, len(w.Queries))}
+	ss := &model.ScenarioSet{}
 	rng := rand.New(rand.NewSource(seed))
-	for _, freq := range ss.Frequencies {
-		fill(rng, freq, p)
+	for i := 0; i < count; i++ {
+		ss.Frequencies = append(ss.Frequencies, Sample(rng, len(w.Queries), p))
 	}
 	return ss
-}
-
-// rows lays out n rows of q frequencies in one backing array (nil when n is
-// not positive). Each row's capacity is capped at its length, so an append
-// to one row copies it instead of writing into the next.
-func rows(n, q int) [][]float64 {
-	if n <= 0 {
-		return nil
-	}
-	buf := make([]float64, n*q)
-	out := make([][]float64, n)
-	for i := range out {
-		out[i] = buf[i*q : (i+1)*q : (i+1)*q]
-	}
-	return out
 }
 
 // CheckPresence returns an error unless p is a presence probability in
@@ -88,19 +75,12 @@ func CheckCount(n int) error {
 // present with probability p at f = U(0,2)/p, else 0, and at least one query
 // is always kept so the scenario carries load. It panics when p is outside
 // (0,1] (see CheckPresence). InSample and OutOfSample draw their scenarios
-// the same way, into rows of one array, and the daemon's drift generator its
-// observed ones with it.
+// with it, and the daemon's drift generator its observed ones.
 func Sample(rng *rand.Rand, q int, p float64) []float64 {
-	freq := make([]float64, q)
-	fill(rng, freq, p)
-	return freq
-}
-
-// fill draws Sample's frequency vector into freq, which must be all zero.
-func fill(rng *rand.Rand, freq []float64, p float64) {
 	if err := CheckPresence(p); err != nil {
 		panic(err.Error())
 	}
+	freq := make([]float64, q)
 	any := false
 	for j := range freq {
 		if rng.Float64() < p {
@@ -111,6 +91,7 @@ func fill(rng *rand.Rand, freq []float64, p float64) {
 		}
 	}
 	if !any {
-		freq[rng.Intn(len(freq))] = 1
+		freq[rng.Intn(q)] = 1
 	}
+	return freq
 }

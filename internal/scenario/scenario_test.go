@@ -2,8 +2,6 @@ package scenario
 
 import (
 	"math"
-	"math/rand"
-	"slices"
 	"testing"
 
 	"fragalloc/internal/model"
@@ -85,35 +83,6 @@ func TestDeterministicSeeds(t *testing.T) {
 	}
 	if same {
 		t.Error("different seeds produced identical scenarios")
-	}
-}
-
-// TestSetsDrawLikeSample checks that the sets, whose rows share one array,
-// hold exactly what Sample draws from the same seed, and that an append to
-// one row leaves the next alone.
-func TestSetsDrawLikeSample(t *testing.T) {
-	w := tinyWorkload(7)
-	in, out := InSample(w, 4, DefaultP, 5), OutOfSample(w, 4, DefaultP, 5)
-	inRNG, outRNG := rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5))
-	for s := 0; s < 4; s++ {
-		if s > 0 {
-			if want := Sample(inRNG, 7, DefaultP); !slices.Equal(in.Frequencies[s], want) {
-				t.Errorf("in-sample scenario %d = %v, want %v", s, in.Frequencies[s], want)
-			}
-		}
-		if want := Sample(outRNG, 7, DefaultP); !slices.Equal(out.Frequencies[s], want) {
-			t.Errorf("out-of-sample scenario %d = %v, want %v", s, out.Frequencies[s], want)
-		}
-	}
-	for _, ss := range []*model.ScenarioSet{in, out} {
-		next := slices.Clone(ss.Frequencies[1])
-		_ = append(ss.Frequencies[0], -1)
-		if !slices.Equal(ss.Frequencies[1], next) {
-			t.Errorf("an append to row 0 wrote into row 1: %v, was %v", ss.Frequencies[1], next)
-		}
-	}
-	if ss := OutOfSample(w, 0, DefaultP, 5); ss.Frequencies != nil {
-		t.Errorf("OutOfSample of 0 scenarios = %v, want nil rows", ss.Frequencies)
 	}
 }
 
