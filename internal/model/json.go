@@ -7,9 +7,10 @@ import (
 	"os"
 )
 
-// Model files — workloads, scenario sets, allocations — are compact JSON,
-// one line written in one pass: `jq . file` prints one indented. Every
-// loader reads compact and indented files alike.
+// Every file written here — workloads, scenario sets, allocations, and the
+// benchmark's results and trace files — is compact JSON, one line written
+// in one pass: `jq . file` prints one indented. Every loader reads compact
+// and indented files alike.
 
 // WriteJSON writes v to w as compact JSON ended by a newline.
 func WriteJSON(w io.Writer, v any) error {
