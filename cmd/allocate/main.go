@@ -95,6 +95,12 @@ func main() {
 	if err := scenario.CheckCount(*scenarios); err != nil {
 		fail(fmt.Errorf("-scenarios: %w", err))
 	}
+	if *k < 1 {
+		fail(fmt.Errorf("-k: %d nodes, need at least one", *k))
+	}
+	if *reduce < 0 {
+		fail(fmt.Errorf("-reduce: %d representatives is negative (0 = off)", *reduce))
+	}
 
 	// Ctrl-C / SIGTERM and -timeout share one cancellation context: the
 	// solvers poll ctx.Err down to individual simplex iterations and wind

@@ -35,6 +35,16 @@ func TestNegativeScenarios(t *testing.T) {
 	wantOneLineExit(t, "-scenarios", "-workload", "tpcds", "-k", "2", "-scenarios", "-3")
 }
 
+// TestNodesAndReduceOutOfRange checks that a -k below one and a negative
+// -reduce end in a one-line error and exit 1 before any work: -k -1 used to
+// panic in the full-replication allocation, -k 0 to print W/V=0.0000 before
+// failing, and a negative -reduce to be taken as off.
+func TestNodesAndReduceOutOfRange(t *testing.T) {
+	wantOneLineExit(t, "-k", "-workload", "tpcds", "-approach", "full", "-k", "-1")
+	wantOneLineExit(t, "-k", "-workload", "tpcds", "-approach", "full", "-k", "0")
+	wantOneLineExit(t, "-reduce", "-workload", "tpcds", "-k", "2", "-scenarios", "3", "-reduce", "-2")
+}
+
 // wantOneLineExit runs allocate on args and checks that it exits 1 with one
 // line of output, about flag.
 func wantOneLineExit(t *testing.T, flag string, args ...string) {

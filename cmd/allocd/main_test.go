@@ -36,8 +36,15 @@ func TestNegativeScenarios(t *testing.T) {
 	wantOneLineExit(t, "-scenarios", "-workload", "tpcds", "-scenarios", "-3", "-addr", "127.0.0.1:0")
 }
 
+// TestNegativeReduce checks that a negative -reduce ends in a one-line error
+// and exit 1, where it used to boot the daemon with the reduction off. The
+// refusal is service.New's, so the line is the service's.
+func TestNegativeReduce(t *testing.T) {
+	wantOneLineExit(t, "service", "-workload", "tpcds", "-scenarios", "3", "-reduce", "-2", "-addr", "127.0.0.1:0")
+}
+
 // wantOneLineExit runs allocd on args and checks that it exits 1 with one
-// line of output, about flag.
+// line of output, about flag (or the package that refused it).
 func wantOneLineExit(t *testing.T, flag string, args ...string) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)

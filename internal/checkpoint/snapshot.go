@@ -23,13 +23,15 @@ type Snapshot struct {
 	MIPs map[string]*MIPRecord `json:"mips,omitempty"`
 }
 
-// SubRecord is one completed subproblem solve: the decoded solution of
-// internal/core, in a stable, JSON-codable shape. Optimal records are
-// replayed verbatim on resume; Feasible and Degraded ones contribute their
-// routing as a warm-start hint and are re-solved.
+// SubRecord is one completed subproblem solve, in a stable, JSON-codable
+// shape. internal/core's solution embeds it, so what the solver decodes is
+// what the journal stores. Optimal records are replayed verbatim on resume;
+// Feasible and Degraded ones contribute their routing as a warm-start hint
+// and are re-solved.
 type SubRecord struct {
 	// Outcome is the failure-policy classification: "optimal", "feasible",
-	// or "degraded" (core.Outcome.String()).
+	// or "degraded" (core's OutcomeOptimal, OutcomeFeasible and
+	// OutcomeDegraded).
 	Outcome string  `json:"outcome"`
 	L       float64 `json:"l"`
 	Gap     float64 `json:"gap"`

@@ -56,29 +56,19 @@ func finite(v float64) float64 {
 	return v
 }
 
-// recordFromSolution serializes a completed subproblem solve — including a
-// degraded one: the greedy routing is journaled exactly like a MIP routing,
-// not just its DegradedDelta cost. The solution already holds its placement
-// and routing in the journal's shape and order; the record shares them.
+// recordFromSolution is the journal copy of a completed solve, a degraded
+// one included: the greedy routing is journaled exactly like a MIP routing.
+// The copy's scalars are clamped by finite; its routes are the solution's
+// own, so their shares are clamped in place.
 func recordFromSolution(sol *solution) *checkpoint.SubRecord {
-	rec := &checkpoint.SubRecord{
-		Outcome:    sol.outcome.String(),
-		L:          finite(sol.l),
-		Gap:        finite(sol.gap),
-		Nodes:      sol.nodes,
-		Exact:      sol.exact,
-		ExtraBytes: finite(sol.extraBytes),
-		Frags:      sol.frags,
-		Yes:        sol.yes,
-		Z:          sol.z,
-		Basis:      sol.basis,
-	}
+	rec := sol.SubRecord
+	rec.L, rec.Gap, rec.ExtraBytes = finite(rec.L), finite(rec.Gap), finite(rec.ExtraBytes)
 	for _, rt := range rec.Z {
 		for i, v := range rt.Shares {
 			rt.Shares[i] = finite(v)
 		}
 	}
-	return rec
+	return &rec
 }
 
 // recordCompatible sanity-checks a journaled record against the subproblem
@@ -106,39 +96,6 @@ func recordCompatible(rec *checkpoint.SubRecord, b int) bool {
 		}
 	}
 	return true
-}
-
-// solutionFromRecord is the replay inverse of recordFromSolution: it
-// reconstructs the decoded solution a proven-optimal solve produced, so the
-// driver's assembly and child derivation run on identical data and the
-// resumed allocation matches the uninterrupted one bit for bit (JSON float64
-// encoding round-trips exactly).
-func solutionFromRecord(rec *checkpoint.SubRecord) *solution {
-	sol := &solution{
-		yes:        rec.Yes,
-		z:          rec.Z,
-		frags:      rec.Frags,
-		l:          rec.L,
-		gap:        rec.Gap,
-		nodes:      rec.Nodes,
-		exact:      rec.Exact,
-		extraBytes: rec.ExtraBytes,
-	}
-	sol.outcome, _ = outcomeFromString(rec.Outcome)
-	return sol
-}
-
-// outcomeFromString parses the Outcome strings the journal stores.
-func outcomeFromString(s string) (Outcome, bool) {
-	switch s {
-	case "optimal":
-		return OutcomeOptimal, true
-	case "feasible":
-		return OutcomeFeasible, true
-	case "degraded":
-		return OutcomeDegraded, true
-	}
-	return 0, false
 }
 
 // hintFromRecord turns a journaled placement into the starting incumbent

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"math"
 	"math/rand"
 	"os"
 	"os/exec"
@@ -302,6 +303,42 @@ func TestDegradedOutcomesJournalRouting(t *testing.T) {
 	}
 	if degraded == 0 {
 		t.Error("journal holds no degraded records despite degraded outcomes")
+	}
+}
+
+// TestRecordClampsNonFinite journals a solution whose scalars and one route
+// share are NaN or ±Inf, which JSON cannot encode: the save must succeed, the
+// record must read back with those values as 0, and the solution's own
+// scalars must keep their values.
+func TestRecordClampsNonFinite(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		st, err := checkpoint.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sol := &solution{SubRecord: checkpoint.SubRecord{
+			Outcome: OutcomeDegraded, L: v, Gap: v, ExtraBytes: v,
+			Frags: [][]int{{0}, {1}},
+			Yes:   []checkpoint.YesRow{{Q: 0, On: []bool{true, true}}},
+			Z:     []checkpoint.Route{{Q: 0, S: 0, Shares: []float64{0.25, v}}},
+		}}
+		if err := checkpoint.NewRecorder(st, nil).RecordSub("r", recordFromSolution(sol)); err != nil {
+			t.Fatalf("%v: save failed: %v", v, err)
+		}
+		snap, err := st.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := snap.Subs["r"]
+		if got == nil || got.L != 0 || got.Gap != 0 || got.ExtraBytes != 0 ||
+			len(got.Z) != 1 || !reflect.DeepEqual(got.Z[0].Shares, []float64{0.25, 0}) {
+			t.Errorf("%v: journaled record %+v, want L, Gap, ExtraBytes and the share clamped to 0", v, got)
+		}
+		for name, x := range map[string]float64{"L": sol.L, "Gap": sol.Gap, "ExtraBytes": sol.ExtraBytes} {
+			if math.Float64bits(x) != math.Float64bits(v) {
+				t.Errorf("%v: the solution's %s became %v", v, name, x)
+			}
+		}
 	}
 }
 

@@ -342,14 +342,14 @@ func (d *driver) logf(format string, args ...any) {
 func (d *driver) recordSolution(sol *solution) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.nodes += sol.nodes
+	d.nodes += sol.Nodes
 	d.lpiters += sol.lpiters
-	d.maxGap = math.Max(d.maxGap, sol.gap)
-	d.maxLoad = math.Max(d.maxLoad, sol.l)
-	d.exact = d.exact && sol.exact
-	d.outcomes.add(sol.outcome)
+	d.maxGap = math.Max(d.maxGap, sol.Gap)
+	d.maxLoad = math.Max(d.maxLoad, sol.L)
+	d.exact = d.exact && sol.Exact
+	d.outcomes.add(sol.Outcome)
 	d.starts.add(sol.starts)
-	d.degradedBytes += sol.extraBytes
+	d.degradedBytes += sol.ExtraBytes
 }
 
 // solve recursively processes a subproblem according to spec, assigning the
@@ -371,8 +371,8 @@ func (d *driver) solve(sp *subproblem, spec *ChunkSpec, leaf int, id string) err
 
 	// Resume: a journaled proven-optimal record replays verbatim — no hint
 	// pre-solves, no MIP — which both skips the work and (because the
-	// decoded solution is reconstructed bit for bit) keeps the final
-	// allocation identical to the uninterrupted run. Feasible and degraded
+	// record is the solution's own, bit for bit) keeps the final allocation
+	// identical to the uninterrupted run. Feasible and degraded
 	// records instead become one more warm-start hint for a fresh solve:
 	// the re-solve starts no worse than the journaled incumbent and a
 	// larger budget may improve it.
@@ -380,10 +380,10 @@ func (d *driver) solve(sp *subproblem, spec *ChunkSpec, leaf int, id string) err
 	var journalHint [][]bool
 	if ck != nil {
 		if rec := ck.rec.Sub(ck.id); rec != nil && recordCompatible(rec, b) {
-			if o, ok := outcomeFromString(rec.Outcome); ok && o == OutcomeOptimal {
-				sol := solutionFromRecord(rec)
+			if rec.Outcome == OutcomeOptimal {
+				sol := &solution{SubRecord: *rec}
 				d.recordSolution(sol)
-				d.logf("core: split %v replayed from checkpoint (optimal, %d nodes)", spec, sol.nodes)
+				d.logf("core: split %v replayed from checkpoint (optimal, %d nodes)", spec, sol.Nodes)
 				return d.finish(sp, spec, sol, leaf, id)
 			}
 			journalHint = sp.hintFromRecord(rec)
@@ -447,7 +447,7 @@ func (d *driver) solve(sp *subproblem, spec *ChunkSpec, leaf int, id string) err
 		// point never re-solves this subproblem.
 		ck.record(d, sol)
 	}
-	d.logf("core: split %v solved (%v): L=%.4f gap=%.4f nodes=%d %v", spec, sol.outcome, sol.l, sol.gap, sol.nodes, sol.starts)
+	d.logf("core: split %v solved (%v): L=%.4f gap=%.4f nodes=%d %v", spec, sol.Outcome, sol.L, sol.Gap, sol.Nodes, sol.starts)
 	return d.finish(sp, spec, sol, leaf, id)
 }
 
@@ -458,9 +458,9 @@ func (d *driver) finish(sp *subproblem, spec *ChunkSpec, sol *solution, leaf int
 	if len(spec.Children) == 0 {
 		// Exact group: subnodes are final nodes.
 		for bb := 0; bb < len(sp.weights); bb++ {
-			d.alloc.Fragments[leaf+bb] = append([]int(nil), sol.frags[bb]...)
+			d.alloc.Fragments[leaf+bb] = append([]int(nil), sol.Frags[bb]...)
 		}
-		for _, rt := range sol.z {
+		for _, rt := range sol.Z {
 			copy(d.alloc.Shares[rt.S][rt.Q][leaf:], rt.Shares)
 		}
 		if sp.hasFixed {
@@ -577,7 +577,7 @@ func (d *driver) assignFixedShares(sp *subproblem, leaf int) {
 }
 
 // childSubproblem builds the subproblem inherited by subnode bb: the routes
-// with a share there, and through them — sol.z being ascending — the
+// with a share there, and through them — sol.Z being ascending — the
 // ascending list of queries that still carry load.
 func (d *driver) childSubproblem(sp *subproblem, sol *solution, bb int) *subproblem {
 	shares := make([][]float64, d.ss.S())
@@ -585,7 +585,7 @@ func (d *driver) childSubproblem(sp *subproblem, sol *solution, bb int) *subprob
 		shares[s] = make([]float64, len(d.w.Queries))
 	}
 	var flex []int
-	for _, rt := range sol.z {
+	for _, rt := range sol.Z {
 		if rt.Shares[bb] > 1e-9 {
 			shares[rt.S][rt.Q] = rt.Shares[bb]
 			if len(flex) == 0 || flex[len(flex)-1] != rt.Q {
@@ -595,7 +595,7 @@ func (d *driver) childSubproblem(sp *subproblem, sol *solution, bb int) *subprob
 	}
 
 	activeFrag := make([]bool, len(d.w.Fragments))
-	for _, i := range sol.frags[bb] {
+	for _, i := range sol.Frags[bb] {
 		activeFrag[i] = true
 	}
 

@@ -18,7 +18,7 @@ import (
 // greedy allocator errors out, a deterministic least-loaded whole-query
 // assignment takes over.
 //
-// The cost of degrading is tracked in solution.extraBytes: the allocated
+// The cost of degrading is tracked in solution.ExtraBytes: the allocated
 // bytes beyond the single-copy lower bound of the chosen coverage, which
 // aggregates into Result.DegradedDelta (an approximate upper bound on the
 // replication-factor cost of all degraded subproblems).
@@ -57,17 +57,16 @@ func (sp *subproblem) degrade() *solution {
 	}
 
 	// Assemble the solution exactly like decode does for a MIP result.
-	sol := &solution{
-		yes:     make([]checkpoint.YesRow, len(sp.flexQ)),
-		exact:   false,
-		outcome: OutcomeDegraded,
-	}
+	sol := &solution{SubRecord: checkpoint.SubRecord{
+		Outcome: OutcomeDegraded,
+		Yes:     make([]checkpoint.YesRow, len(sp.flexQ)),
+	}}
 	for q, j := range sp.flexQ {
 		runnable := make([]bool, b)
 		for bb, share := range routing[q] {
 			runnable[bb] = share > 0
 		}
-		sol.yes[q] = checkpoint.YesRow{Q: j, On: runnable}
+		sol.Yes[q] = checkpoint.YesRow{Q: j, On: runnable}
 	}
 	for _, rt := range sp.routes {
 		r := routing[rt.q]
@@ -78,12 +77,12 @@ func (sp *subproblem) degrade() *solution {
 		for bb := range zs {
 			zs[bb] = sp.shares[rt.s][rt.j] * r[bb]
 		}
-		sol.z = append(sol.z, checkpoint.Route{Q: rt.j, S: rt.s, Shares: zs})
+		sol.Z = append(sol.Z, checkpoint.Route{Q: rt.j, S: rt.s, Shares: zs})
 	}
-	sol.frags = sp.fragSets(sol.yes)
+	sol.Frags = sp.fragSets(sol.Yes)
 	anywhere := make([]bool, len(sp.w.Fragments))
 	var allocated, single float64
-	for _, frags := range sol.frags {
+	for _, frags := range sol.Frags {
 		for _, i := range frags {
 			allocated += sp.w.Fragments[i].Size
 			if !anywhere[i] {
@@ -92,12 +91,12 @@ func (sp *subproblem) degrade() *solution {
 			}
 		}
 	}
-	sol.extraBytes = math.Max(0, allocated-single)
+	sol.ExtraBytes = math.Max(0, allocated-single)
 	// The greedy point carries no proven bound; report its memory excess
 	// over the single-copy floor as the gap, in the same W/V units the MIP
 	// gaps use.
-	sol.gap = sol.extraBytes / sp.vNorm
-	sol.l = sp.worstLoad(sol)
+	sol.Gap = sol.ExtraBytes / sp.vNorm
+	sol.L = sp.worstLoad(sol)
 	return sol
 }
 
@@ -183,7 +182,7 @@ func (sp *subproblem) fallbackRouting(queryLoad []float64, fixedAgg float64) [][
 
 // worstLoad computes the solution's worst normalized subnode load over all
 // scenarios — the value the MIP's L variable would take for this routing.
-// sol.z is ascending by query, so each (scenario, subnode) sum accumulates
+// sol.Z is ascending by query, so each (scenario, subnode) sum accumulates
 // in ascending query order.
 func (sp *subproblem) worstLoad(sol *solution) float64 {
 	b := len(sp.weights)
@@ -191,7 +190,7 @@ func (sp *subproblem) worstLoad(sol *solution) float64 {
 	for s := range load {
 		load[s] = make([]float64, b)
 	}
-	for _, rt := range sol.z {
+	for _, rt := range sol.Z {
 		for bb, z := range rt.Shares {
 			if z != 0 {
 				load[rt.S][bb] += z * sp.ss.Frequencies[rt.S][rt.Q] * sp.w.Queries[rt.Q].Cost / sp.costs[rt.S]

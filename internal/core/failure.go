@@ -20,40 +20,27 @@ var ErrInfeasible = errors.New("no feasible allocation")
 // allocator instead of aborting the whole decomposition.
 var errSolverFailure = errors.New("solver failure")
 
-// Outcome classifies how one subproblem of the decomposition was solved.
-type Outcome int
-
+// The outcomes of one subproblem solve, as the journal's
+// checkpoint.SubRecord.Outcome spells them.
 const (
 	// OutcomeOptimal means the subproblem MIP was solved to proven
 	// optimality within the gap tolerances.
-	OutcomeOptimal Outcome = iota
+	OutcomeOptimal = "optimal"
 	// OutcomeFeasible means the search stopped at a budget (time, nodes,
 	// stall, or cancellation) with a feasible incumbent and a reported gap.
-	OutcomeFeasible
+	OutcomeFeasible = "feasible"
 	// OutcomeDegraded means the MIP failed even after the retry rung and
 	// the subproblem fell back to the greedy allocator — feasible, but with
 	// no optimality guarantee beyond the reported replication-factor delta.
-	OutcomeDegraded
+	OutcomeDegraded = "degraded"
 )
-
-func (o Outcome) String() string {
-	switch o {
-	case OutcomeOptimal:
-		return "optimal"
-	case OutcomeFeasible:
-		return "feasible"
-	case OutcomeDegraded:
-		return "degraded"
-	}
-	return fmt.Sprintf("Outcome(%d)", int(o))
-}
 
 // OutcomeCounts tallies per-subproblem outcomes across a decomposition.
 type OutcomeCounts struct {
 	Optimal, Feasible, Degraded int
 }
 
-func (c *OutcomeCounts) add(o Outcome) {
+func (c *OutcomeCounts) add(o string) {
 	switch o {
 	case OutcomeOptimal:
 		c.Optimal++

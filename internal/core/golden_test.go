@@ -208,7 +208,7 @@ func fallbackRecord(t *testing.T, w *model.Workload, ss *model.ScenarioSet) *che
 	sp.weights = []float64{0.5, math.Inf(1)}
 	sol := sp.degrade()
 	routed := 0
-	for _, row := range sol.yes {
+	for _, row := range sol.Yes {
 		for _, v := range row.On {
 			if v {
 				routed++

@@ -421,30 +421,13 @@ func (sp *subproblem) dive(s *simplex.Solver, res *simplex.Result, ix *indices) 
 	return out, iters
 }
 
-// solution is the decoded outcome of one subproblem solve. yes and z are in
-// the journal's own shape and order, so a record is written from them and
-// replayed into them without conversion.
+// solution is the outcome of one subproblem solve: the record the journal
+// stores, which a resume replays as it stands, plus the work counts the
+// journal does not keep.
 type solution struct {
-	yes   []checkpoint.YesRow // runnable per subnode, one row per flexQ entry
-	z     []checkpoint.Route  // share per subnode of every routed (query, scenario), ascending
-	frags [][]int             // derived fragment sets per subnode (sorted)
-	l     float64             // normalized worst load
-	// gap is the absolute objective gap (incumbent − proven bound). Since
-	// the objective is W/V + αL and optima balance (L = 1) like the
-	// incumbents, it bounds the memory suboptimality in W/V units.
-	gap     float64
-	nodes   int
+	checkpoint.SubRecord
 	lpiters int
-	exact   bool
 	starts  BasisStarts // LPs started from a basis
-	// basis is the optimal basis of the dive's root relaxation by role,
-	// journaled for the next solve to start from; nil when none was taken.
-	basis *checkpoint.Basis
-	// outcome classifies the solve for the failure policy; extraBytes is
-	// nonzero only for degraded solutions (allocated bytes beyond the
-	// single-copy floor, feeding Result.DegradedDelta).
-	outcome    Outcome
-	extraBytes float64
 }
 
 // solve builds and solves the subproblem MIP. Each non-nil hint proposes an
@@ -548,7 +531,7 @@ func (sp *subproblem) solve(opt mip.Options, ck *subCheckpoint, hints ...[][]boo
 	sol.lpiters += diveIters
 	sol.starts.Dives, sol.starts.DivesCold = starts.Dives, starts.DivesCold
 	if roles != nil && rootBasis != nil {
-		sol.basis = journalBasis(rootBasis, roles)
+		sol.Basis = journalBasis(rootBasis, roles)
 	}
 	return sol, nil
 }
@@ -558,27 +541,31 @@ func (sp *subproblem) solve(opt mip.Options, ck *subCheckpoint, hints ...[][]boo
 // the integral y (and the fixed queries) rather than read from x, which
 // guards against harmless fractional x on zero-size fragments.
 func (sp *subproblem) decode(ix *indices, res *mip.Result) *solution {
+	// Gap is the absolute objective gap (incumbent − proven bound). Since
+	// the objective is W/V + αL and optima balance (L = 1) like the
+	// incumbents, it bounds the memory suboptimality in W/V units.
 	sol := &solution{
-		yes:     make([]checkpoint.YesRow, len(sp.flexQ)),
-		z:       make([]checkpoint.Route, len(sp.routes)),
-		l:       res.X[ix.l],
-		gap:     math.Max(0, res.Obj-res.Bound),
-		nodes:   res.Nodes,
+		SubRecord: checkpoint.SubRecord{
+			Outcome: OutcomeFeasible,
+			L:       res.X[ix.l],
+			Gap:     math.Max(0, res.Obj-res.Bound),
+			Nodes:   res.Nodes,
+			Exact:   res.Exact && res.Status == mip.StatusOptimal,
+			Yes:     make([]checkpoint.YesRow, len(sp.flexQ)),
+			Z:       make([]checkpoint.Route, len(sp.routes)),
+		},
 		lpiters: res.LPIters,
-		exact:   res.Exact && res.Status == mip.StatusOptimal,
 		starts:  BasisStarts{Starts: res.Starts},
 	}
 	if res.Status == mip.StatusOptimal {
-		sol.outcome = OutcomeOptimal
-	} else {
-		sol.outcome = OutcomeFeasible
+		sol.Outcome = OutcomeOptimal
 	}
 	for q, j := range sp.flexQ {
 		runnable := make([]bool, ix.b)
 		for bb := range runnable {
 			runnable[bb] = res.X[ix.y(q, bb)] > 0.5
 		}
-		sol.yes[q] = checkpoint.YesRow{Q: j, On: runnable}
+		sol.Yes[q] = checkpoint.YesRow{Q: j, On: runnable}
 	}
 	for r, rt := range sp.routes {
 		zs := make([]float64, ix.b)
@@ -587,9 +574,9 @@ func (sp *subproblem) decode(ix *indices, res *mip.Result) *solution {
 				zs[bb] = v
 			}
 		}
-		sol.z[r] = checkpoint.Route{Q: rt.j, S: rt.s, Shares: zs}
+		sol.Z[r] = checkpoint.Route{Q: rt.j, S: rt.s, Shares: zs}
 	}
-	sol.frags = sp.fragSets(sol.yes)
+	sol.Frags = sp.fragSets(sol.Yes)
 	return sol
 }
 

@@ -138,7 +138,7 @@ func ones(w *model.Workload) []float64 {
 // stall rule so easy instances (partial clustering) return quickly while
 // hard ones use the full budget — reproducing the paper's runtime contrast.
 func (c Config) mipOptions() mip.Options {
-	return mip.Options{TimeLimit: c.Budget, RelGap: 1e-6, MaxStallNodes: 150, Canceled: c.Canceled}
+	return mip.Options{TimeLimit: c.Budget, MaxStallNodes: 150, Canceled: c.Canceled}
 }
 
 func (c Config) coreLogf() func(string, ...any) {

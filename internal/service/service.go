@@ -145,6 +145,9 @@ func New(cfg Config) (*Service, error) {
 	if cfg.K < 1 {
 		return nil, fmt.Errorf("service: K=%d, need at least one node", cfg.K)
 	}
+	if cfg.ReduceTo < 0 {
+		return nil, fmt.Errorf("service: ReduceTo=%d is negative (0 = off)", cfg.ReduceTo)
+	}
 	if cfg.BackoffBase <= 0 {
 		cfg.BackoffBase = 500 * time.Millisecond
 	}
