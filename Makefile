@@ -1,7 +1,7 @@
 # Developer verification targets. `make check` is the tier-1+ gate
 # referenced by ROADMAP.md: formatting, vet, fragvet (the repo's own
 # static analyzers, DESIGN.md §3.6), build, a short fuzz run of the model
-# decoders, and the full test suite under the race detector (the parallel
+# and checkpoint decoders, and the full test suite under the race detector (the parallel
 # decomposition driver makes race-cleanliness part of the contract). Each
 # stage reports its wall time so suite-latency regressions show up in every
 # run, not just when profiled.
@@ -57,13 +57,14 @@ benchcompile:
 	@t0=$$(date +%s); $(GO) test -run NONE -bench . -benchtime 1x -short ./... || exit $$?; \
 	echo "benchcompile: $$(( $$(date +%s) - t0 ))s"
 
-# Fuzz smoke: ten seconds of each model-decoder fuzz target beyond its
-# committed seed corpus (the race stage runs the corpus alone). go test
-# -fuzz takes one target per invocation; -parallel 1 keeps it to one
-# worker. A failing input is written under internal/model/testdata/fuzz/.
+# Fuzz smoke: ten seconds of each decoder fuzz target — the model's JSON
+# decoders and the checkpoint frame decoder — beyond its committed seed
+# corpus (the race stage runs the corpus alone). go test -fuzz takes one
+# target per invocation; -parallel 1 keeps it to one worker. A failing
+# input is written under the package's testdata/fuzz/.
 fuzz:
-	@t0=$$(date +%s); for f in FuzzWorkloadJSON FuzzScenarioSetJSON; do \
-		$(GO) test -run NONE -fuzz "^$$f$$" -fuzztime 10s -parallel 1 ./internal/model || exit $$?; \
+	@t0=$$(date +%s); for t in model:FuzzWorkloadJSON model:FuzzScenarioSetJSON checkpoint:FuzzUnframe; do \
+		$(GO) test -run NONE -fuzz "^$${t#*:}$$" -fuzztime 10s -parallel 1 ./internal/$${t%%:*} || exit $$?; \
 	done; echo "fuzz: $$(( $$(date +%s) - t0 ))s"
 
 # Paper-scale table/figure benchmarks (the pre-existing root suite).

@@ -213,7 +213,8 @@ func main() {
 		}
 	case "merge":
 		if ss == nil {
-			ss = fragalloc.InSampleScenarios(w, 1, *p, *seed)
+			// One scenario, the default one: the merge is its greedy allocation.
+			ss = fragalloc.SingleScenarioSet(w.DefaultFrequencies())
 		}
 		alloc, err = fragalloc.GreedyMergeAllocate(w, ss, *k)
 		if err != nil {

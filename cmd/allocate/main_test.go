@@ -5,9 +5,13 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"fragalloc"
 )
 
 // TestMain lets a test run the command: a test binary whose first argument
@@ -43,6 +47,33 @@ func TestNodesAndReduceOutOfRange(t *testing.T) {
 	wantOneLineExit(t, "-k", "-workload", "tpcds", "-approach", "full", "-k", "-1")
 	wantOneLineExit(t, "-k", "-workload", "tpcds", "-approach", "full", "-k", "0")
 	wantOneLineExit(t, "-reduce", "-workload", "tpcds", "-k", "2", "-scenarios", "3", "-reduce", "-2")
+}
+
+// TestMergeOfTheDefaultScenario checks that -approach merge without an
+// in-sample set solves the workload's default scenario, as lp and greedy do:
+// a merge of one scenario is that scenario's greedy allocation. Accounting's
+// default frequencies are not all 1, so it tells them from f_j = 1.
+func TestMergeOfTheDefaultScenario(t *testing.T) {
+	dir := t.TempDir()
+	frags := map[string][][]int{}
+	for _, approach := range []string{"greedy", "merge"} {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		out := filepath.Join(dir, approach+".json")
+		msg, err := exec.CommandContext(ctx, os.Args[0], "allocate", "-workload", "accounting", "-k", "4",
+			"-approach", approach, "-o", out).CombinedOutput()
+		cancel()
+		if err != nil {
+			t.Fatalf("%s: %v: %s", approach, err, msg)
+		}
+		alloc, err := fragalloc.LoadAllocation(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frags[approach] = alloc.Fragments
+	}
+	if !reflect.DeepEqual(frags["greedy"], frags["merge"]) {
+		t.Error("merge of the default scenario placed other fragments than greedy")
+	}
 }
 
 // wantOneLineExit runs allocate on args and checks that it exits 1 with one

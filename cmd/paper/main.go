@@ -11,12 +11,13 @@
 //	                             TPC-DS only)
 //	-full                        paper-scale row sets (slow) instead of the
 //	                             reduced laptop defaults
-//	-budget 15s                  MIP time budget per subproblem
+//	-budget 15s                  MIP time budget per subproblem (0 = none)
 //	-timeout 0                   overall wall-clock limit; on expiry the
 //	                             running experiment winds down with its best
 //	                             incumbents (0 = none)
 //	-unseen 30                   number of out-of-sample scenarios S̃
 //	-maxq 300                    accounting truncation for Table 1b's LP rows
+//	                             (0 = none)
 //	-seed 1                      scenario sampling seed
 //	-parallel 0                  concurrent table rows (0 = GOMAXPROCS, 1 = serial)
 //	-checkpoint DIR              journal every LP row's solve progress durably
@@ -37,6 +38,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -50,10 +52,10 @@ import (
 func main() {
 	workload := flag.String("workload", "tpcds", "workload: tpcds or accounting")
 	full := flag.Bool("full", false, "run the paper-scale row sets (slow)")
-	budget := flag.Duration("budget", 15*time.Second, "MIP time budget per subproblem")
+	budget := flag.Duration("budget", 15*time.Second, "MIP time budget per subproblem (0 = none)")
 	timeout := flag.Duration("timeout", 0, "overall wall-clock limit; on expiry the run winds down with its best incumbents (0 = none)")
 	unseen := flag.Int("unseen", 30, "number of out-of-sample scenarios")
-	maxq := flag.Int("maxq", 300, "accounting workload truncation for Table 1b LP rows")
+	maxq := flag.Int("maxq", 300, "accounting workload truncation for Table 1b LP rows (0 = none)")
 	seed := flag.Int64("seed", 1, "scenario sampling seed")
 	parallel := flag.Int("parallel", 0, "concurrent table rows (0 = GOMAXPROCS, 1 = serial)")
 	ckptDir := flag.String("checkpoint", "", "journal LP row progress durably under this directory")
@@ -69,7 +71,11 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := scenario.CheckCount(*unseen); err != nil {
+	err := scenario.CheckCount(*unseen)
+	if err == nil && *unseen == 0 {
+		err = errors.New("no unseen scenarios to verify against")
+	}
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "paper: -unseen: %v\n", err)
 		os.Exit(1)
 	}
@@ -106,7 +112,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	var err error
 	switch flag.Arg(0) {
 	case "fig1":
 		err = experiments.Fig1(cfg)

@@ -24,13 +24,22 @@ func TestMain(m *testing.M) {
 // TestNegativeUnseen checks that a negative -unseen ends in a one-line error
 // and exit 1 before any experiment runs, where it used to evaluate an empty
 // scenario set.
-func TestNegativeUnseen(t *testing.T) {
+func TestNegativeUnseen(t *testing.T) { wantUnseenRefused(t, "-3") }
+
+// TestZeroUnseen checks that -unseen 0 is refused like a negative value,
+// where it used to be rewritten to 30 scenarios.
+func TestZeroUnseen(t *testing.T) { wantUnseenRefused(t, "0") }
+
+// wantUnseenRefused runs paper with -unseen n and checks that it exits 1
+// with one line about -unseen before any experiment runs.
+func wantUnseenRefused(t *testing.T, n string) {
+	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	out, err := exec.CommandContext(ctx, os.Args[0], "paper", "-unseen", "-3", "fig1").CombinedOutput()
+	out, err := exec.CommandContext(ctx, os.Args[0], "paper", "-unseen", n, "fig1").CombinedOutput()
 	var exit *exec.ExitError
 	if !errors.As(err, &exit) || exit.ExitCode() != 1 ||
 		!strings.HasPrefix(string(out), "paper: -unseen: ") || strings.Count(string(out), "\n") != 1 {
-		t.Errorf("%v, output %q; want exit 1 and one line about -unseen", err, out)
+		t.Errorf("-unseen %s: %v, output %q; want exit 1 and one line about -unseen", n, err, out)
 	}
 }

@@ -8,10 +8,11 @@ import (
 
 // Recorder is the journal the decomposition driver writes through: it holds
 // the in-memory Snapshot, persists it through a Store on every record, and
-// serves the journaled records back to a resuming run. Safe for concurrent
-// use — parallel subproblem solves share one Recorder.
+// serves the journaled records back to a resuming run. Without a Store it
+// keeps the records in memory only. Safe for concurrent use — parallel
+// subproblem solves share one Recorder.
 type Recorder struct {
-	st *Store
+	st *Store // nil: the journal lives in memory only
 
 	mu      sync.Mutex
 	snap    *Snapshot
@@ -22,8 +23,8 @@ type Recorder struct {
 	carried map[string]*Basis
 }
 
-// NewRecorder wraps st. prev, when non-nil, is a loaded snapshot to resume
-// from.
+// NewRecorder wraps st; a nil st journals in memory only. prev, when
+// non-nil, is a loaded snapshot to resume from.
 func NewRecorder(st *Store, prev *Snapshot) *Recorder {
 	snap := prev
 	resumed := prev != nil
@@ -143,9 +144,13 @@ func (r *Recorder) RecordMIP(id string, rec *MIPRecord) error {
 	return r.save()
 }
 
-// save persists the current snapshot; the caller holds r.mu. Kill-point
-// panics from a fault injector propagate — they simulate process death.
+// save persists the current snapshot, if the Recorder has a Store; the
+// caller holds r.mu. Kill-point panics from a fault injector propagate —
+// they simulate process death.
 func (r *Recorder) save() error {
+	if r.st == nil {
+		return nil
+	}
 	if err := r.st.Save(r.snap); err != nil {
 		r.saveErr = err
 		return err

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"fragalloc/internal/checkpoint"
@@ -107,4 +109,28 @@ func TestBasesCarryAcrossDrift(t *testing.T) {
 	if warm.LPIters >= cold.LPIters {
 		t.Errorf("carried run took %d LP iterations, the cold one %d", warm.LPIters, cold.LPIters)
 	}
+}
+
+// TestRefusedCarriedBasisIsLogged carries bases across a drift into a run
+// whose iteration limit no LP can meet: a dive root's start from its carried
+// basis ends at the limit and is refused, and the run's own logger says so.
+func TestRefusedCarriedBasisIsLogged(t *testing.T) {
+	full := tpcds.Workload()
+	before := scenario.InSample(full, 3, scenario.DefaultP, 1)
+	after := before.Clone()
+	for j := range after.Frequencies[0] {
+		after.Frequencies[0][j] *= 1 + 0.05*float64(j%3)
+	}
+	opt := Options{Chunks: mustChunks(t, "2+2"), FixedQueries: 64, Parallelism: 1, MIP: mip.Options{MaxNodes: 60, MaxStallNodes: 30}}
+	_, st := goldenRun(t, full, before, 4, opt, "", nil)
+	var lines []string
+	opt.Logf = func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) }
+	opt.MIP.LP.MaxIters = 1
+	goldenRun(t, full, after, 4, opt, "", journaledBases(t, st))
+	for _, l := range lines {
+		if strings.HasPrefix(l, "core: dive root from the carried basis ended ") && strings.HasSuffix(l, "; solving cold") {
+			return
+		}
+	}
+	t.Errorf("no log line says that a carried start was refused:\n%s", strings.Join(lines, "\n"))
 }

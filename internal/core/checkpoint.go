@@ -37,15 +37,6 @@ type subCheckpoint struct {
 	id  string
 }
 
-// subCkpt returns the journal handle for subproblem id, or nil when the run
-// is not checkpointed.
-func (d *driver) subCkpt(id string) *subCheckpoint {
-	if d.opt.Checkpoint == nil {
-		return nil
-	}
-	return &subCheckpoint{rec: d.opt.Checkpoint, id: id}
-}
-
 // finite clamps NaN and ±Inf to 0: the journal is JSON, which cannot encode
 // them, and a non-finite value in solver output is noise no resume should
 // reproduce anyway.

@@ -58,14 +58,16 @@ type Options struct {
 	// Result.Canceled set. The hook must be cheap and safe to call from
 	// multiple goroutines.
 	Canceled func() bool
-	// Checkpoint, when non-nil, journals solve progress durably: every
-	// completed subproblem immediately, and long MIP searches every
-	// Recorder interval (DESIGN.md §3.9). On a recorder resumed from a
-	// prior run's journal, proven-optimal subproblems are replayed verbatim
-	// — the final allocation is bit-identical to the uninterrupted run —
-	// while feasible/degraded records warm-start their re-solve and
-	// in-flight MIP incumbents seed the restarted search. Allocate fails if
-	// the journal was written for different inputs (see Recorder.Bind).
+	// Checkpoint is the run's journal: every completed subproblem is
+	// recorded immediately, and long MIP searches every Recorder interval
+	// (DESIGN.md §3.9); a Recorder with a Store makes that durable. nil
+	// journals in memory, in a fresh Recorder. On a recorder resumed from
+	// a prior run's journal, proven-optimal subproblems are replayed
+	// verbatim — the final allocation is bit-identical to the
+	// uninterrupted run — while feasible/degraded records warm-start their
+	// re-solve and in-flight MIP incumbents seed the restarted search.
+	// Allocate fails if the journal was written for different inputs (see
+	// Recorder.Bind).
 	Checkpoint *checkpoint.Recorder
 	// Logf, if non-nil, receives progress lines.
 	Logf func(format string, args ...any)
@@ -141,20 +143,21 @@ func Allocate(w *model.Workload, ss *model.ScenarioSet, k int, opt Options) (*Re
 		return nil, fmt.Errorf("core: chunk spec %q covers %d nodes, want K=%d", spec, spec.Leaves, k)
 	}
 
+	if opt.Checkpoint == nil {
+		opt.Checkpoint = checkpoint.NewRecorder(nil, nil)
+	}
 	d := &driver{
 		w: w, ss: ss, opt: opt, alloc: newAllocation(w, ss, k), exact: true,
 		gate: newGate(opt.Parallelism), logMu: &sync.Mutex{},
 	}
 	d.logf("core: allocating K=%d with spec %v (%d exact groups, parallelism %d)",
 		k, spec, spec.Groups(), d.gate.width())
-	if opt.Checkpoint != nil {
-		if err := opt.Checkpoint.Bind(runKey(root, spec)); err != nil {
-			return nil, err
-		}
-		if opt.Checkpoint.Resumed() {
-			subs, mips := opt.Checkpoint.Counts()
-			d.logf("core: resuming from checkpoint journal (%d subproblem records, %d in-flight MIP incumbents)", subs, mips)
-		}
+	if err := opt.Checkpoint.Bind(runKey(root, spec)); err != nil {
+		return nil, err
+	}
+	if opt.Checkpoint.Resumed() {
+		subs, mips := opt.Checkpoint.Counts()
+		d.logf("core: resuming from checkpoint journal (%d subproblem records, %d in-flight MIP incumbents)", subs, mips)
 	}
 	if err := d.solve(root, spec, 0, "r"); err != nil {
 		return nil, err
@@ -376,18 +379,16 @@ func (d *driver) solve(sp *subproblem, spec *ChunkSpec, leaf int, id string) err
 	// records instead become one more warm-start hint for a fresh solve:
 	// the re-solve starts no worse than the journaled incumbent and a
 	// larger budget may improve it.
-	ck := d.subCkpt(id)
+	ck := &subCheckpoint{rec: d.opt.Checkpoint, id: id}
 	var journalHint [][]bool
-	if ck != nil {
-		if rec := ck.rec.Sub(ck.id); rec != nil && recordCompatible(rec, b) {
-			if rec.Outcome == OutcomeOptimal {
-				sol := &solution{SubRecord: *rec}
-				d.recordSolution(sol)
-				d.logf("core: split %v replayed from checkpoint (optimal, %d nodes)", spec, sol.Nodes)
-				return d.finish(sp, spec, sol, leaf, id)
-			}
-			journalHint = sp.hintFromRecord(rec)
+	if rec := ck.rec.Sub(ck.id); rec != nil && recordCompatible(rec, b) {
+		if rec.Outcome == OutcomeOptimal {
+			sol := &solution{SubRecord: *rec}
+			d.recordSolution(sol)
+			d.logf("core: split %v replayed from checkpoint (optimal, %d nodes)", spec, sol.Nodes)
+			return d.finish(sp, spec, sol, leaf, id)
 		}
+		journalHint = sp.hintFromRecord(rec)
 	}
 
 	// Pre-solve hints. For exact groups with B >= 3, a hierarchical
@@ -441,12 +442,10 @@ func (d *driver) solve(sp *subproblem, spec *ChunkSpec, leaf int, id string) err
 		return err
 	}
 	d.recordSolution(sol)
-	if ck != nil {
-		// Journal the completed solve — degraded outcomes included, routing
-		// and all — before any child work starts, so a crash below this
-		// point never re-solves this subproblem.
-		ck.record(d, sol)
-	}
+	// Journal the completed solve — degraded outcomes included, routing and
+	// all — before any child work starts, so a crash below this point never
+	// re-solves this subproblem.
+	ck.record(d, sol)
 	d.logf("core: split %v solved (%v): L=%.4f gap=%.4f nodes=%d %v", spec, sol.Outcome, sol.L, sol.Gap, sol.Nodes, sol.starts)
 	return d.finish(sp, spec, sol, leaf, id)
 }
@@ -528,11 +527,12 @@ func (d *driver) hierarchicalHint(sp *subproblem, n int) [][]bool {
 	spec := Split(Flat(half), Flat(n-half))
 	// The scratch driver gets its own allocation and statistics but shares
 	// the parent's worker pool and log serialization, so pre-solves cannot
-	// oversubscribe the CPU budget or interleave log lines. Its checkpoint
-	// recorder is stripped: a pre-solve is throwaway scaffolding whose
-	// subproblem ids would collide with the real decomposition's journal.
+	// oversubscribe the CPU budget or interleave log lines. It journals
+	// into a fresh in-memory recorder of its own: a pre-solve is throwaway
+	// scaffolding whose subproblem ids would collide with the real
+	// decomposition's journal.
 	opt := d.opt
-	opt.Checkpoint = nil
+	opt.Checkpoint = checkpoint.NewRecorder(nil, nil)
 	scratch := &driver{
 		w: d.w, ss: d.ss, opt: opt, alloc: newAllocation(d.w, d.ss, d.alloc.K), exact: true,
 		gate: d.gate, logMu: d.logMu,

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"fragalloc/internal/mip"
+	"fragalloc/internal/simplex"
 )
 
 // ErrInfeasible marks inputs that admit no feasible allocation (for
@@ -85,13 +86,11 @@ func (d *driver) mipOptions() mip.Options {
 	return opt
 }
 
-// escalateIters is the retry rung of the failure policy: a generous
-// absolute floor, or four times the caller's explicit limit.
-func (d *driver) escalateIters(n int) int {
-	if n == 0 {
-		return 400000
-	}
-	return 4 * n
+// escalateIters is the retry rung of the failure policy: four times the
+// pivot limit the failed attempt ran with on p, the subproblem's model (its
+// largest LP; the MIP's presolved LPs are smaller and had lower defaults).
+func escalateIters(lp simplex.Options, p *simplex.Problem) int {
+	return 4 * lp.IterLimit(len(p.Rows), p.NumVars)
 }
 
 // solveWithPolicy is the per-subproblem failure policy (DESIGN.md §3.7).
@@ -103,7 +102,7 @@ func (d *driver) escalateIters(n int) int {
 // malformed inputs still abort the run: degradation can't fix those, and
 // hiding them would report a broken allocation as a success.
 func (d *driver) solveWithPolicy(sp *subproblem, spec *ChunkSpec, ck *subCheckpoint, hints ...[][]bool) (*solution, error) {
-	sol, err := sp.solve(d.mipOptions(), ck, hints...)
+	sol, err := sp.solve(d.mipOptions(), ck, d.logf, hints...)
 	if err == nil {
 		return sol, nil
 	}
@@ -113,8 +112,9 @@ func (d *driver) solveWithPolicy(sp *subproblem, spec *ChunkSpec, ck *subCheckpo
 	if !d.canceled() {
 		d.logf("core: split %v solve failed (%v); retrying with escalated iteration limits", spec, err)
 		retry := d.mipOptions()
-		retry.LP.MaxIters = d.escalateIters(retry.LP.MaxIters)
-		sol, err = sp.solve(retry, ck, hints...)
+		p, _, _ := sp.build()
+		retry.LP.MaxIters = escalateIters(retry.LP, p)
+		sol, err = sp.solve(retry, ck, d.logf, hints...)
 		if err == nil {
 			return sol, nil
 		}

@@ -175,6 +175,20 @@ func TestRetryRungRecovers(t *testing.T) {
 	t.Fatal("no scanned iteration limit produced a retry-then-success; adjust the scan range")
 }
 
+// TestRetryRaisesTheIterationLimit pins the retry rung on a model with
+// m+n = 20 000, past the 7 000 where the simplex's default limit 50 000 +
+// 50·(m+n) passes 400 000: the retry runs at four times the limit the
+// failed attempt ran with, the default or the caller's own, never lower.
+func TestRetryRaisesTheIterationLimit(t *testing.T) {
+	p := &simplex.Problem{NumVars: 18000, Rows: make([]simplex.Row, 2000)}
+	if got, want := escalateIters(simplex.Options{}, p), 4*(50000+50*20000); got != want {
+		t.Errorf("retry limit after the default: %d, want %d", got, want)
+	}
+	if got := escalateIters(simplex.Options{MaxIters: 700}, p); got != 2800 {
+		t.Errorf("retry limit after MaxIters 700: %d, want 2800", got)
+	}
+}
+
 // TestCanceledBeforeStart: a hook that is already true must still yield a
 // complete feasible allocation — everything degrades — with Canceled set.
 func TestCanceledBeforeStart(t *testing.T) {

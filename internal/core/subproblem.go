@@ -434,39 +434,33 @@ type solution struct {
 // additional starting placement (runnable per subnode, by flexQ position; a
 // nil row proposes nothing for its query), typically from a hierarchical
 // decomposition pre-solve, the greedy baseline, or a resumed journal
-// record. ck, when non-nil, wires the durable journal into the search: a
-// journaled in-flight incumbent from a crashed run seeds the restarted MIP,
-// and the search's periodic Checkpoint callback writes fresh incumbents back
-// under the same subproblem id.
-func (sp *subproblem) solve(opt mip.Options, ck *subCheckpoint, hints ...[][]bool) (*solution, error) {
+// record. ck wires the run's journal into the search: a journaled in-flight
+// incumbent from a crashed run seeds the restarted MIP, the search's
+// periodic Checkpoint callback writes fresh incumbents back under the same
+// subproblem id, and the dive root starts from the basis carried under it.
+// logf is the run's logger.
+func (sp *subproblem) solve(opt mip.Options, ck *subCheckpoint, logf func(string, ...any), hints ...[][]bool) (*solution, error) {
 	p, ix, intVars := sp.build()
 	opt.Rounding = sp.rounding(ix)
-	if ck != nil {
-		if m := ck.rec.MIP(ck.id); m != nil && len(m.X) == p.NumVars {
-			opt.Starts = append(opt.Starts, append([]float64(nil), m.X...))
-		}
-		rec, id := ck.rec, ck.id
-		opt.Checkpoint = func(snap mip.Snapshot) {
-			if !snap.HasIncumbent {
-				return
-			}
-			mr := &checkpoint.MIPRecord{X: snap.X}
-			for i, v := range mr.X {
-				mr.X[i] = finite(v)
-			}
-			// Journaling is best-effort by design: the recorder retains the
-			// failure for end-of-run reporting (SaveErr), and a full journal
-			// disk must not abort the solve.
-			_ = rec.RecordMIP(id, mr)
-		}
+	if m := ck.rec.MIP(ck.id); m != nil && len(m.X) == p.NumVars {
+		opt.Starts = append(opt.Starts, append([]float64(nil), m.X...))
 	}
-	var roles []checkpoint.Role
-	var from *simplex.Basis
-	if ck != nil {
-		roles = sp.roles(ix)
-		from = carriedBasis(ck.rec.Carried(ck.id), roles, p.NumVars)
+	opt.Checkpoint = func(snap mip.Snapshot) {
+		if !snap.HasIncumbent {
+			return
+		}
+		mr := &checkpoint.MIPRecord{X: snap.X}
+		for i, v := range mr.X {
+			mr.X[i] = finite(v)
+		}
+		// Journaling is best-effort by design: the recorder retains the
+		// failure for end-of-run reporting (SaveErr), and a full journal
+		// disk must not abort the solve.
+		_ = ck.rec.RecordMIP(ck.id, mr)
 	}
-	lp, relax, starts := relaxation(p, opt.LP, from, opt.Logf)
+	roles := sp.roles(ix)
+	from := carriedBasis(ck.rec.Carried(ck.id), roles, p.NumVars)
+	lp, relax, starts := relaxation(p, opt.LP, from, logf)
 	var rootBasis *simplex.Basis
 	diveIters := 0
 	if relax != nil {
@@ -530,7 +524,7 @@ func (sp *subproblem) solve(opt mip.Options, ck *subCheckpoint, hints ...[][]boo
 	sol := sp.decode(ix, res)
 	sol.lpiters += diveIters
 	sol.starts.Dives, sol.starts.DivesCold = starts.Dives, starts.DivesCold
-	if roles != nil && rootBasis != nil {
+	if rootBasis != nil {
 		sol.Basis = journalBasis(rootBasis, roles)
 	}
 	return sol, nil

@@ -115,8 +115,8 @@ func (e *Evaluator) WorstLoad(freq []float64) (float64, error) {
 // worstLoadBisect is the reference search: binary-search L with an
 // independent from-scratch feasibility probe per step. It brackets the same
 // quasi-feasibility frontier as the parametric search (both are within tol
-// of the exact L̃) and exists to cross-check WorstLoad in tests and to serve
-// as the benchmark's pre-streaming baseline.
+// of the exact L̃) and exists to cross-check WorstLoad in tests and to time
+// the pre-streaming path in BenchmarkEvalStream.
 func (e *Evaluator) worstLoadBisect(freq []float64) (float64, error) {
 	lo, totalLoad, err := e.prepare(freq)
 	if err != nil || math.IsInf(lo, 1) {

@@ -31,7 +31,9 @@ import (
 	"fragalloc/internal/tpcds"
 )
 
-// Config selects the workload and scale of an experiment run.
+// Config selects the workload and scale of an experiment run. A field's
+// zero value means what its comment says; cmd/paper's flags own the
+// defaults.
 type Config struct {
 	// Workload is "tpcds" or "accounting".
 	Workload string
@@ -41,17 +43,17 @@ type Config struct {
 	// Bench selects a minimal row set for the testing.B benchmarks: one or
 	// two rows per table, exercising the same code paths end to end.
 	Bench bool
-	// Budget is the MIP time budget per subproblem (default 15 s).
+	// Budget is the MIP time budget per subproblem; 0 means no limit.
 	Budget time.Duration
 	// MaxQ truncates the accounting workload to its heaviest MaxQ queries
 	// for the LP-based approaches of Table 1b, whose full-Q LPs exceed
-	// practical solve budgets (default 300; ignored for TPC-DS).
+	// practical solve budgets (≤ 0: no truncation; ignored for TPC-DS).
 	MaxQ int
 	// OutOfSample is the number of unseen verification scenarios S̃ for
-	// Table 3 and Figure 2 (default 30, paper: 100).
+	// Table 3 and Figure 2 (cmd/paper: 30, the paper: 100).
 	OutOfSample int
-	// Seed drives scenario sampling (default 1). Workload generators use
-	// their own canonical seeds.
+	// Seed drives scenario sampling. Workload generators use their own
+	// canonical seeds.
 	Seed int64
 	// Parallelism bounds how many table rows are computed concurrently
 	// (0 = GOMAXPROCS, 1 = serial). Rows always render in order. When the
@@ -75,25 +77,6 @@ type Config struct {
 	// warm-start. cmd/paper wires -checkpoint and -resume here.
 	CheckpointDir string
 	Resume        bool
-}
-
-func (c Config) withDefaults() Config {
-	if c.Workload == "" {
-		c.Workload = "tpcds"
-	}
-	if c.Budget == 0 {
-		c.Budget = 15 * time.Second
-	}
-	if c.MaxQ == 0 {
-		c.MaxQ = 300
-	}
-	if c.OutOfSample == 0 {
-		c.OutOfSample = 30
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
 }
 
 // load returns the configured workload.

@@ -10,7 +10,6 @@ import (
 // The workload shares use the workload's native frequencies (the trace for
 // accounting, f = 1 for TPC-DS), as in Section 2.3.3.
 func Fig1(cfg Config) error {
-	cfg = cfg.withDefaults()
 	w, err := cfg.load()
 	if err != nil {
 		return err

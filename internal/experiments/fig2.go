@@ -16,7 +16,6 @@ import (
 // the per-scenario relative throughput of the merge allocation with S = 2
 // versus our allocation with S = 10 across every unseen scenario.
 func Fig2(cfg Config, perScenario bool) error {
-	cfg = cfg.withDefaults()
 	cfg.Workload = "tpcds" // the paper's Figure 2 is TPC-DS only
 	w, err := cfg.load()
 	if err != nil {

@@ -23,7 +23,6 @@ const scaleR = 8
 // full solve is still tractable — while the solve never grows past R
 // scenarios and the full-set evaluation stays cheap.
 func Scale(cfg Config) error {
-	cfg = cfg.withDefaults()
 	cfg.Workload = "tpcds" // the scale study pins the Table 3 configuration
 	w, err := cfg.load()
 	if err != nil {

@@ -43,7 +43,6 @@ var (
 // on the heaviest-MaxQ truncation (see Config.MaxQ); greedy runs on the
 // same truncation so the W^G/W^D ratios compare like with like.
 func Table1(cfg Config) error {
-	cfg = cfg.withDefaults()
 	w, err := cfg.load()
 	if err != nil {
 		return err

@@ -43,7 +43,6 @@ var (
 // finish within a table budget, which is precisely the runtime wall the
 // paper's Section 3.2 motivates, so the W/W^D column prints n/a there.
 func Table2(cfg Config) error {
-	cfg = cfg.withDefaults()
 	w, err := cfg.load()
 	if err != nil {
 		return err

@@ -51,7 +51,6 @@ const (
 // Rows with F >= 0 use the paper's partial-clustering approach W(S); rows
 // marked merge use the greedy merge baseline W^G(S).
 func Table3(cfg Config) error {
-	cfg = cfg.withDefaults()
 	w, err := cfg.load()
 	if err != nil {
 		return err

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +14,8 @@ import (
 
 	"fragalloc/internal/checkpoint"
 	"fragalloc/internal/core"
+	"fragalloc/internal/model"
+	"fragalloc/internal/scenario"
 )
 
 // driftOnce restarts a daemon on cfg's state directory — bootstrapping it
@@ -163,5 +166,74 @@ func TestServiceJournalBasesStartCold(t *testing.T) {
 				t.Errorf("warning logged: %v, want %v", warned, c.warn)
 			}
 		})
+	}
+}
+
+// TestServiceMemoryDaemonCarriesBases runs a memory-only daemon and a
+// durable one on the same config and the same seeded drift stream and
+// requires them to adopt bit-identical allocations, after the same number of
+// LP iterations and the same basis starts, at every epoch: the state
+// directory decides what reaches disk, never which bases a solve starts
+// from.
+func TestServiceMemoryDaemonCarriesBases(t *testing.T) {
+	cfg := crashConfig(t, "", nil)
+	cfg.Scenarios = scenario.InSample(cfg.Workload, 4, 0.6, 3)
+	cfg.ReduceTo = 4
+	updates := GenerateDrift(cfg.Workload, cfg.Scenarios, DriftConfig{Updates: 12, Seed: 5})
+
+	type adoption struct {
+		alloc  *model.Allocation
+		iters  int
+		starts string
+	}
+	run := func(stateDir string) []adoption {
+		t.Helper()
+		c := cfg
+		c.StateDir = stateDir
+		s, err := New(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
+		defer cancel()
+		if err := s.Bootstrap(ctx); err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			s.Run(ctx)
+		}()
+		defer func() { cancel(); <-done }()
+		var out []adoption
+		for i, u := range updates {
+			epoch, err := s.Apply(u)
+			if err != nil {
+				t.Fatalf("update %d: %v", i+1, err)
+			}
+			if ok, err := s.WaitEpoch(ctx, epoch); !ok || err != nil {
+				t.Fatalf("WaitEpoch(%d) = (%v, %v), want adoption", epoch, ok, err)
+			}
+			inc, _ := s.Incumbent()
+			out = append(out, adoption{inc.Allocation, inc.LPIters, string(s.Status().BasisStarts)})
+		}
+		return out
+	}
+	mem, durable := run(""), run(t.TempDir())
+	var carried int
+	for i := range updates {
+		var bs core.BasisStarts
+		if err := json.Unmarshal([]byte(mem[i].starts), &bs); err != nil {
+			t.Fatalf("basis_starts %s: %v", mem[i].starts, err)
+		}
+		carried += bs.Dives
+		m, d := mem[i], durable[i]
+		if !reflect.DeepEqual(m.alloc, d.alloc) || m.iters != d.iters || m.starts != d.starts {
+			t.Errorf("epoch %d: memory-only daemon adopted %v after %d LP iterations (%s), durable %v after %d (%s)",
+				i+1, m.alloc.Fragments, m.iters, m.starts, d.alloc.Fragments, d.iters, d.starts)
+		}
+	}
+	if carried == 0 {
+		t.Error("the memory-only daemon started no dive from a carried basis")
 	}
 }

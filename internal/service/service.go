@@ -390,7 +390,7 @@ func (s *Service) attempt(ctx context.Context, boot bool) (uint64, error) {
 	if err != nil {
 		return p.Epoch, err
 	}
-	if rec != nil && p.Bases != nil {
+	if p.Bases != nil {
 		var bases map[string]*checkpoint.Basis
 		if err := json.Unmarshal(p.Bases, &bases); err != nil {
 			s.logf("service: warning: the incumbent's journaled bases are unreadable, solving cold: %v", err)
@@ -463,11 +463,8 @@ func (s *Service) attempt(ctx context.Context, boot bool) (uint64, error) {
 }
 
 // journaledBases is the bases a solve journaled through rec, encoded for the
-// incumbent to carry; nil without a recorder or bases.
+// incumbent to carry; nil without bases.
 func journaledBases(rec *checkpoint.Recorder) json.RawMessage {
-	if rec == nil {
-		return nil
-	}
 	bases := rec.Bases()
 	if bases == nil {
 		return nil
@@ -479,12 +476,13 @@ func journaledBases(rec *checkpoint.Recorder) json.RawMessage {
 	return raw
 }
 
-// solveRecorder opens the durable journal for the solve of the given epoch,
-// resuming a previous attempt's progress if the daemon crashed mid-solve.
-// Memory-only daemons get no recorder.
+// solveRecorder opens the journal for the solve of the given epoch: a
+// durable one that resumes a previous attempt's progress if the daemon
+// crashed mid-solve, or, for a memory-only daemon, a fresh one in memory.
+// Either way the solve journals its bases for the next epoch to start from.
 func (s *Service) solveRecorder(epoch uint64) (*checkpoint.Recorder, error) {
 	if s.cfg.StateDir == "" {
-		return nil, nil
+		return checkpoint.NewRecorder(nil, nil), nil
 	}
 	dir := filepath.Join(s.cfg.StateDir, "solve", fmt.Sprintf("ep-%d", epoch))
 	st, err := checkpoint.Open(dir)

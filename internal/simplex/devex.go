@@ -37,7 +37,8 @@ const (
 	PricingDevex Pricing = iota
 	// PricingDantzig restores the pre-Devex baseline — largest reduced
 	// cost (primal) and largest bound violation (dual) — bit-identically.
-	// It exists as the regression and benchmarking baseline.
+	// The decomposition's dive solves with it, and tests and benchmarks
+	// compare against it.
 	PricingDantzig
 )
 

@@ -311,8 +311,9 @@ type Options struct {
 	// row count.
 	MaxFactorNonzeros int
 	// Pricing selects the pivot-pricing rule for both simplex loops. The
-	// zero value is PricingDevex (the default); PricingDantzig restores the
-	// pre-Devex rule bit-identically for regression baselines.
+	// zero value is PricingDevex (the default); PricingDantzig is the
+	// pre-Devex rule, bit for bit, which the decomposition's dive solves
+	// with (so that its proposals do not depend on the pricing rule).
 	Pricing Pricing
 	// Canceled, when non-nil, is polled once per simplex iteration; as soon
 	// as it returns true the solve stops and reports StatusCanceled. The
@@ -324,10 +325,17 @@ type Options struct {
 	Fault FaultInjector
 }
 
-func (o Options) withDefaults(m, n int) Options {
-	if o.MaxIters == 0 {
-		o.MaxIters = 50000 + 50*(m+n)
+// IterLimit is the pivot limit a solve of a problem with m rows and n
+// columns runs with under o: MaxIters, or the default when it is 0.
+func (o Options) IterLimit(m, n int) int {
+	if o.MaxIters != 0 {
+		return o.MaxIters
 	}
+	return 50000 + 50*(m+n)
+}
+
+func (o Options) withDefaults(m, n int) Options {
+	o.MaxIters = o.IterLimit(m, n)
 	if o.RefactorEvery == 0 {
 		o.RefactorEvery = 120
 	}
