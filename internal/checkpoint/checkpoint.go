@@ -15,6 +15,8 @@
 // the only sanctioned way to write checkpoint files — generations and the
 // leader lease both go through it, and the fragvet analyzer `atomicwrite`
 // flags direct os.WriteFile/os.Create calls on checkpoint paths elsewhere.
+// Every file-system call goes through an FS (fs.go), so a test can crash,
+// tear or fail any of them.
 package checkpoint
 
 import (
@@ -38,27 +40,12 @@ const (
 	headerSize = 8 + 4 + 8 + 4
 )
 
-// FaultInjector lets crash tests interpose on the durable write path. It is
-// implemented structurally by internal/faultinject, which this package must
-// not import (mirroring simplex.FaultInjector).
-type FaultInjector interface {
-	// BeforeRename is consulted once per Save, after the temp file is
-	// written and before it is renamed into place. Returning true truncates
-	// the temp file mid-payload first, so the generation renamed into place
-	// is torn and a resuming loader must reject it by CRC and fall back.
-	BeforeRename() bool
-	// AfterSave runs once per Save after the rename and directory sync have
-	// completed. An implementation may panic or os.Exit here to simulate a
-	// crash whose last checkpoint is already durable.
-	AfterSave()
-}
-
 // Store owns one checkpoint directory and its generation files
 // (gen-%08d.ckpt). Saves are serialized; the newest two generations are
 // kept, older ones pruned.
 type Store struct {
+	fs    FS
 	dir   string
-	fault FaultInjector
 	fence func() error
 
 	mu  sync.Mutex
@@ -66,12 +53,15 @@ type Store struct {
 }
 
 // Open creates dir if needed and scans it for existing generations.
-func Open(dir string) (*Store, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+func Open(dir string) (*Store, error) { return OpenFS(OS, dir) }
+
+// OpenFS is Open on the file system fsys.
+func OpenFS(fsys FS, dir string) (*Store, error) {
+	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	st := &Store{dir: dir}
-	gens, err := st.generations()
+	st := &Store{fs: fsys, dir: dir}
+	gens, err := scanGenerations(fsys, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -83,9 +73,6 @@ func Open(dir string) (*Store, error) {
 
 // Dir returns the checkpoint directory.
 func (st *Store) Dir() string { return st.dir }
-
-// SetFault installs a fault injector on the write path (tests only).
-func (st *Store) SetFault(f FaultInjector) { st.fault = f }
 
 // SetFence installs a gate consulted at the top of every durable save. A
 // non-nil error from the fence aborts the save before any byte is written —
@@ -99,15 +86,10 @@ func (st *Store) SetFence(f func() error) {
 	st.fence = f
 }
 
-// generations lists the on-disk generation numbers in ascending order.
-func (st *Store) generations() ([]uint64, error) {
-	return scanGenerations(st.dir)
-}
-
 // scanGenerations lists a directory's generation numbers in ascending order.
 // It is shared by the writing Store and the read-only Watcher.
-func scanGenerations(dir string) ([]uint64, error) {
-	entries, err := os.ReadDir(dir)
+func scanGenerations(fsys FS, dir string) ([]uint64, error) {
+	entries, err := fsys.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
@@ -194,53 +176,39 @@ func (st *Store) saveFramed(buf []byte) error {
 	}
 	gen := st.gen + 1
 	final := filepath.Join(st.dir, genName(gen))
-	tear := func(f *os.File) error {
-		if st.fault == nil || !st.fault.BeforeRename() {
-			return nil
-		}
-		// Torn-write simulation: chop the payload in half before the file
-		// becomes the newest generation, so the loader's CRC must reject it.
-		return f.Truncate(int64(headerSize + (len(buf)-headerSize)/2))
-	}
-	if err := writeDurably(final+".tmp", final, os.O_CREATE|os.O_TRUNC, buf, tear); err != nil {
+	if err := writeDurably(st.fs, final+".tmp", final, os.O_CREATE|os.O_TRUNC, buf); err != nil {
 		return err
 	}
 	st.gen = gen
 	st.prune()
-	if st.fault != nil {
-		st.fault.AfterSave()
-	}
 	return nil
 }
 
 // prune removes generations older than the newest two, best-effort: a
 // failed removal never fails a Save.
 func (st *Store) prune() {
-	gens, err := st.generations()
+	gens, err := scanGenerations(st.fs, st.dir)
 	if err != nil {
 		return
 	}
 	for len(gens) > 2 {
 		//fragvet:ignore errdrop — prune is documented best-effort: a failed removal of a superseded generation must not fail the Save that just committed a newer one
-		os.Remove(filepath.Join(st.dir, genName(gens[0])))
+		st.fs.Remove(filepath.Join(st.dir, genName(gens[0])))
 		gens = gens[1:]
 	}
 }
 
-// writeDurably is the one durable write of the package: open tmp with the
-// caller's flags, write data, let tear (when non-nil) damage the file the way
-// a crash would, fsync, close, rename tmp to final when the two differ, and
-// fsync the directory so the new name itself survives a crash. The open
-// error stays matchable (a lease's O_EXCL claim tests for os.ErrExist).
-func writeDurably(tmp, final string, flags int, data []byte, tear func(*os.File) error) error {
-	f, err := os.OpenFile(tmp, os.O_WRONLY|flags, 0o644)
+// writeDurably is the one durable write of the package: open tmp on fsys with
+// the caller's flags, write data, fsync, close, rename tmp to final when the
+// two differ, and fsync the directory so the new name itself survives a
+// crash. The open error stays matchable (a lease's O_EXCL claim tests for
+// os.ErrExist).
+func writeDurably(fsys FS, tmp, final string, flags int, data []byte) error {
+	f, err := fsys.OpenFile(tmp, os.O_WRONLY|flags, 0o644)
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
 	_, err = f.Write(data)
-	if err == nil && tear != nil {
-		err = tear(f)
-	}
 	if err == nil {
 		err = f.Sync()
 	}
@@ -248,24 +216,13 @@ func writeDurably(tmp, final string, flags int, data []byte, tear func(*os.File)
 		err = cerr
 	}
 	if err == nil && tmp != final {
-		err = os.Rename(tmp, final)
+		err = fsys.Rename(tmp, final)
+	}
+	if err == nil {
+		err = fsys.SyncDir(filepath.Dir(final))
 	}
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
-	}
-	return syncDir(filepath.Dir(final))
-}
-
-// syncDir fsyncs the directory so the rename itself is durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	//fragvet:ignore errdrop — read-only directory handle: the Sync error is checked above, and Close of an O_RDONLY fd after a successful fsync has nothing durable left to report
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("checkpoint: syncing %s: %w", dir, err)
 	}
 	return nil
 }
@@ -301,7 +258,7 @@ func (st *Store) LoadRaw() ([]byte, error) {
 func (st *Store) loadNewest(accept func(payload []byte) error) ([]byte, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	gen, payload, skipped, err := newestVerified(st.dir, 0, accept)
+	gen, payload, skipped, err := newestVerified(st.fs, st.dir, 0, accept)
 	if err == nil && gen == 0 && len(skipped) > 0 {
 		err = fmt.Errorf("checkpoint: no loadable generation in %s: %w", st.dir, errors.Join(skipped...))
 	}
@@ -314,13 +271,13 @@ func (st *Store) loadNewest(accept func(payload []byte) error) ([]byte, error) {
 // when non-nil, takes. gen is 0 when none did; skipped says why each newer
 // candidate was passed over. The writing Store and the read-only Watcher
 // share it, so a torn or bit-flipped tail means the same thing to both.
-func newestVerified(dir string, after uint64, accept func(payload []byte) error) (gen uint64, payload []byte, skipped []error, err error) {
-	gens, err := scanGenerations(dir)
+func newestVerified(fsys FS, dir string, after uint64, accept func(payload []byte) error) (gen uint64, payload []byte, skipped []error, err error) {
+	gens, err := scanGenerations(fsys, dir)
 	if err != nil {
 		return 0, nil, nil, err
 	}
 	for i := len(gens) - 1; i >= 0 && gens[i] > after; i-- {
-		data, err := os.ReadFile(filepath.Join(dir, genName(gens[i])))
+		data, err := fsys.ReadFile(filepath.Join(dir, genName(gens[i])))
 		if err == nil {
 			payload, err = unframe(data)
 		}

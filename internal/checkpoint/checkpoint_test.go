@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -93,7 +94,7 @@ func TestGenerationsAndPruning(t *testing.T) {
 			t.Fatalf("save %d: %v", i, err)
 		}
 	}
-	gens, err := st.generations()
+	gens, err := scanGenerations(st.fs, st.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestGenerationsAndPruning(t *testing.T) {
 	if err := st2.Save(sampleSnapshot()); err != nil {
 		t.Fatal(err)
 	}
-	gens, err = st2.generations()
+	gens, err = scanGenerations(st2.fs, st2.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func newestGen(t *testing.T, dir string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gens, err := st.generations()
+	gens, err := scanGenerations(st.fs, st.dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,28 +242,38 @@ func TestAllGenerationsCorrupt(t *testing.T) {
 	}
 }
 
-// tornFault truncates the temp file before the Nth rename (1-based).
-type tornFault struct {
-	at    int
-	saves int
+// tornFS writes only the first half of the data of the n-th file opened
+// (1-based), the way a crash mid-write leaves it.
+type tornFS struct {
+	FS
+	n, opens int
 }
 
-func (f *tornFault) BeforeRename() bool {
-	f.saves++
-	return f.saves == f.at
+func (f *tornFS) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
+	file, err := f.FS.OpenFile(name, flag, perm)
+	if f.opens++; err != nil || f.opens != f.n {
+		return file, err
+	}
+	return halfFile{file}, nil
 }
 
-func (f *tornFault) AfterSave() {}
+type halfFile struct{ File }
 
-// TestTornWriteFallsBack arranges a torn newest generation via the fault
-// injector and checks the loader falls back to the intact previous one.
+func (h halfFile) Write(p []byte) (int, error) {
+	if _, err := h.File.Write(p[:len(p)/2]); err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}
+
+// TestTornWriteFallsBack arranges a torn newest generation through a faulty
+// FS and checks the loader falls back to the intact previous one.
 func TestTornWriteFallsBack(t *testing.T) {
 	dir := t.TempDir()
-	st, err := Open(dir)
+	st, err := OpenFS(&tornFS{FS: OS, n: 2}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.SetFault(&tornFault{at: 2})
 	good := sampleSnapshot()
 	good.RunKey = "1"
 	if err := st.Save(good); err != nil {
@@ -301,6 +312,11 @@ func TestRecorderBindRejectsForeignKey(t *testing.T) {
 	}
 	if err := rec.Bind("key-a"); err != nil {
 		t.Fatalf("Bind rejected the matching key: %v", err)
+	}
+	// A recorder without a Store refuses the same way; its error has no
+	// directory to name.
+	if err := NewRecorder(nil, &Snapshot{RunKey: "key-a"}).Bind("key-b"); err == nil {
+		t.Fatal("a Store-less recorder's Bind accepted a journal written by a different run")
 	}
 }
 

@@ -50,6 +50,7 @@ func (li LeaseInfo) Expired(now time.Time) bool {
 // eventually releases. Safe for concurrent use (the renew loop, the journal
 // fence, and HTTP handlers all consult it).
 type Lease struct {
+	fs     FS
 	path   string
 	holder string
 	addr   string
@@ -61,13 +62,13 @@ type Lease struct {
 	lost  bool
 }
 
-// ReadLease decodes the lease file at path. A missing file returns
+// ReadLease decodes the lease file at path on fsys. A missing file returns
 // (nil, nil) — no one leads. A file that exists but does not decode is
 // reported as a zero-epoch, long-expired lease rather than an error: the
 // only way to produce one is a crash mid-first-creation, and treating it as
 // expired lets the next candidate take over instead of wedging the cluster.
-func ReadLease(path string) (*LeaseInfo, error) {
-	data, err := os.ReadFile(path)
+func ReadLease(fsys FS, path string) (*LeaseInfo, error) {
+	data, err := fsys.ReadFile(path)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			return nil, nil
@@ -81,21 +82,21 @@ func ReadLease(path string) (*LeaseInfo, error) {
 	return li, nil
 }
 
-// AcquireLease attempts to become the leader recorded at path. On success
-// it returns the held lease (fencing epoch = previous epoch + 1, or 1 for a
-// fresh file). When a live lease names another holder it returns
+// AcquireLease attempts to become the leader recorded at path on fsys. On
+// success it returns the held lease (fencing epoch = previous epoch + 1, or 1
+// for a fresh file). When a live lease names another holder it returns
 // (nil, info, ErrLeaseHeld) so the caller can follow that leader. An
 // expired or corrupt lease is taken over atomically; losing a takeover race
 // to another candidate reports ErrLeaseHeld with the winner's info.
-func AcquireLease(path, holder, addr string, ttl time.Duration) (*Lease, *LeaseInfo, error) {
+func AcquireLease(fsys FS, path, holder, addr string, ttl time.Duration) (*Lease, *LeaseInfo, error) {
 	if holder == "" {
 		return nil, nil, fmt.Errorf("checkpoint: lease holder id must be non-empty")
 	}
 	if ttl <= 0 {
 		return nil, nil, fmt.Errorf("checkpoint: lease TTL %v must be positive", ttl)
 	}
-	l := &Lease{path: path, holder: holder, addr: addr, ttl: ttl, now: time.Now}
-	cur, err := ReadLease(path)
+	l := &Lease{fs: fsys, path: path, holder: holder, addr: addr, ttl: ttl, now: time.Now}
+	cur, err := ReadLease(fsys, path)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -105,7 +106,7 @@ func AcquireLease(path, holder, addr string, ttl time.Duration) (*Lease, *LeaseI
 		if err := l.create(); err != nil {
 			if errors.Is(err, os.ErrExist) {
 				// Lost the race; report the winner.
-				won, rerr := ReadLease(path)
+				won, rerr := ReadLease(fsys, path)
 				if rerr != nil {
 					return nil, nil, rerr
 				}
@@ -129,7 +130,7 @@ func AcquireLease(path, holder, addr string, ttl time.Duration) (*Lease, *LeaseI
 		return nil, nil, err
 	}
 	if err := l.verify(); err != nil {
-		won, rerr := ReadLease(path)
+		won, rerr := ReadLease(fsys, path)
 		if rerr != nil {
 			return nil, nil, rerr
 		}
@@ -184,13 +185,13 @@ func (l *Lease) put(tmp string, flags int) error {
 	if err != nil {
 		return fmt.Errorf("checkpoint: encoding lease: %w", err)
 	}
-	return writeDurably(tmp, l.path, flags, payload, nil)
+	return writeDurably(l.fs, tmp, l.path, flags, payload)
 }
 
 // verify re-reads the file and confirms this lease is still the one on
 // disk; any mismatch marks the lease lost.
 func (l *Lease) verify() error {
-	cur, err := ReadLease(l.path)
+	cur, err := ReadLease(l.fs, l.path)
 	if err != nil {
 		return err
 	}
@@ -233,7 +234,7 @@ func (l *Lease) Check() error {
 		return ErrLeaseLost
 	}
 	l.mu.Unlock()
-	cur, err := ReadLease(l.path)
+	cur, err := ReadLease(l.fs, l.path)
 	if err != nil {
 		return err
 	}
@@ -273,7 +274,7 @@ func (l *Lease) Release() error {
 	l.mu.Lock()
 	l.lost = true
 	l.mu.Unlock()
-	if err := os.Remove(l.path); err != nil && !errors.Is(err, os.ErrNotExist) {
+	if err := l.fs.Remove(l.path); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("checkpoint: releasing lease: %w", err)
 	}
 	return nil

@@ -18,7 +18,7 @@ func leasePath(t *testing.T) string {
 // holder that has been paused or dead for the given duration.
 func forgeRenewedAt(t *testing.T, path string, ago time.Duration) {
 	t.Helper()
-	li, err := ReadLease(path)
+	li, err := ReadLease(OS, path)
 	if err != nil || li == nil {
 		t.Fatalf("ReadLease = (%+v, %v)", li, err)
 	}
@@ -37,7 +37,7 @@ func forgeRenewedAt(t *testing.T, path string, ago time.Duration) {
 // clears the file for an immediate successor.
 func TestLeaseAcquireRenewRelease(t *testing.T) {
 	path := leasePath(t)
-	l, info, err := AcquireLease(path, "a", "http://a:1", time.Second)
+	l, info, err := AcquireLease(OS, path, "a", "http://a:1", time.Second)
 	if err != nil || info != nil {
 		t.Fatalf("AcquireLease = (%v, %+v, %v)", l, info, err)
 	}
@@ -50,26 +50,26 @@ func TestLeaseAcquireRenewRelease(t *testing.T) {
 	if err := l.Check(); err != nil {
 		t.Fatalf("Check: %v", err)
 	}
-	li, err := ReadLease(path)
+	li, err := ReadLease(OS, path)
 	if err != nil || li == nil || li.Holder != "a" || li.Epoch != 1 || li.Addr != "http://a:1" {
 		t.Fatalf("ReadLease = (%+v, %v)", li, err)
 	}
 
 	// Held lease refuses a second candidate, reporting the holder.
-	if _, held, err := AcquireLease(path, "b", "http://b:2", time.Second); !errors.Is(err, ErrLeaseHeld) || held == nil || held.Holder != "a" {
+	if _, held, err := AcquireLease(OS, path, "b", "http://b:2", time.Second); !errors.Is(err, ErrLeaseHeld) || held == nil || held.Holder != "a" {
 		t.Fatalf("concurrent acquire = (%+v, %v), want ErrLeaseHeld by a", held, err)
 	}
 
 	if err := l.Release(); err != nil {
 		t.Fatalf("Release: %v", err)
 	}
-	if li, err := ReadLease(path); err != nil || li != nil {
+	if li, err := ReadLease(OS, path); err != nil || li != nil {
 		t.Fatalf("lease file survived release: (%+v, %v)", li, err)
 	}
 	// Successor elects immediately at the next epoch... a *fresh* create
 	// restarts at epoch 1, which is fine: fencing only needs monotonicity
 	// within a file's lifetime, and the journal fence re-verifies holder.
-	l2, _, err := AcquireLease(path, "b", "", time.Second)
+	l2, _, err := AcquireLease(OS, path, "b", "", time.Second)
 	if err != nil {
 		t.Fatalf("post-release acquire: %v", err)
 	}
@@ -83,13 +83,13 @@ func TestLeaseAcquireRenewRelease(t *testing.T) {
 // and Check both fail with ErrLeaseLost from then on.
 func TestLeaseTakeoverBumpsFencingEpoch(t *testing.T) {
 	path := leasePath(t)
-	a, _, err := AcquireLease(path, "a", "", 500*time.Millisecond)
+	a, _, err := AcquireLease(OS, path, "a", "", 500*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
 	forgeRenewedAt(t, path, time.Hour) // a goes silent
 
-	b, info, err := AcquireLease(path, "b", "http://b:2", 500*time.Millisecond)
+	b, info, err := AcquireLease(OS, path, "b", "http://b:2", 500*time.Millisecond)
 	if err != nil {
 		t.Fatalf("takeover of an expired lease failed: (%+v, %v)", info, err)
 	}
@@ -112,7 +112,7 @@ func TestLeaseTakeoverBumpsFencingEpoch(t *testing.T) {
 	if err := a.Release(); err != nil {
 		t.Fatalf("deposed Release: %v", err)
 	}
-	if li, err := ReadLease(path); err != nil || li == nil || li.Holder != "b" {
+	if li, err := ReadLease(OS, path); err != nil || li == nil || li.Holder != "b" {
 		t.Fatalf("successor's lease disturbed: (%+v, %v)", li, err)
 	}
 	if err := b.Renew(); err != nil {
@@ -125,7 +125,7 @@ func TestLeaseTakeoverBumpsFencingEpoch(t *testing.T) {
 // errs on the safe side.
 func TestLeaseSelfExpiryIsLost(t *testing.T) {
 	path := leasePath(t)
-	a, _, err := AcquireLease(path, "a", "", 500*time.Millisecond)
+	a, _, err := AcquireLease(OS, path, "a", "", 500*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +143,11 @@ func TestLeaseCorruptFileTakenOver(t *testing.T) {
 	if err := os.WriteFile(path, []byte("{torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	li, err := ReadLease(path)
+	li, err := ReadLease(OS, path)
 	if err != nil || li == nil || li.Epoch != 0 || !li.Expired(time.Now()) {
 		t.Fatalf("corrupt lease decoded as (%+v, %v), want expired epoch 0", li, err)
 	}
-	l, _, err := AcquireLease(path, "a", "", time.Second)
+	l, _, err := AcquireLease(OS, path, "a", "", time.Second)
 	if err != nil {
 		t.Fatalf("acquire over corrupt lease: %v", err)
 	}
@@ -167,7 +167,7 @@ func TestLeaseFenceOnStore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	a, _, err := AcquireLease(path, "a", "", 500*time.Millisecond)
+	a, _, err := AcquireLease(OS, path, "a", "", 500*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestLeaseFenceOnStore(t *testing.T) {
 	}
 
 	forgeRenewedAt(t, path, time.Hour)
-	b, _, err := AcquireLease(path, "b", "", 500*time.Millisecond)
+	b, _, err := AcquireLease(OS, path, "b", "", 500*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,17 +221,17 @@ func TestLeaseWritesLeaveNoTempFiles(t *testing.T) {
 			}
 			t.Fatalf("%s left %v, want only %s", step, names, filepath.Base(path))
 		}
-		li, err := ReadLease(path)
+		li, err := ReadLease(OS, path)
 		if err != nil || li == nil || li.Holder != holder || li.Epoch != epoch || li.TTL != time.Second || li.RenewedAt.IsZero() {
 			t.Fatalf("%s: ReadLease = (%+v, %v), want holder %s epoch %d", step, li, err, holder, epoch)
 		}
 	}
-	if _, _, err := AcquireLease(path, "a", "http://a:1", time.Second); err != nil {
+	if _, _, err := AcquireLease(OS, path, "a", "http://a:1", time.Second); err != nil {
 		t.Fatal(err)
 	}
 	check("fresh acquire", "a", 1)
 	forgeRenewedAt(t, path, time.Hour)
-	b, _, err := AcquireLease(path, "b", "http://b:2", time.Second)
+	b, _, err := AcquireLease(OS, path, "b", "http://b:2", time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

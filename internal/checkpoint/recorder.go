@@ -65,8 +65,12 @@ func (r *Recorder) Bind(runKey string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.snap.RunKey != "" && r.snap.RunKey != runKey {
-		return fmt.Errorf("checkpoint: journal in %s was written by a different run (key %s, this run %s); use a fresh -checkpoint directory or matching inputs",
-			r.st.Dir(), r.snap.RunKey, runKey)
+		where := ""
+		if r.st != nil {
+			where = " in " + r.st.Dir()
+		}
+		return fmt.Errorf("checkpoint: journal%s was written by a different run (key %s, this run %s); use a fresh -checkpoint directory or matching inputs",
+			where, r.snap.RunKey, runKey)
 	}
 	r.snap.RunKey = runKey
 	return nil
@@ -145,8 +149,8 @@ func (r *Recorder) RecordMIP(id string, rec *MIPRecord) error {
 }
 
 // save persists the current snapshot, if the Recorder has a Store; the
-// caller holds r.mu. Kill-point panics from a fault injector propagate —
-// they simulate process death.
+// caller holds r.mu. A panic from a faulty FS propagates — it simulates
+// process death.
 func (r *Recorder) save() error {
 	if r.st == nil {
 		return nil

@@ -22,14 +22,15 @@ import (
 // exactly like the loaders). A Watcher is not safe for concurrent use;
 // give each tailing goroutine its own.
 type Watcher struct {
+	fs   FS
 	dir  string
 	last uint64 // newest generation already surfaced
 }
 
-// NewWatcher tails dir from the beginning: the first successful Poll
+// NewWatcher tails dir on fsys from the beginning: the first successful Poll
 // returns the newest verified generation currently on disk.
-func NewWatcher(dir string) *Watcher {
-	return &Watcher{dir: dir}
+func NewWatcher(fsys FS, dir string) *Watcher {
+	return &Watcher{fs: fsys, dir: dir}
 }
 
 // Poll returns the newest generation that verifies and is newer than
@@ -40,7 +41,7 @@ func NewWatcher(dir string) *Watcher {
 // Poll sees the completed write). err is reserved for real I/O failures
 // reading the directory or a generation file.
 func (w *Watcher) Poll() (gen uint64, payload []byte, ok bool, err error) {
-	gen, payload, skipped, err := newestVerified(w.dir, w.last, nil)
+	gen, payload, skipped, err := newestVerified(w.fs, w.dir, w.last, nil)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			return 0, nil, false, nil

@@ -17,7 +17,7 @@ func TestWatcherTailsNewestGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := NewWatcher(dir)
+	w := NewWatcher(OS, dir)
 
 	if _, _, ok, err := w.Poll(); ok || err != nil {
 		t.Fatalf("Poll on empty dir = (ok=%v, err=%v), want nothing", ok, err)
@@ -51,7 +51,7 @@ func TestWatcherTailsNewestGeneration(t *testing.T) {
 // start tailing before the leader has created the journal directory.
 func TestWatcherMissingDir(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "not-created-yet")
-	w := NewWatcher(dir)
+	w := NewWatcher(OS, dir)
 	if _, _, ok, err := w.Poll(); ok || err != nil {
 		t.Fatalf("Poll on missing dir = (ok=%v, err=%v), want quiet nothing", ok, err)
 	}
@@ -84,7 +84,7 @@ func TestWatcherTornTailFallsBack(t *testing.T) {
 	if err := st.SaveRaw([]byte("good-2")); err != nil {
 		t.Fatal(err)
 	}
-	gens, err := scanGenerations(dir)
+	gens, err := scanGenerations(OS, dir)
 	if err != nil || len(gens) != 2 {
 		t.Fatalf("generations = %v, %v", gens, err)
 	}
@@ -98,7 +98,7 @@ func TestWatcherTornTailFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w := NewWatcher(dir)
+	w := NewWatcher(OS, dir)
 	gen, payload, ok, err := w.Poll()
 	if err != nil || !ok {
 		t.Fatalf("Poll = (ok=%v, err=%v), want the fallback generation", ok, err)
@@ -112,7 +112,7 @@ func TestWatcherTornTailFallsBack(t *testing.T) {
 	if err := os.WriteFile(newest, full, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w2 := NewWatcher(dir)
+	w2 := NewWatcher(OS, dir)
 	if _, p, ok, err := w2.Poll(); err != nil || !ok || string(p) != "good-2" {
 		t.Fatalf("Poll = (%q, %v, %v), want good-2", p, ok, err)
 	}
@@ -147,7 +147,7 @@ func TestWatcherTruncatedBelowHeader(t *testing.T) {
 	if err := st.SaveRaw([]byte("tail")); err != nil {
 		t.Fatal(err)
 	}
-	gens, err := scanGenerations(dir)
+	gens, err := scanGenerations(OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestWatcherTruncatedBelowHeader(t *testing.T) {
 	if err := os.WriteFile(newest, []byte("FRAG"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w := NewWatcher(dir)
+	w := NewWatcher(OS, dir)
 	if _, p, ok, err := w.Poll(); err != nil || !ok || string(p) != "base" {
 		t.Fatalf("Poll = (%q, %v, %v), want fallback to \"base\"", p, ok, err)
 	}
@@ -176,7 +176,7 @@ func TestWatcherIgnoresTempFiles(t *testing.T) {
 	if err := os.WriteFile(tmp, bytes.Repeat([]byte("x"), 64), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w := NewWatcher(dir)
+	w := NewWatcher(OS, dir)
 	gen, p, ok, err := w.Poll()
 	if err != nil || !ok || string(p) != "real" {
 		t.Fatalf("Poll = (%d, %q, %v, %v), want the real generation only", gen, p, ok, err)
@@ -202,7 +202,7 @@ func TestStoreFenceBlocksSaves(t *testing.T) {
 	if err := st.SaveRaw([]byte("fenced")); err == nil {
 		t.Fatal("SaveRaw succeeded through a failing fence")
 	}
-	gens, err := scanGenerations(dir)
+	gens, err := scanGenerations(OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestLoadRawAndPollAgree(t *testing.T) {
 			if (lerr != nil) != tc.loadErr {
 				t.Fatalf("LoadRaw error = %v, want error: %v", lerr, tc.loadErr)
 			}
-			_, polled, ok, perr := NewWatcher(dir).Poll()
+			_, polled, ok, perr := NewWatcher(OS, dir).Poll()
 			if perr != nil {
 				t.Fatalf("Poll error = %v, want none", perr)
 			}

@@ -2,12 +2,14 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
 	"math/rand"
 	"os"
 	"os/exec"
 	"reflect"
 	"strconv"
+	"syscall"
 	"testing"
 
 	"fragalloc/internal/checkpoint"
@@ -29,18 +31,17 @@ func crashWorkload() (*model.Workload, *ChunkSpec) {
 	return w, spec
 }
 
-// checkpointedRun solves crashWorkload journaling into dir, with fault (may
-// be nil) installed on the store's write path. resume loads the existing
-// journal first.
-func checkpointedRun(t *testing.T, dir string, fault checkpoint.FaultInjector, resume bool) (*Result, error) {
+// checkpointedRun solves crashWorkload journaling into dir on fsys (nil:
+// the real file system). resume loads the existing journal first.
+func checkpointedRun(t *testing.T, dir string, fsys checkpoint.FS, resume bool) (*Result, error) {
 	t.Helper()
 	w, spec := crashWorkload()
-	st, err := checkpoint.Open(dir)
+	if fsys == nil {
+		fsys = checkpoint.OS
+	}
+	st, err := checkpoint.OpenFS(fsys, dir)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if fault != nil {
-		st.SetFault(fault)
 	}
 	var prev *checkpoint.Snapshot
 	if resume {
@@ -49,24 +50,28 @@ func checkpointedRun(t *testing.T, dir string, fault checkpoint.FaultInjector, r
 		}
 	}
 	rec := checkpoint.NewRecorder(st, prev)
-	// Parallelism 1 keeps the kill-point panic on the driving goroutine, so
-	// an in-process test can recover it like a crash.
+	// Parallelism 1 keeps the kill's panic on the driving goroutine, so an
+	// in-process test can recover it like a crash.
 	return Allocate(w, nil, 4, Options{Chunks: spec, Parallelism: 1, Checkpoint: rec})
 }
 
-// runKilled runs a checkpointed solve expecting the injector's kill point to
-// fire; it recovers the simulated process death and reports how many saves
-// completed first.
-func runKilled(t *testing.T, dir string, plan faultinject.Plan) {
+// journalWrite is the fault act at the n-th write of a solve journal.
+func journalWrite(n int, act faultinject.Act) faultinject.Fault {
+	return faultinject.Fault{Op: faultinject.Write, Path: "gen-*", N: n, Act: act}
+}
+
+// runKilled runs a checkpointed solve expecting fault to kill it; it
+// recovers the simulated process death.
+func runKilled(t *testing.T, dir string, fault faultinject.Fault) {
 	t.Helper()
-	inj := faultinject.New(plan)
+	fsys := faultinject.NewFS(checkpoint.OS, fault)
 	defer func() {
 		if r := recover(); r != nil && r != faultinject.ErrKilled {
 			panic(r)
 		}
 	}()
-	res, err := checkpointedRun(t, dir, inj, false)
-	t.Fatalf("kill point never fired: res=%v err=%v after %d saves", res, err, inj.Saves())
+	res, err := checkpointedRun(t, dir, fsys, false)
+	t.Fatalf("the fault never fired: res=%v err=%v after %d saves", res, err, fsys.Hits())
 }
 
 // requireSameResult asserts the two results describe bit-identical
@@ -86,7 +91,7 @@ func requireSameResult(t *testing.T, label string, got, want *Result) {
 }
 
 // TestCrashResumeBitIdentical is the acceptance test of DESIGN.md §3.9: kill
-// the run right after each checkpoint save in turn, resume from the journal,
+// the run right after each journal write in turn, resume from the journal,
 // and require the final allocation bit-identical to the uninterrupted run —
 // for every kill point.
 func TestCrashResumeBitIdentical(t *testing.T) {
@@ -100,21 +105,21 @@ func TestCrashResumeBitIdentical(t *testing.T) {
 	}
 
 	// Uninterrupted checkpointed run: journaling is pure observation, and
-	// its save count enumerates the kill points to test.
-	counter := faultinject.New(faultinject.Plan{})
+	// its write count enumerates the windows to kill in.
+	counter := faultinject.NewFS(checkpoint.OS, journalWrite(0, faultinject.Kill))
 	uninterrupted, err := checkpointedRun(t, t.TempDir(), counter, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireSameResult(t, "checkpointed uninterrupted", uninterrupted, base)
-	saves := counter.Saves()
+	saves := counter.Hits()
 	if saves < 2 {
 		t.Fatalf("only %d checkpoint saves; the decomposition should journal root and groups", saves)
 	}
 
 	for n := 1; n <= saves; n++ {
 		dir := t.TempDir()
-		runKilled(t, dir, faultinject.Plan{KillAtCheckpoint: n})
+		runKilled(t, dir, journalWrite(n, faultinject.Kill))
 		res, err := checkpointedRun(t, dir, nil, true)
 		if err != nil {
 			t.Fatalf("kill at save %d: resume: %v", n, err)
@@ -133,7 +138,7 @@ func TestCrashResumeTornWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	runKilled(t, dir, faultinject.Plan{TornWriteAtCheckpoint: 2})
+	runKilled(t, dir, journalWrite(2, faultinject.Tear))
 
 	// The newest generation on disk is torn; Load must fall back, not fail.
 	st, err := checkpoint.Open(dir)
@@ -153,6 +158,31 @@ func TestCrashResumeTornWrite(t *testing.T) {
 		t.Fatalf("resume after torn write: %v", err)
 	}
 	requireSameResult(t, "torn write", res, base)
+}
+
+// TestJournalEIOKeepsTheAllocation fails the fsync of one journal write with
+// EIO: the journal loses that generation, the solve loses nothing — the
+// allocation is bit-identical to the unjournaled run's — and the recorder
+// keeps the error for the end-of-run report.
+func TestJournalEIOKeepsTheAllocation(t *testing.T) {
+	w, spec := crashWorkload()
+	base, err := Allocate(w, nil, 4, Options{Chunks: spec, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := checkpoint.OpenFS(faultinject.NewFS(checkpoint.OS, journalWrite(2, faultinject.EIO)), t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := checkpoint.NewRecorder(st, nil)
+	res, err := Allocate(w, nil, 4, Options{Chunks: spec, Parallelism: 1, Checkpoint: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResult(t, "EIO on journal write 2", res, base)
+	if err := rec.SaveErr(); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("SaveErr = %v, want the EIO of the failed write", err)
+	}
 }
 
 // TestResumeReplaysWithoutSolver resumes from a completed journal under MIP
@@ -367,8 +397,8 @@ func TestResumeRejectsForeignJournal(t *testing.T) {
 }
 
 // TestCrashHelperProcess is the body TestCrashResumeSubprocess re-executes:
-// it runs the checkpointed solve with an os.Exit kill point, so the process
-// dies SIGKILL-style — no deferred functions, no recover — with exit code
+// it runs the checkpointed solve on an FS that kills with os.Exit after the
+// given journal write, so the process dies SIGKILL-style — no deferred functions, no recover — with exit code
 // 137. It is skipped unless the driver set its environment.
 func TestCrashHelperProcess(t *testing.T) {
 	dir := os.Getenv("FRAGALLOC_CRASH_DIR")
@@ -379,13 +409,14 @@ func TestCrashHelperProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := faultinject.New(faultinject.Plan{KillAtCheckpoint: killAt, KillExit: true})
-	res, err := checkpointedRun(t, dir, inj, false)
-	t.Fatalf("kill point never fired: res=%v err=%v", res, err)
+	fault := journalWrite(killAt, faultinject.Kill)
+	fault.Exit = true
+	res, err := checkpointedRun(t, dir, faultinject.NewFS(checkpoint.OS, fault), false)
+	t.Fatalf("the fault never fired: res=%v err=%v", res, err)
 }
 
 // TestCrashResumeSubprocess crashes a real child process with os.Exit(137)
-// at a kill point — the SIGKILL-equivalent death no in-process recover can
+// after a journal write — the SIGKILL-equivalent death no in-process recover can
 // soften — then resumes from its journal in this process and requires the
 // uninterrupted allocation.
 func TestCrashResumeSubprocess(t *testing.T) {
@@ -406,7 +437,7 @@ func TestCrashResumeSubprocess(t *testing.T) {
 	)
 	out, err := cmd.CombinedOutput()
 	if err == nil {
-		t.Fatalf("helper process exited cleanly; kill point never fired:\n%s", out)
+		t.Fatalf("helper process exited cleanly; the fault never fired:\n%s", out)
 	}
 	ee, ok := err.(*exec.ExitError)
 	if !ok {

@@ -100,28 +100,25 @@ func escalateIters(lp simplex.Options, p *simplex.Problem) int {
 // the subproblem to the greedy allocator, which always produces a feasible
 // (suboptimal) allocation under the soft load-limit model. Infeasible or
 // malformed inputs still abort the run: degradation can't fix those, and
-// hiding them would report a broken allocation as a success.
+// hiding them would report a broken allocation as a success. The solution
+// it settles on counts the work of the attempts that failed before it.
 func (d *driver) solveWithPolicy(sp *subproblem, spec *ChunkSpec, ck *subCheckpoint, hints ...[][]bool) (*solution, error) {
-	sol, err := sp.solve(d.mipOptions(), ck, d.logf, hints...)
-	if err == nil {
-		return sol, nil
-	}
-	if !errors.Is(err, errSolverFailure) {
-		return nil, err
-	}
-	if !d.canceled() {
+	p, ix, intVars := sp.build()
+	sol, err := sp.solve(p, ix, intVars, d.mipOptions(), ck, d.logf, hints...)
+	if errors.Is(err, errSolverFailure) && !d.canceled() {
 		d.logf("core: split %v solve failed (%v); retrying with escalated iteration limits", spec, err)
 		retry := d.mipOptions()
-		p, _, _ := sp.build()
 		retry.LP.MaxIters = escalateIters(retry.LP, p)
-		sol, err = sp.solve(retry, ck, d.logf, hints...)
-		if err == nil {
-			return sol, nil
-		}
-		if !errors.Is(err, errSolverFailure) {
-			return nil, err
-		}
+		failed := sol
+		sol, err = sp.solve(p, ix, intVars, retry, ck, d.logf, hints...)
+		sol.lpiters += failed.lpiters
+		sol.starts.add(failed.starts)
+	}
+	if !errors.Is(err, errSolverFailure) {
+		return sol, err
 	}
 	d.logf("core: split %v degraded to the greedy allocator (%v)", spec, err)
-	return sp.degrade(), nil
+	degraded := sp.degrade()
+	degraded.lpiters, degraded.starts = sol.lpiters, sol.starts
+	return degraded, nil
 }

@@ -95,6 +95,26 @@ func TestDegradedPipelineStillFeasible(t *testing.T) {
 	}
 }
 
+// TestDegradedRunCountsItsWork degrades without a fault injector: with one
+// pivot allowed per LP, every subproblem of the 2+2 crash workload fails its
+// attempt and its retry and falls back to the greedy allocator. The pivots
+// those failed attempts took are work the run did, and Result.LPIters counts
+// them.
+func TestDegradedRunCountsItsWork(t *testing.T) {
+	w, spec := crashWorkload()
+	res, err := Allocate(w, nil, 4, Options{Chunks: spec, Parallelism: 1, MIP: mip.Options{LP: simplex.Options{MaxIters: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkFeasible(t, w, nil, res)
+	if res.Outcomes.Degraded != 3 {
+		t.Fatalf("Outcomes = %v, want all 3 subproblems degraded under a 1-pivot limit", res.Outcomes)
+	}
+	if res.LPIters == 0 {
+		t.Fatalf("LPIters = 0 after 3 subproblems each failed two attempts (%v)", res.Starts)
+	}
+}
+
 // TestDegradedMultiScenario: degradation must also hold for the robust
 // multi-scenario model, including the partial-clustering fixed queries.
 func TestDegradedMultiScenario(t *testing.T) {

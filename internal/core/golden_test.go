@@ -174,7 +174,9 @@ func TestPipelineGolden(t *testing.T) {
 		if res.Outcomes.Degraded != 3 {
 			t.Fatalf("faulted run: outcomes %v, want 3 degraded", res.Outcomes)
 		}
-		check("degraded 2+2", res, st, 0x9779327d62a25b8a, 0x5a2223821f790830)
+		// The 12 LP iterations are the failed attempts' pivots, which the
+		// degraded solutions count.
+		check("degraded 2+2", res, st, 0x9779327d62a25b8a, 0x389f75a8f9b6f604)
 		res, st = goldenRun(t, sub, seen, 4,
 			Options{Chunks: mustChunks(t, "2+2"), FixedQueries: 4, Parallelism: par, MIP: budget}, st.Dir(), nil)
 		check("resumed from degraded journal", res, st, 0x40a3e238ba4843af, 0xdbda05a7a6c01289)

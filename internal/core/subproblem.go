@@ -316,10 +316,10 @@ func (sp *subproblem) rounding(ix *indices) func(x []float64) []float64 {
 // basis of the same subproblem's previous solve, mapped by role
 // (carriedBasis) — and that start is checked, not trusted: one that ends
 // other than optimal, or at a point that breaks a row, is logged through
-// logf, refused and solved again cold. It returns the solver, the optimal
-// result (nil when the relaxation failed) and what the start counted. The
-// result's Iters counts every pivot the relaxation took, a refused start's
-// included.
+// logf, refused and solved again cold. It returns the solver, the result
+// (nil when no solver could be built; the dive needs its Status optimal) and
+// what the start counted. The result's Iters counts every pivot the
+// relaxation took, a refused start's included.
 func relaxation(p *simplex.Problem, lp simplex.Options, from *simplex.Basis, logf func(string, ...any)) (*simplex.Solver, *simplex.Result, BasisStarts) {
 	var starts BasisStarts
 	// The dive's fix thresholds (0.5 / 0.02 / 0.05) read the *vertex* the LP
@@ -360,9 +360,6 @@ func relaxation(p *simplex.Problem, lp simplex.Options, from *simplex.Basis, log
 		}
 	} else {
 		res = s.Solve()
-	}
-	if res.Status != simplex.StatusOptimal {
-		return s, nil, starts
 	}
 	return s, res, starts
 }
@@ -438,9 +435,10 @@ type solution struct {
 // incumbent from a crashed run seeds the restarted MIP, the search's
 // periodic Checkpoint callback writes fresh incumbents back under the same
 // subproblem id, and the dive root starts from the basis carried under it.
-// logf is the run's logger.
-func (sp *subproblem) solve(opt mip.Options, ck *subCheckpoint, logf func(string, ...any), hints ...[][]bool) (*solution, error) {
-	p, ix, intVars := sp.build()
+// logf is the run's logger. p, ix and intVars are the model sp.build laid
+// out. When the solve fails, the solution it returns beside the error holds
+// only the work the attempt did: its LP pivots and basis starts.
+func (sp *subproblem) solve(p *simplex.Problem, ix *indices, intVars []int, opt mip.Options, ck *subCheckpoint, logf func(string, ...any), hints ...[][]bool) (*solution, error) {
 	opt.Rounding = sp.rounding(ix)
 	if m := ck.rec.MIP(ck.id); m != nil && len(m.X) == p.NumVars {
 		opt.Starts = append(opt.Starts, append([]float64(nil), m.X...))
@@ -464,9 +462,12 @@ func (sp *subproblem) solve(opt mip.Options, ck *subCheckpoint, logf func(string
 	var rootBasis *simplex.Basis
 	diveIters := 0
 	if relax != nil {
+		diveIters = relax.Iters
+	}
+	if relax != nil && relax.Status == simplex.StatusOptimal {
 		rootBasis = lp.Basis()
 		start, iters := sp.dive(lp, relax, ix)
-		diveIters = relax.Iters + iters
+		diveIters += iters
 		if start != nil {
 			opt.Starts = append(opt.Starts, start)
 		}
@@ -505,15 +506,20 @@ func (sp *subproblem) solve(opt mip.Options, ck *subCheckpoint, logf func(string
 		}
 	}
 	res, err := mip.Solve(p, intVars, opt)
+	spent := &solution{lpiters: diveIters, starts: starts}
+	if res != nil {
+		spent.lpiters += res.LPIters
+		spent.starts.Starts = res.Starts
+	}
 	if err != nil {
-		return nil, fmt.Errorf("core: subproblem MIP: %v (%w)", err, errSolverFailure)
+		return spent, fmt.Errorf("core: subproblem MIP: %v (%w)", err, errSolverFailure)
 	}
 	switch res.Status {
 	case mip.StatusOptimal, mip.StatusFeasible:
 	case mip.StatusInfeasible:
-		return nil, fmt.Errorf("core: subproblem MIP infeasible (this indicates an internal modeling bug): %w", ErrInfeasible)
+		return spent, fmt.Errorf("core: subproblem MIP infeasible (this indicates an internal modeling bug): %w", ErrInfeasible)
 	default:
-		return nil, fmt.Errorf("core: subproblem MIP ended with status %v and no incumbent (%w); increase the time or node budget", res.Status, errSolverFailure)
+		return spent, fmt.Errorf("core: subproblem MIP ended with status %v and no incumbent (%w); increase the time or node budget", res.Status, errSolverFailure)
 	}
 	// Local-search pass: compress the incumbent's coverage before decoding.
 	// (A proven-optimal incumbent yields no removals; budget-terminated
@@ -522,8 +528,7 @@ func (sp *subproblem) solve(opt mip.Options, ck *subCheckpoint, logf func(string
 		res.X = tr.trim(res.X)
 	}
 	sol := sp.decode(ix, res)
-	sol.lpiters += diveIters
-	sol.starts.Dives, sol.starts.DivesCold = starts.Dives, starts.DivesCold
+	sol.lpiters, sol.starts = spent.lpiters, spent.starts
 	if rootBasis != nil {
 		sol.Basis = journalBasis(rootBasis, roles)
 	}
@@ -548,8 +553,6 @@ func (sp *subproblem) decode(ix *indices, res *mip.Result) *solution {
 			Yes:     make([]checkpoint.YesRow, len(sp.flexQ)),
 			Z:       make([]checkpoint.Route, len(sp.routes)),
 		},
-		lpiters: res.LPIters,
-		starts:  BasisStarts{Starts: res.Starts},
 	}
 	if res.Status == mip.StatusOptimal {
 		sol.Outcome = OutcomeOptimal

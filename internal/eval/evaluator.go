@@ -99,7 +99,7 @@ func NewEvaluator(w *model.Workload, alloc *model.Allocation, tol float64) *Eval
 // depends only on the inputs, never on previous calls.
 //
 // Instead of bisecting L with a from-scratch max-flow per probe (the
-// pre-streaming approach, kept as worstLoadBisect for cross-checking), it
+// pre-streaming approach, kept in the tests as worstLoadBisect), it
 // runs the parametric Newton search maxflow.MinLevel with every node's
 // capacity at L: at most K max-flow continuations, each keeping the flow
 // routed before it.
@@ -110,31 +110,6 @@ func (e *Evaluator) WorstLoad(freq []float64) (float64, error) {
 	}
 	e.resetCapacities(lo)
 	return e.g.MinLevel(e.source, e.sink, e.nodeEdges, lo, 1, totalLoad, e.tol), nil
-}
-
-// worstLoadBisect is the reference search: binary-search L with an
-// independent from-scratch feasibility probe per step. It brackets the same
-// quasi-feasibility frontier as the parametric search (both are within tol
-// of the exact L̃) and exists to cross-check WorstLoad in tests and to time
-// the pre-streaming path in BenchmarkEvalStream.
-func (e *Evaluator) worstLoadBisect(freq []float64) (float64, error) {
-	lo, totalLoad, err := e.prepare(freq)
-	if err != nil || math.IsInf(lo, 1) {
-		return lo, err
-	}
-	if e.feasible(lo, totalLoad) {
-		return lo, nil
-	}
-	hi := 1.0
-	for hi-lo > e.tol {
-		mid := (lo + hi) / 2
-		if e.feasible(mid, totalLoad) {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi, nil
 }
 
 // prepare validates freq, fills e.loads with each class's summed load, and
@@ -187,11 +162,4 @@ func (e *Evaluator) resetCapacities(l float64) {
 	for _, id := range e.nodeEdges {
 		e.g.SetCapacity(id, l)
 	}
-}
-
-// feasible probes whether all load can be routed with no node above l, from
-// a fresh residual state.
-func (e *Evaluator) feasible(l, totalLoad float64) bool {
-	e.resetCapacities(l)
-	return e.g.MaxFlow(e.source, e.sink, e.tol/16) >= totalLoad-e.tol/4
 }

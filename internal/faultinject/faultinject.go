@@ -1,14 +1,13 @@
-// Package faultinject provides a deterministic, seed-driven fault injector
-// for the solver stack. It implements simplex.FaultInjector, so a test can
-// hand one instance to simplex.Options.Fault (directly, or through
-// mip.Options.LP / core.Options.MIP.LP) and force refactorization failures,
-// simplex stalls, and deadline expiry at chosen call indices — exercising
-// every rung of the simplex recovery ladder and every degradation path of
-// the decomposition driver by construction rather than by luck. It also
-// implements checkpoint.FaultInjector: deterministic kill points
-// (panic/os.Exit after the Nth durable checkpoint save) and torn-write
-// simulation (the Nth save truncated mid-payload before its rename), so
-// crash-recovery is tested the same seed-driven way (DESIGN.md §3.9).
+// Package faultinject is deterministic fault injection for tests of the
+// solver stack and of the journal under it. Its Injector implements
+// simplex.FaultInjector, so a test can hand one instance to
+// simplex.Options.Fault (directly, or through mip.Options.LP /
+// core.Options.MIP.LP) and force refactorization failures, simplex stalls,
+// and deadline expiry at chosen call indices — exercising every rung of the
+// simplex recovery ladder and every degradation path of the decomposition
+// driver by construction rather than by luck. Its FS, a checkpoint.FS, kills
+// the process, tears a write, or fails one with EIO or ENOSPC at the N-th
+// matching file-system event (DESIGN.md §3.7, §3.9).
 //
 // An Injector counts calls per hook and fires according to its Plan. All
 // counters are mutex-protected: the decomposition driver shares one
@@ -18,20 +17,14 @@ package faultinject
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
-	"os"
-	"strconv"
-	"strings"
 	"sync"
 )
 
-// ErrKilled is the panic value kill points throw when the plan's
-// checkpoint-kill index fires with KillExit unset. Crash tests recover it
-// on the driving goroutine to simulate a hard process death without
-// leaving the test binary; everything below the recover point is
-// abandoned mid-flight, exactly as a real crash would leave it.
-var ErrKilled = errors.New("faultinject: killed at checkpoint")
+// ErrKilled is the panic value an FS kills with when its Fault's Exit is
+// unset. Crash tests recover it on the driving goroutine: everything below
+// the recover point is abandoned mid-flight, as a real crash leaves it.
+var ErrKilled = errors.New("faultinject: killed")
 
 // Plan says at which call indices (0-based, per hook) an Injector fires.
 // The zero value injects nothing.
@@ -49,56 +42,6 @@ type Plan struct {
 	// greedy degradation: no LP ever factorizes, so every rung of every
 	// ladder fails.
 	AllRefactors bool
-	// KillAtCheckpoint, when > 0, kills the process right after the Nth
-	// checkpoint save completes (1-based): the Nth generation is already
-	// durable on disk, all work after it is lost — the canonical crash
-	// point for resume tests. The kill is a panic(ErrKilled) by default, or
-	// os.Exit(137) with KillExit, which is SIGKILL-equivalent: no deferred
-	// functions run, nothing winds down.
-	KillAtCheckpoint int
-	// KillExit selects os.Exit(137) over panic(ErrKilled) for kill points.
-	// Only subprocess-based tests can use it; in-process tests recover the
-	// panic instead.
-	KillExit bool
-	// TornWriteAtCheckpoint, when > 0, truncates the Nth checkpoint's temp
-	// file mid-payload before it is renamed into place, then kills the
-	// process like KillAtCheckpoint: the newest generation on disk is torn,
-	// so a resuming loader must reject it by CRC and fall back to the
-	// previous generation.
-	TornWriteAtCheckpoint int
-	// KillAt maps a named kill point to the 1-based hit count at which the
-	// process dies (panic(ErrKilled), or os.Exit(137) with KillExit). The
-	// allocation service plants At calls on its control loop (ingest,
-	// publish) and on its high-availability machinery — lease acquisition,
-	// lease renewal, the graceful lease handover, and the follower's journal
-	// tail — so crash-restart and failover tests can kill a replica at every
-	// structural point of the protocol, not just inside saves.
-	KillAt map[string]int
-}
-
-// ParseKillSpec parses a "point:N" kill spec (N is the 1-based hit count)
-// into a Plan. Two point names are reserved for the checkpoint write path —
-// "ckpt" maps to KillAtCheckpoint and "torn" to TornWriteAtCheckpoint; any
-// other name is a named kill point routed through KillAt. Subprocess crash
-// helpers across the repo share this syntax (e.g. "service.publish:2",
-// "lease.renew:1", "ckpt:3"), so sweep drivers can enumerate kill points as
-// plain strings.
-func ParseKillSpec(spec string) (Plan, error) {
-	point, nstr, ok := strings.Cut(spec, ":")
-	if !ok || point == "" {
-		return Plan{}, fmt.Errorf("faultinject: kill spec %q is not point:N", spec)
-	}
-	n, err := strconv.Atoi(nstr)
-	if err != nil || n < 1 {
-		return Plan{}, fmt.Errorf("faultinject: kill spec %q needs a positive hit count", spec)
-	}
-	switch point {
-	case "ckpt":
-		return Plan{KillAtCheckpoint: n}, nil
-	case "torn":
-		return Plan{TornWriteAtCheckpoint: n}, nil
-	}
-	return Plan{KillAt: map[string]int{point: n}}, nil
 }
 
 // Injector implements simplex.FaultInjector plus a Canceled hook. Safe for
@@ -113,8 +56,6 @@ type Injector struct {
 	refactors int
 	stalls    int
 	cancels   int
-	saves     int
-	hits      map[string]int
 }
 
 // New builds an Injector executing plan.
@@ -123,7 +64,6 @@ func New(plan Plan) *Injector {
 		plan:       plan,
 		refactorAt: make(map[int]bool, len(plan.RefactorFailures)),
 		stallAt:    make(map[int]bool, len(plan.Stalls)),
-		hits:       make(map[string]int),
 	}
 	for _, i := range plan.RefactorFailures {
 		in.refactorAt[i] = true
@@ -189,82 +129,4 @@ func (in *Injector) Canceled() bool {
 	}
 	in.cancels++
 	return in.cancels >= in.plan.CancelAfter
-}
-
-// BeforeRename implements checkpoint.FaultInjector (structurally, like the
-// simplex hooks): it counts the save and reports whether this one should be
-// torn mid-payload before the rename.
-func (in *Injector) BeforeRename() bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.saves++
-	return in.plan.TornWriteAtCheckpoint > 0 && in.saves == in.plan.TornWriteAtCheckpoint
-}
-
-// AfterSave implements checkpoint.FaultInjector: once the Nth save is
-// durable (renamed and directory-synced), the kill point fires. Torn saves
-// kill at the same index — a torn write without a crash would be a
-// contradiction, since the run would immediately overwrite it.
-func (in *Injector) AfterSave() {
-	in.mu.Lock()
-	n := in.saves
-	kill := (in.plan.KillAtCheckpoint > 0 && n == in.plan.KillAtCheckpoint) ||
-		(in.plan.TornWriteAtCheckpoint > 0 && n == in.plan.TornWriteAtCheckpoint)
-	exit := in.plan.KillExit
-	in.mu.Unlock()
-	if !kill {
-		return
-	}
-	if exit {
-		os.Exit(137)
-	}
-	panic(ErrKilled)
-}
-
-// At marks a named kill point reached. A nil Injector is a no-op, so
-// production code can plant At calls unconditionally; otherwise the hit is
-// counted and, if the plan maps the point to this hit count, the process
-// dies exactly like a checkpoint kill — os.Exit(137) with KillExit
-// (SIGKILL-equivalent, nothing winds down) or panic(ErrKilled).
-func (in *Injector) At(point string) {
-	if in == nil {
-		return
-	}
-	in.mu.Lock()
-	in.hits[point]++
-	kill := in.plan.KillAt[point] > 0 && in.hits[point] == in.plan.KillAt[point]
-	exit := in.plan.KillExit
-	in.mu.Unlock()
-	if !kill {
-		return
-	}
-	if exit {
-		os.Exit(137)
-	}
-	panic(ErrKilled)
-}
-
-// Hits reports how many times the named kill point has been reached.
-func (in *Injector) Hits(point string) int {
-	if in == nil {
-		return 0
-	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.hits[point]
-}
-
-// Saves reports how many checkpoint saves the injector has observed.
-func (in *Injector) Saves() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.saves
-}
-
-// Counts reports how many times each hook has been consulted — useful for
-// asserting that a fault point was actually reached.
-func (in *Injector) Counts() (refactors, stalls, cancels int) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.refactors, in.stalls, in.cancels
 }

@@ -19,9 +19,8 @@ func TestPlanIndices(t *testing.T) {
 			t.Errorf("ForceStall call %d = %v, want %v", i, got, want)
 		}
 	}
-	r, s, c := in.Counts()
-	if r != 4 || s != 3 || c != 0 {
-		t.Errorf("Counts = (%d, %d, %d), want (4, 3, 0)", r, s, c)
+	if in.refactors != 4 || in.stalls != 3 || in.cancels != 0 {
+		t.Errorf("counts = (%d, %d, %d), want (4, 3, 0)", in.refactors, in.stalls, in.cancels)
 	}
 }
 
@@ -81,42 +80,6 @@ func TestSeededDeterminism(t *testing.T) {
 	}
 }
 
-func TestParseKillSpec(t *testing.T) {
-	cases := []struct {
-		spec string
-		want Plan
-		ok   bool
-	}{
-		{"ckpt:3", Plan{KillAtCheckpoint: 3}, true},
-		{"torn:1", Plan{TornWriteAtCheckpoint: 1}, true},
-		{"service.publish:2", Plan{KillAt: map[string]int{"service.publish": 2}}, true},
-		{"lease.renew:1", Plan{KillAt: map[string]int{"lease.renew": 1}}, true},
-		{"noclue", Plan{}, false},
-		{":3", Plan{}, false},
-		{"ckpt:0", Plan{}, false},
-		{"ckpt:x", Plan{}, false},
-		{"ckpt:-1", Plan{}, false},
-	}
-	for _, c := range cases {
-		got, err := ParseKillSpec(c.spec)
-		if c.ok != (err == nil) {
-			t.Errorf("ParseKillSpec(%q) err = %v, want ok=%v", c.spec, err, c.ok)
-			continue
-		}
-		if !c.ok {
-			continue
-		}
-		if got.KillAtCheckpoint != c.want.KillAtCheckpoint || got.TornWriteAtCheckpoint != c.want.TornWriteAtCheckpoint {
-			t.Errorf("ParseKillSpec(%q) = %+v, want %+v", c.spec, got, c.want)
-		}
-		for p, n := range c.want.KillAt {
-			if got.KillAt[p] != n {
-				t.Errorf("ParseKillSpec(%q).KillAt[%q] = %d, want %d", c.spec, p, got.KillAt[p], n)
-			}
-		}
-	}
-}
-
 // TestConcurrentCounters drives one injector from many goroutines; the run
 // is meaningful under -race and checks that the total counts add up.
 func TestConcurrentCounters(t *testing.T) {
@@ -135,8 +98,7 @@ func TestConcurrentCounters(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	r, s, _ := in.Counts()
-	if r != workers*per || s != workers*per {
-		t.Errorf("Counts = (%d, %d), want (%d, %d)", r, s, workers*per, workers*per)
+	if in.refactors != workers*per || in.stalls != workers*per {
+		t.Errorf("counts = (%d, %d), want (%d, %d)", in.refactors, in.stalls, workers*per, workers*per)
 	}
 }

@@ -45,10 +45,6 @@ func (g *Graph) AddEdge(u, v int, capacity float64) int {
 	return id
 }
 
-// Flow returns the flow currently pushed over edge id (capacity of the
-// reverse residual edge). Only meaningful after MaxFlow ran.
-func (g *Graph) Flow(id int) float64 { return g.cap[id^1] }
-
 // SetCapacity resets the capacity of edge id and zeroes its residual
 // counterpart, allowing the graph to be re-used across MaxFlow runs with
 // different capacities.

@@ -6,6 +6,10 @@ import (
 	"testing"
 )
 
+// Flow returns the flow currently pushed over edge id (capacity of the
+// reverse residual edge). Only meaningful after MaxFlow ran.
+func (g *Graph) Flow(id int) float64 { return g.cap[id^1] }
+
 func TestClassicNetwork(t *testing.T) {
 	// CLRS figure: max flow 23.
 	g := NewGraph(6)

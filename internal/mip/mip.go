@@ -291,7 +291,9 @@ func (h nodeHeap) peekBound() float64 { return h[0].bound }
 func (h nodeHeap) empty() bool        { return len(h) == 0 }
 
 // Solve minimizes the LP p with the variables listed in intVars restricted
-// to integer values. All integer variables must have finite bounds.
+// to integer values. All integer variables must have finite bounds. When the
+// root relaxation fails, the error comes with a result that counts the work
+// it took (LPIters, Starts).
 func Solve(p *simplex.Problem, intVars []int, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
 	for _, j := range intVars {
@@ -712,7 +714,7 @@ func (s *search) run() (*Result, error) {
 		return s.result(StatusNoSolution, math.Inf(-1)), nil
 	case simplex.StatusOptimal:
 	default:
-		return nil, fmt.Errorf("mip: root relaxation failed with status %v", res.Status)
+		return s.result(StatusNoSolution, math.Inf(-1)), fmt.Errorf("mip: root relaxation failed with status %v", res.Status)
 	}
 	rootBound := res.Obj
 	start := "cold"

@@ -3,13 +3,18 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
 	"reflect"
+	"strings"
+	"sync"
+	"syscall"
 	"testing"
 	"time"
 
+	"fragalloc/internal/checkpoint"
 	"fragalloc/internal/core"
 	"fragalloc/internal/faultinject"
 )
@@ -18,8 +23,9 @@ import (
 // the parent, the baseline, and every killed subprocess: a chunked 2+2
 // decomposition over the calibrated service workload, serial solves, tight
 // backoff. Chunked solves journal one subproblem record per chunk, giving
-// the checkpoint kill points several distinct indices inside each solve.
-func crashConfig(t testing.TB, dir string, fault *faultinject.Injector) Config {
+// the crash sweep several distinct solve-journal writes inside each solve.
+// fsys may be nil (the real file system).
+func crashConfig(t testing.TB, dir string, fsys checkpoint.FS) Config {
 	t.Helper()
 	spec, err := core.ParseChunks("2+2")
 	if err != nil {
@@ -33,7 +39,7 @@ func crashConfig(t testing.TB, dir string, fault *faultinject.Injector) Config {
 		StateDir:    dir,
 		BackoffBase: 5 * time.Millisecond,
 		BackoffMax:  50 * time.Millisecond,
-		Fault:       fault,
+		FS:          fsys,
 	}
 }
 
@@ -69,69 +75,103 @@ func runServiceFlow(t testing.TB, cfg Config) (boot, final *Incumbent) {
 	return boot, final
 }
 
+// Which journal a file-system event belongs to: the state journal, or the
+// per-epoch solve journals.
+const (
+	stateGens = "state/gen-*"
+	solveGens = "solve/*/gen-*"
+)
+
+// writeFault kills after the n-th write to the journal whose generations
+// match gens.
+func writeFault(gens string, n int) faultinject.Fault {
+	return faultinject.Fault{Op: faultinject.Write, Path: gens, N: n, Act: faultinject.Kill}
+}
+
+// faultFS is the faulty FS of a crash-suite subprocess: the fault the
+// driving test passed in the named environment variable, as JSON, killing
+// with os.Exit(137).
+func faultFS(t testing.TB, env string) checkpoint.FS {
+	t.Helper()
+	var f faultinject.Fault
+	if err := json.Unmarshal([]byte(os.Getenv(env)), &f); err != nil {
+		t.Fatal(err)
+	}
+	f.Exit = true
+	return faultinject.NewFS(checkpoint.OS, f)
+}
+
+// faultEnv is the environment entry that hands fault to a subprocess.
+func faultEnv(t testing.TB, env string, fault faultinject.Fault) string {
+	t.Helper()
+	data, err := json.Marshal(fault)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return env + "=" + string(data)
+}
+
 // TestServiceCrashHelperProcess is the subprocess body the crash suite
-// kills: the canonical flow with a faultinject.ParseKillSpec kill plan from
-// the environment — "service.ingest:N" / "service.publish:N" for the
-// service-loop kill points, "ckpt:N" for the Nth solve-journal save. Every
-// kill is os.Exit(137), SIGKILL-style.
+// kills: the canonical flow on a faulty FS whose fault comes from the
+// environment. Every kill is os.Exit(137), SIGKILL-style.
 func TestServiceCrashHelperProcess(t *testing.T) {
 	dir := os.Getenv("SERVICE_CRASH_DIR")
 	if dir == "" {
 		t.Skip("subprocess helper; driven by TestServiceCrashRestart")
 	}
-	spec := os.Getenv("SERVICE_CRASH_KILL")
-	plan, err := faultinject.ParseKillSpec(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan.KillExit = true
-	runServiceFlow(t, crashConfig(t, dir, faultinject.New(plan)))
-	t.Fatalf("kill point %s never fired", spec)
+	runServiceFlow(t, crashConfig(t, dir, faultFS(t, "SERVICE_CRASH_FAULT")))
+	t.Fatalf("fault %s never fired", os.Getenv("SERVICE_CRASH_FAULT"))
 }
 
 // TestServiceCrashRestart is the crash-tolerance acceptance test: it kills a
-// real daemon subprocess with exit 137 at every structural point of the
-// service loop — during ingest journaling, between adoption save and diff
-// publish (for both the boot and the drift adoption), and after every
-// durable solve-journal save — then restarts in-process and requires that
-// (a) whatever incumbent was journaled is served immediately, without
-// solving, and (b) the interrupted flow resumes to the exact allocation an
-// uninterrupted run produces.
+// real daemon subprocess with exit 137 after every durable journal write of
+// the canonical flow — each state-journal write (the boot adoption, the
+// ingested update, the drift adoption) and each solve-journal write — then
+// restarts in-process and requires that (a) whatever incumbent was journaled
+// is served immediately, without solving, and (b) the interrupted flow
+// resumes to the exact allocation an uninterrupted run produces. Each subtest
+// is named for the window it kills in.
 func TestServiceCrashRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test")
 	}
-	// Uninterrupted baseline; the counting injector learns how many
-	// solve-journal saves the flow performs, i.e. how many ckpt kill
-	// indices exist.
-	counter := faultinject.New(faultinject.Plan{})
-	bootBase, finalBase := runServiceFlow(t, crashConfig(t, t.TempDir(), counter))
-	saves := counter.Saves()
+	// Uninterrupted baseline; the counting FSs learn how many writes each
+	// journal takes, i.e. how many windows there are.
+	solves := faultinject.NewFS(checkpoint.OS, writeFault(solveGens, 0))
+	states := faultinject.NewFS(solves, writeFault(stateGens, 0))
+	bootBase, finalBase := runServiceFlow(t, crashConfig(t, t.TempDir(), states))
+	saves := solves.Hits()
 	if saves < 4 {
 		t.Fatalf("baseline flow performed only %d solve-journal saves; the ckpt sweep needs the 2+2 decomposition's per-chunk records", saves)
 	}
-	if hits := counter.Hits(KillPointPublish); hits != 2 {
-		t.Fatalf("baseline hit the publish kill point %d times, want 2 (boot + drift adoption)", hits)
-	}
-	if hits := counter.Hits(KillPointIngest); hits != 1 {
-		t.Fatalf("baseline hit the ingest kill point %d times, want 1", hits)
+	if n := states.Hits(); n != 3 {
+		t.Fatalf("baseline wrote the state journal %d times, want 3 (boot adoption, ingest, drift adoption)", n)
 	}
 
-	specs := []string{"service.ingest:1", "service.publish:1", "service.publish:2"}
-	for n := 1; n <= saves; n++ {
-		specs = append(specs, fmt.Sprintf("ckpt:%d", n))
+	type window struct {
+		spec  string
+		fault faultinject.Fault
 	}
-	for _, spec := range specs {
+	specs := []window{
+		{"service.ingest:1", writeFault(stateGens, 2)},
+		{"service.publish:1", writeFault(stateGens, 1)},
+		{"service.publish:2", writeFault(stateGens, 3)},
+	}
+	for n := 1; n <= saves; n++ {
+		specs = append(specs, window{fmt.Sprintf("ckpt:%d", n), writeFault(solveGens, n)})
+	}
+	for _, w := range specs {
+		spec := w.spec
 		t.Run(spec, func(t *testing.T) {
 			dir := t.TempDir()
 			cmd := exec.Command(os.Args[0], "-test.run", "TestServiceCrashHelperProcess$")
 			cmd.Env = append(os.Environ(),
 				"SERVICE_CRASH_DIR="+dir,
-				"SERVICE_CRASH_KILL="+spec,
+				faultEnv(t, "SERVICE_CRASH_FAULT", w.fault),
 			)
 			out, err := cmd.CombinedOutput()
 			if err == nil {
-				t.Fatalf("helper exited cleanly; kill point never fired:\n%s", out)
+				t.Fatalf("helper exited cleanly; the fault never fired:\n%s", out)
 			}
 			ee, ok := err.(*exec.ExitError)
 			if !ok {
@@ -166,7 +206,8 @@ func TestServiceCrashRestart(t *testing.T) {
 					t.Fatalf("restored incumbent has epoch %d, want 0 or 1", restored.Epoch)
 				}
 			}
-			// Named kill points pin exactly which state must have survived.
+			// The state-journal windows pin exactly which state must have
+			// survived.
 			switch spec {
 			case "service.ingest:1":
 				// The update was journaled before the kill: the restart
@@ -204,4 +245,64 @@ func TestServiceCrashRestart(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestServiceStateJournalENOSPC pins what a full disk does to the state
+// journal today: the write of an ingested update fails with ENOSPC, the
+// failure is logged, the update is acknowledged, and the daemon keeps
+// serving and adopts it, its next write landing. A restart on the directory
+// between the failed write and the next one loads the newest generation
+// that verified — the boot adoption, without the acknowledged update.
+func TestServiceStateJournalENOSPC(t *testing.T) {
+	dir := t.TempDir()
+	cfg := crashConfig(t, dir, faultinject.NewFS(checkpoint.OS,
+		faultinject.Fault{Op: faultinject.Write, Path: stateGens, N: 2, Act: faultinject.ENOSPC}))
+	var mu sync.Mutex
+	var logs []string
+	cfg.Logf = func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	if err := s.Bootstrap(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if epoch, err := s.Apply(driftUpdate()); err != nil || epoch != 1 {
+		t.Fatalf("Apply over a full disk = (%d, %v), want epoch 1 acknowledged", epoch, err)
+	}
+	mu.Lock()
+	logged := strings.Join(logs, "\n")
+	mu.Unlock()
+	if !strings.Contains(logged, "journaling epoch 1 failed") || !strings.Contains(logged, syscall.ENOSPC.Error()) {
+		t.Fatalf("the failed journal write was not logged:\n%s", logged)
+	}
+
+	restart := func() (*Incumbent, uint64) {
+		t.Helper()
+		r, err := New(crashConfig(t, dir, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Incumbent()
+	}
+	if inc, epoch := restart(); inc == nil || inc.Epoch != 0 || epoch != 0 {
+		t.Fatalf("a restart after the failed write serves %+v at desired epoch %d, want the boot adoption at epoch 0", inc, epoch)
+	}
+
+	done := make(chan struct{})
+	go func() { defer close(done); s.Run(ctx) }()
+	defer func() { cancel(); <-done }()
+	if adopted, err := s.WaitEpoch(ctx, 1); err != nil || !adopted {
+		t.Fatalf("WaitEpoch(1) = (%v, %v), want the daemon to keep serving and adopt", adopted, err)
+	}
+	waitCond(t, 60*time.Second, "the adoption to be journaled", func() bool {
+		inc, epoch := restart()
+		return inc != nil && inc.Epoch == 1 && epoch == 1
+	})
 }

@@ -37,27 +37,6 @@ const (
 	RoleLeader Role = "leader"
 )
 
-// Named kill points of the HA machinery, planted for the failover suite via
-// faultinject.Plan.KillAt (see the service-loop points in service.go).
-const (
-	// KillPointLeaseAcquire fires right after a lease acquisition or
-	// takeover succeeds, before the journal is reloaded: the new leader dies
-	// with the lease on disk, and the next candidate must wait out the TTL
-	// and take over at a higher fencing epoch.
-	KillPointLeaseAcquire = "lease.acquire"
-	// KillPointLeaseRenew fires after each successful lease renewal — the
-	// canonical mid-reign crash, with solves possibly in flight.
-	KillPointLeaseRenew = "lease.renew"
-	// KillPointLeaseHandover fires during graceful demotion, after the Run
-	// loop has stopped but before the lease is released: the handover is
-	// lost and successors must win by expiry, not by release.
-	KillPointLeaseHandover = "lease.handover"
-	// KillPointReplicaTail fires on a follower after it adopts a tailed
-	// journal generation: the follower's warm state must be rebuilt from the
-	// journal on restart, never partially retained.
-	KillPointReplicaTail = "replica.tail"
-)
-
 // ErrDemoted is returned by RunHA when the replica lost its lease while
 // leading: another replica holds a higher fencing epoch, this one's journal
 // writes are fenced off, and the process should restart into candidacy
@@ -148,10 +127,9 @@ func (s *Service) RunHA(ctx context.Context) error {
 			s.follow(ctx, nil)
 			continue
 		}
-		lease, held, err := checkpoint.AcquireLease(s.leasePath(), ha.NodeID, ha.Addr, ha.LeaseTTL)
+		lease, held, err := checkpoint.AcquireLease(s.cfg.FS, s.leasePath(), ha.NodeID, ha.Addr, ha.LeaseTTL)
 		switch {
 		case err == nil:
-			s.cfg.Fault.At(KillPointLeaseAcquire)
 			if lerr := s.lead(ctx, lease); lerr != nil {
 				return lerr
 			}
@@ -202,7 +180,6 @@ func (s *Service) lead(ctx context.Context, lease *checkpoint.Lease) error {
 					cancel()
 					return
 				}
-				s.cfg.Fault.At(KillPointLeaseRenew)
 			}
 		}
 	}()
@@ -227,7 +204,6 @@ func (s *Service) lead(ctx context.Context, lease *checkpoint.Lease) error {
 	if ctx.Err() != nil {
 		// Graceful shutdown: hand the lease over so a standby elects
 		// immediately instead of waiting out the TTL.
-		s.cfg.Fault.At(KillPointLeaseHandover)
 		bootErr = nil
 	}
 	// Otherwise Bootstrap failed on a live context — a hard solver error the
@@ -267,7 +243,7 @@ func (s *Service) follow(ctx context.Context, leader *checkpoint.LeaseInfo) {
 	s.setRole(RoleFollower, addr, nil)
 	s.logf("service: %s following (leader %q)", ha.NodeID, addr)
 
-	w := checkpoint.NewWatcher(s.st.Dir())
+	w := checkpoint.NewWatcher(s.cfg.FS, s.st.Dir())
 	t := time.NewTicker(ha.tailEvery())
 	defer t.Stop()
 	for {
@@ -283,11 +259,10 @@ func (s *Service) follow(ctx context.Context, leader *checkpoint.LeaseInfo) {
 				s.logf("service: journal tail generation %d rejected: %v", gen, aerr)
 			} else {
 				s.logf("service: tailed journal generation %d", gen)
-				s.cfg.Fault.At(KillPointReplicaTail)
 			}
 		}
 
-		li, lerr := checkpoint.ReadLease(s.leasePath())
+		li, lerr := checkpoint.ReadLease(s.cfg.FS, s.leasePath())
 		switch {
 		case lerr != nil:
 			s.logf("service: reading lease: %v", lerr)

@@ -28,9 +28,9 @@ const haTestTTL = 1500 * time.Millisecond
 
 // haConfig is crashConfig plus one replica's HA membership: all replicas of
 // a test group share dir and differ only in node identity.
-func haConfig(t testing.TB, dir, node string, fault *faultinject.Injector) Config {
+func haConfig(t testing.TB, dir, node string, fsys checkpoint.FS) Config {
 	t.Helper()
-	cfg := crashConfig(t, dir, fault)
+	cfg := crashConfig(t, dir, fsys)
 	cfg.HA = &HAConfig{
 		NodeID:   node,
 		Addr:     "http://" + node + ".test",
@@ -70,22 +70,17 @@ func journalGens(t testing.TB, dir string) []string {
 }
 
 // TestServiceHAHelperProcess is the subprocess body the failover suite kills:
-// one HA replica with a faultinject.ParseKillSpec kill plan from the
-// environment. Without SERVICE_HA_FOLLOW it runs for the lease and drives the
-// canonical boot+drift flow as leader; with it, it is a pure standby tailing
-// the journal. Every kill is os.Exit(137), SIGKILL-style.
+// one HA replica on a faulty FS whose fault comes from the environment.
+// Without SERVICE_HA_FOLLOW it runs for the lease and drives the canonical
+// boot+drift flow as leader; with it, it is a pure standby tailing the
+// journal. Every kill is os.Exit(137), SIGKILL-style.
 func TestServiceHAHelperProcess(t *testing.T) {
 	dir := os.Getenv("SERVICE_HA_DIR")
 	if dir == "" {
 		t.Skip("subprocess helper; driven by the HA failover tests")
 	}
-	spec := os.Getenv("SERVICE_HA_KILL")
-	plan, err := faultinject.ParseKillSpec(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan.KillExit = true
-	cfg := haConfig(t, dir, "victim", faultinject.New(plan))
+	spec := os.Getenv("SERVICE_HA_FAULT")
+	cfg := haConfig(t, dir, "victim", faultFS(t, "SERVICE_HA_FAULT"))
 	if os.Getenv("SERVICE_HA_FOLLOW") != "" {
 		cfg.HA.NoPromote = true
 	}
@@ -99,18 +94,18 @@ func TestServiceHAHelperProcess(t *testing.T) {
 	go func() { done <- s.RunHA(ctx) }()
 
 	if cfg.HA.NoPromote {
-		// Pure standby: tail until the replica.tail kill fires.
+		// Pure standby: tail until the read fault fires.
 		select {
 		case err := <-done:
 			t.Fatalf("standby RunHA returned before the kill: %v", err)
 		case <-time.After(90 * time.Second):
-			t.Fatalf("kill point %s never fired", spec)
+			t.Fatalf("fault %s never fired", spec)
 		}
 	}
 
 	// Leader victim: lead, drive the canonical flow, then linger so renewal
-	// kill points fire. Reaching the end alive means the kill point never
-	// fired (lease.handover fires inside the graceful cancel below).
+	// faults fire. Reaching the end alive means the fault never fired (the
+	// one before the lease's removal fires inside the graceful cancel below).
 	deadline := time.Now().Add(110 * time.Second)
 	for {
 		select {
@@ -137,40 +132,50 @@ func TestServiceHAHelperProcess(t *testing.T) {
 	time.Sleep(5 * cfg.HA.renewEvery())
 	cancel()
 	<-done
-	t.Fatalf("kill point %s never fired", spec)
+	t.Fatalf("fault %s never fired", spec)
 }
 
 // TestServiceHAFailover is the failover acceptance test: a real leader
-// subprocess is killed with exit 137 at every named point of the HA machinery
-// — right after acquiring the lease, after each renewal, mid-ingest,
-// mid-publish, and during the graceful handover — while an in-process standby
-// follows the same state directory. The standby must take over within 2× the
-// lease TTL of the observed death, at a higher fencing epoch, and complete
-// the interrupted flow to the exact allocation an uninterrupted single-node
-// run produces.
+// subprocess is killed with exit 137 in every window of the HA machinery —
+// right after the lease file's first write (the acquisition) and its second
+// and third (the renewals), after the state-journal write of the ingested
+// update and of the drift adoption, and before the graceful handover removes
+// the lease file — while an in-process standby follows the same state
+// directory. Each subtest is named for the window it kills in. The standby
+// must take over within 2× the lease TTL of the observed death, at a higher
+// fencing epoch, and complete the interrupted flow to the exact allocation
+// an uninterrupted single-node run produces.
 func TestServiceHAFailover(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess test")
 	}
 	_, finalBase := runServiceFlow(t, crashConfig(t, t.TempDir(), nil))
 
-	specs := []string{
-		"lease.acquire:1",
-		"lease.renew:1",
-		"lease.renew:2",
-		"service.ingest:1",
-		"service.publish:1",
-		"lease.handover:1",
+	leaseWrite := func(n int) faultinject.Fault { return writeFault("leader.lease*", n) }
+	specs := []struct {
+		spec  string
+		fault faultinject.Fault
+	}{
+		{"lease.acquire:1", leaseWrite(1)},
+		{"lease.renew:1", leaseWrite(2)},
+		{"lease.renew:2", leaseWrite(3)},
+		// The pre-seeded boot adoption is the journal's first generation, so
+		// the victim's first state write is the ingest, its second the
+		// drift adoption.
+		{"service.ingest:1", writeFault(stateGens, 1)},
+		{"service.publish:1", writeFault(stateGens, 2)},
+		{"lease.handover:1", faultinject.Fault{Op: faultinject.Remove, Path: "leader.lease", N: 1, Act: faultinject.Kill}},
 	}
-	for _, spec := range specs {
+	for _, w := range specs {
+		spec := w.spec
 		t.Run(spec, func(t *testing.T) {
 			dir := t.TempDir()
 			ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
 			defer cancel()
 
 			// Pre-seed the shared journal with the boot adoption so even the
-			// earliest kill (lease.acquire:1, before the victim solves
-			// anything) leaves the standby a warm incumbent to serve.
+			// earliest kill (after the lease acquisition, before the victim
+			// solves anything) leaves the standby a warm incumbent to serve.
 			preseed, err := New(crashConfig(t, dir, nil))
 			if err != nil {
 				t.Fatal(err)
@@ -182,7 +187,7 @@ func TestServiceHAFailover(t *testing.T) {
 			cmd := exec.Command(os.Args[0], "-test.run", "TestServiceHAHelperProcess$")
 			cmd.Env = append(os.Environ(),
 				"SERVICE_HA_DIR="+dir,
-				"SERVICE_HA_KILL="+spec,
+				faultEnv(t, "SERVICE_HA_FAULT", w.fault),
 			)
 			var out bytes.Buffer
 			cmd.Stdout, cmd.Stderr = &out, &out
@@ -191,7 +196,7 @@ func TestServiceHAFailover(t *testing.T) {
 			}
 			leasePath := filepath.Join(dir, "leader.lease")
 			waitCond(t, 120*time.Second, "the victim to take the lease", func() bool {
-				li, lerr := checkpoint.ReadLease(leasePath)
+				li, lerr := checkpoint.ReadLease(checkpoint.OS, leasePath)
 				return lerr == nil && li != nil && li.Holder == "victim"
 			})
 
@@ -213,7 +218,7 @@ func TestServiceHAFailover(t *testing.T) {
 
 			werr := cmd.Wait()
 			if werr == nil {
-				t.Fatalf("victim exited cleanly; kill point never fired:\n%s", out.String())
+				t.Fatalf("victim exited cleanly; the fault never fired:\n%s", out.String())
 			}
 			ee, ok := werr.(*exec.ExitError)
 			if !ok {
@@ -262,8 +267,8 @@ func TestServiceHAFailover(t *testing.T) {
 }
 
 // TestServiceHAFollowerCrashAndPromotion covers the replication side of
-// failover: a standby subprocess is killed right after its first tail
-// adoption (replica.tail:1), the leader moves on to the drift epoch while no
+// failover: a standby subprocess is killed right after its first tail read
+// of a journal generation, the leader moves on to the drift epoch while no
 // follower watches, and a restarted follower must catch up purely from the
 // journal — then, after the leader's graceful handover, promote and serve the
 // identical allocation without re-solving.
@@ -282,21 +287,26 @@ func TestServiceHAFollowerCrashAndPromotion(t *testing.T) {
 	lctx, lcancel := context.WithCancel(ctx)
 	ldone := make(chan error, 1)
 	go func() { ldone <- leader.RunHA(lctx) }()
-	waitCond(t, 120*time.Second, "the leader to bootstrap", func() bool {
+	// Adoption installs the incumbent before it journals it: wait for the
+	// generation too, so that the standby below finds it at boot.
+	waitCond(t, 120*time.Second, "the leader to bootstrap and journal it", func() bool {
 		inc, _ := leader.Incumbent()
-		return leader.Role() == RoleLeader && inc != nil
+		return leader.Role() == RoleLeader && inc != nil && len(journalGens(t, filepath.Join(dir, "state"))) > 0
 	})
 
-	// A standby that dies the moment it first adopts a tailed generation.
+	// A standby that dies the moment its tail first reads a generation: its
+	// boot reads the journal's one generation, the first poll reads it again.
+	// What it adopts lives in memory only, so the kill leaves the disk as a
+	// kill after the adoption would.
 	cmd := exec.Command(os.Args[0], "-test.run", "TestServiceHAHelperProcess$")
 	cmd.Env = append(os.Environ(),
 		"SERVICE_HA_DIR="+dir,
-		"SERVICE_HA_KILL="+KillPointReplicaTail+":1",
+		faultEnv(t, "SERVICE_HA_FAULT", faultinject.Fault{Op: faultinject.Read, Path: stateGens, N: 2, Act: faultinject.Kill}),
 		"SERVICE_HA_FOLLOW=1",
 	)
 	out, werr := cmd.CombinedOutput()
 	if werr == nil {
-		t.Fatalf("follower exited cleanly; kill point never fired:\n%s", out)
+		t.Fatalf("follower exited cleanly; the fault never fired:\n%s", out)
 	}
 	ee, ok := werr.(*exec.ExitError)
 	if !ok {
@@ -475,7 +485,7 @@ func TestServiceHAFencing(t *testing.T) {
 			t.Fatal("could not usurp the lease")
 		}
 		forgeLeaseExpired(t, leasePath)
-		l, _, aerr := checkpoint.AcquireLease(leasePath, "b", "http://b.test", time.Hour)
+		l, _, aerr := checkpoint.AcquireLease(checkpoint.OS, leasePath, "b", "http://b.test", time.Hour)
 		switch {
 		case aerr == nil:
 			usurper = l

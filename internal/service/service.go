@@ -22,14 +22,12 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"os"
 	"path/filepath"
 	"sync"
 	"time"
 
 	"fragalloc/internal/checkpoint"
 	"fragalloc/internal/core"
-	"fragalloc/internal/faultinject"
 	"fragalloc/internal/mip"
 	"fragalloc/internal/model"
 	"fragalloc/internal/scenario"
@@ -89,9 +87,9 @@ type Config struct {
 
 	// Logf receives progress lines; nil discards them.
 	Logf func(format string, args ...any)
-	// Fault, when set, is installed on the per-epoch solve journals and
-	// consulted at the service-loop kill points (crash tests only).
-	Fault *faultinject.Injector
+	// FS is the file system under StateDir: the journals, the lease and the
+	// journal tail. Nil means checkpoint.OS; crash tests hand in a faulty one.
+	FS checkpoint.FS
 }
 
 // Service is the daemon core: the I/O shell around the state machine in
@@ -154,6 +152,9 @@ func New(cfg Config) (*Service, error) {
 	if cfg.BackoffMax <= 0 {
 		cfg.BackoffMax = 30 * time.Second
 	}
+	if cfg.FS == nil {
+		cfg.FS = checkpoint.OS
+	}
 	if cfg.HA != nil {
 		ha, err := cfg.HA.withDefaults(&cfg)
 		if err != nil {
@@ -191,7 +192,7 @@ func New(cfg Config) (*Service, error) {
 		attemptDone: make(chan struct{}),
 	}
 	if cfg.StateDir != "" {
-		st, err := checkpoint.Open(filepath.Join(cfg.StateDir, "state"))
+		st, err := checkpoint.OpenFS(cfg.FS, filepath.Join(cfg.StateDir, "state"))
 		if err != nil {
 			return nil, err
 		}
@@ -265,8 +266,6 @@ func (s *Service) perform(effs []effect) error {
 					return &NotLeaderError{}
 				}
 			}
-		case effKill:
-			s.cfg.Fault.At(e.text)
 		case effWake:
 			// A pending wake already covers this one (coalescing).
 			select {
@@ -282,7 +281,7 @@ func (s *Service) perform(effs []effect) error {
 			if s.cfg.StateDir == "" {
 				break
 			}
-			if err := os.RemoveAll(filepath.Join(s.cfg.StateDir, "solve")); err != nil {
+			if err := s.cfg.FS.RemoveAll(filepath.Join(s.cfg.StateDir, "solve")); err != nil {
 				s.logf("service: warning: could not retire solve journals: %v", err)
 			}
 		case effLog:
@@ -485,12 +484,9 @@ func (s *Service) solveRecorder(epoch uint64) (*checkpoint.Recorder, error) {
 		return checkpoint.NewRecorder(nil, nil), nil
 	}
 	dir := filepath.Join(s.cfg.StateDir, "solve", fmt.Sprintf("ep-%d", epoch))
-	st, err := checkpoint.Open(dir)
+	st, err := checkpoint.OpenFS(s.cfg.FS, dir)
 	if err != nil {
 		return nil, err
-	}
-	if s.cfg.Fault != nil {
-		st.SetFault(s.cfg.Fault)
 	}
 	// The solve journal is fenced like the state journal: a deposed
 	// leader's in-flight solve must not keep writing under a directory the

@@ -80,25 +80,11 @@ func newState(cfg Config, scen *model.ScenarioSet, jitterSeed int64, now time.Ti
 	return st
 }
 
-// Named kill points of the service loop, planted for the crash-restart suite
-// via faultinject.Plan.KillAt (the solver's own kill points are
-// KillAtCheckpoint on the per-epoch solve journal).
-const (
-	// KillPointIngest fires after an ingested update is journaled but
-	// before the re-optimization loop is woken: the update must survive the
-	// crash and be solved after restart.
-	KillPointIngest = "service.ingest"
-	// KillPointPublish fires between journaling an adopted incumbent and
-	// publishing its diff: the restarted daemon must serve the new
-	// incumbent immediately.
-	KillPointPublish = "service.publish"
-)
-
 // An effect is one piece of I/O a transition obliges the shell to perform;
 // a transition returns its effects in the order they must happen.
 type effect struct {
 	op   effectOp
-	text string // what is journaled (for the warning), the kill point, or the log format
+	text string // what is journaled (for the warning), or the log format
 	args []any  // effLog's arguments
 	// ack marks a journal write the rest of the list would acknowledge: if
 	// the lease fence refuses it, the shell stops there with NotLeaderError.
@@ -110,7 +96,6 @@ type effectOp int
 
 const (
 	effJournal effectOp = iota // journal the state as it is when the write happens
-	effKill                    // hit a named kill point (crash tests)
 	effWake                    // wake the re-optimization loop
 	effRelease                 // release the WaitEpoch waiters
 	effRetire                  // delete the solve journals
@@ -166,7 +151,6 @@ func (st *state) ingest(u Update, now time.Time) (uint64, []effect, error) {
 	}
 	return st.epoch, []effect{
 		{op: effJournal, text: fmt.Sprintf("epoch %d", st.epoch), ack: true},
-		{op: effKill, text: KillPointIngest},
 		{op: effWake},
 	}, nil
 }
@@ -265,9 +249,9 @@ func (st *state) solved(starts json.RawMessage) {
 
 // adopt makes inc the served incumbent. What it returns is the crash
 // contract: inc and its diff are in memory from here; then the journal; then
-// the publish kill point; then the waiters. A crash after the journal write
-// restarts into inc with the diff lost — the diff is derivable, the incumbent
-// is not. diff is nil for the first incumbent; took is for the log line only.
+// the waiters. A crash after the journal write restarts into inc with the
+// diff lost — the diff is derivable, the incumbent is not. diff is nil for
+// the first incumbent; took is for the log line only.
 func (st *state) adopt(inc *Incumbent, diff *Diff, took time.Duration) []effect {
 	warm := st.inc != nil
 	st.inc = inc
@@ -279,7 +263,6 @@ func (st *state) adopt(inc *Incumbent, diff *Diff, took time.Duration) []effect 
 	}
 	return []effect{
 		{op: effJournal, text: "the adopted incumbent"},
-		{op: effKill, text: KillPointPublish},
 		{op: effRelease},
 		{op: effRetire},
 		{op: effLog, text: "service: adopted epoch %d (%s, W/V=%.4f, %v, warm=%v)",

@@ -108,7 +108,6 @@ func TestStateIngest(t *testing.T) {
 			}
 			want := []effect{
 				{op: effJournal, text: "epoch 1", ack: true},
-				{op: effKill, text: KillPointIngest},
 				{op: effWake},
 			}
 			if epoch != 1 || !reflect.DeepEqual(effs, want) {
@@ -249,7 +248,6 @@ func TestStateAdoptReject(t *testing.T) {
 	effs := st.adopt(boot, nil, 1234*time.Millisecond)
 	want := []effect{
 		{op: effJournal, text: "the adopted incumbent"},
-		{op: effKill, text: KillPointPublish},
 		{op: effRelease},
 		{op: effRetire},
 		{op: effLog, text: "service: adopted epoch %d (%s, W/V=%.4f, %v, warm=%v)",
@@ -311,7 +309,7 @@ func TestStateAdoptReject(t *testing.T) {
 	diff := &Diff{FromEpoch: 0, ToEpoch: 2}
 	next := testIncumbent(t, cfg, 2)
 	effs = st.adopt(next, diff, 0)
-	if !reflect.DeepEqual(ops(effs), ops(want)) || effs[4].args[4] != true {
+	if !reflect.DeepEqual(ops(effs), ops(want)) || effs[3].args[4] != true {
 		t.Fatalf("re-optimization adoption effects %+v", effs)
 	}
 	v := st.view(stateT0)
