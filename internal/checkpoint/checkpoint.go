@@ -201,8 +201,9 @@ func (st *Store) prune() {
 // writeDurably is the one durable write of the package: open tmp on fsys with
 // the caller's flags, write data, fsync, close, rename tmp to final when the
 // two differ, and fsync the directory so the new name itself survives a
-// crash. The open error stays matchable (a lease's O_EXCL claim tests for
-// os.ErrExist).
+// crash. A write, fsync, close or rename that fails removes tmp when it is
+// not final, so no torn temp file is left behind. The open error stays
+// matchable (a lease's O_EXCL claim tests for os.ErrExist).
 func writeDurably(fsys FS, tmp, final string, flags int, data []byte) error {
 	f, err := fsys.OpenFile(tmp, os.O_WRONLY|flags, 0o644)
 	if err != nil {
@@ -217,6 +218,9 @@ func writeDurably(fsys FS, tmp, final string, flags int, data []byte) error {
 	}
 	if err == nil && tmp != final {
 		err = fsys.Rename(tmp, final)
+	}
+	if err != nil && tmp != final {
+		err = errors.Join(err, fsys.Remove(tmp))
 	}
 	if err == nil {
 		err = fsys.SyncDir(filepath.Dir(final))

@@ -314,10 +314,9 @@ func (sp *subproblem) rounding(ix *indices) func(x []float64) []float64 {
 // relaxation solves the LP relaxation of the subproblem MIP p, the root of
 // the dive. It starts from basis from when one is carried — the optimal
 // basis of the same subproblem's previous solve, mapped by role
-// (carriedBasis) — and that start is checked, not trusted: one that ends
-// other than optimal, or at a point that breaks a row, is logged through
-// logf, refused and solved again cold. It returns the solver, the result
-// (nil when no solver could be built; the dive needs its Status optimal) and
+// (carriedBasis) — and SolveFrom solves a start it refuses again cold; the
+// refusal is logged through logf. It returns the solver, the result (nil
+// when no solver could be built; the dive needs its Status optimal) and
 // what the start counted. The result's Iters counts every pivot the
 // relaxation took, a refused start's included.
 func relaxation(p *simplex.Problem, lp simplex.Options, from *simplex.Basis, logf func(string, ...any)) (*simplex.Solver, *simplex.Result, BasisStarts) {
@@ -334,32 +333,12 @@ func relaxation(p *simplex.Problem, lp simplex.Options, from *simplex.Basis, log
 	if err != nil {
 		return nil, nil, starts
 	}
-	var res *simplex.Result
-	if from != nil {
-		res = s.SolveFrom(from)
-		var why string
-		switch {
-		case res.Status == simplex.StatusCanceled:
-		case res.Status != simplex.StatusOptimal:
-			why = fmt.Sprintf("ended %v", res.Status)
-		case !p.Satisfies(res.X):
-			why = "violates a row of the problem and is refused"
-		case res.Recovery != nil && res.Recovery.Restarts > 0:
-			starts.DivesCold++
-		default:
-			starts.Dives++
-		}
-		if why != "" {
-			starts.DivesCold++
-			if logf != nil {
-				logf("core: dive root from the carried basis %s; solving cold", why)
-			}
-			refused := res.Iters
-			res = s.Solve()
-			res.Iters += refused
-		}
-	} else {
-		res = s.Solve()
+	if from == nil {
+		return s, s.Solve(), starts
+	}
+	res := s.SolveFrom(from)
+	if why := mip.CountStart(res, &starts.Dives, &starts.DivesCold); why != "" && logf != nil {
+		logf("core: dive root from the carried basis %s; solving cold", why)
 	}
 	return s, res, starts
 }

@@ -117,13 +117,6 @@ func ones(w *model.Workload) []float64 {
 	return f
 }
 
-// mipOptions builds the per-subproblem budget: a hard wall-clock cap plus a
-// stall rule so easy instances (partial clustering) return quickly while
-// hard ones use the full budget — reproducing the paper's runtime contrast.
-func (c Config) mipOptions() mip.Options {
-	return mip.Options{TimeLimit: c.Budget, MaxStallNodes: 150, Canceled: c.Canceled}
-}
-
 func (c Config) coreLogf() func(string, ...any) {
 	if !c.Verbose {
 		return nil
@@ -213,7 +206,10 @@ func (c Config) table(title, header string, n int, row func(i int, opts core.Opt
 	t := newTable(c.Out)
 	fmt.Fprintln(t, header)
 	rowPar, innerPar := c.rowPool(n)
-	opts := core.Options{Parallelism: innerPar, MIP: c.mipOptions(), Logf: c.coreLogf(), Canceled: c.Canceled}
+	// Each subproblem gets a wall-clock cap plus a stall rule, so easy
+	// instances return quickly and hard ones use the full budget — the
+	// paper's runtime contrast. core chains Canceled into every search.
+	opts := core.Options{Parallelism: innerPar, MIP: mip.Options{TimeLimit: c.Budget, MaxStallNodes: 150}, Logf: c.coreLogf(), Canceled: c.Canceled}
 	lines := make([]string, n)
 	err := runRows(rowPar, n, func(i int) (err error) {
 		lines[i], err = row(i, opts)

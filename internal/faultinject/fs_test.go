@@ -90,7 +90,8 @@ func TestFSTearFallsBack(t *testing.T) {
 }
 
 // TestFSFailedWrite: EIO at the fsync and ENOSPC at the write fail that one
-// save, leave no generation behind, and the next save goes through.
+// save, leave no generation and no temp file behind, and the next save goes
+// through; a failed removal of the temp file is reported with the failure.
 func TestFSFailedWrite(t *testing.T) {
 	for _, c := range []struct {
 		act   Act
@@ -107,12 +108,25 @@ func TestFSFailedWrite(t *testing.T) {
 		if got := newest(t, dir); got != "" {
 			t.Fatalf("%s: a failed save left %q loadable", c.act, got)
 		}
+		if tmps, err := filepath.Glob(filepath.Join(dir, "*.tmp")); err != nil || len(tmps) > 0 {
+			t.Fatalf("%s: a failed save left %v on disk (%v)", c.act, tmps, err)
+		}
 		if err := st.SaveRaw([]byte("kept")); err != nil {
 			t.Fatalf("%s: the save after the failed one: %v", c.act, err)
 		}
 		if got := newest(t, dir); got != "kept" {
 			t.Fatalf("%s: the journal loads %q, want %q", c.act, got, "kept")
 		}
+	}
+
+	// A removal of the temp file that fails too is joined into the error.
+	fsys := NewFS(NewFS(checkpoint.OS, Fault{Op: Write, Path: "gen-*", N: 1, Act: ENOSPC}), Fault{Op: Remove, Path: "gen-*", N: 1, Act: EIO})
+	st, err := checkpoint.OpenFS(fsys, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SaveRaw([]byte("lost")); !errors.Is(err, syscall.ENOSPC) || !errors.Is(err, syscall.EIO) {
+		t.Fatalf("save = %v, want the write's ENOSPC and the removal's EIO", err)
 	}
 }
 

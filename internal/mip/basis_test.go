@@ -133,8 +133,8 @@ func TestRootFromBasis(t *testing.T) {
 
 // TestRootFromBasisRefusedGoesCold stalls every rung of the start from the
 // basis — its dual pass, then the cold, bland and perturb restarts of its
-// ladder — so it ends unknown: the root refuses it, says so, and solves
-// cold to the same bound.
+// ladder — so it ends unknown: SolveFrom refuses it and solves cold to the
+// same bound, and the root says so.
 func TestRootFromBasisRefusedGoesCold(t *testing.T) {
 	p, ints := goldenInstance(7)
 	lp, err := simplex.NewSolver(p, simplex.Options{})
@@ -172,8 +172,8 @@ func TestRootFromBasisRefusedGoesCold(t *testing.T) {
 // restarts of its ladder stall, and the perturb rung, whose feasibility
 // tolerance is a hundred times looser, takes the slack basis as feasible
 // with the row x + w ≥ 5e-6 still uncovered at x = w = 0. Problem.Satisfies
-// holds rows to the solver's own tolerance, so the root refuses the point,
-// says so, and solves cold to the true bound.
+// holds rows to the solver's own tolerance, so SolveFrom refuses the point
+// and solves cold to the true bound, and the root says so.
 func TestRootFromBasisViolatingRowRefused(t *testing.T) {
 	p := &simplex.Problem{}
 	x := p.AddVar(0, 1, 1)

@@ -20,11 +20,11 @@
 //     typically the optimal basis of a relaxation with the same columns)
 //     instead of solving cold: the basis is mapped through presolve — a
 //     removed row that was tight demotes one basic column of its row to the
-//     bound that keeps it tight — and the root it reaches must satisfy every
-//     row before its bound is used, or the root is solved again cold,
+//     bound that keeps it tight — and simplex.Solver.SolveFrom solves the
+//     root again cold when the start does not stand,
 //   - best-first node selection with depth-first plunging; a plunge child
 //     re-solves from the tree solver's state, a node popped off the heap
-//     from its parent's optimal basis, checked like the root's start,
+//     from its parent's optimal basis, judged like the root's start,
 //   - reliability-weighted pseudocost branching with a most-fractional
 //     fallback until degradation observations exist,
 //   - an optional caller-supplied rounding heuristic whose proposals become
@@ -132,15 +132,32 @@ type Result struct {
 // Starts counts the LP solves of a search that began from a basis instead
 // of cold: the root relaxation from Options.RootBasis, and every node popped
 // off the open heap from its parent's optimal basis. Roots and Nodes count
-// the starts that stood; RootsCold and NodesCold those that were refused —
-// they ended other than optimal (or, for a node, infeasible) or at a point
-// that breaks a row — or that the solver's own ladder restarted cold, so
-// their LP was in fact solved cold.
+// the starts that stood; RootsCold and NodesCold those that the solver's
+// ladder restarted cold, a start SolveFrom refused among them, so their LP
+// was in fact solved cold (see CountStart).
 type Starts struct {
 	Roots     int `json:"roots"`
 	RootsCold int `json:"roots_cold"`
 	Nodes     int `json:"nodes"`
 	NodesCold int `json:"nodes_cold"`
+}
+
+// CountStart counts a SolveFrom start that ended in res: cold when its
+// ladder restarted it cold, stood when it ran from the basis throughout,
+// neither when canceled before a verdict. It returns Recovery.Refused.
+func CountStart(res *simplex.Result, stood, cold *int) (refused string) {
+	rec := res.Recovery
+	switch {
+	case rec != nil && rec.Refused != "":
+		*cold++
+		return rec.Refused
+	case res.Status == simplex.StatusCanceled:
+	case rec != nil && rec.Restarts > 0:
+		*cold++
+	default:
+		*stood++
+	}
+	return ""
 }
 
 // Options tune the branch-and-bound search. The zero value uses the
@@ -188,8 +205,8 @@ type Options struct {
 	// coordinates — typically the optimal basis of a relaxation with the
 	// same columns — that the root relaxation starts from instead of
 	// solving cold (simplex.Solver.SolveFrom, after presolve's mapping).
-	// A root started from it is checked against every row before its bound
-	// is used, and solved again cold if it fails. Nil solves the root cold.
+	// SolveFrom refuses a start that does not stand and solves the root
+	// again cold. Nil solves the root cold.
 	RootBasis *simplex.Basis
 	// LP passes options through to the simplex solver. When TimeLimit or
 	// Canceled is set, Solve chains its own stop hook onto LP.Canceled so
@@ -778,57 +795,18 @@ func (s *search) run() (*Result, error) {
 	return s.result(StatusNoSolution, s.skippedBound), nil
 }
 
-// solveRoot solves the root relaxation, from rootBasis when there is one.
-// That start is checked, not trusted (startFrom); a refused one is solved
-// again cold.
+// solveRoot solves the root relaxation, from rootBasis when there is one
+// (SolveFrom of nil is Solve); SolveFrom solves a start it refuses again
+// cold.
 func (s *search) solveRoot() *simplex.Result {
+	res := s.lp.SolveFrom(s.rootBasis)
+	s.lpIters += res.Iters
 	if s.rootBasis != nil {
-		res, ok := s.startFrom(s.rootBasis, false, &s.starts.Roots, &s.starts.RootsCold)
-		if ok {
-			return res
+		if why := CountStart(res, &s.starts.Roots, &s.starts.RootsCold); why != "" {
+			s.logf("mip: root relaxation from basis %s; solving cold", why)
 		}
 	}
-	res := s.lp.Solve()
-	s.lpIters += res.Iters
 	return res
-}
-
-// startFrom solves the tree LP from basis b and checks the start. It stands
-// (ok) when it ends optimal at a point that satisfies every row of p, or
-// canceled — or, for a node, infeasible: the dual pass proves that on a
-// fresh factorization just as it does for a node re-solved from the
-// solver's own state. Any other ending is logged and refused, and the
-// caller solves again cold. A refused start, or one the solver's own ladder
-// restarted cold, counts in *cold; one that ran from b throughout in *warm.
-func (s *search) startFrom(b *simplex.Basis, node bool, warm, cold *int) (*simplex.Result, bool) {
-	res := s.lp.SolveFrom(b)
-	s.lpIters += res.Iters
-	var why string
-	switch {
-	case res.Status == simplex.StatusCanceled:
-		return res, true
-	case res.Status == simplex.StatusInfeasible && node:
-		*warm++
-		return res, true
-	case res.Status != simplex.StatusOptimal:
-		why = fmt.Sprintf("ended %v", res.Status)
-	case !s.p.Satisfies(res.X):
-		why = "violates a row of the problem and is refused"
-	default:
-		if res.Recovery != nil && res.Recovery.Restarts > 0 {
-			*cold++
-		} else {
-			*warm++
-		}
-		return res, true
-	}
-	*cold++
-	what := "root relaxation"
-	if node {
-		what = fmt.Sprintf("node %d", s.nodes+1)
-	}
-	s.logf("mip: %s from basis %s; solving cold", what, why)
-	return nil, false
 }
 
 // plunge solves nd and then repeatedly descends into the child whose bound
@@ -914,24 +892,27 @@ func (s *search) plunge(nd *node, open *nodeHeap) {
 }
 
 // solveNode solves nd's LP with its path's bounds applied: a node popped off
-// the heap from its parent's basis (startFrom), a plunge child by the dual
-// simplex from where its parent's solve left the tree solver. Numerical
-// trouble, an iteration limit or a refused start is retried from a fresh
-// basis before the caller gives up on the subtree.
+// the heap from its parent's basis (SolveFrom, which solves a start it
+// refuses again cold), a plunge child by the dual simplex from where its
+// parent's solve left the tree solver. Numerical trouble or an iteration
+// limit there is retried from a fresh basis before the caller gives up on
+// the subtree.
 func (s *search) solveNode(nd *node) *simplex.Result {
 	if nd.basis != nil {
-		if res, ok := s.startFrom(nd.basis, true, &s.starts.Nodes, &s.starts.NodesCold); ok {
-			return res
-		}
-	} else {
-		res := s.lp.ReSolveDual()
+		res := s.lp.SolveFrom(nd.basis)
 		s.lpIters += res.Iters
-		switch res.Status {
-		case simplex.StatusOptimal, simplex.StatusInfeasible, simplex.StatusCanceled:
-			return res
+		if why := CountStart(res, &s.starts.Nodes, &s.starts.NodesCold); why != "" {
+			s.logf("mip: node %d from basis %s; solving cold", s.nodes+1, why)
 		}
+		return res
 	}
-	res := s.lp.Solve()
+	res := s.lp.ReSolveDual()
+	s.lpIters += res.Iters
+	switch res.Status {
+	case simplex.StatusOptimal, simplex.StatusInfeasible, simplex.StatusCanceled:
+		return res
+	}
+	res = s.lp.Solve()
 	s.lpIters += res.Iters
 	return res
 }

@@ -61,7 +61,7 @@ func runServiceFlow(t testing.TB, cfg Config) (boot, final *Incumbent) {
 		t.Fatal(err)
 	}
 	boot, _ = s.Incumbent()
-	if s.Epoch() < 1 {
+	if s.Status().Epoch < 1 {
 		if _, err := s.Apply(driftUpdate()); err != nil {
 			t.Fatal(err)
 		}

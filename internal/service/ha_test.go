@@ -121,7 +121,7 @@ func TestServiceHAHelperProcess(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if s.Epoch() < 1 {
+	if s.Status().Epoch < 1 {
 		if _, err := s.Apply(driftUpdate()); err != nil {
 			t.Fatal(err)
 		}
@@ -242,7 +242,7 @@ func TestServiceHAFailover(t *testing.T) {
 
 			// Complete the interrupted flow on the successor: it must
 			// converge bit-for-bit with the uninterrupted baseline.
-			if standby.Epoch() < 1 {
+			if standby.Status().Epoch < 1 {
 				if _, err := standby.Apply(driftUpdate()); err != nil {
 					t.Fatal(err)
 				}

@@ -568,12 +568,6 @@ func (s *Service) Diff() *Diff {
 	return v.LastDiff
 }
 
-// Epoch returns the current desired epoch.
-func (s *Service) Epoch() uint64 {
-	v, _ := s.snapshot()
-	return v.Epoch
-}
-
 // Status snapshots the daemon's state.
 func (s *Service) Status() Status {
 	v, _ := s.snapshot()

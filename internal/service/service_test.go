@@ -478,7 +478,7 @@ func TestServiceRefusesNonFiniteUpdate(t *testing.T) {
 			t.Errorf("POST %.60s… = %d, want 400", body, code)
 		}
 	}
-	if got := s.Epoch(); got != 0 {
+	if got := s.Status().Epoch; got != 0 {
 		t.Fatalf("refused updates moved the epoch to %d", got)
 	}
 
@@ -516,7 +516,7 @@ func TestServiceUpdateBodyCap(t *testing.T) {
 	if code := postUpdate(t, srv, " "+pad+"{}"); code != http.StatusRequestEntityTooLarge {
 		t.Errorf("POST of maxUpdateBytes+1 = %d, want 413", code)
 	}
-	if got := s.Epoch(); got != 0 {
+	if got := s.Status().Epoch; got != 0 {
 		t.Fatalf("an over-size body moved the epoch to %d", got)
 	}
 	if code := postUpdate(t, srv, pad+"{}"); code != http.StatusAccepted {
@@ -699,7 +699,7 @@ func TestServiceSetKChunkConflict(t *testing.T) {
 	if _, err := s.Apply(Update{SetK: 5}); err == nil {
 		t.Fatal("Apply accepted set_k 5 against a fixed 3-node chunk spec")
 	}
-	if got := s.Epoch(); got != 0 {
+	if got := s.Status().Epoch; got != 0 {
 		t.Fatalf("rejected update bumped the epoch to %d", got)
 	}
 	// A resize matching the spec's coverage is a no-op resize and stays fine.

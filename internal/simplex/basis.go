@@ -2,6 +2,7 @@ package simplex
 
 import (
 	"errors"
+	"fmt"
 	"math"
 )
 
@@ -61,8 +62,12 @@ func (s *Solver) Basis() *Basis {
 // factorization finds no pivot is swapped for the slack of a row left
 // unpivoted. The solve then finishes as ReSolveDual does: bound-flip repair
 // of dual feasibility, the dual pass, primal verification, and the same
-// recovery ladder, whose last rung is a cold Solve. Result.Recovery
-// records the rungs climbed. An optimal b costs no pivots.
+// recovery ladder, whose last rung is a cold Solve. The start stands when
+// it ends infeasible, canceled, or optimal at a point of the problem the
+// solver was built from (Problem.Satisfies); any other ending climbs the
+// refused rung and is solved again cold, and Result.Iters counts both
+// attempts' pivots. Result.Recovery records the rungs climbed. An optimal b
+// costs no pivots.
 func (s *Solver) SolveFrom(b *Basis) *Result {
 	if b == nil || len(b.Cols) != s.n || len(b.Rows) != s.m {
 		return s.Solve()
@@ -74,8 +79,27 @@ func (s *Solver) SolveFrom(b *Basis) *Result {
 	} else {
 		res = s.cold()
 	}
+	if why := s.refusal(res); why != "" {
+		s.climb(RungRefused)
+		s.rec.Refused = why
+		spent := res.Iters
+		res = s.solve()
+		res.Iters += spent
+	}
 	res.Recovery = s.rec
 	return res
+}
+
+// refusal is why a start from a basis that ended in res does not stand, or
+// "" when it stands.
+func (s *Solver) refusal(res *Result) string {
+	switch {
+	case res.Status == StatusOptimal && !s.p.Satisfies(res.X):
+		return "violates a row of the problem and is refused"
+	case res.Status == StatusOptimal, res.Status == StatusInfeasible, res.Status == StatusCanceled:
+		return ""
+	}
+	return fmt.Sprintf("ended %v", res.Status)
 }
 
 // install makes b the solver's basis and factors it. It reports false when

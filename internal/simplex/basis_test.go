@@ -1,6 +1,7 @@
 package simplex
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -293,5 +294,101 @@ func TestBasisReportsArtificialAsSlack(t *testing.T) {
 	}
 	if res := warm.SolveFrom(b); res.Status != StatusOptimal || !approx(res.Obj, cold.Obj, 1e-9) || res.Iters != 0 {
 		t.Fatalf("SolveFrom: %v obj %v in %d pivots; want optimal %v in 0", res.Status, res.Obj, res.Iters, cold.Obj)
+	}
+}
+
+// TestSolveFromRefusedRung pins SolveFrom's verdict on its own start for
+// four starts from a basis. A start that hits the iteration limit, or that
+// the perturb rung accepts at a point off a row (the row x + w ≥ 5e-6 is
+// within the rung's hundredfold-looser tolerance at x = w = 0), climbs the
+// refused rung and is solved again cold in the same call, with both
+// attempts' pivots counted. An infeasible verdict and a canceled solve
+// stand.
+func TestSolveFromRefusedRung(t *testing.T) {
+	p := mixedLP(3, 12, 16)
+	slack := &Basis{Cols: make([]BasisStatus, 16), Rows: make([]BasisStatus, 12)}
+	for r := range slack.Rows {
+		slack.Rows[r] = Basic
+	}
+
+	offRow := &Problem{}
+	x := offRow.AddVar(0, 1, 1)
+	w := offRow.AddVar(0, 1, 1)
+	y := offRow.AddVar(0, 1, -1)
+	offRow.AddRow([]int{x, w}, []float64{1, 1}, GE, 5e-6)
+	offRow.AddRow([]int{y, x, w}, []float64{1, 1, -1}, LE, 1.5)
+	s, err := NewSolver(offRow, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	offRowCold := s.Solve()
+	offRowBasis := s.Basis()
+
+	// Optimal at (a, c) = (1, 3); both at least 3 leaves no point with
+	// a + c ≤ 4.
+	boxed := &Problem{}
+	a := boxed.AddVar(0, 10, -1)
+	c := boxed.AddVar(0, 10, -2)
+	boxed.AddRow([]int{a, c}, []float64{1, 1}, LE, 4)
+	boxed.AddRow([]int{a, c}, []float64{1, -1}, GE, -2)
+	if s, err = NewSolver(boxed, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if res := s.Solve(); res.Status != StatusOptimal {
+		t.Fatalf("setup: %v", res.Status)
+	}
+	boxedBasis := s.Basis()
+
+	polls := 0
+	for _, tc := range []struct {
+		name    string
+		p       *Problem
+		opt     Options
+		b       *Basis
+		bounds  func(*Solver)
+		status  Status
+		rungs   []string
+		refused string
+		iters   int // both attempts' pivots
+	}{
+		// One pivot from the basis, one cold.
+		{name: "iteration limit", p: p, opt: Options{MaxIters: 1}, b: slack,
+			status: StatusIterLimit, rungs: []string{RungRefused}, refused: "ended iteration-limit", iters: 2},
+		// The dual pass, the cold and the bland restarts stall; the perturb
+		// rung enters y at its bound in one pivot; the cold solve then
+		// takes as many as a fault-free one.
+		{name: "perturb off a row", p: offRow, opt: Options{Fault: &stubFault{stallFirst: 3}}, b: offRowBasis,
+			status: StatusOptimal, rungs: []string{RungCold, RungBland, RungPerturb, RungRefused},
+			refused: "violates a row of the problem and is refused", iters: 1 + offRowCold.Iters},
+		{name: "infeasible", p: boxed, b: boxedBasis,
+			bounds: func(s *Solver) { s.SetBound(a, 3, 10); s.SetBound(c, 3, 10) },
+			status: StatusInfeasible, iters: 1},
+		// The hook lets three pivots through.
+		{name: "canceled", p: p, opt: Options{Canceled: func() bool { polls++; return polls > 3 }}, b: slack,
+			status: StatusCanceled, iters: 3},
+	} {
+		s, err := NewSolver(tc.p, tc.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.bounds != nil {
+			tc.bounds(s)
+		}
+		res := s.SolveFrom(tc.b)
+		var rungs []string
+		var restarts int
+		var refused string
+		if res.Recovery != nil {
+			rungs, restarts, refused = res.Recovery.Rungs, res.Recovery.Restarts, res.Recovery.Refused
+		}
+		if res.Status != tc.status || res.Iters != tc.iters {
+			t.Errorf("%s: %v in %d pivots, want %v in %d", tc.name, res.Status, res.Iters, tc.status, tc.iters)
+		}
+		if fmt.Sprint(rungs) != fmt.Sprint(tc.rungs) || restarts != len(tc.rungs) || refused != tc.refused {
+			t.Errorf("%s: Recovery = %+v, want rungs %v and refused %q", tc.name, res.Recovery, tc.rungs, tc.refused)
+		}
+		if tc.p == offRow && !approx(res.Obj, offRowCold.Obj, 1e-12) {
+			t.Errorf("%s: obj %.12g, want the cold solve's %.12g", tc.name, res.Obj, offRowCold.Obj)
+		}
 	}
 }

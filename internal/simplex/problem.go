@@ -229,14 +229,19 @@ type Result struct {
 // cold); a cold-start solve that fails numerically (a singular
 // refactorization or a stalled pass ending in StatusUnknown) restarts
 // from scratch with progressively more conservative settings (rungs
-// bland and perturb) instead of reporting StatusUnknown outright. Each
-// rung climbed appends its name to Rungs.
+// bland and perturb) instead of reporting StatusUnknown outright; a
+// SolveFrom whose start does not stand solves again cold (rung refused).
+// Each rung climbed appends its name to Rungs.
 type Recovery struct {
 	// Restarts is the number of from-scratch restarts performed: the
-	// cold, bland and perturb rungs.
+	// cold, bland, perturb and refused rungs.
 	Restarts int
 	// Rungs names the ladder rungs tried, in order.
 	Rungs []string
+	// Refused says why SolveFrom refused its start ("ended unknown",
+	// "violates a row of the problem and is refused"); empty when the
+	// refused rung was not climbed.
+	Refused string
 }
 
 // Ladder rung names recorded in Recovery.Rungs.
@@ -258,6 +263,10 @@ const (
 	// tolerances: a smaller pivot-admission threshold and looser
 	// feasibility/optimality tolerances.
 	RungPerturb = "perturb"
+	// RungRefused refuses a SolveFrom start that ended other than optimal,
+	// infeasible or canceled, or optimal at a point off a row of the
+	// problem, and solves the problem again cold with Solve.
+	RungRefused = "refused"
 )
 
 // FaultInjector forces numerical failures at chosen points of a solve so

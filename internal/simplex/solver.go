@@ -25,6 +25,7 @@ type colEntry struct {
 // the MIP branch-and-bound explores its tree.
 type Solver struct {
 	opt Options
+	p   *Problem // the problem the solver was built from, by reference
 	// The tolerances in force: the package constants, except during the
 	// recovery ladder's perturbed restart.
 	feasTol, optTol, pivotTol float64
@@ -67,8 +68,10 @@ type Solver struct {
 	y, w, rho, tmpRHS []float64
 }
 
-// NewSolver builds the computational form for p. The problem data is copied;
-// p may be reused or mutated afterwards.
+// NewSolver builds the computational form for p. The solver keeps p by
+// reference, and SolveFrom checks the point a start from a basis ends at
+// against it (Problem.Satisfies), so p must not change while the solver is
+// in use; every other use of the problem data is of a copy.
 func NewSolver(p *Problem, opt Options) (*Solver, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -79,6 +82,7 @@ func NewSolver(p *Problem, opt Options) (*Solver, error) {
 	}
 	s := &Solver{
 		opt:   opt.withDefaults(m, n),
+		p:     p,
 		m:     m,
 		n:     n,
 		ncols: n + m,
