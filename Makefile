@@ -1,7 +1,8 @@
 # Developer verification targets. `make check` is the tier-1+ gate
 # referenced by ROADMAP.md: formatting, vet, fragvet (the repo's own
 # static analyzers, DESIGN.md §3.6), build, a short fuzz run of the model,
-# checkpoint and lease decoders, and the full test suite under the race detector (the parallel
+# checkpoint and lease decoders, the chunk-spec parser and the drift-update
+# applier, and the full test suite under the race detector (the parallel
 # decomposition driver makes race-cleanliness part of the contract). Each
 # stage reports its wall time so suite-latency regressions show up in every
 # run, not just when profiled.
@@ -57,13 +58,15 @@ benchcompile:
 	@t0=$$(date +%s); $(GO) test -run NONE -bench . -benchtime 1x -short ./... || exit $$?; \
 	echo "benchcompile: $$(( $$(date +%s) - t0 ))s"
 
-# Fuzz smoke: ten seconds of each decoder fuzz target — the model's JSON
-# decoders, the checkpoint frame decoder and the lease file decoder — beyond
+# Fuzz smoke: ten seconds of each fuzz target — the model's JSON decoders,
+# the checkpoint frame decoder, the lease file decoder, the chunk-spec parser
+# and the service's update applier over decoded update bodies — beyond
 # its committed seed corpus (the race stage runs the corpus alone). go test
 # -fuzz takes one target per invocation; -parallel 1 keeps it to one worker.
 # A failing input is written under the package's testdata/fuzz/.
 fuzz:
-	@t0=$$(date +%s); for t in model:FuzzWorkloadJSON model:FuzzScenarioSetJSON checkpoint:FuzzUnframe checkpoint:FuzzReadLease; do \
+	@t0=$$(date +%s); for t in model:FuzzWorkloadJSON model:FuzzScenarioSetJSON checkpoint:FuzzUnframe checkpoint:FuzzReadLease \
+		core:FuzzParseChunks service:FuzzApplyUpdate; do \
 		$(GO) test -run NONE -fuzz "^$${t#*:}$$" -fuzztime 10s -parallel 1 ./internal/$${t%%:*} || exit $$?; \
 	done; echo "fuzz: $$(( $$(date +%s) - t0 ))s"
 

@@ -6,9 +6,9 @@ import (
 )
 
 // CtxHook guards the cancellation contract of the fault-tolerant solve
-// pipeline (DESIGN.md §3.7): every solver layer propagates a polled
-// `Canceled func() bool` hook into the solver options it constructs for
-// nested solves. A layer that builds a fresh Options value and forgets the
+// pipeline (DESIGN.md §3.7): every solver layer hands a polled
+// `Canceled func() bool` hook down into the solver options it constructs
+// for nested solves. A layer that builds a fresh Options value and forgets the
 // hook silently detaches everything below it from Ctrl-C and -timeout — the
 // run still terminates, but only at the next layer boundary, which for a
 // large subproblem can be minutes away.
@@ -18,11 +18,12 @@ import (
 // with a `Canceled func() bool` field), a keyed composite literal of such a
 // hook-carrying struct type must set the Canceled key. Two shapes are
 // recognized as already propagating and skipped: a literal nested inside an
-// enclosing literal that sets Canceled (the outer layer chains the hook
-// down, as mip.Solve does for its inner LP options), and a literal assigned
-// to a variable whose .Canceled field is assigned elsewhere in the same
-// function (copy-then-patch, as core's mipOptions does). Positional
-// literals set every field and are never flagged.
+// enclosing literal that sets Canceled (the outer layer owns the hook for
+// everything inside it: core hands its Canceled to every search and LP, so
+// a mip.Options nested in a core.Options literal that sets Canceled needs
+// none of its own), and a literal assigned to a variable whose .Canceled
+// field is assigned elsewhere in the same function (copy-then-patch).
+// Positional literals set every field and are never flagged.
 //
 // The allocation service widened the contract: a context.Context or
 // *http.Request parameter is a cancellation source too. An HTTP handler (or

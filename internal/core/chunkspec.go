@@ -13,6 +13,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -63,7 +64,8 @@ func (s *ChunkSpec) Groups() int {
 	return n
 }
 
-// Validate checks leaf counts are positive and consistent.
+// Validate checks leaf counts are positive and consistent, and that no
+// split's node total overflows an int.
 func (s *ChunkSpec) Validate() error {
 	if s == nil {
 		return fmt.Errorf("core: nil chunk spec")
@@ -78,6 +80,9 @@ func (s *ChunkSpec) Validate() error {
 	for _, c := range s.Children {
 		if err := c.Validate(); err != nil {
 			return err
+		}
+		if sum > math.MaxInt-c.Leaves {
+			return fmt.Errorf("core: chunk spec %q covers more than %d nodes", s.String(), math.MaxInt)
 		}
 		sum += c.Leaves
 	}

@@ -38,7 +38,8 @@ func TestParseChunks(t *testing.T) {
 			t.Errorf("ParseChunks(%q).String() = %q, want %q", c.in, got, c.str)
 		}
 	}
-	for _, bad := range []string{"", "0", "-1", "2+", "+2", "(2+2", "2)", "a+b", "2++2"} {
+	for _, bad := range []string{"", "0", "-1", "2+", "+2", "(2+2", "2)", "a+b", "2++2",
+		"9223372036854775807+1", "4611686018427387904+4611686018427387904", "(4611686018427387904+4611686018427387903)+1"} {
 		if _, err := ParseChunks(bad); err == nil {
 			t.Errorf("ParseChunks(%q): want error", bad)
 		}

@@ -38,7 +38,9 @@ type Options struct {
 	// exactly as they already are serially.
 	Parallelism int
 	// MIP passes budgets (time limit, node limit, gap) to each subproblem
-	// solve. A TimeLimit applies per subproblem.
+	// solve. A TimeLimit applies per subproblem. Its Canceled and
+	// LP.Canceled are not read: every subproblem solve is handed Canceled
+	// below in their place.
 	MIP mip.Options
 	// Warm, when non-nil, seeds flat root solves with an incumbent
 	// allocation from a previous run: each flexible query's runnable-node
@@ -50,8 +52,10 @@ type Options struct {
 	// is simply not adopted. K may differ from Warm.K: only the overlapping
 	// node prefix seeds the start.
 	Warm *model.Allocation
-	// Canceled, when non-nil, is polled throughout the run — down to the
-	// individual simplex iterations of every subproblem solve. Once it
+	// Canceled, when non-nil, is the run's one stop hook. The driver polls
+	// it between subproblems and hands it, as it stands, to every search
+	// (MIP.Canceled) and to every LP outside one (MIP.LP.Canceled), so it is
+	// polled down to the individual simplex iterations. Once it
 	// returns true, in-flight subproblems wind down with their best
 	// incumbents, untouched ones degrade straight to the greedy allocator,
 	// and Allocate still returns a complete, feasible allocation with

@@ -64,25 +64,14 @@ func (d *driver) canceled() bool {
 	return d.opt.Canceled != nil && d.opt.Canceled()
 }
 
-// chainHooks combines two optional cancellation hooks into one.
-func chainHooks(a, b func() bool) func() bool {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	return func() bool { return a() || b() }
-}
-
 // mipOptions derives the per-subproblem MIP options: the caller's budgets
-// with the driver's cancellation hook chained in at both the search level
-// and the inner-LP level (the latter covers the dive and trim helper LPs,
-// which run outside any mip.Solve).
+// with the run's one hook as both MIP.Canceled, which the search polls (mip
+// installs its own stop hook as its LPs' Canceled), and MIP.LP.Canceled,
+// which the dive and trim LPs poll, as they run outside any mip.Solve.
 func (d *driver) mipOptions() mip.Options {
 	opt := d.opt.MIP
-	opt.Canceled = chainHooks(d.opt.Canceled, opt.Canceled)
-	opt.LP.Canceled = chainHooks(d.opt.Canceled, opt.LP.Canceled)
+	opt.Canceled = d.opt.Canceled
+	opt.LP.Canceled = d.opt.Canceled
 	return opt
 }
 

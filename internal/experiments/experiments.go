@@ -208,7 +208,7 @@ func (c Config) table(title, header string, n int, row func(i int, opts core.Opt
 	rowPar, innerPar := c.rowPool(n)
 	// Each subproblem gets a wall-clock cap plus a stall rule, so easy
 	// instances return quickly and hard ones use the full budget — the
-	// paper's runtime contrast. core chains Canceled into every search.
+	// paper's runtime contrast. core hands Canceled to every search and LP.
 	opts := core.Options{Parallelism: innerPar, MIP: mip.Options{TimeLimit: c.Budget, MaxStallNodes: 150}, Logf: c.coreLogf(), Canceled: c.Canceled}
 	lines := make([]string, n)
 	err := runRows(rowPar, n, func(i int) (err error) {

@@ -120,7 +120,10 @@ func (in *Injector) ForceStall() bool {
 }
 
 // Canceled reports deadline expiry per the plan; hand it to
-// simplex.Options.Canceled, mip.Options.Canceled, or core.Options.Canceled.
+// simplex.Options.Canceled, mip.Options.Canceled or core.Options.Canceled.
+// Each layer polls the one hook it is given: inside a search, mip replaces
+// LP.Canceled with its own stop hook, which polls mip.Options.Canceled, so
+// a plan's call indices count the stop checks of the layer it is handed to.
 func (in *Injector) Canceled() bool {
 	in.mu.Lock()
 	defer in.mu.Unlock()

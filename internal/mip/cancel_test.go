@@ -123,3 +123,36 @@ func TestCancellationPreservesIncumbent(t *testing.T) {
 		}
 	}
 }
+
+// TestOneStopHookPoll: a search polls Canceled through one stop hook, which
+// Solve installs as its LPs' hook in place of the caller's LP.Canceled. A
+// counting hook set at both levels is therefore polled exactly as often as
+// the same hook set as Canceled alone — once per stop check, never twice.
+func TestOneStopHookPoll(t *testing.T) {
+	p, idx := goldenInstance(7)
+	count := func(both bool) (int, *Result) {
+		polls := 0
+		hook := func() bool { polls++; return false }
+		opt := Options{MaxNodes: 50, Canceled: hook}
+		if both {
+			opt.LP.Canceled = hook
+		}
+		res, err := Solve(p, idx, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return polls, res
+	}
+	alone, resAlone := count(false)
+	both, resBoth := count(true)
+	if both != alone {
+		t.Errorf("hook set as Canceled and LP.Canceled polled %d times, as Canceled alone %d", both, alone)
+	}
+	if alone == 0 {
+		t.Error("Canceled never polled")
+	}
+	if resAlone.Nodes != resBoth.Nodes || resAlone.LPIters != resBoth.LPIters || resAlone.Obj != resBoth.Obj {
+		t.Errorf("the two searches differ: %+v vs %+v", resAlone, resBoth)
+	}
+	t.Logf("%d polls for %d LP pivots over %d nodes", alone, resAlone.LPIters, resAlone.Nodes)
+}

@@ -163,7 +163,10 @@ func CountStart(res *simplex.Result, stood, cold *int) (refused string) {
 // Options tune the branch-and-bound search. The zero value uses the
 // defaults noted per field.
 type Options struct {
-	// TimeLimit bounds the wall-clock search time; 0 means no limit.
+	// TimeLimit bounds the wall-clock search time; 0 means no limit. The
+	// search's stop hook (see Canceled) compares the clock with it at every
+	// node head and every 32nd poll, inside LP solves too, and stops the
+	// search for good once it has passed.
 	TimeLimit time.Duration
 	// MaxNodes bounds the number of nodes; 0 means 1 << 30.
 	MaxNodes int
@@ -208,24 +211,24 @@ type Options struct {
 	// SolveFrom refuses a start that does not stand and solves the root
 	// again cold. Nil solves the root cold.
 	RootBasis *simplex.Basis
-	// LP passes options through to the simplex solver. When TimeLimit or
-	// Canceled is set, Solve chains its own stop hook onto LP.Canceled so
-	// expiry and cancellation are detected inside every inner simplex solve,
-	// within a bounded number of iterations — not just at node boundaries.
+	// LP passes options through to the simplex solvers of the search. Its
+	// Canceled is replaced inside a search: Solve installs the search's one
+	// stop hook there, so a caller's LP hook is never polled by Solve.
 	LP simplex.Options
-	// Canceled, when non-nil, is polled throughout the search (at node
-	// boundaries and inside every inner LP solve). Once it returns true the
-	// search stops and returns the best incumbent with its proven bound
-	// (StatusFeasible), or StatusNoSolution when none was found yet — never
-	// an error.
+	// Canceled, when non-nil, is polled once per call of the search's one
+	// stop hook, which the node loop and every LP solve of the search call.
+	// Once it returns true the search stops and returns the best incumbent
+	// with its proven bound (StatusFeasible), or StatusNoSolution when none
+	// was found yet — never an error.
 	Canceled func() bool
-	// Checkpoint, when non-nil, periodically receives a Snapshot of the
-	// search state: at node boundaries and — piggybacked on the same chunked
-	// wall-clock polling that serves TimeLimit — inside long inner LP
-	// solves, so even a single multi-minute LP checkpoints on schedule. The
-	// callback observes the search without influencing it (the snapshot's
-	// slices are copies), so a checkpointed solve is bit-identical to an
-	// unobserved one. Called only from the goroutine driving Solve.
+	// Checkpoint, when non-nil, receives a Snapshot of the search state once
+	// CheckpointEvery has passed since the last one, judged on the clock
+	// reading the stop hook takes for TimeLimit: at node heads and inside
+	// long LP solves, so even a single multi-minute LP checkpoints on
+	// schedule. The callback observes the search without influencing it (the
+	// snapshot's slices are copies), so a checkpointed solve is
+	// bit-identical to an unobserved one. Called only from the goroutine
+	// driving Solve.
 	Checkpoint func(Snapshot)
 	// CheckpointEvery is the minimum interval between Checkpoint calls
 	// (default 30s). Only consulted when Checkpoint is non-nil. Every
@@ -341,18 +344,16 @@ func Solve(p *simplex.Problem, intVars []int, opt Options) (*Result, error) {
 	}
 	s.initPriority()
 	s.initPseudocost()
+	now := time.Now()
 	if opt.TimeLimit > 0 {
-		s.deadline = time.Now().Add(opt.TimeLimit)
+		s.deadline = now.Add(opt.TimeLimit)
 	}
-	if opt.Checkpoint != nil {
-		// Start the interval now so the first mid-solve checkpoint fires
-		// after CheckpointEvery, not immediately.
-		s.lastCkpt = time.Now()
-	}
-	// Chain the search's stop conditions into the LP options before any
-	// simplex solver is built (s.lp here, s.heur lazily), so a deadline or a
-	// caller cancellation interrupts even a single long LP solve.
-	s.opt.LP.Canceled = s.lpStopHook(s.opt.LP.Canceled)
+	// The first Checkpoint comes CheckpointEvery after the start.
+	s.lastCkpt = now
+	// Every LP the search builds (s.lp here, s.heur lazily) polls the
+	// search's one stop hook, so a deadline or a caller cancellation
+	// interrupts even a single long LP solve.
+	s.opt.LP.Canceled = s.stop
 	var err error
 	s.lp, err = simplex.NewSolver(work, s.opt.LP)
 	if err != nil {
@@ -361,53 +362,39 @@ func Solve(p *simplex.Problem, intVars []int, opt Options) (*Result, error) {
 	return s.run()
 }
 
-// lpStopHook builds the cancellation hook threaded into every inner simplex
-// solve: any caller-provided hooks are consulted on every poll, and the
-// wall-clock deadline every pollEvery-th poll, so a TimeLimit expiry is
-// detected within a bounded number of simplex iterations even in the middle
-// of one LP solve. The same chunked clock reads drive the periodic
-// Checkpoint callback, so a long LP checkpoints on schedule without extra
-// instrumentation. When the search has no stop conditions and no checkpoint
-// hook the caller's hook (possibly nil) is returned unchanged, keeping
-// budget-free solves free of clock reads and bit-identical to earlier
-// versions. The closure is only ever called from the goroutine driving this
+// pollEvery is the number of stop polls between two clock readings.
+const pollEvery = 32
+
+// stop is the search's one stop hook: the node loop calls it, and Solve
+// installs it as LP.Canceled, so every LP of the search polls it too. Each
+// call polls Options.Canceled once, and every pollEvery-th call reads the
+// clock (tick), so an expired TimeLimit stops even one long LP within a
+// bounded number of iterations. Called only from the goroutine driving this
 // Solve, so the plain counter is safe.
-func (s *search) lpStopHook(inner func() bool) func() bool {
-	if s.deadline.IsZero() && s.opt.Canceled == nil && s.opt.Checkpoint == nil {
-		return inner
+func (s *search) stop() bool {
+	if s.opt.Canceled != nil && s.opt.Canceled() {
+		return true
 	}
-	const pollEvery = 32
-	polls := 0
-	return func() bool {
-		if inner != nil && inner() {
-			return true
-		}
-		if s.opt.Canceled != nil && s.opt.Canceled() {
-			return true
-		}
-		if s.deadline.IsZero() && s.opt.Checkpoint == nil {
-			return false
-		}
-		polls++
-		if polls%pollEvery != 0 {
-			return false
-		}
-		now := time.Now()
-		s.maybeCheckpoint(now)
-		return !s.deadline.IsZero() && now.After(s.deadline)
+	if s.polls++; s.polls%pollEvery == 0 {
+		s.tick()
 	}
+	return s.expired
 }
 
-// maybeCheckpoint invokes the Checkpoint callback when at least
-// CheckpointEvery has elapsed since the last one. Called only from the
-// goroutine driving this Solve; the callback observes a copy of the
-// incumbent and cannot perturb the search.
-func (s *search) maybeCheckpoint(now time.Time) {
-	if s.opt.Checkpoint == nil || now.Sub(s.lastCkpt) < s.opt.CheckpointEvery {
-		return
+// tick reads the clock once, at a node head or on a pollEvery-th stop poll,
+// and that reading serves both of its uses: the Checkpoint callback, due
+// when CheckpointEvery has passed since the last one, and the TimeLimit
+// deadline, which latches once it has passed. The callback observes a copy
+// of the incumbent and cannot perturb the search.
+func (s *search) tick() {
+	now := time.Now()
+	if s.opt.Checkpoint != nil && now.Sub(s.lastCkpt) >= s.opt.CheckpointEvery {
+		s.lastCkpt = now
+		s.opt.Checkpoint(s.snapshot())
 	}
-	s.lastCkpt = now
-	s.opt.Checkpoint(s.snapshot())
+	if !s.deadline.IsZero() && now.After(s.deadline) {
+		s.expired = true
+	}
 }
 
 // snapshot captures the warm-resume state of the search.
@@ -459,18 +446,9 @@ type search struct {
 	// bound remains valid for its subtree, so folding it into the global
 	// bound keeps the reported Bound honest when exact is false.
 	skippedBound float64
-	deadline     time.Time
-}
-
-func (s *search) timedOut() bool {
-	return !s.deadline.IsZero() && time.Now().After(s.deadline)
-}
-
-// stopped reports whether the search should wind down: deadline expiry or
-// caller cancellation. The search then returns its best incumbent and
-// proven bound instead of an error.
-func (s *search) stopped() bool {
-	return s.timedOut() || (s.opt.Canceled != nil && s.opt.Canceled())
+	deadline     time.Time // TimeLimit after the start; zero without one
+	expired      bool      // a clock reading passed deadline (latched)
+	polls        int       // stop calls, for the pollEvery clock cadence
 }
 
 func (s *search) logf(format string, args ...any) {
@@ -749,9 +727,7 @@ func (s *search) run() (*Result, error) {
 	heap.Push(open, &node{bound: rootBound, bvar: -1})
 
 	for !open.empty() {
-		if s.opt.Checkpoint != nil {
-			s.maybeCheckpoint(time.Now())
-		}
+		s.tick()
 		globalBound := math.Min(open.peekBound(), s.skippedBound)
 		if s.hasInc {
 			globalBound = math.Min(globalBound, s.incObj)
@@ -766,7 +742,7 @@ func (s *search) run() (*Result, error) {
 			return s.result(StatusFeasible, globalBound), nil
 		}
 		stalled := s.opt.MaxStallNodes > 0 && s.hasInc && s.nodes-s.lastImprove > s.opt.MaxStallNodes
-		if s.stopped() || s.nodes >= s.opt.MaxNodes || stalled {
+		if s.stop() || s.nodes >= s.opt.MaxNodes || stalled {
 			if s.hasInc {
 				return s.result(StatusFeasible, globalBound), nil
 			}
@@ -861,7 +837,7 @@ func (s *search) plunge(nd *node, open *nodeHeap) {
 		if s.opt.Rounding != nil && s.nodes%roundingEvery == 0 {
 			s.tryRounding(res.X)
 		}
-		if s.stopped() || s.nodes >= s.opt.MaxNodes {
+		if s.stop() || s.nodes >= s.opt.MaxNodes {
 			// Push the node back so its bound stays visible to run().
 			heap.Push(open, &node{path: clonePath(nd.path), bound: bound, bvar: -1})
 			return

@@ -191,6 +191,12 @@ func New(cfg Config) (*Service, error) {
 		state:       newState(cfg, scen, seed, time.Now()),
 		attemptDone: make(chan struct{}),
 	}
+	// A replica that only follows never bootstraps, so a K its spec cannot
+	// solve is refused here, before it follows with a config it could never
+	// lead with.
+	if err := s.state.coversK("K", cfg.K); err != nil {
+		return nil, err
+	}
 	if cfg.StateDir != "" {
 		st, err := checkpoint.OpenFS(cfg.FS, filepath.Join(cfg.StateDir, "state"))
 		if err != nil {
@@ -426,11 +432,11 @@ func (s *Service) attempt(ctx context.Context, boot bool) (uint64, error) {
 			p.Epoch, res.Outcomes.Degraded)
 	}
 
-	outcome := "optimal"
+	outcome := core.OutcomeOptimal
 	if res.Outcomes.Degraded > 0 {
-		outcome = "degraded"
+		outcome = core.OutcomeDegraded
 	} else if !res.Exact {
-		outcome = "feasible"
+		outcome = core.OutcomeFeasible
 	}
 	var diff *Diff
 	if p.Warm != nil {

@@ -707,3 +707,24 @@ func TestServiceSetKChunkConflict(t *testing.T) {
 		t.Fatalf("Apply rejected a spec-compatible update: %v", err)
 	}
 }
+
+// TestServiceNewRefusesChunksNotCoveringK: a fixed chunk spec that does not
+// cover K could never solve, and a standby replica never bootstraps to find
+// out, so New refuses it in the words ingest refuses a set_k with.
+func TestServiceNewRefusesChunksNotCoveringK(t *testing.T) {
+	cfg := serviceConfig(t)
+	spec, err := core.ParseChunks("2+2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Chunks, cfg.K = spec, 5
+	_, err = New(cfg)
+	const want = `service: K 5 conflicts with the fixed chunk spec "2+2" (4 nodes)`
+	if err == nil || err.Error() != want {
+		t.Fatalf("New(K 5, chunks 2+2) = %v, want %q", err, want)
+	}
+	cfg.K = 4
+	if _, err := New(cfg); err != nil {
+		t.Fatalf("New(K 4, chunks 2+2): %v", err)
+	}
+}

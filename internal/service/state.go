@@ -137,11 +137,12 @@ func (st *state) ingest(u Update, now time.Time) (uint64, []effect, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	// A fixed decomposition spec covers exactly fixedK nodes, so a resize
-	// away from it could never solve — refuse at ingest rather than letting
-	// the loop retry an unsolvable epoch forever.
-	if k != st.k && st.fixedK != 0 && st.fixedK != k {
-		return 0, nil, fmt.Errorf("service: set_k %d conflicts with the fixed chunk spec %q (%d nodes)", k, st.chunkSpec, st.fixedK)
+	// Refuse at ingest rather than letting the loop retry an unsolvable
+	// epoch forever.
+	if k != st.k {
+		if err := st.coversK("set_k", k); err != nil {
+			return 0, nil, err
+		}
 	}
 	oldS := st.scen.S()
 	st.scen, st.k = scen, k
@@ -153,6 +154,16 @@ func (st *state) ingest(u Update, now time.Time) (uint64, []effect, error) {
 		{op: effJournal, text: fmt.Sprintf("epoch %d", st.epoch), ack: true},
 		{op: effWake},
 	}, nil
+}
+
+// coversK refuses a node count k that the fixed decomposition spec does not
+// cover exactly: an epoch at k could never solve. what names where k comes
+// from.
+func (st *state) coversK(what string, k int) error {
+	if st.fixedK != 0 && st.fixedK != k {
+		return fmt.Errorf("service: %s %d conflicts with the fixed chunk spec %q (%d nodes)", what, k, st.chunkSpec, st.fixedK)
+	}
+	return nil
 }
 
 // reclusterThreshold is the drift, as a fraction of the full-set size the

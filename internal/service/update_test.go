@@ -10,7 +10,7 @@ import (
 	"fragalloc/internal/scenario"
 )
 
-func updateWorkload(t *testing.T) *model.Workload {
+func updateWorkload(t testing.TB) *model.Workload {
 	t.Helper()
 	rng := rand.New(rand.NewSource(5))
 	w := &model.Workload{Name: "upd"}
