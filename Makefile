@@ -1,11 +1,11 @@
 # Developer verification targets. `make check` is the tier-1+ gate
 # referenced by ROADMAP.md: formatting, vet, fragvet (the repo's own
 # static analyzers, DESIGN.md §3.6), build, a short fuzz run of the model,
-# checkpoint and lease decoders, the chunk-spec parser and the drift-update
-# applier, and the full test suite under the race detector (the parallel
-# decomposition driver makes race-cleanliness part of the contract). Each
-# stage reports its wall time so suite-latency regressions show up in every
-# run, not just when profiled.
+# checkpoint and lease decoders, the chunk-spec parser, the drift-update
+# applier and the update endpoint, and the full test suite under the race
+# detector (the parallel decomposition driver makes race-cleanliness part of
+# the contract). Each stage reports its wall time so suite-latency
+# regressions show up in every run, not just when profiled.
 
 GO ?= go
 
@@ -59,14 +59,15 @@ benchcompile:
 	echo "benchcompile: $$(( $$(date +%s) - t0 ))s"
 
 # Fuzz smoke: ten seconds of each fuzz target — the model's JSON decoders,
-# the checkpoint frame decoder, the lease file decoder, the chunk-spec parser
-# and the service's update applier over decoded update bodies — beyond
-# its committed seed corpus (the race stage runs the corpus alone). go test
+# the checkpoint frame decoder, the lease file decoder, the chunk-spec parser,
+# the service's update applier over decoded update bodies and its POST
+# /v1/update handler over raw ones — beyond its committed seed corpus (the
+# race stage runs the corpus alone). go test
 # -fuzz takes one target per invocation; -parallel 1 keeps it to one worker.
 # A failing input is written under the package's testdata/fuzz/.
 fuzz:
 	@t0=$$(date +%s); for t in model:FuzzWorkloadJSON model:FuzzScenarioSetJSON checkpoint:FuzzUnframe checkpoint:FuzzReadLease \
-		core:FuzzParseChunks service:FuzzApplyUpdate; do \
+		core:FuzzParseChunks service:FuzzApplyUpdate service:FuzzHandleUpdate; do \
 		$(GO) test -run NONE -fuzz "^$${t#*:}$$" -fuzztime 10s -parallel 1 ./internal/$${t%%:*} || exit $$?; \
 	done; echo "fuzz: $$(( $$(date +%s) - t0 ))s"
 
@@ -120,13 +121,14 @@ census:
 # workloads at seed 1, and prints every function outside bench/, cmd/ and
 # internal/analysis that stayed at 0.0 % — the list a simplicity PR starts
 # from: a function on it is either reached only by tests and the CLIs, or
-# by nothing. ~1.5 min. Not part of `make check`.
+# by nothing — and then their count. ~1.5 min. Not part of `make check`.
 traffic:
 	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; mkdir "$$dir/cov"; \
 	$(GO) build -cover -coverpkg=./... -o "$$dir/bench" ./bench || exit $$?; \
 	GOCOVERDIR="$$dir/cov" "$$dir/bench" trace -seed 1 -out "$$dir/out" >"$$dir/log" 2>&1 || { cat "$$dir/log"; exit 1; }; \
 	$(GO) tool covdata func -i="$$dir/cov" | \
-		awk '$$NF == "0.0%" && $$1 !~ /^fragalloc\/(bench|cmd|internal\/analysis)\// { print $$1, $$2 }'
+		awk '$$NF == "0.0%" && $$1 !~ /^fragalloc\/(bench|cmd|internal\/analysis)\// { print $$1, $$2; c++ } \
+			END { printf "%6d functions at 0.0 %%\n", c }'
 
 # Where does one batch solve spend its CPU? Profiles TestPipelineGolden (the
 # golden TPC-DS subproblems, ~10 s) into a temp dir — no source patch, and

@@ -25,11 +25,12 @@
 // greedy allocator — plus a per-subproblem status breakdown on stderr.
 //
 // With -checkpoint DIR the lp approach additionally journals its progress
-// durably (every completed subproblem, plus long MIP searches every 30 s),
-// so a crash or kill loses at most the work since the last checkpoint;
-// -resume restarts from the journal, replaying proven-optimal subproblems
-// verbatim and warm-starting the rest. See DESIGN.md §3.9 for the format and
-// guarantees.
+// durably, one record per subproblem: each completed solve, and every 30 s
+// the incumbent of a MIP search still running, as the feasible record it
+// would finish with. So a crash or kill loses at most the work since the
+// last checkpoint; -resume restarts from the journal, replaying
+// proven-optimal subproblems verbatim and re-solving the rest from their
+// records. See DESIGN.md §3.9 for the format and guarantees.
 //
 // Exit codes:
 //
@@ -100,6 +101,15 @@ func main() {
 	}
 	if *reduce < 0 {
 		fail(fmt.Errorf("-reduce: %d representatives is negative (0 = off)", *reduce))
+	}
+	if *budget < 0 {
+		fail(fmt.Errorf("-budget: %v is negative (0 = none)", *budget))
+	}
+	if *timeout < 0 {
+		fail(fmt.Errorf("-timeout: %v is negative (0 = none)", *timeout))
+	}
+	if *parallel < 0 {
+		fail(fmt.Errorf("-parallel: %d is negative (0 = GOMAXPROCS)", *parallel))
 	}
 
 	// Ctrl-C / SIGTERM and -timeout share one cancellation context: the

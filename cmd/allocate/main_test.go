@@ -49,6 +49,15 @@ func TestNodesAndReduceOutOfRange(t *testing.T) {
 	wantOneLineExit(t, "-reduce", "-workload", "tpcds", "-k", "2", "-scenarios", "3", "-reduce", "-2")
 }
 
+// TestNegativeDurationsAndParallel checks that a negative -budget, -timeout
+// or -parallel ends in a one-line error and exit 1, where the first two used
+// to mean no limit and the last GOMAXPROCS.
+func TestNegativeDurationsAndParallel(t *testing.T) {
+	wantOneLineExit(t, "-budget", "-workload", "tpcds", "-k", "2", "-budget", "-1s")
+	wantOneLineExit(t, "-timeout", "-workload", "tpcds", "-k", "2", "-timeout", "-1s")
+	wantOneLineExit(t, "-parallel", "-workload", "tpcds", "-k", "2", "-parallel", "-1")
+}
+
 // TestMergeOfTheDefaultScenario checks that -approach merge without an
 // in-sample set solves the workload's default scenario, as lp and greedy do:
 // a merge of one scenario is that scenario's greedy allocation. Accounting's

@@ -69,6 +69,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"strings"
@@ -118,6 +119,20 @@ func main() {
 	}
 	if err := scenario.CheckCount(*scenarios); err != nil {
 		fail(fmt.Errorf("-scenarios: %w", err))
+	}
+	switch {
+	case *budget < 0:
+		fail(fmt.Errorf("-budget: %v is negative (0 = none)", *budget))
+	case *solveTimeout < 0:
+		fail(fmt.Errorf("-solve-timeout: %v is negative (0 = none)", *solveTimeout))
+	case *leaseTTL < 0:
+		fail(fmt.Errorf("-lease-ttl: %v is negative", *leaseTTL))
+	case *parallel < 0:
+		fail(fmt.Errorf("-parallel: %d is negative (0 = GOMAXPROCS)", *parallel))
+	case *maxPending < 0:
+		fail(fmt.Errorf("-max-pending: %d is negative (0 = unbounded)", *maxPending))
+	case !(*admitRate >= 0) || math.IsInf(*admitRate, 1):
+		fail(fmt.Errorf("-admit-rate: %v is not a finite rate >= 0 (0 = unlimited)", *admitRate))
 	}
 
 	ctx, cancel := shutdown.Graceful("allocd", exitInternal)

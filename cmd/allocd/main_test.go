@@ -43,6 +43,20 @@ func TestNegativeReduce(t *testing.T) {
 	wantOneLineExit(t, "service", "-workload", "tpcds", "-scenarios", "3", "-reduce", "-2", "-addr", "127.0.0.1:0")
 }
 
+// TestNegativeDurationsAndCounts checks that a negative duration or count
+// and a NaN -admit-rate end in a one-line error and exit 1 before the daemon
+// starts: they used to mean no deadline (-budget, -solve-timeout),
+// GOMAXPROCS (-parallel), 2 s (-lease-ttl), no gate (-max-pending) and no
+// rate limit (-admit-rate).
+func TestNegativeDurationsAndCounts(t *testing.T) {
+	for _, c := range [][2]string{
+		{"-budget", "-1s"}, {"-solve-timeout", "-1s"}, {"-lease-ttl", "-1s"},
+		{"-parallel", "-1"}, {"-max-pending", "-1"}, {"-admit-rate", "NaN"}, {"-admit-rate", "-2"},
+	} {
+		wantOneLineExit(t, c[0], "-workload", "tpcds", c[0], c[1], "-addr", "127.0.0.1:0")
+	}
+}
+
 // wantOneLineExit runs allocd on args and checks that it exits 1 with one
 // line of output, about flag (or the package that refused it).
 func wantOneLineExit(t *testing.T, flag string, args ...string) {
@@ -67,7 +81,7 @@ func TestSolverProgress(t *testing.T) {
 	}{
 		{"core: solving split %v (B=%d, %d flexible queries, %d fragments) for leaves %d..%d", true},
 		{"core: split %v degraded to the greedy allocator (%v)", true},
-		{"mip: node %d depth %d obj=%.6f iters=%d", true},
+		{"mip: node LP status %v at node %d; subtree skipped", true},
 		{"service: warning: journaling %s failed: %v", false},
 		{"service: lease renewal failed: %v", false},
 		{"service: %s leading at fencing epoch %d (ttl %v)", false},

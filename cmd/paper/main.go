@@ -79,6 +79,18 @@ func main() {
 		fmt.Fprintf(os.Stderr, "paper: -unseen: %v\n", err)
 		os.Exit(1)
 	}
+	switch {
+	case *budget < 0:
+		err = fmt.Errorf("-budget: %v is negative (0 = none)", *budget)
+	case *timeout < 0:
+		err = fmt.Errorf("-timeout: %v is negative (0 = none)", *timeout)
+	case *parallel < 0:
+		err = fmt.Errorf("-parallel: %d is negative (0 = GOMAXPROCS)", *parallel)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "paper: %v\n", err)
+		os.Exit(1)
+	}
 
 	// Ctrl-C / SIGTERM and -timeout share one cancellation context; the
 	// solvers poll it and finish with their best incumbents (degraded rows

@@ -28,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"fragalloc"
@@ -73,6 +74,14 @@ func run(args []string, out io.Writer) error {
 	}
 	if err := scenario.CheckCount(*drift); err != nil {
 		return fmt.Errorf("-drift: %w", err)
+	}
+	switch {
+	case *deltas < 1:
+		return fmt.Errorf("-drift-deltas: %d deltas per update, need at least one", *deltas)
+	case !(*maxDelta > 0) || math.IsInf(*maxDelta, 1):
+		return fmt.Errorf("-drift-max: %v is not a positive finite magnitude", *maxDelta)
+	case !(*observeProb >= 0 && *observeProb <= 1):
+		return fmt.Errorf("-drift-observe: probability %v outside [0,1]", *observeProb)
 	}
 
 	var generate func(int64) *model.Workload

@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
+
+	"fragalloc/internal/service"
 )
 
 // TestRun checks that -seed selects the generator seed of the workload the
@@ -36,6 +39,12 @@ func TestRun(t *testing.T) {
 		{name: "no room to walk", args: []string{"-drift", "4", "-drift-nodes", "1", "-k", "3", "-min-k", "3", "-max-k", "3"}, wantErr: "needs room to walk"},
 		{name: "start above -max-k", args: []string{"-drift", "4", "-drift-nodes", "1", "-k", "5", "-max-k", "4"}, wantErr: "-k 5 outside"},
 		{name: "start below -min-k", args: []string{"-drift", "4", "-drift-nodes", "1", "-k", "2", "-min-k", "3"}, wantErr: "-k 2 outside"},
+		{name: "-drift-deltas zero", args: []string{"-drift", "3", "-drift-deltas", "0"}, wantErr: "-drift-deltas: 0 deltas per update"},
+		{name: "-drift-max zero", args: []string{"-drift", "3", "-drift-max", "0"}, wantErr: "-drift-max: 0 is not"},
+		{name: "-drift-max NaN", args: []string{"-drift", "3", "-drift-max", "NaN"}, wantErr: "-drift-max: NaN is not"},
+		{name: "-drift-max Inf", args: []string{"-drift", "3", "-drift-max", "Inf"}, wantErr: "-drift-max: +Inf is not"},
+		{name: "-drift-observe above 1", args: []string{"-drift", "3", "-drift-observe", "1.5"}, wantErr: "-drift-observe: probability 1.5 outside [0,1]"},
+		{name: "-drift-observe NaN", args: []string{"-drift", "3", "-drift-observe", "NaN"}, wantErr: "-drift-observe: probability NaN outside"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			got, err := emit(tc.args)
@@ -64,5 +73,35 @@ func TestRun(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDriftObserveZero checks that -drift-observe 0 emits a stream with no
+// observed scenario, where it used to be rewritten to the default 0.2, and
+// that the default still observes some.
+func TestDriftObserveZero(t *testing.T) {
+	observed := func(args ...string) int {
+		var out bytes.Buffer
+		if err := run(append([]string{"-workload", "tpcds", "-drift", "50"}, args...), &out); err != nil {
+			t.Fatal(err)
+		}
+		var updates []service.Update
+		if err := json.Unmarshal(out.Bytes(), &updates); err != nil {
+			t.Fatal(err)
+		}
+		if len(updates) != 50 {
+			t.Fatalf("%q: %d updates, want 50", args, len(updates))
+		}
+		n := 0
+		for _, u := range updates {
+			n += len(u.Observe)
+		}
+		return n
+	}
+	if n := observed("-drift-observe", "0"); n != 0 {
+		t.Errorf("-drift-observe 0 emitted %d observed scenarios, want none", n)
+	}
+	if n := observed(); n == 0 {
+		t.Error("the default -drift-observe emitted no observed scenario")
 	}
 }

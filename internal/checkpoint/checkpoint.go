@@ -1,8 +1,8 @@
 // Package checkpoint makes long allocation runs restartable: it journals
-// solve progress — completed subproblem solutions and in-flight MIP
-// incumbents — into durable generation files, so a crash,
-// OOM kill, or preemption loses at most the work since the last checkpoint
-// instead of the whole run (DESIGN.md §3.9).
+// solve progress — one record per subproblem, its completed solution or the
+// incumbent of its search in flight — into durable generation files, so a
+// crash, OOM kill, or preemption loses at most the work since the last
+// checkpoint instead of the whole run (DESIGN.md §3.9).
 //
 // Durability contract. Every Save writes a fresh generation file by
 // write-temp → fsync → rename → fsync-directory, so a crash at any

@@ -40,9 +40,6 @@ func sampleSnapshot() *Snapshot {
 				Z:          []Route{{Q: 1, S: 0, Shares: []float64{1}}},
 			},
 		},
-		MIPs: map[string]*MIPRecord{
-			"r.1": {X: []float64{1, 0, 0.30000000000000004, 1}},
-		},
 	}
 }
 
@@ -321,8 +318,8 @@ func TestRecorderBindRejectsForeignKey(t *testing.T) {
 }
 
 // TestRecorderJournal exercises the record/serve cycle: RecordSub persists,
-// RecordMIP journals incumbents, and a completed subproblem drops its
-// in-flight MIP record.
+// and a completed solve's record replaces the in-flight one journaled under
+// the same id.
 func TestRecorderJournal(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir)
@@ -336,11 +333,11 @@ func TestRecorderJournal(t *testing.T) {
 	if err := rec.Bind("key"); err != nil {
 		t.Fatal(err)
 	}
-	if err := rec.RecordMIP("r.0", &MIPRecord{X: []float64{1, 0}}); err != nil {
+	if err := rec.RecordSub("r.0", &SubRecord{Outcome: "feasible", L: 0.7}); err != nil {
 		t.Fatal(err)
 	}
-	if m := rec.MIP("r.0"); m == nil || !reflect.DeepEqual(m.X, []float64{1, 0}) {
-		t.Fatalf("MIP(r.0) = %+v, want the journaled incumbent", m)
+	if s := rec.Sub("r.0"); s == nil || s.Outcome != "feasible" {
+		t.Fatalf("Sub(r.0) = %+v, want the in-flight record", s)
 	}
 	if err := rec.RecordSub("r.0", &SubRecord{Outcome: "optimal", L: 0.6}); err != nil {
 		t.Fatal(err)
@@ -351,11 +348,11 @@ func TestRecorderJournal(t *testing.T) {
 	if err := rec.RecordSub("r", &SubRecord{Outcome: "optimal"}); err != nil {
 		t.Fatal(err)
 	}
-	if m := rec.MIP("r.0"); m != nil {
-		t.Errorf("MIP(r.0) survived its subproblem's completion: %+v", m)
+	if s := rec.Sub("r.0"); s == nil || s.Outcome != "optimal" || s.L != 0.6 {
+		t.Errorf("Sub(r.0) = %+v, want the completed record in place of the in-flight one", s)
 	}
-	if subs, mips := rec.Counts(); subs != 3 || mips != 0 {
-		t.Errorf("Counts() = (%d, %d), want (3, 0)", subs, mips)
+	if n := rec.Len(); n != 3 {
+		t.Errorf("Len() = %d, want 3", n)
 	}
 	if err := rec.SaveErr(); err != nil {
 		t.Errorf("SaveErr() = %v, want nil", err)
@@ -418,15 +415,17 @@ func TestRecorderCarriesBases(t *testing.T) {
 	}
 }
 
-// TestLoadJournalWithRetiredMIPFields: a journal written when the in-flight
-// MIP record still carried the objective, root bound, node count and
-// branching path loads, and hands a resume the one field it ever read.
+// TestLoadJournalWithRetiredMIPFields: a journal written when in-flight
+// searches had a record kind of their own — a "mips" map of incumbent
+// vectors, in its oldest form with the objective, root bound, node count and
+// branching path too — loads and resumes with its subproblem records alone.
 func TestLoadJournalWithRetiredMIPFields(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := `{"run_key":"k","v":2,"mips":{"r.1":{"x":[1,0,0.5],"obj":18.125,"root_bound":16.5,"nodes":7,"path":[{"var":2,"lb":1,"ub":1}]}}}`
+	old := `{"run_key":"k","v":2,"subs":{"r":{"outcome":"optimal","l":1,"gap":0,"nodes":3,"exact":true,"frags":[[0],[1]]}},` +
+		`"mips":{"r.1":{"x":[1,0,0.5],"obj":18.125,"root_bound":16.5,"nodes":7,"path":[{"var":2,"lb":1,"ub":1}]}}}`
 	if err := st.SaveRaw([]byte(old)); err != nil {
 		t.Fatal(err)
 	}
@@ -434,8 +433,12 @@ func TestLoadJournalWithRetiredMIPFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m := rec.MIP("r.1"); !rec.Resumed() || m == nil || !reflect.DeepEqual(m.X, []float64{1, 0, 0.5}) {
-		t.Fatalf("resumed = %v, MIP(r.1) = %+v, want the journaled incumbent vector", rec.Resumed(), m)
+	if err := rec.Bind("k"); err != nil {
+		t.Fatal(err)
+	}
+	if !rec.Resumed() || rec.Len() != 1 || rec.Sub("r") == nil || rec.Sub("r.1") != nil {
+		t.Fatalf("resumed = %v, %d records, Sub(r) = %+v, Sub(r.1) = %+v; want r's record alone",
+			rec.Resumed(), rec.Len(), rec.Sub("r"), rec.Sub("r.1"))
 	}
 }
 

@@ -34,9 +34,6 @@ func NewRecorder(st *Store, prev *Snapshot) *Recorder {
 	if snap.Subs == nil {
 		snap.Subs = make(map[string]*SubRecord)
 	}
-	if snap.MIPs == nil {
-		snap.MIPs = make(map[string]*MIPRecord)
-	}
 	return &Recorder{st: st, snap: snap, resumed: resumed}
 }
 
@@ -84,14 +81,6 @@ func (r *Recorder) Sub(id string) *SubRecord {
 	return r.snap.Subs[id]
 }
 
-// MIP returns the journaled in-flight MIP incumbent for subproblem id, or
-// nil. Read-only, like Sub.
-func (r *Recorder) MIP(id string) *MIPRecord {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.snap.MIPs[id]
-}
-
 // Carry hands the run the bases a previous run recorded (Bases), by
 // subproblem id. They are starting points only: nothing journals them
 // again unless a solve records its own.
@@ -127,24 +116,16 @@ func (r *Recorder) Bases() map[string]*Basis {
 	return out
 }
 
-// RecordSub journals a completed subproblem and checkpoints immediately.
-// The subproblem's in-flight MIP record, if any, is dropped — the completed
-// solution supersedes it. Save failures are returned for logging but leave
-// the in-memory journal intact; the solve itself must not fail because the
-// journal disk is unhappy.
+// RecordSub journals a subproblem's record, replacing any earlier one under
+// id, and checkpoints immediately: a search in flight records the feasible
+// solution it would finish with, and the completed solve overwrites it.
+// Save failures are returned for logging but leave the in-memory journal
+// intact; the solve itself must not fail because the journal disk is
+// unhappy.
 func (r *Recorder) RecordSub(id string, rec *SubRecord) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.snap.Subs[id] = rec
-	delete(r.snap.MIPs, id)
-	return r.save()
-}
-
-// RecordMIP journals an in-flight MIP incumbent and checkpoints.
-func (r *Recorder) RecordMIP(id string, rec *MIPRecord) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.snap.MIPs[id] = rec
 	return r.save()
 }
 
@@ -162,12 +143,11 @@ func (r *Recorder) save() error {
 	return nil
 }
 
-// Counts reports how many subproblem and in-flight MIP records the journal
-// currently holds.
-func (r *Recorder) Counts() (subs, mips int) {
+// Len reports how many subproblem records the journal currently holds.
+func (r *Recorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.snap.Subs), len(r.snap.MIPs)
+	return len(r.snap.Subs)
 }
 
 // SaveErr returns the most recent checkpoint-save failure, or nil.

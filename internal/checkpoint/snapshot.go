@@ -1,14 +1,15 @@
 package checkpoint
 
 // Snapshot is the journaled solve state of one Allocate run: everything the
-// decomposition driver needs to resume after a crash. Completed subproblems
-// are recorded in full (outcome, incumbent routing, derived fragment sets),
-// so an Optimal record replays verbatim without solver work; in-flight MIP
-// searches additionally journal their best incumbent so a resumed run can
-// warm-start instead of starting cold (the frontier itself is re-expanded
-// from the root — only the incumbent is durable). Journals written before
-// the snapshot shrank also carry running W/V totals, and a leaf flag and a
-// byte count per record; nothing read them, and the decoder skips them.
+// decomposition driver needs to resume after a crash. It holds one record
+// per subproblem, in full (outcome, incumbent routing, derived fragment
+// sets): an Optimal record replays verbatim without solver work, and a
+// search still in flight journals the Feasible record of its incumbent, so
+// a resumed run warm-starts from it instead of starting cold (the frontier
+// itself is re-expanded from the root — only the incumbent is durable).
+// Journals written before the snapshot shrank also carry running W/V
+// totals, a leaf flag and a byte count per record, and a "mips" map of
+// in-flight incumbent vectors; the decoder skips them.
 type Snapshot struct {
 	// RunKey fingerprints the model-shaping inputs (workload, scenarios, K,
 	// chunk spec, α, clustering). A resume against a snapshot with a
@@ -16,18 +17,18 @@ type Snapshot struct {
 	// different model.
 	RunKey string `json:"run_key,omitempty"`
 	// Subs maps deterministic subproblem IDs (the path through the chunk
-	// spec tree) to completed solve records.
+	// spec tree) to solve records: a completed solve's, or the incumbent of
+	// a search in flight.
 	Subs map[string]*SubRecord `json:"subs,omitempty"`
-	// MIPs maps subproblem IDs to in-flight MIP incumbents; an entry is
-	// dropped once its subproblem completes and moves to Subs.
-	MIPs map[string]*MIPRecord `json:"mips,omitempty"`
 }
 
-// SubRecord is one completed subproblem solve, in a stable, JSON-codable
-// shape. internal/core's solution embeds it, so what the solver decodes is
-// what the journal stores. Optimal records are replayed verbatim on resume;
-// Feasible and Degraded ones contribute their routing as a warm-start hint
-// and are re-solved.
+// SubRecord is one subproblem solve, in a stable, JSON-codable shape.
+// internal/core's solution embeds it, so what the solver decodes is what
+// the journal stores. Optimal records are replayed verbatim on resume;
+// Feasible and Degraded ones contribute their placement as a warm-start
+// hint and are re-solved. A search in flight journals a Feasible record of
+// its incumbent, with zero Gap and Nodes, which its completed solve
+// replaces.
 type SubRecord struct {
 	// Outcome is the failure-policy classification: "optimal", "feasible",
 	// or "degraded" (core's OutcomeOptimal, OutcomeFeasible and
@@ -82,14 +83,4 @@ type Route struct {
 	Q      int       `json:"q"`
 	S      int       `json:"s"`
 	Shares []float64 `json:"shares"`
-}
-
-// MIPRecord is the warm-resume state of one in-flight branch-and-bound
-// search: the incumbent solution vector. A resumed solve injects X as a
-// starting proposal and re-expands the frontier from the root. Journals
-// written before the record shrank carry the incumbent's objective, root
-// bound, node count and branching path too; no resume ever read them, and
-// the decoder skips the unknown fields.
-type MIPRecord struct {
-	X []float64 `json:"x"`
 }

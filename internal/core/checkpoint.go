@@ -14,8 +14,9 @@ import (
 // first child of the root's third chunk), journals each completed solve under
 // that id, and on resume replays proven-optimal records verbatim — so a
 // resumed run reproduces the uninterrupted run's allocation bit for bit —
-// while feasible and degraded records come back as warm-start hints for a
-// fresh solve that may only improve them.
+// while feasible and degraded records, and every record below a subproblem
+// solved again, come back as warm-start hints for a fresh solve that may
+// only improve them.
 
 // runKey fingerprints the inputs that shape the optimization model: the
 // workload and scenario digests, K, the decomposition spec, and the solver
@@ -107,9 +108,12 @@ func (sp *subproblem) hintFromRecord(rec *checkpoint.SubRecord) [][]bool {
 	return hint
 }
 
-// record journals a completed solve; save failures are logged, never fatal.
-func (ck *subCheckpoint) record(d *driver, sol *solution) {
+// record journals a solve's record through logf, the run's logger: a
+// completed solve's, or the incumbent of one in flight. Save failures are
+// logged, never fatal: the recorder keeps the last one for the end-of-run
+// report (SaveErr), and a full journal disk must not abort the solve.
+func (ck *subCheckpoint) record(logf func(string, ...any), sol *solution) {
 	if err := ck.rec.RecordSub(ck.id, recordFromSolution(sol)); err != nil {
-		d.logf("core: checkpoint save failed for %s: %v", ck.id, err)
+		logf("core: checkpoint save failed for %s: %v", ck.id, err)
 	}
 }

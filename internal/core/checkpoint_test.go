@@ -3,17 +3,21 @@ package core
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"os/exec"
 	"reflect"
 	"strconv"
+	"strings"
 	"syscall"
 	"testing"
+	"time"
 
 	"fragalloc/internal/checkpoint"
 	"fragalloc/internal/faultinject"
+	"fragalloc/internal/mip"
 	"fragalloc/internal/model"
 )
 
@@ -128,6 +132,108 @@ func TestCrashResumeBitIdentical(t *testing.T) {
 	}
 }
 
+// TestCrashResumeFromInFlightRecord kills the run right after its first
+// journal write, which under a 1 ns MIP.CheckpointEvery is the root search
+// journaling its incumbent: the journal then holds that search's feasible
+// record and nothing else, and the resumed run re-solves the root from it
+// instead of replaying it, and returns a valid allocation.
+func TestCrashResumeFromInFlightRecord(t *testing.T) {
+	w, spec := crashWorkload()
+	dir := t.TempDir()
+	st, err := checkpoint.OpenFS(faultinject.NewFS(checkpoint.OS, journalWrite(1, faultinject.Kill)), dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != nil && r != faultinject.ErrKilled {
+				panic(r)
+			}
+		}()
+		res, err := Allocate(w, nil, 4, Options{
+			Chunks: spec, Parallelism: 1, Checkpoint: checkpoint.NewRecorder(st, nil),
+			MIP: mip.Options{CheckpointEvery: time.Nanosecond},
+		})
+		t.Fatalf("the fault never fired: res=%v err=%v", res, err)
+	}()
+
+	if st, err = checkpoint.Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	prev, err := st.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := prev.Subs["r"]; len(prev.Subs) != 1 || rec == nil || rec.Outcome != OutcomeFeasible || len(rec.Yes) == 0 {
+		t.Fatalf("journal after the first save holds %d records, r's %+v; want r's feasible in-flight record alone", len(prev.Subs), rec)
+	}
+	var logs []string
+	res, err := Allocate(w, nil, 4, Options{
+		Chunks: spec, Parallelism: 1, Checkpoint: checkpoint.NewRecorder(st, prev),
+		Logf: func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	solved := false
+	for _, l := range logs {
+		if strings.Contains(l, "replayed from checkpoint") {
+			t.Errorf("the resumed run replayed a record: %q", l)
+		}
+		solved = solved || strings.HasPrefix(l, "core: split "+spec.String()+" solved")
+	}
+	if !solved {
+		t.Errorf("the resumed run did not re-solve the root split %v; log:\n%s", spec, strings.Join(logs, "\n"))
+	}
+	checkFeasible(t, w, nil, res)
+}
+
+// TestResumeUnderAResolvedParent resumes a node-budgeted journal whose root
+// record is feasible and some child record optimal, with no node budget: the
+// root is solved again and hands its children other placements, so the
+// child records no longer describe the children. They must not be replayed
+// (a replayed one routed some query twice): the resumed allocation is
+// valid. The budget is scanned because which one leaves such a journal is
+// solver detail.
+func TestResumeUnderAResolvedParent(t *testing.T) {
+	w, spec := crashWorkload()
+	moved := 0
+	for _, nodes := range []int{34, 55, 89, 144, 233} {
+		st, err := checkpoint.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Allocate(w, nil, 4, Options{
+			Chunks: spec, Parallelism: 1, Checkpoint: checkpoint.NewRecorder(st, nil),
+			MIP: mip.Options{MaxNodes: nodes},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		prev, err := st.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prev.Subs["r"].Outcome == OutcomeOptimal ||
+			prev.Subs["r.0"].Outcome != OutcomeOptimal && prev.Subs["r.1"].Outcome != OutcomeOptimal {
+			continue
+		}
+		journaled := prev.Subs["r"].Yes
+		rec := checkpoint.NewRecorder(st, prev)
+		res, err := Allocate(w, nil, 4, Options{Chunks: spec, Parallelism: 1, Checkpoint: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reflect.DeepEqual(rec.Sub("r").Yes, journaled) {
+			continue // the root landed where it was: its children still fit
+		}
+		moved++
+		checkFeasible(t, w, nil, res)
+	}
+	if moved == 0 {
+		t.Fatal("no scanned budget left a feasible root whose re-solve moved under an optimal child; adjust the scan")
+	}
+}
+
 // TestCrashResumeTornWrite tears the newest generation mid-payload at the
 // crash point: the resuming loader must reject it by CRC, fall back to the
 // previous generation, and still reproduce the uninterrupted allocation.
@@ -228,10 +334,12 @@ func TestResumeReplaysWithoutSolver(t *testing.T) {
 	}
 }
 
-// TestResumeReplaysJournalWithRetiredFields: a completed journal as builds
-// before PR 25 wrote it — running W/V totals on the snapshot, a leaf flag
-// and byte count on every record — still binds and replays verbatim, under
-// MIP options that cannot solve anything.
+// TestResumeReplaysJournalWithRetiredFields: a completed journal carrying
+// the fields older builds wrote — running W/V totals on the snapshot, a leaf
+// flag and byte count on every record, a "mips" map of in-flight incumbent
+// vectors — still binds and replays verbatim, to the allocation the journal
+// without them replays to (TestResumeReplaysWithoutSolver), under MIP
+// options that cannot solve anything.
 func TestResumeReplaysJournalWithRetiredFields(t *testing.T) {
 	dir := t.TempDir()
 	uninterrupted, err := checkpointedRun(t, dir, nil, false)
@@ -255,6 +363,9 @@ func TestResumeReplaysJournalWithRetiredFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap["v"], snap["w"] = json.RawMessage("1234.5"), json.RawMessage("0.30000000000000004")
+	// An in-flight incumbent as builds before in-flight searches journaled
+	// feasible records wrote it, under a subproblem the journal also holds.
+	snap["mips"] = json.RawMessage(`{"r.0":{"x":[1,0,0.5]}}`)
 	for _, sub := range subs {
 		sub["leaf"], sub["bytes"] = json.RawMessage("true"), json.RawMessage("100.25")
 	}

@@ -38,9 +38,9 @@ type Options struct {
 	// exactly as they already are serially.
 	Parallelism int
 	// MIP passes budgets (time limit, node limit, gap) to each subproblem
-	// solve. A TimeLimit applies per subproblem. Its Canceled and
-	// LP.Canceled are not read: every subproblem solve is handed Canceled
-	// below in their place.
+	// solve. A TimeLimit applies per subproblem. Its Canceled, LP.Canceled
+	// and Logf are not read: every subproblem solve is handed Canceled and
+	// Logf below in their place.
 	MIP mip.Options
 	// Warm, when non-nil, seeds flat root solves with an incumbent
 	// allocation from a previous run: each flexible query's runnable-node
@@ -63,15 +63,16 @@ type Options struct {
 	// multiple goroutines.
 	Canceled func() bool
 	// Checkpoint is the run's journal: every completed subproblem is
-	// recorded immediately, and long MIP searches every Recorder interval
+	// recorded immediately, and a search in flight records the feasible
+	// record of its incumbent every MIP.CheckpointEvery under the same id
 	// (DESIGN.md §3.9); a Recorder with a Store makes that durable. nil
 	// journals in memory, in a fresh Recorder. On a recorder resumed from
 	// a prior run's journal, proven-optimal subproblems are replayed
 	// verbatim — the final allocation is bit-identical to the
-	// uninterrupted run — while feasible/degraded records warm-start their
-	// re-solve and in-flight MIP incumbents seed the restarted search.
-	// Allocate fails if the journal was written for different inputs (see
-	// Recorder.Bind).
+	// uninterrupted run — while feasible records, in-flight ones included,
+	// degraded ones and any record below a subproblem solved again
+	// warm-start their re-solve. Allocate fails if the journal was written
+	// for different inputs (see Recorder.Bind).
 	Checkpoint *checkpoint.Recorder
 	// Logf, if non-nil, receives progress lines.
 	Logf func(format string, args ...any)
@@ -160,10 +161,9 @@ func Allocate(w *model.Workload, ss *model.ScenarioSet, k int, opt Options) (*Re
 		return nil, err
 	}
 	if opt.Checkpoint.Resumed() {
-		subs, mips := opt.Checkpoint.Counts()
-		d.logf("core: resuming from checkpoint journal (%d subproblem records, %d in-flight MIP incumbents)", subs, mips)
+		d.logf("core: resuming from checkpoint journal (%d subproblem records)", opt.Checkpoint.Len())
 	}
-	if err := d.solve(root, spec, 0, "r"); err != nil {
+	if err := d.solve(root, spec, 0, "r", true); err != nil {
 		return nil, err
 	}
 
@@ -363,8 +363,11 @@ func (d *driver) recordSolution(sol *solution) {
 // final nodes [leaf, leaf+spec.Leaves). id is the subproblem's deterministic
 // journal path ("r", "r.0", "r.0.2", …): it depends only on the position in
 // the decomposition tree, never on scheduling, so a resumed run looks up
-// exactly the records its predecessor wrote.
-func (d *driver) solve(sp *subproblem, spec *ChunkSpec, leaf int, id string) error {
+// exactly the records its predecessor wrote. replay permits replaying a
+// journaled optimal record: true at the root, and below it only under a
+// parent that was replayed too, since a parent solved again may hand its
+// children other queries or shares than their records were solved for.
+func (d *driver) solve(sp *subproblem, spec *ChunkSpec, leaf int, id string, replay bool) error {
 	if len(spec.Children) == 0 && spec.Leaves == 1 {
 		// A single final node: it takes the whole inherited subproblem.
 		// Nothing is journaled — the assignment is a cheap deterministic
@@ -379,18 +382,18 @@ func (d *driver) solve(sp *subproblem, spec *ChunkSpec, leaf int, id string) err
 	// Resume: a journaled proven-optimal record replays verbatim — no hint
 	// pre-solves, no MIP — which both skips the work and (because the
 	// record is the solution's own, bit for bit) keeps the final allocation
-	// identical to the uninterrupted run. Feasible and degraded
-	// records instead become one more warm-start hint for a fresh solve:
-	// the re-solve starts no worse than the journaled incumbent and a
-	// larger budget may improve it.
+	// identical to the uninterrupted run. Feasible and degraded records,
+	// and optimal ones under a parent solved again, instead become one
+	// more warm-start hint for a fresh solve: the re-solve starts no worse
+	// than the journaled incumbent and a larger budget may improve it.
 	ck := &subCheckpoint{rec: d.opt.Checkpoint, id: id}
 	var journalHint [][]bool
 	if rec := ck.rec.Sub(ck.id); rec != nil && recordCompatible(rec, b) {
-		if rec.Outcome == OutcomeOptimal {
+		if replay && rec.Outcome == OutcomeOptimal {
 			sol := &solution{SubRecord: *rec}
 			d.recordSolution(sol)
 			d.logf("core: split %v replayed from checkpoint (optimal, %d nodes)", spec, sol.Nodes)
-			return d.finish(sp, spec, sol, leaf, id)
+			return d.finish(sp, spec, sol, leaf, id, true)
 		}
 		journalHint = sp.hintFromRecord(rec)
 	}
@@ -449,15 +452,17 @@ func (d *driver) solve(sp *subproblem, spec *ChunkSpec, leaf int, id string) err
 	// Journal the completed solve — degraded outcomes included, routing and
 	// all — before any child work starts, so a crash below this point never
 	// re-solves this subproblem.
-	ck.record(d, sol)
+	ck.record(d.logf, sol)
 	d.logf("core: split %v solved (%v): L=%.4f gap=%.4f nodes=%d %v", spec, sol.Outcome, sol.L, sol.Gap, sol.Nodes, sol.starts)
-	return d.finish(sp, spec, sol, leaf, id)
+	return d.finish(sp, spec, sol, leaf, id, false)
 }
 
 // finish applies a solved (or replayed) split: exact groups write their
 // placement and routing into the final allocation; inner splits derive the
-// child subproblems and recurse into the independent siblings concurrently.
-func (d *driver) finish(sp *subproblem, spec *ChunkSpec, sol *solution, leaf int, id string) error {
+// child subproblems and recurse into the independent siblings concurrently;
+// replayed says whether sol came from the journal, which lets the children
+// replay theirs.
+func (d *driver) finish(sp *subproblem, spec *ChunkSpec, sol *solution, leaf int, id string, replayed bool) error {
 	if len(spec.Children) == 0 {
 		// Exact group: subnodes are final nodes.
 		for bb := 0; bb < len(sp.weights); bb++ {
@@ -488,7 +493,7 @@ func (d *driver) finish(sp *subproblem, spec *ChunkSpec, sol *solution, leaf int
 	tasks := make([]func() error, len(spec.Children))
 	for bb, cs := range spec.Children {
 		bb, cs := bb, cs
-		tasks[bb] = func() error { return d.solve(subs[bb], cs, leaves[bb], id+"."+strconv.Itoa(bb)) }
+		tasks[bb] = func() error { return d.solve(subs[bb], cs, leaves[bb], id+"."+strconv.Itoa(bb), replayed) }
 	}
 	return d.gate.run(tasks...)
 }
@@ -543,7 +548,7 @@ func (d *driver) hierarchicalHint(sp *subproblem, n int) [][]bool {
 	}
 	// The pre-solve may run concurrently with other readers of sp, and
 	// driver.solve installs its own weights: give it a clone.
-	if err := scratch.solve(sp.clone(), spec, 0, "h"); err != nil {
+	if err := scratch.solve(sp.clone(), spec, 0, "h", true); err != nil {
 		d.logf("core: hierarchical pre-solve failed: %v", err)
 		return nil
 	}

@@ -67,11 +67,14 @@ func (d *driver) canceled() bool {
 // mipOptions derives the per-subproblem MIP options: the caller's budgets
 // with the run's one hook as both MIP.Canceled, which the search polls (mip
 // installs its own stop hook as its LPs' Canceled), and MIP.LP.Canceled,
-// which the dive and trim LPs poll, as they run outside any mip.Solve.
+// which the dive and trim LPs poll, as they run outside any mip.Solve; and
+// the run's serialized logger as MIP.Logf, so the search's own lines (a
+// skipped subtree, a refused start) reach the run's log too.
 func (d *driver) mipOptions() mip.Options {
 	opt := d.opt.MIP
 	opt.Canceled = d.opt.Canceled
 	opt.LP.Canceled = d.opt.Canceled
+	opt.Logf = d.logf
 	return opt
 }
 

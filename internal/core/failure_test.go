@@ -195,6 +195,31 @@ func TestRetryRungRecovers(t *testing.T) {
 	t.Fatal("no scanned iteration limit produced a retry-then-success; adjust the scan range")
 }
 
+// TestMIPLinesReachTheRunLog: the search's own lines — here each
+// subproblem's root relaxation — reach the run's logger, where a skipped
+// subtree or a refused start is reported.
+func TestMIPLinesReachTheRunLog(t *testing.T) {
+	w, spec := crashWorkload()
+	var mu sync.Mutex
+	roots := 0
+	_, err := Allocate(w, nil, 4, Options{
+		Chunks: spec,
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			if strings.HasPrefix(format, "mip: root relaxation obj=") {
+				roots++
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if roots != 3 {
+		t.Errorf("%d mip root-relaxation lines reached the run log, want one per 2+2 subproblem (3)", roots)
+	}
+}
+
 // TestRetryRaisesTheIterationLimit pins the retry rung on a model with
 // m+n = 20 000, past the 7 000 where the simplex's default limit 50 000 +
 // 50·(m+n) passes 400 000: the retry runs at four times the limit the

@@ -410,31 +410,15 @@ type solution struct {
 // additional starting placement (runnable per subnode, by flexQ position; a
 // nil row proposes nothing for its query), typically from a hierarchical
 // decomposition pre-solve, the greedy baseline, or a resumed journal
-// record. ck wires the run's journal into the search: a journaled in-flight
-// incumbent from a crashed run seeds the restarted MIP, the search's
-// periodic Checkpoint callback writes fresh incumbents back under the same
-// subproblem id, and the dive root starts from the basis carried under it.
-// logf is the run's logger. p, ix and intVars are the model sp.build laid
-// out. When the solve fails, the solution it returns beside the error holds
-// only the work the attempt did: its LP pivots and basis starts.
+// record. ck wires the run's journal into the search: the search's periodic
+// Checkpoint callback journals its incumbent, decoded into the feasible
+// record the solve would finish with, under the subproblem's id, and the
+// dive root starts from the basis carried under that id. logf is the run's
+// logger. p, ix and intVars are the model sp.build laid out. When the solve
+// fails, the solution it returns beside the error holds only the work the
+// attempt did: its LP pivots and basis starts.
 func (sp *subproblem) solve(p *simplex.Problem, ix *indices, intVars []int, opt mip.Options, ck *subCheckpoint, logf func(string, ...any), hints ...[][]bool) (*solution, error) {
 	opt.Rounding = sp.rounding(ix)
-	if m := ck.rec.MIP(ck.id); m != nil && len(m.X) == p.NumVars {
-		opt.Starts = append(opt.Starts, append([]float64(nil), m.X...))
-	}
-	opt.Checkpoint = func(snap mip.Snapshot) {
-		if !snap.HasIncumbent {
-			return
-		}
-		mr := &checkpoint.MIPRecord{X: snap.X}
-		for i, v := range mr.X {
-			mr.X[i] = finite(v)
-		}
-		// Journaling is best-effort by design: the recorder retains the
-		// failure for end-of-run reporting (SaveErr), and a full journal
-		// disk must not abort the solve.
-		_ = ck.rec.RecordMIP(ck.id, mr)
-	}
 	roles := sp.roles(ix)
 	from := carriedBasis(ck.rec.Carried(ck.id), roles, p.NumVars)
 	lp, relax, starts := relaxation(p, opt.LP, from, logf)
@@ -454,6 +438,18 @@ func (sp *subproblem) solve(p *simplex.Problem, ix *indices, intVars []int, opt 
 	// The MIP root is the relaxation the dive started from, so it starts
 	// from that LP's optimal basis as it stands.
 	opt.RootBasis = rootBasis
+	var basis *checkpoint.Basis
+	if rootBasis != nil {
+		basis = journalBasis(rootBasis, roles)
+	}
+	// A search in flight journals its incumbent as the feasible record it
+	// would finish with (untrimmed: a resume trims its hint like any other
+	// start), so a resumed run re-solves from it.
+	opt.Checkpoint = func(x []float64) {
+		sol := sp.decode(ix, x, &mip.Result{Status: mip.StatusFeasible})
+		sol.Basis = basis
+		ck.record(logf, sol)
+	}
 	for _, hint := range hints {
 		if hint == nil {
 			continue
@@ -506,26 +502,24 @@ func (sp *subproblem) solve(p *simplex.Problem, ix *indices, intVars []int, opt 
 	if trErr == nil {
 		res.X = tr.trim(res.X)
 	}
-	sol := sp.decode(ix, res)
-	sol.lpiters, sol.starts = spent.lpiters, spent.starts
-	if rootBasis != nil {
-		sol.Basis = journalBasis(rootBasis, roles)
-	}
+	sol := sp.decode(ix, res.X, res)
+	sol.lpiters, sol.starts, sol.Basis = spent.lpiters, spent.starts, basis
 	return sol, nil
 }
 
-// decode turns a MIP solution vector into runnable sets, derived fragment
-// placements, and per-subnode shares. Fragment placement is re-derived from
+// decode turns a MIP solution vector x into runnable sets, derived fragment
+// placements, and per-subnode shares, with the outcome, gap and node count
+// of res, the search that found it. Fragment placement is re-derived from
 // the integral y (and the fixed queries) rather than read from x, which
 // guards against harmless fractional x on zero-size fragments.
-func (sp *subproblem) decode(ix *indices, res *mip.Result) *solution {
+func (sp *subproblem) decode(ix *indices, x []float64, res *mip.Result) *solution {
 	// Gap is the absolute objective gap (incumbent − proven bound). Since
 	// the objective is W/V + αL and optima balance (L = 1) like the
 	// incumbents, it bounds the memory suboptimality in W/V units.
 	sol := &solution{
 		SubRecord: checkpoint.SubRecord{
 			Outcome: OutcomeFeasible,
-			L:       res.X[ix.l],
+			L:       x[ix.l],
 			Gap:     math.Max(0, res.Obj-res.Bound),
 			Nodes:   res.Nodes,
 			Exact:   res.Exact && res.Status == mip.StatusOptimal,
@@ -539,14 +533,14 @@ func (sp *subproblem) decode(ix *indices, res *mip.Result) *solution {
 	for q, j := range sp.flexQ {
 		runnable := make([]bool, ix.b)
 		for bb := range runnable {
-			runnable[bb] = res.X[ix.y(q, bb)] > 0.5
+			runnable[bb] = x[ix.y(q, bb)] > 0.5
 		}
 		sol.Yes[q] = checkpoint.YesRow{Q: j, On: runnable}
 	}
 	for r, rt := range sp.routes {
 		zs := make([]float64, ix.b)
 		for bb := range zs {
-			if v := res.X[ix.z(r, bb)]; v > 1e-9 {
+			if v := x[ix.z(r, bb)]; v > 1e-9 {
 				zs[bb] = v
 			}
 		}

@@ -12,7 +12,7 @@ import (
 
 // ckptProblem builds a deterministic random binary problem large enough that
 // branch and bound expands multiple nodes and finds an incumbent before the
-// search closes, so per-node checkpoints observe meaningful state.
+// search closes, so checkpoints observe an incumbent.
 func ckptProblem(seed int64, nb int) (*simplex.Problem, []int) {
 	rng := rand.New(rand.NewSource(seed))
 	p := &simplex.Problem{}
@@ -43,8 +43,8 @@ func ckptProblem(seed int64, nb int) (*simplex.Problem, []int) {
 
 // TestCheckpointObservationIsPure solves the same problem with and without a
 // Checkpoint callback and requires bit-identical results: checkpointing is
-// observation, never perturbation. It also validates every observed snapshot
-// against the search invariants.
+// observation, never perturbation. It also validates every observed
+// incumbent against the search invariants.
 func TestCheckpointObservationIsPure(t *testing.T) {
 	p, intVars := ckptProblem(8, 16)
 	base, err := Solve(p, intVars, Options{})
@@ -52,10 +52,10 @@ func TestCheckpointObservationIsPure(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var snaps []Snapshot
+	var seen [][]float64
 	observed, err := Solve(p, intVars, Options{
-		CheckpointEvery: time.Nanosecond, // fire at every node-loop head
-		Checkpoint:      func(s Snapshot) { snaps = append(snaps, s) },
+		CheckpointEvery: time.Nanosecond, // fire at every clock reading
+		Checkpoint:      func(x []float64) { seen = append(seen, x) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -65,35 +65,25 @@ func TestCheckpointObservationIsPure(t *testing.T) {
 		!reflect.DeepEqual(base.X, observed.X) {
 		t.Errorf("checkpoint callback perturbed the search:\n base %+v\n with %+v", base, observed)
 	}
-	if len(snaps) == 0 {
-		t.Fatal("no snapshots observed with CheckpointEvery=1ns on a multi-node search")
+	if len(seen) == 0 {
+		t.Fatal("no incumbent observed with CheckpointEvery=1ns on a multi-node search")
 	}
-	sawIncumbent := false
-	for i, s := range snaps {
-		if !s.HasIncumbent {
-			if s.X != nil {
-				t.Errorf("snapshot %d: X set without HasIncumbent", i)
-			}
-			continue
-		}
-		sawIncumbent = true
-		if len(s.X) != p.NumVars {
-			t.Fatalf("snapshot %d: len(X) = %d, want NumVars %d", i, len(s.X), p.NumVars)
+	for i, x := range seen {
+		if len(x) != p.NumVars {
+			t.Fatalf("incumbent %d: len = %d, want NumVars %d", i, len(x), p.NumVars)
 		}
 		for _, j := range intVars {
-			if v := s.X[j]; math.Abs(v-math.Round(v)) > intTol {
-				t.Errorf("snapshot %d: integer variable %d is %g in the incumbent", i, j, v)
+			if v := x[j]; math.Abs(v-math.Round(v)) > intTol {
+				t.Errorf("incumbent %d: integer variable %d is %g", i, j, v)
 			}
 		}
 	}
-	if !sawIncumbent {
-		t.Error("no snapshot carried an incumbent; the kill-point journal would be empty")
-	}
 
-	// Snapshots are copies: mutating one must not corrupt a later result.
-	for _, s := range snaps {
-		for j := range s.X {
-			s.X[j] = -1
+	// The callback's slices are copies: mutating one must not corrupt a
+	// later result.
+	for _, x := range seen {
+		for j := range x {
+			x[j] = -1
 		}
 	}
 	again, err := Solve(p, intVars, Options{})
@@ -101,21 +91,21 @@ func TestCheckpointObservationIsPure(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(base.X, again.X) {
-		t.Error("mutating snapshot X changed a later solve (aliasing)")
+		t.Error("mutating a checkpointed incumbent changed a later solve (aliasing)")
 	}
 }
 
-// TestCheckpointWarmResume replays a mid-search snapshot's incumbent as a
-// starting proposal — the warm path a resumed run takes — and checks the
-// restarted search accepts it and still proves the same optimum.
+// TestCheckpointWarmResume replays a mid-search incumbent as a starting
+// proposal and checks the restarted search accepts it and still proves the
+// same optimum.
 func TestCheckpointWarmResume(t *testing.T) {
 	p, intVars := ckptProblem(8, 16)
 	var warm []float64
 	_, err := Solve(p, intVars, Options{
 		CheckpointEvery: time.Nanosecond,
-		Checkpoint: func(s Snapshot) {
-			if s.HasIncumbent && warm == nil {
-				warm = append([]float64(nil), s.X...)
+		Checkpoint: func(x []float64) {
+			if warm == nil {
+				warm = x
 			}
 		},
 	})
@@ -123,7 +113,7 @@ func TestCheckpointWarmResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	if warm == nil {
-		t.Fatal("no incumbent snapshot to warm-resume from")
+		t.Fatal("no checkpointed incumbent to warm-resume from")
 	}
 	base, err := Solve(p, intVars, Options{})
 	if err != nil {

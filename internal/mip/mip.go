@@ -221,15 +221,15 @@ type Options struct {
 	// with its proven bound (StatusFeasible), or StatusNoSolution when none
 	// was found yet — never an error.
 	Canceled func() bool
-	// Checkpoint, when non-nil, receives a Snapshot of the search state once
-	// CheckpointEvery has passed since the last one, judged on the clock
-	// reading the stop hook takes for TimeLimit: at node heads and inside
-	// long LP solves, so even a single multi-minute LP checkpoints on
-	// schedule. The callback observes the search without influencing it (the
-	// snapshot's slices are copies), so a checkpointed solve is
-	// bit-identical to an unobserved one. Called only from the goroutine
-	// driving Solve.
-	Checkpoint func(Snapshot)
+	// Checkpoint, when non-nil, receives a copy of the incumbent, in the
+	// caller's coordinates, once CheckpointEvery has passed since the last
+	// call, judged on the clock reading the stop hook takes for TimeLimit:
+	// at node heads and inside long LP solves, so even a single
+	// multi-minute LP checkpoints on schedule. It is not called while the
+	// search has no incumbent. The callback observes the search without
+	// influencing it, so a checkpointed solve is bit-identical to an
+	// unobserved one. Called only from the goroutine driving Solve.
+	Checkpoint func(x []float64)
 	// CheckpointEvery is the minimum interval between Checkpoint calls
 	// (default 30s). Only consulted when Checkpoint is non-nil. Every
 	// journalled solve — allocate, paper, allocd — runs at the default; only
@@ -264,17 +264,6 @@ func (o Options) withDefaults() Options {
 		o.CheckpointEvery = 30 * time.Second
 	}
 	return o
-}
-
-// Snapshot is the warm-resume state a Checkpoint callback receives: the
-// incumbent (a copy). It is enough to warm-resume a crashed search — inject
-// X as a starting proposal and re-expand the frontier from the root —
-// without journaling the entire open-node heap.
-type Snapshot struct {
-	// HasIncumbent reports whether X is meaningful.
-	HasIncumbent bool
-	// X is a copy of the incumbent solution (length NumVars).
-	X []float64
 }
 
 type fixing struct {
@@ -383,28 +372,19 @@ func (s *search) stop() bool {
 
 // tick reads the clock once, at a node head or on a pollEvery-th stop poll,
 // and that reading serves both of its uses: the Checkpoint callback, due
-// when CheckpointEvery has passed since the last one, and the TimeLimit
-// deadline, which latches once it has passed. The callback observes a copy
-// of the incumbent and cannot perturb the search.
+// when CheckpointEvery has passed since the last one and there is an
+// incumbent, and the TimeLimit deadline, which latches once it has passed.
+// The callback gets a fresh copy of the incumbent (restore allocates) and
+// cannot perturb the search.
 func (s *search) tick() {
 	now := time.Now()
-	if s.opt.Checkpoint != nil && now.Sub(s.lastCkpt) >= s.opt.CheckpointEvery {
+	if s.opt.Checkpoint != nil && s.hasInc && now.Sub(s.lastCkpt) >= s.opt.CheckpointEvery {
 		s.lastCkpt = now
-		s.opt.Checkpoint(s.snapshot())
+		s.opt.Checkpoint(s.ps.restore(s.incumbent))
 	}
 	if !s.deadline.IsZero() && now.After(s.deadline) {
 		s.expired = true
 	}
-}
-
-// snapshot captures the warm-resume state of the search.
-func (s *search) snapshot() Snapshot {
-	snap := Snapshot{HasIncumbent: s.hasInc}
-	if s.hasInc {
-		// In the caller's coordinates: X at the caller's NumVars.
-		snap.X = append([]float64(nil), s.ps.restore(s.incumbent)...)
-	}
-	return snap
 }
 
 type search struct {
@@ -825,7 +805,6 @@ func (s *search) plunge(nd *node, open *nodeHeap) {
 			}
 			nd.bvar = -1 // credit once, not on every dive iteration
 		}
-		s.logf("mip: node %d depth %d obj=%.6f iters=%d", s.nodes, len(nd.path), res.Obj+s.ps.objOff, res.Iters)
 		if s.hasInc && bound >= s.incObj-absGap {
 			return // pruned
 		}

@@ -26,8 +26,9 @@ import (
 //
 // The reductions produce a smaller Problem in *reduced coordinates* plus a
 // reversible mapping; the search runs entirely in reduced coordinates and
-// the mapping restores Result.X, snapshots, and log output to the caller's
-// original coordinates (and translates caller proposals the other way).
+// the mapping restores Result.X, checkpointed incumbents, and log output to
+// the caller's original coordinates (and translates caller proposals the
+// other way).
 //
 // Everything is deterministic: rows and columns are visited in index order
 // and ties resolve to the smallest index.

@@ -179,7 +179,7 @@ func TestServiceMemoryDaemonCarriesBases(t *testing.T) {
 	cfg := crashConfig(t, "", nil)
 	cfg.Scenarios = scenario.InSample(cfg.Workload, 4, 0.6, 3)
 	cfg.ReduceTo = 4
-	updates := GenerateDrift(cfg.Workload, cfg.Scenarios, DriftConfig{Updates: 12, Seed: 5})
+	updates := GenerateDrift(cfg.Workload, cfg.Scenarios, DriftConfig{Updates: 12, Seed: 5, ObserveProb: 0.2})
 
 	type adoption struct {
 		alloc  *model.Allocation

@@ -69,9 +69,8 @@ func applyUpdate(w *model.Workload, ss *model.ScenarioSet, k int, u Update) (*mo
 }
 
 // DriftConfig parameterizes GenerateDrift. The zero value of the optional
-// knobs means: 3 deltas per update, max relative delta 0.5, observation
-// probability 0.2, the paper's presence probability 0.75, and no node
-// join/leave.
+// knobs means: 3 deltas per update, max relative delta 0.5, the paper's
+// presence probability 0.75, no observed scenarios and no node join/leave.
 type DriftConfig struct {
 	// Updates is the stream length; Seed makes it reproducible.
 	Updates int
@@ -82,8 +81,9 @@ type DriftConfig struct {
 	DeltasPerUpdate int
 	MaxDelta        float64
 	// ObserveProb is the probability an update observes a brand-new
-	// scenario instead of drifting existing frequencies; Presence is the
-	// query-presence probability of observed scenarios (Section 4.2).
+	// scenario instead of drifting existing frequencies, taken as it
+	// stands: 0 observes none. Presence is the query-presence probability
+	// of observed scenarios (Section 4.2).
 	ObserveProb float64
 	Presence    float64
 	// NodeProb, when positive, is the probability an update resizes the
@@ -109,10 +109,6 @@ func GenerateDrift(w *model.Workload, base *model.ScenarioSet, cfg DriftConfig) 
 	maxDelta := cfg.MaxDelta
 	if maxDelta <= 0 {
 		maxDelta = 0.5
-	}
-	observeProb := cfg.ObserveProb
-	if observeProb == 0 {
-		observeProb = 0.2
 	}
 	presence := cfg.Presence
 	if presence <= 0 || presence > 1 {
@@ -151,7 +147,7 @@ func GenerateDrift(w *model.Workload, base *model.ScenarioSet, cfg DriftConfig) 
 			}
 			k = nk
 			u.SetK = nk
-		case rng.Float64() < observeProb:
+		case rng.Float64() < cfg.ObserveProb:
 			u.Observe = [][]float64{scenario.Sample(rng, q, presence)}
 			scenarios++
 		default:
