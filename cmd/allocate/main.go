@@ -81,7 +81,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "scenario sampling seed")
 	reduce := flag.Int("reduce", 0, "cluster the scenario set down to R weighted representatives before solving (0 = off)")
 	reduceSeed := flag.Int64("reduce-seed", 1, "k-medoids initialization seed for -reduce")
-	budget := flag.Duration("budget", 30*time.Second, "MIP time budget per subproblem (lp)")
+	budget := flag.Duration("budget", 30*time.Second, fmt.Sprintf("MIP budget per subproblem (lp), bought as branch-and-bound nodes at %d/s, so machine load never changes the answer (0 = none)", mip.NodesPerSecond))
 	timeout := flag.Duration("timeout", 0, "overall wall-clock limit; on expiry lp emits its best partial allocation (0 = none)")
 	parallel := flag.Int("parallel", 0, "concurrent subproblem solves for lp (0 = GOMAXPROCS, 1 = serial)")
 	ckptDir := flag.String("checkpoint", "", "journal lp solve progress durably into this directory")
@@ -169,7 +169,7 @@ func main() {
 		opt := fragalloc.Options{
 			FixedQueries: *fixed,
 			Parallelism:  *parallel,
-			MIP:          mip.Options{TimeLimit: *budget, MaxStallNodes: 300},
+			MIP:          mip.Options{MaxNodes: mip.NodeBudget(*budget), MaxStallNodes: 300},
 			Canceled:     func() bool { return ctx.Err() != nil },
 		}
 		if *chunks != "" {

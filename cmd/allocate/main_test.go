@@ -1,17 +1,21 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
 	"fragalloc"
+	"fragalloc/internal/mip"
 )
 
 // TestMain lets a test run the command: a test binary whose first argument
@@ -82,6 +86,73 @@ func TestMergeOfTheDefaultScenario(t *testing.T) {
 	}
 	if !reflect.DeepEqual(frags["greedy"], frags["merge"]) {
 		t.Error("merge of the default scenario placed other fragments than greedy")
+	}
+}
+
+// TestBudgetIsWorkNotTime checks that -budget decides the answer by work,
+// not by the clock: under a budget small enough to stop the search before
+// it proves optimality, a run beside a CPU-bound goroutine writes the same
+// allocation bytes, after the same searches, as a run on an idle box.
+func TestBudgetIsWorkNotTime(t *testing.T) {
+	const budget = 50 * time.Millisecond
+	dir := t.TempDir()
+	// run returns the allocation file and the -v lines that end a
+	// subproblem's search, sorted, since parallel splits log in any order.
+	run := func(name string) ([]byte, []string) {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+		defer cancel()
+		out := filepath.Join(dir, name+".json")
+		msg, err := exec.CommandContext(ctx, os.Args[0], "allocate", "-workload", "tpcds", "-k", "4",
+			"-budget", budget.String(), "-v", "-o", out).CombinedOutput()
+		if err != nil {
+			t.Fatalf("%s: %v: %s", name, err, msg)
+		}
+		b, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var solved []string
+		for _, line := range strings.Split(string(msg), "\n") {
+			if strings.HasPrefix(line, "core: split ") && strings.Contains(line, " solved (") {
+				solved = append(solved, line)
+			}
+		}
+		sort.Strings(solved)
+		return b, solved
+	}
+	idle, idleSolved := run("idle")
+	// The budget must bind, or the comparison shows nothing: some
+	// subproblem stops feasible after exactly the nodes the budget buys.
+	bound := fmt.Sprintf("nodes=%d ", mip.NodeBudget(budget))
+	binds := false
+	for _, line := range idleSolved {
+		if strings.Contains(line, "solved (feasible)") && strings.Contains(line, bound) {
+			t.Logf("the budget binds: %s", line)
+			binds = true
+		}
+	}
+	if !binds {
+		t.Fatalf("-budget %v never stopped a subproblem at its %s; searches:\n%s", budget, bound, strings.Join(idleSolved, "\n"))
+	}
+	stop, spun := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(spun)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+		}
+	}()
+	loaded, loadedSolved := run("loaded")
+	close(stop)
+	<-spun
+	if !reflect.DeepEqual(idleSolved, loadedSolved) {
+		t.Errorf("searches beside a CPU-bound goroutine:\n%s\nidle:\n%s", strings.Join(loadedSolved, "\n"), strings.Join(idleSolved, "\n"))
+	}
+	if !bytes.Equal(idle, loaded) {
+		t.Error("the allocation written beside a CPU-bound goroutine differs from the idle run's")
 	}
 }
 

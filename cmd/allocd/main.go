@@ -100,7 +100,7 @@ func main() {
 	p := flag.Float64("p", fragalloc.DefaultPresence, "scenario presence probability")
 	seed := flag.Int64("seed", 1, "scenario sampling seed")
 	reduce := flag.Int("reduce", 0, "solve over this many clustered scenario representatives instead of the full set (0 = off)")
-	budget := flag.Duration("budget", 30*time.Second, "MIP time budget per subproblem")
+	budget := flag.Duration("budget", 30*time.Second, fmt.Sprintf("MIP budget per subproblem, bought as branch-and-bound nodes at %d/s, so machine load never changes the answer (0 = none)", mip.NodesPerSecond))
 	solveTimeout := flag.Duration("solve-timeout", 0, "wall-clock bound per re-optimization attempt (0 = none)")
 	parallel := flag.Int("parallel", 0, "concurrent subproblem solves (0 = GOMAXPROCS, 1 = serial)")
 	state := flag.String("state", "", "durable state directory (empty = memory-only, no crash tolerance)")
@@ -147,7 +147,7 @@ func main() {
 		K:            *k,
 		FixedQueries: *fixed,
 		Parallelism:  *parallel,
-		MIP:          mip.Options{TimeLimit: *budget, MaxStallNodes: 300},
+		MIP:          mip.Options{MaxNodes: mip.NodeBudget(*budget), MaxStallNodes: 300},
 		SolveTimeout: *solveTimeout,
 		StateDir:     *state,
 		ReduceTo:     *reduce,

@@ -11,7 +11,7 @@
 //	                             TPC-DS only)
 //	-full                        paper-scale row sets (slow) instead of the
 //	                             reduced laptop defaults
-//	-budget 15s                  MIP time budget per subproblem (0 = none)
+//	-budget 15s                  MIP budget per subproblem, in nodes (0 = none)
 //	-timeout 0                   overall wall-clock limit; on expiry the
 //	                             running experiment winds down with its best
 //	                             incumbents (0 = none)
@@ -45,6 +45,7 @@ import (
 	"time"
 
 	"fragalloc/internal/experiments"
+	"fragalloc/internal/mip"
 	"fragalloc/internal/scenario"
 	"fragalloc/internal/shutdown"
 )
@@ -52,7 +53,7 @@ import (
 func main() {
 	workload := flag.String("workload", "tpcds", "workload: tpcds or accounting")
 	full := flag.Bool("full", false, "run the paper-scale row sets (slow)")
-	budget := flag.Duration("budget", 15*time.Second, "MIP time budget per subproblem (0 = none)")
+	budget := flag.Duration("budget", 15*time.Second, fmt.Sprintf("MIP budget per subproblem, bought as branch-and-bound nodes at %d/s, so machine load never changes the answer (0 = none)", mip.NodesPerSecond))
 	timeout := flag.Duration("timeout", 0, "overall wall-clock limit; on expiry the run winds down with its best incumbents (0 = none)")
 	unseen := flag.Int("unseen", 30, "number of out-of-sample scenarios")
 	maxq := flag.Int("maxq", 300, "accounting workload truncation for Table 1b LP rows (0 = none)")

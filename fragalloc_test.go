@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"fragalloc"
 	"fragalloc/internal/mip"
@@ -69,7 +68,7 @@ func TestRobustScenarios(t *testing.T) {
 	w := smallWorkload()
 	seen := fragalloc.InSampleScenarios(w, 3, fragalloc.DefaultPresence, 5)
 	res, err := fragalloc.Allocate(w, seen, 2, fragalloc.Options{
-		MIP: mip.Options{TimeLimit: 5 * time.Second},
+		MIP: mip.Options{MaxNodes: 1000},
 	})
 	if err != nil {
 		t.Fatal(err)

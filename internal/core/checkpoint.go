@@ -21,7 +21,7 @@ import (
 // runKey fingerprints the inputs that shape the optimization model: the
 // workload and scenario digests, K, the decomposition spec, and the solver
 // options that change the model itself (α, partial clustering).
-// Budgets (TimeLimit, iteration limits) and Parallelism are deliberately
+// Budgets (MaxNodes, iteration limits) and Parallelism are deliberately
 // excluded: re-running with a larger budget or different core count must be
 // allowed to resume the same journal — the subproblems are the same, only
 // how long we work on them differs.

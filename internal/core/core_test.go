@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"time"
 
 	"fragalloc/internal/mip"
 	"fragalloc/internal/model"
@@ -311,14 +310,19 @@ func TestInputValidation(t *testing.T) {
 	}
 }
 
-func TestTimeBudgetStillFeasible(t *testing.T) {
+// TestNodeBudgetStillFeasible: a node budget that stops the search short
+// of a proof still yields a complete, valid allocation.
+func TestNodeBudgetStillFeasible(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	w := randomWorkload(rng, 40, 30)
 	res, err := Allocate(w, nil, 4, Options{
-		MIP: mip.Options{TimeLimit: 50 * time.Millisecond},
+		MIP: mip.Options{MaxNodes: 5},
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.Exact {
+		t.Error("a 5-node budget proved the K=4 split optimal; it no longer binds")
 	}
 	checkResult(t, w, nil, res)
 }

@@ -34,11 +34,11 @@ type Options struct {
 	// on a shared worker pool of this size. 0 means runtime.GOMAXPROCS(0);
 	// 1 forces the serial driver. The allocation and shares are identical
 	// for every value — concurrency changes scheduling, never arithmetic —
-	// though solves under a wall-clock TimeLimit remain timing-dependent,
-	// exactly as they already are serially.
+	// since every budget counts work; only a Canceled that fires mid-run
+	// makes a result depend on timing.
 	Parallelism int
-	// MIP passes budgets (time limit, node limit, gap) to each subproblem
-	// solve. A TimeLimit applies per subproblem. Its Canceled, LP.Canceled
+	// MIP passes budgets (node limit, stall rule, gap) to each subproblem
+	// solve. MaxNodes applies per subproblem. Its Canceled, LP.Canceled
 	// and Logf are not read: every subproblem solve is handed Canceled and
 	// Logf below in their place.
 	MIP mip.Options

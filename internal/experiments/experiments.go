@@ -43,7 +43,8 @@ type Config struct {
 	// Bench selects a minimal row set for the testing.B benchmarks: one or
 	// two rows per table, exercising the same code paths end to end.
 	Bench bool
-	// Budget is the MIP time budget per subproblem; 0 means no limit.
+	// Budget is the MIP budget per subproblem, converted to nodes by
+	// mip.NodeBudget; 0 means no limit.
 	Budget time.Duration
 	// MaxQ truncates the accounting workload to its heaviest MaxQ queries
 	// for the LP-based approaches of Table 1b, whose full-Q LPs exceed
@@ -206,10 +207,10 @@ func (c Config) table(title, header string, n int, row func(i int, opts core.Opt
 	t := newTable(c.Out)
 	fmt.Fprintln(t, header)
 	rowPar, innerPar := c.rowPool(n)
-	// Each subproblem gets a wall-clock cap plus a stall rule, so easy
+	// Each subproblem gets a node budget plus a stall rule, so easy
 	// instances return quickly and hard ones use the full budget — the
 	// paper's runtime contrast. core hands Canceled to every search and LP.
-	opts := core.Options{Parallelism: innerPar, MIP: mip.Options{TimeLimit: c.Budget, MaxStallNodes: 150}, Logf: c.coreLogf(), Canceled: c.Canceled}
+	opts := core.Options{Parallelism: innerPar, MIP: mip.Options{MaxNodes: mip.NodeBudget(c.Budget), MaxStallNodes: 150}, Logf: c.coreLogf(), Canceled: c.Canceled}
 	lines := make([]string, n)
 	err := runRows(rowPar, n, func(i int) (err error) {
 		lines[i], err = row(i, opts)

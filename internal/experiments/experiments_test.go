@@ -14,7 +14,7 @@ func benchCfg(workload string, buf *bytes.Buffer) Config {
 	return Config{
 		Workload:    workload,
 		Bench:       true,
-		Budget:      time.Second,
+		Budget:      400 * time.Millisecond, // 50 nodes a subproblem: quick under -race
 		OutOfSample: 3,
 		MaxQ:        80,
 		Seed:        1,
@@ -201,9 +201,10 @@ func maskDurations(out string) string {
 }
 
 // TestTablesGolden pins the rendered rows of the five solver-backed tables:
-// the Bench row sets on TPC-DS under a budget no solve reaches (the stall
-// rule ends each one, so the search is deterministic), with the wall-clock
-// columns masked. Serial rows and fanned-out rows must print the same bytes.
+// the Bench row sets on TPC-DS under a budget no solve reaches (an hour buys
+// 446 400 nodes; the stall rule ends each search first), with the
+// wall-clock columns masked. Serial rows and fanned-out rows must print the
+// same bytes.
 func TestTablesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("solves every Bench row of five tables twice")

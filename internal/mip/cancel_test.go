@@ -3,7 +3,6 @@ package mip
 import (
 	"math/rand"
 	"testing"
-	"time"
 
 	"fragalloc/internal/faultinject"
 	"fragalloc/internal/simplex"
@@ -63,12 +62,11 @@ func TestCanceledMidSearch(t *testing.T) {
 	}
 }
 
-// TestDeadlineInsideLongLP: regression for time checks living only at node
-// boundaries. The root LP here is large enough to run many simplex
-// iterations; an already-expired deadline must be detected inside that
-// first LP solve (the chunked wall-clock poll fires within a bounded number
-// of iterations) rather than only after the root completes.
-func TestDeadlineInsideLongLP(t *testing.T) {
+// TestCanceledInsideLongLP: regression for stop checks living only at node
+// boundaries. The root LP here runs many simplex iterations; a hook that
+// turns true a few polls in must stop that first LP solve within a bounded
+// number of pivots rather than only after the root completes.
+func TestCanceledInsideLongLP(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	p := &simplex.Problem{}
 	n, m := 150, 120
@@ -83,19 +81,26 @@ func TestDeadlineInsideLongLP(t *testing.T) {
 		}
 		p.AddRow(idx, coef, simplex.LE, float64(n)/8)
 	}
-	start := time.Now()
-	res, err := Solve(p, idx, Options{TimeLimit: time.Nanosecond})
-	elapsed := time.Since(start)
+	const after = 8
+	full, err := Solve(p, idx, Options{MaxNodes: 1})
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
-	if res.Status != StatusNoSolution && res.Status != StatusFeasible && res.Status != StatusOptimal {
-		t.Errorf("status = %v", res.Status)
+	if full.LPIters <= 4*after {
+		t.Fatalf("the root LP takes %d pivots; too short to test a stop inside it", full.LPIters)
 	}
-	// The root LP alone takes far longer than the deadline; the in-LP poll
-	// must cut it off long before a full solve would finish.
-	if elapsed > 5*time.Second {
-		t.Errorf("deadline overshoot: solve took %v with a 1ns limit", elapsed)
+	in := faultinject.New(faultinject.Plan{CancelAfter: after})
+	res, err := Solve(p, idx, Options{Canceled: in.Canceled})
+	if err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	if res.Status != StatusNoSolution {
+		t.Errorf("status = %v, want no-solution when canceled inside the root LP", res.Status)
+	}
+	// The stop hook polls Canceled once per pivot, so the LP stops at the
+	// after-th poll: a handful of pivots, against the full root's count.
+	if res.LPIters > after {
+		t.Errorf("canceled at poll %d, the root LP still ran %d pivots (uncanceled: %d)", after, res.LPIters, full.LPIters)
 	}
 }
 

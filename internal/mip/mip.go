@@ -32,9 +32,9 @@
 //     problem — every bound and row checked at simplex.FeasTol — is priced
 //     as it stands, any other is completed by an LP over the continuous
 //     variables with its integer entries fixed, and
-//   - wall-clock and node budgets with proven-bound and gap reporting, so
-//     callers can trade solution quality for time exactly like the paper
-//     trades Gurobi time for memory quality.
+//   - node budgets with proven-bound and gap reporting, so callers can
+//     trade solution quality for work exactly like the paper trades Gurobi
+//     time for memory quality, with answers that no machine load changes.
 //
 // # Concurrency
 //
@@ -163,12 +163,8 @@ func CountStart(res *simplex.Result, stood, cold *int) (refused string) {
 // Options tune the branch-and-bound search. The zero value uses the
 // defaults noted per field.
 type Options struct {
-	// TimeLimit bounds the wall-clock search time; 0 means no limit. The
-	// search's stop hook (see Canceled) compares the clock with it at every
-	// node head and every 32nd poll, inside LP solves too, and stops the
-	// search for good once it has passed.
-	TimeLimit time.Duration
-	// MaxNodes bounds the number of nodes; 0 means 1 << 30.
+	// MaxNodes, the search's one budget, bounds the number of nodes; 0
+	// means 1 << 30. NodeBudget converts a duration to it.
 	MaxNodes int
 	// RelGap is the relative optimality gap at which the search stops
 	// (default 1e-6). Zero selects the default; pass a negative value to
@@ -185,9 +181,9 @@ type Options struct {
 	// root and every roundingEvery nodes during the search.
 	Rounding func(x []float64) []float64
 	// MaxStallNodes, if positive, stops the search once this many nodes
-	// have been explored without an incumbent improvement — an adaptive
-	// stand-in for a time limit: easy instances converge and return in
-	// seconds, hard ones keep the full budget.
+	// have been explored without an incumbent improvement, so easy
+	// instances return long before MaxNodes and hard ones keep the full
+	// budget.
 	MaxStallNodes int
 	// Priority, if non-nil, biases branching: until pseudocosts are
 	// initialized, among fractional integer variables the one with the
@@ -223,17 +219,17 @@ type Options struct {
 	Canceled func() bool
 	// Checkpoint, when non-nil, receives a copy of the incumbent, in the
 	// caller's coordinates, once CheckpointEvery has passed since the last
-	// call, judged on the clock reading the stop hook takes for TimeLimit:
-	// at node heads and inside long LP solves, so even a single
+	// call, judged on a clock reading the stop hook takes every 32nd poll
+	// (see Canceled), inside long LP solves too, so even a single
 	// multi-minute LP checkpoints on schedule. It is not called while the
 	// search has no incumbent. The callback observes the search without
 	// influencing it, so a checkpointed solve is bit-identical to an
 	// unobserved one. Called only from the goroutine driving Solve.
 	Checkpoint func(x []float64)
 	// CheckpointEvery is the minimum interval between Checkpoint calls
-	// (default 30s). Only consulted when Checkpoint is non-nil. Every
-	// journalled solve — allocate, paper, allocd — runs at the default; only
-	// tests shorten it.
+	// (default 30s), the search's one use of the clock. Only consulted
+	// when Checkpoint is non-nil. Every journalled solve — allocate,
+	// paper, allocd — runs at the default; only tests shorten it.
 	CheckpointEvery time.Duration
 	// Logf, if non-nil, receives progress lines.
 	Logf func(format string, args ...any)
@@ -246,11 +242,31 @@ const (
 	// relative Options.RelGap; intTol is the integrality tolerance.
 	absGap = 1e-9
 	intTol = 1e-6
+	// maxNodes is MaxNodes' default and NodeBudget's cap.
+	maxNodes = 1 << 30
 )
+
+// NodesPerSecond is NodeBudget's fixed rate: the median mip.nodes_per_s of
+// the three table rows in `go run ./bench trace -seed 1` (123.6, 365.2 and
+// 103.9/s on a 2-core Intel Xeon at GOMAXPROCS 1, go1.24).
+const NodesPerSecond = 124
+
+// NodeBudget converts a duration to MaxNodes at NodesPerSecond, rounding up
+// so that any positive duration buys a node; 0 or less is 0, no limit, and
+// a count past 1 << 30 is capped there.
+func NodeBudget(d time.Duration) int {
+	if d <= 0 {
+		return 0
+	}
+	if d >= maxNodes*time.Second/NodesPerSecond {
+		return maxNodes
+	}
+	return int((d*NodesPerSecond + time.Second - 1) / time.Second)
+}
 
 func (o Options) withDefaults() Options {
 	if o.MaxNodes == 0 {
-		o.MaxNodes = 1 << 30
+		o.MaxNodes = maxNodes
 	}
 	// A float field's zero value cannot say "no gap", so zero means the
 	// default and a negative value an explicit zero.
@@ -333,15 +349,11 @@ func Solve(p *simplex.Problem, intVars []int, opt Options) (*Result, error) {
 	}
 	s.initPriority()
 	s.initPseudocost()
-	now := time.Now()
-	if opt.TimeLimit > 0 {
-		s.deadline = now.Add(opt.TimeLimit)
-	}
 	// The first Checkpoint comes CheckpointEvery after the start.
-	s.lastCkpt = now
+	s.lastCkpt = time.Now()
 	// Every LP the search builds (s.lp here, s.heur lazily) polls the
-	// search's one stop hook, so a deadline or a caller cancellation
-	// interrupts even a single long LP solve.
+	// search's one stop hook, so a caller cancellation interrupts even a
+	// single long LP solve.
 	s.opt.LP.Canceled = s.stop
 	var err error
 	s.lp, err = simplex.NewSolver(work, s.opt.LP)
@@ -356,35 +368,23 @@ const pollEvery = 32
 
 // stop is the search's one stop hook: the node loop calls it, and Solve
 // installs it as LP.Canceled, so every LP of the search polls it too. Each
-// call polls Options.Canceled once, and every pollEvery-th call reads the
-// clock (tick), so an expired TimeLimit stops even one long LP within a
-// bounded number of iterations. Called only from the goroutine driving this
-// Solve, so the plain counter is safe.
+// call polls Options.Canceled once. Every pollEvery-th call with a
+// Checkpoint installed and an incumbent reads the clock and, once
+// CheckpointEvery has passed since the last call, hands the callback a
+// fresh copy of the incumbent (restore allocates), so even one long LP
+// checkpoints on schedule; the callback cannot perturb the search. Called
+// only from the goroutine driving this Solve, so the plain counter is safe.
 func (s *search) stop() bool {
 	if s.opt.Canceled != nil && s.opt.Canceled() {
 		return true
 	}
-	if s.polls++; s.polls%pollEvery == 0 {
-		s.tick()
+	if s.polls++; s.polls%pollEvery == 0 && s.opt.Checkpoint != nil && s.hasInc {
+		if now := time.Now(); now.Sub(s.lastCkpt) >= s.opt.CheckpointEvery {
+			s.lastCkpt = now
+			s.opt.Checkpoint(s.ps.restore(s.incumbent))
+		}
 	}
-	return s.expired
-}
-
-// tick reads the clock once, at a node head or on a pollEvery-th stop poll,
-// and that reading serves both of its uses: the Checkpoint callback, due
-// when CheckpointEvery has passed since the last one and there is an
-// incumbent, and the TimeLimit deadline, which latches once it has passed.
-// The callback gets a fresh copy of the incumbent (restore allocates) and
-// cannot perturb the search.
-func (s *search) tick() {
-	now := time.Now()
-	if s.opt.Checkpoint != nil && s.hasInc && now.Sub(s.lastCkpt) >= s.opt.CheckpointEvery {
-		s.lastCkpt = now
-		s.opt.Checkpoint(s.ps.restore(s.incumbent))
-	}
-	if !s.deadline.IsZero() && now.After(s.deadline) {
-		s.expired = true
-	}
+	return false
 }
 
 type search struct {
@@ -426,9 +426,7 @@ type search struct {
 	// bound remains valid for its subtree, so folding it into the global
 	// bound keeps the reported Bound honest when exact is false.
 	skippedBound float64
-	deadline     time.Time // TimeLimit after the start; zero without one
-	expired      bool      // a clock reading passed deadline (latched)
-	polls        int       // stop calls, for the pollEvery clock cadence
+	polls        int // stop calls, for the pollEvery clock cadence
 }
 
 func (s *search) logf(format string, args ...any) {
@@ -707,7 +705,6 @@ func (s *search) run() (*Result, error) {
 	heap.Push(open, &node{bound: rootBound, bvar: -1})
 
 	for !open.empty() {
-		s.tick()
 		globalBound := math.Min(open.peekBound(), s.skippedBound)
 		if s.hasInc {
 			globalBound = math.Min(globalBound, s.incObj)

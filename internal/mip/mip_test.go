@@ -379,9 +379,9 @@ func TestZeroGapOptions(t *testing.T) {
 	}
 }
 
-func TestTimeLimit(t *testing.T) {
+func TestNodeLimit(t *testing.T) {
 	// A larger knapsack with a nearly-degenerate LP that needs some nodes;
-	// with an absurdly small time limit we should still get a clean status.
+	// with a one-node budget we should still get a clean status.
 	rng := rand.New(rand.NewSource(5))
 	p := &simplex.Problem{}
 	n := 30
@@ -392,14 +392,40 @@ func TestTimeLimit(t *testing.T) {
 		wts = append(wts, 1+rng.Float64())
 	}
 	p.AddRow(idx, wts, simplex.LE, 7.5)
-	res, err := Solve(p, idx, Options{TimeLimit: time.Nanosecond})
+	res, err := Solve(p, idx, Options{MaxNodes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Status != StatusFeasible && res.Status != StatusNoSolution && res.Status != StatusOptimal {
 		t.Errorf("status = %v", res.Status)
 	}
+	if res.Nodes > 1 {
+		t.Errorf("%d nodes under a one-node budget", res.Nodes)
+	}
 	if res.Status == StatusFeasible && res.Bound > res.Obj+1e-9 {
 		t.Errorf("bound %g exceeds incumbent %g", res.Bound, res.Obj)
+	}
+}
+
+// TestNodeBudget pins the conversion of a duration budget to MaxNodes.
+func TestNodeBudget(t *testing.T) {
+	for _, tc := range []struct {
+		d    time.Duration
+		want int
+	}{
+		{0, 0},
+		{-time.Second, 0},
+		{time.Nanosecond, 1},
+		{time.Second / NodesPerSecond, 1},
+		{time.Second, NodesPerSecond},
+		{time.Second + time.Nanosecond, NodesPerSecond + 1},
+		{30 * time.Second, 30 * NodesPerSecond},
+		{time.Hour, 3600 * NodesPerSecond},
+		{maxNodes * time.Second / NodesPerSecond, maxNodes},
+		{math.MaxInt64, maxNodes},
+	} {
+		if got := NodeBudget(tc.d); got != tc.want {
+			t.Errorf("NodeBudget(%v) = %d, want %d", tc.d, got, tc.want)
+		}
 	}
 }

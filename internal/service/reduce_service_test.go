@@ -13,14 +13,15 @@ import (
 // reducedConfig is the shared fixture for the reduction lifecycle tests: a
 // 12-scenario in-sample set clustered down to 4 representatives, with the
 // default re-cluster threshold (0.25 × 12 → dirty after the 4th fold). The
-// multi-scenario solves get a hard MIP budget — budget-terminated solves
+// multi-scenario solves get a stall rule and a node budget — stopped solves
 // adopt as "feasible", and these tests assert reduction mechanics, not
-// optimality — so the suite stays fast under -race.
+// optimality — so the suite stays fast under -race. The stall rule ends
+// every search first (at most 225 nodes a split).
 func reducedConfig(t testing.TB) Config {
 	cfg := serviceConfig(t)
 	cfg.Scenarios = scenario.InSample(cfg.Workload, 12, 0.6, 3)
 	cfg.ReduceTo = 4
-	cfg.MIP = mip.Options{TimeLimit: 3 * time.Second, RelGap: 1e-6, MaxStallNodes: 100}
+	cfg.MIP = mip.Options{MaxNodes: 500, RelGap: 1e-6, MaxStallNodes: 100}
 	return cfg
 }
 
