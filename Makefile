@@ -76,9 +76,10 @@ bench-paper:
 	$(GO) test -bench . -benchmem -run NONE .
 
 # Every test that pins the search trajectory: the pipeline, simplex, table
-# and service-transcript goldens and the Example outputs. A change that
-# moves a pivot runs this to see, and re-record, everything it moved in one
-# place (~50 s). Not part of `make check`, which runs them all anyway.
+# and service-transcript goldens, the LP export golden and the Example
+# outputs. A change that moves a pivot runs this to see, and re-record,
+# everything it moved in one place (~50 s). Not part of `make check`, which
+# runs them all anyway.
 goldens:
 	$(GO) test -run 'Golden|^Example' ./...
 

@@ -2,12 +2,14 @@ package core
 
 import (
 	"bytes"
+	"hash/fnv"
 	"regexp"
 	"strings"
 	"testing"
 
 	"fragalloc/internal/accounting"
 	"fragalloc/internal/model"
+	"fragalloc/internal/scenario"
 	"fragalloc/internal/tpcds"
 )
 
@@ -77,5 +79,25 @@ func TestExportLPBuiltinNamesUnchanged(t *testing.T) {
 				t.Errorf("%s query %d (%q) exported as %s", w.Name, j, q.Name, queries[j])
 			}
 		}
+	}
+}
+
+// TestExportLPGolden pins the bytes ExportLP writes for TPC-DS with K=2,
+// 47 fixed queries and two scenarios: x lower bounds of 1 on node 0, the
+// fixed load on node 0's balance right-hand sides, and a z column and a
+// balance row per scenario. A change to how the model is built or named
+// that moves the LP file moves this digest.
+func TestExportLPGolden(t *testing.T) {
+	const want uint64 = 0x2108b083a1a78d3c
+	w := tpcds.Workload()
+	ss := scenario.InSample(w, 2, scenario.DefaultP, 1)
+	var buf bytes.Buffer
+	if err := ExportLP(&buf, w, ss, 2, Options{FixedQueries: 47}); err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(buf.Bytes())
+	if got := h.Sum64(); got != want {
+		t.Errorf("LP file digest %#x (%d bytes), want %#x", got, buf.Len(), want)
 	}
 }
