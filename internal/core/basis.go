@@ -10,7 +10,8 @@ import (
 
 // This file is how a subproblem hands an optimal simplex basis on from one
 // solve to the next solve of the same subproblem id, through the journal, by
-// role (roles, journalBasis, carriedBasis; DESIGN.md §3.11). The MIP root
+// the role build records with each column and row (journalBasis,
+// carriedBasis; DESIGN.md §3.11). The MIP root
 // takes the dive's root basis as it stands, since both solve one LP
 // (subproblem.solve).
 
@@ -59,85 +60,44 @@ const (
 	roleConserve              // row (7): query ID, scenario
 )
 
-// roles names the columns and then the rows of build by role, in index
-// order.
-func (sp *subproblem) roles(ix *indices) []checkpoint.Role {
-	b, S := int32(ix.b), int32(sp.ss.S())
-	var out []checkpoint.Role
-	for _, i := range ix.frags {
-		for bb := range b {
-			out = append(out, checkpoint.Role{roleX, int32(i), bb})
-		}
-	}
-	for _, j := range sp.flexQ {
-		for bb := range b {
-			out = append(out, checkpoint.Role{roleY, int32(j), bb})
-		}
-	}
-	for _, rt := range sp.routes {
-		for bb := range b {
-			out = append(out, checkpoint.Role{roleZ, int32(rt.j), int32(rt.s), bb})
-		}
-	}
-	out = append(out, checkpoint.Role{roleL})
-	for _, j := range sp.flexQ {
-		for bb := range b {
-			out = append(out, checkpoint.Role{roleCover, int32(j), bb})
-		}
-	}
-	for _, rt := range sp.routes {
-		for bb := range b {
-			out = append(out, checkpoint.Role{roleLink, int32(rt.j), int32(rt.s), bb})
-		}
-	}
-	for bb := range b {
-		for s := range S {
-			out = append(out, checkpoint.Role{roleBalance, bb, s})
-		}
-	}
-	for _, rt := range sp.routes {
-		out = append(out, checkpoint.Role{roleConserve, int32(rt.j), int32(rt.s)})
-	}
-	return out
-}
-
-// journalBasis names basis b of the model whose columns and then rows
-// roles names, in index order, by role.
-func journalBasis(b *simplex.Basis, roles []checkpoint.Role) *checkpoint.Basis {
+// journalBasis names basis b of the model ix lays out by role.
+func journalBasis(b *simplex.Basis, ix *indices) *checkpoint.Basis {
 	out := &checkpoint.Basis{}
 	for j, st := range b.Cols {
 		switch st {
 		case simplex.Basic:
-			out.Basic = append(out.Basic, roles[j])
+			out.Basic = append(out.Basic, ix.cols[j])
 		case simplex.AtUpper:
-			out.Upper = append(out.Upper, roles[j])
+			out.Upper = append(out.Upper, ix.cols[j])
 		}
 	}
-	rows := roles[len(b.Cols):]
 	for r, st := range b.Rows {
 		if st != simplex.Basic {
-			out.Tight = append(out.Tight, rows[r])
+			out.Tight = append(out.Tight, ix.rows[r])
 		}
 	}
 	return out
 }
 
-// carriedBasis maps a journaled basis onto the model whose n columns and
-// then rows roles names. A column or row the journal names takes its
-// journaled status; the others take the journal's defaults — a column
-// nonbasic at its natural bound, a row with its slack basic, the textbook
-// start for a column or row added to a model — and SolveFrom repairs what
-// that leaves. It returns nil when cb is nil or names no basic column of
-// the model.
-func carriedBasis(cb *checkpoint.Basis, roles []checkpoint.Role, n int) *simplex.Basis {
+// carriedBasis maps a journaled basis onto the model ix lays out. A column
+// or row the journal names takes its journaled status; the others take the
+// journal's defaults — a column nonbasic at its natural bound, a row with
+// its slack basic, the textbook start for a column or row added to a model
+// — and SolveFrom repairs what that leaves. It returns nil when cb is nil
+// or names no basic column of the model.
+func carriedBasis(cb *checkpoint.Basis, ix *indices) *simplex.Basis {
 	if cb == nil {
 		return nil
 	}
-	at := make(map[checkpoint.Role]int, len(roles))
-	for i, r := range roles {
-		at[r] = i
+	n := len(ix.cols)
+	at := make(map[checkpoint.Role]int, n+len(ix.rows))
+	for j, r := range ix.cols {
+		at[r] = j
 	}
-	b := &simplex.Basis{Cols: make([]simplex.BasisStatus, n), Rows: make([]simplex.BasisStatus, len(roles)-n)}
+	for i, r := range ix.rows {
+		at[r] = n + i
+	}
+	b := &simplex.Basis{Cols: make([]simplex.BasisStatus, n), Rows: make([]simplex.BasisStatus, len(ix.rows))}
 	matched := false
 	for _, r := range cb.Basic {
 		if j, ok := at[r]; ok && j < n {

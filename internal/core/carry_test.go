@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,8 +14,13 @@ import (
 	"fragalloc/internal/tpcds"
 )
 
-// TestRolesNameTheModel checks that roles names every column and row of the
-// dive's LP, each once.
+// TestRolesNameTheModel checks that build records one role for every column
+// and row of the dive's LP, each role once, and that each names what build
+// made at its index: an x column costs its fragment's size over V, a y
+// column is binary, a z column is bounded by its route's inherited share, L
+// costs α with no upper bound; a cover row (4) is ≥ with −|q_j| on its y, a
+// link row (5) is ≤ over two terms, a balance row (6) is ≤ and ends in −L,
+// and a conservation row (7) is = to its route's share.
 func TestRolesNameTheModel(t *testing.T) {
 	for _, c := range rootCases() {
 		sp, err := newRoot(c.w, c.ss, c.k, Options{FixedQueries: c.fixed})
@@ -22,17 +28,62 @@ func TestRolesNameTheModel(t *testing.T) {
 			t.Fatal(err)
 		}
 		sp.split(mustChunks(t, c.spec))
-		p, ix, _ := sp.build()
-		roles := sp.roles(ix)
-		if len(roles) != p.NumVars+len(p.Rows) {
-			t.Fatalf("%s: %d roles for %d columns and %d rows", c.name, len(roles), p.NumVars, len(p.Rows))
+		p, ix, intVars := sp.build()
+		if len(ix.cols) != p.NumVars || len(ix.rows) != len(p.Rows) {
+			t.Fatalf("%s: %d column and %d row roles for %d columns and %d rows", c.name, len(ix.cols), len(ix.rows), p.NumVars, len(p.Rows))
 		}
-		seen := make(map[checkpoint.Role]bool, len(roles))
-		for _, r := range roles {
-			if seen[r] {
+		col := make(map[checkpoint.Role]int, len(ix.cols)+len(ix.rows)) // a row's role maps past the columns
+		for i, r := range slices.Concat(ix.cols, ix.rows) {
+			if _, ok := col[r]; ok {
 				t.Fatalf("%s: role %v named twice", c.name, r)
 			}
-			seen[r] = true
+			col[r] = i
+		}
+		isInt := make(map[int]bool, len(intVars))
+		for _, j := range intVars {
+			isInt[j] = true
+		}
+		for j, r := range ix.cols {
+			var ok bool
+			switch r[0] {
+			case roleX:
+				ok = p.Obj[j] == c.w.Fragments[r[1]].Size/sp.vNorm
+			case roleY:
+				ok = isInt[j]
+			case roleZ:
+				ok = p.UB[j] == sp.shares[r[2]][r[1]]
+			case roleL:
+				ok = p.Obj[j] == alpha && math.IsInf(p.UB[j], 1)
+			}
+			if !ok {
+				t.Errorf("%s: column %d (obj %v, bounds [%v,%v]) is not what role %v names", c.name, j, p.Obj[j], p.LB[j], p.UB[j], r)
+			}
+		}
+		for i, r := range ix.rows {
+			row, rel, rhs := p.Rows[i], p.Rel[i], p.RHS[i]
+			coef := func(role checkpoint.Role) float64 {
+				for k, j := range row.Idx {
+					if j == col[role] {
+						return row.Coef[k]
+					}
+				}
+				return 0
+			}
+			var ok bool
+			switch r[0] {
+			case roleCover:
+				ok = rel == simplex.GE && coef(checkpoint.Role{roleY, r[1], r[2]}) == -float64(len(c.w.Queries[r[1]].Fragments))
+			case roleLink:
+				ok = rel == simplex.LE && len(row.Idx) == 2
+			case roleBalance:
+				last := len(row.Idx) - 1
+				ok = rel == simplex.LE && row.Idx[last] == col[checkpoint.Role{roleL}] && row.Coef[last] == -1
+			case roleConserve:
+				ok = rel == simplex.EQ && rhs == sp.shares[r[2]][r[1]]
+			}
+			if !ok {
+				t.Errorf("%s: row %d (%v %v, %d terms) is not what role %v names", c.name, i, rel, rhs, len(row.Idx), r)
+			}
 		}
 	}
 }
@@ -52,8 +103,7 @@ func TestCarriedBasisRestartsTheRelaxation(t *testing.T) {
 		if cold == nil {
 			t.Fatalf("%s: relaxation failed", c.name)
 		}
-		roles := sp.roles(ix)
-		from := carriedBasis(journalBasis(lp.Basis(), roles), roles, p.NumVars)
+		from := carriedBasis(journalBasis(lp.Basis(), ix), ix)
 		_, warm, starts := relaxation(p, simplex.Options{}, from, nil)
 		if warm == nil || warm.Iters != 0 || math.Abs(warm.Obj-cold.Obj) > 1e-9*math.Abs(cold.Obj) {
 			t.Fatalf("%s: from the carried basis %v; want the cold optimum %v in 0 pivots", c.name, warm != nil, cold.Obj)

@@ -9,12 +9,13 @@ import (
 )
 
 // ExportLP writes the exact allocation MIP — model (3)–(7) for K subnodes,
-// including the partial clustering of opt.FixedQueries — in CPLEX LP format, with readable variable names
-// (x_<fragment>_n<node>, y_<query>_n<node>, z_<query>_n<node>_s<scenario>,
-// L). The export allows cross-checking this repository's solver against
-// external ones such as Gurobi, which the reproduced paper used.
-// Decomposition (opt.Chunks) is not reflected: the export is always the
-// single flat model the decomposition approximates.
+// including the partial clustering of opt.FixedQueries — in CPLEX LP format.
+// Each column is named from the role build recorded for it:
+// x_<fragment>_n<node>, y_<query>_n<node>, z_<query>_n<node>_s<scenario>
+// and L; rows keep the writer's c<row>. The export allows cross-checking
+// this repository's solver against external ones such as Gurobi, which the
+// reproduced paper used. Decomposition (opt.Chunks) is not reflected: the
+// export is always the single flat model the decomposition approximates.
 func ExportLP(out io.Writer, w *model.Workload, ss *model.ScenarioSet, k int, opt Options) error {
 	root, err := newRoot(w, ss, k, opt)
 	if err != nil {
@@ -23,26 +24,21 @@ func ExportLP(out io.Writer, w *model.Workload, ss *model.ScenarioSet, k int, op
 	root.split(Flat(k))
 	p, ix, intVars := root.build()
 
-	names := make([]string, p.NumVars)
 	fragName := entityNames(len(w.Fragments), func(i int) string { return w.Fragments[i].Name }, "f")
 	queryName := entityNames(len(w.Queries), func(j int) string { return w.Queries[j].Name }, "q")
-	for fi, i := range ix.frags {
-		for b := 0; b < k; b++ {
-			names[ix.x(fi, b)] = fmt.Sprintf("x_%s_n%d", fragName[i], b)
+	names := make([]string, len(ix.cols))
+	for c, r := range ix.cols {
+		switch r[0] {
+		case roleX:
+			names[c] = fmt.Sprintf("x_%s_n%d", fragName[r[1]], r[2])
+		case roleY:
+			names[c] = fmt.Sprintf("y_%s_n%d", queryName[r[1]], r[2])
+		case roleZ:
+			names[c] = fmt.Sprintf("z_%s_n%d_s%d", queryName[r[1]], r[3], r[2])
+		case roleL:
+			names[c] = "L"
 		}
 	}
-	for q, j := range root.flexQ {
-		for b := 0; b < k; b++ {
-			names[ix.y(q, b)] = fmt.Sprintf("y_%s_n%d", queryName[j], b)
-		}
-	}
-	for r, rt := range root.routes {
-		for b := 0; b < k; b++ {
-			names[ix.z(r, b)] = fmt.Sprintf("z_%s_n%d_s%d", queryName[rt.j], b, rt.s)
-		}
-	}
-	names[ix.l] = "L"
-
 	return lpfile.Write(out, p, intVars, names)
 }
 

@@ -41,6 +41,7 @@ type subproblem struct {
 	shares     [][]float64 // z̄[s][query]: inherited share per scenario
 	hasFixed   bool        // subnode 0 contains global leaf 0
 
+	pinned  []bool    // pinned[i]: fragment i stays on subnode 0 for a fixed query that carries load
 	routes  []route   // the (flexible query, scenario) pairs that carry load, ascending
 	routeAt []int     // routeAt[q·S+s]: position of that pair in routes, or -1
 	load    []float64 // expected load per flexQ position
@@ -55,11 +56,22 @@ type route struct {
 	j, s int // query ID, scenario
 }
 
-// index derives the positional tables from flexQ and shares. Queries are
+// index derives the positional tables from flexQ and shares, and the
+// fragments the fixed queries pin to subnode 0 from fixedQ. Queries are
 // ranked by expected load with a stable sort, so equal loads keep ascending
 // query order.
 func (sp *subproblem) index() *subproblem {
 	S := sp.ss.S()
+	sp.pinned = make([]bool, len(sp.w.Fragments))
+	if sp.hasFixed {
+		for _, j := range sp.fixedQ {
+			if sp.fixedRuns(j) {
+				for _, i := range sp.w.Queries[j].Fragments {
+					sp.pinned[i] = true
+				}
+			}
+		}
+	}
 	sp.routeAt = make([]int, len(sp.flexQ)*S)
 	sp.load = make([]float64, len(sp.flexQ))
 	sp.byLoad = make([]int, len(sp.flexQ))
@@ -103,18 +115,34 @@ func (sp *subproblem) clone() *subproblem {
 	return &cp
 }
 
-// indices is the column layout of a subproblem LP: x by fragment × subnode,
-// then y by flexQ position × subnode, then z by route × subnode, then L.
+// indices is the layout of a subproblem LP: its columns x by fragment ×
+// subnode, then y by flexQ position × subnode, then z by route × subnode,
+// then L, and the role of each column and each row, recorded as addVar and
+// addRow add them.
 type indices struct {
 	b      int   // number of subnodes
 	frags  []int // active fragment IDs, in column order
 	y0, z0 int   // first y column, first z column
 	l      int
+
+	cols, rows []checkpoint.Role // by column, by row
 }
 
 func (ix *indices) x(fi, bb int) int { return fi*ix.b + bb }
 func (ix *indices) y(q, bb int) int  { return ix.y0 + q*ix.b + bb }
 func (ix *indices) z(r, bb int) int  { return ix.z0 + r*ix.b + bb }
+
+// addVar adds a column with role to p and returns its index.
+func (ix *indices) addVar(p *simplex.Problem, role checkpoint.Role, lb, ub, obj float64) int {
+	ix.cols = append(ix.cols, role)
+	return p.AddVar(lb, ub, obj)
+}
+
+// addRow adds a row with role to p.
+func (ix *indices) addRow(p *simplex.Problem, role checkpoint.Role, idx []int, coef []float64, rel simplex.Relation, rhs float64) {
+	ix.rows = append(ix.rows, role)
+	p.AddRow(idx, coef, rel, rhs)
+}
 
 // build constructs the MIP in the reformulated shape described in DESIGN.md:
 // y binary, x continuous in [0,1] (the aggregated coverage rows (4) force x
@@ -130,19 +158,8 @@ func (sp *subproblem) build() (*simplex.Problem, *indices, []int) {
 		}
 	}
 
-	// x variables. Fragments required by fixed queries get lb=1 on subnode 0,
+	// x variables. Fragments pinned by fixed queries get lb=1 on subnode 0,
 	// which encodes the consequence of constraint (9) directly.
-	forced := make([]bool, len(sp.w.Fragments))
-	if sp.hasFixed {
-		for _, j := range sp.fixedQ {
-			if !sp.fixedRuns(j) {
-				continue
-			}
-			for _, i := range sp.w.Queries[j].Fragments {
-				forced[i] = true
-			}
-		}
-	}
 	fragCol := make([]int, len(sp.w.Fragments)) // fragment ID -> column base
 	for i := range fragCol {
 		fragCol[i] = -1
@@ -151,34 +168,28 @@ func (sp *subproblem) build() (*simplex.Problem, *indices, []int) {
 		fragCol[i] = fi
 		for bb := 0; bb < b; bb++ {
 			lb := 0.0
-			if bb == 0 && forced[i] {
+			if bb == 0 && sp.pinned[i] {
 				lb = 1
 			}
-			p.AddVar(lb, 1, sp.w.Fragments[i].Size/sp.vNorm)
+			ix.addVar(p, checkpoint.Role{roleX, int32(i), int32(bb)}, lb, 1, sp.w.Fragments[i].Size/sp.vNorm)
 		}
 	}
 
 	// y variables (binary) for flexible queries.
 	ix.y0 = p.NumVars
 	intVars := make([]int, 0, len(sp.flexQ)*b)
-	for range sp.flexQ {
+	for _, j := range sp.flexQ {
 		for bb := 0; bb < b; bb++ {
-			intVars = append(intVars, p.AddVar(0, 1, 0))
+			intVars = append(intVars, ix.addVar(p, checkpoint.Role{roleY, int32(j), int32(bb)}, 0, 1, 0))
 		}
 	}
 
-	// z variables, one per route and subnode.
-	ix.z0 = p.NumVars
-	for _, rt := range sp.routes {
-		for bb := 0; bb < b; bb++ {
-			p.AddVar(0, sp.shares[rt.s][rt.j], 0)
-		}
-	}
+	sp.addRoutes(p, ix)
 
 	// L: worst normalized node load over subnodes and scenarios. Perfect
 	// balance corresponds to L = 1 (each subnode b carries exactly w_b of a
 	// scenario's cost); the α-penalty drives solutions toward it.
-	ix.l = p.AddVar(0, math.Inf(1), alpha)
+	ix.l = ix.addVar(p, checkpoint.Role{roleL}, 0, math.Inf(1), alpha)
 
 	// (4) coverage: Σ_{i∈q_j} x_{i,b} − |q_j|·y_{j,b} ≥ 0.
 	for q, j := range sp.flexQ {
@@ -192,14 +203,15 @@ func (sp *subproblem) build() (*simplex.Problem, *indices, []int) {
 			}
 			idx = append(idx, ix.y(q, bb))
 			coef = append(coef, -float64(len(frags)))
-			p.AddRow(idx, coef, simplex.GE, 0)
+			ix.addRow(p, checkpoint.Role{roleCover, int32(j), int32(bb)}, idx, coef, simplex.GE, 0)
 		}
 	}
 
 	// (5) linking: z_{j,b,s} ≤ y_{j,b}.
 	for r, rt := range sp.routes {
 		for bb := 0; bb < b; bb++ {
-			p.AddRow([]int{ix.z(r, bb), ix.y(rt.q, bb)}, []float64{1, -1}, simplex.LE, 0)
+			ix.addRow(p, checkpoint.Role{roleLink, int32(rt.j), int32(rt.s), int32(bb)},
+				[]int{ix.z(r, bb), ix.y(rt.q, bb)}, []float64{1, -1}, simplex.LE, 0)
 		}
 	}
 
@@ -207,6 +219,18 @@ func (sp *subproblem) build() (*simplex.Problem, *indices, []int) {
 
 	sp.addConservation(p, ix)
 	return p, ix, intVars
+}
+
+// addRoutes appends the z columns, one per route and subnode, each bounded
+// by the route's inherited share, and sets ix.z0. It serves the subproblem
+// LP and the trimmer's routing LP alike.
+func (sp *subproblem) addRoutes(p *simplex.Problem, ix *indices) {
+	ix.z0 = p.NumVars
+	for _, rt := range sp.routes {
+		for bb := 0; bb < ix.b; bb++ {
+			ix.addVar(p, checkpoint.Role{roleZ, int32(rt.j), int32(rt.s), int32(bb)}, 0, sp.shares[rt.s][rt.j], 0)
+		}
+	}
 }
 
 // addBalance appends rows (6), one per (subnode, scenario):
@@ -237,7 +261,7 @@ func (sp *subproblem) addBalance(p *simplex.Problem, ix *indices) {
 			}
 			idx = append(idx, ix.l)
 			coef = append(coef, -1)
-			p.AddRow(idx, coef, simplex.LE, rhs)
+			ix.addRow(p, checkpoint.Role{roleBalance, int32(bb), int32(s)}, idx, coef, simplex.LE, rhs)
 		}
 	}
 }
@@ -253,7 +277,7 @@ func (sp *subproblem) addConservation(p *simplex.Problem, ix *indices) {
 		for bb := range idx {
 			idx[bb] = ix.z(r, bb)
 		}
-		p.AddRow(idx, coef, simplex.EQ, sp.shares[rt.s][rt.j])
+		ix.addRow(p, checkpoint.Role{roleConserve, int32(rt.j), int32(rt.s)}, idx, coef, simplex.EQ, sp.shares[rt.s][rt.j])
 	}
 }
 
@@ -419,8 +443,7 @@ type solution struct {
 // attempt did: its LP pivots and basis starts.
 func (sp *subproblem) solve(p *simplex.Problem, ix *indices, intVars []int, opt mip.Options, ck *subCheckpoint, logf func(string, ...any), hints ...[][]bool) (*solution, error) {
 	opt.Rounding = sp.rounding(ix)
-	roles := sp.roles(ix)
-	from := carriedBasis(ck.rec.Carried(ck.id), roles, p.NumVars)
+	from := carriedBasis(ck.rec.Carried(ck.id), ix)
 	lp, relax, starts := relaxation(p, opt.LP, from, logf)
 	var rootBasis *simplex.Basis
 	diveIters := 0
@@ -440,7 +463,7 @@ func (sp *subproblem) solve(p *simplex.Problem, ix *indices, intVars []int, opt 
 	opt.RootBasis = rootBasis
 	var basis *checkpoint.Basis
 	if rootBasis != nil {
-		basis = journalBasis(rootBasis, roles)
+		basis = journalBasis(rootBasis, ix)
 	}
 	// A search in flight journals its incumbent as the feasible record it
 	// would finish with (untrimmed: a resume trims its hint like any other
@@ -567,14 +590,9 @@ func (sp *subproblem) fragSets(yes []checkpoint.YesRow) [][]int {
 			}
 		}
 	}
-	if sp.hasFixed {
-		for _, j := range sp.fixedQ {
-			if !sp.fixedRuns(j) {
-				continue
-			}
-			for _, i := range sp.w.Queries[j].Fragments {
-				need[0][i] = true
-			}
+	for i, pin := range sp.pinned {
+		if pin {
+			need[0][i] = true
 		}
 	}
 	frags := make([][]int, len(need))

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 
+	"fragalloc/internal/checkpoint"
 	"fragalloc/internal/simplex"
 )
 
@@ -35,13 +36,8 @@ type trimmer struct {
 func (sp *subproblem) newTrimmer(ix *indices, lp simplex.Options) (*trimmer, error) {
 	p := &simplex.Problem{}
 	tr := &trimmer{sp: sp, ix: ix, rx: indices{b: ix.b}}
-	tr.rx.l = p.AddVar(0, math.Inf(1), 1)
-	tr.rx.z0 = p.NumVars
-	for _, rt := range sp.routes {
-		for bb := 0; bb < ix.b; bb++ {
-			p.AddVar(0, sp.shares[rt.s][rt.j], 0)
-		}
-	}
+	tr.rx.l = tr.rx.addVar(p, checkpoint.Role{roleL}, 0, math.Inf(1), 1)
+	sp.addRoutes(p, &tr.rx)
 	sp.addBalance(p, &tr.rx)
 	sp.addConservation(p, &tr.rx)
 	var err error
@@ -94,8 +90,8 @@ func (tr *trimmer) trim(x []float64) []float64 {
 			}
 		}
 	}
-	// Fragment need-counts per subnode; forced clustering fragments on
-	// subnode 0 are pinned with a sentinel count.
+	// Fragment need-counts per subnode, over the placed flexible queries;
+	// the fragments sp.pinned holds on subnode 0 are needed there besides.
 	counts := make([][]int, ix.b)
 	for bb := range counts {
 		counts[bb] = make([]int, len(sp.w.Fragments))
@@ -107,16 +103,6 @@ func (tr *trimmer) trim(x []float64) []float64 {
 			}
 			for _, i := range sp.w.Queries[j].Fragments {
 				counts[bb][i]++
-			}
-		}
-	}
-	if sp.hasFixed {
-		for _, j := range sp.fixedQ {
-			if !sp.fixedRuns(j) {
-				continue
-			}
-			for _, i := range sp.w.Queries[j].Fragments {
-				counts[0][i] += 1 << 30
 			}
 		}
 	}
@@ -132,7 +118,7 @@ func (tr *trimmer) trim(x []float64) []float64 {
 	saving := func(q, bb int) float64 {
 		var s float64
 		for _, i := range sp.w.Queries[sp.flexQ[q]].Fragments {
-			if counts[bb][i] == 1 {
+			if counts[bb][i] == 1 && !(bb == 0 && sp.pinned[i]) {
 				s += sp.w.Fragments[i].Size
 			}
 		}
@@ -233,15 +219,12 @@ func (tr *trimmer) trim(x []float64) []float64 {
 	for fi, i := range ix.frags {
 		for bb := 0; bb < ix.b; bb++ {
 			col := ix.x(fi, bb)
-			need := counts[bb][i] > 0
+			need := counts[bb][i] > 0 || bb == 0 && sp.pinned[i]
 			if x[col] < 1 && need {
 				x[col] = 1
 			}
 			if !need && x[col] > 0 && sp.w.Fragments[i].Size > 0 {
-				// Keep forced lower bounds intact.
-				if !(bb == 0 && sp.hasFixed && counts[0][i] >= 1<<30) {
-					x[col] = 0
-				}
+				x[col] = 0
 			}
 		}
 	}
