@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -15,7 +14,6 @@ import (
 	"time"
 
 	"fragalloc"
-	"fragalloc/internal/mip"
 )
 
 // TestMain lets a test run the command: a test binary whose first argument
@@ -122,17 +120,16 @@ func TestBudgetIsWorkNotTime(t *testing.T) {
 	}
 	idle, idleSolved := run("idle")
 	// The budget must bind, or the comparison shows nothing: some
-	// subproblem stops feasible after exactly the nodes the budget buys.
-	bound := fmt.Sprintf("nodes=%d ", mip.NodeBudget(budget))
+	// subproblem's search says the node budget stopped it.
 	binds := false
 	for _, line := range idleSolved {
-		if strings.Contains(line, "solved (feasible)") && strings.Contains(line, bound) {
+		if strings.Contains(line, "solved (feasible)") && strings.Contains(line, " stop=nodes ") {
 			t.Logf("the budget binds: %s", line)
 			binds = true
 		}
 	}
 	if !binds {
-		t.Fatalf("-budget %v never stopped a subproblem at its %s; searches:\n%s", budget, bound, strings.Join(idleSolved, "\n"))
+		t.Fatalf("-budget %v never stopped a subproblem; searches:\n%s", budget, strings.Join(idleSolved, "\n"))
 	}
 	stop, spun := make(chan struct{}), make(chan struct{})
 	go func() {

@@ -453,7 +453,7 @@ func (d *driver) solve(sp *subproblem, spec *ChunkSpec, leaf int, id string, rep
 	// all — before any child work starts, so a crash below this point never
 	// re-solves this subproblem.
 	ck.record(d.logf, sol)
-	d.logf("core: split %v solved (%v): L=%.4f gap=%.4f nodes=%d %v", spec, sol.Outcome, sol.L, sol.Gap, sol.Nodes, sol.starts)
+	d.logf("core: split %v solved (%v): L=%.4f gap=%.4f nodes=%d stop=%v %v", spec, sol.Outcome, sol.L, sol.Gap, sol.Nodes, sol.stop, sol.starts)
 	return d.finish(sp, spec, sol, leaf, id, false)
 }
 

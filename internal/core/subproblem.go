@@ -63,12 +63,13 @@ type route struct {
 func (sp *subproblem) index() *subproblem {
 	S := sp.ss.S()
 	sp.pinned = make([]bool, len(sp.w.Fragments))
-	if sp.hasFixed {
-		for _, j := range sp.fixedQ {
-			if sp.fixedRuns(j) {
+	for _, j := range sp.fixedQ {
+		for s := 0; s < S; s++ {
+			if sp.shares[s][j] > 0 && sp.ss.Frequencies[s][j] > 0 { // j carries load
 				for _, i := range sp.w.Queries[j].Fragments {
 					sp.pinned[i] = true
 				}
+				break
 			}
 		}
 	}
@@ -291,16 +292,6 @@ func (sp *subproblem) queryLoad(j int) float64 {
 	return load
 }
 
-// fixedRuns reports whether fixed query j carries load in any scenario.
-func (sp *subproblem) fixedRuns(j int) bool {
-	for s := 0; s < sp.ss.S(); s++ {
-		if sp.shares[s][j] > 0 && sp.ss.Frequencies[s][j] > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // fixedLoad returns the share of scenario s's total cost pinned to subnode 0
 // by the fixed queries.
 func (sp *subproblem) fixedLoad(s int) float64 {
@@ -422,12 +413,13 @@ func (sp *subproblem) dive(s *simplex.Solver, res *simplex.Result, ix *indices) 
 }
 
 // solution is the outcome of one subproblem solve: the record the journal
-// stores, which a resume replays as it stands, plus the work counts the
-// journal does not keep.
+// stores, which a resume replays as it stands, plus the work counts and
+// the search's stop reason, which the journal does not keep.
 type solution struct {
 	checkpoint.SubRecord
 	lpiters int
 	starts  BasisStarts // LPs started from a basis
+	stop    mip.Stop    // why the search ended; StopNone when none did
 }
 
 // solve builds and solves the subproblem MIP. Each non-nil hint proposes an
@@ -526,7 +518,7 @@ func (sp *subproblem) solve(p *simplex.Problem, ix *indices, intVars []int, opt 
 		res.X = tr.trim(res.X)
 	}
 	sol := sp.decode(ix, res.X, res)
-	sol.lpiters, sol.starts, sol.Basis = spent.lpiters, spent.starts, basis
+	sol.lpiters, sol.starts, sol.stop, sol.Basis = spent.lpiters, spent.starts, res.Stop, basis
 	return sol, nil
 }
 

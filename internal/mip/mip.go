@@ -96,9 +96,52 @@ func (s Status) String() string {
 	return fmt.Sprintf("Status(%d)", int(s))
 }
 
+// Stop says why a search ended.
+type Stop int
+
+const (
+	// StopNone: no search ended here — Solve returned an error, or the
+	// Result did not come from Solve.
+	StopNone Stop = iota
+	// StopDrained: no open node was left — every subtree was explored or
+	// pruned, or presolve or the root relaxation settled the problem.
+	StopDrained
+	// StopGap: the incumbent closed the gap against the open nodes'
+	// bounds.
+	StopGap
+	// StopNodes: the search used up MaxNodes.
+	StopNodes
+	// StopStall: MaxStallNodes nodes passed without an improvement.
+	StopStall
+	// StopCanceled: Canceled returned true.
+	StopCanceled
+)
+
+func (s Stop) String() string {
+	switch s {
+	case StopNone:
+		return "none"
+	case StopDrained:
+		return "drained"
+	case StopGap:
+		return "gap"
+	case StopNodes:
+		return "nodes"
+	case StopStall:
+		return "stall"
+	case StopCanceled:
+		return "canceled"
+	}
+	return fmt.Sprintf("Stop(%d)", int(s))
+}
+
 // Result reports the incumbent and the proven bound.
 type Result struct {
 	Status Status
+	// Stop says why the search ended: StatusFeasible alone does not tell a
+	// budget that ran out from a cancellation or from a closed gap after a
+	// skipped subtree.
+	Stop Stop
 	// X is the incumbent solution (length NumVars) if one was found.
 	X []float64
 	// Obj is the incumbent objective value.
@@ -331,14 +374,14 @@ func Solve(p *simplex.Problem, intVars []int, opt Options) (*Result, error) {
 	}
 	ps := runPresolve(p, intVars, opt.Logf)
 	if ps.infeasible {
-		return &Result{Status: StatusInfeasible, Bound: math.Inf(1), Gap: math.Inf(1), Exact: true}, nil
+		return &Result{Status: StatusInfeasible, Stop: StopDrained, Bound: math.Inf(1), Gap: math.Inf(1), Exact: true}, nil
 	}
 	work := ps.reduced
 	if work.NumVars == 0 {
 		// Presolve solved the whole problem: every variable is fixed and
 		// every row verified against the fixings.
 		x := ps.restore(nil)
-		return &Result{Status: StatusOptimal, X: x, Obj: ps.objOff, Bound: ps.objOff, Exact: true}, nil
+		return &Result{Status: StatusOptimal, Stop: StopDrained, X: x, Obj: ps.objOff, Bound: ps.objOff, Exact: true}, nil
 	}
 	s := &search{
 		opt: opt, p: work, ps: ps,
@@ -653,9 +696,9 @@ func (s *search) gapClosed(bound float64) bool {
 	return gap <= absGap || gap <= s.opt.RelGap*math.Max(1, math.Abs(s.incObj+s.ps.objOff))
 }
 
-func (s *search) result(status Status, bound float64) *Result {
+func (s *search) result(status Status, stop Stop, bound float64) *Result {
 	off := s.ps.objOff
-	r := &Result{Status: status, Nodes: s.nodes, LPIters: s.lpIters, Bound: bound + off, Exact: s.exact, Starts: s.starts}
+	r := &Result{Status: status, Stop: stop, Nodes: s.nodes, LPIters: s.lpIters, Bound: bound + off, Exact: s.exact, Starts: s.starts}
 	if s.hasInc {
 		r.X = s.ps.restore(s.incumbent)
 		r.Obj = s.incObj + off
@@ -678,16 +721,16 @@ func (s *search) run() (*Result, error) {
 	s.nodes++
 	switch res.Status {
 	case simplex.StatusInfeasible:
-		return s.result(StatusInfeasible, math.Inf(1)), nil
+		return s.result(StatusInfeasible, StopDrained, math.Inf(1)), nil
 	case simplex.StatusUnbounded:
-		return s.result(StatusUnbounded, math.Inf(-1)), nil
+		return s.result(StatusUnbounded, StopDrained, math.Inf(-1)), nil
 	case simplex.StatusCanceled:
 		// Stopped before any incumbent or proven bound exists: not an
 		// error, just an empty-handed stop.
-		return s.result(StatusNoSolution, math.Inf(-1)), nil
+		return s.result(StatusNoSolution, StopCanceled, math.Inf(-1)), nil
 	case simplex.StatusOptimal:
 	default:
-		return s.result(StatusNoSolution, math.Inf(-1)), fmt.Errorf("mip: root relaxation failed with status %v", res.Status)
+		return s.result(StatusNoSolution, StopNone, math.Inf(-1)), fmt.Errorf("mip: root relaxation failed with status %v", res.Status)
 	}
 	rootBound := res.Obj
 	start := "cold"
@@ -711,19 +754,18 @@ func (s *search) run() (*Result, error) {
 		}
 		if s.gapClosed(globalBound) {
 			if s.exact {
-				return s.result(StatusOptimal, globalBound), nil
+				return s.result(StatusOptimal, StopGap, globalBound), nil
 			}
 			// A node LP failed and its subtree was skipped: the incumbent
 			// may close the gap against the surviving bounds, but the search
 			// was not exhaustive, so claim no more than feasibility.
-			return s.result(StatusFeasible, globalBound), nil
+			return s.result(StatusFeasible, StopGap, globalBound), nil
 		}
-		stalled := s.opt.MaxStallNodes > 0 && s.hasInc && s.nodes-s.lastImprove > s.opt.MaxStallNodes
-		if s.stop() || s.nodes >= s.opt.MaxNodes || stalled {
+		if stop := s.limit(); stop != StopNone {
 			if s.hasInc {
-				return s.result(StatusFeasible, globalBound), nil
+				return s.result(StatusFeasible, stop, globalBound), nil
 			}
-			return s.result(StatusNoSolution, globalBound), nil
+			return s.result(StatusNoSolution, stop, globalBound), nil
 		}
 		nd := heap.Pop(open).(*node)
 		if s.hasInc && nd.bound >= s.incObj-absGap {
@@ -733,19 +775,34 @@ func (s *search) run() (*Result, error) {
 	}
 	if s.hasInc {
 		if s.exact {
-			return s.result(StatusOptimal, s.incObj), nil
+			return s.result(StatusOptimal, StopDrained, s.incObj), nil
 		}
 		// Heap drained but a subtree was skipped after a node-LP failure:
 		// the incumbent is feasible, the bound best-effort (the skipped
 		// subtree's inherited parent bound), not proven optimal.
-		return s.result(StatusFeasible, math.Min(s.skippedBound, s.incObj)), nil
+		return s.result(StatusFeasible, StopDrained, math.Min(s.skippedBound, s.incObj)), nil
 	}
 	if s.exact {
-		return s.result(StatusInfeasible, math.Inf(1)), nil
+		return s.result(StatusInfeasible, StopDrained, math.Inf(1)), nil
 	}
 	// No incumbent and a skipped subtree: the skipped part may well contain
 	// feasible points, so infeasibility is not proven either.
-	return s.result(StatusNoSolution, s.skippedBound), nil
+	return s.result(StatusNoSolution, StopDrained, s.skippedBound), nil
+}
+
+// limit says which limit ends the search at the head of the node loop — a
+// cancellation, the node budget, then the stall rule — or StopNone. It
+// polls the stop hook every time.
+func (s *search) limit() Stop {
+	switch {
+	case s.stop():
+		return StopCanceled
+	case s.nodes >= s.opt.MaxNodes:
+		return StopNodes
+	case s.opt.MaxStallNodes > 0 && s.hasInc && s.nodes-s.lastImprove > s.opt.MaxStallNodes:
+		return StopStall
+	}
+	return StopNone
 }
 
 // solveRoot solves the root relaxation, from rootBasis when there is one

@@ -279,7 +279,8 @@ func TestProposalIncumbentNotAliased(t *testing.T) {
 // every later simplex iteration into a stall and proposes a feasible point,
 // so the first node fails on its warm re-solve and on the cold retry alike
 // and its subtree is skipped. The solver must then report StatusFeasible
-// with a best-effort bound, never StatusOptimal.
+// with a best-effort bound, never StatusOptimal, and say that the search
+// drained its heap.
 func TestSkippedSubtreeNotOptimal(t *testing.T) {
 	// A tight knapsack plus a covering row over the even variables; x_0
 	// alone satisfies both.
@@ -328,6 +329,9 @@ func TestSkippedSubtreeNotOptimal(t *testing.T) {
 	}
 	if res.Status != StatusFeasible {
 		t.Fatalf("status = %v, want feasible", res.Status)
+	}
+	if res.Stop != StopDrained {
+		t.Errorf("stop %v, want drained: the heap ran empty past the skipped subtree", res.Stop)
 	}
 	if res.X == nil {
 		t.Fatal("feasible status without an incumbent")
