@@ -77,6 +77,34 @@ func TestTable3Output(t *testing.T) {
 	}
 }
 
+// TestTable3InfeasibleRow runs the accounting row {S=10, F=4411} of the
+// paper's Table 3 alone: its fixed queries overload node 0 in a seen
+// scenario, which core refuses before any solve, and the table prints the
+// row as infeasible with the refusal instead of failing.
+func TestTable3InfeasibleRow(t *testing.T) {
+	var rows []table3Row
+	for _, row := range table3AcctQuick {
+		if row.s == 10 && row.f == 4411 {
+			rows = append(rows, row)
+		}
+	}
+	if len(rows) != 1 {
+		t.Fatalf("table3AcctQuick has %d rows {S=10, F=4411}, want 1", len(rows))
+	}
+	var buf bytes.Buffer
+	cfg := benchCfg("accounting", &buf)
+	w, err := cfg.load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cfg.table3(w, rows); err != nil {
+		t.Fatal(err)
+	}
+	if !regexp.MustCompile(`(?m)^W\(S\) +10 +4411 +infeasible .*above the node capacity`).MatchString(buf.String()) {
+		t.Errorf("no infeasible row with the refusal; got:\n%s", buf.String())
+	}
+}
+
 func TestScaleOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale rows solve the Table 3 configuration")

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -49,7 +50,9 @@ const (
 // Table3 reproduces Table 3: robustness of allocations computed for S seen
 // scenarios, verified against S̃ unseen scenarios (Config.OutOfSample).
 // Rows with F >= 0 use the paper's partial-clustering approach W(S); rows
-// marked merge use the greedy merge baseline W^G(S).
+// marked merge use the greedy merge baseline W^G(S). A W(S) row whose F
+// fixed queries overload node 0 in some seen scenario (core.ErrInfeasible)
+// prints as infeasible, with the refusal as its note.
 func Table3(cfg Config) error {
 	w, err := cfg.load()
 	if err != nil {
@@ -59,6 +62,11 @@ func Table3(cfg Config) error {
 	if cfg.Workload == "accounting" {
 		rows = rowSet(cfg, table3AcctQuick, table3AcctFull, table3AcctBench)
 	}
+	return cfg.table3(w, rows)
+}
+
+// table3 renders Table 3's rows on w.
+func (cfg Config) table3(w *model.Workload, rows []table3Row) error {
 	unseen := scenario.OutOfSample(w, cfg.OutOfSample, scenario.DefaultP, cfg.Seed+1000)
 	spec, err := core.ParseChunks(table3Chunks)
 	if err != nil {
@@ -83,6 +91,9 @@ func Table3(cfg Config) error {
 			if row.f >= 0 {
 				opts.Chunks, opts.FixedQueries = spec, row.f
 				res, err := cfg.allocate(fmt.Sprintf("table3-s%d-f%d", row.s, row.f), w, seen, table3K, opts)
+				if errors.Is(err, core.ErrInfeasible) {
+					return fmt.Sprintf("W(S)\t%d\t%d\tinfeasible\t-\t-\t-\t%v\n", row.s, row.f, err), nil
+				}
 				if err != nil {
 					return "", err
 				}
