@@ -100,47 +100,22 @@ func (s Status) String() string {
 type Stop int
 
 const (
-	// StopNone: no search ended here — Solve returned an error, or the
-	// Result did not come from Solve.
-	StopNone Stop = iota
-	// StopDrained: no open node was left — every subtree was explored or
-	// pruned, or presolve or the root relaxation settled the problem.
-	StopDrained
-	// StopGap: the incumbent closed the gap against the open nodes'
-	// bounds.
-	StopGap
-	// StopNodes: the search used up MaxNodes.
-	StopNodes
-	// StopStall: MaxStallNodes nodes passed without an improvement.
-	StopStall
-	// StopCanceled: Canceled returned true.
-	StopCanceled
+	StopNone     Stop = iota // no search ended: Solve returned an error, or the Result is not Solve's
+	StopDrained              // no open node was left, or presolve or the root relaxation settled the problem
+	StopGap                  // the incumbent closed the gap against the open nodes' bounds
+	StopNodes                // the search used up MaxNodes
+	StopStall                // MaxStallNodes nodes passed without an improvement
+	StopCanceled             // Canceled returned true
 )
 
-func (s Stop) String() string {
-	switch s {
-	case StopNone:
-		return "none"
-	case StopDrained:
-		return "drained"
-	case StopGap:
-		return "gap"
-	case StopNodes:
-		return "nodes"
-	case StopStall:
-		return "stall"
-	case StopCanceled:
-		return "canceled"
-	}
-	return fmt.Sprintf("Stop(%d)", int(s))
-}
+var stopNames = [...]string{"none", "drained", "gap", "nodes", "stall", "canceled"}
+
+func (s Stop) String() string { return stopNames[s] }
 
 // Result reports the incumbent and the proven bound.
 type Result struct {
 	Status Status
-	// Stop says why the search ended: StatusFeasible alone does not tell a
-	// budget that ran out from a cancellation or from a closed gap after a
-	// skipped subtree.
+	// Stop says why the search ended, which StatusFeasible alone does not.
 	Stop Stop
 	// X is the incumbent solution (length NumVars) if one was found.
 	X []float64
@@ -761,7 +736,16 @@ func (s *search) run() (*Result, error) {
 			// was not exhaustive, so claim no more than feasibility.
 			return s.result(StatusFeasible, StopGap, globalBound), nil
 		}
-		if stop := s.limit(); stop != StopNone {
+		stop := StopNone
+		switch {
+		case s.stop():
+			stop = StopCanceled
+		case s.nodes >= s.opt.MaxNodes:
+			stop = StopNodes
+		case s.opt.MaxStallNodes > 0 && s.hasInc && s.nodes-s.lastImprove > s.opt.MaxStallNodes:
+			stop = StopStall
+		}
+		if stop != StopNone {
 			if s.hasInc {
 				return s.result(StatusFeasible, stop, globalBound), nil
 			}
@@ -788,21 +772,6 @@ func (s *search) run() (*Result, error) {
 	// No incumbent and a skipped subtree: the skipped part may well contain
 	// feasible points, so infeasibility is not proven either.
 	return s.result(StatusNoSolution, StopDrained, s.skippedBound), nil
-}
-
-// limit says which limit ends the search at the head of the node loop — a
-// cancellation, the node budget, then the stall rule — or StopNone. It
-// polls the stop hook every time.
-func (s *search) limit() Stop {
-	switch {
-	case s.stop():
-		return StopCanceled
-	case s.nodes >= s.opt.MaxNodes:
-		return StopNodes
-	case s.opt.MaxStallNodes > 0 && s.hasInc && s.nodes-s.lastImprove > s.opt.MaxStallNodes:
-		return StopStall
-	}
-	return StopNone
 }
 
 // solveRoot solves the root relaxation, from rootBasis when there is one
