@@ -11,9 +11,8 @@ import (
 // This file is how a subproblem hands an optimal simplex basis on from one
 // solve to the next solve of the same subproblem id, through the journal, by
 // the role build records with each column and row (journalBasis,
-// carriedBasis; DESIGN.md §3.11). The MIP root
-// takes the dive's root basis as it stands, since both solve one LP
-// (subproblem.solve).
+// carriedBasis; DESIGN.md §3.11). The MIP root takes the dive's root basis
+// as it stands, since both solve one LP (subproblem.solve).
 
 // BasisStarts counts the LPs of a run that started from a basis instead of
 // cold, summed over its subproblem solves: the MIP roots and popped
