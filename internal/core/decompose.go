@@ -407,14 +407,14 @@ func (d *driver) solve(sp *subproblem, spec *ChunkSpec, leaf int, id string, rep
 	// greedy baseline (merged over scenarios), so the LP-based allocation
 	// provably starts no worse than greedy. The two hints are independent
 	// reads of sp, so they run concurrently with each other.
-	var hint, greedyHint [][]bool
+	var hier, greedyHint [][]bool
 	var hintTasks []func() error
 	if len(spec.Children) == 0 && b >= 3 {
 		hintTasks = append(hintTasks, func() error {
 			if d.canceled() {
 				return nil // the main solve will degrade; skip the pre-solve
 			}
-			hint = d.hierarchicalHint(sp, b)
+			hier = d.hierarchicalHint(sp, b)
 			return nil
 		})
 	}
@@ -443,7 +443,8 @@ func (d *driver) solve(sp *subproblem, spec *ChunkSpec, leaf int, id string, rep
 	d.logf("core: solving split %v (B=%d, %d flexible queries, %d fragments) for leaves %d..%d",
 		spec, b, len(sp.flexQ), countTrue(sp.activeFrag), leaf, leaf+spec.Leaves-1)
 	d.gate.acquire()
-	sol, err := d.solveWithPolicy(sp, spec, ck, hint, greedyHint, warmHint, journalHint)
+	sol, err := d.solveWithPolicy(sp, spec, ck,
+		hint{"hier", hier}, hint{"greedy", greedyHint}, hint{"warm", warmHint}, hint{"journal", journalHint})
 	d.gate.release()
 	if err != nil {
 		return err
@@ -453,7 +454,7 @@ func (d *driver) solve(sp *subproblem, spec *ChunkSpec, leaf int, id string, rep
 	// all — before any child work starts, so a crash below this point never
 	// re-solves this subproblem.
 	ck.record(d.logf, sol)
-	d.logf("core: split %v solved (%v): L=%.4f gap=%.4f nodes=%d stop=%v %v", spec, sol.Outcome, sol.L, sol.Gap, sol.Nodes, sol.stop, sol.starts)
+	d.logf("core: split %v solved (%v): L=%.4f gap=%.4f nodes=%d stop=%v first=%s %v", spec, sol.Outcome, sol.L, sol.Gap, sol.Nodes, sol.stop, sol.first, sol.starts)
 	return d.finish(sp, spec, sol, leaf, id, false)
 }
 

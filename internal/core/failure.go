@@ -94,7 +94,7 @@ func escalateIters(lp simplex.Options, p *simplex.Problem) int {
 // malformed inputs still abort the run: degradation can't fix those, and
 // hiding them would report a broken allocation as a success. The solution
 // it settles on counts the work of the attempts that failed before it.
-func (d *driver) solveWithPolicy(sp *subproblem, spec *ChunkSpec, ck *subCheckpoint, hints ...[][]bool) (*solution, error) {
+func (d *driver) solveWithPolicy(sp *subproblem, spec *ChunkSpec, ck *subCheckpoint, hints ...hint) (*solution, error) {
 	p, ix, intVars := sp.build()
 	sol, err := sp.solve(p, ix, intVars, d.mipOptions(), ck, d.logf, hints...)
 	if errors.Is(err, errSolverFailure) && !d.canceled() {
@@ -111,6 +111,6 @@ func (d *driver) solveWithPolicy(sp *subproblem, spec *ChunkSpec, ck *subCheckpo
 	}
 	d.logf("core: split %v degraded to the greedy allocator (%v)", spec, err)
 	degraded := sp.degrade()
-	degraded.lpiters, degraded.starts = sol.lpiters, sol.starts
+	degraded.lpiters, degraded.starts, degraded.first = sol.lpiters, sol.starts, "none"
 	return degraded, nil
 }

@@ -413,31 +413,44 @@ func (sp *subproblem) dive(s *simplex.Solver, res *simplex.Result, ix *indices) 
 }
 
 // solution is the outcome of one subproblem solve: the record the journal
-// stores, which a resume replays as it stands, plus the work counts and
-// the search's stop reason, which the journal does not keep.
+// stores, which a resume replays as it stands, plus the work counts, the
+// search's stop reason and the start it began from, which the journal does
+// not keep.
 type solution struct {
 	checkpoint.SubRecord
 	lpiters int
 	starts  BasisStarts // LPs started from a basis
 	stop    mip.Stop    // why the search ended; StopNone when none did
+	first   string      // the start that was the incumbent when node search began; "none" when none was
 }
 
-// solve builds and solves the subproblem MIP. Each non-nil hint proposes an
-// additional starting placement (runnable per subnode, by flexQ position; a
-// nil row proposes nothing for its query), typically from a hierarchical
-// decomposition pre-solve, the greedy baseline, or a resumed journal
-// record. ck wires the run's journal into the search: the search's periodic
-// Checkpoint callback journals its incumbent, decoded into the feasible
-// record the solve would finish with, under the subproblem's id, and the
-// dive root starts from the basis carried under that id. logf is the run's
-// logger. p, ix and intVars are the model sp.build laid out. When the solve
-// fails, the solution it returns beside the error holds only the work the
-// attempt did: its LP pivots and basis starts.
-func (sp *subproblem) solve(p *simplex.Problem, ix *indices, intVars []int, opt mip.Options, ck *subCheckpoint, logf func(string, ...any), hints ...[][]bool) (*solution, error) {
+// hint is a starting placement offered to a subproblem's search beside the
+// dive's proposal: runnable per subnode, by flexQ position (a nil row
+// proposes nothing for its query), under the name the split line reports
+// it by when it was the search's first incumbent. A hint without rows
+// proposes nothing.
+type hint struct {
+	name string
+	rows [][]bool
+}
+
+// solve builds and solves the subproblem MIP. Each hint proposes an
+// additional starting placement, typically from a hierarchical
+// decomposition pre-solve, the greedy baseline, the incumbent allocation,
+// or a resumed journal record. ck wires the run's journal into the search:
+// the search's periodic Checkpoint callback journals its incumbent, decoded
+// into the feasible record the solve would finish with, under the
+// subproblem's id, and the dive root starts from the basis carried under
+// that id. logf is the run's logger. p, ix and intVars are the model
+// sp.build laid out. When the solve fails, the solution it returns beside
+// the error holds only the work the attempt did: its LP pivots and basis
+// starts.
+func (sp *subproblem) solve(p *simplex.Problem, ix *indices, intVars []int, opt mip.Options, ck *subCheckpoint, logf func(string, ...any), hints ...hint) (*solution, error) {
 	opt.Rounding = sp.rounding(ix)
 	from := carriedBasis(ck.rec.Carried(ck.id), ix)
 	lp, relax, starts := relaxation(p, opt.LP, from, logf)
 	var rootBasis *simplex.Basis
+	var names []string // by opt.Starts entry
 	diveIters := 0
 	if relax != nil {
 		diveIters = relax.Iters
@@ -448,6 +461,7 @@ func (sp *subproblem) solve(p *simplex.Problem, ix *indices, intVars []int, opt 
 		diveIters += iters
 		if start != nil {
 			opt.Starts = append(opt.Starts, start)
+			names = append(names, "dive")
 		}
 	}
 	// The MIP root is the relaxation the dive started from, so it starts
@@ -465,12 +479,12 @@ func (sp *subproblem) solve(p *simplex.Problem, ix *indices, intVars []int, opt 
 		sol.Basis = basis
 		ck.record(logf, sol)
 	}
-	for _, hint := range hints {
-		if hint == nil {
+	for _, h := range hints {
+		if h.rows == nil {
 			continue
 		}
 		prop := make([]float64, p.NumVars)
-		for q, row := range hint {
+		for q, row := range h.rows {
 			for bb, on := range row {
 				if on {
 					prop[ix.y(q, bb)] = 1
@@ -478,6 +492,7 @@ func (sp *subproblem) solve(p *simplex.Problem, ix *indices, intVars []int, opt 
 			}
 		}
 		opt.Starts = append(opt.Starts, prop)
+		names = append(names, h.name)
 	}
 	tr, trErr := sp.newTrimmer(ix, opt.LP)
 	if trErr == nil {
@@ -519,6 +534,10 @@ func (sp *subproblem) solve(p *simplex.Problem, ix *indices, intVars []int, opt 
 	}
 	sol := sp.decode(ix, res.X, res)
 	sol.lpiters, sol.starts, sol.stop, sol.Basis = spent.lpiters, spent.starts, res.Stop, basis
+	sol.first = "none"
+	if res.First >= 0 {
+		sol.first = names[res.First]
+	}
 	return sol, nil
 }
 

@@ -145,6 +145,10 @@ type Result struct {
 	Exact bool
 	// Starts counts the LPs of the search that started from a basis.
 	Starts Starts
+	// First is the index of the Options.Starts entry whose point was the
+	// incumbent when node search began, or -1 when none was: no start was
+	// feasible, the root rounding beat them, or no search ran.
+	First int
 }
 
 // Starts counts the LP solves of a search that began from a basis instead
@@ -349,14 +353,14 @@ func Solve(p *simplex.Problem, intVars []int, opt Options) (*Result, error) {
 	}
 	ps := runPresolve(p, intVars, opt.Logf)
 	if ps.infeasible {
-		return &Result{Status: StatusInfeasible, Stop: StopDrained, Bound: math.Inf(1), Gap: math.Inf(1), Exact: true}, nil
+		return &Result{Status: StatusInfeasible, Stop: StopDrained, Bound: math.Inf(1), Gap: math.Inf(1), Exact: true, First: -1}, nil
 	}
 	work := ps.reduced
 	if work.NumVars == 0 {
 		// Presolve solved the whole problem: every variable is fixed and
 		// every row verified against the fixings.
 		x := ps.restore(nil)
-		return &Result{Status: StatusOptimal, Stop: StopDrained, X: x, Obj: ps.objOff, Bound: ps.objOff, Exact: true}, nil
+		return &Result{Status: StatusOptimal, Stop: StopDrained, X: x, Obj: ps.objOff, Bound: ps.objOff, Exact: true, First: -1}, nil
 	}
 	s := &search{
 		opt: opt, p: work, ps: ps,
@@ -364,6 +368,7 @@ func Solve(p *simplex.Problem, intVars []int, opt Options) (*Result, error) {
 		intVars:      ps.intVars,
 		exact:        true,
 		skippedBound: math.Inf(1),
+		first:        -1,
 	}
 	s.initPriority()
 	s.initPseudocost()
@@ -445,6 +450,7 @@ type search struct {
 	// bound keeps the reported Bound honest when exact is false.
 	skippedBound float64
 	polls        int // stop calls, for the pollEvery clock cadence
+	first        int // Result.First
 }
 
 func (s *search) logf(format string, args ...any) {
@@ -570,13 +576,14 @@ func (s *search) pseudocostVar(x []float64) int {
 }
 
 // tryRounding asks the caller heuristic for an integral proposal and
-// evaluates it via tryProposal. The heuristic sees (and answers in) the
-// caller's original coordinates; x is in p's coordinates.
-func (s *search) tryRounding(x []float64) {
+// evaluates it via tryProposal, reporting whether it became the incumbent.
+// The heuristic sees (and answers in) the caller's original coordinates; x
+// is in p's coordinates.
+func (s *search) tryRounding(x []float64) bool {
 	if s.opt.Rounding == nil {
-		return
+		return false
 	}
-	s.tryProposal(s.ps.reduceProposal(s.opt.Rounding(s.ps.restore(x))))
+	return s.tryProposal(s.ps.reduceProposal(s.opt.Rounding(s.ps.restore(x))))
 }
 
 // tryProposal turns a proposal (in p's coordinates, owned by the search)
@@ -585,24 +592,24 @@ func (s *search) tryRounding(x []float64) {
 // row of p already is a point of the problem and is priced as it stands;
 // any other has its integer entries fixed and the continuous remainder
 // solved, and that completion is kept only if it satisfies every row too.
-func (s *search) tryProposal(proposal []float64) {
+// It reports whether the proposal became the incumbent.
+func (s *search) tryProposal(proposal []float64) bool {
 	if proposal == nil {
-		return
+		return false
 	}
 	for _, j := range s.intVars {
 		v := math.Round(proposal[j])
 		if v < s.p.LB[j] || v > s.p.UB[j] {
-			return // proposal violates root bounds
+			return false // proposal violates root bounds
 		}
 		proposal[j] = v
 	}
 	if s.p.Satisfies(proposal) {
-		s.accept(proposal, s.objective(proposal))
-		return
+		return s.accept(proposal, s.objective(proposal))
 	}
 	if s.heur == nil {
 		if s.heurDead {
-			return
+			return false
 		}
 		var err error
 		s.heur, err = simplex.NewSolver(s.p, s.opt.LP)
@@ -612,7 +619,7 @@ func (s *search) tryProposal(proposal []float64) {
 			// Disable the heuristic and say so once instead of dying silently.
 			s.heurDead = true
 			s.logf("mip: rounding heuristic disabled, solver construction failed: %v", err)
-			return
+			return false
 		}
 	}
 	for _, j := range s.intVars {
@@ -621,15 +628,15 @@ func (s *search) tryProposal(proposal []float64) {
 	res := s.heur.ReSolveDual()
 	s.lpIters += res.Iters
 	if res.Status != simplex.StatusOptimal {
-		return
+		return false
 	}
 	if !s.p.Satisfies(res.X) {
 		// The simplex can report StatusOptimal for a point that violates
 		// its own rows; such a completion is no incumbent.
 		s.logf("mip: rounding completion violates a row of the problem; refused")
-		return
+		return false
 	}
-	s.accept(res.X, res.Obj)
+	return s.accept(res.X, res.Obj)
 }
 
 // objective is cᵀx over p's columns in index order, zero costs skipped: the
@@ -648,15 +655,18 @@ func (s *search) objective(x []float64) float64 {
 // accept adopts an improving point — an integral node solution or a
 // proposal — as the incumbent. x is copied: the heuristic solver is
 // re-solved for later proposals, and an aliased incumbent would silently
-// corrupt if the solver ever reused its solution buffer.
-func (s *search) accept(x []float64, obj float64) {
+// corrupt if the solver ever reused its solution buffer. It reports
+// whether x was adopted.
+func (s *search) accept(x []float64, obj float64) bool {
 	if !s.hasInc || obj < s.incObj-absGap {
 		s.incumbent = append([]float64(nil), x...)
 		s.incObj = obj
 		s.hasInc = true
 		s.lastImprove = s.nodes
 		s.logf("mip: incumbent obj=%.6f after %d nodes", obj+s.ps.objOff, s.nodes)
+		return true
 	}
+	return false
 }
 
 func (s *search) gapClosed(bound float64) bool {
@@ -673,7 +683,7 @@ func (s *search) gapClosed(bound float64) bool {
 
 func (s *search) result(status Status, stop Stop, bound float64) *Result {
 	off := s.ps.objOff
-	r := &Result{Status: status, Stop: stop, Nodes: s.nodes, LPIters: s.lpIters, Bound: bound + off, Exact: s.exact, Starts: s.starts}
+	r := &Result{Status: status, Stop: stop, Nodes: s.nodes, LPIters: s.lpIters, Bound: bound + off, Exact: s.exact, Starts: s.starts, First: s.first}
 	if s.hasInc {
 		r.X = s.ps.restore(s.incumbent)
 		r.Obj = s.incObj + off
@@ -713,10 +723,14 @@ func (s *search) run() (*Result, error) {
 		start = "from basis"
 	}
 	s.logf("mip: root relaxation obj=%.6f after %d iters, %s", res.Obj+s.ps.objOff, res.Iters, start)
-	for _, start := range s.opt.Starts {
-		s.tryProposal(s.ps.reduceProposal(start))
+	for i, start := range s.opt.Starts {
+		if s.tryProposal(s.ps.reduceProposal(start)) {
+			s.first = i
+		}
 	}
-	s.tryRounding(res.X)
+	if s.tryRounding(res.X) {
+		s.first = -1
+	}
 
 	open := &nodeHeap{}
 	heap.Init(open)

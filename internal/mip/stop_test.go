@@ -69,3 +69,42 @@ func TestStopReasons(t *testing.T) {
 		t.Errorf("root failure: stop %v (%v); want stop none and an error", res.Stop, err)
 	}
 }
+
+// TestFirstStart checks Result.First, the entry of Options.Starts that was
+// the incumbent when node search began: the best feasible start, the
+// earlier of two equal ones, and -1 when no start was feasible or the root
+// rounding beat them.
+func TestFirstStart(t *testing.T) {
+	p, idx := knapsack30()
+	empty := make([]float64, 30) // feasible, objective 0
+	full := make([]float64, 30)  // every item: over capacity
+	packed := make([]float64, 30)
+	weight := 0.0
+	for j := range packed {
+		full[j] = 1
+		if w := p.Rows[0].Coef[j]; weight+w <= 7.5 {
+			packed[j], weight = 1, weight+w
+		}
+	}
+	pack := func([]float64) []float64 { return append([]float64(nil), packed...) }
+	for _, tc := range []struct {
+		name  string
+		opt   Options
+		first int
+	}{
+		{"no starts", Options{}, -1},
+		{"the better start", Options{Starts: [][]float64{empty, packed, empty}}, 1},
+		{"the earlier of two equal", Options{Starts: [][]float64{packed, packed}}, 0},
+		{"no feasible start", Options{Starts: [][]float64{full}}, -1},
+		{"the rounding beats it", Options{Starts: [][]float64{empty}, Rounding: pack}, -1},
+	} {
+		tc.opt.MaxNodes = 1
+		res, err := Solve(p, idx, tc.opt)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if res.First != tc.first {
+			t.Errorf("%s: first %d, want %d", tc.name, res.First, tc.first)
+		}
+	}
+}
