@@ -64,6 +64,24 @@ func (s *ChunkSpec) Groups() int {
 	return n
 }
 
+// subnodes returns the number of final nodes under each subnode of the LP
+// the spec asks for at its level: one for each of an exact group's nodes,
+// each child's leaves for an inner split.
+func (s *ChunkSpec) subnodes() []int {
+	if len(s.Children) == 0 {
+		widths := make([]int, s.Leaves)
+		for b := range widths {
+			widths[b] = 1
+		}
+		return widths
+	}
+	widths := make([]int, len(s.Children))
+	for b, c := range s.Children {
+		widths[b] = c.Leaves
+	}
+	return widths
+}
+
 // Validate checks leaf counts are positive and consistent, and that no
 // split's node total overflows an int.
 func (s *ChunkSpec) Validate() error {

@@ -42,15 +42,17 @@ type Options struct {
 	// and Logf are not read: every subproblem solve is handed Canceled and
 	// Logf below in their place.
 	MIP mip.Options
-	// Warm, when non-nil, seeds flat root solves with an incumbent
-	// allocation from a previous run: each flexible query's runnable-node
-	// set under Warm becomes one more starting placement, so re-optimizing
-	// a drifted instance begins from the previously served allocation
-	// instead of from scratch (the allocation service's incremental
-	// re-optimization path, DESIGN.md §3.11). Like every hint it is advisory
-	// — it never changes the model (runKey ignores it) and a worse proposal
-	// is simply not adopted. K may differ from Warm.K: only the overlapping
-	// node prefix seeds the start.
+	// Warm, when non-nil, seeds every split's solve with an incumbent
+	// allocation from a previous run, so re-optimizing a drifted instance
+	// begins from the previously served allocation instead of from scratch
+	// (the allocation service's incremental re-optimization path, DESIGN.md
+	// §3.11). Each split reads one more starting placement off it by the
+	// projection the greedy and hierarchical hints go through: subnode b
+	// proposes a flexible query when some final node in b's leaf range can
+	// run it under Warm — for a flat root, one node per subnode. Like every
+	// hint it is advisory — it never changes the model (runKey ignores it)
+	// and a worse proposal is simply not adopted. K may differ from Warm.K:
+	// only the overlapping node prefix seeds the start.
 	Warm *model.Allocation
 	// Canceled, when non-nil, is the run's one stop hook. The driver polls
 	// it between subproblems and hands it, as it stands, to every search
@@ -432,12 +434,12 @@ func (d *driver) solve(sp *subproblem, spec *ChunkSpec, leaf int, id string, rep
 			return err
 		}
 	}
-	// An incumbent allocation from a previous run warm-starts the same flat
-	// root shape the greedy hint does. It is a cheap projection, not a
-	// solve, so it runs inline rather than on the worker pool.
+	// An incumbent allocation from a previous run warm-starts every split.
+	// It is a cheap projection, not a solve, so it runs inline rather than
+	// on the worker pool.
 	var warmHint [][]bool
-	if len(spec.Children) == 0 && leaf == 0 && spec.Leaves == d.alloc.K && d.opt.Warm != nil {
-		warmHint = sp.placement(d.opt.Warm, b)
+	if d.opt.Warm != nil {
+		warmHint = sp.project(d.opt.Warm, spec, leaf)
 	}
 
 	d.logf("core: solving split %v (B=%d, %d flexible queries, %d fragments) for leaves %d..%d",
@@ -499,18 +501,25 @@ func (d *driver) finish(sp *subproblem, spec *ChunkSpec, sol *solution, leaf int
 	return d.gate.run(tasks...)
 }
 
-// placement reads a starting placement for a flat solve over n subnodes off
-// an allocation: every flexible query is proposed on each of the first n
-// nodes that stores all its fragments. When alloc has fewer nodes (a warm
-// incumbent from before a node join), only the overlapping prefix carries
-// over; a query alloc cannot run anywhere contributes nothing, which the
-// proposal repair inside the MIP tolerates like any other partial start.
-func (sp *subproblem) placement(alloc *model.Allocation, n int) [][]bool {
+// project reads the starting placement for spec's split of the final nodes
+// [leaf, leaf+spec.Leaves) off an allocation: subnode bb proposes flexible
+// query j when some final node in bb's leaf range can run j under alloc —
+// one node for an exact group, a child's leaves for an inner split. When
+// alloc has fewer nodes (a warm incumbent from before a node join), only
+// the overlapping prefix counts; a query alloc cannot run in a subnode's
+// range contributes nothing there, which the proposal repair inside the
+// MIP tolerates like any other partial start.
+func (sp *subproblem) project(alloc *model.Allocation, spec *ChunkSpec, leaf int) [][]bool {
+	widths := spec.subnodes()
 	hint := make([][]bool, len(sp.flexQ))
 	for q, j := range sp.flexQ {
-		hint[q] = make([]bool, n)
-		for bb := 0; bb < n && bb < alloc.K; bb++ {
-			hint[q][bb] = alloc.CanRun(&sp.w.Queries[j], bb)
+		hint[q] = make([]bool, len(widths))
+		lo := leaf
+		for bb, width := range widths {
+			for n := lo; n < lo+width && n < alloc.K && !hint[q][bb]; n++ {
+				hint[q][bb] = alloc.CanRun(&sp.w.Queries[j], n)
+			}
+			lo += width
 		}
 	}
 	return hint
@@ -526,7 +535,7 @@ func (d *driver) greedyHint(sp *subproblem, n int) [][]bool {
 	if err != nil {
 		return nil
 	}
-	return sp.placement(alloc, n)
+	return sp.project(alloc, Flat(n), 0)
 }
 
 // hierarchicalHint solves the same subproblem with a balanced two-way
@@ -540,9 +549,12 @@ func (d *driver) hierarchicalHint(sp *subproblem, n int) [][]bool {
 	// oversubscribe the CPU budget or interleave log lines. It journals
 	// into a fresh in-memory recorder of its own: a pre-solve is throwaway
 	// scaffolding whose subproblem ids would collide with the real
-	// decomposition's journal.
+	// decomposition's journal. It gets no Warm: it lays this group's
+	// subnodes out from leaf 0, where the incumbent's nodes are those of
+	// the group that owns leaf 0, not necessarily this one's.
 	opt := d.opt
 	opt.Checkpoint = checkpoint.NewRecorder(nil, nil)
+	opt.Warm = nil
 	scratch := &driver{
 		w: d.w, ss: d.ss, opt: opt, alloc: newAllocation(d.w, d.ss, d.alloc.K), exact: true,
 		gate: d.gate, logMu: d.logMu,
@@ -553,7 +565,7 @@ func (d *driver) hierarchicalHint(sp *subproblem, n int) [][]bool {
 		d.logf("core: hierarchical pre-solve failed: %v", err)
 		return nil
 	}
-	return sp.placement(scratch.alloc, n)
+	return sp.project(scratch.alloc, Flat(n), 0)
 }
 
 // assignLeaf routes a leaf subproblem's entire inherited workload to one

@@ -147,16 +147,24 @@ func TestPipelineGolden(t *testing.T) {
 			Options{Chunks: mustChunks(t, "4+4"), FixedQueries: 47, Parallelism: par, MIP: budget}, "", nil)
 		check("tpcds K=8 4+4 F=47 S=3", res, st, 0x66617e1d6cda8227, 0x2aee14e222334361)
 
-		// (b) allocd's re-optimization shape: warm-started from the allocation
-		// of a neighbouring scenario draw, its dives from that run's bases.
+		// (b) allocd's re-optimization shape: every split warm-started from
+		// the allocation of a neighbouring scenario draw, its dives from that
+		// run's bases. The same run without the warm allocation must do other
+		// work, so a hint that stops reaching the splits fails here.
 		prior, pst := goldenRun(t, full, scenario.InSample(full, 4, scenario.DefaultP, 2), 4,
 			Options{Chunks: mustChunks(t, "2+2"), FixedQueries: 64, Parallelism: par, MIP: budget}, "", nil)
-		res, st = goldenRun(t, full, scenario.InSample(full, 4, scenario.DefaultP, 1), 4,
+		drifted := scenario.InSample(full, 4, scenario.DefaultP, 1)
+		res, st = goldenRun(t, full, drifted, 4,
 			Options{Chunks: mustChunks(t, "2+2"), FixedQueries: 64, Parallelism: par, MIP: budget, Warm: prior.Allocation}, "", journaledBases(t, pst))
 		if res.Starts.Dives+res.Starts.DivesCold != 3 {
 			t.Errorf("warm run: %v, want every dive offered the prior run's basis", res.Starts)
 		}
-		check("tpcds K=4 2+2 F=64 S=4 warm", res, st, 0xb7501015b9e14caf, 0x6f3baf925d3b83c2)
+		check("tpcds K=4 2+2 F=64 S=4 warm", res, st, 0x5d002bcd86289a1f, 0x3e0ccd65623ddad0)
+		cold, cst := goldenRun(t, full, drifted, 4,
+			Options{Chunks: mustChunks(t, "2+2"), FixedQueries: 64, Parallelism: par, MIP: budget}, "", journaledBases(t, pst))
+		if workDigest(t, cold, cst) == workDigest(t, res, st) {
+			t.Errorf("parallelism %d: the 2+2 run without Warm does the same work as with it (%d nodes, %d LP iterations)", par, cold.BBNodes, cold.LPIters)
+		}
 
 		// (c) a flat solve: the hierarchical pre-solve, the greedy hint and a
 		// warm hint all seed one root MIP.

@@ -95,16 +95,10 @@ func (sp *subproblem) index() *subproblem {
 // subnode per child, weighted by the child's leaves — for an exact group,
 // one per final node.
 func (sp *subproblem) split(spec *ChunkSpec) {
-	if len(spec.Children) == 0 {
-		sp.weights = make([]float64, spec.Leaves)
-		for b := range sp.weights {
-			sp.weights[b] = 1 / float64(sp.k)
-		}
-	} else {
-		sp.weights = make([]float64, len(spec.Children))
-		for b, c := range spec.Children {
-			sp.weights[b] = float64(c.Leaves) / float64(sp.k)
-		}
+	widths := spec.subnodes()
+	sp.weights = make([]float64, len(widths))
+	for b, n := range widths {
+		sp.weights[b] = float64(n) / float64(sp.k)
 	}
 }
 

@@ -251,52 +251,78 @@ func TestServiceDegradedServesIncumbent(t *testing.T) {
 
 // TestServiceWarmStartFewerLPIters pins the point of warm-starting: over a
 // run of drifted instances, re-optimizing from the incumbent does less
-// simplex work than solving cold, and never ends on a worse allocation.
+// simplex work than solving cold.
 //
 // It is a sum because branch and bound is chaotic in its pivots: on a single
 // instance the ratio of warm to cold LP iterations moves with every change to
 // the pivot trajectory (over these seeds from 0.20 to 1.48; the one instance
-// this test once rested on went from 0.86 to 1.11 in PR 18). It is at K = 2
-// because that is where the head start is systematic: a flat root with three
-// or more subnodes runs the hierarchical pre-solve, so its cold search starts
-// from an incumbent as good as the warm one and the sums come out level,
-// while at K = 2 the cold search has the greedy placement alone. Over these
-// twelve consecutive seeds Σ warm / Σ cold is 0.59, and was 0.75 on the pivot
-// trajectory before PR 18. The solver is deterministic at Parallelism 1, so
-// the counts reproduce exactly; the test asserts only the sign of the sum.
+// this test once rested on went from 0.86 to 1.11 when the LU refresh rule
+// became work-balanced). The flat row is at K = 2 because that is where the
+// head start is systematic: a flat root with three or more subnodes runs the
+// hierarchical pre-solve, so its cold search starts from an incumbent as good
+// as the warm one and the sums come out level, while at K = 2 the cold search
+// has the greedy placement alone. Over these twelve consecutive seeds its
+// Σ warm / Σ cold is 0.66, and there the warm run never ends on a worse
+// allocation either. The 2+2 row is allocd's shape under the node budget the
+// daemon benchmark runs: every split, not only a flat root, is offered the
+// incumbent (Σ 9 048 cold, 8 463 warm). It asserts work alone, since one seed
+// in twelve ends on a worse W/V warm than cold. The solver is deterministic
+// at Parallelism 1, so the counts reproduce exactly; the test asserts only
+// the sign of each sum.
 func TestServiceWarmStartFewerLPIters(t *testing.T) {
-	var sumCold, sumWarm int
-	for seed := int64(1); seed <= 12; seed++ {
-		w := calibratedWorkload(seed, 20, 16)
-		ss := scenario.InSample(w, 1, 0.75, seed)
-		base, err := core.Allocate(w, ss, 2, core.Options{Parallelism: 1})
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name    string
+		nodes   int
+		chunks  string // "" solves flat
+		mip     mip.Options
+		noWorse bool // the warm W/V never exceeds the cold one
+	}{
+		{"K=2 flat", 2, "", mip.Options{}, true},
+		{"K=4 2+2", 4, "2+2", mip.Options{MaxNodes: 60, MaxStallNodes: 30}, false},
+	} {
+		opt := core.Options{Parallelism: 1, MIP: tc.mip}
+		if tc.chunks != "" {
+			spec, err := core.ParseChunks(tc.chunks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt.Chunks = spec
 		}
-		drifted, _, err := applyUpdate(w, ss, 2, Update{FreqDeltas: []FreqDelta{{Scenario: 0, Query: 2, Delta: 0.3}}})
-		if err != nil {
-			t.Fatal(err)
+		var sumCold, sumWarm int
+		for seed := int64(1); seed <= 12; seed++ {
+			w := calibratedWorkload(seed, 20, 16)
+			ss := scenario.InSample(w, 1, 0.75, seed)
+			base, err := core.Allocate(w, ss, tc.nodes, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			drifted, _, err := applyUpdate(w, ss, tc.nodes, Update{FreqDeltas: []FreqDelta{{Scenario: 0, Query: 2, Delta: 0.3}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := core.Allocate(w, drifted, tc.nodes, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			warmOpt := opt
+			warmOpt.Warm = base.Allocation
+			warm, err := core.Allocate(w, drifted, tc.nodes, warmOpt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.noWorse && warm.ReplicationFactor > cold.ReplicationFactor+1e-9 {
+				t.Errorf("%s, seed %d: warm W/V %.6f worse than cold %.6f", tc.name, seed, warm.ReplicationFactor, cold.ReplicationFactor)
+			}
+			sumCold += cold.LPIters
+			sumWarm += warm.LPIters
+			t.Logf("%s, seed %d: cold LPIters=%d, warm LPIters=%d (%.1f%%)", tc.name, seed, cold.LPIters, warm.LPIters,
+				100*float64(warm.LPIters)/float64(cold.LPIters))
 		}
-		cold, err := core.Allocate(w, drifted, 2, core.Options{Parallelism: 1})
-		if err != nil {
-			t.Fatal(err)
+		if sumWarm >= sumCold {
+			t.Errorf("%s: warm starts did not reduce simplex work: Σ warm LPIters=%d, Σ cold=%d", tc.name, sumWarm, sumCold)
 		}
-		warm, err := core.Allocate(w, drifted, 2, core.Options{Parallelism: 1, Warm: base.Allocation})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if warm.ReplicationFactor > cold.ReplicationFactor+1e-9 {
-			t.Errorf("seed %d: warm W/V %.6f worse than cold %.6f", seed, warm.ReplicationFactor, cold.ReplicationFactor)
-		}
-		sumCold += cold.LPIters
-		sumWarm += warm.LPIters
-		t.Logf("seed %d: cold LPIters=%d, warm LPIters=%d (%.1f%%)", seed, cold.LPIters, warm.LPIters,
-			100*float64(warm.LPIters)/float64(cold.LPIters))
+		t.Logf("%s: Σ cold LPIters=%d, Σ warm LPIters=%d (%.1f%%)", tc.name, sumCold, sumWarm, 100*float64(sumWarm)/float64(sumCold))
 	}
-	if sumWarm >= sumCold {
-		t.Errorf("warm starts did not reduce simplex work: Σ warm LPIters=%d, Σ cold=%d", sumWarm, sumCold)
-	}
-	t.Logf("Σ cold LPIters=%d, Σ warm LPIters=%d (%.1f%%)", sumCold, sumWarm, 100*float64(sumWarm)/float64(sumCold))
 }
 
 // TestServiceHTTPEndpoints exercises the full endpoint table over a live
