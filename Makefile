@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: check fmt-check vet fragvet build test race benchcompile fuzz bench-paper goldens size census traffic profile
+.PHONY: check fmt-check vet fragvet build test race benchcompile fuzz bench-paper goldens size census traffic profile benchpairs
 
 check: fmt-check vet fragvet build benchcompile fuzz race
 	@echo "make check: all stages passed"
@@ -144,3 +144,16 @@ profile:
 	[ -s "$$dir/cpu.prof" ] || exit 1; \
 	echo "== by flat"; $(GO) tool pprof -top -nodecount=30 "$$dir/core.test" "$$dir/cpu.prof" 2>/dev/null; \
 	echo "== by cum"; $(GO) tool pprof -top -cum -nodecount=0 "$$dir/core.test" "$$dir/cpu.prof" 2>/dev/null
+
+# Paired benchmark runs for a change that claims a gain: the parent revision
+# PARENT against HEAD, PAIRS runs of each side per gated workload of
+# BENCHMARK.json (WORKLOADS overrides the list), alternating which side runs
+# first, each from a `git archive` of its revision in a temp dir. Prints each
+# gated metric's medians and quartiles, the pairs the change won and whether
+# the gain rule holds (nine wins in ten, and a median gain larger than the
+# parent's interquartile range). ~1.5 min a pair per workload. Not part of
+# `make check`.
+PAIRS ?= 10
+benchpairs:
+	@[ -n "$(PARENT)" ] || { echo "usage: make benchpairs PARENT=<rev> [PAIRS=N]"; exit 2; }
+	@bash tools/benchpairs.sh $(PARENT) $(PAIRS)
