@@ -1,10 +1,15 @@
 package core
 
 import (
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
+	"fragalloc/internal/checkpoint"
+	"fragalloc/internal/mip"
 	"fragalloc/internal/model"
+	"fragalloc/internal/scenario"
 )
 
 // projectWorkload has four queries over six fragments: q0 {0}, q1 {1,2},
@@ -85,5 +90,34 @@ func TestProjectOntoSplits(t *testing.T) {
 		if strings.Join(got, " ") != strings.Join(tc.want, " ") {
 			t.Errorf("%s: %v, want %v", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestPreSolveIgnoresWarm checks that a group's hierarchical pre-solve is
+// not offered the warm incumbent: its scratch run lays the group out from
+// leaf 0, where the incumbent's nodes belong to whichever group owns leaf
+// 0. The pre-solve's placement must come out the same with and without a
+// warm allocation on the driver.
+func TestPreSolveIgnoresWarm(t *testing.T) {
+	w := tpcdsSubset(30)
+	ss := scenario.InSample(w, 2, scenario.DefaultP, 1)
+	budget := mip.Options{MaxNodes: 60, MaxStallNodes: 30}
+	prior, err := Allocate(w, scenario.InSample(w, 2, scenario.DefaultP, 2), 8, Options{Chunks: mustChunks(t, "4+4"), MIP: budget, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	presolve := func(warm *model.Allocation) [][]bool {
+		sp, err := newRoot(w, ss, 8, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := &driver{
+			w: w, ss: ss, opt: Options{MIP: budget, Warm: warm, Checkpoint: checkpoint.NewRecorder(nil, nil)},
+			alloc: newAllocation(w, ss, 8), exact: true, gate: newGate(1), logMu: &sync.Mutex{},
+		}
+		return d.hierarchicalHint(sp, 4)
+	}
+	if cold, warm := presolve(nil), presolve(prior.Allocation); !reflect.DeepEqual(cold, warm) {
+		t.Error("the hierarchical pre-solve placed queries differently with a warm allocation on the driver")
 	}
 }
