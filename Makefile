@@ -149,10 +149,12 @@ profile:
 # PARENT against HEAD, PAIRS runs of each side per gated workload of
 # BENCHMARK.json (WORKLOADS overrides the list), alternating which side runs
 # first, each from a `git archive` of its revision in a temp dir. Prints each
-# gated metric's medians and quartiles, the pairs the change won and whether
-# the gain rule holds (nine wins in ten, and a median gain larger than the
-# parent's interquartile range). ~1.5 min a pair per workload. Not part of
-# `make check`.
+# gated metric's medians and quartiles, the pairs the change won, each side's
+# failed operations and whether the gain rule holds (the change fails no more
+# often than the parent, wins nine pairs in ten, and its median gain is larger
+# than the parent's interquartile range). On the two-core box the two builds
+# take ~1 min and an allocd_drift pair ~0.5 min (two pairs: 2 min 3 s in
+# all). Not part of `make check`.
 PAIRS ?= 10
 benchpairs:
 	@[ -n "$(PARENT)" ] || { echo "usage: make benchpairs PARENT=<rev> [PAIRS=N]"; exit 2; }

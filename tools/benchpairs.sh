@@ -1,39 +1,38 @@
 #!/usr/bin/env bash
 # Paired benchmark runs of a parent revision against a change:
 #
-#   bash tools/benchpairs.sh PARENT [PAIRS] [CHANGE]
+#   bash tools/benchpairs.sh PARENT [PAIRS]
 #
-# Unpacks PARENT and CHANGE (default HEAD) with `git archive` into a temp
-# dir, and for every workload in $WORKLOADS (default: the three gated ones
-# of BENCHMARK.json) runs
+# Unpacks PARENT and HEAD with `git archive` into a temp dir, and for every
+# workload in $WORKLOADS (default: the three gated ones of BENCHMARK.json)
+# runs
 #
 #   bash bench/run.sh --workload W --seed 1 --seconds 36 --trace 0
 #
 # PAIRS times in each tree, alternating which side runs first. Each tree
 # builds the benchmark once into its own .bench_build. It then prints, per
 # workload and gated end-to-end metric, each side's median and quartiles,
-# how many pairs the change won (ties count for neither side), and whether
-# the gain rule holds: the change wins at least nine pairs in ten and its
+# how many pairs the change won (ties count for neither side), each side's
+# failed operations over those attempted, and whether the gain rule holds:
+# the change fails no larger share of its operations, and its output check
+# on no more runs, than the parent, wins at least nine pairs in ten, and its
 # median beats the parent's by more than the parent's interquartile range.
+# It exits 1 when a run failed its output check.
 # The result lines and build logs of every run stay in the temp dir, whose
 # path it prints; the two trees are removed once every run is in. Needs git,
 # jq and awk.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-parent=${1:?usage: benchpairs.sh PARENT [PAIRS] [CHANGE]}
+parent=${1:?usage: benchpairs.sh PARENT [PAIRS]}
 pairs=${2:-10}
-change=${3:-HEAD}
 workloads=${WORKLOADS:-$(jq -r '.workloads[].name' BENCHMARK.json)}
 seconds=$(jq -r '.run_seconds' BENCHMARK.json)
 
 dir=$(mktemp -d)
-echo "benchpairs: $parent vs $change, $pairs pairs, results in $dir" >&2
-for side in parent change; do
-	rev=$parent
-	[ "$side" = change ] && rev=$change
-	mkdir "$dir/$side"
-	git archive "$rev" | tar -x -C "$dir/$side"
-done
+echo "benchpairs: $parent vs HEAD, $pairs pairs, results in $dir" >&2
+mkdir "$dir/parent" "$dir/change"
+git archive "$parent" | tar -x -C "$dir/parent"
+git archive HEAD | tar -x -C "$dir/change"
 
 # run SIDE WORKLOAD appends the result line of one run to SIDE-WORKLOAD.jsonl.
 run() {
@@ -52,14 +51,23 @@ for w in $workloads; do
 	done
 done
 
-printf '%-22s %-19s %11s %11s %11s %11s %11s %11s %6s  %s\n' \
-	workload metric "parent med" "parent q1" "parent q3" "change med" "change q1" "change q3" wins "gain rule"
+# failures FILE prints a side's failed and attempted operations, summed over
+# its runs, and how many of its runs failed their output check.
+failures() {
+	jq -sr '"\(map(.failed) | add) \(map(.attempted) | add) \(map(select(.correct != true)) | length)"' "$1"
+}
+
+printf '%-22s %-19s %11s %11s %11s %11s %11s %11s %6s %-23s %s\n' \
+	workload metric "parent med" "parent q1" "parent q3" "change med" "change q1" "change q3" wins "failed parent/change" "gain rule"
 for w in $workloads; do
+	read -r pf pa pbad < <(failures "$dir/parent-$w.jsonl")
+	read -r cf ca cbad < <(failures "$dir/change-$w.jsonl")
 	jq -r '.end_to_end[] | "\(.name) \(.better)"' BENCHMARK.json | while read -r m better; do
 		paste -d ' ' \
 			<(jq -r --arg m "$m" '.metrics[$m].value' "$dir/parent-$w.jsonl") \
 			<(jq -r --arg m "$m" '.metrics[$m].value' "$dir/change-$w.jsonl") |
-			awk -v w="$w" -v m="$m" -v better="$better" '
+			awk -v w="$w" -v m="$m" -v better="$better" \
+				-v pf="$pf" -v pa="$pa" -v pbad="$pbad" -v cf="$cf" -v ca="$ca" -v cbad="$cbad" '
 				function q(a, n, p,   h, i) { h = (n - 1) * p; i = int(h); return i + 1 < n ? a[i] + (h - i) * (a[i + 1] - a[i]) : a[i] }
 				function sorted(src, dst, n,   i, j, t) {
 					for (i = 0; i < n; i++) dst[i] = src[i]
@@ -72,9 +80,13 @@ for w in $workloads; do
 					sorted(p, ps, n); sorted(c, cs, n)
 					pm = q(ps, n, 0.5); cm = q(cs, n, 0.5); iqr = q(ps, n, 0.75) - q(ps, n, 0.25)
 					gain = (better == "lower" ? pm - cm : cm - pm)
-					rule = (10 * wins >= 9 * n && gain > iqr) ? "met" : "not met"
-					printf "%-22s %-19s %11.6g %11.6g %11.6g %11.6g %11.6g %11.6g %3d/%-2d  %s (gain %.6g, parent IQR %.6g)\n",
-						w, m, pm, q(ps, n, 0.25), q(ps, n, 0.75), cm, q(cs, n, 0.25), q(cs, n, 0.75), wins, n, rule, gain, iqr
+					# The change may fail no larger share of its operations, and
+					# fail its output check on no more runs, than the parent.
+					worse = cf * pa > pf * ca || cbad > pbad
+					rule = (!worse && 10 * wins >= 9 * n && gain > iqr) ? "met" : "not met"
+					printf "%-22s %-19s %11.6g %11.6g %11.6g %11.6g %11.6g %11.6g %3d/%-2d %-23s %s (gain %.6g, parent IQR %.6g%s)\n",
+						w, m, pm, q(ps, n, 0.25), q(ps, n, 0.75), cm, q(cs, n, 0.25), q(cs, n, 0.75), wins, n,
+						pf "/" pa " " cf "/" ca, rule, gain, iqr, (worse ? ", change fails more" : "")
 				}'
 	done
 done
