@@ -264,11 +264,17 @@ func TestServiceDegradedServesIncumbent(t *testing.T) {
 // has the greedy placement alone. Over these twelve consecutive seeds its
 // Σ warm / Σ cold is 0.66, and there the warm run never ends on a worse
 // allocation either. The 2+2 row is allocd's shape under the node budget the
-// daemon benchmark runs: every split, not only a flat root, is offered the
-// incumbent (Σ 9 048 cold, 8 463 warm). It asserts work alone, since one seed
-// in twelve ends on a worse W/V warm than cold. The solver is deterministic
-// at Parallelism 1, so the counts reproduce exactly; the test asserts only
-// the sign of each sum.
+// daemon benchmark runs, where every split, not only a flat root, is offered
+// the incumbent. Its sum is measured work on these twelve seeds, not a
+// general benefit: Σ 9 048 cold against 8 463 warm is a 6.5 % margin, and
+// the benchmark's drift probe reads the other way (`bench trace`'s
+// core.warm_lpiters_ratio is 1.10 on allocd_drift), so a change to the pivot
+// path may flip it. The guard that the incumbent reaches the splits at all is
+// TestPipelineGolden case (b), which requires the same run without Warm to do
+// different work. The row asserts work alone, since one seed in twelve ends
+// on a worse W/V warm than cold. The solver is deterministic at Parallelism
+// 1, so the counts reproduce exactly; the test asserts only the sign of each
+// sum.
 func TestServiceWarmStartFewerLPIters(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
