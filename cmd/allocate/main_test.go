@@ -153,6 +153,20 @@ func TestBudgetIsWorkNotTime(t *testing.T) {
 	}
 }
 
+// TestTimeoutInterruptsTheRun checks that -timeout reaches the solver: a
+// 1 ns timeout cuts the run short, which exits 2 and says so. A hook the
+// solve never polls would let it run out its 1 s budget and exit 0.
+func TestTimeoutInterruptsTheRun(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, os.Args[0], "allocate", "-workload", "tpcds", "-k", "4",
+		"-budget", "1s", "-timeout", "1ns", "-o", filepath.Join(t.TempDir(), "a.json")).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != exitDegraded || !strings.Contains(string(out), "run interrupted") {
+		t.Errorf("-timeout 1ns: %v, output:\n%s\nwant exit %d and \"run interrupted\"", err, out, exitDegraded)
+	}
+}
+
 // wantOneLineExit runs allocate on args and checks that it exits 1 with one
 // line of output, about flag.
 func wantOneLineExit(t *testing.T, flag string, args ...string) {

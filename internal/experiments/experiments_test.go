@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"regexp"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -32,6 +33,22 @@ func TestFig1Output(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("fig1 output missing %q", want)
 		}
+	}
+}
+
+// TestTable1PollsCanceled checks that Config.Canceled reaches the table's
+// solves: a hook that asks every poll to stop is polled, and Table1 still
+// returns without an error.
+func TestTable1PollsCanceled(t *testing.T) {
+	var buf bytes.Buffer
+	cfg := benchCfg("tpcds", &buf)
+	var polls atomic.Int64
+	cfg.Canceled = func() bool { polls.Add(1); return true }
+	if err := Table1(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if polls.Load() == 0 {
+		t.Errorf("Table1 never polled Config.Canceled; it printed:\n%s", buf.String())
 	}
 }
 

@@ -249,6 +249,32 @@ func TestServiceDegradedServesIncumbent(t *testing.T) {
 	}
 }
 
+// TestServiceSolveTimeoutCancelsTheSolve checks that Config.SolveTimeout
+// reaches the solver through core's Canceled hook. Under a 1 ns timeout and
+// a live outer context, Bootstrap's solve is cut short and rejected, and the
+// status says why. A hook dropped from the attempt's options, or one read
+// from the outer context instead of the attempt's own, lets the solve run
+// out its node budget and adopt, and the test fails.
+func TestServiceSolveTimeoutCancelsTheSolve(t *testing.T) {
+	cfg := serviceConfig(t)
+	cfg.SolveTimeout = time.Nanosecond
+	cfg.MIP = mip.Options{MaxNodes: 20}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "timed out or was canceled"
+	if err := s.Bootstrap(context.Background()); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Bootstrap under a 1 ns solve timeout: %v, want an error that says %q", err, want)
+	}
+	if inc, _ := s.Incumbent(); inc != nil {
+		t.Errorf("a canceled solve was adopted at epoch %d", inc.Epoch)
+	}
+	if st := s.Status(); !strings.Contains(st.LastError, want) {
+		t.Errorf("Status().LastError = %q, want it to say %q", st.LastError, want)
+	}
+}
+
 // TestServiceWarmStartFewerLPIters pins the point of warm-starting: over a
 // run of drifted instances, re-optimizing from the incumbent does less
 // simplex work than solving cold.
