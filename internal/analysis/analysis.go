@@ -44,7 +44,7 @@ type Analyzer struct {
 
 // Analyzers is the fragvet suite, in reporting order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{RangeMapOrder, FloatCmp, AliasRetain, LockHeld, CtxHook, Atomicwrite, ErrDrop, SrvTimeout}
+	return []*Analyzer{RangeMapOrder, FloatCmp, AliasRetain, LockHeld, Atomicwrite, ErrDrop, SrvTimeout}
 }
 
 // A Pass hands one analyzer the parsed and type-checked view of one package.

@@ -130,7 +130,6 @@ func TestFloatCmpHelperExempt(t *testing.T) {
 }
 func TestAliasRetainGolden(t *testing.T) { runGolden(t, "aliasretain", AliasRetain) }
 func TestLockHeldGolden(t *testing.T)    { runGolden(t, "lockheld", LockHeld) }
-func TestCtxHookGolden(t *testing.T)     { runGolden(t, "ctxhook", CtxHook) }
 func TestAtomicwriteGolden(t *testing.T) { runGolden(t, "atomicwrite", Atomicwrite) }
 func TestSrvTimeoutGolden(t *testing.T)  { runGolden(t, "srvtimeout", SrvTimeout) }
 
