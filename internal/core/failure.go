@@ -52,9 +52,6 @@ func (c *OutcomeCounts) add(o string) {
 	}
 }
 
-// Total is the number of solved subproblems counted.
-func (c OutcomeCounts) Total() int { return c.Optimal + c.Feasible + c.Degraded }
-
 func (c OutcomeCounts) String() string {
 	return fmt.Sprintf("%d optimal, %d feasible, %d degraded", c.Optimal, c.Feasible, c.Degraded)
 }
