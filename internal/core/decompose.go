@@ -407,32 +407,16 @@ func (d *driver) solve(sp *subproblem, spec *ChunkSpec, leaf int, id string, rep
 	// of the paper, where the exact rows dominate the chunked ones). A flat
 	// root solve over the full node set is additionally seeded with the
 	// greedy baseline (merged over scenarios), so the LP-based allocation
-	// provably starts no worse than greedy. The two hints are independent
-	// reads of sp, so they run concurrently with each other.
+	// provably starts no worse than greedy. They run in turn: only a flat
+	// root with K >= 3 takes both, and there the greedy baseline costs
+	// milliseconds beside a pre-solve of seconds. A canceled run skips
+	// them; its main solve degrades.
 	var hier, greedyHint [][]bool
-	var hintTasks []func() error
-	if len(spec.Children) == 0 && b >= 3 {
-		hintTasks = append(hintTasks, func() error {
-			if d.canceled() {
-				return nil // the main solve will degrade; skip the pre-solve
-			}
-			hier = d.hierarchicalHint(sp, b)
-			return nil
-		})
+	if len(spec.Children) == 0 && b >= 3 && !d.canceled() {
+		hier = d.hierarchicalHint(sp, b)
 	}
-	if len(spec.Children) == 0 && leaf == 0 && spec.Leaves == d.alloc.K {
-		hintTasks = append(hintTasks, func() error {
-			if d.canceled() {
-				return nil
-			}
-			greedyHint = d.greedyHint(sp, b)
-			return nil
-		})
-	}
-	if len(hintTasks) > 0 {
-		if err := d.gate.run(hintTasks...); err != nil {
-			return err
-		}
+	if len(spec.Children) == 0 && leaf == 0 && spec.Leaves == d.alloc.K && !d.canceled() {
+		greedyHint = d.greedyHint(sp, b)
 	}
 	// An incumbent allocation from a previous run warm-starts every split.
 	// It is a cheap projection, not a solve, so it runs inline rather than
@@ -559,7 +543,6 @@ func (d *driver) hierarchicalHint(sp *subproblem, n int) [][]bool {
 		w: d.w, ss: d.ss, opt: opt, alloc: newAllocation(d.w, d.ss, d.alloc.K), exact: true,
 		gate: d.gate, logMu: d.logMu,
 	}
-	// The pre-solve may run concurrently with other readers of sp, and
 	// driver.solve installs its own weights: give it a clone.
 	if err := scratch.solve(sp.clone(), spec, 0, "h", true); err != nil {
 		d.logf("core: hierarchical pre-solve failed: %v", err)
