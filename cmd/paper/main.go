@@ -34,6 +34,15 @@
 // A first SIGINT/SIGTERM winds the run down gracefully with its best
 // incumbents; a second one forces an immediate exit with code 1 (with
 // -checkpoint set, the journal written so far survives for -resume).
+//
+// Exit codes:
+//
+//	0  every experiment ran to the end
+//	2  the run was cut short by -timeout or a signal: the tables are
+//	   printed, but the rows it cut carry the incumbents found before it
+//	   (or the greedy fallback), not what the budget buys; also a
+//	   malformed command line
+//	1  any other error (bad flag values, I/O, solver failure)
 package main
 
 import (
@@ -159,5 +168,9 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "paper: %v\n", err)
 		os.Exit(1)
+	}
+	if ctx.Err() != nil {
+		fmt.Fprintf(os.Stderr, "paper: run interrupted (%v); the rows it cut short carry their best incumbents\n", ctx.Err())
+		os.Exit(2)
 	}
 }

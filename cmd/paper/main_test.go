@@ -39,16 +39,40 @@ func TestNegativeDurationsAndParallel(t *testing.T) {
 	wantRefused(t, "-parallel", "-1")
 }
 
+// TestTimeoutInterruptsTheRun checks that a run cut short says so and exits
+// 2: a 1 ns -timeout cuts every Table 1 row, which then differs from an
+// uncut row only by its note. An uncut run exits 0.
+func TestTimeoutInterruptsTheRun(t *testing.T) {
+	if code, out := runPaper(t, "-budget", "1s", "-timeout", "1ns", "-unseen", "3", "table1"); code != 2 || !strings.Contains(out, "paper: run interrupted") {
+		t.Errorf("-timeout 1ns: exit %d, output:\n%s\nwant exit 2 and \"run interrupted\"", code, out)
+	}
+	if code, out := runPaper(t, "-budget", "1s", "-unseen", "3", "fig1"); code != 0 || strings.Contains(out, "run interrupted") {
+		t.Errorf("uncut: exit %d, output:\n%s\nwant exit 0", code, out)
+	}
+}
+
 // wantRefused runs paper with flag set to v and checks that it exits 1 with
 // one line about flag before any experiment runs.
 func wantRefused(t *testing.T, flag, v string) {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	out, err := exec.CommandContext(ctx, os.Args[0], "paper", flag, v, "fig1").CombinedOutput()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 1 ||
-		!strings.HasPrefix(string(out), "paper: "+flag+": ") || strings.Count(string(out), "\n") != 1 {
-		t.Errorf("%s %s: %v, output %q; want exit 1 and one line about %s", flag, v, err, out, flag)
+	if code, out := runPaper(t, flag, v, "fig1"); code != 1 ||
+		!strings.HasPrefix(out, "paper: "+flag+": ") || strings.Count(out, "\n") != 1 {
+		t.Errorf("%s %s: exit %d, output %q; want exit 1 and one line about %s", flag, v, code, out, flag)
 	}
+}
+
+// runPaper runs paper on args and returns its exit code and output.
+func runPaper(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, os.Args[0], append([]string{"paper"}, args...)...).CombinedOutput()
+	var exit *exec.ExitError
+	if errors.As(err, &exit) {
+		return exit.ExitCode(), string(out)
+	}
+	if err != nil {
+		t.Fatalf("%q: %v", args, err)
+	}
+	return 0, string(out)
 }
