@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 	"sort"
 )
 
@@ -18,9 +19,12 @@ import (
 // from x.Lock() to x.Unlock() in straight-line code, or to the end of the
 // function when the unlock is deferred. Nested function literals are
 // analyzed separately with no locks held (goroutine bodies and deferred
-// closures run on their own schedule). Only operations written in the
-// locked function itself are seen; a helper that blocks is its own
-// function's business.
+// closures run on their own schedule), except a literal passed straight to
+// a same-package function that calls that parameter while it holds a
+// mutex: the literal is analyzed with that mutex held, as the service's
+// s.locked(func(st *state){…}) closures run under s.mu. Only operations
+// written in the locked function itself are seen; a helper that blocks is
+// its own function's business.
 var LockHeld = &Analyzer{
 	Name: "lockheld",
 	Doc: "flag channel operations, WaitGroup.Wait, and solver entry points " +
@@ -62,23 +66,89 @@ func (h lockState) oldest() (string, token.Pos) {
 }
 
 func runLockHeld(pass *Pass) {
+	heldIn := lockedLiterals(pass)
+	check := func(c ast.Node, held lockState) bool { return reportUnderLock(pass, c, held) }
 	for _, file := range pass.Pkg.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
+			held := make(lockState)
 			var body *ast.BlockStmt
 			switch fn := n.(type) {
 			case *ast.FuncDecl:
 				body = fn.Body
 			case *ast.FuncLit:
 				body = fn.Body
+				if h := heldIn[fn]; h != nil {
+					held = h.clone()
+				}
 			default:
 				return true
 			}
 			if body != nil {
-				analyzeLockStmts(pass, body.List, make(lockState))
+				analyzeLockStmts(pass, body.List, held, check)
 			}
 			return true
 		})
 	}
+}
+
+// lockedLiterals maps each function literal that runs with a mutex held to
+// the locks it runs under: a literal passed as the i-th argument of a
+// same-package function or method that calls its i-th parameter while it
+// holds them.
+func lockedLiterals(pass *Pass) map[*ast.FuncLit]lockState {
+	type param struct {
+		fn types.Object
+		i  int
+	}
+	info := pass.Pkg.Info
+	calledUnderLock := make(map[param]lockState)
+	for _, file := range pass.Pkg.Files {
+		for _, decl := range file.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			params := make(map[types.Object]param)
+			for _, field := range fd.Type.Params.List {
+				for _, name := range field.Names {
+					params[info.Defs[name]] = param{info.Defs[fd.Name], len(params)}
+				}
+			}
+			analyzeLockStmts(pass, fd.Body.List, make(lockState), func(c ast.Node, held lockState) bool {
+				if call, ok := c.(*ast.CallExpr); ok {
+					if id, ok := call.Fun.(*ast.Ident); ok {
+						if p, ok := params[info.Uses[id]]; ok {
+							calledUnderLock[p] = held.clone()
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	lits := make(map[*ast.FuncLit]lockState)
+	for _, file := range pass.Pkg.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			var fn types.Object
+			switch fun := call.Fun.(type) {
+			case *ast.Ident:
+				fn = info.Uses[fun]
+			case *ast.SelectorExpr:
+				fn = info.Uses[fun.Sel]
+			}
+			for i, arg := range call.Args {
+				if lit, ok := arg.(*ast.FuncLit); ok && calledUnderLock[param{fn, i}] != nil {
+					lits[lit] = calledUnderLock[param{fn, i}]
+				}
+			}
+			return true
+		})
+	}
+	return lits
 }
 
 // analyzeLockStmts walks a statement list in order, tracking lock/unlock
@@ -86,7 +156,7 @@ func runLockHeld(pass *Pass) {
 // analyzed with a copy of the state; lock-state changes inside a branch do
 // not propagate past it (conservative, and matches the codebase's
 // straight-line locking discipline).
-func analyzeLockStmts(pass *Pass, stmts []ast.Stmt, held lockState) {
+func analyzeLockStmts(pass *Pass, stmts []ast.Stmt, held lockState, visit lockVisit) {
 	for _, st := range stmts {
 		switch st := st.(type) {
 		case *ast.ExprStmt:
@@ -99,98 +169,110 @@ func analyzeLockStmts(pass *Pass, stmts []ast.Stmt, held lockState) {
 				}
 				continue
 			}
-			checkUnderLock(pass, st, held)
+			checkUnderLock(st, held, visit)
 		case *ast.DeferStmt:
 			if name, _, ok := syncMutexCall(pass, st.Call); ok && (name == "Unlock" || name == "RUnlock") {
 				continue // held until return; later statements stay checked
 			}
 			// Other deferred work runs at return, outside this walk.
 		case *ast.BlockStmt:
-			analyzeLockStmts(pass, st.List, held)
+			analyzeLockStmts(pass, st.List, held, visit)
 		case *ast.IfStmt:
 			if st.Init != nil {
-				checkUnderLock(pass, st.Init, held)
+				checkUnderLock(st.Init, held, visit)
 			}
-			checkUnderLock(pass, st.Cond, held)
-			analyzeLockStmts(pass, st.Body.List, held.clone())
+			checkUnderLock(st.Cond, held, visit)
+			analyzeLockStmts(pass, st.Body.List, held.clone(), visit)
 			if st.Else != nil {
-				analyzeLockStmts(pass, []ast.Stmt{st.Else}, held.clone())
+				analyzeLockStmts(pass, []ast.Stmt{st.Else}, held.clone(), visit)
 			}
 		case *ast.ForStmt:
 			if st.Init != nil {
-				checkUnderLock(pass, st.Init, held)
+				checkUnderLock(st.Init, held, visit)
 			}
 			if st.Cond != nil {
-				checkUnderLock(pass, st.Cond, held)
+				checkUnderLock(st.Cond, held, visit)
 			}
 			if st.Post != nil {
-				checkUnderLock(pass, st.Post, held)
+				checkUnderLock(st.Post, held, visit)
 			}
-			analyzeLockStmts(pass, st.Body.List, held.clone())
+			analyzeLockStmts(pass, st.Body.List, held.clone(), visit)
 		case *ast.RangeStmt:
-			checkUnderLock(pass, st.X, held)
-			analyzeLockStmts(pass, st.Body.List, held.clone())
+			checkUnderLock(st.X, held, visit)
+			analyzeLockStmts(pass, st.Body.List, held.clone(), visit)
 		case *ast.SwitchStmt:
 			if st.Init != nil {
-				checkUnderLock(pass, st.Init, held)
+				checkUnderLock(st.Init, held, visit)
 			}
 			if st.Tag != nil {
-				checkUnderLock(pass, st.Tag, held)
+				checkUnderLock(st.Tag, held, visit)
 			}
 			for _, clause := range st.Body.List {
 				if cc, ok := clause.(*ast.CaseClause); ok {
-					analyzeLockStmts(pass, cc.Body, held.clone())
+					analyzeLockStmts(pass, cc.Body, held.clone(), visit)
 				}
 			}
 		case *ast.TypeSwitchStmt:
 			for _, clause := range st.Body.List {
 				if cc, ok := clause.(*ast.CaseClause); ok {
-					analyzeLockStmts(pass, cc.Body, held.clone())
+					analyzeLockStmts(pass, cc.Body, held.clone(), visit)
 				}
 			}
 		default:
-			checkUnderLock(pass, st, held)
+			checkUnderLock(st, held, visit)
 		}
 	}
 }
 
-// checkUnderLock inspects a statement or expression executed while the
-// mutexes in held are locked, skipping nested function literals.
-func checkUnderLock(pass *Pass, n ast.Node, held lockState) {
+// A lockVisit sees each node executed while the mutexes in held are locked,
+// nested function literals aside; it returns false to skip the node's
+// children.
+type lockVisit func(c ast.Node, held lockState) bool
+
+// checkUnderLock hands visit every node of a statement or expression
+// executed while the mutexes in held are locked.
+func checkUnderLock(n ast.Node, held lockState, visit lockVisit) {
 	if len(held) == 0 {
 		return
 	}
+	ast.Inspect(n, func(c ast.Node) bool {
+		if _, ok := c.(*ast.FuncLit); ok {
+			return false
+		}
+		return visit(c, held)
+	})
+}
+
+// reportUnderLock reports c, executed with the mutexes in held locked, if it
+// blocks or enters a solver.
+func reportUnderLock(pass *Pass, c ast.Node, held lockState) bool {
 	report := func(pos token.Pos, what string) {
 		name, lockPos := held.oldest()
 		pass.Reportf(pos, "%s while %s is held (locked at line %d); release the mutex before blocking or solver work",
 			what, name, pass.Pkg.Fset.Position(lockPos).Line)
 	}
-	ast.Inspect(n, func(c ast.Node) bool {
-		switch c := c.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.SendStmt:
-			report(c.Arrow, "channel send")
-		case *ast.UnaryExpr:
-			if c.Op == token.ARROW {
-				report(c.OpPos, "channel receive")
-			}
-		case *ast.SelectStmt:
-			report(c.Select, "select")
-			return false
-		case *ast.CallExpr:
-			if sel, ok := c.Fun.(*ast.SelectorExpr); ok {
-				if sel.Sel.Name == "Wait" && isWaitGroupWait(pass, sel) {
-					report(c.Pos(), "sync.WaitGroup.Wait")
-				} else if solverEntryPoints[sel.Sel.Name] {
-					report(c.Pos(), "solver entry point "+sel.Sel.Name)
-				}
-			} else if id, ok := c.Fun.(*ast.Ident); ok && solverEntryPoints[id.Name] {
-				report(c.Pos(), "solver entry point "+id.Name)
-			}
+	switch c := c.(type) {
+	case *ast.SendStmt:
+		report(c.Arrow, "channel send")
+	case *ast.UnaryExpr:
+		if c.Op == token.ARROW {
+			report(c.OpPos, "channel receive")
 		}
-		return true
-	})
+	case *ast.SelectStmt:
+		report(c.Select, "select")
+		return false
+	case *ast.CallExpr:
+		if sel, ok := c.Fun.(*ast.SelectorExpr); ok {
+			if sel.Sel.Name == "Wait" && isWaitGroupWait(pass, sel) {
+				report(c.Pos(), "sync.WaitGroup.Wait")
+			} else if solverEntryPoints[sel.Sel.Name] {
+				report(c.Pos(), "solver entry point "+sel.Sel.Name)
+			}
+		} else if id, ok := c.Fun.(*ast.Ident); ok && solverEntryPoints[id.Name] {
+			report(c.Pos(), "solver entry point "+id.Name)
+		}
+	}
+	return true
 }
 
 // syncMutexCall matches a method call on a sync.Mutex or sync.RWMutex

@@ -107,3 +107,33 @@ func distinctMutexes(a, b *state) {
 	b.ch <- 1 // want "channel send while b.mu is held"
 	b.mu.Unlock()
 }
+
+// locked runs f with s.mu held, as the service's state transitions do.
+func (s *state) locked(f func(n int)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	f(1)
+}
+
+// unlocked runs f after releasing s.mu.
+func (s *state) unlocked(f func()) {
+	s.mu.Lock()
+	s.mu.Unlock()
+	f()
+}
+
+func sendInLockedClosure(s *state) {
+	s.locked(func(n int) {
+		select { // want "select while s.mu is held"
+		case s.ch <- n:
+		default:
+		}
+	})
+}
+
+func closureOutsideLockOK(s *state) {
+	s.unlocked(func() { s.ch <- 1 })
+	s.locked(func(int) {
+		go func() { s.ch <- 1 }()
+	})
+}
