@@ -37,9 +37,9 @@ func crashConfig(t testing.TB, dir string, fsys checkpoint.FS) Config {
 		Chunks:      spec,
 		Parallelism: 1,
 		StateDir:    dir,
-		BackoffBase: 5 * time.Millisecond,
-		BackoffMax:  50 * time.Millisecond,
-		FS:          fsys,
+		retryBase:   5 * time.Millisecond,
+		retryMax:    50 * time.Millisecond,
+		fs:          fsys,
 	}
 }
 

@@ -127,7 +127,7 @@ func (s *Service) RunHA(ctx context.Context) error {
 			s.follow(ctx, nil)
 			continue
 		}
-		lease, held, err := checkpoint.AcquireLease(s.cfg.FS, s.leasePath(), ha.NodeID, ha.Addr, ha.LeaseTTL)
+		lease, held, err := checkpoint.AcquireLease(s.cfg.fs, s.leasePath(), ha.NodeID, ha.Addr, ha.LeaseTTL)
 		switch {
 		case err == nil:
 			if lerr := s.lead(ctx, lease); lerr != nil {
@@ -243,7 +243,7 @@ func (s *Service) follow(ctx context.Context, leader *checkpoint.LeaseInfo) {
 	s.setRole(RoleFollower, addr, nil)
 	s.logf("service: %s following (leader %q)", ha.NodeID, addr)
 
-	w := checkpoint.NewWatcher(s.cfg.FS, s.st.Dir())
+	w := checkpoint.NewWatcher(s.cfg.fs, s.st.Dir())
 	t := time.NewTicker(ha.tailEvery())
 	defer t.Stop()
 	for {
@@ -262,7 +262,7 @@ func (s *Service) follow(ctx context.Context, leader *checkpoint.LeaseInfo) {
 			}
 		}
 
-		li, lerr := checkpoint.ReadLease(s.cfg.FS, s.leasePath())
+		li, lerr := checkpoint.ReadLease(s.cfg.fs, s.leasePath())
 		switch {
 		case lerr != nil:
 			s.logf("service: reading lease: %v", lerr)

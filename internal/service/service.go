@@ -64,11 +64,7 @@ type Config struct {
 	ReduceTo int
 
 	// SolveTimeout bounds each re-optimization attempt (0 = none).
-	// BackoffBase and BackoffMax shape the exponential retry backoff after
-	// failed attempts (defaults 500ms and 30s).
 	SolveTimeout time.Duration
-	BackoffBase  time.Duration
-	BackoffMax   time.Duration
 
 	// StateDir is the durability root: StateDir/state journals the desired
 	// state + incumbent, StateDir/solve/ep-N journals the in-flight solve
@@ -87,9 +83,13 @@ type Config struct {
 
 	// Logf receives progress lines; nil discards them.
 	Logf func(format string, args ...any)
-	// FS is the file system under StateDir: the journals, the lease and the
+
+	// retryBase and retryMax shape the exponential retry backoff after
+	// failed attempts; zero means 500ms and 30s. Only tests set them.
+	retryBase, retryMax time.Duration
+	// fs is the file system under StateDir: the journals, the lease and the
 	// journal tail. Nil means checkpoint.OS; crash tests hand in a faulty one.
-	FS checkpoint.FS
+	fs checkpoint.FS
 }
 
 // Service is the daemon core: the I/O shell around the state machine in
@@ -146,14 +146,14 @@ func New(cfg Config) (*Service, error) {
 	if cfg.ReduceTo < 0 {
 		return nil, fmt.Errorf("service: ReduceTo=%d is negative (0 = off)", cfg.ReduceTo)
 	}
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = 500 * time.Millisecond
+	if cfg.retryBase <= 0 {
+		cfg.retryBase = 500 * time.Millisecond
 	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = 30 * time.Second
+	if cfg.retryMax <= 0 {
+		cfg.retryMax = 30 * time.Second
 	}
-	if cfg.FS == nil {
-		cfg.FS = checkpoint.OS
+	if cfg.fs == nil {
+		cfg.fs = checkpoint.OS
 	}
 	if cfg.HA != nil {
 		ha, err := cfg.HA.withDefaults(&cfg)
@@ -198,7 +198,7 @@ func New(cfg Config) (*Service, error) {
 		return nil, err
 	}
 	if cfg.StateDir != "" {
-		st, err := checkpoint.OpenFS(cfg.FS, filepath.Join(cfg.StateDir, "state"))
+		st, err := checkpoint.OpenFS(cfg.fs, filepath.Join(cfg.StateDir, "state"))
 		if err != nil {
 			return nil, err
 		}
@@ -287,7 +287,7 @@ func (s *Service) perform(effs []effect) error {
 			if s.cfg.StateDir == "" {
 				break
 			}
-			if err := s.cfg.FS.RemoveAll(filepath.Join(s.cfg.StateDir, "solve")); err != nil {
+			if err := s.cfg.fs.RemoveAll(filepath.Join(s.cfg.StateDir, "solve")); err != nil {
 				s.logf("service: warning: could not retire solve journals: %v", err)
 			}
 		case effLog:
@@ -490,7 +490,7 @@ func (s *Service) solveRecorder(epoch uint64) (*checkpoint.Recorder, error) {
 		return checkpoint.NewRecorder(nil, nil), nil
 	}
 	dir := filepath.Join(s.cfg.StateDir, "solve", fmt.Sprintf("ep-%d", epoch))
-	st, err := checkpoint.OpenFS(s.cfg.FS, dir)
+	st, err := checkpoint.OpenFS(s.cfg.fs, dir)
 	if err != nil {
 		return nil, err
 	}

@@ -64,8 +64,8 @@ func serviceConfig(t testing.TB) Config {
 		Workload:    serviceWorkload(t),
 		K:           3,
 		Parallelism: 1,
-		BackoffBase: 5 * time.Millisecond,
-		BackoffMax:  50 * time.Millisecond,
+		retryBase:   5 * time.Millisecond,
+		retryMax:    50 * time.Millisecond,
 	}
 }
 

@@ -58,8 +58,8 @@ type state struct {
 func newState(cfg Config, scen *model.ScenarioSet, jitterSeed int64, now time.Time) state {
 	st := state{
 		w:           cfg.Workload,
-		backoffBase: cfg.BackoffBase,
-		backoffMax:  cfg.BackoffMax,
+		backoffBase: cfg.retryBase,
+		backoffMax:  cfg.retryMax,
 		scen:        scen,
 		k:           cfg.K,
 		rng:         rand.New(rand.NewSource(jitterSeed)),

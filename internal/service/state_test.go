@@ -287,7 +287,7 @@ func TestStateAdoptReject(t *testing.T) {
 	}
 	// Backoff: base × 2^(failures−1) within the ±25% jitter, reproducible
 	// from the seed, clamped to the maximum.
-	if d, lo, hi := st.retryDelay(), 3*cfg.BackoffBase, 5*cfg.BackoffBase; d < lo || d > hi {
+	if d, lo, hi := st.retryDelay(), 3*cfg.retryBase, 5*cfg.retryBase; d < lo || d > hi {
 		t.Errorf("retry delay after 3 failures = %v, want within [%v, %v]", d, lo, hi)
 	}
 	twin := newState(cfg, model.DefaultScenario(cfg.Workload), 1, stateT0)
@@ -299,8 +299,8 @@ func TestStateAdoptReject(t *testing.T) {
 		if d != again.retryDelay() {
 			t.Fatal("two states with one jitter seed drew different delays")
 		}
-		if d <= 0 || d > cfg.BackoffMax {
-			t.Fatalf("retry delay %v after %d failures escapes (0, %v]", d, i+1, cfg.BackoffMax)
+		if d <= 0 || d > cfg.retryMax {
+			t.Fatalf("retry delay %v after %d failures escapes (0, %v]", d, i+1, cfg.retryMax)
 		}
 	}
 

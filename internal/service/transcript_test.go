@@ -123,7 +123,7 @@ func TestServiceTranscriptGolden(t *testing.T) {
 	// One failed attempt must park the loop for the rest of the daemon's
 	// life, so the attempt counters the transcript records do not depend on
 	// how many retries fit before the restart.
-	cfg.BackoffBase, cfg.BackoffMax = time.Hour, 2*time.Hour
+	cfg.retryBase, cfg.retryMax = time.Hour, 2*time.Hour
 
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Second)
 	defer cancel()

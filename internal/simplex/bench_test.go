@@ -94,7 +94,7 @@ func BenchmarkRefactor(b *testing.B) {
 		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				k := newLUKernel(s.m, s.opt.MaxFactorNonzeros)
+				k := newLUKernel(s.m, s.opt.maxFactorNonzeros)
 				if err := k.factor(s.basic, s.cols, s.pivotTol); err != nil {
 					b.Fatal(err)
 				}

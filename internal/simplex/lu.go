@@ -376,7 +376,7 @@ func (k *luKernel) factor(basic []int, cols [][]colEntry, pivotTol float64) erro
 		k.colOf[step] = c
 		if len(k.lval)+len(k.uval)+m > k.maxNNZ {
 			k.abort(step)
-			return fmt.Errorf("simplex: basis factorization exceeds the %d-nonzero budget (Options.MaxFactorNonzeros) at step %d of %d", k.maxNNZ, step, m)
+			return fmt.Errorf("simplex: basis factorization exceeds the %d-nonzero budget at step %d of %d", k.maxNNZ, step, m)
 		}
 	}
 	k.factorWork += len(k.lval) + len(k.uval)

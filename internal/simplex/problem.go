@@ -41,18 +41,6 @@ const (
 	EQ
 )
 
-func (r Relation) String() string {
-	switch r {
-	case LE:
-		return "<="
-	case GE:
-		return ">="
-	case EQ:
-		return "="
-	}
-	return fmt.Sprintf("Relation(%d)", int(r))
-}
-
 // Row is a sparse constraint row: sum over t of Coef[t] * x[Idx[t]].
 type Row struct {
 	Idx  []int
@@ -311,14 +299,6 @@ type Options struct {
 	// 30–40 updates. Only tests set it, to 1, so that every pivot
 	// refactorizes.
 	RefactorEvery int
-	// MaxFactorNonzeros bounds the size of the basis factorization: NewSolver
-	// rejects problems whose constraint matrix already has more nonzeros,
-	// and a refactorization whose L+U fill exceeds it fails like a singular
-	// basis (entering the recovery ladder). The default is 50e6 entries
-	// (≈ 600 MB): the budget is on what costs memory, so a huge-but-sparse
-	// model that the LU kernel handles easily is not turned away by its
-	// row count.
-	MaxFactorNonzeros int
 	// Pricing selects the pivot-pricing rule for both simplex loops. The
 	// zero value is PricingDevex (the default); PricingDantzig is the
 	// pre-Devex rule, bit for bit, which the decomposition's dive solves
@@ -332,7 +312,18 @@ type Options struct {
 	// Fault, when non-nil, injects numerical failures at deterministic
 	// points (see FaultInjector). Nil in production.
 	Fault FaultInjector
+
+	// maxFactorNonzeros bounds the size of the basis factorization: NewSolver
+	// rejects problems whose constraint matrix already has more nonzeros,
+	// and a refactorization whose L+U fill exceeds it fails like a singular
+	// basis (entering the recovery ladder). Zero means factorNonzeroBudget,
+	// 50e6 entries (≈ 600 MB): the budget is on what costs memory, so a
+	// huge-but-sparse model is not turned away by its row count. Only tests
+	// set it.
+	maxFactorNonzeros int
 }
+
+const factorNonzeroBudget = 50_000_000
 
 // IterLimit is the pivot limit a solve of a problem with m rows and n
 // columns runs with under o: MaxIters, or the default when it is 0.
@@ -348,8 +339,8 @@ func (o Options) withDefaults(m, n int) Options {
 	if o.RefactorEvery == 0 {
 		o.RefactorEvery = 120
 	}
-	if o.MaxFactorNonzeros == 0 {
-		o.MaxFactorNonzeros = 50_000_000
+	if o.maxFactorNonzeros == 0 {
+		o.maxFactorNonzeros = factorNonzeroBudget
 	}
 	return o
 }

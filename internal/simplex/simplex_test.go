@@ -389,10 +389,10 @@ func TestNonzeroBudgetGuard(t *testing.T) {
 	for r := 0; r < 10; r++ {
 		p.AddRow([]int{x}, []float64{1}, LE, 1)
 	}
-	if _, err := NewSolver(p, Options{MaxFactorNonzeros: 15}); err == nil {
+	if _, err := NewSolver(p, Options{maxFactorNonzeros: 15}); err == nil {
 		t.Fatal("want error above the nonzero budget")
 	}
-	if _, err := NewSolver(p, Options{MaxFactorNonzeros: 40}); err != nil {
+	if _, err := NewSolver(p, Options{maxFactorNonzeros: 40}); err != nil {
 		t.Fatalf("below the budget: %v", err)
 	}
 	// An m = 10000 problem — rejected outright by the retired MaxDenseRows

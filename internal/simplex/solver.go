@@ -77,8 +77,8 @@ func NewSolver(p *Problem, opt Options) (*Solver, error) {
 		return nil, err
 	}
 	m, n := len(p.Rows), p.NumVars
-	if limit := opt.withDefaults(m, n).MaxFactorNonzeros; problemNonzeros(p) > limit {
-		return nil, fmt.Errorf("simplex: %d constraint nonzeros exceed the factorization budget %d; reduce the model (e.g. via partial clustering) or raise Options.MaxFactorNonzeros", problemNonzeros(p), limit)
+	if limit := opt.withDefaults(m, n).maxFactorNonzeros; problemNonzeros(p) > limit {
+		return nil, fmt.Errorf("simplex: %d constraint nonzeros exceed the factorization budget %d; reduce the model (e.g. via partial clustering)", problemNonzeros(p), limit)
 	}
 	s := &Solver{
 		opt:   opt.withDefaults(m, n),
@@ -137,7 +137,7 @@ func NewSolver(p *Problem, opt Options) (*Solver, error) {
 	s.w = make([]float64, m)
 	s.rho = make([]float64, m)
 	s.tmpRHS = make([]float64, m)
-	s.kern = newLUKernel(m, s.opt.MaxFactorNonzeros)
+	s.kern = newLUKernel(m, s.opt.maxFactorNonzeros)
 	return s, nil
 }
 
