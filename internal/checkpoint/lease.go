@@ -146,9 +146,6 @@ func (l *Lease) Epoch() uint64 {
 	return l.epoch
 }
 
-// Holder returns the holder id the lease was acquired with.
-func (l *Lease) Holder() string { return l.holder }
-
 // record snapshots the lease's on-disk representation, stamped now.
 func (l *Lease) record() LeaseInfo {
 	l.mu.Lock()

@@ -15,9 +15,9 @@ import (
 //     propagates implications across rows. On the paper's models this is
 //     what links the binaries — a query-coverage row Σx − |q|·y ≥ 0 with
 //     placement variables fixed to 0 forces y to 0, which through the
-//     linking rows z ≤ y forces the load shares to 0, and so on,
+//     linking rows z ≤ y forces the load shares to 0, and so on. A
+//     one-variable row is the plain case: it tightens its variable's bound,
 //   - integer bound rounding (ceil/floor with the integrality tolerance),
-//   - singleton-row conversion: a one-variable row is just a bound,
 //   - redundant-row removal and infeasible-row detection from the same
 //     activity bounds,
 //   - elimination of fixed variables (lb = ub, including variables fixed by
@@ -36,7 +36,7 @@ import (
 // presolveStats summarizes the reductions for logging and tests.
 type presolveStats struct {
 	FixedVars     int // variables eliminated (bounds collapsed or empty column)
-	RemovedRows   int // rows removed (redundant, singleton, empty)
+	RemovedRows   int // rows removed (redundant or emptied by fixings)
 	TightenedVars int // bound-tightening applications
 	Rounds        int // tightening sweeps until fixpoint
 }
@@ -320,20 +320,9 @@ func (pr *presolver) activity(w *wrow) (minA, maxA float64, minInf, maxInf int) 
 	return
 }
 
-// processRow applies singleton conversion, redundancy/infeasibility checks,
-// and bound tightening to one live row. It reports false on proven
-// infeasibility.
+// processRow applies redundancy/infeasibility checks and bound tightening
+// to one live row. It reports false on proven infeasibility.
 func (pr *presolver) processRow(w *wrow) bool {
-	if len(w.idx) == 0 {
-		ok := emptyRowFeasible(w.rel, w.rhs)
-		w.live = false
-		pr.ps.stats.RemovedRows++
-		pr.changed = true
-		return ok
-	}
-	if len(w.idx) == 1 {
-		return pr.singletonToBound(w)
-	}
 	minA, maxA, minInf, maxInf := pr.activity(w)
 
 	// Infeasibility and redundancy from the activity interval.
@@ -425,36 +414,6 @@ func emptyRowFeasible(rel simplex.Relation, rhs float64) bool {
 	default:
 		return math.Abs(rhs) <= eps
 	}
-}
-
-// singletonToBound converts a one-variable row into variable bounds and
-// removes it. Reports false on proven infeasibility (crossed bounds surface
-// at the next infeasibleBounds check; only a contradictory EQ row on an
-// integer lattice fails here directly).
-func (pr *presolver) singletonToBound(w *wrow) bool {
-	j, a := w.idx[0], w.coef[0]
-	v := w.rhs / a
-	rel := w.rel
-	if a < 0 {
-		if rel == simplex.LE {
-			rel = simplex.GE
-		} else if rel == simplex.GE {
-			rel = simplex.LE
-		}
-	}
-	switch rel {
-	case simplex.LE:
-		pr.tightenUB(j, v)
-	case simplex.GE:
-		pr.tightenLB(j, v)
-	case simplex.EQ:
-		pr.tightenUB(j, v)
-		pr.tightenLB(j, v)
-	}
-	w.live = false
-	pr.ps.stats.RemovedRows++
-	pr.changed = true
-	return true
 }
 
 // tightenUB lowers variable j's upper bound to v when that is a meaningful

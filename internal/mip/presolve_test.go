@@ -109,12 +109,14 @@ func TestPresolveRestoreMapping(t *testing.T) {
 }
 
 // TestPresolveFullyFixed covers the degenerate case where presolve solves
-// the entire problem and no LP ever runs.
+// the entire problem and no LP ever runs: every row is checked against the
+// fixings, the equality row only once its one variable is fixed.
 func TestPresolveFullyFixed(t *testing.T) {
 	p := &simplex.Problem{}
 	a := p.AddVar(1, 1, 2)
 	b := p.AddVar(0, 1, 5)                          // empty column, obj > 0: fixed at lb
 	p.AddRow([]int{a}, []float64{3}, simplex.LE, 4) // redundant singleton
+	p.AddRow([]int{a}, []float64{2}, simplex.EQ, 2) // emptied by a's fixing
 	res, err := Solve(p, []int{a}, Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -97,24 +97,6 @@ func (a *Allocation) ReplicationFactor(w *Workload) float64 {
 	return wd / v
 }
 
-// Clone returns a deep copy of the allocation.
-func (a *Allocation) Clone() *Allocation {
-	c := &Allocation{K: a.K, Fragments: make([][]int, a.K)}
-	for k := range a.Fragments {
-		c.Fragments[k] = append([]int(nil), a.Fragments[k]...)
-	}
-	if a.Shares != nil {
-		c.Shares = make([][][]float64, len(a.Shares))
-		for s := range a.Shares {
-			c.Shares[s] = make([][]float64, len(a.Shares[s]))
-			for j := range a.Shares[s] {
-				c.Shares[s][j] = append([]float64(nil), a.Shares[s][j]...)
-			}
-		}
-	}
-	return c
-}
-
 // Validate checks structural consistency against a workload: node count,
 // fragment ID ranges, sorted-unique lists, and — if Shares is present —
 // that shares are within [0,1], only positive on nodes that can run the

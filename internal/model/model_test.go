@@ -228,16 +228,6 @@ func TestCloneIndependence(t *testing.T) {
 	if w.Queries[0].Fragments[0] == 2 || w.Fragments[0].Size == 999 {
 		t.Error("Clone shares memory with the original")
 	}
-
-	a := NewAllocation(2)
-	a.AddFragment(0, 1)
-	a.Shares = [][][]float64{{{1, 0}, {0, 1}}}
-	ac := a.Clone()
-	ac.Fragments[0][0] = 2
-	ac.Shares[0][0][0] = 0.3
-	if a.Fragments[0][0] == 2 || a.Shares[0][0][0] == 0.3 {
-		t.Error("Allocation.Clone shares memory")
-	}
 }
 
 func TestScenarioSetValidate(t *testing.T) {

@@ -42,16 +42,6 @@ const (
 	PricingDantzig
 )
 
-func (p Pricing) String() string {
-	switch p {
-	case PricingDevex:
-		return "devex"
-	case PricingDantzig:
-		return "dantzig"
-	}
-	return "Pricing(?)"
-}
-
 // devexResetWeight bounds the reference weights: once a weight passes it the
 // framework has drifted far from the reference basis and is reset wholesale.
 const devexResetWeight = 1e10

@@ -103,11 +103,8 @@ func TestDevexDualReSolveAgreement(t *testing.T) {
 	}
 }
 
-// TestPricingString pins the enum's debug names.
-func TestPricingString(t *testing.T) {
-	if PricingDevex.String() != "devex" || PricingDantzig.String() != "dantzig" {
-		t.Errorf("Pricing.String() = %q/%q", PricingDevex.String(), PricingDantzig.String())
-	}
+// TestPricingZeroIsDevex pins the default: the zero Options price with Devex.
+func TestPricingZeroIsDevex(t *testing.T) {
 	var def Pricing
 	if def != PricingDevex {
 		t.Error("zero-value Pricing is not Devex; the default contract is broken")
