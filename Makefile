@@ -116,19 +116,28 @@ census:
 			print d ": -" f; c++ } \
 		END { printf "%6d settable values\n", c }'
 
-# Which code does the benchmark's traffic never reach? Builds ./bench with
-# coverage instrumentation over the whole module into a temp dir (nothing
-# under bench/ is edited or written), runs the traced pass of all five
-# workloads at seed 1, and prints every function outside bench/, cmd/ and
-# internal/analysis that stayed at 0.0 % — the list a simplicity PR starts
-# from: a function on it is either reached only by tests and the CLIs, or
-# by nothing — and then their count. ~1.5 min. Not part of `make check`.
+# Which code does nothing that ships reach? Two drivers, each counted with
+# coverage over the whole module into a temp dir (nothing under bench/ is
+# edited or written): the benchmark's traced pass of all five workloads at
+# seed 1, and the tests of the commands, the paper tables and the daemon
+# (./cmd/..., internal/experiments, internal/service, the HA pair included).
+# go test exports GOCOVERDIR to each test binary, so the commands' TestMain
+# re-exec children write their counters beside their parent's. Prints every
+# function outside bench/, internal/analysis and internal/faultinject (the
+# analyzers and the fault injector, which only their own tests and the crash
+# sweeps run) that both left at 0.0 % — reached by no workload, command,
+# table or daemon path — and then their count. ~6 min on two cores. Not part
+# of `make check`.
 traffic:
 	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; mkdir "$$dir/cov"; \
 	$(GO) build -cover -coverpkg=./... -o "$$dir/bench" ./bench || exit $$?; \
 	GOCOVERDIR="$$dir/cov" "$$dir/bench" trace -seed 1 -out "$$dir/out" >"$$dir/log" 2>&1 || { cat "$$dir/log"; exit 1; }; \
-	$(GO) tool covdata func -i="$$dir/cov" | \
-		awk '$$NF == "0.0%" && $$1 !~ /^fragalloc\/(bench|cmd|internal\/analysis)\// { print $$1, $$2; c++ } \
+	$(GO) tool covdata textfmt -i="$$dir/cov" -o "$$dir/bench.cov" || exit $$?; \
+	$(GO) test -count=1 -cover -coverpkg=./... -coverprofile="$$dir/tests.cov" \
+		./cmd/... ./internal/experiments ./internal/service >"$$dir/log" 2>&1 || { cat "$$dir/log"; exit 1; }; \
+	{ cat "$$dir/bench.cov"; tail -n +2 "$$dir/tests.cov"; } >"$$dir/all.cov"; \
+	$(GO) tool cover -func="$$dir/all.cov" | \
+		awk '$$NF == "0.0%" && $$1 !~ /^fragalloc\/(bench|cmd\/fragvet|internal\/analysis|internal\/faultinject)\// { print $$1, $$2; c++ } \
 			END { printf "%6d functions at 0.0 %%\n", c }'
 
 # Where does one batch solve spend its CPU? Profiles TestPipelineGolden (the

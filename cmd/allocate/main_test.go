@@ -157,26 +157,85 @@ func TestBudgetIsWorkNotTime(t *testing.T) {
 // 1 ns timeout cuts the run short, which exits 2 and says so. A hook the
 // solve never polls would let it run out its 1 s budget and exit 0.
 func TestTimeoutInterruptsTheRun(t *testing.T) {
+	code, out := runAllocate(t, "-workload", "tpcds", "-k", "4", "-budget", "1s", "-timeout", "1ns",
+		"-o", filepath.Join(t.TempDir(), "a.json"))
+	if code != exitDegraded || !strings.Contains(out, "run interrupted") {
+		t.Errorf("-timeout 1ns: exit %d, output:\n%s\nwant exit %d and \"run interrupted\"", code, out, exitDegraded)
+	}
+}
+
+// TestCheckpointResume drives -checkpoint and -resume through the command,
+// with -chunks and -reduce on: a resumed run says so and ends no worse than
+// the run it resumes, whose journaled incumbents it starts from; a resume
+// under another -k is refused rather than replaying another model's records.
+func TestCheckpointResume(t *testing.T) {
+	dir := t.TempDir()
+	args := func(k, chunks, out string, extra ...string) []string {
+		return append([]string{"-workload", "tpcds", "-k", k, "-chunks", chunks, "-scenarios", "3", "-reduce", "2",
+			"-budget", "1s", "-checkpoint", filepath.Join(dir, "ck"), "-o", filepath.Join(dir, out)}, extra...)
+	}
+	if code, out := runAllocate(t, args("4", "2+2", "a.json")...); code != exitOK || !strings.Contains(out, "reduced 3 scenarios to 2") {
+		t.Fatalf("first run: exit %d, output:\n%s", code, out)
+	}
+	if code, out := runAllocate(t, args("4", "2+2", "b.json", "-resume")...); code != exitOK || !strings.Contains(out, "resuming from checkpoint journal") {
+		t.Fatalf("resume: exit %d, output:\n%s", code, out)
+	}
+	w := fragalloc.TPCDSWorkload()
+	wv := func(name string) float64 {
+		alloc, err := fragalloc.LoadAllocation(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return alloc.ReplicationFactor(w)
+	}
+	if first, resumed := wv("a.json"), wv("b.json"); resumed > first {
+		t.Errorf("the resumed run reads W/V %v, worse than the %v it resumed", resumed, first)
+	}
+	if code, out := runAllocate(t, args("6", "3+3", "c.json", "-resume")...); code != exitInternal || !strings.Contains(out, "written by a different run") {
+		t.Errorf("resume under -k 6: exit %d, output:\n%s\nwant exit %d and the run-key refusal", code, out, exitInternal)
+	}
+}
+
+// TestExportLPAndFullReplication drives the two approaches that solve
+// nothing: -export-lp writes the exact MIP in CPLEX LP format, and -approach
+// full stores every accessed fragment on every node, so W/V = K.
+func TestExportLPAndFullReplication(t *testing.T) {
+	dir := t.TempDir()
+	lp := filepath.Join(dir, "m.lp")
+	if code, out := runAllocate(t, "-workload", "tpcds", "-k", "2", "-export-lp", lp); code != exitOK {
+		t.Fatalf("-export-lp: exit %d, output:\n%s", code, out)
+	}
+	if b, err := os.ReadFile(lp); err != nil || !bytes.Contains(b, []byte("\nMinimize\n")) || !bytes.HasSuffix(b, []byte("\nEnd\n")) {
+		t.Errorf("-export-lp wrote %d bytes (%v), want an LP file from Minimize to End", len(b), err)
+	}
+	full := filepath.Join(dir, "full.json")
+	if code, out := runAllocate(t, "-workload", "tpcds", "-k", "3", "-approach", "full", "-o", full); code != exitOK || !strings.Contains(out, "full W/V=3.0000") {
+		t.Errorf("-approach full: exit %d, output:\n%s\nwant exit 0 and W/V=3.0000", code, out)
+	}
+}
+
+// runAllocate runs allocate on args and returns its exit code and output.
+func runAllocate(t *testing.T, args ...string) (int, string) {
+	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
-	out, err := exec.CommandContext(ctx, os.Args[0], "allocate", "-workload", "tpcds", "-k", "4",
-		"-budget", "1s", "-timeout", "1ns", "-o", filepath.Join(t.TempDir(), "a.json")).CombinedOutput()
+	out, err := exec.CommandContext(ctx, os.Args[0], append([]string{"allocate"}, args...)...).CombinedOutput()
 	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != exitDegraded || !strings.Contains(string(out), "run interrupted") {
-		t.Errorf("-timeout 1ns: %v, output:\n%s\nwant exit %d and \"run interrupted\"", err, out, exitDegraded)
+	if errors.As(err, &exit) {
+		return exit.ExitCode(), string(out)
 	}
+	if err != nil {
+		t.Fatalf("%q: %v", args, err)
+	}
+	return 0, string(out)
 }
 
 // wantOneLineExit runs allocate on args and checks that it exits 1 with one
 // line of output, about flag.
 func wantOneLineExit(t *testing.T, flag string, args ...string) {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	out, err := exec.CommandContext(ctx, os.Args[0], append([]string{"allocate"}, args...)...).CombinedOutput()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != exitInternal ||
-		!strings.HasPrefix(string(out), "allocate: "+flag+": ") || strings.Count(string(out), "\n") != 1 {
-		t.Errorf("%q: %v, output %q; want exit %d and one line about %s", args, err, out, exitInternal, flag)
+	if code, out := runAllocate(t, args...); code != exitInternal ||
+		!strings.HasPrefix(out, "allocate: "+flag+": ") || strings.Count(out, "\n") != 1 {
+		t.Errorf("%q: exit %d, output %q; want exit %d and one line about %s", args, code, out, exitInternal, flag)
 	}
 }

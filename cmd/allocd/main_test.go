@@ -1,11 +1,16 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"errors"
+	"io"
+	"io/fs"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -68,6 +73,44 @@ func wantOneLineExit(t *testing.T, flag string, args ...string) {
 	if !errors.As(err, &exit) || exit.ExitCode() != exitInternal ||
 		!strings.HasPrefix(string(out), "allocd: "+flag+": ") || strings.Count(string(out), "\n") != 1 {
 		t.Errorf("%q: %v, output %q; want exit %d and one line about %s", args, err, out, exitInternal, flag)
+	}
+}
+
+// TestHALeaderDrainsOnSignal boots a one-replica HA group with no
+// -advertise: allocd -role auto takes the lease and adopts its bootstrap
+// allocation, and a SIGTERM then hands the lease back (its file is gone) and
+// exits 0.
+func TestHALeaderDrainsOnSignal(t *testing.T) {
+	dir := t.TempDir()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], "allocd", "-workload", "tpcds", "-k", "2", "-budget", "1s",
+		"-state", dir, "-role", "auto", "-node-id", "a", "-addr", "127.0.0.1:0")
+	stderr, err := cmd.StderrPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	var log strings.Builder
+	adopted := false
+	for sc := bufio.NewScanner(stderr); !adopted && sc.Scan(); {
+		log.WriteString(sc.Text() + "\n")
+		adopted = strings.HasPrefix(sc.Text(), "service: adopted epoch 0 ")
+	}
+	if adopted {
+		if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rest, _ := io.ReadAll(stderr)
+	log.Write(rest)
+	if err := cmd.Wait(); err != nil || !adopted {
+		t.Fatalf("adopted %v, exit %v; stderr:\n%s", adopted, err, log.String())
+	}
+	if _, err := os.Stat(filepath.Join(dir, "leader.lease")); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("the lease file survived the drain (%v); stderr:\n%s", err, log.String())
 	}
 }
 

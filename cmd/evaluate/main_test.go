@@ -2,11 +2,26 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
+
+// TestMain lets a test run the command: a test binary whose first argument
+// is "evaluate" runs main on the arguments after it.
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == "evaluate" {
+		os.Args = append(os.Args[:1], os.Args[2:]...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
 
 // TestRunValidatesScenarioFile checks that a -sfile is held to the workload
 // like -alloc is: a malformed set is refused with an error before any
@@ -53,13 +68,17 @@ func TestRunValidatesScenarioFile(t *testing.T) {
 	}
 }
 
-// TestRunRejectsNegativeScenarios checks that a negative -scenarios is a
-// one-line error, where it used to evaluate the f=1 baseline.
+// TestRunRejectsNegativeScenarios checks that a negative -scenarios exits 1
+// with a one-line error, where it used to evaluate the f=1 baseline.
 func TestRunRejectsNegativeScenarios(t *testing.T) {
-	var out bytes.Buffer
-	err := run([]string{"-workload", "tpcds", "-alloc", "unread.json", "-scenarios", "-5"}, &out)
-	if err == nil || !strings.HasPrefix(err.Error(), "-scenarios: ") || strings.Contains(err.Error(), "\n") || out.Len() > 0 {
-		t.Errorf("err %v with output %q, want one line about -scenarios and no report", err, out.String())
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, os.Args[0], "evaluate",
+		"-workload", "tpcds", "-alloc", "unread.json", "-scenarios", "-5").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 ||
+		!strings.HasPrefix(string(out), "evaluate: -scenarios: ") || strings.Count(string(out), "\n") != 1 {
+		t.Errorf("%v, output %q; want exit 1 and one line about -scenarios", err, out)
 	}
 }
 

@@ -2,12 +2,44 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
+	"time"
 
 	"fragalloc/internal/service"
 )
+
+// TestMain lets a test run the command: a test binary whose first argument
+// is "workloadgen" runs main on the arguments after it.
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == "workloadgen" {
+		os.Args = append(os.Args[:1], os.Args[2:]...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestErrorExitsOne checks that an error run returns ends the command with
+// exit 1 and one line on stderr, and nothing on stdout.
+func TestErrorExitsOne(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], "workloadgen", "-workload", "nope")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || stdout.Len() > 0 ||
+		stderr.String() != "workloadgen: unknown workload \"nope\"\n" {
+		t.Errorf("%v, stdout %q, stderr %q; want exit 1 and one line about the workload", err, stdout.String(), stderr.String())
+	}
+}
 
 // TestRun checks that -seed selects the generator seed of the workload the
 // tool writes — a seed other than the workload's canonical one writes a
