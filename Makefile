@@ -123,11 +123,12 @@ census:
 # (./cmd/..., internal/experiments, internal/service, the HA pair included).
 # go test exports GOCOVERDIR to each test binary, so the commands' TestMain
 # re-exec children write their counters beside their parent's. Prints every
-# function outside bench/, internal/analysis and internal/faultinject (the
-# analyzers and the fault injector, which only their own tests and the crash
-# sweeps run) that both left at 0.0 % — reached by no workload, command,
-# table or daemon path — and then their count. ~6 min on two cores. Not part
-# of `make check`.
+# function outside bench/, cmd/fragvet, internal/analysis and
+# internal/faultinject (the analyzers, their driver and the fault injector,
+# which only their own tests, `make fragvet` and the crash sweeps run) that
+# both left at 0.0 % — reached by no workload, command, table or daemon path
+# — and then their count. ~1.5 min on two cores. Not
+# part of `make check`.
 traffic:
 	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; mkdir "$$dir/cov"; \
 	$(GO) build -cover -coverpkg=./... -o "$$dir/bench" ./bench || exit $$?; \
