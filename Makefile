@@ -127,8 +127,10 @@ census:
 # internal/faultinject (the analyzers, their driver and the fault injector,
 # which only their own tests, `make fragvet` and the crash sweeps run) that
 # both left at 0.0 % — reached by no workload, command, table or daemon path
-# — and then their count. ~1.5 min on two cores. Not
-# part of `make check`.
+# — and then their count; then, per package outside those four, the
+# statements neither driver reached and the package's total, and the sums,
+# which track unreached code below the function level. ~2 min on two
+# cores. Not part of `make check`.
 traffic:
 	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; mkdir "$$dir/cov"; \
 	$(GO) build -cover -coverpkg=./... -o "$$dir/bench" ./bench || exit $$?; \
@@ -139,7 +141,13 @@ traffic:
 	{ cat "$$dir/bench.cov"; tail -n +2 "$$dir/tests.cov"; } >"$$dir/all.cov"; \
 	$(GO) tool cover -func="$$dir/all.cov" | \
 		awk '$$NF == "0.0%" && $$1 !~ /^fragalloc\/(bench|cmd\/fragvet|internal\/analysis|internal\/faultinject)\// { print $$1, $$2; c++ } \
-			END { printf "%6d functions at 0.0 %%\n", c }'
+			END { printf "%6d functions at 0.0 %%\n", c }'; \
+	awk '$$1 != "mode:" { n[$$1] = $$2; if ($$3 > 0) hit[$$1] = 1 } \
+		END { for (b in n) { d = b; sub(/\/[^\/]*$$/, "", d); \
+				if (d ~ /^fragalloc\/(bench|cmd\/fragvet|internal\/analysis|internal\/faultinject)(\/|$$)/) continue; \
+				tot[d] += n[b]; t += n[b]; if (!(b in hit)) { un[d] += n[b]; u += n[b] } } \
+			for (d in tot) printf "%6d of %5d statements unreached  %s\n", un[d], tot[d], d | "sort -k6"; close("sort -k6"); \
+			printf "%6d of %5d statements unreached in all\n", u, t }' "$$dir/all.cov"
 
 # Where does one batch solve spend its CPU? Profiles TestPipelineGolden (the
 # golden TPC-DS subproblems, ~10 s) into a temp dir — no source patch, and

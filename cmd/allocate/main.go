@@ -38,7 +38,8 @@
 //	2  allocation computed, but degraded (greedy fallback) or cut short by
 //	   -timeout / a signal — feasible, yet without the usual guarantees
 //	3  the input admits no feasible allocation
-//	1  internal error (bad flags, I/O, solver bug)
+//	1  internal error (an unknown, malformed or out-of-range flag, I/O,
+//	   solver bug)
 //
 // A second SIGINT/SIGTERM skips the graceful wind-down and exits
 // immediately with code 1, emitting no allocation — the escape hatch when a
@@ -51,6 +52,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -89,7 +91,7 @@ func main() {
 	out := flag.String("o", "", "output file (default stdout)")
 	exportLP := flag.String("export-lp", "", "write the exact MIP in CPLEX LP format to this file and exit")
 	verbose := flag.Bool("v", false, "progress logging to stderr")
-	flag.Parse()
+	parseFlags()
 	if err := scenario.CheckPresence(*p); err != nil {
 		fail(fmt.Errorf("-p: %w", err))
 	}
@@ -280,6 +282,22 @@ func openRecorder(dir string, resume bool) (*checkpoint.Recorder, error) {
 		fmt.Fprintf(os.Stderr, "allocate: no checkpoint found in %s; starting fresh\n", dir)
 	}
 	return rec, nil
+}
+
+// parseFlags parses the command line: -h prints the usage and exits 0, and
+// an unknown or malformed flag exits 1 with one line naming it.
+func parseFlags() {
+	flag.CommandLine.Init(os.Args[0], flag.ContinueOnError)
+	flag.CommandLine.SetOutput(io.Discard)
+	err := flag.CommandLine.Parse(os.Args[1:])
+	flag.CommandLine.SetOutput(os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		flag.Usage()
+		os.Exit(exitOK)
+	}
+	if err != nil {
+		fail(err)
+	}
 }
 
 func fail(err error) {

@@ -214,6 +214,21 @@ func TestExportLPAndFullReplication(t *testing.T) {
 	}
 }
 
+// TestBadFlagExitsOne checks that an unknown or malformed flag ends in one
+// line naming it and exit 1, and that -h prints the usage and exits 0; exit
+// 2 means only a degraded or cut-short run.
+func TestBadFlagExitsOne(t *testing.T) {
+	for _, args := range [][]string{{"-bogus"}, {"-k", "four"}} {
+		if code, out := runAllocate(t, args...); code != exitInternal ||
+			!strings.HasPrefix(out, "allocate: ") || !strings.Contains(out, args[0]) || strings.Count(out, "\n") != 1 {
+			t.Errorf("%q: exit %d, output %q; want exit %d and one line naming %s", args, code, out, exitInternal, args[0])
+		}
+	}
+	if code, out := runAllocate(t, "-h"); code != exitOK || !strings.Contains(out, "-workload") {
+		t.Errorf("-h: exit %d, output %q; want exit 0 and the usage", code, out)
+	}
+}
+
 // runAllocate runs allocate on args and returns its exit code and output.
 func runAllocate(t *testing.T, args ...string) (int, string) {
 	t.Helper()

@@ -40,9 +40,12 @@
 //	0  every experiment ran to the end
 //	2  the run was cut short by -timeout or a signal: the tables are
 //	   printed, but the rows it cut carry the incumbents found before it
-//	   (or the greedy fallback), not what the budget buys; also a
-//	   malformed command line
-//	1  any other error (bad flag values, I/O, solver failure)
+//	   (or the greedy fallback), not what the budget buys
+//	1  any other error: an unknown, malformed or out-of-range flag, no
+//	   experiment or an unknown one, -resume without -checkpoint, I/O,
+//	   solver failure
+//
+// -h prints the usage and exits 0.
 package main
 
 import (
@@ -50,6 +53,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -73,15 +77,28 @@ func main() {
 	perScenario := flag.Bool("per-scenario", false, "fig2: print the per-scenario series (Figure 2b)")
 	verbose := flag.Bool("v", false, "verbose solver progress")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: paper [flags] fig1|table1|table2|table3|fig2|scale|all\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: paper [flags] fig1|table1|table2|table3|fig2|scale|all\n")
 		flag.PrintDefaults()
 	}
-	flag.Parse()
+	// Parse quietly, so that a bad flag costs one line; the usage goes to
+	// stderr once parsing is done.
+	flag.CommandLine.Init(os.Args[0], flag.ContinueOnError)
+	flag.CommandLine.SetOutput(io.Discard)
+	err := flag.CommandLine.Parse(os.Args[1:])
+	flag.CommandLine.SetOutput(os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		flag.Usage()
+		os.Exit(0)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "paper: %v\n", err)
+		os.Exit(1)
+	}
 	if flag.NArg() != 1 {
 		flag.Usage()
-		os.Exit(2)
+		os.Exit(1)
 	}
-	err := scenario.CheckCount(*unseen)
+	err = scenario.CheckCount(*unseen)
 	if err == nil && *unseen == 0 {
 		err = errors.New("no unseen scenarios to verify against")
 	}
@@ -131,7 +148,7 @@ func main() {
 	}
 	if *resume && *ckptDir == "" {
 		fmt.Fprintln(os.Stderr, "paper: -resume requires -checkpoint DIR")
-		os.Exit(2)
+		os.Exit(1)
 	}
 
 	switch flag.Arg(0) {
@@ -163,7 +180,7 @@ func main() {
 	default:
 		fmt.Fprintf(os.Stderr, "paper: unknown experiment %q\n", flag.Arg(0))
 		flag.Usage()
-		os.Exit(2)
+		os.Exit(1)
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "paper: %v\n", err)

@@ -51,6 +51,25 @@ func TestTimeoutInterruptsTheRun(t *testing.T) {
 	}
 }
 
+// TestBadCommandLineExitsOne checks that an unknown flag, no experiment or
+// an unknown one, and -resume without -checkpoint exit 1 before any
+// experiment runs, and that -h prints the usage and exits 0; exit 2 means
+// only a run cut short.
+func TestBadCommandLineExitsOne(t *testing.T) {
+	if code, out := runPaper(t, "-bogus", "table1"); code != 1 ||
+		!strings.HasPrefix(out, "paper: ") || !strings.Contains(out, "-bogus") || strings.Count(out, "\n") != 1 {
+		t.Errorf("-bogus table1: exit %d, output %q; want exit 1 and one line naming -bogus", code, out)
+	}
+	for _, args := range [][]string{{}, {"table9"}, {"-resume", "fig1"}} {
+		if code, out := runPaper(t, args...); code != 1 {
+			t.Errorf("%q: exit %d, output:\n%s\nwant exit 1", args, code, out)
+		}
+	}
+	if code, out := runPaper(t, "-h"); code != 0 || !strings.Contains(out, "usage: paper") {
+		t.Errorf("-h: exit %d, output %q; want exit 0 and the usage", code, out)
+	}
+}
+
 // wantRefused runs paper with flag set to v and checks that it exits 1 with
 // one line about flag before any experiment runs.
 func wantRefused(t *testing.T, flag, v string) {

@@ -16,13 +16,13 @@ import (
 )
 
 // faultedMIP returns MIP options under which no LP in the pipeline can ever
-// refactorize: with RefactorEvery=1 every solve hits its first
-// refactorization within two pivots and the injector fails them all, so
-// every subproblem must take the greedy degradation path.
+// refactorize: faultinject.Always has every pivot refactorize, so every
+// solve hits its first refactorization within two pivots, and fails them
+// all, so every subproblem must take the greedy degradation path.
 func faultedMIP() mip.Options {
 	return mip.Options{
 		MaxNodes: 3000,
-		LP:       simplex.Options{RefactorEvery: 1, Fault: faultinject.Always()},
+		LP:       simplex.Options{Fault: faultinject.Always()},
 	}
 }
 
@@ -304,7 +304,7 @@ func TestSeededFaultsFeasible(t *testing.T) {
 		in := faultinject.Seeded(seed, 2000, 0.25)
 		res, err := Allocate(w, nil, 4, Options{
 			Chunks: spec,
-			MIP:    mip.Options{MaxNodes: 3000, LP: simplex.Options{RefactorEvery: 1, Fault: in}},
+			MIP:    mip.Options{MaxNodes: 3000, LP: simplex.Options{Fault: in}},
 		})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -138,6 +140,48 @@ func TestScaleOutput(t *testing.T) {
 	}
 	if strings.Contains(out, "VIOLATED") {
 		t.Errorf("scale output reports a deviation-bound violation:\n%s", out)
+	}
+}
+
+// TestFig2PerScenario runs Figure 2 with its per-scenario series on the
+// default row set, which holds the S=10 (ours) and S=2 (merge) rows 2b
+// reads: each 2b column is one 2a row's evaluation, so it averages to that
+// row's E((1/K)/L~) up to the printed rounding.
+func TestFig2PerScenario(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solves the default Figure 2 rows")
+	}
+	var buf bytes.Buffer
+	cfg := benchCfg("tpcds", &buf)
+	cfg.Bench = false
+	cfg.Budget = 100 * time.Millisecond // 12 nodes a subproblem
+	if err := Fig2(cfg, true); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	mean := func(re string) float64 {
+		t.Helper()
+		m := regexp.MustCompile(`(?m)` + re + ` +[0-9.]+ +([0-9.]+)`).FindStringSubmatch(out)
+		if m == nil {
+			t.Fatalf("no row matching %q; got:\n%s", re, out)
+		}
+		v, _ := strconv.ParseFloat(m[1], 64)
+		return v
+	}
+	ours, merge := mean(`^partial clustering \(F=47\) +10`), mean(`^greedy merge +2`)
+	rows := regexp.MustCompile(`(?m)^\d+ +([0-9.]+) +([0-9.]+)$`).FindAllStringSubmatch(out[strings.Index(out, "Figure 2b"):], -1)
+	if len(rows) != cfg.OutOfSample {
+		t.Fatalf("Figure 2b has %d scenario rows, want %d; got:\n%s", len(rows), cfg.OutOfSample, out)
+	}
+	var sumMerge, sumOurs float64
+	for _, r := range rows {
+		m, _ := strconv.ParseFloat(r[1], 64)
+		o, _ := strconv.ParseFloat(r[2], 64)
+		sumMerge, sumOurs = sumMerge+m, sumOurs+o
+	}
+	n := float64(len(rows))
+	if math.Abs(sumMerge/n-merge) > 1e-3 || math.Abs(sumOurs/n-ours) > 1e-3 {
+		t.Errorf("2b means merge %.4f, ours %.4f; 2a rows read %.3f and %.3f; got:\n%s", sumMerge/n, sumOurs/n, merge, ours, out)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"fragalloc/internal/core"
 	"fragalloc/internal/eval"
 	"fragalloc/internal/greedy"
-	"fragalloc/internal/model"
 	"fragalloc/internal/scenario"
 )
 
@@ -35,9 +34,10 @@ func Fig2(cfg Config, perScenario bool) error {
 	oursS, mergeS := plan.ours, plan.merge
 
 	// One indexed pool over both series: ours rows first, merge rows after,
-	// rendered in that order whatever the completion order.
+	// rendered in that order whatever the completion order. Each row keeps
+	// its evaluation for Figure 2b.
 	n := len(oursS) + len(mergeS)
-	allocs := make([]*model.Allocation, n)
+	metrics := make([]*eval.Metrics, n)
 	err = cfg.table(
 		fmt.Sprintf("Figure 2a (%s): memory vs expected relative throughput over %d unseen scenarios; K=%d=%s",
 			w.Name, cfg.OutOfSample, table3K, table3Chunks),
@@ -54,7 +54,7 @@ func Fig2(cfg Config, perScenario bool) error {
 				if err != nil {
 					return "", err
 				}
-				allocs[i] = res.Allocation
+				metrics[i] = m
 				return fmt.Sprintf("partial clustering (F=47)\t%d\t%.3f\t%.3f\t%s\n",
 					s, res.ReplicationFactor, m.MeanThroughput, gapMark(res)), nil
 			}
@@ -69,7 +69,7 @@ func Fig2(cfg Config, perScenario bool) error {
 				return "", err
 			}
 			repl := alloc.TotalData(w) / w.AccessedDataSize(seen.Frequencies...)
-			allocs[i] = alloc
+			metrics[i] = m
 			return fmt.Sprintf("greedy merge\t%d\t%.3f\t%.3f\t\n", s, repl, m.MeanThroughput), nil
 		},
 		// Full replication balances every scenario perfectly at W/V = K.
@@ -82,29 +82,21 @@ func Fig2(cfg Config, perScenario bool) error {
 	if !perScenario {
 		return nil
 	}
-	var oursAlloc10, merge2 *model.Allocation
+	var mOurs, mMerge *eval.Metrics
 	for i, s := range oursS {
 		if s == 10 {
-			oursAlloc10 = allocs[i]
+			mOurs = metrics[i]
 		}
 	}
 	for i, s := range mergeS {
 		if s == 2 {
-			merge2 = allocs[len(oursS)+i]
+			mMerge = metrics[len(oursS)+i]
 		}
 	}
-	if oursAlloc10 == nil || merge2 == nil {
+	if mOurs == nil || mMerge == nil {
 		return fmt.Errorf("fig2: per-scenario series need the S=10 (ours) and S=2 (merge) rows")
 	}
 	fmt.Fprintf(cfg.Out, "Figure 2b: per-scenario relative throughput (1/K)/L~ for all %d unseen scenarios\n", cfg.OutOfSample)
-	mOurs, err := eval.Evaluate(w, oursAlloc10, unseen)
-	if err != nil {
-		return err
-	}
-	mMerge, err := eval.Evaluate(w, merge2, unseen)
-	if err != nil {
-		return err
-	}
 	t := newTable(cfg.Out)
 	fmt.Fprintln(t, "scenario\tmerge S=2\tours S=10 (F=47)")
 	invK := 1.0 / table3K

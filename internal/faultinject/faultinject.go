@@ -42,6 +42,12 @@ type Plan struct {
 	// greedy degradation: no LP ever factorizes, so every rung of every
 	// ladder fails.
 	AllRefactors bool
+	// RefactorEvery, when > 0, is the refactorization cadence of every
+	// solver the injector is handed to (simplex.FaultInjector's
+	// RefactorEvery): 1 refactorizes after every pivot, so a solve reaches
+	// the failures planned for it within its first pivots. 0 keeps the
+	// solver's default.
+	RefactorEvery int
 }
 
 // Injector implements simplex.FaultInjector plus a Canceled hook. Safe for
@@ -74,20 +80,21 @@ func New(plan Plan) *Injector {
 	return in
 }
 
-// Always returns an Injector that fails every refactorization — the
-// heaviest hammer: with Options.RefactorEvery = 1 no LP in the pipeline can
+// Always returns an Injector that fails every refactorization and has every
+// pivot refactorize — the heaviest hammer: no LP in the pipeline can
 // complete, so every solve path must degrade.
 func Always() *Injector {
-	return New(Plan{AllRefactors: true})
+	return New(Plan{AllRefactors: true, RefactorEvery: 1})
 }
 
 // Seeded derives a Plan from a PRNG: within the first `horizon` calls of
-// each hook, each index fails with probability p. The same (seed, horizon,
-// p) triple always yields the same plan, so seeded fault tests are exactly
-// reproducible.
+// each hook, each index fails with probability p, and every pivot
+// refactorizes, so the planned refactorization failures are reached. The
+// same (seed, horizon, p) triple always yields the same plan, so seeded
+// fault tests are exactly reproducible.
 func Seeded(seed int64, horizon int, p float64) *Injector {
 	rng := rand.New(rand.NewSource(seed))
-	plan := Plan{}
+	plan := Plan{RefactorEvery: 1}
 	for i := 0; i < horizon; i++ {
 		if rng.Float64() < p {
 			plan.RefactorFailures = append(plan.RefactorFailures, i)
@@ -118,6 +125,9 @@ func (in *Injector) ForceStall() bool {
 	in.stalls++
 	return in.stallAt[i]
 }
+
+// RefactorEvery implements simplex.FaultInjector.
+func (in *Injector) RefactorEvery() int { return in.plan.RefactorEvery }
 
 // Canceled reports deadline expiry per the plan; hand it to
 // simplex.Options.Canceled, mip.Options.Canceled or core.Options.Canceled.

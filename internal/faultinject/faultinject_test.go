@@ -31,6 +31,9 @@ func TestZeroPlanInjectsNothing(t *testing.T) {
 			t.Fatalf("zero plan fired at call %d", i)
 		}
 	}
+	if in.RefactorEvery() != 0 {
+		t.Errorf("zero plan asks for refactorization cadence %d, want the solver's default (0)", in.RefactorEvery())
+	}
 }
 
 func TestCancelAfter(t *testing.T) {
@@ -53,6 +56,9 @@ func TestAlways(t *testing.T) {
 		if !in.FailRefactor() {
 			t.Fatalf("Always().FailRefactor call %d = false", i)
 		}
+	}
+	if in.RefactorEvery() != 1 {
+		t.Errorf("Always().RefactorEvery() = %d, want 1: a solve must reach a refactorization to fail it", in.RefactorEvery())
 	}
 }
 

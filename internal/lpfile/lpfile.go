@@ -15,7 +15,8 @@ import (
 	"fragalloc/internal/simplex"
 )
 
-// Write serializes p in CPLEX LP format. intVars lists the variables to
+// Write serializes p in CPLEX LP format; p must pass Problem.Validate, so
+// every variable has a finite bound. intVars lists the variables to
 // declare in the Binary/General sections (they must have finite bounds;
 // binaries are recognized by [0,1] bounds). names, if non-nil, supplies
 // variable names by index; missing or empty entries fall back to x<i>.
@@ -96,8 +97,6 @@ func Write(w io.Writer, p *simplex.Problem, intVars []int, names []string) error
 		switch {
 		case lb == 0 && math.IsInf(ub, 1):
 			// LP-format default; omit.
-		case math.IsInf(lb, -1) && math.IsInf(ub, 1):
-			fmt.Fprintf(bw, " %s free\n", name(j))
 		case math.IsInf(ub, 1):
 			fmt.Fprintf(bw, " %s >= %s\n", name(j), num(lb))
 		case math.IsInf(lb, -1):

@@ -12,11 +12,11 @@ import (
 
 func sampleProblem() (*simplex.Problem, []int) {
 	p := &simplex.Problem{}
-	x := p.AddVar(0, 1, 2.5)                    // binary
-	y := p.AddVar(0, 7, -1)                     // general integer
-	z := p.AddVar(math.Inf(-1), 3, 0)           // upper-bounded continuous
-	f := p.AddVar(math.Inf(-1), math.Inf(1), 1) // free
-	fixed := p.AddVar(2, 2, 0)                  // fixed
+	x := p.AddVar(0, 1, 2.5)          // binary
+	y := p.AddVar(0, 7, -1)           // general integer
+	z := p.AddVar(math.Inf(-1), 3, 0) // upper-bounded continuous
+	f := p.AddVar(-2, math.Inf(1), 1) // lower-bounded continuous
+	fixed := p.AddVar(2, 2, 0)        // fixed
 	p.AddRow([]int{x, y}, []float64{1, -2}, simplex.LE, 4)
 	p.AddRow([]int{y, z}, []float64{3, 1}, simplex.GE, -1)
 	p.AddRow([]int{x, f, fixed}, []float64{1, 1, 1}, simplex.EQ, 2.5)
@@ -40,7 +40,7 @@ func TestWriteStructure(t *testing.T) {
 		"Bounds",
 		"count <= 7",
 		"-inf <= x2 <= 3",
-		"x3 free",
+		"x3 >= -2",
 		"x4 = 2",
 		"Binary",
 		"pick",

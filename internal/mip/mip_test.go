@@ -350,6 +350,7 @@ type stallWhenArmed struct{ armed atomic.Bool }
 
 func (f *stallWhenArmed) FailRefactor() bool { return false }
 func (f *stallWhenArmed) ForceStall() bool   { return f.armed.Load() }
+func (f *stallWhenArmed) RefactorEvery() int { return 0 }
 
 // TestZeroGapOptions checks RelGap's negative-means-zero convention: a
 // caller can request an exact zero relative gap, while the zero value keeps

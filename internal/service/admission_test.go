@@ -93,7 +93,7 @@ func TestServiceAdmissionBurst(t *testing.T) {
 	}
 	fault := &switchFault{inner: faultinject.Always()}
 	cfg := serviceConfig(t)
-	cfg.MIP = mip.Options{LP: simplex.Options{RefactorEvery: 1, Fault: fault}}
+	cfg.MIP = mip.Options{LP: simplex.Options{Fault: fault}}
 	cfg.Admission = &AdmissionConfig{MaxPending: 8}
 	s, err := New(cfg)
 	if err != nil {

@@ -166,6 +166,7 @@ type switchFault struct {
 
 func (f *switchFault) FailRefactor() bool { return f.on.Load() && f.inner.FailRefactor() }
 func (f *switchFault) ForceStall() bool   { return f.on.Load() && f.inner.ForceStall() }
+func (f *switchFault) RefactorEvery() int { return f.inner.RefactorEvery() }
 
 // TestServiceDegradedServesIncumbent is the graceful-degradation contract:
 // while every solve fails, the service keeps serving the last good incumbent
@@ -173,7 +174,7 @@ func (f *switchFault) ForceStall() bool   { return f.on.Load() && f.inner.ForceS
 func TestServiceDegradedServesIncumbent(t *testing.T) {
 	fault := &switchFault{inner: faultinject.Always()}
 	cfg := serviceConfig(t)
-	cfg.MIP = mip.Options{LP: simplex.Options{RefactorEvery: 1, Fault: fault}}
+	cfg.MIP = mip.Options{LP: simplex.Options{Fault: fault}}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -119,7 +119,7 @@ func TestServiceTranscriptGolden(t *testing.T) {
 	cfg := crashConfig(t, dir, nil)
 	cfg.Scenarios = scenario.InSample(cfg.Workload, 6, 0.6, 3)
 	cfg.ReduceTo = 3
-	cfg.MIP = mip.Options{MaxNodes: 40, MaxStallNodes: 20, LP: simplex.Options{RefactorEvery: 1, Fault: fault}}
+	cfg.MIP = mip.Options{MaxNodes: 40, MaxStallNodes: 20, LP: simplex.Options{Fault: fault}}
 	// One failed attempt must park the loop for the rest of the daemon's
 	// life, so the attempt counters the transcript records do not depend on
 	// how many retries fit before the restart.

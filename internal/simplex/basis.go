@@ -7,7 +7,7 @@ import (
 )
 
 // BasisStatus is one variable's place in a Basis: basic, or nonbasic at its
-// lower bound, at its upper bound, or free at zero.
+// lower or at its upper bound.
 type BasisStatus int8
 
 // The basis statuses. They share their values with the solver's own status
@@ -15,7 +15,6 @@ type BasisStatus int8
 const (
 	AtLower BasisStatus = BasisStatus(nbLower)
 	AtUpper BasisStatus = BasisStatus(nbUpper)
-	Free    BasisStatus = BasisStatus(nbFree)
 	Basic   BasisStatus = BasisStatus(isBasic)
 )
 
@@ -178,12 +177,11 @@ func (s *Solver) install(b *Basis) bool {
 }
 
 // placed is the status column j takes for the requested status st: st
-// itself when it is basic or names a finite bound (free only for a column
-// with no finite bound), the column's natural nonbasic status otherwise.
+// itself when it is basic or names a finite bound, the column's natural
+// nonbasic status otherwise.
 func (s *Solver) placed(j int, st int8) int8 {
-	lf, uf := !math.IsInf(s.lb[j], -1), !math.IsInf(s.ub[j], 1)
 	switch {
-	case st == isBasic, st == nbLower && lf, st == nbUpper && uf, st == nbFree && !lf && !uf:
+	case st == isBasic, st == nbLower && !math.IsInf(s.lb[j], -1), st == nbUpper && !math.IsInf(s.ub[j], 1):
 		return st
 	}
 	return s.initialStatus(j)

@@ -2,40 +2,14 @@ package simplex
 
 import "math"
 
-// SetBound changes the bounds of structural variable j. The typical caller
-// is the branch-and-bound solver fixing a binary variable to 0 or 1, or
-// restoring its original [0,1] range while backtracking. Call ReSolveDual
-// afterwards to restore optimality from the current basis.
+// SetBound changes the bounds of structural variable j to lb ≤ ub, both
+// finite. The typical caller is the branch-and-bound solver fixing a binary
+// variable to 0 or 1, or restoring its original [0,1] range while
+// backtracking. A nonbasic variable keeps its side and moves with that
+// bound. Call ReSolveDual afterwards to restore optimality from the current
+// basis.
 func (s *Solver) SetBound(j int, lb, ub float64) {
 	s.lb[j], s.ub[j] = lb, ub
-	if s.vstat[j] == isBasic {
-		return
-	}
-	// Keep the variable on a still-existing bound; prefer its current side.
-	switch s.vstat[j] {
-	case nbLower:
-		if math.IsInf(lb, -1) {
-			if math.IsInf(ub, 1) {
-				s.vstat[j] = nbFree
-			} else {
-				s.vstat[j] = nbUpper
-			}
-		}
-	case nbUpper:
-		if math.IsInf(ub, 1) {
-			if math.IsInf(lb, -1) {
-				s.vstat[j] = nbFree
-			} else {
-				s.vstat[j] = nbLower
-			}
-		}
-	case nbFree:
-		if !math.IsInf(lb, -1) {
-			s.vstat[j] = nbLower
-		} else if !math.IsInf(ub, 1) {
-			s.vstat[j] = nbUpper
-		}
-	}
 }
 
 // Bounds returns the current bounds of structural variable j.
@@ -45,8 +19,8 @@ func (s *Solver) Bounds(j int) (lb, ub float64) { return s.lb[j], s.ub[j] }
 // simplex, starting from the current basis. The basis stays dual feasible
 // across bound changes because reduced costs depend only on the basis and
 // the (unchanged) costs; at most the changed variables themselves need a
-// status flip, which repairDualFeasibility performs for variables with two
-// finite bounds.
+// status flip, which repairDualFeasibility performs: SetBound's bounds are
+// finite, so each has a bound to flip to.
 //
 // A numerical breakdown of the dual pass is repaired in place (runDual's
 // refactor and rollback rungs); only what that cannot repair falls back to
@@ -78,7 +52,7 @@ func (s *Solver) reSolveDual() *Result {
 	// drift. xB is not recomputed here: repairDualFeasibility does it after
 	// settling the nonbasic statuses, and a failed repair discards the
 	// state in a cold restart anyway.
-	if s.updates >= s.opt.RefactorEvery/2 || s.kern.refreshDue() {
+	if s.updates >= s.opt.refactorEvery/2 || s.kern.refreshDue() {
 		if err := s.refactor(); err != nil {
 			return s.cold() // basis unusable; cold restart
 		}
@@ -166,10 +140,6 @@ func (s *Solver) repairDualFeasibility() bool {
 				}
 				s.vstat[j] = nbLower
 			}
-		case nbFree:
-			if math.Abs(d) > s.optTol {
-				return false
-			}
 		}
 	}
 	s.computeXB()
@@ -218,7 +188,7 @@ func (s *Solver) runDual() Status {
 		if s.iters >= s.opt.MaxIters {
 			return StatusIterLimit
 		}
-		if refresh || s.updates >= s.opt.RefactorEvery || s.kern.refreshDue() {
+		if refresh || s.updates >= s.opt.refactorEvery || s.kern.refreshDue() {
 			refresh = false
 			if err := s.refactor(); err != nil {
 				if harris {
@@ -300,16 +270,9 @@ func (s *Solver) runDual() Status {
 			if math.Abs(alpha) <= s.pivotTol {
 				continue
 			}
-			eligible := false
-			switch st {
-			case nbLower:
-				eligible = sigma*alpha > 0
-			case nbUpper:
-				eligible = sigma*alpha < 0
-			case nbFree:
-				eligible = true
-			}
-			if !eligible {
+			// A column at its lower bound can only rise, one at its upper
+			// bound only fall.
+			if !(st == nbLower && sigma*alpha > 0 || st == nbUpper && sigma*alpha < 0) {
 				continue
 			}
 			if useHarris {

@@ -5,39 +5,31 @@ import (
 	"testing"
 )
 
-// TestSetBoundStatusTransitions exercises every nonbasic status transition
-// SetBound performs when a bound the variable was resting on disappears
-// (becomes infinite), including the degenerate both-infinite case and the
-// free-variable re-anchoring when a finite bound appears.
+// TestSetBoundStatusTransitions: SetBound stores finite bounds and leaves
+// every status as it was — a nonbasic variable keeps its side and moves
+// with that bound, a basic one stays basic.
 func TestSetBoundStatusTransitions(t *testing.T) {
 	s, err := NewSolver(recoveryLP(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	j := 0
-	inf := math.Inf(1)
 	cases := []struct {
 		name   string
 		start  int8
 		lb, ub float64
-		want   int8
 	}{
-		{"lower-stays", nbLower, 0, 2, nbLower},
-		{"lower-to-upper", nbLower, -inf, 3, nbUpper},
-		{"lower-to-free", nbLower, -inf, inf, nbFree},
-		{"upper-stays", nbUpper, 0, 2, nbUpper},
-		{"upper-to-lower", nbUpper, -2, inf, nbLower},
-		{"upper-to-free", nbUpper, -inf, inf, nbFree},
-		{"free-to-lower", nbFree, 0, 1, nbLower},
-		{"free-to-upper", nbFree, -inf, 0, nbUpper},
-		{"free-stays", nbFree, -inf, inf, nbFree},
-		{"basic-untouched", isBasic, -inf, inf, isBasic},
+		{"lower-stays", nbLower, 0, 2},
+		{"lower-stays-fixed", nbLower, 1, 1},
+		{"upper-stays", nbUpper, 0, 2},
+		{"upper-stays-fixed", nbUpper, 0, 0},
+		{"basic-untouched", isBasic, -1, 1},
 	}
 	for _, c := range cases {
 		s.vstat[j] = c.start
 		s.SetBound(j, c.lb, c.ub)
-		if s.vstat[j] != c.want {
-			t.Errorf("%s: status = %d, want %d", c.name, s.vstat[j], c.want)
+		if s.vstat[j] != c.start {
+			t.Errorf("%s: status = %d, want %d", c.name, s.vstat[j], c.start)
 		}
 		if lb, ub := s.Bounds(j); lb != c.lb || ub != c.ub {
 			t.Errorf("%s: bounds = [%v,%v], want [%v,%v]", c.name, lb, ub, c.lb, c.ub)
@@ -45,76 +37,42 @@ func TestSetBoundStatusTransitions(t *testing.T) {
 	}
 }
 
-// unboundedFlipLP is min −x with x ∈ [0,1] and a roomy row x ≤ 5. The
-// optimum parks x nonbasic at its upper bound with reduced cost −1, which
-// is exactly the setup where relaxing the bound structure makes the dual
-// warm start invalid.
-func unboundedFlipLP() (*Problem, int) {
-	p := &Problem{}
-	x := p.AddVar(0, 1, -1)
-	p.AddRow([]int{x}, []float64{1}, LE, 5)
-	return p, x
-}
-
 // TestRepairDualFeasibilityUnrepairableFlip drives repairDualFeasibility
 // into the path where a violated reduced-cost sign cannot be fixed by a
 // bound flip because the opposite bound is infinite: the repair must report
-// false, and ReSolveDual must fall back to a cold solve rather than start
-// the dual pass from an invalid point.
+// false, and a start from that basis must fall back to a cold solve rather
+// than start the dual pass from an invalid point.
 func TestRepairDualFeasibilityUnrepairableFlip(t *testing.T) {
-	p, x := unboundedFlipLP()
+	// min −x with x ∈ [0,∞) and a roomy row x ≤ 5. Starting from the slack
+	// basis, x sits at its lower bound with reduced cost −1, and it has no
+	// upper bound to flip to.
+	p := &Problem{}
+	x := p.AddVar(0, math.Inf(1), -1)
+	p.AddRow([]int{x}, []float64{1}, LE, 5)
 	s, err := NewSolver(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := s.Solve(); res.Status != StatusOptimal || !approx(res.Obj, -1, 1e-9) {
+	if res := s.Solve(); res.Status != StatusOptimal || !approx(res.Obj, -5, 1e-9) {
 		t.Fatalf("initial solve: status=%v obj=%v", res.Status, res.Obj)
 	}
-	if s.vstat[x] != nbUpper {
-		t.Fatalf("setup assumption broken: x status = %d, want nonbasic at upper", s.vstat[x])
+	b := &Basis{Cols: []BasisStatus{AtLower}, Rows: []BasisStatus{Basic}}
+	if !s.install(b) {
+		t.Fatal("the slack basis does not factor")
 	}
-	// Removing the upper bound moves x to nbLower (SetBound keeps it on the
-	// surviving bound), where its reduced cost −1 violates dual feasibility
-	// and the opposite bound is now infinite: unrepairable by a flip.
-	s.SetBound(x, 0, math.Inf(1))
 	s.pcost = append(s.pcost[:0], s.cost...)
 	if s.repairDualFeasibility() {
 		t.Error("repairDualFeasibility repaired an unrepairable flip")
 	}
-	res := s.ReSolveDual()
+	res := s.SolveFrom(b)
 	if res.Status != StatusOptimal {
-		t.Fatalf("ReSolveDual status = %v, want optimal via cold restart", res.Status)
+		t.Fatalf("SolveFrom status = %v, want optimal via cold restart", res.Status)
 	}
 	if !approx(res.Obj, -5, 1e-6) || !approx(res.X[x], 5, 1e-6) {
 		t.Errorf("obj=%v x=%v, want -5 and 5", res.Obj, res.X[x])
 	}
-}
-
-// TestRepairDualFeasibilityFreeVariable covers the nbFree arm: a free
-// variable with a nonzero reduced cost has no bound to flip to at all.
-func TestRepairDualFeasibilityFreeVariable(t *testing.T) {
-	p, x := unboundedFlipLP()
-	s, err := NewSolver(p, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := s.Solve(); res.Status != StatusOptimal {
-		t.Fatalf("initial solve: %v", res.Status)
-	}
-	if s.vstat[x] != nbUpper {
-		t.Fatalf("setup assumption broken: x status = %d", s.vstat[x])
-	}
-	s.SetBound(x, math.Inf(-1), math.Inf(1))
-	if s.vstat[x] != nbFree {
-		t.Fatalf("x status = %d after dropping both bounds, want free", s.vstat[x])
-	}
-	s.pcost = append(s.pcost[:0], s.cost...)
-	if s.repairDualFeasibility() {
-		t.Error("free variable with nonzero reduced cost reported repairable")
-	}
-	res := s.ReSolveDual()
-	if res.Status != StatusOptimal || !approx(res.Obj, -5, 1e-6) {
-		t.Errorf("ReSolveDual: status=%v obj=%v, want optimal -5", res.Status, res.Obj)
+	if res.Recovery == nil || len(res.Recovery.Rungs) != 1 || res.Recovery.Rungs[0] != RungCold {
+		t.Errorf("Recovery = %+v, want the cold rung alone", res.Recovery)
 	}
 }
 
@@ -172,11 +130,11 @@ func TestDualPivotGuardRefactorsInPlace(t *testing.T) {
 }
 
 // TestDualPivotGuardRecovery is the guard on a fresh factorization, where
-// there is no eta file to blame: RefactorEvery 1 makes ReSolveDual
+// there is no eta file to blame: refactorEvery 1 makes ReSolveDual
 // refactorize on entry, the pass aborts at the collapsed pivot, and the
 // cold restart must still deliver the true optimum.
 func TestDualPivotGuardRecovery(t *testing.T) {
-	s, err := NewSolver(recoveryLP(), Options{RefactorEvery: 1})
+	s, err := NewSolver(recoveryLP(), Options{refactorEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +181,7 @@ func (k *factorLog) update(r int, w []float64) {
 	k.basisKernel.update(r, w)
 }
 
-// rollbackSetup solves a sparse LP with RefactorEvery 2, then fixes every
+// rollbackSetup solves a sparse LP with refactorEvery 2, then fixes every
 // basic structural that sits inside its bounds at its lower bound, so that
 // the dual pass takes many pivots and refactorizes every two of them. It
 // returns the solver with the fault armed on the first refactorization
@@ -232,7 +190,7 @@ func (k *factorLog) update(r int, w []float64) {
 func rollbackSetup(t *testing.T, twice bool) (*Solver, []int, *factorLog, *Result) {
 	t.Helper()
 	p := benchLP(40, 40, 3)
-	s, err := NewSolver(p, Options{RefactorEvery: 2})
+	s, err := NewSolver(p, Options{refactorEvery: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,10 +207,10 @@ func rollbackSetup(t *testing.T, twice bool) (*Solver, []int, *factorLog, *Resul
 	if err != nil || cold.Status != StatusOptimal {
 		t.Fatalf("cold solve: %v, %v", cold, err)
 	}
-	// ReSolveDual refactorizes on entry after any update (RefactorEvery/2
+	// ReSolveDual refactorizes on entry after any update (refactorEvery/2
 	// is 1); the refactorization after that is runDual's first.
 	n := 1
-	if s.updates >= s.opt.RefactorEvery/2 || s.kern.refreshDue() {
+	if s.updates >= s.opt.refactorEvery/2 || s.kern.refreshDue() {
 		n = 2
 	}
 	s.opt.Fault = &failNthRefactor{n: n, twice: twice}

@@ -27,7 +27,7 @@ func (s *Solver) runPrimal(phase1 bool) Status {
 		if s.iters >= s.opt.MaxIters {
 			return StatusIterLimit
 		}
-		if s.updates >= s.opt.RefactorEvery || s.kern.refreshDue() {
+		if s.updates >= s.opt.refactorEvery || s.kern.refreshDue() {
 			if err := s.refactor(); err != nil {
 				return StatusUnknown
 			}
@@ -37,7 +37,7 @@ func (s *Solver) runPrimal(phase1 bool) Status {
 
 		// Pricing.
 		enter := -1
-		var enterD, bestScore float64
+		var bestScore float64
 		for j := 0; j < s.ncols; j++ {
 			st := s.vstat[j]
 			//fragvet:ignore floatcmp — fixed-variable check: SetBound(j, v, v) stores bit-identical bounds, so exact equality is the invariant
@@ -45,20 +45,11 @@ func (s *Solver) runPrimal(phase1 bool) Status {
 				continue
 			}
 			d := s.reducedCost(j, y)
-			eligible := false
-			switch st {
-			case nbLower:
-				eligible = d < -s.optTol
-			case nbUpper:
-				eligible = d > s.optTol
-			case nbFree:
-				eligible = math.Abs(d) > s.optTol
-			}
-			if !eligible {
+			if !(st == nbLower && d < -s.optTol || st == nbUpper && d > s.optTol) {
 				continue
 			}
 			if s.bland {
-				enter, enterD = j, d
+				enter = j
 				break // smallest index wins
 			}
 			var score float64
@@ -68,7 +59,7 @@ func (s *Solver) runPrimal(phase1 bool) Status {
 				score = math.Abs(d)
 			}
 			if score > bestScore {
-				enter, enterD, bestScore = j, d, score
+				enter, bestScore = j, score
 			}
 		}
 		if enter == -1 {
@@ -77,7 +68,7 @@ func (s *Solver) runPrimal(phase1 bool) Status {
 
 		// Direction of movement of the entering variable.
 		sigma := 1.0
-		if s.vstat[enter] == nbUpper || (s.vstat[enter] == nbFree && enterD > 0) {
+		if s.vstat[enter] == nbUpper {
 			sigma = -1
 		}
 		w := s.ftran(enter)

@@ -5,9 +5,11 @@
 //	subject to  row_r · x  (≤ | = | ≥)  b_r     r = 1..m
 //	            lb_j ≤ x_j ≤ ub_j               j = 1..n
 //
-// It is the numerical kernel behind the fragment-allocation LPs of the
-// reproduced paper and the LP relaxations inside the branch-and-bound MIP
-// solver (package mip). The implementation is a textbook bounded-variable
+// where each column has at least one finite bound (Problem.Validate refuses
+// a free column; every model the repo builds bounds its columns below) and
+// the bounds SetBound moves are finite. It is the numerical kernel behind
+// the fragment-allocation LPs of the reproduced paper and the LP
+// relaxations inside the branch-and-bound MIP solver (package mip). The implementation is a textbook bounded-variable
 // revised simplex with
 //
 //   - a sparse LU factorization of the basis (Markowitz-style column
@@ -53,7 +55,7 @@ type Row struct {
 type Problem struct {
 	NumVars int
 	Obj     []float64 // objective coefficients (minimization)
-	LB, UB  []float64 // variable bounds; use math.Inf(±1) for free directions
+	LB, UB  []float64 // variable bounds; at most one of each pair may be infinite
 	Rows    []Row
 	Rel     []Relation
 	RHS     []float64
@@ -97,6 +99,9 @@ func (p *Problem) Validate() error {
 		}
 		if math.IsNaN(p.LB[j]) || math.IsNaN(p.UB[j]) || math.IsNaN(p.Obj[j]) {
 			return fmt.Errorf("simplex: variable %d has NaN data", j)
+		}
+		if math.IsInf(p.LB[j], -1) && math.IsInf(p.UB[j], 1) {
+			return fmt.Errorf("simplex: variable %d is free: neither bound is finite", j)
 		}
 	}
 	for r, row := range p.Rows {
@@ -272,6 +277,11 @@ type FaultInjector interface {
 	// aborts the pass as a numerical failure (StatusUnknown), which sends
 	// Solve to its recovery ladder.
 	ForceStall() bool
+	// RefactorEvery is consulted when a solver is built: a positive value
+	// caps the eta updates between two refactorizations of the basis, so
+	// that the refactorizations a test fails are reached (1 refactorizes
+	// after every pivot); 0 keeps the default.
+	RefactorEvery() int
 }
 
 // The solver's tolerances. Only the last rung of Solve's recovery ladder
@@ -290,15 +300,6 @@ const (
 type Options struct {
 	// MaxIters bounds the total pivot count; 0 means 50000 + 50*(m+n).
 	MaxIters int
-	// RefactorEvery caps the eta updates between two refactorizations of
-	// the basis (default 120; a dual re-solve enters at half of it): the
-	// bound on numerical drift through the product-form file. It is rarely
-	// what triggers one. The kernel asks for a refresh as soon as the solves
-	// have spent more on walking the eta file than a fresh factorization
-	// costs (refreshDue in lu.go), which on the repo's workloads is every
-	// 30–40 updates. Only tests set it, to 1, so that every pivot
-	// refactorizes.
-	RefactorEvery int
 	// Pricing selects the pivot-pricing rule for both simplex loops. The
 	// zero value is PricingDevex (the default); PricingDantzig is the
 	// pre-Devex rule, bit for bit, which the decomposition's dive solves
@@ -321,9 +322,22 @@ type Options struct {
 	// huge-but-sparse model is not turned away by its row count. Only tests
 	// set it.
 	maxFactorNonzeros int
+	// refactorEvery caps the eta updates between two refactorizations of
+	// the basis (a dual re-solve enters at half of it): the bound on
+	// numerical drift through the product-form file. Zero means
+	// Fault.RefactorEvery() when a fault injector is set and asks for a
+	// cadence, defaultRefactorEvery otherwise. Only tests set it.
+	refactorEvery int
 }
 
 const factorNonzeroBudget = 50_000_000
+
+// defaultRefactorEvery is the eta-update cap production solves run with. It
+// is rarely what triggers a refactorization: the kernel asks for a refresh
+// as soon as the solves have spent more on walking the eta file than a
+// fresh factorization costs (refreshDue in lu.go), which on the repo's
+// workloads is every 30–40 updates.
+const defaultRefactorEvery = 120
 
 // IterLimit is the pivot limit a solve of a problem with m rows and n
 // columns runs with under o: MaxIters, or the default when it is 0.
@@ -336,8 +350,11 @@ func (o Options) IterLimit(m, n int) int {
 
 func (o Options) withDefaults(m, n int) Options {
 	o.MaxIters = o.IterLimit(m, n)
-	if o.RefactorEvery == 0 {
-		o.RefactorEvery = 120
+	if o.refactorEvery == 0 && o.Fault != nil {
+		o.refactorEvery = o.Fault.RefactorEvery()
+	}
+	if o.refactorEvery == 0 {
+		o.refactorEvery = defaultRefactorEvery
 	}
 	if o.maxFactorNonzeros == 0 {
 		o.maxFactorNonzeros = factorNonzeroBudget

@@ -13,6 +13,7 @@ type stubFault struct {
 	failRefactors int
 	stallCalls    int
 	stallFirst    int
+	every         int // the refactorization cadence asked for; 0 keeps the default
 }
 
 func (f *stubFault) FailRefactor() bool {
@@ -25,8 +26,34 @@ func (f *stubFault) ForceStall() bool {
 	return f.stallCalls <= f.stallFirst
 }
 
+func (f *stubFault) RefactorEvery() int { return f.every }
+
+// TestFaultRefactorCadence: a solver takes its refactorization cadence
+// from its fault injector unless its options set one, and runs at
+// defaultRefactorEvery without either.
+func TestFaultRefactorCadence(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		opt  Options
+		want int
+	}{
+		{"default", Options{}, defaultRefactorEvery},
+		{"injector-default", Options{Fault: &stubFault{}}, defaultRefactorEvery},
+		{"injector", Options{Fault: &stubFault{every: 1}}, 1},
+		{"options-win", Options{Fault: &stubFault{every: 1}, refactorEvery: 2}, 2},
+	} {
+		s, err := NewSolver(recoveryLP(), c.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.opt.refactorEvery != c.want || cap(s.undo) != c.want {
+			t.Errorf("%s: refactorEvery %d, undo log room %d; want %d", c.name, s.opt.refactorEvery, cap(s.undo), c.want)
+		}
+	}
+}
+
 // recoveryLP is a small LP with a known optimum that performs several
-// pivots, so RefactorEvery=1 guarantees refactorization calls.
+// pivots, so refactorEvery=1 guarantees refactorization calls.
 // max x+y s.t. x+2y<=4, 3x+y<=6 => opt (1.6,1.2), obj -2.8 (minimized).
 func recoveryLP() *Problem {
 	p := &Problem{}
@@ -39,7 +66,7 @@ func recoveryLP() *Problem {
 
 func TestRecoveryBlandRung(t *testing.T) {
 	fault := &stubFault{failRefactors: 1}
-	s, err := NewSolver(recoveryLP(), Options{RefactorEvery: 1, Fault: fault})
+	s, err := NewSolver(recoveryLP(), Options{refactorEvery: 1, Fault: fault})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +93,7 @@ func TestRecoveryPerturbRung(t *testing.T) {
 	// the first two calls kills the initial attempt and the bland restart;
 	// only the perturbed-tolerance rung gets a working factorization.
 	fault := &stubFault{failRefactors: 2}
-	s, err := NewSolver(recoveryLP(), Options{RefactorEvery: 1, Fault: fault})
+	s, err := NewSolver(recoveryLP(), Options{refactorEvery: 1, Fault: fault})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +117,7 @@ func TestRecoveryPerturbRung(t *testing.T) {
 
 func TestRecoveryExhausted(t *testing.T) {
 	fault := &stubFault{failRefactors: 1 << 30}
-	s, err := NewSolver(recoveryLP(), Options{RefactorEvery: 1, Fault: fault})
+	s, err := NewSolver(recoveryLP(), Options{refactorEvery: 1, Fault: fault})
 	if err != nil {
 		t.Fatal(err)
 	}

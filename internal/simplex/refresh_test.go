@@ -149,10 +149,10 @@ func TestRefreshCounters(t *testing.T) {
 		t.Fatalf("after resetUnit: factorWork %d, etaWalked %d, want %d and 0", k.factorWork, k.etaWalked, m)
 	}
 
-	// Cold restart: the third refactorization of a RefactorEvery=2 solve is
+	// Cold restart: the third refactorization of a refactorEvery=2 solve is
 	// made to fail behind a file that has been walked, the recovery ladder
 	// restarts from the unit basis, and the count must not survive into it.
-	ls, err := NewSolver(benchLP(40, 40, 3), Options{RefactorEvery: 2, Fault: &failNthRefactor{n: 3}})
+	ls, err := NewSolver(benchLP(40, 40, 3), Options{refactorEvery: 2, Fault: &failNthRefactor{n: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,8 @@ func (f *failNthRefactor) FailRefactor() bool {
 	f.calls++
 	return f.calls == f.n || f.twice && f.calls == f.n+1
 }
-func (f *failNthRefactor) ForceStall() bool { return false }
+func (f *failNthRefactor) ForceStall() bool   { return false }
+func (f *failNthRefactor) RefactorEvery() int { return 0 }
 
 // TestRefreshNeverDueOnEmptyFile is the no-refactor-loop guarantee: however
 // many solves run, a kernel that has absorbed no update never asks for a
@@ -238,13 +239,13 @@ func TestRefreshNeverDueOnEmptyFile(t *testing.T) {
 	}
 }
 
-// TestRefreshHammerUnchanged: under RefactorEvery = 1, the fault injector's
+// TestRefreshHammerUnchanged: under refactorEvery = 1, the fault injector's
 // hammer, the update cap already refactorizes behind every pivot, so the
 // work balance never gets to speak and the solver factors exactly once per
 // update, as before the rule.
 func TestRefreshHammerUnchanged(t *testing.T) {
 	p := benchLP(60, 60, 3)
-	s, err := NewSolver(p, Options{RefactorEvery: 1})
+	s, err := NewSolver(p, Options{refactorEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,6 +266,6 @@ func TestRefreshHammerUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !approx(res.Obj, ref.Obj, 1e-6*(1+math.Abs(ref.Obj))) {
-		t.Errorf("objective %g under RefactorEvery=1, %g by default", res.Obj, ref.Obj)
+		t.Errorf("objective %g under refactorEvery=1, %g by default", res.Obj, ref.Obj)
 	}
 }

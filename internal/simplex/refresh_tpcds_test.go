@@ -14,7 +14,7 @@ import (
 // the work balance settles on: updates per refactorization, and the number
 // of etas an average solve finds in the file — the steady state that
 // BenchmarkKernelSolves measures beside the old 60-update one. Both must lie
-// well under the RefactorEvery cap of 120, or the rule is not what bounds
+// well under the refactorEvery cap of 120, or the rule is not what bounds
 // the file.
 func TestRefreshCadenceTPCDS(t *testing.T) {
 	w := tpcds.Workload()

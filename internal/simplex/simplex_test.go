@@ -1,8 +1,10 @@
 package simplex
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -78,14 +80,17 @@ func TestNegativeLowerBounds(t *testing.T) {
 	}
 }
 
+// TestFreeVariable: a column with neither bound finite is refused, by
+// name, before any solve; every model the repo builds bounds its columns
+// on at least one side.
 func TestFreeVariable(t *testing.T) {
-	// min x with x free, x >= -7 (row) => x=-7.
 	p := &Problem{}
+	p.AddVar(0, 1, 1)
 	x := p.AddVar(math.Inf(-1), math.Inf(1), 1)
 	p.AddRow([]int{x}, []float64{1}, GE, -7)
-	res := solveOrFatal(t, p)
-	if !approx(res.Obj, -7, 1e-8) {
-		t.Errorf("obj = %g, want -7", res.Obj)
+	_, err := NewSolver(p, Options{})
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("variable %d is free", x)) {
+		t.Errorf("NewSolver error = %v, want one naming variable %d as free", err, x)
 	}
 }
 

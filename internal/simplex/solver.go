@@ -5,12 +5,12 @@ import (
 	"math"
 )
 
-// Variable status codes. Nonbasic variables sit at a bound (or at zero for
-// free variables); basic variables carry their value in xB.
+// Variable status codes. Nonbasic variables sit at a finite bound (every
+// column has one: Problem.Validate refuses a free column); basic variables
+// carry their value in xB.
 const (
 	nbLower int8 = iota // nonbasic at lower bound
 	nbUpper             // nonbasic at upper bound
-	nbFree              // nonbasic free variable, value 0
 	isBasic
 )
 
@@ -57,7 +57,7 @@ type Solver struct {
 
 	// The dual pass's in-place recovery (dual.go). undo holds one entry per
 	// pivot since the pass began or the basis last factored, whichever is
-	// later; it is preallocated to RefactorEvery, the most pivots a pass
+	// later; it is preallocated to refactorEvery, the most pivots a pass
 	// takes between two factorizations. cand is the Harris ratio test's
 	// candidate list, grown only by a pass that rolled back.
 	undo []undoEntry
@@ -95,7 +95,7 @@ func NewSolver(p *Problem, opt Options) (*Solver, error) {
 		basic: make([]int, m),
 		xB:    make([]float64, m),
 	}
-	s.undo = make([]undoEntry, 0, s.opt.RefactorEvery)
+	s.undo = make([]undoEntry, 0, s.opt.refactorEvery)
 	s.feasTol, s.optTol, s.pivotTol = FeasTol, optTol, pivotTol
 	s.basisRow = make([]int, n+m)
 	copy(s.cost, p.Obj)
@@ -153,33 +153,22 @@ func problemNonzeros(p *Problem) int {
 
 // nonbasicValue returns the current value of nonbasic column j.
 func (s *Solver) nonbasicValue(j int) float64 {
-	switch s.vstat[j] {
-	case nbLower:
-		return s.lb[j]
-	case nbUpper:
+	if s.vstat[j] == nbUpper {
 		return s.ub[j]
-	default: // nbFree
-		return 0
 	}
+	return s.lb[j]
 }
 
 // initialStatus places column j at its most natural nonbasic position: the
-// finite bound closest to zero, or free at zero.
+// finite bound closest to zero.
 func (s *Solver) initialStatus(j int) int8 {
-	lf, uf := !math.IsInf(s.lb[j], -1), !math.IsInf(s.ub[j], 1)
 	switch {
-	case lf && uf:
-		if math.Abs(s.ub[j]) < math.Abs(s.lb[j]) {
-			return nbUpper
-		}
-		return nbLower
-	case lf:
-		return nbLower
-	case uf:
+	case math.IsInf(s.lb[j], -1):
 		return nbUpper
-	default:
-		return nbFree
+	case math.IsInf(s.ub[j], 1), math.Abs(s.ub[j]) >= math.Abs(s.lb[j]):
+		return nbLower
 	}
+	return nbUpper
 }
 
 // initBasis builds the starting basis: every slack whose required value fits
