@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"fragalloc"
 )
 
 // TestMain lets a test run the command: a test binary whose first argument
@@ -90,6 +93,47 @@ func TestRunRejectsPresence(t *testing.T) {
 		err := run([]string{"-workload", "tpcds", "-scenarios", "2", "-p", p}, &out)
 		if err == nil || !strings.HasPrefix(err.Error(), "-p: ") || strings.Contains(err.Error(), "\n") || out.Len() > 0 {
 			t.Errorf("-p %s: err %v with output %q, want one line about -p and no report", p, err, out.String())
+		}
+	}
+}
+
+// TestRunReport drives the report on an allocation whose every L~ is known
+// exactly: full replication on K=3 nodes can route every scenario's load in
+// equal thirds, so the f=1 baseline and each of -scenarios' unseen draws
+// read L~ = 1/3, and -per-scenario prints one such line per scenario.
+func TestRunReport(t *testing.T) {
+	alloc := filepath.Join(t.TempDir(), "full.json")
+	if err := fragalloc.SaveJSON(alloc, fragalloc.FullReplication(fragalloc.TPCDSWorkload(), 3)); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		n    int
+	}{
+		{nil, 1},
+		{[]string{"-scenarios", "4", "-per-scenario"}, 4},
+	} {
+		var out bytes.Buffer
+		if err := run(append([]string{"-workload", "tpcds", "-alloc", alloc}, tc.args...), &out); err != nil {
+			t.Fatalf("%q: %v", tc.args, err)
+		}
+		report := out.String()
+		want := []string{
+			fmt.Sprintf("K=3 nodes, W/V=3.0000, %d scenario(s)\n", tc.n),
+			"E(L~)          = 0.333333  (perfect balance: 0.333333)\n",
+		}
+		if tc.n > 1 {
+			for i := 1; i <= tc.n; i++ {
+				want = append(want, fmt.Sprintf("scenario %3d: L~=0.333333 throughput=1.0000\n", i))
+			}
+		}
+		for _, line := range want {
+			if !strings.Contains(report, line) {
+				t.Errorf("%q: report lacks %q:\n%s", tc.args, line, report)
+			}
+		}
+		if got := strings.Count(report, "scenario "); tc.n > 1 && got != tc.n {
+			t.Errorf("%q: %d per-scenario lines, want %d:\n%s", tc.args, got, tc.n, report)
 		}
 	}
 }

@@ -43,8 +43,10 @@ func TestErrorExitsOne(t *testing.T) {
 
 // TestRun checks that -seed selects the generator seed of the workload the
 // tool writes — a seed other than the workload's canonical one writes a
-// different workload, the canonical seed the default one — and that a bad
-// flag combination is returned as an error rather than exiting.
+// different workload, the canonical seed the default one — that
+// -scenario-seed takes the place of -seed in a scenario set's draw and
+// -no-baseline drops its f=1 scenario, and that a bad flag combination is
+// returned as an error rather than exiting.
 func TestRun(t *testing.T) {
 	emit := func(args []string) (string, error) {
 		var out bytes.Buffer
@@ -62,6 +64,9 @@ func TestRun(t *testing.T) {
 		{name: "accounting -seed 9", args: []string{"-workload", "accounting", "-seed", "9"}, differs: []string{"-workload", "accounting"}},
 		{name: "tpcds -seed 1", args: []string{"-workload", "tpcds", "-seed", "1"}, same: []string{"-workload", "tpcds"}},
 		{name: "accounting -seed 7", args: []string{"-workload", "accounting", "-seed", "7"}, same: []string{"-workload", "accounting"}},
+		{name: "-scenario-seed 7", args: []string{"-scenarios", "3", "-scenario-seed", "7"}, differs: []string{"-scenarios", "3"}},
+		{name: "-scenario-seed 5", args: []string{"-scenarios", "3", "-scenario-seed", "5"}, same: []string{"-scenarios", "3", "-seed", "5"}},
+		{name: "-no-baseline", args: []string{"-scenarios", "3", "-no-baseline"}, differs: []string{"-scenarios", "3"}},
 		{name: "drift-nodes without -k", args: []string{"-drift", "3", "-drift-nodes", "0.5"}, wantErr: "-drift-nodes needs -k"},
 		{name: "unknown workload", args: []string{"-workload", "nope"}, wantErr: `unknown workload "nope"`},
 		{name: "-p above 1", args: []string{"-scenarios", "2", "-p", "2"}, wantErr: "-p: scenario: presence probability 2 outside (0,1]"},
