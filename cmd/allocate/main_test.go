@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"fragalloc"
+	"fragalloc/internal/cli"
 )
 
 // TestMain lets a test run the command: a test binary whose first argument
@@ -22,7 +23,7 @@ func TestMain(m *testing.M) {
 	if len(os.Args) > 1 && os.Args[1] == "allocate" {
 		os.Args = append(os.Args[:1], os.Args[2:]...)
 		main()
-		os.Exit(exitOK)
+		os.Exit(cli.ExitOK)
 	}
 	os.Exit(m.Run())
 }
@@ -159,8 +160,8 @@ func TestBudgetIsWorkNotTime(t *testing.T) {
 func TestTimeoutInterruptsTheRun(t *testing.T) {
 	code, out := runAllocate(t, "-workload", "tpcds", "-k", "4", "-budget", "1s", "-timeout", "1ns",
 		"-o", filepath.Join(t.TempDir(), "a.json"))
-	if code != exitDegraded || !strings.Contains(out, "run interrupted") {
-		t.Errorf("-timeout 1ns: exit %d, output:\n%s\nwant exit %d and \"run interrupted\"", code, out, exitDegraded)
+	if code != cli.ExitDegraded || !strings.Contains(out, "run interrupted") {
+		t.Errorf("-timeout 1ns: exit %d, output:\n%s\nwant exit %d and \"run interrupted\"", code, out, cli.ExitDegraded)
 	}
 }
 
@@ -174,10 +175,10 @@ func TestCheckpointResume(t *testing.T) {
 		return append([]string{"-workload", "tpcds", "-k", k, "-chunks", chunks, "-scenarios", "3", "-reduce", "2",
 			"-budget", "1s", "-checkpoint", filepath.Join(dir, "ck"), "-o", filepath.Join(dir, out)}, extra...)
 	}
-	if code, out := runAllocate(t, args("4", "2+2", "a.json")...); code != exitOK || !strings.Contains(out, "reduced 3 scenarios to 2") {
+	if code, out := runAllocate(t, args("4", "2+2", "a.json")...); code != cli.ExitOK || !strings.Contains(out, "reduced 3 scenarios to 2") {
 		t.Fatalf("first run: exit %d, output:\n%s", code, out)
 	}
-	if code, out := runAllocate(t, args("4", "2+2", "b.json", "-resume")...); code != exitOK || !strings.Contains(out, "resuming from checkpoint journal") {
+	if code, out := runAllocate(t, args("4", "2+2", "b.json", "-resume")...); code != cli.ExitOK || !strings.Contains(out, "resuming from checkpoint journal") {
 		t.Fatalf("resume: exit %d, output:\n%s", code, out)
 	}
 	w := fragalloc.TPCDSWorkload()
@@ -191,8 +192,8 @@ func TestCheckpointResume(t *testing.T) {
 	if first, resumed := wv("a.json"), wv("b.json"); resumed > first {
 		t.Errorf("the resumed run reads W/V %v, worse than the %v it resumed", resumed, first)
 	}
-	if code, out := runAllocate(t, args("6", "3+3", "c.json", "-resume")...); code != exitInternal || !strings.Contains(out, "written by a different run") {
-		t.Errorf("resume under -k 6: exit %d, output:\n%s\nwant exit %d and the run-key refusal", code, out, exitInternal)
+	if code, out := runAllocate(t, args("6", "3+3", "c.json", "-resume")...); code != cli.ExitError || !strings.Contains(out, "written by a different run") {
+		t.Errorf("resume under -k 6: exit %d, output:\n%s\nwant exit %d and the run-key refusal", code, out, cli.ExitError)
 	}
 }
 
@@ -202,14 +203,14 @@ func TestCheckpointResume(t *testing.T) {
 func TestExportLPAndFullReplication(t *testing.T) {
 	dir := t.TempDir()
 	lp := filepath.Join(dir, "m.lp")
-	if code, out := runAllocate(t, "-workload", "tpcds", "-k", "2", "-export-lp", lp); code != exitOK {
+	if code, out := runAllocate(t, "-workload", "tpcds", "-k", "2", "-export-lp", lp); code != cli.ExitOK {
 		t.Fatalf("-export-lp: exit %d, output:\n%s", code, out)
 	}
 	if b, err := os.ReadFile(lp); err != nil || !bytes.Contains(b, []byte("\nMinimize\n")) || !bytes.HasSuffix(b, []byte("\nEnd\n")) {
 		t.Errorf("-export-lp wrote %d bytes (%v), want an LP file from Minimize to End", len(b), err)
 	}
 	full := filepath.Join(dir, "full.json")
-	if code, out := runAllocate(t, "-workload", "tpcds", "-k", "3", "-approach", "full", "-o", full); code != exitOK || !strings.Contains(out, "full W/V=3.0000") {
+	if code, out := runAllocate(t, "-workload", "tpcds", "-k", "3", "-approach", "full", "-o", full); code != cli.ExitOK || !strings.Contains(out, "full W/V=3.0000") {
 		t.Errorf("-approach full: exit %d, output:\n%s\nwant exit 0 and W/V=3.0000", code, out)
 	}
 }
@@ -219,13 +220,25 @@ func TestExportLPAndFullReplication(t *testing.T) {
 // 2 means only a degraded or cut-short run.
 func TestBadFlagExitsOne(t *testing.T) {
 	for _, args := range [][]string{{"-bogus"}, {"-k", "four"}} {
-		if code, out := runAllocate(t, args...); code != exitInternal ||
+		if code, out := runAllocate(t, args...); code != cli.ExitError ||
 			!strings.HasPrefix(out, "allocate: ") || !strings.Contains(out, args[0]) || strings.Count(out, "\n") != 1 {
-			t.Errorf("%q: exit %d, output %q; want exit %d and one line naming %s", args, code, out, exitInternal, args[0])
+			t.Errorf("%q: exit %d, output %q; want exit %d and one line naming %s", args, code, out, cli.ExitError, args[0])
 		}
 	}
-	if code, out := runAllocate(t, "-h"); code != exitOK || !strings.Contains(out, "-workload") {
+	if code, out := runAllocate(t, "-h"); code != cli.ExitOK || !strings.Contains(out, "-workload") {
 		t.Errorf("-h: exit %d, output %q; want exit 0 and the usage", code, out)
+	}
+}
+
+// TestHelpOutput checks that -h, run under the command's own name, exits 0
+// and prints the usage recorded in testdata/help.txt byte for byte.
+func TestHelpOutput(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "allocate", "-h")
+	cmd.Args[0] = "allocate"
+	out, err := cmd.CombinedOutput()
+	want, rerr := os.ReadFile(filepath.Join("testdata", "help.txt"))
+	if err != nil || rerr != nil || !bytes.Equal(out, want) {
+		t.Errorf("-h: %v, %v, output:\n%s\nwant exit 0 and testdata/help.txt:\n%s", err, rerr, out, want)
 	}
 }
 
@@ -249,8 +262,8 @@ func runAllocate(t *testing.T, args ...string) (int, string) {
 // line of output, about flag.
 func wantOneLineExit(t *testing.T, flag string, args ...string) {
 	t.Helper()
-	if code, out := runAllocate(t, args...); code != exitInternal ||
+	if code, out := runAllocate(t, args...); code != cli.ExitError ||
 		!strings.HasPrefix(out, "allocate: "+flag+": ") || strings.Count(out, "\n") != 1 {
-		t.Errorf("%q: exit %d, output %q; want exit %d and one line about %s", args, code, out, exitInternal, flag)
+		t.Errorf("%q: exit %d, output %q; want exit %d and one line about %s", args, code, out, cli.ExitError, flag)
 	}
 }

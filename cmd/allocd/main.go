@@ -56,18 +56,17 @@
 // (a leader hands its lease over so a standby elects immediately); a
 // second one exits immediately with code 1.
 //
-// Exit codes:
+// Exit codes (README.md has the table the five commands share):
 //
 //	0  graceful shutdown (signal, server closed)
+//	1  a bad command line, an internal error, or a second signal
 //	3  bootstrap found the workload infeasible — nothing to serve
 //	4  demoted: another replica took the lease; restart to rejoin as candidate
-//	1  internal error, or a second signal forced an immediate exit
 package main
 
 import (
 	"context"
 	"errors"
-	"flag"
 	"fmt"
 	"math"
 	"net/http"
@@ -76,91 +75,56 @@ import (
 	"time"
 
 	"fragalloc"
-	"fragalloc/internal/mip"
-	"fragalloc/internal/scenario"
+	"fragalloc/internal/cli"
 	"fragalloc/internal/service"
-	"fragalloc/internal/shutdown"
-)
-
-// Exit codes; see the package doc.
-const (
-	exitOK         = 0
-	exitInternal   = 1
-	exitInfeasible = 3
-	exitDemoted    = 4
 )
 
 func main() {
-	workload := flag.String("workload", "", "built-in workload: tpcds or accounting")
-	in := flag.String("in", "", "workload JSON file (alternative to -workload)")
-	k := flag.Int("k", 4, "initial number of replica nodes K")
-	chunks := flag.String("chunks", "", "decomposition spec, e.g. 4+4 (default: exact)")
-	fixed := flag.Int("fixed", 0, "partial clustering: number of fixed queries F")
-	scenarios := flag.Int("scenarios", 1, "number of in-sample scenarios S (1 = deterministic)")
-	p := flag.Float64("p", fragalloc.DefaultPresence, "scenario presence probability")
-	seed := flag.Int64("seed", 1, "scenario sampling seed")
-	reduce := flag.Int("reduce", 0, "solve over this many clustered scenario representatives instead of the full set (0 = off)")
-	budget := flag.Duration("budget", 30*time.Second, fmt.Sprintf("MIP budget per subproblem, bought as branch-and-bound nodes at %d/s, so machine load never changes the answer (0 = none)", mip.NodesPerSecond))
-	solveTimeout := flag.Duration("solve-timeout", 0, "wall-clock bound per re-optimization attempt (0 = none)")
-	parallel := flag.Int("parallel", 0, "concurrent subproblem solves (0 = GOMAXPROCS, 1 = serial)")
-	state := flag.String("state", "", "durable state directory (empty = memory-only, no crash tolerance)")
-	addr := flag.String("addr", "127.0.0.1:8080", "HTTP listen address")
-	role := flag.String("role", "single", "replica role: single (no HA), auto (elect through the shared-state lease), standby (follow, never lead)")
-	nodeID := flag.String("node-id", "", "replica name in the lease file (default hostname-pid)")
-	advertise := flag.String("advertise", "", "advertised base URL for write redirection (default http://<addr>)")
-	leaseTTL := flag.Duration("lease-ttl", 2*time.Second, "leader lease TTL; failover completes within 2×TTL")
-	admitRate := flag.Float64("admit-rate", 0, "sustained updates/s admitted (0 = unlimited)")
-	admitBurst := flag.Int("admit-burst", 0, "update burst depth before -admit-rate applies (0 = derived)")
-	maxPending := flag.Int("max-pending", 0, "max updates pending behind the incumbent before 429 (0 = unbounded)")
-	verbose := flag.Bool("v", false, "progress logging to stderr")
-	flag.Parse()
-	if err := scenario.CheckPresence(*p); err != nil {
-		fail(fmt.Errorf("-p: %w", err))
-	}
-	if err := scenario.CheckCount(*scenarios); err != nil {
-		fail(fmt.Errorf("-scenarios: %w", err))
-	}
+	fs := cli.NewFlagSet("allocd")
+	loadWorkload := cli.Source(fs)
+	inSample := cli.Draw(fs)
+	solver := cli.NewSolver(fs)
+	solveTimeout := fs.Duration("solve-timeout", 0, "wall-clock bound per re-optimization attempt (0 = none)")
+	state := fs.String("state", "", "durable state directory (empty = memory-only, no crash tolerance)")
+	addr := fs.String("addr", "127.0.0.1:8080", "HTTP listen address")
+	role := fs.String("role", "single", "replica role: single (no HA), auto (elect through the shared-state lease), standby (follow, never lead)")
+	nodeID := fs.String("node-id", "", "replica name in the lease file (default hostname-pid)")
+	advertise := fs.String("advertise", "", "advertised base URL for write redirection (default http://<addr>)")
+	leaseTTL := fs.Duration("lease-ttl", 2*time.Second, "leader lease TTL; failover completes within 2×TTL")
+	admitRate := fs.Float64("admit-rate", 0, "sustained updates/s admitted (0 = unlimited)")
+	admitBurst := fs.Int("admit-burst", 0, "update burst depth before -admit-rate applies (0 = derived)")
+	maxPending := fs.Int("max-pending", 0, "max updates pending behind the incumbent before 429 (0 = unbounded)")
+	fs.Parse(os.Args[1:])
 	switch {
-	case *budget < 0:
-		fail(fmt.Errorf("-budget: %v is negative (0 = none)", *budget))
 	case *solveTimeout < 0:
-		fail(fmt.Errorf("-solve-timeout: %v is negative (0 = none)", *solveTimeout))
+		cli.Fail("allocd", fmt.Errorf("-solve-timeout: %v is negative (0 = none)", *solveTimeout))
 	case *leaseTTL < 0:
-		fail(fmt.Errorf("-lease-ttl: %v is negative", *leaseTTL))
-	case *parallel < 0:
-		fail(fmt.Errorf("-parallel: %d is negative (0 = GOMAXPROCS)", *parallel))
+		cli.Fail("allocd", fmt.Errorf("-lease-ttl: %v is negative", *leaseTTL))
 	case *maxPending < 0:
-		fail(fmt.Errorf("-max-pending: %d is negative (0 = unbounded)", *maxPending))
+		cli.Fail("allocd", fmt.Errorf("-max-pending: %d is negative (0 = unbounded)", *maxPending))
 	case !(*admitRate >= 0) || math.IsInf(*admitRate, 1):
-		fail(fmt.Errorf("-admit-rate: %v is not a finite rate >= 0 (0 = unlimited)", *admitRate))
+		cli.Fail("allocd", fmt.Errorf("-admit-rate: %v is not a finite rate >= 0 (0 = unlimited)", *admitRate))
 	}
 
-	ctx, cancel := shutdown.Graceful("allocd", exitInternal)
+	ctx, cancel := cli.Graceful("allocd")
 	defer cancel()
 
-	w, err := fragalloc.NamedWorkload(*workload, *in)
+	w, err := loadWorkload()
 	if err != nil {
-		fail(err)
+		cli.Fail("allocd", err)
 	}
 	cfg := service.Config{
 		Workload:     w,
-		K:            *k,
-		FixedQueries: *fixed,
-		Parallelism:  *parallel,
-		MIP:          mip.Options{MaxNodes: mip.NodeBudget(*budget), MaxStallNodes: 300},
+		Scenarios:    inSample(w),
+		K:            solver.K,
+		Chunks:       solver.Options.Chunks,
+		FixedQueries: solver.Options.FixedQueries,
+		Parallelism:  solver.Options.Parallelism,
+		MIP:          solver.Options.MIP,
 		SolveTimeout: *solveTimeout,
 		StateDir:     *state,
-		ReduceTo:     *reduce,
-	}
-	if *scenarios > 1 {
-		cfg.Scenarios = fragalloc.InSampleScenarios(w, *scenarios, *p, *seed)
-	}
-	if *chunks != "" {
-		spec, err := fragalloc.ParseChunks(*chunks)
-		if err != nil {
-			fail(err)
-		}
-		cfg.Chunks = spec
+		ReduceTo:     solver.Reduce,
+		Logf:         solver.Options.Logf,
 	}
 	switch *role {
 	case "single":
@@ -184,28 +148,24 @@ func main() {
 			NoPromote: *role == "standby",
 		}
 	default:
-		fail(fmt.Errorf("-role %q: want single, auto, or standby", *role))
+		cli.Fail("allocd", fmt.Errorf("-role %q: want single, auto, or standby", *role))
 	}
 	if *admitRate > 0 || *maxPending > 0 {
 		cfg.Admission = &service.AdmissionConfig{Rate: *admitRate, Burst: *admitBurst, MaxPending: *maxPending}
 	}
-	logf := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, format+"\n", args...)
-	}
-	cfg.Logf = logf
-	if !*verbose {
+	if cfg.Logf == nil {
 		// Quiet mode still reports service-level transitions — role changes,
 		// adoptions, failed journal writes — just not solver progress.
 		cfg.Logf = func(format string, args ...any) {
 			if !solverProgress(format) {
-				logf(format, args...)
+				cli.Logf(format, args...)
 			}
 		}
 	}
 
 	svc, err := service.New(cfg)
 	if err != nil {
-		fail(err)
+		cli.Fail("allocd", err)
 	}
 
 	// The timeouts are the slow-loris guard: a client must send its headers
@@ -236,39 +196,39 @@ func main() {
 		// run the election loop in the foreground.
 		serveErr := make(chan error, 1)
 		go func() { serveErr <- srv.ListenAndServe() }()
-		logf("allocd: %s serving on %s (role %s, lease ttl %v)", cfg.HA.NodeID, *addr, *role, *leaseTTL)
+		cli.Logf("allocd: %s serving on %s (role %s, lease ttl %v)", cfg.HA.NodeID, *addr, *role, *leaseTTL)
 		switch err := svc.RunHA(ctx); {
 		case errors.Is(err, service.ErrDemoted):
 			fmt.Fprintf(os.Stderr, "allocd: %v\n", err)
-			os.Exit(exitDemoted)
+			os.Exit(cli.ExitDemoted)
 		case errors.Is(err, fragalloc.ErrInfeasible):
 			fmt.Fprintf(os.Stderr, "allocd: %v\n", err)
-			os.Exit(exitInfeasible)
+			os.Exit(cli.ExitInfeasible)
 		case err != nil:
-			fail(err)
+			cli.Fail("allocd", err)
 		}
 		if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fail(err)
+			cli.Fail("allocd", err)
 		}
-		os.Exit(exitOK)
+		os.Exit(cli.ExitOK)
 	}
 
-	logf("allocd: bootstrapping the first incumbent (workload %d fragments, %d queries, K=%d)",
-		len(w.Fragments), len(w.Queries), *k)
+	cli.Logf("allocd: bootstrapping the first incumbent (workload %d fragments, %d queries, K=%d)",
+		len(w.Fragments), len(w.Queries), solver.K)
 	if err := svc.Bootstrap(ctx); err != nil {
 		if errors.Is(err, fragalloc.ErrInfeasible) {
 			fmt.Fprintf(os.Stderr, "allocd: %v\n", err)
-			os.Exit(exitInfeasible)
+			os.Exit(cli.ExitInfeasible)
 		}
-		fail(err)
+		cli.Fail("allocd", err)
 	}
 	go svc.Run(ctx)
 
-	logf("allocd: serving on %s", *addr)
+	cli.Logf("allocd: serving on %s", *addr)
 	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fail(err)
+		cli.Fail("allocd", err)
 	}
-	os.Exit(exitOK)
+	os.Exit(cli.ExitOK)
 }
 
 // solverProgress reports whether a log format is one of the solver's
@@ -285,9 +245,4 @@ func advertiseFromAddr(addr string) string {
 		return "http://127.0.0.1" + addr
 	}
 	return "http://" + addr
-}
-
-func fail(err error) {
-	fmt.Fprintf(os.Stderr, "allocd: %v\n", err)
-	os.Exit(exitInternal)
 }

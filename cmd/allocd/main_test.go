@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -13,6 +14,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"fragalloc/internal/cli"
 )
 
 // TestMain lets a test run the command: a test binary whose first argument
@@ -21,7 +24,7 @@ func TestMain(m *testing.M) {
 	if len(os.Args) > 1 && os.Args[1] == "allocd" {
 		os.Args = append(os.Args[:1], os.Args[2:]...)
 		main()
-		os.Exit(exitOK)
+		os.Exit(cli.ExitOK)
 	}
 	os.Exit(m.Run())
 }
@@ -43,9 +46,42 @@ func TestNegativeScenarios(t *testing.T) {
 
 // TestNegativeReduce checks that a negative -reduce ends in a one-line error
 // and exit 1, where it used to boot the daemon with the reduction off. The
-// refusal is service.New's, so the line is the service's.
+// solver flags refuse it by name, before service.New's own check.
 func TestNegativeReduce(t *testing.T) {
-	wantOneLineExit(t, "service", "-workload", "tpcds", "-scenarios", "3", "-reduce", "-2", "-addr", "127.0.0.1:0")
+	wantOneLineExit(t, "-reduce", "-workload", "tpcds", "-scenarios", "3", "-reduce", "-2", "-addr", "127.0.0.1:0")
+}
+
+// TestZeroNodes checks that -k 0 ends in a one-line error about -k and exit
+// 1, where service.New used to refuse it under its own name.
+func TestZeroNodes(t *testing.T) {
+	wantOneLineExit(t, "-k", "-workload", "tpcds", "-k", "0", "-addr", "127.0.0.1:0")
+}
+
+// TestBadFlagExitsOne checks that an unknown or malformed flag ends in one
+// line naming it and exit 1, where it used to print the usage and exit 2.
+func TestBadFlagExitsOne(t *testing.T) {
+	for _, args := range [][]string{{"-bogus"}, {"-k", "four"}} {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		out, err := exec.CommandContext(ctx, os.Args[0], append([]string{"allocd"}, args...)...).CombinedOutput()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != cli.ExitError || !strings.HasPrefix(string(out), "allocd: ") ||
+			!strings.Contains(string(out), args[0]) || strings.Count(string(out), "\n") != 1 {
+			t.Errorf("%q: %v, output %q; want exit %d and one line naming %s", args, err, out, cli.ExitError, args[0])
+		}
+	}
+}
+
+// TestHelpOutput checks that -h, run under the command's own name, exits 0
+// and prints the usage recorded in testdata/help.txt byte for byte.
+func TestHelpOutput(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "allocd", "-h")
+	cmd.Args[0] = "allocd"
+	out, err := cmd.CombinedOutput()
+	want, rerr := os.ReadFile(filepath.Join("testdata", "help.txt"))
+	if err != nil || rerr != nil || !bytes.Equal(out, want) {
+		t.Errorf("-h: %v, %v, output:\n%s\nwant exit 0 and testdata/help.txt:\n%s", err, rerr, out, want)
+	}
 }
 
 // TestNegativeDurationsAndCounts checks that a negative duration or count
@@ -70,9 +106,9 @@ func wantOneLineExit(t *testing.T, flag string, args ...string) {
 	defer cancel()
 	out, err := exec.CommandContext(ctx, os.Args[0], append([]string{"allocd"}, args...)...).CombinedOutput()
 	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != exitInternal ||
+	if !errors.As(err, &exit) || exit.ExitCode() != cli.ExitError ||
 		!strings.HasPrefix(string(out), "allocd: "+flag+": ") || strings.Count(string(out), "\n") != 1 {
-		t.Errorf("%q: %v, output %q; want exit %d and one line about %s", args, err, out, exitInternal, flag)
+		t.Errorf("%q: %v, output %q; want exit %d and one line about %s", args, err, out, cli.ExitError, flag)
 	}
 }
 

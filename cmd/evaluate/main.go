@@ -7,32 +7,32 @@
 //	evaluate -workload tpcds -alloc alloc.json -scenarios 100 -seed 2
 //	evaluate -in workload.json -alloc alloc.json -sfile unseen.json
 //	evaluate -workload tpcds -alloc alloc.json            (default f=1)
+//
+// It exits 0 after printing the report and 1 on any error, a bad command
+// line included (README.md has the table the five commands share).
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
 	"math"
 	"os"
 
 	"fragalloc"
-	"fragalloc/internal/scenario"
+	"fragalloc/internal/cli"
 )
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintf(os.Stderr, "evaluate: %v\n", err)
-		os.Exit(1)
+		cli.Fail("evaluate", err)
 	}
 }
 
-// run is evaluate's whole behaviour behind main: it parses args, evaluates,
-// and prints the report to out.
+// run is evaluate's whole behaviour behind main: it parses args (a bad
+// command line ends the process), evaluates, and prints the report to out.
 func run(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("evaluate", flag.ExitOnError)
-	workload := fs.String("workload", "", "built-in workload: tpcds or accounting")
-	in := fs.String("in", "", "workload JSON file (alternative to -workload)")
+	fs := cli.NewFlagSet("evaluate")
+	loadWorkload := cli.Source(fs)
 	allocPath := fs.String("alloc", "", "allocation JSON file (required)")
 	scenarios := fs.Int("scenarios", 0, "sample this many random unseen scenarios")
 	sfile := fs.String("sfile", "", "scenario set JSON file (alternative to -scenarios)")
@@ -40,18 +40,15 @@ func run(args []string, out io.Writer) error {
 	seed := fs.Int64("seed", 2, "scenario sampling seed")
 	perScenario := fs.Bool("per-scenario", false, "print L~ for every scenario")
 	parallel := fs.Int("parallel", 0, "evaluation worker pool width (0 = GOMAXPROCS); results are identical at any width")
-	_ = fs.Parse(args) // ExitOnError: Parse itself exits on a bad flag or -h
-	if err := scenario.CheckPresence(*p); err != nil {
-		return fmt.Errorf("-p: %w", err)
-	}
-	if err := scenario.CheckCount(*scenarios); err != nil {
-		return fmt.Errorf("-scenarios: %w", err)
+	fs.Parse(args)
+	if err := cli.CheckDraw(*scenarios, *p); err != nil {
+		return err
 	}
 
 	if *allocPath == "" {
 		return fmt.Errorf("-alloc is required")
 	}
-	w, err := fragalloc.NamedWorkload(*workload, *in)
+	w, err := loadWorkload()
 	if err != nil {
 		return err
 	}

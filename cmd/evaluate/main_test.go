@@ -137,3 +137,30 @@ func TestRunReport(t *testing.T) {
 		}
 	}
 }
+
+// TestBadFlagExitsOne checks that an unknown or malformed flag ends in one
+// line naming it and exit 1, where it used to print the usage and exit 2.
+func TestBadFlagExitsOne(t *testing.T) {
+	for _, args := range [][]string{{"-bogus"}, {"-parallel", "two"}} {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		out, err := exec.CommandContext(ctx, os.Args[0], append([]string{"evaluate"}, args...)...).CombinedOutput()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.HasPrefix(string(out), "evaluate: ") ||
+			!strings.Contains(string(out), args[0]) || strings.Count(string(out), "\n") != 1 {
+			t.Errorf("%q: %v, output %q; want exit 1 and one line naming %s", args, err, out, args[0])
+		}
+	}
+}
+
+// TestHelpOutput checks that -h, run under the command's own name, exits 0
+// and prints the usage recorded in testdata/help.txt byte for byte.
+func TestHelpOutput(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "evaluate", "-h")
+	cmd.Args[0] = "evaluate"
+	out, err := cmd.CombinedOutput()
+	want, rerr := os.ReadFile(filepath.Join("testdata", "help.txt"))
+	if err != nil || rerr != nil || !bytes.Equal(out, want) {
+		t.Errorf("-h: %v, %v, output:\n%s\nwant exit 0 and testdata/help.txt:\n%s", err, rerr, out, want)
+	}
+}

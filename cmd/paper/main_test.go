@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -67,6 +69,18 @@ func TestBadCommandLineExitsOne(t *testing.T) {
 	}
 	if code, out := runPaper(t, "-h"); code != 0 || !strings.Contains(out, "usage: paper") {
 		t.Errorf("-h: exit %d, output %q; want exit 0 and the usage", code, out)
+	}
+}
+
+// TestHelpOutput checks that -h, run under the command's own name, exits 0
+// and prints the usage recorded in testdata/help.txt byte for byte.
+func TestHelpOutput(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "paper", "-h")
+	cmd.Args[0] = "paper"
+	out, err := cmd.CombinedOutput()
+	want, rerr := os.ReadFile(filepath.Join("testdata", "help.txt"))
+	if err != nil || rerr != nil || !bytes.Equal(out, want) {
+		t.Errorf("-h: %v, %v, output:\n%s\nwant exit 0 and testdata/help.txt:\n%s", err, rerr, out, want)
 	}
 }
 

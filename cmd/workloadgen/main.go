@@ -22,10 +22,12 @@
 // (frequency deltas, newly observed scenarios, node join/leave) against that
 // scenario set, in the JSON shape allocd's POST /v1/update ingests — replay
 // them in order to drive a reproducible drift experiment.
+//
+// It exits 0 once the JSON is written and 1 on any error, a bad command
+// line included (README.md has the table the five commands share).
 package main
 
 import (
-	"flag"
 	"fmt"
 	"io"
 	"math"
@@ -33,6 +35,7 @@ import (
 
 	"fragalloc"
 	"fragalloc/internal/accounting"
+	"fragalloc/internal/cli"
 	"fragalloc/internal/model"
 	"fragalloc/internal/scenario"
 	"fragalloc/internal/service"
@@ -41,15 +44,15 @@ import (
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintf(os.Stderr, "workloadgen: %v\n", err)
-		os.Exit(1)
+		cli.Fail("workloadgen", err)
 	}
 }
 
-// run is workloadgen's whole behaviour behind main: it parses args and
-// writes the requested JSON to the -o file, or to out when there is none.
+// run is workloadgen's whole behaviour behind main: it parses args (a bad
+// command line ends the process) and writes the requested JSON to the -o
+// file, or to out when there is none.
 func run(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("workloadgen", flag.ExitOnError)
+	fs := cli.NewFlagSet("workloadgen")
 	workload := fs.String("workload", "tpcds", "workload: tpcds or accounting")
 	seed := fs.Int64("seed", 0, "generator seed (0 = canonical default)")
 	outPath := fs.String("o", "", "output file (default stdout)")
@@ -65,12 +68,9 @@ func run(args []string, out io.Writer) error {
 	k := fs.Int("k", 0, "drift: starting node count for -drift-nodes random walks")
 	minK := fs.Int("min-k", 1, "drift: lower bound of the node-count walk")
 	maxK := fs.Int("max-k", 0, "drift: upper bound of the node-count walk (0 = none)")
-	_ = fs.Parse(args) // ExitOnError: Parse itself exits on a bad flag or -h
-	if err := scenario.CheckPresence(*p); err != nil {
-		return fmt.Errorf("-p: %w", err)
-	}
-	if err := scenario.CheckCount(*scenarios); err != nil {
-		return fmt.Errorf("-scenarios: %w", err)
+	fs.Parse(args)
+	if err := cli.CheckDraw(*scenarios, *p); err != nil {
+		return err
 	}
 	if err := scenario.CheckCount(*drift); err != nil {
 		return fmt.Errorf("-drift: %w", err)

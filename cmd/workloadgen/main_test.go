@@ -7,6 +7,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -140,5 +141,32 @@ func TestDriftObserveZero(t *testing.T) {
 	}
 	if n := observed(); n == 0 {
 		t.Error("the default -drift-observe emitted no observed scenario")
+	}
+}
+
+// TestBadFlagExitsOne checks that an unknown or malformed flag ends in one
+// line naming it and exit 1, where it used to print the usage and exit 2.
+func TestBadFlagExitsOne(t *testing.T) {
+	for _, args := range [][]string{{"-bogus"}, {"-k", "four"}} {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		out, err := exec.CommandContext(ctx, os.Args[0], append([]string{"workloadgen"}, args...)...).CombinedOutput()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.HasPrefix(string(out), "workloadgen: ") ||
+			!strings.Contains(string(out), args[0]) || strings.Count(string(out), "\n") != 1 {
+			t.Errorf("%q: %v, output %q; want exit 1 and one line naming %s", args, err, out, args[0])
+		}
+	}
+}
+
+// TestHelpOutput checks that -h, run under the command's own name, exits 0
+// and prints the usage recorded in testdata/help.txt byte for byte.
+func TestHelpOutput(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "workloadgen", "-h")
+	cmd.Args[0] = "workloadgen"
+	out, err := cmd.CombinedOutput()
+	want, rerr := os.ReadFile(filepath.Join("testdata", "help.txt"))
+	if err != nil || rerr != nil || !bytes.Equal(out, want) {
+		t.Errorf("-h: %v, %v, output:\n%s\nwant exit 0 and testdata/help.txt:\n%s", err, rerr, out, want)
 	}
 }

@@ -1,10 +1,4 @@
-// Package shutdown centralizes the CLIs' two-signal contract: the first
-// SIGINT/SIGTERM cancels a context so solvers wind down gracefully with
-// their best incumbents, a second signal forces an immediate exit — the
-// escape hatch when a long LP has not yet reached its cancellation poll.
-// cmd/allocate, cmd/paper, and cmd/allocd share this behavior (and its
-// documentation next to their exit-code tables) through this package.
-package shutdown
+package cli
 
 import (
 	"context"
@@ -15,16 +9,18 @@ import (
 	"syscall"
 )
 
-// Graceful returns a context that is canceled by the first SIGINT or
-// SIGTERM; a second signal prints "<prog>: second signal, exiting
-// immediately" to stderr and exits the process with code. Signal
+// Graceful is the commands' two-signal contract. It returns a context that
+// the first SIGINT or SIGTERM cancels, so the solvers wind down with their
+// best incumbents; a second signal — the escape hatch when a long LP has not
+// yet reached its cancellation poll — prints "<prog>: second signal, exiting
+// immediately" to stderr and exits the process with ExitError. Signal
 // notification is registered before Graceful returns, so a signal delivered
 // any time after the call is never fatal by default disposition. The
 // returned CancelFunc releases the context (defer it in main); the signal
 // watcher itself lives for the remaining process lifetime, which is exactly
 // the window the second-signal escape hatch must cover.
-func Graceful(prog string, code int) (context.Context, context.CancelFunc) {
-	return graceful(prog, code, os.Stderr, os.Exit)
+func Graceful(prog string) (context.Context, context.CancelFunc) {
+	return graceful(prog, ExitError, os.Stderr, os.Exit)
 }
 
 // graceful is the testable seam: tests substitute stderr and exit to drive

@@ -1,4 +1,4 @@
-package shutdown
+package cli
 
 import (
 	"bytes"
