@@ -133,8 +133,9 @@ census:
 # three times and a statement counts as reached when any run reached it:
 # both reach some statements only on timing (allocd's coalescing of
 # updates under the benchmark's clock, a daemon solve canceled mid-search
-# at a test's teardown), and one run moved the count by about ±3 between
-# runs of one tree. ~4 min on two cores. Not part of `make check`.
+# at a test's teardown). A single run moved the count by about ±3 between
+# runs of one tree; the union of three still moves by a few statements
+# (ROADMAP 19(c)). ~4 min on two cores. Not part of `make check`.
 traffic:
 	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; mkdir "$$dir/cov"; \
 	$(GO) build -cover -coverpkg=./... -o "$$dir/bench" ./bench || exit $$?; \

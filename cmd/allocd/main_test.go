@@ -58,9 +58,10 @@ func TestZeroNodes(t *testing.T) {
 }
 
 // TestBadFlagExitsOne checks that an unknown or malformed flag ends in one
-// line naming it and exit 1, where it used to print the usage and exit 2.
+// line naming it and exit 1, where it used to print the usage and exit 2
+// (and a malformed -chunks spec was refused without naming the flag).
 func TestBadFlagExitsOne(t *testing.T) {
-	for _, args := range [][]string{{"-bogus"}, {"-k", "four"}} {
+	for _, args := range [][]string{{"-bogus"}, {"-k", "four"}, {"-chunks", "2+x"}} {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		out, err := exec.CommandContext(ctx, os.Args[0], append([]string{"allocd"}, args...)...).CombinedOutput()
 		cancel()
