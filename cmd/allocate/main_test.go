@@ -217,9 +217,10 @@ func TestExportLPAndFullReplication(t *testing.T) {
 
 // TestBadFlagExitsOne checks that an unknown or malformed flag ends in one
 // line naming it and exit 1, and that -h prints the usage and exits 0; exit
-// 2 means only a degraded or cut-short run.
+// 2 means only a degraded or cut-short run. A negative -fixed is refused by
+// name for every approach, where greedy used to ignore it and exit 0.
 func TestBadFlagExitsOne(t *testing.T) {
-	for _, args := range [][]string{{"-bogus"}, {"-k", "four"}} {
+	for _, args := range [][]string{{"-bogus"}, {"-k", "four"}, {"-fixed", "-3", "-workload", "tpcds", "-approach", "greedy"}} {
 		if code, out := runAllocate(t, args...); code != cli.ExitError ||
 			!strings.HasPrefix(out, "allocate: ") || !strings.Contains(out, args[0]) || strings.Count(out, "\n") != 1 {
 			t.Errorf("%q: exit %d, output %q; want exit %d and one line naming %s", args, code, out, cli.ExitError, args[0])

@@ -59,9 +59,10 @@ func TestZeroNodes(t *testing.T) {
 
 // TestBadFlagExitsOne checks that an unknown or malformed flag ends in one
 // line naming it and exit 1, where it used to print the usage and exit 2
-// (and a malformed -chunks spec was refused without naming the flag).
+// (and a malformed -chunks spec was refused without naming the flag, and a
+// negative -fixed only once the first solve had started).
 func TestBadFlagExitsOne(t *testing.T) {
-	for _, args := range [][]string{{"-bogus"}, {"-k", "four"}, {"-chunks", "2+x"}} {
+	for _, args := range [][]string{{"-bogus"}, {"-k", "four"}, {"-chunks", "2+x"}, {"-fixed", "-3", "-workload", "tpcds", "-addr", "127.0.0.1:0"}} {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		out, err := exec.CommandContext(ctx, os.Args[0], append([]string{"allocd"}, args...)...).CombinedOutput()
 		cancel()

@@ -67,6 +67,8 @@ func NewSolver(fs *FlagSet) *Solver {
 		switch {
 		case *k < 1:
 			return fmt.Errorf("-k: %d nodes, need at least one", *k)
+		case *fixed < 0:
+			return fmt.Errorf("-fixed: %d fixed queries is negative (0 = none)", *fixed)
 		case *reduce < 0:
 			return fmt.Errorf("-reduce: %d representatives is negative (0 = off)", *reduce)
 		case *budget < 0:
