@@ -97,43 +97,60 @@ func TestRunRejectsPresence(t *testing.T) {
 	}
 }
 
-// TestRunReport drives the report on an allocation whose every L~ is known
-// exactly: full replication on K=3 nodes can route every scenario's load in
-// equal thirds, so the f=1 baseline and each of -scenarios' unseen draws
-// read L~ = 1/3, and -per-scenario prints one such line per scenario.
+// TestRunReport drives the report on allocations whose every L~ is known
+// exactly: full replication on n of K nodes can route every scenario's load
+// in equal shares over those n, so the f=1 baseline and each of -scenarios'
+// unseen draws read L~ = 1/n, and -per-scenario prints one such line per
+// scenario. K=3 takes the evaluator's closed form; K=16, above
+// internal/eval's cutMaxK, takes its max-flow search, which no other
+// command, table or benchmark workload reaches. With node 15 left empty the
+// search starts at 1/16 and takes one Newton step to 1/15.
 func TestRunReport(t *testing.T) {
-	alloc := filepath.Join(t.TempDir(), "full.json")
-	if err := fragalloc.SaveJSON(alloc, fragalloc.FullReplication(fragalloc.TPCDSWorkload(), 3)); err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		args []string
-		n    int
+	w := fragalloc.TPCDSWorkload()
+	idle := fragalloc.FullReplication(w, 16)
+	idle.Fragments[15] = nil
+	for _, c := range []struct {
+		alloc *fragalloc.Allocation
+		n     int // nodes that store the fragments
 	}{
-		{nil, 1},
-		{[]string{"-scenarios", "4", "-per-scenario"}, 4},
+		{fragalloc.FullReplication(w, 3), 3},
+		{fragalloc.FullReplication(w, 16), 16},
+		{idle, 15},
 	} {
-		var out bytes.Buffer
-		if err := run(append([]string{"-workload", "tpcds", "-alloc", alloc}, tc.args...), &out); err != nil {
-			t.Fatalf("%q: %v", tc.args, err)
+		alloc := filepath.Join(t.TempDir(), "full.json")
+		if err := fragalloc.SaveJSON(alloc, c.alloc); err != nil {
+			t.Fatal(err)
 		}
-		report := out.String()
-		want := []string{
-			fmt.Sprintf("K=3 nodes, W/V=3.0000, %d scenario(s)\n", tc.n),
-			"E(L~)          = 0.333333  (perfect balance: 0.333333)\n",
-		}
-		if tc.n > 1 {
-			for i := 1; i <= tc.n; i++ {
-				want = append(want, fmt.Sprintf("scenario %3d: L~=0.333333 throughput=1.0000\n", i))
+		l := 1 / float64(c.n)
+		for _, tc := range []struct {
+			args []string
+			n    int
+		}{
+			{nil, 1},
+			{[]string{"-scenarios", "4", "-per-scenario"}, 4},
+		} {
+			var out bytes.Buffer
+			if err := run(append([]string{"-workload", "tpcds", "-alloc", alloc}, tc.args...), &out); err != nil {
+				t.Fatalf("K=%d %q: %v", c.alloc.K, tc.args, err)
 			}
-		}
-		for _, line := range want {
-			if !strings.Contains(report, line) {
-				t.Errorf("%q: report lacks %q:\n%s", tc.args, line, report)
+			report := out.String()
+			want := []string{
+				fmt.Sprintf("K=%d nodes, W/V=%d.0000, %d scenario(s)\n", c.alloc.K, c.n, tc.n),
+				fmt.Sprintf("E(L~)          = %.6f  (perfect balance: %.6f)\n", l, 1/float64(c.alloc.K)),
 			}
-		}
-		if got := strings.Count(report, "scenario "); tc.n > 1 && got != tc.n {
-			t.Errorf("%q: %d per-scenario lines, want %d:\n%s", tc.args, got, tc.n, report)
+			if tc.n > 1 {
+				for i := 1; i <= tc.n; i++ {
+					want = append(want, fmt.Sprintf("scenario %3d: L~=%.6f throughput=%.4f\n", i, l, float64(c.n)/float64(c.alloc.K)))
+				}
+			}
+			for _, line := range want {
+				if !strings.Contains(report, line) {
+					t.Errorf("K=%d on %d nodes %q: report lacks %q:\n%s", c.alloc.K, c.n, tc.args, line, report)
+				}
+			}
+			if got := strings.Count(report, "scenario "); tc.n > 1 && got != tc.n {
+				t.Errorf("K=%d on %d nodes %q: %d per-scenario lines, want %d:\n%s", c.alloc.K, c.n, tc.args, got, tc.n, report)
+			}
 		}
 	}
 }

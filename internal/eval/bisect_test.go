@@ -3,11 +3,15 @@ package eval
 import "math"
 
 // worstLoadBisect is the reference search: binary-search L with an
-// independent from-scratch feasibility probe per step. It brackets the same
-// quasi-feasibility frontier as the parametric search (both are within tol
-// of the exact L̃) and cross-checks WorstLoad in the tests and times the
-// pre-streaming path in BenchmarkEvalStream.
+// independent from-scratch feasibility probe per step, on the flow network
+// (built here when the node count put WorstLoad on the closed form). It is
+// within tol of the exact L̃, like both paths of WorstLoad, cross-checks
+// them in the tests and times the pre-streaming path in
+// BenchmarkEvalStream.
 func (e *Evaluator) worstLoadBisect(freq []float64) (float64, error) {
+	if e.g == nil {
+		e.buildFlow()
+	}
 	lo, totalLoad, err := e.prepare(freq)
 	if err != nil || math.IsInf(lo, 1) {
 		return lo, err

@@ -50,12 +50,13 @@ func TestEvaluatorClasses(t *testing.T) {
 
 // TestEvaluatorQueryOrderInvariant: classes are a property of the allocation,
 // not of the order the workload lists its queries in. Permuting the queries,
-// and each frequency vector with them, leaves L̃ unchanged within 1e-9.
+// and each frequency vector with them, leaves L̃ unchanged within 1e-9, on
+// both sides of cutMaxK.
 func TestEvaluatorQueryOrderInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for trial := 0; trial < 30; trial++ {
 		w := randomWorkload(rng, 4+rng.Intn(12), 3+rng.Intn(20))
-		alloc := randomAllocation(rng, w, 2+rng.Intn(4))
+		alloc := randomAllocation(rng, w, 2+rng.Intn(cutMaxK+1))
 		ss := randomScenarioSet(rng, w, 5, 0.7)
 		perm := rng.Perm(len(w.Queries))
 		pw := &model.Workload{Name: w.Name, Fragments: w.Fragments, Queries: make([]model.Query, len(w.Queries))}

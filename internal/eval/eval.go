@@ -11,11 +11,19 @@
 // L̃ = 1/K; the paper reports E(L̃) − 1/K and the expected relative
 // throughput E((1/K)/L̃) over 100 unseen scenarios.
 //
-// Two independent implementations are provided: WorstLoadLP solves the
+// Three independent implementations are provided. WorstLoadLP solves the
 // routing LP with the simplex solver (the paper's method of fixing x in
-// model (3)–(7)), and WorstLoadFlow finds L by a parametric Newton search
-// over Dinic max-flows, which is much faster for repeated evaluation. They
-// agree to within the search tolerance and are cross-checked in tests.
+// model (3)–(7)). The Evaluator behind WorstLoadFlow and EvaluateStream,
+// much faster for repeated evaluation, takes one of two paths by the node
+// count K alone. Up to cutMaxK (10) it reads L̃ off the min cuts of the
+// routing network in closed form,
+//
+//	L̃ = max over nonempty node sets T of load(T) / |T|,
+//
+// where load(T) sums the queries that run only on nodes in T, with one
+// subset-sum pass over a 2^K table. Above, it runs a parametric Newton
+// search over Dinic max-flows. All agree to within the search tolerance and
+// are cross-checked in tests.
 package eval
 
 import (
@@ -111,10 +119,10 @@ func WorstLoadLP(w *model.Workload, alloc *model.Allocation, freq []float64) (fl
 
 // WorstLoadFlow computes L̃ for one scenario on the routing flow network
 // (source→class of queries sharing a runnable node set→node→sink with node
-// capacity L): the smallest L at
-// which a max flow places all load, found by the parametric Newton search
-// of Evaluator.WorstLoad. tol is the absolute precision of the returned L̃
-// (default 1e-9 if ≤ 0).
+// capacity L): the smallest L at which a max flow places all load, read off
+// the min cuts in closed form or found by the parametric Newton search, as
+// Evaluator.WorstLoad picks by K. tol is the absolute precision of the
+// returned L̃ (default 1e-9 if ≤ 0).
 //
 // This is the one-shot convenience wrapper; it rebuilds the allocation's
 // executability sets and flow graph on every call. Evaluating many

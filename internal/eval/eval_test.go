@@ -127,34 +127,58 @@ func TestZeroCostScenarioRejected(t *testing.T) {
 	}
 }
 
-// TestFlowMatchesLP is the central property test: the two independent
-// evaluators must agree on random allocations and scenarios.
+// TestFlowMatchesLP is the central property test: WorstLoad must agree with
+// two independent oracles, the routing LP and the bisection over from-scratch
+// max-flows, on random allocations and scenarios. K runs from 1 to cutMaxK,
+// where WorstLoad takes the closed form, and on to cutMaxK+2, where it runs
+// the flow search. The draws include unservable classes (a query over a
+// fragment no node stores, with and without load), single-node classes and
+// classes whose every query is idle.
 func TestFlowMatchesLP(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 60; trial++ {
-		w := randomWorkload(rng, 4+rng.Intn(15), 3+rng.Intn(15))
-		k := 2 + rng.Intn(4)
-		alloc := randomAllocation(rng, w, k)
-		freq := make([]float64, len(w.Queries))
-		for j := range freq {
-			if rng.Float64() < 0.8 {
-				freq[j] = rng.Float64() * 2
+	for k := 1; k <= cutMaxK+2; k++ {
+		for trial := 0; trial < 6; trial++ {
+			w := randomWorkload(rng, 4+rng.Intn(15), 3+rng.Intn(15))
+			alloc := randomAllocation(rng, w, k)
+			if trial%3 == 0 { // a query over a fragment stored nowhere
+				w.Fragments = append(w.Fragments, model.Fragment{ID: len(w.Fragments), Size: 1})
+				w.Queries = append(w.Queries, model.Query{ID: len(w.Queries), Fragments: []int{0, len(w.Fragments) - 1}, Cost: 1, Frequency: 1})
 			}
-		}
-		freq[rng.Intn(len(freq))] = 1 // ensure load
-		lp, err := WorstLoadLP(w, alloc, freq)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		fl, err := WorstLoadFlow(w, alloc, freq, 1e-9)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if math.IsInf(lp, 1) != math.IsInf(fl, 1) {
-			t.Fatalf("trial %d: LP %v vs flow %v", trial, lp, fl)
-		}
-		if !math.IsInf(lp, 1) && math.Abs(lp-fl) > 1e-6 {
-			t.Fatalf("trial %d: LP %.9f vs flow %.9f", trial, lp, fl)
+			e := NewEvaluator(w, alloc, 1e-9)
+			freq := make([]float64, len(w.Queries))
+			for j := range freq {
+				if rng.Float64() < 0.8 {
+					freq[j] = rng.Float64() * 2
+				}
+			}
+			// Zero every query of one class, and load one query of another.
+			idle, busy := e.class[rng.Intn(len(freq))], rng.Intn(len(freq))
+			for j, c := range e.class {
+				if c == idle {
+					freq[j] = 0
+				} else {
+					busy = j
+				}
+			}
+			freq[busy] = 1
+			lp, err := WorstLoadLP(w, alloc, freq)
+			if err != nil {
+				t.Fatalf("K=%d trial %d: %v", k, trial, err)
+			}
+			got, err := e.WorstLoad(freq)
+			if err != nil {
+				t.Fatalf("K=%d trial %d: %v", k, trial, err)
+			}
+			bisect, err := e.worstLoadBisect(freq)
+			if err != nil {
+				t.Fatalf("K=%d trial %d: %v", k, trial, err)
+			}
+			if math.IsInf(lp, 1) != math.IsInf(got, 1) || math.IsInf(bisect, 1) != math.IsInf(got, 1) {
+				t.Fatalf("K=%d trial %d: LP %v, bisection %v, WorstLoad %v", k, trial, lp, bisect, got)
+			}
+			if !math.IsInf(lp, 1) && (math.Abs(lp-got) > 1e-6 || math.Abs(bisect-got) > 1e-8) {
+				t.Fatalf("K=%d trial %d: LP %.12f, bisection %.12f, WorstLoad %.12f", k, trial, lp, bisect, got)
+			}
 		}
 	}
 }

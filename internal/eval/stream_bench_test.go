@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -64,16 +65,65 @@ func BenchmarkWorstLoad(b *testing.B) {
 	b.ReportMetric(float64(len(e.classNodes)), "classes")
 }
 
+// BenchmarkWorstLoadK times both of WorstLoad's searches per scenario at
+// each node count: the TPC-DS catalog, a greedy allocation over K nodes and
+// 200 unseen scenarios (20 under -short). path=cut is the closed form over
+// the 2^K subset sums, path=flow the parametric max-flow search; WorstLoad
+// takes the cut up to cutMaxK, whose comment records where they cross.
+func BenchmarkWorstLoadK(b *testing.B) {
+	w := tpcds.Workload()
+	s := 200
+	if testing.Short() {
+		s = 20
+	}
+	unseen := scenario.OutOfSample(w, s, scenario.DefaultP, 1001)
+	for _, k := range []int{4, 8, 10, 12, 14, 16} {
+		alloc, err := greedy.Allocate(w, w.DefaultFrequencies(), k)
+		if err != nil {
+			b.Fatal(err)
+		}
+		e := NewEvaluator(w, alloc, 0)
+		if e.g == nil {
+			e.buildFlow()
+		}
+		if e.sums == nil {
+			e.buildCut()
+		}
+		for _, path := range []struct {
+			name   string
+			search func(lo, totalLoad float64) float64
+		}{
+			{"cut", func(lo, _ float64) float64 { return e.worstCut(lo) }},
+			{"flow", e.worstFlow},
+		} {
+			b.Run(fmt.Sprintf("K=%d/path=%s", k, path.name), func(b *testing.B) {
+				lo, totalLoad, _ := e.prepare(unseen.Frequencies[0])
+				path.search(lo, totalLoad) // size the graph's scratch
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					lo, totalLoad, err := e.prepare(unseen.Frequencies[i%s])
+					if err != nil {
+						b.Fatal(err)
+					}
+					path.search(lo, totalLoad)
+				}
+				b.ReportMetric(float64(len(e.classNodes)), "classes")
+			})
+		}
+	}
+}
+
 // BenchmarkEvalStream measures one full out-of-sample sweep per op.
 //
 //	mode=naive   the pre-streaming path: rebuild executability sets and the
 //	             flow graph for every scenario, bisect L with from-scratch
 //	             max-flow probes
-//	mode=cached  one reused Evaluator, parametric Newton search, serial
+//	mode=cached  one reused Evaluator (at K=8 the closed form), serial
 //	mode=par     EvaluateStream at GOMAXPROCS workers
 //
-// The three modes separate what cache reuse (cached) buys from what
-// parallelism (par) buys.
+// The three modes separate what cache reuse and the closed form (cached)
+// buy from what parallelism (par) buys.
 func BenchmarkEvalStream(b *testing.B) {
 	w, alloc, ss := benchFixture(b)
 	b.Run("mode=naive", func(b *testing.B) {

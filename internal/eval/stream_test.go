@@ -26,38 +26,42 @@ func randomScenarioSet(rng *rand.Rand, w *model.Workload, s int, p float64) *mod
 	return ss
 }
 
-// TestEvaluatorMatchesWorstLoadFlow: the reusable Evaluator must agree with
-// the one-shot wrapper call after call, including after many intervening
-// scenarios — results are a pure function of the frequency vector.
+// TestEvaluatorMatchesOneShot: the reusable Evaluator must agree with the
+// one-shot wrapper call after call, including after many intervening
+// scenarios — results are a pure function of the frequency vector — on the
+// closed form and on the flow search.
 func TestEvaluatorMatchesOneShot(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	w := randomWorkload(rng, 10, 14)
-	alloc := randomAllocation(rng, w, 4)
-	ss := randomScenarioSet(rng, w, 40, 0.7)
-	e := NewEvaluator(w, alloc, 1e-9)
-	for s, freq := range ss.Frequencies {
-		got, err := e.WorstLoad(freq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := WorstLoadFlow(w, alloc, freq, 1e-9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("scenario %d: reused evaluator %.12f vs fresh %.12f", s, got, want)
+	for _, k := range []int{4, cutMaxK + 2} {
+		w := randomWorkload(rng, 10, 14)
+		alloc := randomAllocation(rng, w, k)
+		ss := randomScenarioSet(rng, w, 40, 0.7)
+		e := NewEvaluator(w, alloc, 1e-9)
+		for s, freq := range ss.Frequencies {
+			got, err := e.WorstLoad(freq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := WorstLoadFlow(w, alloc, freq, 1e-9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Fatalf("K=%d scenario %d: reused evaluator %.12f vs fresh %.12f", k, s, got, want)
+			}
 		}
 	}
 }
 
-// TestNewtonMatchesBisect cross-checks the parametric Newton search against
-// the reference bisection on the same Evaluator: both bracket the same
-// quasi-feasibility frontier, so they agree to within a few tolerances.
+// TestNewtonMatchesBisect cross-checks the parametric Newton search, which
+// WorstLoad runs above cutMaxK nodes, against the reference bisection on the
+// same Evaluator: both bracket the same quasi-feasibility frontier, so they
+// agree to within a few tolerances.
 func TestNewtonMatchesBisect(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 40; trial++ {
 		w := randomWorkload(rng, 4+rng.Intn(12), 3+rng.Intn(14))
-		alloc := randomAllocation(rng, w, 2+rng.Intn(4))
+		alloc := randomAllocation(rng, w, cutMaxK+1+rng.Intn(4))
 		ss := randomScenarioSet(rng, w, 5, 0.7)
 		e := NewEvaluator(w, alloc, 1e-9)
 		for s, freq := range ss.Frequencies {
@@ -80,27 +84,30 @@ func TestNewtonMatchesBisect(t *testing.T) {
 }
 
 // TestEvaluateStreamBitIdentical: aggregates must not depend on the worker
-// count — the determinism contract of the streaming driver.
+// count — the determinism contract of the streaming driver — on the closed
+// form and on the flow search.
 func TestEvaluateStreamBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
-	w := randomWorkload(rng, 12, 18)
-	alloc := randomAllocation(rng, w, 5)
-	ss := randomScenarioSet(rng, w, 64, 0.6)
-	base, err := EvaluateStream(w, alloc, ss, StreamOptions{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, par := range []int{2, 3, 8, 64} {
-		m, err := EvaluateStream(w, alloc, ss, StreamOptions{Parallelism: par})
+	for _, k := range []int{5, cutMaxK + 3} {
+		w := randomWorkload(rng, 12, 18)
+		alloc := randomAllocation(rng, w, k)
+		ss := randomScenarioSet(rng, w, 64, 0.6)
+		base, err := EvaluateStream(w, alloc, ss, StreamOptions{Parallelism: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.MeanL != base.MeanL || m.MeanGap != base.MeanGap || m.MeanThroughput != base.MeanThroughput || m.Unservable != base.Unservable {
-			t.Fatalf("parallelism %d: aggregates differ from serial run", par)
-		}
-		for s := range m.L {
-			if m.L[s] != base.L[s] {
-				t.Fatalf("parallelism %d: L[%d] = %.12f vs %.12f", par, s, m.L[s], base.L[s])
+		for _, par := range []int{2, 3, 8, 64} {
+			m, err := EvaluateStream(w, alloc, ss, StreamOptions{Parallelism: par})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.MeanL != base.MeanL || m.MeanGap != base.MeanGap || m.MeanThroughput != base.MeanThroughput || m.Unservable != base.Unservable {
+				t.Fatalf("K=%d parallelism %d: aggregates differ from serial run", k, par)
+			}
+			for s := range m.L {
+				if m.L[s] != base.L[s] {
+					t.Fatalf("K=%d parallelism %d: L[%d] = %.12f vs %.12f", k, par, s, m.L[s], base.L[s])
+				}
 			}
 		}
 	}
@@ -197,28 +204,31 @@ func TestStreamMatchesLPSweep(t *testing.T) {
 }
 
 // TestEvaluatorZeroAlloc asserts the streaming hot path allocates nothing
-// per scenario once the Evaluator is warm.
+// per scenario once the Evaluator is warm, on the closed form and on the
+// flow search.
 func TestEvaluatorZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(39))
-	w := randomWorkload(rng, 12, 20)
-	alloc := randomAllocation(rng, w, 4)
-	ss := randomScenarioSet(rng, w, 8, 0.7)
-	e := NewEvaluator(w, alloc, 1e-9)
-	for _, freq := range ss.Frequencies { // warm the graph scratch
-		if _, err := e.WorstLoad(freq); err != nil {
-			t.Fatal(err)
+	for _, k := range []int{4, cutMaxK + 2} {
+		w := randomWorkload(rng, 12, 20)
+		alloc := randomAllocation(rng, w, k)
+		ss := randomScenarioSet(rng, w, 8, 0.7)
+		e := NewEvaluator(w, alloc, 1e-9)
+		for _, freq := range ss.Frequencies { // warm the graph scratch
+			if _, err := e.WorstLoad(freq); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	i := 0
-	allocs := testing.AllocsPerRun(100, func() {
-		_, err := e.WorstLoad(ss.Frequencies[i%len(ss.Frequencies)])
-		if err != nil {
-			t.Fatal(err)
+		i := 0
+		allocs := testing.AllocsPerRun(100, func() {
+			_, err := e.WorstLoad(ss.Frequencies[i%len(ss.Frequencies)])
+			if err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+		if allocs != 0 {
+			t.Fatalf("K=%d: WorstLoad allocates %.1f times per scenario, want 0", k, allocs)
 		}
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("WorstLoad allocates %.1f times per scenario, want 0", allocs)
 	}
 }
 

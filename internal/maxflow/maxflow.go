@@ -2,8 +2,8 @@
 // float64 capacities, and MinLevel, the parametric search on it: the least
 // level L at which a demand can be routed when every sink edge admits L.
 // The allocation evaluator (package eval) runs it for the worst-case load
-// share L̃ of Section 4.2 of the paper, cross-checked against the LP
-// evaluator in tests. The trim (package core) still routes a subproblem's
+// share L̃ of Section 4.2 of the paper on allocations over more nodes than
+// its closed form serves, cross-checked against the LP evaluator in tests. The trim (package core) still routes a subproblem's
 // rows (6)–(7) at a fixed placement with an LP.
 //
 // A Graph owns its BFS/DFS scratch, so repeated MaxFlow runs on one graph
