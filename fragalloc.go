@@ -164,8 +164,9 @@ func ReduceScenarios(w *Workload, ss *ScenarioSet, cfg ReduceConfig) (*Reduction
 	return scenario.Reduce(w, ss, cfg)
 }
 
-// WorstLoad computes L̃ for a single frequency vector (flow-based, exact to
-// 1e-9). It returns +Inf if the allocation cannot serve the scenario.
+// WorstLoad computes L̃ for a single frequency vector (the routing network's
+// min cut: in closed form up to 10 nodes, by a max-flow search within 1e-9
+// above). It returns +Inf if the allocation cannot serve the scenario.
 func WorstLoad(w *Workload, alloc *Allocation, freq []float64) (float64, error) {
 	return eval.WorstLoadFlow(w, alloc, freq, 1e-9)
 }

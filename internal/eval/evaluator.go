@@ -58,7 +58,7 @@ type Evaluator struct {
 }
 
 // cutMaxK is the largest node count that WorstLoad serves in closed form.
-// The closed form costs K·2^K additions whatever the allocation; the flow
+// The closed form costs K·2^(K−1) additions whatever the allocation; the flow
 // search's cost follows the allocation's classes and cuts, and barely grows
 // with K. BenchmarkWorstLoadK (TPC-DS, a greedy allocation over K nodes,
 // 200 unseen scenarios; medians of five runs at -cpu 1, Go 1.24, a shared
